@@ -26,10 +26,9 @@ from .observables import (SYMPLECTIC_J, AffineSymplecticMap,
                           heisenberg_closed_form, heisenberg_map,
                           write_heisenberg_json)
 from .oracles import GaussianState, apply_kernel, fundamental_matrix
-from .propagator import (GreenAux, GreenSample, QuadraticPhaseKernel,
-                         degenerate_kernel, generic_kernel, green, green_aux,
-                         green_degenerate, green_generic, green_kernel,
-                         green_landau, landau_kernel, write_green_csv)
+from .propagator import (GreenSample, QuadraticPhaseKernel,
+                         degenerate_kernel, generic_kernel, green,
+                         green_kernel, landau_kernel, write_green_csv)
 from .reduction import ReductionState, assemble, reference_odes
 from .schedule import CoefficientSchedule
 
@@ -39,15 +38,14 @@ __all__ = [
     "AdjointMatrix", "AffineSymplecticMap", "AlphaState", "Breakdown",
     "BranchUnavailable", "CoefficientSchedule", "ConfigError",
     "DegenerateGeometry", "EnergyShift", "FlowResult", "GaussianState",
-    "GENERATOR_LABELS", "GreenAux", "GreenSample", "GridUnderresolved",
+    "GENERATOR_LABELS", "GreenSample", "GridUnderresolved",
     "InvalidSchedule", "N_GENERATORS", "ParseError", "QuadflowError",
     "ReductionState", "SingularNu", "SingularTime", "StructureConstants",
     "SYMPLECTIC_J", "adjoint_closed_form", "adjoint_matrix", "apply_kernel",
     "assemble", "classical_lagrangian", "commutator",
     "constant_field_closed_form", "euler_residuals", "evaluate_expression",
-    "export_tensor_json", "fundamental_matrix", "green", "green_aux",
-    "green_degenerate", "green_generic", "green_landau",
-    "green_kernel", "heisenberg_closed_form", "heisenberg_map", "integrate",
+    "export_tensor_json", "fundamental_matrix", "green", "green_kernel",
+    "heisenberg_closed_form", "heisenberg_map", "integrate",
     "landau_kernel", "degenerate_kernel", "generic_kernel", "QuadraticPhaseKernel",
     "parse_expression", "pretty", "reference_odes", "standard_algebra",
     "subalgebra_closed", "validate_algebra", "write_alphas_csv",

@@ -80,7 +80,9 @@ def _nilpotent_powers(C, max_index=8):
         if not P.any():
             return powers
         powers.append(P.copy())
-    return None  # not nilpotent within max_index
+    # every C_i of this algebra is diagonal or nilpotent, so _adjoint needs
+    # no general matrix exponential
+    raise ValueError(f"C is not nilpotent within index {max_index}")
 
 
 _DIAGONAL = {}
@@ -90,9 +92,7 @@ for _i in range(1, N_GENERATORS + 1):
     if not np.count_nonzero(_Ci - np.diag(np.diag(_Ci))):
         _DIAGONAL[_i] = np.diag(_Ci).copy()
     else:
-        _pw = _nilpotent_powers(_Ci)
-        if _pw is not None:
-            _POWERS[_i] = _pw
+        _POWERS[_i] = _nilpotent_powers(_Ci)
 
 
 def adjoint_generator(i: int) -> np.ndarray:
@@ -105,19 +105,13 @@ def _adjoint(i: int, alpha: float) -> np.ndarray:
     """exp(-alpha*C_i) without the dataclass wrapper (hot path)."""
     if i in _DIAGONAL:
         return np.diag(np.exp(-alpha * _DIAGONAL[i]))
-    if i in _POWERS:
-        powers = _POWERS[i]
-        M = powers[0].copy()
-        fac = 1.0
-        for k in range(1, len(powers)):
-            fac *= -alpha / k
-            M += fac * powers[k]
-        return M
-    # not reachable for this algebra (all C_i nilpotent or diagonal); kept as
-    # a safe fallback for exotic tensors
-    from scipy.linalg import expm
-
-    return expm(-alpha * _C[i])
+    powers = _POWERS[i]
+    M = powers[0].copy()
+    fac = 1.0
+    for k in range(1, len(powers)):
+        fac *= -alpha / k
+        M += fac * powers[k]
+    return M
 
 
 def adjoint_matrix(i: int, alpha: float) -> AdjointMatrix:

@@ -6,7 +6,7 @@ run <config>...   integrate the flow and write the configured artifacts;
                   several configs run in parallel (QUADFLOW_THREADS caps
                   the worker count), each in its own output directory
 verify            run the oracle cross-check table for a preset or config
-green <config>    integrate and write only the Green-function samples
+green <config>    the same as run, limited to the Green-function samples
 print-odes        dump the flow right-hand side at a given (a(t), alpha)
 
 Failures print a machine-readable JSON object to stderr
@@ -30,7 +30,7 @@ from . import flow as flow_mod
 from . import observables, oracles, propagator
 from .adjoint import adjoint_closed_form, adjoint_matrix
 from .config import RunConfig, load_config
-from .errors import QuadflowError
+from .errors import ConfigError, QuadflowError
 from .reduction import assemble, reference_odes
 from .schedule import CoefficientSchedule
 
@@ -43,27 +43,37 @@ def _fail(exc: Exception, where: str) -> int:
 
 
 def _green_samples(cfg: RunConfig, result) -> list:
+    """One GreenSample per time: the explicit points, then the grid (ij)."""
     req = cfg.green
-    times = list(req.times) if req.times else [result.final.t]
+    pts = [np.array(req.points, dtype=float).reshape(-1, 4)]
+    if req.grid_extent is not None:
+        axis = np.linspace(-req.grid_extent, req.grid_extent,
+                           req.grid_points)
+        xs, ys = np.meshgrid(axis, axis, indexing="ij")
+        pts.append(np.column_stack([xs.ravel(), ys.ravel(),
+                                    np.tile(req.source, (xs.size, 1))]))
+    x, y, xp, yp = np.concatenate(pts).T
+    t_final = result.final.t
     samples = []
-    for t in times:
-        alpha = result.interpolate(t)
-        pts = list(req.points)
-        if req.grid_extent is not None:
-            axis = np.linspace(-req.grid_extent, req.grid_extent,
-                               req.grid_points)
-            xs, ys = np.meshgrid(axis, axis, indexing="ij")
-            pts += [(float(x), float(y), req.source[0], req.source[1])
-                    for x, y in zip(xs.ravel(), ys.ravel())]
-        for (x, y, xp, yp) in pts:
-            s = propagator.green(alpha, cfg.schedule.hbar, x, y, xp, yp, t=t)
-            samples.append(s)
+    for t in req.times or (t_final,):
+        if not 0 <= t <= t_final:
+            raise ConfigError(f"[green] times: t = {t!r} lies outside the "
+                              f"integrated span [0, {t_final!r}]")
+        samples.append(propagator.green(result.interpolate(t),
+                                        cfg.schedule.hbar, x, y, xp, yp,
+                                        t=t))
     return samples
 
 
-def run_config_file(path, outdir=None) -> dict:
-    """Execute one config; returns {"config": ..., "written": [...]}."""
+def run_config_file(path, outdir=None, green_only=False) -> dict:
+    """Integrate one config and write its outputs (only green.csv when
+    ``green_only``); returns the info object printed by the CLI."""
     cfg = load_config(path)
+    outputs = cfg.outputs
+    if green_only:
+        outputs = {"green": outputs.get("green", "green.csv")}
+    if "green" in outputs and cfg.green is None:
+        raise ConfigError("green output requested without [green] section")
     out_base = Path(outdir) if outdir else Path(path).resolve().parent
     out_base.mkdir(parents=True, exist_ok=True)
     result = flow_mod.integrate(
@@ -71,18 +81,16 @@ def run_config_file(path, outdir=None) -> dict:
         max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap,
         samples=cfg.samples)
     written = []
-    if "alphas" in cfg.outputs:
-        dest = out_base / cfg.outputs["alphas"]
+    if "alphas" in outputs:
+        dest = out_base / outputs["alphas"]
         flow_mod.write_alphas_csv(result, dest)
         written.append(str(dest))
-    if "heisenberg" in cfg.outputs:
-        dest = out_base / cfg.outputs["heisenberg"]
+    if "heisenberg" in outputs:
+        dest = out_base / outputs["heisenberg"]
         observables.write_heisenberg_json(result, dest)
         written.append(str(dest))
-    if "green" in cfg.outputs:
-        if cfg.green is None:
-            raise QuadflowError("green output requested without [green] section")
-        dest = out_base / cfg.outputs["green"]
+    if "green" in outputs:
+        dest = out_base / outputs["green"]
         propagator.write_green_csv(_green_samples(cfg, result), dest)
         written.append(str(dest))
     info = {"config": str(path), "written": written,
@@ -101,14 +109,18 @@ def _cmd_run(args) -> int:
         outdir = args.outdir
         if outdir and len(configs) > 1:
             outdir = str(Path(outdir) / Path(path).stem)
-        jobs.append((path, outdir))
+        jobs.append((path, outdir, args.green_only))
     try:
         if len(jobs) == 1:
             infos = [run_config_file(*jobs[0])]
         else:
-            max_workers = int(os.environ.get("QUADFLOW_THREADS", "0")) \
-                or min(len(jobs), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            raw = os.environ.get("QUADFLOW_THREADS", "0")
+            if not raw.strip().isdecimal():
+                raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
+                                  "non-negative integer")
+            # never more workers than jobs: a fork pool starts them all
+            workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 infos = list(pool.map(_run_job, jobs))
     except QuadflowError as exc:
         return _fail(exc, where=";".join(str(c) for c in configs))
@@ -119,26 +131,6 @@ def _cmd_run(args) -> int:
 
 def _run_job(job):
     return run_config_file(*job)
-
-
-def _cmd_green(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if cfg.green is None:
-            raise QuadflowError("config has no [green] section")
-        out_base = Path(args.outdir) if args.outdir \
-            else Path(args.config).resolve().parent
-        out_base.mkdir(parents=True, exist_ok=True)
-        result = flow_mod.integrate(
-            cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
-            max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap,
-            samples=cfg.samples)
-        dest = out_base / cfg.outputs.get("green", "green.csv")
-        propagator.write_green_csv(_green_samples(cfg, result), dest)
-    except QuadflowError as exc:
-        return _fail(exc, where=str(args.config))
-    print(json.dumps({"config": str(args.config), "written": [str(dest)]}))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate and write artifacts")
     p_run.add_argument("config", nargs="+")
     p_run.add_argument("--outdir", default=None)
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, green_only=False)
 
     p_ver = sub.add_parser("verify", help="run the oracle cross-check table")
     p_ver.add_argument("--preset", default="landau",
@@ -301,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_green = sub.add_parser("green", help="write Green-function samples")
-    p_green.add_argument("config")
+    p_green.add_argument("config", nargs=1)
     p_green.add_argument("--outdir", default=None)
-    p_green.set_defaults(fn=_cmd_green)
+    p_green.set_defaults(fn=_cmd_run, green_only=True)
 
     p_odes = sub.add_parser("print-odes",
                             help="dump the flow RHS at a given state")

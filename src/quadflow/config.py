@@ -44,6 +44,7 @@ run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,6 +168,9 @@ def load_config(path) -> RunConfig:
     t_end = _float(run, "t_end", where=where) if "t_end" in run else None
     if t_end is None:
         raise ConfigError("[run]: t_end is required")
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"[run]: t_end = {t_end!r} must be positive and "
+                          "finite")
     cfg = RunConfig(
         schedule=schedule,
         t_end=t_end,

@@ -96,7 +96,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     -------
     FlowResult; if breakdown occurred, samples stop at ``t_break``.
     """
-    if t_end <= 0:
+    if not t_end > 0:
         raise ValueError("t_end must be positive")
     alpha0 = np.zeros(N_GENERATORS) if initial_alpha is None \
         else np.asarray(initial_alpha, dtype=float).copy()

@@ -2,17 +2,19 @@
 
 Branches
 --------
-* generic     - closed form assembled from the factorized evolution operator,
-                valid while |alpha11| stays away from zero and
-                alpha11^2 != 4*alpha9*alpha10.
-* degenerate  - the alpha11 -> 0 limit, obtained by collapsing the p_x p_y
-                factor to an identity kernel and redoing the two remaining
-                Gaussian integrals; this is the branch that covers the
-                constant-field case (where alpha11 = 0 identically).
-* landau      - the constant-field propagator written directly in terms of
-                the cyclotron phase, prefactor m*omega_c / (4*pi*hbar*
-                sin(omega_c t/2)); used as the oracle for the degenerate
-                branch.
+Each branch is a :class:`QuadraticPhaseKernel` whose ``branch`` attribute
+names the constructor that built it:
+
+* generic     - :func:`generic_kernel`, the closed form assembled from the
+                factorized evolution operator, valid while |alpha11| stays
+                away from zero and alpha11^2 != 4*alpha9*alpha10.
+* degenerate  - :func:`degenerate_kernel`, the alpha11 -> 0 limit, which
+                covers the constant-field case (alpha11 = 0 identically).
+* landau      - :func:`landau_kernel`, the constant-field propagator in terms
+                of the cyclotron phase; the oracle for the degenerate branch.
+
+:func:`green` evaluates :func:`green_kernel` (generic where available, else
+degenerate) at broadcast coordinates.
 
 Conventions
 -----------
@@ -28,6 +30,10 @@ eta^2 = alpha11^2 / (alpha11^2 - 4*alpha9*alpha10); the prefactor uses
 eta = alpha11 / csqrt(alpha11^2 - 4*alpha9*alpha10) on the principal branch,
 which is the choice continuous against the degenerate branch as
 alpha11 -> 0.
+
+Squares are taken with np.square, which rounds alike on scalars and arrays
+(a scalar ``** 2`` goes through libm pow), so evaluating a kernel point by
+point reproduces the vectorized values bit for bit.
 """
 
 from __future__ import annotations
@@ -41,33 +47,29 @@ import numpy as np
 from .algebra import N_GENERATORS
 from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
 
-__all__ = ["GreenSample", "GreenAux", "green_aux", "green_generic",
-           "green_degenerate", "green_landau", "green", "evaluate_generic",
-           "evaluate_degenerate", "evaluate_landau", "QuadraticPhaseKernel",
-           "landau_kernel", "degenerate_kernel", "generic_kernel",
-           "green_kernel", "write_green_csv"]
+__all__ = ["GreenSample", "QuadraticPhaseKernel", "landau_kernel",
+           "degenerate_kernel", "generic_kernel", "green_kernel", "green",
+           "write_green_csv"]
 
 DEFAULT_BRANCH_EPS = 1e-6
 
 
 @dataclass(frozen=True)
 class GreenSample:
-    x: float
-    y: float
+    """Green-function values at one time t.
+
+    ``x``, ``y``, ``x_prime``, ``y_prime`` and ``value`` share one broadcast
+    shape (0-d for scalar coordinates); ``branch`` names the kernel that
+    produced every value.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
     t: float
-    x_prime: float
-    y_prime: float
-    value: complex
+    x_prime: np.ndarray
+    y_prime: np.ndarray
+    value: np.ndarray
     branch: str  # "generic" | "degenerate" | "landau"
-
-
-@dataclass(frozen=True)
-class GreenAux:
-    """Source-coordinate combinations entering the assembled kernel."""
-
-    f: float
-    g: float
-    eta_sq: float
 
 
 def _check_alpha(alpha):
@@ -77,72 +79,13 @@ def _check_alpha(alpha):
     return alpha
 
 
-def green_aux(alpha, x_prime, y_prime) -> GreenAux:
-    """f, g and eta^2 for the assembled kernel at one source point."""
-    al = np.concatenate(([0.0], _check_alpha(alpha)))
-    f = math.exp(2 * al[12]) * (x_prime + al[15] * y_prime)
-    g = math.exp(2 * al[13]) * (y_prime + al[14] * x_prime
-                                + al[14] * al[15] * y_prime)
-    disc = al[11] ** 2 - 4 * al[9] * al[10]
-    eta_sq = al[11] ** 2 / disc if disc != 0 else math.inf
-    return GreenAux(f=f, g=g, eta_sq=eta_sq)
-
-
-def evaluate_generic(alpha, hbar, x, y, x_prime, y_prime,
-                     eps_branch=DEFAULT_BRANCH_EPS):
-    """Generic-branch kernel, vectorized over broadcastable coordinates.
-
-    Requires |alpha11| > eps_branch * max(|alpha9|, |alpha10|, 1),
-    alpha11^2 != 4*alpha9*alpha10 and alpha9 != 0; otherwise raises
-    BranchUnavailable and the caller falls back to the degenerate branch.
-    """
-    pref, phase = _generic_parts(alpha, hbar, eps_branch)
-    return pref * np.exp(1j * phase(np.asarray(x, dtype=float),
-                                    np.asarray(y, dtype=float),
-                                    np.asarray(x_prime, dtype=float),
-                                    np.asarray(y_prime, dtype=float)))
-
-
-def evaluate_degenerate(alpha, hbar, x, y, x_prime, y_prime):
-    """alpha11 -> 0 limit of the kernel, vectorized.
-
-    With the p_x p_y factor collapsed to an identity kernel, the delta chain
-    pins the two remaining Gaussian integrals at f and g and the kernel
-    becomes
-
-        e^(a12+a13) / (4 pi hbar sqrt(a9 a10))
-        * exp{ (i/hbar) [ (X-f)^2/(4 a9) + (Y-g)^2/(4 a10) ] }
-        * exp{ -(i/hbar) [ a1 + a2 x + a3 y + a6 X^2 + a7 Y^2 + a8 X Y ] }
-
-    with X = x - alpha4, Y = y - alpha5.  On the constant-field parameters
-    this reduces exactly to the landau branch.
-    """
-    pref, phase = _degenerate_parts(alpha, hbar)
-    return pref * np.exp(1j * phase(np.asarray(x, dtype=float),
-                                    np.asarray(y, dtype=float),
-                                    np.asarray(x_prime, dtype=float),
-                                    np.asarray(y_prime, dtype=float)))
-
-
-def evaluate_landau(m, omega_c, hbar, alpha, x, y, t, x_prime, y_prime):
-    """Constant-field propagator, vectorized.
-
-    Only alpha1..alpha5 of ``alpha`` are used (action and drift shifts from
-    the electric field); the magnetic part is carried by the cyclotron
-    phase.  Singular at omega_c*t in 2*pi*Z where the prefactor diverges.
-    """
-    pref, phase = _landau_parts(m, omega_c, hbar, alpha, t)
-    return pref * np.exp(1j * phase(np.asarray(x, dtype=float),
-                                    np.asarray(y, dtype=float),
-                                    np.asarray(x_prime, dtype=float),
-                                    np.asarray(y_prime, dtype=float)))
-
-
 class QuadraticPhaseKernel:
     """Kernel value(x, y, x', y') = prefactor * exp(i * phase(x, y, x', y'))
     with a phase that is a joint quadratic polynomial in all four arguments.
 
-    Callable like any kernel; additionally exposes the exact decomposition
+    Callable like any kernel, numpy-broadcastable; ``branch`` names the
+    closed form it evaluates.  It additionally exposes the exact
+    decomposition
 
         phase = phase_out(x, y) + phase_src(x', y') + (x, y) M (x', y')^T
 
@@ -151,9 +94,10 @@ class QuadraticPhaseKernel:
     decomposition to turn grid pushforwards into matrix products.
     """
 
-    def __init__(self, prefactor: complex, phase):
+    def __init__(self, prefactor: complex, phase, branch: str):
         self.prefactor = complex(prefactor)
         self.phase = phase
+        self.branch = branch
         p00 = phase(0.0, 0.0, 0.0, 0.0)
         self.coupling = np.empty((2, 2))
         for i, out_pt in enumerate(((1.0, 0.0), (0.0, 1.0))):
@@ -174,7 +118,11 @@ class QuadraticPhaseKernel:
         return self.prefactor * np.exp(1j * self.phase(x, y, x_prime, y_prime))
 
 
-def _landau_parts(m, omega_c, hbar, alpha, t):
+def landau_kernel(m, omega_c, hbar, alpha, t) -> QuadraticPhaseKernel:
+    """Constant-field propagator with prefactor m*omega_c / (4*pi*hbar*
+    sin(omega_c t/2)); raises SingularTime where that diverges.  Only
+    alpha1..alpha5 are used (action and drift shifts from the electric
+    field); the magnetic part is carried by the cyclotron phase."""
     al = np.concatenate(([0.0], _check_alpha(alpha)))
     th = 0.5 * omega_c * t
     s, c = math.sin(th), math.cos(th)
@@ -188,14 +136,30 @@ def _landau_parts(m, omega_c, hbar, alpha, t):
         X = x - al[4]
         Y = y - al[5]
         return (-(al[1] + al[2] * x + al[3] * y) / hbar
-                + kq * ((X ** 2 + Y ** 2 + xp ** 2 + yp ** 2) * c
+                + kq * ((np.square(X) + np.square(Y) + np.square(xp)
+                         + np.square(yp)) * c
                         - 2 * c * xp * X - 2 * s * xp * Y
                         + 2 * s * yp * X - 2 * c * yp * Y))
 
-    return pref, phase
+    return QuadraticPhaseKernel(pref, phase, "landau")
 
 
-def _degenerate_parts(alpha, hbar):
+def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
+    """alpha11 -> 0 limit of the kernel.
+
+    With the p_x p_y factor collapsed to an identity kernel, the delta chain
+    pins the two remaining Gaussian integrals at f and g and the kernel
+    becomes
+
+        e^(a12+a13) / (4 pi hbar sqrt(a9 a10))
+        * exp{ (i/hbar) [ (X-f)^2/(4 a9) + (Y-g)^2/(4 a10) ] }
+        * exp{ -(i/hbar) [ a1 + a2 x + a3 y + a6 X^2 + a7 Y^2 + a8 X Y ] }
+
+    with X = x - alpha4, Y = y - alpha5, f = e^(2 a12) (x' + a15 y') and
+    g = e^(2 a13) (y' + a14 x' + a14 a15 y').  On the constant-field
+    parameters this reduces exactly to the landau branch.  Raises
+    DegenerateGeometry when alpha9 or alpha10 vanishes.
+    """
     al = np.concatenate(([0.0], _check_alpha(alpha)))
     a9, a10 = al[9], al[10]
     if a9 == 0 or a10 == 0:
@@ -210,14 +174,20 @@ def _degenerate_parts(alpha, hbar):
         Y = y - al[5]
         f = np.exp(2 * al[12]) * (xp + al[15] * yp)
         g = np.exp(2 * al[13]) * (yp + al[14] * xp + al[14] * al[15] * yp)
-        return ((X - f) ** 2 / (4 * a9) + (Y - g) ** 2 / (4 * a10)
+        return (np.square(X - f) / (4 * a9) + np.square(Y - g) / (4 * a10)
                 - (al[1] + al[2] * x + al[3] * y
-                   + al[6] * X ** 2 + al[7] * Y ** 2 + al[8] * X * Y)) / hbar
+                   + al[6] * np.square(X) + al[7] * np.square(Y)
+                   + al[8] * X * Y)) / hbar
 
-    return pref, phase
+    return QuadraticPhaseKernel(pref, phase, "degenerate")
 
 
-def _generic_parts(alpha, hbar, eps_branch=DEFAULT_BRANCH_EPS):
+def generic_kernel(alpha, hbar,
+                   eps_branch=DEFAULT_BRANCH_EPS) -> QuadraticPhaseKernel:
+    """Generic-branch kernel.  Requires |alpha11| > eps_branch *
+    max(|alpha9|, |alpha10|, 1), alpha11^2 != 4*alpha9*alpha10 and
+    alpha9 != 0; otherwise raises BranchUnavailable and :func:`green_kernel`
+    falls back to the degenerate branch."""
     al = np.concatenate(([0.0], _check_alpha(alpha)))
     a9, a10, a11 = al[9], al[10], al[11]
     if abs(a11) <= eps_branch * max(abs(a9), abs(a10), 1.0):
@@ -239,81 +209,50 @@ def _generic_parts(alpha, hbar, eps_branch=DEFAULT_BRANCH_EPS):
         Y = y - al[5]
         f = np.exp(2 * al[12]) * (xp + al[15] * yp)
         g = np.exp(2 * al[13]) * (yp + al[14] * xp + al[14] * al[15] * yp)
-        quad = ((4 * a9 * al[6] - 1) / (4 * a9) * X ** 2
-                + al[7] * Y ** 2
+        quad = ((4 * a9 * al[6] - 1) / (4 * a9) * np.square(X)
+                + al[7] * np.square(Y)
                 + al[8] * X * Y
                 + f / a11 * (Y - g)
                 + al[3] * y + al[2] * x
-                + a10 / a11 ** 2 * f ** 2
+                + a10 / a11 ** 2 * np.square(f)
                 + al[1])
-        square = (X / (2 * a9) - Y / a11 + (g - 2 * a10 * f / a11) / a11) ** 2
+        square = np.square(X / (2 * a9) - Y / a11
+                           + (g - 2 * a10 * f / a11) / a11)
         return -(quad + a9 * eta_sq * square) / hbar
 
-    return pref, phase
-
-
-def landau_kernel(m, omega_c, hbar, alpha, t) -> QuadraticPhaseKernel:
-    """Constant-field propagator as a structured quadratic-phase kernel."""
-    return QuadraticPhaseKernel(*_landau_parts(m, omega_c, hbar, alpha, t))
-
-
-def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
-    return QuadraticPhaseKernel(*_degenerate_parts(alpha, hbar))
-
-
-def generic_kernel(alpha, hbar,
-                   eps_branch=DEFAULT_BRANCH_EPS) -> QuadraticPhaseKernel:
-    return QuadraticPhaseKernel(*_generic_parts(alpha, hbar, eps_branch))
+    return QuadraticPhaseKernel(pref, phase, "generic")
 
 
 def green_kernel(alpha, hbar,
                  eps_branch=DEFAULT_BRANCH_EPS) -> QuadraticPhaseKernel:
-    """Branch-dispatching structured kernel (generic if available)."""
+    """Branch-dispatching kernel: generic if available, else degenerate."""
     try:
         return generic_kernel(alpha, hbar, eps_branch)
     except BranchUnavailable:
         return degenerate_kernel(alpha, hbar)
 
 
-def green_generic(alpha, hbar, x, y, x_prime, y_prime,
-                  eps_branch=DEFAULT_BRANCH_EPS) -> GreenSample:
-    value = complex(evaluate_generic(alpha, hbar, x, y, x_prime, y_prime,
-                                     eps_branch))
-    return GreenSample(x, y, math.nan, x_prime, y_prime, value, "generic")
-
-
-def green_degenerate(alpha, hbar, x, y, x_prime, y_prime) -> GreenSample:
-    value = complex(evaluate_degenerate(alpha, hbar, x, y, x_prime, y_prime))
-    return GreenSample(x, y, math.nan, x_prime, y_prime, value, "degenerate")
-
-
-def green_landau(m, omega_c, hbar, alpha, x, y, t, x_prime, y_prime) -> GreenSample:
-    value = complex(evaluate_landau(m, omega_c, hbar, alpha, x, y, t,
-                                    x_prime, y_prime))
-    return GreenSample(x, y, t, x_prime, y_prime, value, "landau")
-
-
-def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan,
-          eps_branch=DEFAULT_BRANCH_EPS) -> GreenSample:
-    """Branch-dispatching evaluation: generic if |alpha11| clears the
-    threshold, degenerate otherwise."""
-    try:
-        value = complex(evaluate_generic(alpha, hbar, x, y, x_prime, y_prime,
-                                         eps_branch))
-        branch = "generic"
-    except BranchUnavailable:
-        value = complex(evaluate_degenerate(alpha, hbar, x, y,
-                                            x_prime, y_prime))
-        branch = "degenerate"
-    return GreenSample(x, y, t, x_prime, y_prime, value, branch)
+def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan) -> GreenSample:
+    """Green function at broadcastable coordinates, on the branch that
+    :func:`green_kernel` selects for ``alpha``; ``t`` is only recorded."""
+    kernel = green_kernel(alpha, hbar)
+    x, y, x_prime, y_prime = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, x_prime, y_prime)))
+    return GreenSample(x, y, t, x_prime, y_prime,
+                       kernel(x, y, x_prime, y_prime), kernel.branch)
 
 
 def write_green_csv(samples, path):
-    """CSV with columns x,y,t,x_prime,y_prime,re,im,branch."""
+    """CSV with columns x,y,t,x_prime,y_prime,re,im,branch; one row per
+    broadcast element of each sample, in C order."""
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
         for s in samples:
-            fh.write(",".join([f"{s.x:.17g}", f"{s.y:.17g}", f"{s.t:.17g}",
-                               f"{s.x_prime:.17g}", f"{s.y_prime:.17g}",
-                               f"{s.value.real:.17g}", f"{s.value.imag:.17g}",
-                               s.branch]) + "\n")
+            t = f"{s.t:.17g}"
+            value = np.ravel(s.value)
+            rows = zip(*(np.ravel(c).tolist() for c in
+                         (s.x, s.y, s.x_prime, s.y_prime,
+                          value.real, value.imag)))
+            fh.writelines(f"{x:.17g},{y:.17g},{t},{xp:.17g},{yp:.17g},"
+                          f"{re:.17g},{im:.17g},{s.branch}\n"
+                          for x, y, xp, yp, re, im in rows)

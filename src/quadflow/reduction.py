@@ -29,7 +29,7 @@ from .adjoint import _adjoint
 from .algebra import N_GENERATORS
 from .errors import SingularNu
 
-__all__ = ["ReductionState", "assemble", "mu_rhs", "reference_odes"]
+__all__ = ["ReductionState", "assemble", "reference_odes"]
 
 _DET_TOL = 1e-6
 
@@ -91,18 +91,6 @@ def assemble(a, alpha) -> ReductionState:
         w = R @ a
         mu = np.linalg.solve(nu, w)
     return ReductionState(a=a, alpha=alpha, w=w, nu=nu, mu=mu)
-
-
-def mu_rhs(a: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Flow right-hand side only (hot path used by the integrator).
-
-    Skips the det(nu) assertion of :func:`assemble`: near a factorization
-    breakdown the matrix entries span so many orders of magnitude that the
-    floating-point determinant drifts off 1 even though the assembly is
-    correct, and the flow's own breakdown detection owns that regime.
-    """
-    R, nu = _w_nu(alpha)
-    return np.linalg.solve(nu, R @ a)
 
 
 def reference_odes(a, alpha) -> np.ndarray:

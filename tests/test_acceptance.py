@@ -13,8 +13,7 @@ from scipy.integrate import simpson
 import quadflow as qf
 from quadflow.expressions import parse_expression, pretty
 from quadflow.oracles import GaussianState, apply_kernel
-from quadflow.propagator import (evaluate_degenerate,
-                                 evaluate_generic, evaluate_landau,
+from quadflow.propagator import (degenerate_kernel, generic_kernel,
                                  landau_kernel)
 from quadflow.reduction import assemble, reference_odes
 
@@ -176,23 +175,25 @@ def test_criterion_10_propagator_branches():
     for wct in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
         t = wct / OMEGA_C
         al = qf.constant_field_closed_form(M, OMEGA_C, E_X, E_Y, CHARGE, t=t)
+        kd = degenerate_kernel(al, HBAR)
+        kl = landau_kernel(M, OMEGA_C, HBAR, al, t)
         for _ in range(5):
             x, y, xp, yp = rng.uniform(-2, 2, 4)
-            gd = evaluate_degenerate(al, HBAR, x, y, xp, yp)
-            gl = evaluate_landau(M, OMEGA_C, HBAR, al, x, y, t, xp, yp)
+            gd = kd(x, y, xp, yp)
+            gl = kl(x, y, xp, yp)
             worst_rel = max(worst_rel, abs(gd - gl) / abs(gl))
     assert worst_rel < 1e-9
 
     base = rng.uniform(-0.3, 0.3, 15)
     base[8], base[9], base[10] = 0.31, 0.27, 0.0
     x, y, xp, yp = 0.4, -0.6, 0.9, 0.2
-    gd = evaluate_degenerate(base, HBAR, x, y, xp, yp)
+    gd = degenerate_kernel(base, HBAR)(x, y, xp, yp)
     errs = []
     for s in (1e-2, 1e-3, 1e-4):
         al2 = base.copy()
         al2[10] = s
-        errs.append(abs(evaluate_generic(al2, HBAR, x, y, xp, yp,
-                                         eps_branch=1e-9) - gd))
+        errs.append(abs(generic_kernel(al2, HBAR, eps_branch=1e-9)(
+            x, y, xp, yp) - gd))
     assert errs[0] > errs[1] > errs[2]
     _report(10, "propagator branches",
             f"degenerate vs constant-field formula max rel {worst_rel:.2e} "

@@ -204,6 +204,11 @@ def test_cli_green_subcommand(landau_cfg, tmp_path, capsys):
     code = main(["green", str(landau_cfg), "--outdir", str(tmp_path / "g")])
     assert code == 0
     assert (tmp_path / "g" / "green.csv").exists()
+    assert not (tmp_path / "g" / "alphas.csv").exists()
+    info = json.loads(capsys.readouterr().out.strip())
+    assert info == {"config": str(landau_cfg),
+                    "written": [str(tmp_path / "g" / "green.csv")],
+                    "t_final": pytest.approx(2.5)}
 
 
 def test_green_grid_mode_and_times(tmp_path):
@@ -219,6 +224,63 @@ def test_green_grid_mode_and_times(tmp_path):
     cells = rows[1].split(",")
     assert float(cells[2]) == 0.8          # first requested time
     assert (float(cells[3]), float(cells[4])) == (0.5, -0.5)
+
+
+def test_green_rows_are_points_then_grid_per_time(tmp_path):
+    p = tmp_path / "mixed.cfg"
+    p.write_text(
+        "[hamiltonian]\npreset = landau\nm = 1.0\nomega_c = 1.0\n\n"
+        "[run]\nt_end = 1.5\n\n[outputs]\ngreen = green.csv\n\n"
+        "[green]\npoints = 0.1,0.2,0.3,0.4 ; -0.5,0.6,0.7,-0.8\n"
+        "grid_extent = 1.0\ngrid_points = 2\nsource = 0.25,-0.25\n"
+        "times = 0.8, 1.2\n")
+    run_config_file(p, outdir=tmp_path / "out")
+    rows = (tmp_path / "out" / "green.csv").read_text().strip().splitlines()
+    cols = [tuple(float(c) for c in r.split(",")[:5]) for r in rows[1:]]
+    for t in (0.8, 1.2):
+        block = [(0.1, 0.2, t, 0.3, 0.4), (-0.5, 0.6, t, 0.7, -0.8),
+                 (-1.0, -1.0, t, 0.25, -0.25), (-1.0, 1.0, t, 0.25, -0.25),
+                 (1.0, -1.0, t, 0.25, -0.25), (1.0, 1.0, t, 0.25, -0.25)]
+        assert cols[:6] == block
+        cols = cols[6:]
+    assert cols == []
+
+
+@pytest.mark.parametrize("t_end", ["nan", "-1", "0", "inf"])
+def test_bad_t_end_is_a_json_error(tmp_path, capsys, t_end):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"[hamiltonian]\npreset = free\n\n[run]\nt_end = {t_end}\n"
+                 "\n[outputs]\nalphas = alphas.csv\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert "t_end" in err["detail"]
+    assert not (tmp_path / "alphas.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "green"])
+def test_green_time_past_breakdown_is_a_json_error(tmp_path, capsys, command):
+    # the landau flow breaks down at t = pi; t = 3.9 lies past the span
+    p = tmp_path / "late.cfg"
+    p.write_text(
+        "[hamiltonian]\npreset = landau\nm = 1.0\nomega_c = 1.0\n\n"
+        "[run]\nt_end = 4.0\n\n[outputs]\ngreen = green.csv\n\n"
+        "[green]\npoints = 0,0,0,0\ntimes = 1.0, 3.9\n")
+    assert main([command, str(p), "--outdir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert "3.9" in err["detail"] and "integrated span" in err["detail"]
+
+
+def test_bad_thread_count_is_a_json_error(landau_cfg, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setenv("QUADFLOW_THREADS", "abc")
+    code = main(["run", str(landau_cfg), str(landau_cfg),
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert "QUADFLOW_THREADS" in err["detail"]
 
 
 def test_green_config_validation(tmp_path):

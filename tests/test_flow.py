@@ -135,6 +135,8 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         integrate(landau(), -1.0)
     with pytest.raises(ValueError):
+        integrate(landau(), float("nan"))
+    with pytest.raises(ValueError):
         integrate(landau(), 1.0, rtol=-1e-10)
     with pytest.raises(ValueError):
         integrate(landau(), 1.0, initial_alpha=np.zeros(3))

@@ -12,10 +12,8 @@ from quadflow.flow import constant_field_closed_form, integrate
 from quadflow.observables import heisenberg_map
 from quadflow.oracles import GaussianState
 from quadflow.propagator import (GreenSample, degenerate_kernel,
-                                 evaluate_degenerate, evaluate_generic,
-                                 evaluate_landau, generic_kernel, green,
-                                 green_aux, green_degenerate, green_generic,
-                                 green_landau, landau_kernel, write_green_csv)
+                                 generic_kernel, green, green_kernel,
+                                 landau_kernel, write_green_csv)
 from quadflow.schedule import CoefficientSchedule
 
 RNG = np.random.default_rng(2024)
@@ -34,18 +32,26 @@ def free_alpha(t, m=1.0):
 # -- auxiliary quantities ----------------------------------------------------
 
 def test_aux_f_g_collapse_for_symmetric_dilatations():
+    # with alpha14 = alpha15 = 0 the source combinations collapse to
+    # f = e^(2 a12) x' and g = e^(2 a13) y', so the (X - f)^2/(4 a9) and
+    # (Y - g)^2/(4 a10) squares couple x to x' and y to y' only
     al = np.zeros(15)
-    al[11] = al[12] = 0.3   # alpha12 = alpha13, alpha14 = alpha15 = 0
-    aux = green_aux(al, 1.7, -0.4)
-    assert aux.f == pytest.approx(math.exp(0.6) * 1.7)
-    assert aux.g == pytest.approx(math.exp(0.6) * -0.4)
+    al[8], al[9] = 0.25, 0.4
+    al[11] = al[12] = 0.3   # alpha12 = alpha13
+    M = degenerate_kernel(al, 1.0).coupling
+    np.testing.assert_allclose(
+        M, np.diag([-math.exp(0.6) / (2 * 0.25), -math.exp(0.6) / (2 * 0.4)]),
+        rtol=1e-14, atol=1e-14)
 
 
 def test_aux_eta_sq_definition():
+    # |prefactor| = |2i eta| / (4 pi hbar |alpha11|) with
+    # |eta|^2 = |eta^2| = |alpha11^2 / (alpha11^2 - 4 alpha9 alpha10)|
     al = np.zeros(15)
     al[8], al[9], al[10] = 0.2, 0.3, 0.4
-    aux = green_aux(al, 0.0, 0.0)
-    assert aux.eta_sq == pytest.approx(0.4 ** 2 / (0.4 ** 2 - 4 * 0.2 * 0.3))
+    eta_sq = 0.4 ** 2 / (0.4 ** 2 - 4 * 0.2 * 0.3)
+    assert abs(generic_kernel(al, 1.0).prefactor) == pytest.approx(
+        math.sqrt(abs(eta_sq)) / (2 * math.pi * 0.4), rel=1e-14)
 
 
 # -- landau branch -----------------------------------------------------------
@@ -54,20 +60,20 @@ def test_landau_half_period_origin_value():
     # E = 0 at omega_c*t = pi: alpha1..alpha5 vanish (the factorization
     # parameters alpha6.. diverge there, but the propagator formula only
     # carries the drift/action shifts, which stay finite)
-    g = green_landau(1.0, 1.0, 1.0, np.zeros(15), 0.0, 0.0, math.pi, 0.0, 0.0)
-    assert g.value == pytest.approx(1.0 / (4 * math.pi))
-    assert g.branch == "landau"
+    kern = landau_kernel(1.0, 1.0, 1.0, np.zeros(15), math.pi)
+    assert kern(0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0 / (4 * math.pi))
+    assert kern.branch == "landau"
 
 
 def test_landau_prefactor_magnitude_and_divergence():
     al = landau_alpha(1.3)
-    g = green_landau(1.0, 1.0, 1.0, al, 0.4, -0.2, 1.3, 0.1, 0.9)
-    assert abs(g.value) == pytest.approx(
+    g = landau_kernel(1.0, 1.0, 1.0, al, 1.3)(0.4, -0.2, 0.1, 0.9)
+    assert abs(g) == pytest.approx(
         1.0 / (4 * math.pi * abs(math.sin(0.65))))
     with pytest.raises(SingularTime):
-        evaluate_landau(1.0, 1.0, 1.0, np.zeros(15), 0, 0, 2 * math.pi, 0, 0)
+        landau_kernel(1.0, 1.0, 1.0, np.zeros(15), 2 * math.pi)
     with pytest.raises(SingularTime):
-        evaluate_landau(1.0, 1.0, 1.0, np.zeros(15), 0, 0, 0.0, 0, 0)
+        landau_kernel(1.0, 1.0, 1.0, np.zeros(15), 0.0)
 
 
 def test_landau_weak_field_limit_is_free_kernel():
@@ -76,10 +82,12 @@ def test_landau_weak_field_limit_is_free_kernel():
     t, m = 0.7, 1.3
     wc = 1e-7  # kernel difference shrinks linearly in omega_c
     al = constant_field_closed_form(m, wc, t=t)
+    weak = landau_kernel(m, wc, 1.0, al, t)
+    free = degenerate_kernel(free_alpha(t, m), 1.0)
     pts = RNG.uniform(-1.5, 1.5, (5, 4))
     for x, y, xp, yp in pts:
-        g_w = evaluate_landau(m, wc, 1.0, al, x, y, t, xp, yp)
-        g_f = evaluate_degenerate(free_alpha(t, m), 1.0, x, y, xp, yp)
+        g_w = weak(x, y, xp, yp)
+        g_f = free(x, y, xp, yp)
         assert abs(g_w - g_f) / abs(g_f) < 1e-6
     pref = m * wc / (4 * math.pi * math.sin(wc * t / 2))
     assert pref == pytest.approx(m / (2 * math.pi * t), rel=1e-6)
@@ -90,9 +98,11 @@ def test_landau_weak_field_limit_is_free_kernel():
 def test_degenerate_matches_landau_on_constant_field_parameters():
     for wct in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
         al = landau_alpha(wct, E_x=0.3, E_y=-0.2)
+        kd = degenerate_kernel(al, 1.0)
+        kl = landau_kernel(1.0, 1.0, 1.0, al, wct)
         for x, y, xp, yp in RNG.uniform(-2, 2, (5, 4)):
-            gd = evaluate_degenerate(al, 1.0, x, y, xp, yp)
-            gl = evaluate_landau(1.0, 1.0, 1.0, al, x, y, wct, xp, yp)
+            gd = kd(x, y, xp, yp)
+            gl = kl(x, y, xp, yp)
             assert abs(gd - gl) / abs(gl) < 1e-9
 
 
@@ -103,8 +113,9 @@ def test_degenerate_free_particle_factorizes():
     def kernel_1d(d):
         return cmath.exp(1j * d * d / (4 * a9)) / math.sqrt(4 * math.pi * a9)
 
+    kern = degenerate_kernel(free_alpha(t, m), 1.0)
     for x, y, xp, yp in RNG.uniform(-2, 2, (5, 4)):
-        gd = evaluate_degenerate(free_alpha(t, m), 1.0, x, y, xp, yp)
+        gd = kern(x, y, xp, yp)
         assert abs(gd - kernel_1d(x - xp) * kernel_1d(y - yp)) < 1e-14
 
 
@@ -112,10 +123,10 @@ def test_degenerate_geometry_error():
     al = np.zeros(15)
     al[5] = 0.3  # quadratic terms present but no kinetic spreading
     with pytest.raises(DegenerateGeometry):
-        evaluate_degenerate(al, 1.0, 0.0, 0.0, 0.0, 0.0)
+        degenerate_kernel(al, 1.0)
     al[8] = 0.4  # alpha9 != 0, alpha10 still 0: y-delta survives
     with pytest.raises(DegenerateGeometry):
-        evaluate_degenerate(al, 1.0, 0.0, 0.0, 0.0, 0.0)
+        degenerate_kernel(al, 1.0)
 
 
 # -- generic branch ----------------------------------------------------------
@@ -127,8 +138,8 @@ def generic_alpha():
 
 
 def test_generic_magnitude_is_coordinate_independent():
-    al = generic_alpha()
-    vals = [evaluate_generic(al, 1.0, *pt) for pt in RNG.uniform(-3, 3, (6, 4))]
+    kern = generic_kernel(generic_alpha(), 1.0)
+    vals = [kern(*pt) for pt in RNG.uniform(-3, 3, (6, 4))]
     mags = [abs(v) for v in vals]
     assert max(mags) - min(mags) < 1e-12 * max(mags)
 
@@ -137,12 +148,12 @@ def test_generic_converges_to_degenerate():
     al = generic_alpha()
     al[10] = 0.0
     x, y, xp, yp = 0.3, -0.5, 0.8, 0.1
-    gd = evaluate_degenerate(al, 1.0, x, y, xp, yp)
+    gd = degenerate_kernel(al, 1.0)(x, y, xp, yp)
     errs = []
     for s in (1e-2, 1e-3, 1e-4):
         al2 = al.copy()
         al2[10] = s
-        gg = evaluate_generic(al2, 1.0, x, y, xp, yp, eps_branch=1e-9)
+        gg = generic_kernel(al2, 1.0, eps_branch=1e-9)(x, y, xp, yp)
         errs.append(abs(gg - gd))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -152,14 +163,14 @@ def test_generic_branch_preconditions():
     al = np.zeros(15)
     al[8], al[9] = 0.3, 0.3     # alpha11 = 0
     with pytest.raises(BranchUnavailable):
-        evaluate_generic(al, 1.0, 0, 0, 0, 0)
+        generic_kernel(al, 1.0)
     al[10] = 2 * math.sqrt(0.3 * 0.3)  # alpha11^2 == 4 a9 a10
     with pytest.raises(BranchUnavailable):
-        evaluate_generic(al, 1.0, 0, 0, 0, 0)
+        generic_kernel(al, 1.0)
     al2 = np.zeros(15)
     al2[10] = 0.5               # alpha9 == 0
     with pytest.raises(BranchUnavailable):
-        evaluate_generic(al2, 1.0, 0, 0, 0, 0)
+        generic_kernel(al2, 1.0)
 
 
 def test_generic_smearing_matches_affine_map():
@@ -189,24 +200,41 @@ def test_green_dispatch_selects_branch():
     al_gen = generic_alpha()
     s2 = green(al_gen, 1.0, 0.1, 0.2, 0.3, 0.4)
     assert s2.branch == "generic"
-    s3 = green_generic(al_gen, 1.0, 0.1, 0.2, 0.3, 0.4)
-    assert s3.value == s2.value
-    s4 = green_degenerate(al_free, 1.0, 0.1, 0.2, 0.3, 0.4)
-    assert s4.value == s.value
+    assert s2.value == generic_kernel(al_gen, 1.0)(0.1, 0.2, 0.3, 0.4)
+    assert s.value == degenerate_kernel(al_free, 1.0)(0.1, 0.2, 0.3, 0.4)
+    assert green_kernel(al_gen, 1.0).branch == "generic"
+    assert green_kernel(al_free, 1.0).branch == "degenerate"
 
 
-def test_structured_kernels_equal_literal_evaluators():
+def test_green_on_arrays_matches_per_point_calls():
+    # both branches; squares use np.square, so the broadcast evaluation
+    # reproduces the per-point one bit for bit
+    xs, ys = RNG.uniform(-3, 3, (2, 40))
+    for al, branch in ((generic_alpha(), "generic"),
+                       (free_alpha(0.5), "degenerate")):
+        s = green(al, 1.0, xs, ys, 0.3, -0.7, t=0.5)
+        assert s.branch == branch
+        assert s.value.shape == s.x_prime.shape == (40,)
+        for i in range(40):
+            p = green(al, 1.0, xs[i], ys[i], 0.3, -0.7, t=0.5)
+            assert p.value.shape == ()
+            assert s.value[i] == p.value
+
+
+def test_kernel_phase_decomposes_into_out_src_and_coupling():
     t = 1.1
     al = landau_alpha(t, E_x=0.2)
-    kl = landau_kernel(1.0, 1.0, 1.0, al, t)
-    kd = degenerate_kernel(al, 1.0)
-    alg = generic_alpha()
-    kg = generic_kernel(alg, 1.0)
-    for x, y, xp, yp in RNG.uniform(-3, 3, (20, 4)):
-        assert kl(x, y, xp, yp) == evaluate_landau(1.0, 1.0, 1.0, al, x, y,
-                                                   t, xp, yp)
-        assert kd(x, y, xp, yp) == evaluate_degenerate(al, 1.0, x, y, xp, yp)
-        assert kg(x, y, xp, yp) == evaluate_generic(alg, 1.0, x, y, xp, yp)
+    kernels = {"landau": landau_kernel(1.0, 1.0, 1.0, al, t),
+               "degenerate": degenerate_kernel(al, 1.0),
+               "generic": generic_kernel(generic_alpha(), 1.0)}
+    x, y, xp, yp = RNG.uniform(-3, 3, (4, 20))
+    for branch, kern in kernels.items():
+        assert kern.branch == branch
+        cross = (x * (kern.coupling[0, 0] * xp + kern.coupling[0, 1] * yp)
+                 + y * (kern.coupling[1, 0] * xp + kern.coupling[1, 1] * yp))
+        np.testing.assert_allclose(
+            kern.phase_out(x, y) + kern.phase_src(xp, yp) + cross,
+            kern.phase(x, y, xp, yp), rtol=1e-12, atol=1e-12)
 
 
 def _analytic_smear(kernel, state, X, Y, hbar):
@@ -262,16 +290,23 @@ def test_short_time_kernel_is_distributionally_the_identity():
 
 def test_green_csv_output(tmp_path):
     al = free_alpha(0.5)
-    samples = [green(al, 1.0, x, y, 0.0, 0.0, t=0.5)
-               for x, y in RNG.uniform(-1, 1, (4, 2))]
+    xs, ys = RNG.uniform(-1, 1, (2, 4))
+    samples = [green(al, 1.0, xs, ys, 0.0, 0.0, t=0.5),
+               green(al, 1.0, 0.1, 0.2, 0.0, 0.0, t=0.25)]
     path = tmp_path / "green.csv"
     write_green_csv(samples, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,t,x_prime,y_prime,re,im,branch"
-    assert len(lines) == 5
-    cells = lines[1].split(",")
-    assert cells[-1] == "degenerate"
-    assert complex(float(cells[5]), float(cells[6])) == samples[0].value
+    assert len(lines) == 6   # one row per broadcast element
+    for i, line in enumerate(lines[1:5]):
+        cells = line.split(",")
+        assert cells[-1] == "degenerate"
+        assert (float(cells[0]), float(cells[1]), float(cells[2])) == \
+            (xs[i], ys[i], 0.5)
+        assert complex(float(cells[5]), float(cells[6])) == \
+            samples[0].value[i]
+    assert lines[5].split(",")[:3] == ["0.10000000000000001",
+                                       "0.20000000000000001", "0.25"]
 
 
 def test_green_sample_fields():
