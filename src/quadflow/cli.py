@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +28,14 @@ from . import __version__
 from . import flow as flow_mod
 from . import observables, oracles, propagator
 from .adjoint import adjoint_closed_form, adjoint_matrix
-from .config import RunConfig, load_config
+from .config import RunConfig, _parse_tuple, load_config
 from .errors import ConfigError, QuadflowError
 from .reduction import assemble, reference_odes
 from .schedule import CoefficientSchedule
 
 
-def _fail(exc: Exception, where: str) -> int:
-    code = getattr(exc, "code", "error")
+def _fail(exc: Exception, where: str, code: str | None = None) -> int:
+    code = code or getattr(exc, "code", "error")
     payload = {"error": code, "detail": str(exc), "at": where}
     print(json.dumps(payload), file=sys.stderr)
     return 1
@@ -110,6 +109,7 @@ def _cmd_run(args) -> int:
         if outdir and len(configs) > 1:
             outdir = str(Path(outdir) / Path(path).stem)
         jobs.append((path, outdir, args.green_only))
+    where = ";".join(str(c) for c in configs)
     try:
         if len(jobs) == 1:
             infos = [run_config_file(*jobs[0])]
@@ -120,10 +120,14 @@ def _cmd_run(args) -> int:
                                   "non-negative integer")
             # never more workers than jobs: a fork pool starts them all
             workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
+            # imported here: multiprocessing is a cost single runs skip
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 infos = list(pool.map(_run_job, jobs))
     except QuadflowError as exc:
-        return _fail(exc, where=";".join(str(c) for c in configs))
+        return _fail(exc, where=where)
+    except OSError as exc:
+        return _fail(exc, where=where, code="io-error")
     for info in infos:
         print(json.dumps(info))
     return 0
@@ -222,6 +226,9 @@ def _cmd_verify(args) -> int:
                 params = dict(m=args.m, omega=args.omega, lam=args.lam)
             schedule = CoefficientSchedule.preset(args.preset, **params)
             t_end = args.t_end
+            if not 0 < t_end < math.inf:
+                raise ConfigError(f"--t-end = {t_end!r} must be positive "
+                                  "and finite")
         failed = 0
         for name, err, tol in _verify_checks(schedule, t_end):
             if math.isnan(tol):
@@ -246,7 +253,7 @@ def _cmd_print_odes(args) -> int:
             schedule = CoefficientSchedule.preset(args.preset)
         alpha = np.zeros(15)
         if args.alpha:
-            alpha = np.array([float(v) for v in args.alpha.split(",")])
+            alpha = np.array(_parse_tuple(args.alpha, 15, "--alpha"))
         a = schedule.coefficients(args.t)
         state = assemble(a, alpha)
         ref = reference_odes(a, alpha)

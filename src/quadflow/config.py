@@ -85,26 +85,41 @@ class RunConfig:
     path: Path | None = None
 
 
-def _float(section, key, default=None, *, where=""):
+# (predicate, requirement) pairs for _float's ``check``
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
+_POSITIVE = (lambda v: v > 0, "positive")
+_COUNT = (lambda v: v.is_integer() and v >= 1, "an integer >= 1")
+
+
+def _float(section, key, default=None, *, where="", check=None):
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing key {key!r} in {where}")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {key} = {raw!r} is not a number") from exc
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{where}: {key} = {raw.strip()!r} must be "
+                          f"{check[1]}")
+    return value
 
 
 def _parse_tuple(raw, n, where):
+    """Finite numbers separated by commas or spaces; exactly ``n`` of them
+    unless ``n`` is None."""
     parts = [p for p in raw.replace(",", " ").split() if p]
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise ConfigError(f"{where}: expected {n} numbers, got {raw!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad number in {raw!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{where}: non-finite number in {raw!r}")
+    return values
 
 
 def load_config(path) -> RunConfig:
@@ -122,7 +137,8 @@ def load_config(path) -> RunConfig:
     if "hamiltonian" not in parser:
         raise ConfigError(f"{path}: missing [hamiltonian] section")
     ham = parser["hamiltonian"]
-    hbar = _float(ham, "hbar", 1.0, where="[hamiltonian]")
+    hbar = _float(ham, "hbar", 1.0, where="[hamiltonian]",
+                  check=_POSITIVE_FINITE)
 
     constants = {}
     if "constants" in parser:
@@ -165,21 +181,18 @@ def load_config(path) -> RunConfig:
 
     run = parser["run"] if "run" in parser else {}
     where = "[run]"
-    t_end = _float(run, "t_end", where=where) if "t_end" in run else None
-    if t_end is None:
-        raise ConfigError("[run]: t_end is required")
-    if not 0 < t_end < math.inf:
-        raise ConfigError(f"[run]: t_end = {t_end!r} must be positive and "
-                          "finite")
     cfg = RunConfig(
         schedule=schedule,
-        t_end=t_end,
-        rtol=_float(run, "rtol", 1e-10, where=where),
-        atol=_float(run, "atol", 1e-10, where=where),
-        samples=int(_float(run, "samples", 200, where=where)),
-        max_step=(_float(run, "max_step", where=where)
+        t_end=_float(run, "t_end", where=where, check=_POSITIVE_FINITE),
+        rtol=_float(run, "rtol", 1e-10, where=where, check=_POSITIVE_FINITE),
+        atol=_float(run, "atol", 1e-10, where=where, check=_POSITIVE_FINITE),
+        samples=int(_float(run, "samples", 200, where=where, check=_COUNT)),
+        max_step=(_float(run, "max_step", where=where,
+                         check=_POSITIVE_FINITE)
                   if "max_step" in run else None),
-        magnitude_cap=_float(run, "magnitude_cap", 1e8, where=where),
+        # inf is allowed: it switches the magnitude sentinel off
+        magnitude_cap=_float(run, "magnitude_cap", 1e8, where=where,
+                             check=_POSITIVE),
         path=path,
     )
 
@@ -197,13 +210,13 @@ def load_config(path) -> RunConfig:
                 chunk = chunk.strip()
                 if chunk:
                     points.append(_parse_tuple(chunk, 4, "[green] points"))
-        times = []
-        if "times" in g:
-            for chunk in g["times"].replace(",", " ").split():
-                times.append(float(chunk))
-        grid_extent = _float(g, "grid_extent", where="[green]") \
+        times = _parse_tuple(g["times"], None, "[green] times") \
+            if "times" in g else ()
+        grid_extent = _float(g, "grid_extent", where="[green]",
+                             check=_POSITIVE_FINITE) \
             if "grid_extent" in g else None
-        grid_points = int(_float(g, "grid_points", where="[green]")) \
+        grid_points = int(_float(g, "grid_points", where="[green]",
+                                 check=_COUNT)) \
             if "grid_points" in g else None
         source = _parse_tuple(g["source"], 2, "[green] source") \
             if "source" in g else None
@@ -213,7 +226,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError("[green]: grid mode needs a source = xp,yp")
         if not points and grid_extent is None:
             raise ConfigError("[green]: needs points or a grid spec")
-        cfg.green = GreenRequest(points=tuple(points), times=tuple(times),
+        cfg.green = GreenRequest(points=tuple(points), times=times,
                                  grid_extent=grid_extent,
                                  grid_points=grid_points, source=source)
     return cfg

@@ -15,7 +15,9 @@ machinery beyond the coefficient schedule:
   the norm.
 
 The classical integrator uses scipy's Runge-Kutta 5(4) so even the stepping
-code differs from the in-package flow integrator.
+code differs from the in-package flow integrator.  scipy is imported on the
+first call, not with the package: ``run``, ``green`` and ``print-odes`` never
+reach an oracle, and importing ``scipy.integrate`` is most of a cold start.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import GridUnderresolved
 from .observables import SYMPLECTIC_J
@@ -76,6 +77,7 @@ def fundamental_matrix(schedule: CoefficientSchedule, t: float, *,
         raise ValueError("t must be non-negative")
     if t == 0:
         return np.eye(4), np.zeros(4)
+    from scipy.integrate import solve_ivp
 
     def rhs(tt, y):
         A, b = classical_system(schedule.coefficients(tt))

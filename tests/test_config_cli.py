@@ -283,6 +283,70 @@ def test_bad_thread_count_is_a_json_error(landau_cfg, tmp_path, capsys,
     assert "QUADFLOW_THREADS" in err["detail"]
 
 
+# a valid config on the free preset; each case below overrides one key
+NUMERIC_BASE = {
+    "hamiltonian": {"preset": "free", "hbar": "1.0"},
+    "run": {"t_end": "1.0"},
+    "outputs": {"alphas": "alphas.csv", "green": "green.csv"},
+    "green": {"points": "0,0,0,0", "grid_extent": "1.0", "grid_points": "3",
+              "source": "0,0", "times": "0.5"},
+}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "rtol", "nan"),
+    ("run", "atol", "-1"),
+    ("run", "max_step", "-1"),
+    ("run", "magnitude_cap", "nan"),
+    ("run", "samples", "nan"),
+    ("run", "samples", "2.7"),
+    ("run", "samples", "0"),
+    ("green", "grid_points", "-3"),
+    ("green", "grid_extent", "nan"),
+    ("green", "times", "0.5, x"),
+    ("green", "points", "nan,0,0,0"),
+    ("hamiltonian", "hbar", "nan"),
+])
+def test_bad_number_is_a_json_error(tmp_path, capsys, section, key, value):
+    sections = {name: dict(body) for name, body in NUMERIC_BASE.items()}
+    sections[section][key] = value
+    p = tmp_path / "bad.cfg"
+    p.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        + "\n" for name, body in sections.items()))
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert key in err["detail"] and value in err["detail"]
+    assert not (tmp_path / "alphas.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1,2", "x"])
+def test_bad_print_odes_alpha_is_a_json_error(capsys, alpha):
+    assert main(["print-odes", "--alpha", alpha]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert "--alpha" in err["detail"] and alpha in err["detail"]
+
+
+@pytest.mark.parametrize("t_end", ["-1", "nan"])
+def test_bad_verify_t_end_is_a_json_error(capsys, t_end):
+    assert main(["verify", "--t-end", t_end]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert "--t-end" in err["detail"] and t_end in err["detail"]
+
+
+def test_outdir_that_is_a_file_is_a_json_error(landau_cfg, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["run", str(landau_cfg), "--outdir", str(blocker)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "io-error"
+    assert "taken" in err["detail"]
+    assert err["at"] == str(landau_cfg)
+
+
 def test_green_config_validation(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("[hamiltonian]\npreset = free\n\n[run]\nt_end = 1.0\n\n"
