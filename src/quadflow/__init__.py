@@ -13,7 +13,7 @@ cross-validated against independent brute-force oracles.
 from .algebra import (GENERATOR_LABELS, N_GENERATORS, StructureConstants,
                       commutator, export_tensor_json, standard_algebra,
                       subalgebra_closed, validate_algebra)
-from .adjoint import AdjointMatrix, EnergyShift, adjoint_closed_form, adjoint_matrix
+from .adjoint import adjoint_closed_form, adjoint_matrix
 from .errors import (BranchUnavailable, ConfigError, DegenerateGeometry,
                      GridUnderresolved, InvalidSchedule, ParseError,
                      QuadflowError, SingularNu, SingularTime)
@@ -35,9 +35,9 @@ from .schedule import CoefficientSchedule
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointMatrix", "AffineSymplecticMap", "AlphaState", "Breakdown",
+    "AffineSymplecticMap", "AlphaState", "Breakdown",
     "BranchUnavailable", "CoefficientSchedule", "ConfigError",
-    "DegenerateGeometry", "EnergyShift", "FlowResult", "GaussianState",
+    "DegenerateGeometry", "FlowResult", "GaussianState",
     "GENERATOR_LABELS", "GreenSample", "GridUnderresolved",
     "InvalidSchedule", "N_GENERATORS", "ParseError", "QuadflowError",
     "ReductionState", "SingularNu", "SingularTime", "StructureConstants",

@@ -21,40 +21,12 @@ Two independent implementations are provided and tested against each other:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import N_GENERATORS, _check_index, standard_algebra
 
-__all__ = ["AdjointMatrix", "EnergyShift", "adjoint_matrix",
-           "adjoint_closed_form", "adjoint_generator"]
-
-
-@dataclass(frozen=True)
-class AdjointMatrix:
-    """15x15 real matrix of U_i(alpha) conjugation; row j = image of h_j."""
-
-    i: int
-    alpha: float
-    m: np.ndarray
-
-    def inverse(self) -> "AdjointMatrix":
-        # one-parameter group: M_i(alpha)^-1 = M_i(-alpha)
-        return adjoint_matrix(self.i, -self.alpha)
-
-
-@dataclass(frozen=True)
-class EnergyShift:
-    """U_i p_t U_i^dagger = p_t + alpha_dot_i * h_i: shift along coordinate i."""
-
-    i: int
-    alpha_dot: float
-
-    def vector(self) -> np.ndarray:
-        v = np.zeros(N_GENERATORS)
-        v[self.i - 1] = self.alpha_dot
-        return v
+__all__ = ["adjoint_matrix", "adjoint_closed_form", "adjoint_generator"]
 
 
 def _build_generator_matrices():
@@ -102,7 +74,7 @@ def adjoint_generator(i: int) -> np.ndarray:
 
 
 def _adjoint(i: int, alpha: float) -> np.ndarray:
-    """exp(-alpha*C_i) without the dataclass wrapper (hot path)."""
+    """exp(-alpha*C_i) without index or finiteness checks (hot path)."""
     if i in _DIAGONAL:
         return np.diag(np.exp(-alpha * _DIAGONAL[i]))
     powers = _POWERS[i]
@@ -114,7 +86,7 @@ def _adjoint(i: int, alpha: float) -> np.ndarray:
     return M
 
 
-def adjoint_matrix(i: int, alpha: float) -> AdjointMatrix:
+def adjoint_matrix(i: int, alpha: float) -> np.ndarray:
     """M_i(alpha) = exp(-alpha*C_i) via exact terminating series.
 
     Parameters
@@ -124,15 +96,15 @@ def adjoint_matrix(i: int, alpha: float) -> AdjointMatrix:
 
     Returns
     -------
-    AdjointMatrix with ``m[j-1, k-1]`` the coefficient of h_k in the image
-    of h_j.  Sign convention check: row 2 of M_9(alpha) is h2 + 2*alpha*h4
-    (x picks up 2*alpha_9*p_x under U_9).
+    15x15 array whose entry ``[j-1, k-1]`` is the coefficient of h_k in
+    the image of h_j.  Sign convention check: row 2 of M_9(alpha) is
+    h2 + 2*alpha*h4 (x picks up 2*alpha_9*p_x under U_9).
     """
     _check_index(i)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return AdjointMatrix(i, alpha, _adjoint(i, alpha))
+    return _adjoint(i, alpha)
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +171,7 @@ _DILATATION_ROWS = {
 }
 
 
-def adjoint_closed_form(i: int, alpha: float) -> AdjointMatrix:
+def adjoint_closed_form(i: int, alpha: float) -> np.ndarray:
     """Hardcoded closed-form conjugation matrices (test oracle).
 
     Implemented independently from the exponential path; agreement of the two
@@ -214,4 +186,4 @@ def adjoint_closed_form(i: int, alpha: float) -> AdjointMatrix:
     else:
         for row, col, coeff in _closed_form_entries(i, a):
             M[row - 1, col - 1] += coeff
-    return AdjointMatrix(i, a, M)
+    return M

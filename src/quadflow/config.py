@@ -49,17 +49,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, InvalidSchedule, ParseError
-from .schedule import CoefficientSchedule
+from .schedule import PRESETS, CoefficientSchedule
 
 __all__ = ["GreenRequest", "RunConfig", "load_config"]
-
-_PRESET_PARAMS = {
-    "landau": ("m", "omega_c", "E_x", "E_y", "e"),
-    "free": ("m",),
-    "harmonic1d": ("m", "omega"),
-    "kanai_caldirola": ("m", "omega", "lam"),
-    "zero": (),
-}
 
 
 @dataclass(frozen=True)
@@ -148,18 +140,21 @@ def load_config(path) -> RunConfig:
 
     if "preset" in ham:
         name = ham["preset"].strip()
-        if name not in _PRESET_PARAMS:
+        if name not in PRESETS:
             raise ConfigError(f"[hamiltonian]: unknown preset {name!r}")
         params = {}
-        for key in _PRESET_PARAMS[name]:
+        for key in PRESETS[name]:
             if key in ham:
                 params[key] = _float(ham, key, where="[hamiltonian]")
-        extra = set(ham) - set(_PRESET_PARAMS[name]) - {"preset", "hbar"}
+        extra = set(ham) - set(PRESETS[name]) - {"preset", "hbar"}
         if extra:
             raise ConfigError(
                 f"[hamiltonian]: keys {sorted(extra)} not valid for preset "
                 f"{name!r}")
-        schedule = CoefficientSchedule.preset(name, hbar=hbar, **params)
+        try:
+            schedule = CoefficientSchedule.preset(name, hbar=hbar, **params)
+        except InvalidSchedule as exc:
+            raise ConfigError(f"[hamiltonian]: {exc}") from exc
     else:
         sources = {}
         for key in ham:

@@ -65,11 +65,7 @@ class FlowResult:
     @property
     def step_times(self) -> np.ndarray:
         """Endpoints of the accepted integrator steps (natural time grid)."""
-        if not self.dense.segments:
-            return np.array([0.0])
-        ends = [seg.t0 for seg in self.dense.segments]
-        ends.append(self.dense.segments[-1].t0 + self.dense.segments[-1].h)
-        return np.array(ends)
+        return np.append(self.dense.t0, self.final.t)
 
     def interpolate(self, t):
         """Dense-output evaluation of alpha(t) within the integrated span."""
@@ -105,8 +101,6 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
 
     def rhs(t, alpha):
         a = schedule.coefficients(t)          # InvalidSchedule propagates
-        if not np.all(np.isfinite(alpha)):
-            return np.full(N_GENERATORS, np.nan)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 # assemble's det(nu) = 1 assertion doubles as a conditioning
@@ -121,22 +115,18 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
                    max_step=max_step, cap=magnitude_cap)
 
     breakdown = None
-    if res.status == "cap":
-        y_stop = res.ys[-1]
-        index = int(np.argmax(np.abs(y_stop))) + 1
-        breakdown = Breakdown(t_break=res.t_stop, index=index,
-                              reason="magnitude-overflow")
-    elif res.status == "underflow":
-        y_stop = res.ys[-1]
-        index = int(np.argmax(np.abs(y_stop))) + 1
-        breakdown = Breakdown(t_break=res.t_stop, index=index,
-                              reason="step-underflow")
+    if res.status != "done":
+        breakdown = Breakdown(
+            t_break=res.t_stop, index=int(np.argmax(np.abs(res.y_stop))) + 1,
+            reason={"cap": "magnitude-overflow",
+                    "underflow": "step-underflow"}[res.status])
 
     # uniform sample grid over the integrated span (samples + 1 rows in the
     # CSV contract); the dense interpolant carries the per-step resolution
-    if res.dense.segments:
+    if res.dense.t0.size:
         times = np.linspace(0.0, res.t_stop, samples + 1)
-        states = [AlphaState(float(t), res.dense(t)) for t in times]
+        states = [AlphaState(float(t), alpha)
+                  for t, alpha in zip(times, res.dense(times))]
     else:
         states = [AlphaState(0.0, alpha0.copy())]  # halted before any step
     return FlowResult(samples=states, breakdown=breakdown, dense=res.dense,

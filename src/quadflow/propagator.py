@@ -223,11 +223,10 @@ def generic_kernel(alpha, hbar,
     return QuadraticPhaseKernel(pref, phase, "generic")
 
 
-def green_kernel(alpha, hbar,
-                 eps_branch=DEFAULT_BRANCH_EPS) -> QuadraticPhaseKernel:
+def green_kernel(alpha, hbar) -> QuadraticPhaseKernel:
     """Branch-dispatching kernel: generic if available, else degenerate."""
     try:
-        return generic_kernel(alpha, hbar, eps_branch)
+        return generic_kernel(alpha, hbar)
     except BranchUnavailable:
         return degenerate_kernel(alpha, hbar)
 

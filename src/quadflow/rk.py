@@ -20,7 +20,7 @@ so blow-ups degrade gracefully into the ``underflow`` outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,61 +65,49 @@ _MAX_FACTOR = 10.0
 
 
 @dataclass
-class _Segment:
-    t0: float
-    h: float
-    y0: np.ndarray
-    q: np.ndarray  # (n, 4) dense-output matrix
-
-    def eval(self, t: float) -> np.ndarray:
-        x = (t - self.t0) / self.h
-        p = np.array([x, x * x, x ** 3, x ** 4])
-        return self.y0 + self.h * (self.q @ p)
-
-
-@dataclass
 class DenseSolution:
-    """Piecewise-quartic interpolant over the accepted steps."""
+    """Piecewise-quartic interpolant over the accepted steps.
 
-    segments: list = field(default_factory=list)
+    Row k of the stacked arrays is accepted step k: its start ``t0``, its
+    length ``h``, its start state ``y0`` and its (n, 4) dense-output matrix
+    ``q``.  A time at or before the first start uses step 0 and a time past
+    the end uses the last step.
+    """
+
+    t0: np.ndarray
+    h: np.ndarray
+    y0: np.ndarray
+    q: np.ndarray
 
     @property
-    def t_min(self):
-        return self.segments[0].t0 if self.segments else None
-
-    @property
-    def t_max(self):
-        s = self.segments[-1] if self.segments else None
-        return s.t0 + s.h if s else None
+    def segments(self) -> list:
+        """One ``(t0, h, y0, q)`` tuple per accepted step."""
+        return list(zip(self.t0, self.h, self.y0, self.q))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self._eval_scalar(float(t))
-        return np.array([self._eval_scalar(float(ti)) for ti in t])
-
-    def _eval_scalar(self, t: float) -> np.ndarray:
-        if not self.segments:
+        if not self.t0.size:
             raise ValueError("empty dense solution")
-        lo, hi = 0, len(self.segments) - 1
-        if t <= self.segments[0].t0:
-            return self.segments[0].eval(t)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.segments[mid].t0 + self.segments[mid].h < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.segments[lo].eval(t)
+        k = np.minimum(np.searchsorted(self.t0 + self.h, t.ravel()),
+                       self.t0.size - 1)
+        y = _quartic(self.t0[k], self.h[k], self.y0[k], self.q[k], t.ravel())
+        return y.reshape(t.shape + y.shape[-1:])
+
+
+def _quartic(t0, h, y0, q, t):
+    """y0 + h * q @ (x, x^2, x^3, x^4) with x = (t - t0) / h, row by row."""
+    x = ((t - t0) / h).tolist()
+    # scalar powers: numpy's array x ** 3 and x ** 4 round differently
+    p = np.array([[v, v * v, v ** 3, v ** 4] for v in x])
+    return y0 + h[:, None] * (q @ p[:, :, None])[:, :, 0]
 
 
 @dataclass
 class RKResult:
-    ts: np.ndarray           # accepted step endpoints, starting at t0
-    ys: np.ndarray           # states at ts, shape (len(ts), n)
     dense: DenseSolution
     status: str              # "done" | "cap" | "underflow"
-    t_stop: float            # final valid time (== ts[-1])
+    t_stop: float            # final valid time
+    y_stop: np.ndarray       # state at t_stop
     n_rhs: int
 
 
@@ -144,18 +132,24 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, t_end - t0, max_step)
 
 
-def _cap_crossing(segment: _Segment, cap: float) -> float:
-    """Bisect inside one accepted step for the first time max|y| = cap."""
-    t_lo, t_hi = segment.t0, segment.t0 + segment.h
+def _cap_crossing(t0, h, y0, q, cap: float):
+    """Bisect inside one accepted step for the first time max|y| = cap;
+    returns that time and the state there."""
+    step = np.array([t0]), np.array([h]), y0[None], q[None]
+
+    def y_at(t):
+        return _quartic(*step, np.array([t]))[0]
+
+    t_lo, t_hi = t0, t0 + h
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        if np.max(np.abs(segment.eval(t_mid))) > cap:
+        if np.max(np.abs(y_at(t_mid))) > cap:
             t_hi = t_mid
         else:
             t_lo = t_mid
         if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
             break
-    return t_hi
+    return t_hi, y_at(t_hi)
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
@@ -186,8 +180,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     k1 = rhs(t, y)
     h = _initial_step(rhs, t, y, k1, t_end, rtol, atol, max_step)
 
-    ts, ys = [t], [y.copy()]
-    dense = DenseSolution()
+    steps = []  # (t0, h, y0, q) per accepted step
     facold = 1e-4
     status = "done"
     K = np.empty((7, y.size))
@@ -229,27 +222,26 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             continue
         # accepted
         rejections = 0
-        seg = _Segment(t0=t, h=h, y0=y.copy(), q=K.T @ _P)
-        dense.segments.append(seg)
-        t_new = t + h
+        q = K.T @ _P
+        steps.append((t, h, y, q))
         if cap is not None and np.max(np.abs(y_new)) > cap:
-            t_cross = _cap_crossing(seg, cap)
-            y_cross = seg.eval(t_cross)
-            seg.h = t_cross - seg.t0  # truncate validity of the last segment
-            ts.append(t_cross)
-            ys.append(y_cross)
+            # the step keeps its full length: its polynomial is only valid
+            # with the h it was built with, and t_stop marks the end
+            t, y = _cap_crossing(t, h, y, q, cap)
             status = "cap"
             break
-        ts.append(t_new)
-        ys.append(y_new.copy())
         # PI controller (accepted step)
         fac11 = err ** _EXPO if err > 0 else 1e-10
         factor = min(_MAX_FACTOR,
                      max(_MIN_FACTOR, _SAFETY * facold ** _BETA / fac11))
         facold = max(err, 1e-4)
+        t, y = t + h, y_new
         h *= factor
-        t, y = t_new, y_new
         k1 = K[6]  # FSAL
 
-    return RKResult(ts=np.array(ts), ys=np.array(ys), dense=dense,
-                    status=status, t_stop=ts[-1], n_rhs=n_rhs)
+    t0s, hs, y0s, qs = zip(*steps) if steps else ((), (), (), ())
+    dense = DenseSolution(np.array(t0s), np.array(hs),
+                          np.array(y0s).reshape(-1, y.size),
+                          np.array(qs).reshape(-1, y.size, 4))
+    return RKResult(dense=dense, status=status, t_stop=t, y_stop=y,
+                    n_rhs=n_rhs)

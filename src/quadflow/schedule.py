@@ -26,7 +26,23 @@ from . import expressions as ex
 from .algebra import N_GENERATORS
 from .errors import InvalidSchedule
 
-__all__ = ["CoefficientSchedule"]
+__all__ = ["PRESETS", "CoefficientSchedule"]
+
+# preset name -> the parameters its constructor takes besides hbar
+PRESETS = {
+    "landau": ("m", "omega_c", "E_x", "E_y", "e"),
+    "free": ("m",),
+    "harmonic1d": ("m", "omega"),
+    "kanai_caldirola": ("m", "omega", "lam"),
+    "zero": (),
+}
+
+
+def _check_mass(m):
+    # every massive preset carries the kinetic coefficient 1/(2m)
+    if m == 0:
+        raise InvalidSchedule("preset parameter m = 0: the kinetic "
+                              "coefficients 1/(2m) are undefined")
 
 
 class CoefficientSchedule:
@@ -36,16 +52,13 @@ class CoefficientSchedule:
     value raises :class:`InvalidSchedule` naming the coefficient and time.
     """
 
-    def __init__(self, funcs, hbar=1.0, kind="custom", params=None,
-                 exprs=None, constants=None):
+    def __init__(self, funcs, hbar=1.0, kind="custom", params=None):
         if len(funcs) != N_GENERATORS:
             raise ValueError("need exactly 15 coefficient functions")
         self._funcs = list(funcs)
         self.hbar = float(hbar)
         self.kind = kind
         self.params = dict(params or {})
-        self.exprs = exprs          # index -> tree, for expression schedules
-        self.constants = dict(constants or {})
 
     # -- construction ---------------------------------------------------
 
@@ -83,8 +96,7 @@ class CoefficientSchedule:
                 funcs.append(ex.to_callable(trees[i], constants))
             else:
                 funcs.append(lambda t: 0.0)
-        return cls(funcs, hbar=hbar, kind="expressions", exprs=trees,
-                   constants=constants)
+        return cls(funcs, hbar=hbar, kind="expressions")
 
     @classmethod
     def zero(cls, hbar=1.0):
@@ -93,6 +105,7 @@ class CoefficientSchedule:
 
     @classmethod
     def landau(cls, m=1.0, omega_c=1.0, E_x=0.0, E_y=0.0, e=1.0, hbar=1.0):
+        _check_mass(m)
         a = np.zeros(N_GENERATORS)
         a[1] = e * E_x              # a2
         a[2] = e * E_y              # a3
@@ -106,6 +119,7 @@ class CoefficientSchedule:
 
     @classmethod
     def free(cls, m=1.0, hbar=1.0):
+        _check_mass(m)
         a = np.zeros(N_GENERATORS)
         a[8] = a[9] = 1.0 / (2 * m)
         return cls.from_constant_vector(a, hbar=hbar, kind="free",
@@ -113,6 +127,7 @@ class CoefficientSchedule:
 
     @classmethod
     def harmonic1d(cls, m=1.0, omega=1.0, hbar=1.0):
+        _check_mass(m)
         a = np.zeros(N_GENERATORS)
         a[5] = m * omega ** 2 / 2   # a6
         a[8] = 1.0 / (2 * m)        # a9
@@ -121,6 +136,7 @@ class CoefficientSchedule:
 
     @classmethod
     def kanai_caldirola(cls, m=1.0, omega=1.0, lam=0.1, hbar=1.0):
+        _check_mass(m)
         funcs = [lambda t: 0.0] * N_GENERATORS
         funcs[5] = lambda t: 0.5 * m * omega ** 2 * np.exp(lam * t)   # a6
         funcs[8] = lambda t: np.exp(-lam * t) / (2 * m)               # a9
@@ -129,13 +145,10 @@ class CoefficientSchedule:
 
     @classmethod
     def preset(cls, name, hbar=1.0, **params):
-        makers = {"landau": cls.landau, "free": cls.free,
-                  "harmonic1d": cls.harmonic1d,
-                  "kanai_caldirola": cls.kanai_caldirola, "zero": cls.zero}
-        if name not in makers:
+        if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; "
-                             f"choose from {sorted(makers)}")
-        return makers[name](hbar=hbar, **params)
+                             f"choose from {sorted(PRESETS)}")
+        return getattr(cls, name)(hbar=hbar, **params)
 
     # -- evaluation -------------------------------------------------------
 

@@ -58,8 +58,8 @@ def test_criterion_02_adjoint_fidelity():
     worst = 0.0
     for i in range(2, 16):
         for alpha in rng.uniform(-1.0, 1.0, 100):
-            d = float(np.max(np.abs(qf.adjoint_matrix(i, alpha).m
-                                    - qf.adjoint_closed_form(i, alpha).m)))
+            d = float(np.max(np.abs(qf.adjoint_matrix(i, alpha)
+                                    - qf.adjoint_closed_form(i, alpha))))
             worst = max(worst, d)
     assert worst < 1e-12
     _report(2, "adjoint fidelity",

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow.adjoint import (EnergyShift, adjoint_closed_form,
+from quadflow.adjoint import (_adjoint, adjoint_closed_form,
                               adjoint_generator, adjoint_matrix)
+from quadflow.observables import heisenberg_map
 
 ALPHAS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -23,37 +24,37 @@ def unit(k, coeff=1.0):
 
 def test_identity_at_alpha_zero():
     for i in range(1, 16):
-        assert np.array_equal(adjoint_matrix(i, 0.0).m, np.eye(15))
+        assert np.array_equal(adjoint_matrix(i, 0.0), np.eye(15))
 
 
 def test_momentum_squared_shears_position():
     # U_9: x -> x + 2*alpha9*p_x
-    m = adjoint_matrix(9, 0.7).m
+    m = adjoint_matrix(9, 0.7)
     expected = unit(2) + 1.4 * unit(4)
     np.testing.assert_allclose(row(m, 2), expected, atol=1e-15)
 
 
 def test_dilatation_scales_x_and_px_oppositely():
-    m = adjoint_matrix(12, 0.3).m
+    m = adjoint_matrix(12, 0.3)
     np.testing.assert_allclose(row(m, 2), unit(2, np.exp(0.6)), atol=1e-15)
     np.testing.assert_allclose(row(m, 4), unit(4, np.exp(-0.6)), atol=1e-15)
 
 
 def test_xy_conjugation_of_px_squared_is_quadratic():
     # U_8 at alpha = 0.5: p_x^2 -> p_x^2 - 1.0*(y p_x) + 0.25*y^2
-    m = adjoint_closed_form(8, 0.5).m
+    m = adjoint_closed_form(8, 0.5)
     expected = unit(9) - 1.0 * unit(15) + 0.25 * unit(7)
     np.testing.assert_allclose(row(m, 9), expected, atol=1e-15)
 
 
 def test_ypx_conjugation_of_xpy_mixes_dilatations():
-    m = adjoint_closed_form(15, 2.0).m
+    m = adjoint_closed_form(15, 2.0)
     expected = unit(14) - unit(12) + unit(13) - 4.0 * unit(15)
     np.testing.assert_allclose(row(m, 14), expected, atol=1e-15)
 
 
 def test_px_translation_completes_the_square_on_x_squared():
-    m = adjoint_closed_form(4, 1.0).m
+    m = adjoint_closed_form(4, 1.0)
     expected = unit(6) + 2.0 * unit(2) + unit(1)
     np.testing.assert_allclose(row(m, 6), expected, atol=1e-15)
 
@@ -62,24 +63,23 @@ def test_exponential_matches_closed_form_everywhere():
     rng = np.random.default_rng(11)
     for i in range(2, 16):
         for alpha in rng.uniform(-1.0, 1.0, 100):
-            d = np.max(np.abs(adjoint_matrix(i, alpha).m
-                              - adjoint_closed_form(i, alpha).m))
+            d = np.max(np.abs(adjoint_matrix(i, alpha)
+                              - adjoint_closed_form(i, alpha)))
             assert d < 1e-12, (i, alpha, d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(i=st.integers(min_value=1, max_value=15), a=ALPHAS, b=ALPHAS)
 def test_one_parameter_group_law(i, a, b):
-    mab = adjoint_matrix(i, a).m @ adjoint_matrix(i, b).m
-    np.testing.assert_allclose(mab, adjoint_matrix(i, a + b).m,
+    mab = adjoint_matrix(i, a) @ adjoint_matrix(i, b)
+    np.testing.assert_allclose(mab, adjoint_matrix(i, a + b),
                                atol=1e-12, rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(i=st.integers(min_value=1, max_value=15), a=ALPHAS)
 def test_inverse_is_negated_parameter(i, a):
-    m = adjoint_matrix(i, a)
-    prod = m.m @ m.inverse().m
+    prod = adjoint_matrix(i, a) @ adjoint_matrix(i, -a)
     np.testing.assert_allclose(prod, np.eye(15), atol=1e-12)
 
 
@@ -87,8 +87,8 @@ def test_determinants():
     rng = np.random.default_rng(4)
     for i in range(1, 16):
         for alpha in rng.uniform(-1.0, 1.0, 10):
-            det = np.linalg.det(adjoint_matrix(i, alpha).m)
-            det_inv = np.linalg.det(adjoint_matrix(i, -alpha).m)
+            det = np.linalg.det(adjoint_matrix(i, alpha))
+            det_inv = np.linalg.det(adjoint_matrix(i, -alpha))
             assert abs(det * det_inv - 1.0) < 1e-10
             if i in (12, 13):
                 # dilatations: determinant is the product of the scaling
@@ -101,7 +101,7 @@ def test_determinants():
 def test_central_element_row_preserved():
     rng = np.random.default_rng(5)
     for i in range(1, 16):
-        m = adjoint_matrix(i, float(rng.uniform(-2, 2))).m
+        m = adjoint_matrix(i, float(rng.uniform(-2, 2)))
         np.testing.assert_array_equal(row(m, 1), unit(1))
 
 
@@ -116,8 +116,22 @@ def test_nonfinite_alpha_rejected():
         adjoint_matrix(3, np.inf)
 
 
-def test_energy_shift_vector():
-    shift = EnergyShift(7, 0.25)
-    v = shift.vector()
-    assert v[6] == 0.25
-    assert np.count_nonzero(v) == 1
+def test_affine_block_is_invariant():
+    # span{1, x, y, p_x, p_y} is invariant under every adjoint action, and
+    # the quadratic generators (i >= 6) also keep the quadratic span; this
+    # is what lets heisenberg_map multiply 5x5 blocks
+    rng = np.random.default_rng(12)
+    for i in range(1, 16):
+        for alpha in rng.uniform(-3.0, 3.0, 40):
+            m = _adjoint(i, alpha)
+            assert not m[:5, 5:].any(), (i, alpha)
+            if i >= 6:
+                assert not m[5:, :5].any(), (i, alpha)
+    for _ in range(20):
+        alpha = rng.uniform(-1.0, 1.0, 15)
+        full = np.eye(15)
+        for i in range(2, 16):
+            full = full @ adjoint_matrix(i, alpha[i - 1])
+        hm = heisenberg_map(alpha)
+        np.testing.assert_allclose(hm.S, full[1:5, 1:5], atol=1e-12)
+        np.testing.assert_allclose(hm.d, full[1:5, 0], atol=1e-12)

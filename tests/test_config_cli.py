@@ -1,6 +1,7 @@
 """Config parsing and the quadflow command line."""
 
 import csv
+import inspect
 import json
 import math
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from quadflow.cli import main, run_config_file
 from quadflow.config import load_config
 from quadflow.errors import ConfigError
+from quadflow.schedule import PRESETS, CoefficientSchedule
 
 LANDAU_CFG = """
 [hamiltonian]
@@ -345,6 +347,48 @@ def test_outdir_that_is_a_file_is_a_json_error(landau_cfg, tmp_path, capsys):
     assert err["error"] == "io-error"
     assert "taken" in err["detail"]
     assert err["at"] == str(landau_cfg)
+
+
+def test_preset_table_matches_constructors():
+    for name, keys in PRESETS.items():
+        params = inspect.signature(getattr(CoefficientSchedule, name)).parameters
+        assert tuple(params) == keys + ("hbar",)
+
+
+@pytest.mark.parametrize("preset", ["landau", "free", "harmonic1d",
+                                    "kanai_caldirola"])
+def test_zero_mass_preset_config_is_a_json_error(tmp_path, capsys, preset):
+    p = tmp_path / "m0.cfg"
+    p.write_text(f"[hamiltonian]\npreset = {preset}\nm = 0\n\n"
+                 "[run]\nt_end = 1.0\n\n[outputs]\nalphas = alphas.csv\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config-error"
+    assert "m = 0" in err["detail"]
+    assert not (tmp_path / "alphas.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--m", "0"],
+                                  ["--preset", "harmonic1d", "--m", "0"]])
+def test_zero_mass_verify_is_a_json_error(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid-schedule"
+    assert "m = 0" in err["detail"]
+
+
+def test_verify_landau_without_field_skips_closed_form(capsys):
+    assert main(["verify", "--omega-c", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "[SKIP] integrated alpha vs constant-field closed form" in out
+    assert "[FAIL]" not in out
+
+
+def test_unknown_print_odes_preset_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["print-odes", "--preset", "nosuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_green_config_validation(tmp_path):

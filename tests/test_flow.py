@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quadflow import rk
 from quadflow.errors import InvalidSchedule, SingularTime
 from quadflow.flow import (constant_field_closed_form, integrate,
                            write_alphas_csv)
@@ -149,6 +150,49 @@ def test_dense_output_matches_samples():
     np.testing.assert_allclose(res.interpolate(mid), direct, atol=1e-8)
     assert res.step_times[0] == 0.0
     assert res.step_times[-1] == pytest.approx(1.2)
+
+
+def test_dense_array_call_equals_per_point_calls():
+    res = integrate(landau(E_x=0.3, E_y=-0.2), 2.5)
+    ts = np.concatenate([np.linspace(-0.5, 3.0, 97), res.step_times])
+    batch = res.dense(ts)
+    assert batch.shape == (ts.size, 15)
+    for t, row in zip(ts, batch):
+        np.testing.assert_array_equal(res.dense(t), row)
+
+
+def test_dense_output_picks_the_bisection_step():
+    d = integrate(landau(E_x=0.1), 1.2).dense
+    n = d.t0.size
+
+    def on_step(k, t):
+        one = (v[k:k + 1] for v in (d.t0, d.h, d.y0, d.q))
+        return rk.DenseSolution(*one)(t)
+
+    end = d.t0[-1] + d.h[-1]
+    cases = [(d.t0[0] - 0.3, 0),            # before the start
+             (d.t0[0], 0),                  # at the start
+             (d.t0[3], 2),                  # on a boundary: the earlier step
+             (d.t0[3] + 0.5 * d.h[3], 3),   # inside a step
+             (end, n - 1),                  # at the end
+             (end + 0.5, n - 1)]            # past the end
+    for t, k in cases:
+        np.testing.assert_array_equal(d(t), on_step(k, t))
+    assert len(d.segments) == n
+
+
+def test_dense_output_at_cap_stop_is_the_crossing_state():
+    # y' = y^2, y(0) = 1 blows up at t = 1 as y = 1 / (1 - t)
+    res = rk.solve(lambda t, y: y * y, 0.0, [1.0], 2.0, cap=1e3)
+    assert res.status == "cap"
+    np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
+    assert res.y_stop[0] > 1e3
+    assert res.y_stop[0] == pytest.approx(1 / (1 - res.t_stop), rel=1e-6)
+    flow = integrate(CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0,
+                                                         lam=0.3), 2.0)
+    assert flow.breakdown.reason == "magnitude-overflow"
+    np.testing.assert_array_equal(flow.dense(flow.breakdown.t_break),
+                                  flow.final.alpha)
 
 
 def test_alphas_csv_row_count_and_precision(tmp_path):

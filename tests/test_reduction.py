@@ -74,6 +74,16 @@ def test_mu_is_linear_in_a():
                                   assemble(a2, alpha).nu)
 
 
+def test_nu_is_block_diagonal_over_affine_and_quadratic_generators():
+    # {1..5} and {6..15} do not mix in nu: the flow is a cascade of the
+    # quadratic (sp(4)) parameters feeding the affine ones
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        state = assemble(rng.uniform(-1, 1, 15), rng.uniform(-2, 2, 15))
+        assert not state.nu[:5, 5:].any()
+        assert not state.nu[5:, :5].any()
+
+
 def test_nu_times_mu_recovers_w():
     rng = np.random.default_rng(9)
     a = rng.uniform(-1, 1, 15)
