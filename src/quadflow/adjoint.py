@@ -13,7 +13,9 @@ Two independent implementations are provided and tested against each other:
 * :func:`adjoint_matrix` - matrix exponential of the structure constants.
   C_i is nilpotent of index <= 3 for every generator except the dilatation
   generators 12 and 13, whose C is purely diagonal; both cases are summed
-  exactly (terminating series / elementwise exp).
+  exactly (terminating series / elementwise exp) from one table built at
+  import, and ``_adjoint_stack`` evaluates every M_k^T(alpha_k) at once;
+  the flow right-hand side and the Heisenberg map read that stack.
 * :func:`adjoint_closed_form` - the conjugation rules transcribed entry by
   entry, used as the oracle.
 """
@@ -44,27 +46,28 @@ def _build_generator_matrices():
 _C = _build_generator_matrices()
 
 
-def _nilpotent_powers(C, max_index=8):
-    powers = [np.eye(N_GENERATORS)]
-    P = np.eye(N_GENERATORS)
-    for _ in range(max_index):
-        P = P @ C
-        if not P.any():
-            return powers
-        powers.append(P.copy())
-    # every C_i of this algebra is diagonal or nilpotent, so _adjoint needs
-    # no general matrix exponential
-    raise ValueError(f"C is not nilpotent within index {max_index}")
+def _stack_table():
+    """Flat-index table for the adjoint stack: C_1, C_12 and C_13 are diagonal
+    (M^T = exp(-alpha*C)); every other M_k^T is a terminating series over the
+    powers (C_k^T)^p, kept only at the entries they move off the identity."""
+    n = N_GENERATORS
+    CT = np.transpose(_C[1:], (0, 2, 1))
+    diagonal = ~(CT * (1 - np.eye(n))).any(axis=(1, 2))
+    powers = [np.tile(np.eye(n), (n, 1, 1))]
+    while (P := powers[-1] @ CT * ~diagonal[:, None, None]).any():
+        if len(powers) > 8:  # so no general matrix exponential is needed
+            raise ValueError("a C_k is neither diagonal nor nilpotent")
+        powers.append(P)
+    flat = np.flatnonzero(np.any(powers[1:], axis=0))
+    k = np.flatnonzero(diagonal)[:, None]
+    dil = (k * n * n + np.arange(n) * (n + 1)).ravel()
+    return (powers[0], flat, flat // (n * n),
+            np.reshape(powers, (len(powers), -1))[:, flat],
+            dil, dil // (n * n), CT.reshape(-1)[dil])
 
 
-_DIAGONAL = {}
-_POWERS = {}
-for _i in range(1, N_GENERATORS + 1):
-    _Ci = _C[_i]
-    if not np.count_nonzero(_Ci - np.diag(np.diag(_Ci))):
-        _DIAGONAL[_i] = np.diag(_Ci).copy()
-    else:
-        _POWERS[_i] = _nilpotent_powers(_Ci)
+(_IDENTITIES, _SERIES_FLAT, _SERIES_ALPHA, _SERIES_POWERS,
+ _DIL_FLAT, _DIL_ALPHA, _DIL_DIAG) = _stack_table()
 
 
 def adjoint_generator(i: int) -> np.ndarray:
@@ -73,17 +76,26 @@ def adjoint_generator(i: int) -> np.ndarray:
     return _C[i].copy()
 
 
+def _adjoint_stack(alpha: np.ndarray) -> np.ndarray:
+    """M_k^T(alpha_k) at index k - 1 of one (15, 15, 15) array (hot path);
+    each series adds f_p = f_{p-1} * (f_1 / p), f_1 = -alpha, in order."""
+    f1 = -alpha[_SERIES_ALPHA]
+    f, entries = f1, _SERIES_POWERS[0] + f1 * _SERIES_POWERS[1]
+    for p in range(2, len(_SERIES_POWERS)):
+        f = f * (f1 / p)
+        entries = entries + f * _SERIES_POWERS[p]
+    MT = _IDENTITIES.copy()
+    flat = MT.reshape(-1)
+    flat[_SERIES_FLAT] = entries
+    flat[_DIL_FLAT] = np.exp(-alpha[_DIL_ALPHA] * _DIL_DIAG)
+    return MT
+
+
 def _adjoint(i: int, alpha: float) -> np.ndarray:
-    """exp(-alpha*C_i) without index or finiteness checks (hot path)."""
-    if i in _DIAGONAL:
-        return np.diag(np.exp(-alpha * _DIAGONAL[i]))
-    powers = _POWERS[i]
-    M = powers[0].copy()
-    fac = 1.0
-    for k in range(1, len(powers)):
-        fac *= -alpha / k
-        M += fac * powers[k]
-    return M
+    """exp(-alpha*C_i) from the stack, without index or finiteness checks."""
+    one = np.zeros(N_GENERATORS)
+    one[i - 1] = alpha
+    return _adjoint_stack(one)[i - 1].T
 
 
 def adjoint_matrix(i: int, alpha: float) -> np.ndarray:

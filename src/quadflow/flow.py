@@ -69,6 +69,8 @@ class FlowResult:
 
     def interpolate(self, t):
         """Dense-output evaluation of alpha(t) within the integrated span."""
+        if not self.dense.t0.size:   # halted before any step: the span is {0}
+            return np.tile(self.final.alpha, np.shape(t) + (1,))
         return self.dense(t)
 
 
@@ -140,10 +142,12 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
     SingularTime at and beyond the tan/log singularity (omega_c*t = pi mod
     2*pi is where the first divergence sits).
 
-    Accepts scalar or array ``t``; returns shape (..., 15).
+    Accepts scalar or array ``t``; returns shape (..., 15).  A zero (or
+    underflowing) m*omega_c**k, k = 1..3, raises SingularTime as well.
     """
-    if omega_c == 0:
-        raise ValueError("omega_c must be nonzero (use the free preset instead)")
+    if not all(m * omega_c ** k for k in (1, 2, 3)):
+        raise SingularTime(f"closed form undefined: m*omega_c**k vanishes for "
+                           f"m = {m!r}, omega_c = {omega_c!r}")
     t_arr = np.asarray(t, dtype=float)
     th = 0.5 * omega_c * t_arr                 # half cyclotron phase
     c, s = np.cos(th), np.sin(th)

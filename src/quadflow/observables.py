@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _adjoint
+from .adjoint import _adjoint_stack
 from .algebra import N_GENERATORS
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
@@ -86,15 +86,16 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
 
     span{1, x, y, p_x, p_y} is invariant under every adjoint action, so the
     product M_2(a2) M_3(a3) ... M_15(a15) (M_1 = identity) is taken over the
-    leading 5x5 blocks; its constant column gives
+    leading 5x5 blocks of one adjoint stack; its constant column gives
     d = (alpha4, alpha5, -alpha2, -alpha3) exactly.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (N_GENERATORS,):
         raise ValueError("alpha must be a 15-vector")
+    MT = _adjoint_stack(alpha)
     block = np.eye(5)
-    for i in range(2, N_GENERATORS + 1):
-        block = block @ _adjoint(i, alpha[i - 1])[:5, :5]
+    for k in range(1, N_GENERATORS):
+        block = block @ MT[k, :5, :5].T
     return AffineSymplecticMap(S=block[1:, 1:].copy(), d=block[1:, 0].copy(),
                                phase=float(alpha[0]))
 

@@ -12,7 +12,8 @@ while the energy-operator shifts accumulate through the matrix
 
 Requiring the transformed Hamiltonian to reduce to the bare energy operator
 yields the flow equations alpha_dot = mu(a, alpha) with mu = nu^{-1} w.  For
-this ordering det(nu) = 1 identically, which the assembly asserts.
+this ordering det(nu) = 1 identically, which the assembly asserts.  One
+adjoint stack gives every M_k^T and one (15, 15, 15) array every R_k.
 
 :func:`reference_odes` is a fully independent transcription of the fifteen
 explicit right-hand sides; agreement with the matrix pipeline to 1e-10 over
@@ -25,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _adjoint
+from .adjoint import _adjoint_stack
 from .algebra import N_GENERATORS
 from .errors import SingularNu
 
 __all__ = ["ReductionState", "assemble", "reference_odes"]
 
 _DET_TOL = 1e-6
+_DIAG = np.arange(N_GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,15 @@ def _as_vector(x, name):
 
 
 def _w_nu(alpha: np.ndarray):
-    # R_k = M_15^T ... M_{k+1}^T built by descending recursion (R_15 = I);
-    # column k of nu is column k of R_k, and w = R_0 a with M_1 = I.
-    nu = np.empty((N_GENERATORS, N_GENERATORS))
-    R = np.eye(N_GENERATORS)
-    for k in range(N_GENERATORS, 0, -1):
-        nu[:, k - 1] = R[:, k - 1]
-        if k > 1:  # M_1 is the identity (h1 central)
-            R = R @ _adjoint(k, alpha[k - 1]).T
-    return R, nu
+    # R_k = M_15^T ... M_{k+1}^T by descending recursion into Rs[k - 1]
+    # (R_15 = I); column k of nu is column k of R_k, and w = R_1 a since
+    # M_1 = I (h1 central).
+    MT = _adjoint_stack(alpha)
+    Rs = np.empty((N_GENERATORS, N_GENERATORS, N_GENERATORS))
+    Rs[-1] = np.eye(N_GENERATORS)
+    for k in range(N_GENERATORS - 1, 0, -1):
+        np.matmul(Rs[k], MT[k], out=Rs[k - 1])
+    return Rs[0], Rs[_DIAG, :, _DIAG].T
 
 
 def assemble(a, alpha) -> ReductionState:

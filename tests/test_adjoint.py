@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow.adjoint import (_adjoint, adjoint_closed_form,
+from quadflow.adjoint import (_adjoint, _adjoint_stack, adjoint_closed_form,
                               adjoint_generator, adjoint_matrix)
 from quadflow.observables import heisenberg_map
 
@@ -135,3 +135,34 @@ def test_affine_block_is_invariant():
         hm = heisenberg_map(alpha)
         np.testing.assert_allclose(hm.S, full[1:5, 1:5], atol=1e-12)
         np.testing.assert_allclose(hm.d, full[1:5, 0], atol=1e-12)
+
+
+def _taylor_series(i, alpha):
+    # exp(-alpha*C_i) summed term by term from the structure constants:
+    # elementwise exp for a diagonal C_i, else the terminating series
+    C = adjoint_generator(i)
+    if not np.count_nonzero(C - np.diag(np.diag(C))):
+        return np.diag(np.exp(-alpha * np.diag(C)))
+    M, P, fac = np.eye(15), np.eye(15), 1.0
+    for k in range(1, 15):
+        P = P @ C
+        if not P.any():
+            return M
+        fac *= -alpha / k
+        M += fac * P
+    raise AssertionError(f"C_{i} is not nilpotent")
+
+
+def test_adjoint_stack_equals_the_series_bit_for_bit():
+    # one stack evaluation gives every M_k^T exactly as adjoint_matrix and
+    # the plain Taylor series do, over parameter magnitudes 1e-3..20
+    rng = np.random.default_rng(7)
+    for mag in (1e-3, 1e-2, 0.1, 1.0, 3.0, 20.0):
+        for _ in range(25):
+            alpha = rng.uniform(-mag, mag, 15)
+            MT = _adjoint_stack(alpha)
+            for i in range(1, 16):
+                a, M = alpha[i - 1], MT[i - 1].T
+                assert np.array_equal(M, adjoint_matrix(i, a)), (i, a)
+                assert np.array_equal(M, _taylor_series(i, a)), (i, a)
+    assert np.array_equal(adjoint_matrix(1, 0.7), np.eye(15))

@@ -384,6 +384,34 @@ def test_verify_landau_without_field_skips_closed_form(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_landau_with_underflowing_field_skips_closed_form(capsys):
+    # omega_c ** 3 underflows to zero in the closed form's alpha1 prefactor
+    assert main(["verify", "--omega-c", "1e-300", "--E-x", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "[SKIP] integrated alpha vs constant-field closed form" in out
+    assert "[FAIL]" not in out
+
+
+def test_halt_before_first_step_with_green_is_a_json_error(tmp_path, capsys):
+    # the flow stops at t = 0, where the Green function is a delta function
+    p = tmp_path / "halt.cfg"
+    p.write_text("[hamiltonian]\na6 = 1e300\na9 = 1e300\n\n[run]\n"
+                 "t_end = 1.0\n\n[green]\npoints = 0,0,0,0\n\n"
+                 "[outputs]\nalphas = alphas.csv\ngreen = green.csv\n")
+    with np.errstate(over="ignore"):
+        assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(err) == {"error", "detail", "at"}
+    assert err["error"] == "degenerate-geometry"
+    assert not (tmp_path / "green.csv").exists()
+    p.write_text(p.read_text().replace("green = green.csv", ""))
+    with np.errstate(over="ignore"):
+        info = run_config_file(p, outdir=tmp_path)
+    assert info["t_final"] == 0.0
+    assert info["breakdown"] == {"t_break": 0.0, "index": 1,
+                                 "reason": "step-underflow"}
+
+
 def test_unknown_print_odes_preset_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["print-odes", "--preset", "nosuch"])

@@ -59,8 +59,10 @@ def test_closed_form_singular_time():
         constant_field_closed_form(1.0, 1.0, t=math.pi)
     with pytest.raises(SingularTime):
         constant_field_closed_form(1.0, 1.0, t=3.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularTime):
         constant_field_closed_form(1.0, 0.0, t=0.5)
+    with pytest.raises(SingularTime):  # omega_c ** 3 underflows to zero
+        constant_field_closed_form(1.0, 1e-300, 0.3, t=0.5)
 
 
 def test_breakdown_at_first_factorization_pole():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
+from quadflow.adjoint import adjoint_matrix
 from quadflow.flow import integrate, constant_field_closed_form
 from quadflow.observables import (SYMPLECTIC_J, classical_lagrangian,
                                   euler_residuals, heisenberg_closed_form,
@@ -155,3 +156,18 @@ def test_heisenberg_json_output(tmp_path):
     sym = np.array(records[-1]["S"])
     defect = np.max(np.abs(sym.T @ SYMPLECTIC_J @ sym - SYMPLECTIC_J))
     assert defect < 1e-8
+
+
+def test_heisenberg_map_equals_the_block_loop_bit_for_bit():
+    # the ordered product of adjoint_matrix's affine 5x5 blocks, one per
+    # generator, is what the map computes from one adjoint stack
+    rng = np.random.default_rng(23)
+    for mag in (1e-3, 0.1, 1.0, 3.0, 20.0):
+        for _ in range(30):
+            alpha = rng.uniform(-mag, mag, 15)
+            block = np.eye(5)
+            for i in range(2, 16):
+                block = block @ adjoint_matrix(i, alpha[i - 1])[:5, :5]
+            m = heisenberg_map(alpha)
+            assert np.array_equal(m.S, block[1:, 1:]), alpha
+            assert np.array_equal(m.d, block[1:, 0]), alpha

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadflow.adjoint import adjoint_matrix
 from quadflow.errors import SingularNu
 from quadflow.flow import integrate
 from quadflow.reduction import assemble, reference_odes
@@ -105,3 +106,39 @@ def test_invalid_shapes_rejected():
         assemble(np.zeros(14), np.zeros(15))
     with pytest.raises(ValueError):
         assemble(np.zeros(15), np.full(15, np.nan))
+
+
+def _reference_assemble(a, alpha):
+    # w, nu and mu by the descending recursion R_{k-1} = R_k M_k^T over one
+    # adjoint_matrix call per generator; None where det(nu) strays from 1
+    nu = np.empty((15, 15))
+    R = np.eye(15)
+    for k in range(15, 0, -1):
+        nu[:, k - 1] = R[:, k - 1]
+        if k > 1:
+            R = R @ adjoint_matrix(k, alpha[k - 1]).T
+    det = np.linalg.det(nu)
+    if not np.isfinite(det) or abs(det - 1.0) > 1e-6:
+        return None
+    w = R @ a
+    return w, nu, np.linalg.solve(nu, w)
+
+
+def test_assemble_equals_the_reference_recursion_bit_for_bit():
+    rng = np.random.default_rng(17)
+    raised = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mag in (1e-3, 0.1, 1.0, 3.0, 10.0, 30.0):
+            for _ in range(40):
+                a = rng.uniform(-1, 1, 15) * rng.choice([1.0, 10.0, 1e3])
+                alpha = rng.uniform(-mag, mag, 15)
+                ref = _reference_assemble(a, alpha)
+                if ref is None:
+                    raised += 1
+                    with pytest.raises(SingularNu):
+                        assemble(a, alpha)
+                    continue
+                state = assemble(a, alpha)
+                for got, want in zip((state.w, state.nu, state.mu), ref):
+                    assert np.array_equal(got, want), (a, alpha)
+    assert 0 < raised < 240  # both outcomes are exercised
