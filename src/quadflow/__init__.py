@@ -17,7 +17,6 @@ from .adjoint import adjoint_closed_form, adjoint_matrix
 from .errors import (BranchUnavailable, ConfigError, DegenerateGeometry,
                      GridUnderresolved, InvalidSchedule, ParseError,
                      QuadflowError, SingularNu, SingularTime)
-from .expressions import evaluate as evaluate_expression
 from .expressions import parse_expression, pretty
 from .flow import (AlphaState, Breakdown, FlowResult,
                    constant_field_closed_form, integrate, write_alphas_csv)
@@ -43,7 +42,7 @@ __all__ = [
     "ReductionState", "SingularNu", "SingularTime", "StructureConstants",
     "SYMPLECTIC_J", "adjoint_closed_form", "adjoint_matrix", "apply_kernel",
     "assemble", "classical_lagrangian", "commutator",
-    "constant_field_closed_form", "euler_residuals", "evaluate_expression",
+    "constant_field_closed_form", "euler_residuals",
     "export_tensor_json", "fundamental_matrix", "green", "green_kernel",
     "heisenberg_closed_form", "heisenberg_map", "integrate",
     "landau_kernel", "degenerate_kernel", "generic_kernel", "QuadraticPhaseKernel",

@@ -1,4 +1,4 @@
-"""Coefficient expression mini-language: parser, evaluator, pretty-printer.
+"""Coefficient expression mini-language: parser, compiler, pretty-printer.
 
 Grammar (whitespace insignificant, byte offsets reported on error):
 
@@ -11,8 +11,8 @@ Grammar (whitespace insignificant, byte offsets reported on error):
 ``^`` binds tighter than unary minus, so ``-2^2 == -4`` and ``2^3^2 == 512``.
 Function application requires parentheses (``sin t`` is a parse error).
 Recognised functions: neg, sin, cos, tan, exp, ln, sqrt.  The variable is
-``t``; any other bare identifier is a named constant resolved at evaluation
-time.
+``t``; any other bare identifier is a named constant, resolved when the tree
+is compiled by :func:`to_callable`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Const", "Unary", "Binary", "parse_expression",
-           "evaluate", "to_callable", "pretty", "FUNCTIONS"]
+           "to_callable", "pretty", "FUNCTIONS"]
 
 FUNCTIONS = {
     "neg": lambda x: -x,
@@ -199,43 +199,13 @@ def free_names(node) -> set:
     return set()
 
 
-def evaluate(node, t: float, constants=None) -> float:
-    """Evaluate the tree at time ``t``.
-
-    Raises
-    ------
-    ValueError / ZeroDivisionError / OverflowError on domain errors
-    (callers map these to InvalidSchedule); KeyError for unknown constants.
-    """
-    constants = constants or {}
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Const):
-        if node.name not in constants:
-            raise KeyError(node.name)
-        return float(constants[node.name])
-    if isinstance(node, Unary):
-        return FUNCTIONS[node.op](evaluate(node.arg, t, constants))
-    if isinstance(node, Binary):
-        a = evaluate(node.left, t, constants)
-        b = evaluate(node.right, t, constants)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        if node.op == "^":
-            return math.pow(a, b)  # raises ValueError off-domain
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def to_callable(node, constants=None):
-    """Compile the tree to a plain ``f(t) -> float`` closure."""
+    """Compile the tree to a plain ``f(t) -> float`` closure.
+
+    Raises KeyError for a named constant missing from ``constants``.  The
+    closure raises ValueError / ZeroDivisionError / OverflowError on domain
+    errors (callers map these to InvalidSchedule).
+    """
     constants = dict(constants or {})
     if isinstance(node, Num):
         v = node.value

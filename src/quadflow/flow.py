@@ -9,6 +9,13 @@ exception: integration halts when any |alpha_i| exceeds ``magnitude_cap``
 or when the step size underflows, and reports the offending component and a
 bracketed breakdown time.
 
+The right-hand side is the transcribed flow equations on Python floats
+(:func:`.reduction.explicit_rhs`).  The matrix pipeline
+(:func:`.reduction.assemble`) runs once per attempted step, at the
+candidate end state: its det(nu) = 1 check is the conditioning sentinel,
+and a step it refuses is rejected like one with a non-finite stage, so the
+approach to a pole ends in a step-underflow breakdown.
+
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
 acceptance suite integrates against.
@@ -16,6 +23,7 @@ acceptance suite integrates against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +31,7 @@ import numpy as np
 from . import rk
 from .algebra import N_GENERATORS
 from .errors import SingularNu, SingularTime
-from .reduction import assemble
+from .reduction import assemble, explicit_rhs
 from .schedule import CoefficientSchedule
 
 __all__ = ["AlphaState", "Breakdown", "FlowResult", "integrate",
@@ -68,7 +76,15 @@ class FlowResult:
         return np.append(self.dense.t0, self.final.t)
 
     def interpolate(self, t):
-        """Dense-output evaluation of alpha(t) within the integrated span."""
+        """Dense-output evaluation of alpha(t) within the integrated span.
+
+        Raises ValueError for any t outside [0, ``final.t``]: past the span
+        the last step's polynomial is an extrapolation, not the flow.
+        """
+        t_arr = np.asarray(t, dtype=float)
+        if not np.all((t_arr >= 0.0) & (t_arr <= self.final.t)):
+            raise ValueError(f"t outside the integrated span "
+                             f"[0, {self.final.t!r}]")
         if not self.dense.t0.size:   # halted before any step: the span is {0}
             return np.tile(self.final.alpha, np.shape(t) + (1,))
         return self.dense(t)
@@ -102,19 +118,22 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         raise ValueError("initial_alpha must be a 15-vector")
 
     def rhs(t, alpha):
-        a = schedule.coefficients(t)          # InvalidSchedule propagates
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                # assemble's det(nu) = 1 assertion doubles as a conditioning
-                # sentinel: once the matrix entries outrun double precision
-                # the factorization data is meaningless, so reject the step
-                # and let the controller degrade into an underflow breakdown
-                return assemble(a, alpha).mu
-            except (SingularNu, ValueError, np.linalg.LinAlgError):
-                return np.full(N_GENERATORS, np.nan)
+        # InvalidSchedule propagates; an overflowing term is a NaN stage
+        return explicit_rhs(schedule.coefficients(t).tolist(), alpha.tolist())
+
+    def conditioned(t, alpha):
+        # assemble's det(nu) = 1 assertion is the conditioning sentinel: once
+        # the matrix entries outrun double precision the factorization data
+        # is meaningless, so the step is rejected and the controller degrades
+        # into an underflow breakdown
+        try:
+            assemble(schedule.coefficients(t), alpha)
+        except SingularNu:
+            return False
+        return True
 
     res = rk.solve(rhs, 0.0, alpha0, t_end, rtol=rtol, atol=atol,
-                   max_step=max_step, cap=magnitude_cap)
+                   max_step=max_step, cap=magnitude_cap, check=conditioned)
 
     breakdown = None
     if res.status != "done":
@@ -133,6 +152,21 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         states = [AlphaState(0.0, alpha0.copy())]  # halted before any step
     return FlowResult(samples=states, breakdown=breakdown, dense=res.dense,
                       n_rhs=res.n_rhs)
+
+
+# x**3 * (c_0 + c_1 x**2 + ...) for |x| < 1/2, where the direct forms of
+# x - sin(x) and sin(x) - x cos(x) cancel: the Taylor coefficients
+# (-1)^n / (2n+3)! and (-1)^n (2n+2) / (2n+3)!, n = 0..8
+_WT_MINUS_SIN = [(-1) ** n / math.factorial(2 * n + 3) for n in range(9)]
+_SIN_MINUS_WT_COS = [(-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3)
+                     for n in range(9)]
+
+
+def _odd_series(x, coeffs, direct):
+    """``direct`` where |x| >= 1/2, the odd Taylor series below that."""
+    small = np.abs(x) < 0.5
+    xs = np.where(small, x, 0.0)   # large x would overflow the unused series
+    return np.where(small, xs ** 3 * np.polyval(coeffs[::-1], xs * xs), direct)
 
 
 def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
@@ -156,18 +190,21 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
             "closed form undefined at/beyond omega_c*t = pi (mod 2*pi): "
             f"cos(omega_c*t/2) = {np.min(c)!r}")
     wt = omega_c * t_arr
-    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+    sin_wt = np.sin(wt)
+    one_m_cos = 2 * np.sin(0.5 * wt) ** 2                  # 1 - cos(wt)
+    wt_m_sin = _odd_series(wt, _WT_MINUS_SIN, wt - sin_wt)  # wt - sin(wt)
     out = np.zeros(t_arr.shape + (N_GENERATORS,))
     E2 = E_x ** 2 + E_y ** 2
-    out[..., 0] = e ** 2 * E2 / (2 * m * omega_c ** 3) * (sin_wt - wt * cos_wt)
-    out[..., 1] = (-e * E_y / (2 * omega_c) + 0.5 * e * E_x * t_arr
-                   + e / (2 * omega_c) * (E_x * sin_wt + E_y * cos_wt))
-    out[..., 2] = (e * E_x / (2 * omega_c) + 0.5 * e * E_y * t_arr
-                   + e / (2 * omega_c) * (E_y * sin_wt - E_x * cos_wt))
-    out[..., 3] = (-e * E_x / (m * omega_c ** 2) + e * E_y * t_arr / (m * omega_c)
-                   + e / (m * omega_c ** 2) * (E_x * cos_wt - E_y * sin_wt))
-    out[..., 4] = (-e * E_y / (m * omega_c ** 2) - e * E_x * t_arr / (m * omega_c)
-                   + e / (m * omega_c ** 2) * (E_x * sin_wt + E_y * cos_wt))
+    # (sin(wt) - wt*cos(wt)) / omega_c**3 etc. are grouped so that no two
+    # O(1/omega_c**k) terms cancel: small omega_c*t keeps full accuracy
+    out[..., 0] = e ** 2 * E2 / (2 * m * omega_c ** 3) * _odd_series(
+        wt, _SIN_MINUS_WT_COS, sin_wt - wt * np.cos(wt))
+    out[..., 1] = (0.5 * e * E_x * (t_arr + sin_wt / omega_c)
+                   - e * E_y / (2 * omega_c) * one_m_cos)
+    out[..., 2] = (e * E_x / (2 * omega_c) * one_m_cos
+                   + 0.5 * e * E_y * (t_arr + sin_wt / omega_c))
+    out[..., 3] = e / (m * omega_c ** 2) * (E_y * wt_m_sin - E_x * one_m_cos)
+    out[..., 4] = -e / (m * omega_c ** 2) * (E_x * wt_m_sin + E_y * one_m_cos)
     tan_th = s / c
     out[..., 5] = out[..., 6] = 0.25 * m * omega_c * tan_th   # alpha6, alpha7
     # alpha8 = 0

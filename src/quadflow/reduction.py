@@ -11,17 +11,27 @@ while the energy-operator shifts accumulate through the matrix
     nu(alpha) = sum_k (M_15^T ... M_{k+1}^T) I_k,      (I_k)[j,l] = delta_kj delta_kl.
 
 Requiring the transformed Hamiltonian to reduce to the bare energy operator
-yields the flow equations alpha_dot = mu(a, alpha) with mu = nu^{-1} w.  For
-this ordering det(nu) = 1 identically, which the assembly asserts.  One
-adjoint stack gives every M_k^T and one (15, 15, 15) array every R_k.
+yields the flow equations alpha_dot = mu(a, alpha) with mu = nu^{-1} w.
 
-:func:`reference_odes` is a fully independent transcription of the fifteen
-explicit right-hand sides; agreement with the matrix pipeline to 1e-10 over
-random states is an acceptance criterion.
+Two independent evaluations of mu live here, and they swap nothing but their
+roles:
+
+* :func:`explicit_rhs` is the paper's fifteen explicit right-hand sides,
+  transcribed term by term on Python floats.  It is the flow's right-hand
+  side: ``integrate`` calls it at every Runge-Kutta stage.
+  :func:`reference_odes` is its checked ndarray form.
+* :func:`assemble` builds w, nu and mu from the structure constants (one
+  adjoint stack gives every M_k^T and one (15, 15, 15) array every R_k).
+  For this ordering det(nu) = 1 identically, which it asserts; ``integrate``
+  runs it once per attempted step at the step's end state as the
+  conditioning sentinel that rejects the step once the factorization data
+  outruns double precision.  It is also the oracle for the transcription:
+  agreement to 1e-10 over random states is an acceptance criterion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +40,7 @@ from .adjoint import _adjoint_stack
 from .algebra import N_GENERATORS
 from .errors import SingularNu
 
-__all__ = ["ReductionState", "assemble", "reference_odes"]
+__all__ = ["ReductionState", "assemble", "explicit_rhs", "reference_odes"]
 
 _DET_TOL = 1e-6
 _DIAG = np.arange(N_GENERATORS)
@@ -99,62 +109,78 @@ def reference_odes(a, alpha) -> np.ndarray:
     """The fifteen explicit flow equations, transcribed term by term.
 
     Returns alpha_dot such that each transcribed expression
-    mu_k(a, alpha) - alpha_dot_k vanishes.  This function deliberately shares
-    no code with the matrix pipeline; it is the oracle for
-    :func:`assemble`.
+    mu_k(a, alpha) - alpha_dot_k vanishes.  This is the checked form of
+    :func:`explicit_rhs` (15-vectors of finite floats in, an ndarray out);
+    it deliberately shares no code with the matrix pipeline and is the
+    oracle for :func:`assemble`.
     """
     a = _as_vector(a, "a")
-    al = _as_vector(alpha, "alpha")
+    alpha = _as_vector(alpha, "alpha")
+    return np.array(explicit_rhs(a.tolist(), alpha.tolist()))
+
+
+def explicit_rhs(a, alpha) -> list:
+    """:func:`reference_odes` on Python floats, without checks.
+
+    ``a`` and ``alpha`` are sequences of 15 Python floats and the result is
+    a list; the flow's right-hand side calls this directly.  A term that
+    overflows (float ``**`` and ``math.exp`` raise OverflowError) turns the
+    whole result into NaN, the non-finite stage the integrator rejects.
+    """
     # 1-based views keep the transcription readable
-    a = np.concatenate(([0.0], a))
-    al = np.concatenate(([0.0], al))
-    e_pm = np.exp(2 * al[13] - 2 * al[12])   # e^{2 a13 - 2 a12}
-    e_mp = np.exp(2 * al[12] - 2 * al[13])   # e^{2 a12 - 2 a13}
-    d = np.empty(16)
-    d[1] = (a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
-            + a[10] * al[3] ** 2 - a[6] * al[4] ** 2 - a[7] * al[5] ** 2
-            - a[5] * al[3] - a[8] * al[4] * al[5] + a[1])
-    d[2] = (-2 * a[12] * al[2] - a[14] * al[3] + 2 * a[6] * al[4]
-            + a[8] * al[5] + a[2])
-    d[3] = (-a[15] * al[2] - 2 * a[13] * al[3] + a[8] * al[4]
-            + 2 * a[7] * al[5] + a[3])
-    d[4] = (-2 * a[9] * al[2] - a[11] * al[3] + 2 * a[12] * al[4]
-            + a[15] * al[5] + a[4])
-    d[5] = (-a[11] * al[2] - 2 * a[10] * al[3] + a[14] * al[4]
-            + 2 * a[13] * al[5] + a[5])
-    d[6] = (4 * a[9] * al[6] ** 2 - 4 * a[12] * al[6]
-            + 2 * a[11] * al[8] * al[6] + a[10] * al[8] ** 2
-            - a[14] * al[8] + a[6])
-    d[7] = (4 * a[10] * al[7] ** 2 - 4 * a[13] * al[7]
-            + 2 * a[11] * al[8] * al[7] + a[9] * al[8] ** 2
-            - a[15] * al[8] + a[7])
-    d[8] = (-2 * a[14] * al[7] - 2 * a[15] * al[6]
-            - 2 * a[12] * al[8] - 2 * a[13] * al[8]
-            + 4 * a[9] * al[6] * al[8] + 4 * a[10] * al[7] * al[8]
-            + a[11] * (al[8] ** 2 + 4 * al[6] * al[7]) + a[8])
-    d[9] = (4 * a[12] * al[9] + a[15] * al[11]
-            - 2 * a[11] * (al[8] * al[9] + al[7] * al[11])
-            + a[9] * (1 - 8 * al[6] * al[9] - 2 * al[8] * al[11]))
-    d[10] = (4 * a[13] * al[10] + a[14] * al[11]
-             - 2 * a[11] * (al[8] * al[10] + al[6] * al[11])
-             + a[10] * (1 - 8 * al[7] * al[10] - 2 * al[8] * al[11]))
-    d[11] = (2 * a[14] * al[9] + 2 * a[15] * al[10]
-             + 2 * a[12] * al[11] + 2 * a[13] * al[11]
-             - a[9] * (4 * al[8] * al[10] + 4 * al[6] * al[11])
-             - a[10] * (4 * al[8] * al[9] + 4 * al[7] * al[11])
-             + a[11] * (1 - 4 * al[6] * al[9] - 4 * al[7] * al[10]
-                        - 2 * al[8] * al[11]))
-    d[12] = (0.5 * e_pm * a[15] * al[14]
-             - a[11] * (al[8] / 2 + e_pm * al[7] * al[14])
-             - a[9] * (2 * al[6] + e_pm * al[8] * al[14]) + a[12])
-    d[13] = (-2 * a[10] * al[7] - 0.5 * e_pm * a[15] * al[14]
-             + e_pm * a[9] * al[8] * al[14]
-             + a[11] * (e_pm * al[7] * al[14] - al[8] / 2) + a[13])
-    d[14] = (e_pm * a[15] * al[14] ** 2
-             - 2 * e_pm * a[9] * al[8] * al[14] ** 2
-             + e_mp * a[14] - 2 * e_mp * a[10] * al[8]
-             - 2 * np.exp(-2 * (al[12] + al[13])) * a[11]
-             * (np.exp(4 * al[13]) * al[7] * al[14] ** 2
-                + np.exp(4 * al[12]) * al[6]))
-    d[15] = e_pm * a[15] - 2 * e_pm * a[11] * al[7] - 2 * e_pm * a[9] * al[8]
-    return d[1:]
+    a = [0.0, *a]
+    al = [0.0, *alpha]
+    try:
+        e_pm = math.exp(2 * al[13] - 2 * al[12])   # e^{2 a13 - 2 a12}
+        e_mp = math.exp(2 * al[12] - 2 * al[13])   # e^{2 a12 - 2 a13}
+        d = [0.0] * 16
+        d[1] = (a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
+                + a[10] * al[3] ** 2 - a[6] * al[4] ** 2 - a[7] * al[5] ** 2
+                - a[5] * al[3] - a[8] * al[4] * al[5] + a[1])
+        d[2] = (-2 * a[12] * al[2] - a[14] * al[3] + 2 * a[6] * al[4]
+                + a[8] * al[5] + a[2])
+        d[3] = (-a[15] * al[2] - 2 * a[13] * al[3] + a[8] * al[4]
+                + 2 * a[7] * al[5] + a[3])
+        d[4] = (-2 * a[9] * al[2] - a[11] * al[3] + 2 * a[12] * al[4]
+                + a[15] * al[5] + a[4])
+        d[5] = (-a[11] * al[2] - 2 * a[10] * al[3] + a[14] * al[4]
+                + 2 * a[13] * al[5] + a[5])
+        d[6] = (4 * a[9] * al[6] ** 2 - 4 * a[12] * al[6]
+                + 2 * a[11] * al[8] * al[6] + a[10] * al[8] ** 2
+                - a[14] * al[8] + a[6])
+        d[7] = (4 * a[10] * al[7] ** 2 - 4 * a[13] * al[7]
+                + 2 * a[11] * al[8] * al[7] + a[9] * al[8] ** 2
+                - a[15] * al[8] + a[7])
+        d[8] = (-2 * a[14] * al[7] - 2 * a[15] * al[6]
+                - 2 * a[12] * al[8] - 2 * a[13] * al[8]
+                + 4 * a[9] * al[6] * al[8] + 4 * a[10] * al[7] * al[8]
+                + a[11] * (al[8] ** 2 + 4 * al[6] * al[7]) + a[8])
+        d[9] = (4 * a[12] * al[9] + a[15] * al[11]
+                - 2 * a[11] * (al[8] * al[9] + al[7] * al[11])
+                + a[9] * (1 - 8 * al[6] * al[9] - 2 * al[8] * al[11]))
+        d[10] = (4 * a[13] * al[10] + a[14] * al[11]
+                 - 2 * a[11] * (al[8] * al[10] + al[6] * al[11])
+                 + a[10] * (1 - 8 * al[7] * al[10] - 2 * al[8] * al[11]))
+        d[11] = (2 * a[14] * al[9] + 2 * a[15] * al[10]
+                 + 2 * a[12] * al[11] + 2 * a[13] * al[11]
+                 - a[9] * (4 * al[8] * al[10] + 4 * al[6] * al[11])
+                 - a[10] * (4 * al[8] * al[9] + 4 * al[7] * al[11])
+                 + a[11] * (1 - 4 * al[6] * al[9] - 4 * al[7] * al[10]
+                            - 2 * al[8] * al[11]))
+        d[12] = (0.5 * e_pm * a[15] * al[14]
+                 - a[11] * (al[8] / 2 + e_pm * al[7] * al[14])
+                 - a[9] * (2 * al[6] + e_pm * al[8] * al[14]) + a[12])
+        d[13] = (-2 * a[10] * al[7] - 0.5 * e_pm * a[15] * al[14]
+                 + e_pm * a[9] * al[8] * al[14]
+                 + a[11] * (e_pm * al[7] * al[14] - al[8] / 2) + a[13])
+        d[14] = (e_pm * a[15] * al[14] ** 2
+                 - 2 * e_pm * a[9] * al[8] * al[14] ** 2
+                 + e_mp * a[14] - 2 * e_mp * a[10] * al[8]
+                 - 2 * math.exp(-2 * (al[12] + al[13])) * a[11]
+                 * (math.exp(4 * al[13]) * al[7] * al[14] ** 2
+                    + math.exp(4 * al[12]) * al[6]))
+        d[15] = (e_pm * a[15] - 2 * e_pm * a[11] * al[7]
+                 - 2 * e_pm * a[9] * al[8])
+        return d[1:]
+    except OverflowError:
+        return [math.nan] * N_GENERATORS

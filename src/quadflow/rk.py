@@ -13,8 +13,9 @@ Two halting modes besides reaching ``t_end``:
 * ``underflow``: the controller pushed the step size below the resolvable
   floor (typically because the solution blows up faster than any polynomial).
 
-Non-finite stage values or error norms reject the step rather than raising,
-so blow-ups degrade gracefully into the ``underflow`` outcome.
+Non-finite stage values or error norms, and a candidate end state the
+caller's ``check`` refuses, reject the step rather than raising, so blow-ups
+degrade gracefully into the ``underflow`` outcome.
 """
 
 from __future__ import annotations
@@ -118,13 +119,16 @@ def _error_norm(delta, y_old, y_new, rtol, atol):
 
 def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
     scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0, max_step)
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    # a huge f0 overflows the scaled norms to inf, which yields h = 0 and
+    # the underflow outcome; that is a result, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        h0 = min(h0, t_end - t0, max_step)
+        y1 = y0 + h0 * f0
+        f1 = f(t0 + h0, y1)
+        d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -153,14 +157,17 @@ def _cap_crossing(t0, h, y0, q, cap: float):
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
-          cap=None) -> RKResult:
+          cap=None, check=None) -> RKResult:
     """Integrate y' = f(t, y) from t0 to t_end.
 
     Parameters
     ----------
-    f : callable (t, y) -> ndarray; may return non-finite values, which
+    f : callable (t, y) -> array-like; may return non-finite values, which
         reject the current step
     cap : optional magnitude bound; integration halts once any |y_i| > cap
+    check : optional callable (t, y) -> bool, called once per attempted
+        step at its finite candidate end state (t + h, y_new); False
+        rejects the step the way a non-finite stage does
     """
     y0 = np.asarray(y0, dtype=float)
     if t_end <= t0:
@@ -205,7 +212,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             continue
         y_new = y + h * (K.T @ _B)
         err_vec = h * (K.T @ _E)
-        if not np.all(np.isfinite(y_new)):
+        if not (np.all(np.isfinite(y_new))
+                and (check is None or check(t + h, y_new))):
             h *= 0.25
             rejections += 1
             continue

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 import quadflow as qf
-from quadflow.expressions import parse_expression, pretty
+from quadflow.expressions import parse_expression, pretty, to_callable
 from quadflow.oracles import GaussianState, apply_kernel
 from quadflow.propagator import (degenerate_kernel, generic_kernel,
                                  landau_kernel)
@@ -222,9 +222,8 @@ def test_criterion_11_wavepacket_cross_check():
 def test_criterion_12_parser_contract():
     import pytest
 
-    tree = parse_expression("0.5*sin(2*t)+1e-3")
-    assert qf.evaluate_expression(tree, 0.0) == 1e-3
-    assert qf.evaluate_expression(parse_expression("2^3^2"), 0.0) == 512.0
+    assert to_callable(parse_expression("0.5*sin(2*t)+1e-3"))(0.0) == 1e-3
+    assert to_callable(parse_expression("2^3^2"))(0.0) == 512.0
     with pytest.raises(qf.ParseError) as err:
         parse_expression("sin t")
     assert err.value.offset == 4

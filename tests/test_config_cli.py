@@ -4,8 +4,10 @@ import csv
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,19 @@ m0 = 1.0
 [run]
 t_end = 0.8
 samples = 50
+
+[outputs]
+alphas = alphas.csv
+"""
+
+
+HUGE_CFG = """
+[hamiltonian]
+a6 = 1e300
+a9 = 1e300
+
+[run]
+t_end = 1.0
 
 [outputs]
 alphas = alphas.csv
@@ -410,6 +425,46 @@ def test_halt_before_first_step_with_green_is_a_json_error(tmp_path, capsys):
     assert info["t_final"] == 0.0
     assert info["breakdown"] == {"t_break": 0.0, "index": 1,
                                  "reason": "step-underflow"}
+
+
+def test_huge_coefficients_print_nothing_on_stderr(tmp_path):
+    # a fresh interpreter without np.errstate, as from the shell: numpy's
+    # overflow warnings would land on stderr ahead of the JSON line
+    p = tmp_path / "huge.cfg"
+    p.write_text(HUGE_CFG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        v for v in (src, env.get("PYTHONPATH")) if v)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadflow.cli", "run", str(p), "--outdir",
+         str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stderr == "", proc.stderr
+    assert proc.returncode == 0
+    info = json.loads(proc.stdout)
+    assert info["breakdown"] == {"t_break": 0.0, "index": 1,
+                                 "reason": "step-underflow"}
+
+
+def test_verify_landau_with_weak_field_passes_closed_form(capsys):
+    assert main(["verify", "--omega-c", "1e-6", "--E-x", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] integrated alpha vs constant-field closed form" in out
+    assert "[FAIL]" not in out
+
+
+def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys):
+    # Green samples up to the end of the span, and verify after a breakdown
+    # (it compares at 0.8 t_break); FlowResult.interpolate refuses the rest
+    p = tmp_path / "ends.cfg"
+    p.write_text(LANDAU_CFG + "times = 0.5, 2.5\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "green.csv") as fh:
+        assert {float(row["t"]) for row in csv.DictReader(fh)} == {0.5, 2.5}
+    capsys.readouterr()
+    assert main(["verify", "--t-end", "3.9"]) == 0
+    out = capsys.readouterr().out
+    assert "[NOTE] flow breakdown" in out and "[FAIL]" not in out
 
 
 def test_unknown_print_odes_preset_is_a_usage_error(capsys):

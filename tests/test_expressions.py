@@ -1,4 +1,4 @@
-"""Expression mini-language: grammar, offsets, round trips, evaluation."""
+"""Expression mini-language: grammar, offsets, round trips, compiled closures."""
 
 import math
 
@@ -7,25 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadflow.errors import ParseError
-from quadflow.expressions import (Binary, Const, Num, Unary, Var, evaluate,
-                                  free_names, parse_expression, pretty,
-                                  to_callable)
+from quadflow.expressions import (Binary, Const, Num, Unary, Var, free_names,
+                                  parse_expression, pretty, to_callable)
+
+
+def value_at(src, t):
+    return to_callable(parse_expression(src))(t)
 
 
 def test_basic_arithmetic_example():
-    tree = parse_expression("0.5*sin(2*t)+1e-3")
-    assert evaluate(tree, 0.0) == pytest.approx(1e-3)
-    assert evaluate(tree, 0.25) == pytest.approx(0.5 * math.sin(0.5) + 1e-3)
+    src = "0.5*sin(2*t)+1e-3"
+    assert value_at(src, 0.0) == pytest.approx(1e-3)
+    assert value_at(src, 0.25) == pytest.approx(0.5 * math.sin(0.5) + 1e-3)
 
 
 def test_power_is_right_associative():
-    assert evaluate(parse_expression("2^3^2"), 0.0) == 512.0
+    assert value_at("2^3^2", 0.0) == 512.0
 
 
 def test_power_binds_tighter_than_unary_minus():
-    assert evaluate(parse_expression("-2^2"), 0.0) == -4.0
-    assert evaluate(parse_expression("(-2)^2"), 0.0) == 4.0
-    assert evaluate(parse_expression("2^-1"), 0.0) == 0.5
+    assert value_at("-2^2", 0.0) == -4.0
+    assert value_at("(-2)^2", 0.0) == 4.0
+    assert value_at("2^-1", 0.0) == 0.5
 
 
 def test_function_requires_parentheses_with_byte_offset():
@@ -76,30 +79,29 @@ def test_precedence_structure():
 def test_named_constants_and_free_names():
     tree = parse_expression("omega*t + phi0")
     assert free_names(tree) == {"omega", "phi0"}
-    assert evaluate(tree, 2.0, {"omega": 1.5, "phi0": 0.25}) == 3.25
-    with pytest.raises(KeyError):
-        evaluate(tree, 2.0, {"omega": 1.5})
+    assert to_callable(tree, {"omega": 1.5, "phi0": 0.25})(2.0) == 3.25
+    with pytest.raises(KeyError):  # a missing constant fails at compile time
+        to_callable(tree, {"omega": 1.5})
 
 
 def test_domain_errors_propagate():
     with pytest.raises(ValueError):
-        evaluate(parse_expression("ln(t)"), -1.0)
+        value_at("ln(t)", -1.0)
     with pytest.raises(ZeroDivisionError):
-        evaluate(parse_expression("1/t"), 0.0)
+        value_at("1/t", 0.0)
     with pytest.raises(ValueError):
-        evaluate(parse_expression("sqrt(t)"), -4.0)
+        value_at("sqrt(t)", -4.0)
     with pytest.raises(ValueError):
-        evaluate(parse_expression("(-2)^0.5"), 0.0)
+        value_at("(-2)^0.5", 0.0)
     with pytest.raises(OverflowError):
-        evaluate(parse_expression("exp(t)"), 1e6)
+        value_at("exp(t)", 1e6)
 
 
-def test_to_callable_matches_evaluate():
-    src = "0.3*cos(2*t) - t/(1+t^2) + sqrt(t+4)"
-    tree = parse_expression(src)
-    fn = to_callable(tree)
+def test_to_callable_matches_python_arithmetic():
+    fn = to_callable(parse_expression("0.3*cos(2*t) - t/(1+t^2) + sqrt(t+4)"))
     for t in (0.0, 0.5, 2.5):
-        assert fn(t) == pytest.approx(evaluate(tree, t))
+        assert fn(t) == pytest.approx(
+            0.3 * math.cos(2 * t) - t / (1 + t ** 2) + math.sqrt(t + 4))
 
 
 CORPUS = [

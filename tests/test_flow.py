@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quadflow import rk
-from quadflow.errors import InvalidSchedule, SingularTime
+from quadflow import flow, rk
+from quadflow.errors import InvalidSchedule, SingularNu, SingularTime
 from quadflow.flow import (constant_field_closed_form, integrate,
                            write_alphas_csv)
 from quadflow.schedule import CoefficientSchedule
@@ -15,6 +15,13 @@ from quadflow.schedule import CoefficientSchedule
 def landau(E_x=0.0, E_y=0.0):
     return CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=E_x, E_y=E_y,
                                       e=1.0)
+
+
+def driven(A=0.5, w=2.0, B=0.1, C=0.5):
+    """The benchmark's driven schedule at its nominal parameters."""
+    return CoefficientSchedule.from_expressions(
+        {6: "A*sin(w*t)", 9: "0.5", 10: "0.5", 11: "B*cos(t)", 14: "C",
+         15: "-C"}, constants=dict(A=A, w=w, B=B, C=C))
 
 
 def test_zero_schedule_stays_at_origin():
@@ -65,6 +72,19 @@ def test_closed_form_singular_time():
         constant_field_closed_form(1.0, 1e-300, 0.3, t=0.5)
 
 
+@pytest.mark.parametrize("omega_c", [1e-6, 1e-8, 1e-20])
+def test_closed_form_keeps_its_accuracy_at_small_omega_c(omega_c):
+    # the O(1/omega_c**k) terms must not cancel as omega_c -> 0
+    sched = CoefficientSchedule.landau(m=1.0, omega_c=omega_c, E_x=0.3,
+                                       E_y=-0.2, e=1.0)
+    res = integrate(sched, 2.5)
+    ref = constant_field_closed_form(1.0, omega_c, 0.3, -0.2, 1.0, t=res.ts)
+    assert np.max(np.abs(res.alphas - ref)) < 1e-6
+    # the constant-force limit omega_c -> 0: alpha1 = e^2 E^2 t^3 / (6 m)
+    t = res.ts[-1]
+    assert ref[-1, 0] == pytest.approx(0.13 * t ** 3 / 6, rel=1e-12)
+
+
 def test_breakdown_at_first_factorization_pole():
     res = integrate(landau(), 3.5)
     assert res.breakdown is not None
@@ -73,6 +93,37 @@ def test_breakdown_at_first_factorization_pole():
     assert res.breakdown.reason in ("magnitude-overflow", "step-underflow")
     assert res.ts[-1] <= res.breakdown.t_break + 1e-12
     assert np.all(np.diff(res.ts) > 0)
+
+
+def test_driven_schedule_breaks_down_by_step_underflow_at_alpha15():
+    res = integrate(driven(), 4.0)
+    assert res.breakdown is not None
+    assert res.breakdown.reason == "step-underflow"
+    assert res.breakdown.index == 15
+    assert 1.2 < res.breakdown.t_break < 4.0
+
+
+def test_integrate_runs_the_assemble_sentinel_at_every_step(monkeypatch):
+    # quadflow.flow.assemble is the det(nu) sentinel (and the call site the
+    # benchmark tracer wraps): it runs once per attempted step, so at least
+    # once per accepted one, and its refusals drive the driven breakdown
+    calls, refused = [], []
+    real = flow.assemble
+
+    def counting(a, alpha):
+        calls.append(1)
+        try:
+            return real(a, alpha)
+        except SingularNu:
+            refused.append(1)
+            raise
+
+    monkeypatch.setattr(flow, "assemble", counting)
+    for sched, t_end in ((landau(E_x=0.3, E_y=-0.2), 2.5), (driven(), 4.0)):
+        calls.clear()
+        res = integrate(sched, t_end)
+        assert len(calls) >= res.dense.t0.size > 0
+    assert refused  # the driven flow's approach to its pole trips det(nu)
 
 
 def test_magnitude_cap_breakdown_reports_riccati_component():
@@ -152,6 +203,17 @@ def test_dense_output_matches_samples():
     np.testing.assert_allclose(res.interpolate(mid), direct, atol=1e-8)
     assert res.step_times[0] == 0.0
     assert res.step_times[-1] == pytest.approx(1.2)
+
+
+def test_interpolate_refuses_times_outside_the_span():
+    res = integrate(landau(), 3.9)   # breaks down at the pole t = pi
+    assert res.final.t < 3.9
+    for t in (3.9, -1e-9, [0.5, 3.9], float("nan")):
+        with pytest.raises(ValueError, match="integrated span"):
+            res.interpolate(t)
+    np.testing.assert_array_equal(res.interpolate(res.final.t),
+                                  res.final.alpha)
+    assert res.interpolate([0.0, 1.0]).shape == (2, 15)
 
 
 def test_dense_array_call_equals_per_point_calls():

@@ -6,7 +6,7 @@ import pytest
 from quadflow.adjoint import adjoint_matrix
 from quadflow.errors import SingularNu
 from quadflow.flow import integrate
-from quadflow.reduction import assemble, reference_odes
+from quadflow.reduction import assemble, explicit_rhs, reference_odes
 from quadflow.schedule import CoefficientSchedule
 
 
@@ -52,6 +52,28 @@ def test_pipeline_matches_transcription_along_constant_field_flow():
     a = sched.coefficients(0.5)
     state = assemble(a, alpha)
     assert np.max(np.abs(state.mu - reference_odes(a, alpha))) < 1e-10
+
+
+def test_float_core_equals_reference_odes_on_random_states():
+    # the flow's right-hand side calls the float core; the oracle tests
+    # call the checked wrapper: both must give the same numbers
+    rng = np.random.default_rng(11)
+    for mag in (0.1, 1.0, 10.0):
+        for _ in range(100):
+            a = rng.uniform(-1, 1, 15)
+            alpha = rng.uniform(-mag, mag, 15)
+            got = explicit_rhs(a.tolist(), alpha.tolist())
+            assert type(got) is list and len(got) == 15
+            assert got == reference_odes(a, alpha).tolist()
+
+
+@pytest.mark.parametrize("index, value", [(12, 400.0), (1, 1e200)])
+def test_float_core_overflow_is_an_all_nan_result(index, value):
+    # exp(2*alpha13 - 2*alpha12) and alpha2 ** 2 raise OverflowError on floats
+    alpha = np.zeros(15)
+    alpha[index] = value
+    got = explicit_rhs(np.ones(15).tolist(), alpha.tolist())
+    assert len(got) == 15 and np.all(np.isnan(got))
 
 
 def test_det_nu_is_one():
