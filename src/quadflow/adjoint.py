@@ -14,8 +14,10 @@ Two independent implementations are provided and tested against each other:
   C_i is nilpotent of index <= 3 for every generator except the dilatation
   generators 12 and 13, whose C is purely diagonal; both cases are summed
   exactly (terminating series / elementwise exp) from one table built at
-  import, and ``_adjoint_stack`` evaluates every M_k^T(alpha_k) at once;
-  the flow right-hand side and the Heisenberg map read that stack.
+  import, and ``_adjoint_stack`` evaluates every M_k^T(alpha_k) at once
+  for the reduction pipeline; ``_affine_blocks`` yields only their
+  leading 5x5 blocks, one generator at a time over a stack of parameter
+  vectors, for the Heisenberg map.
 * :func:`adjoint_closed_form` - the conjugation rules transcribed entry by
   entry, used as the oracle.
 """
@@ -70,25 +72,63 @@ def _stack_table():
  _DIL_FLAT, _DIL_ALPHA, _DIL_DIAG) = _stack_table()
 
 
+def _affine_table():
+    """The stack table restricted to the leading 5x5 block of each M_k^T
+    (the span {1, x, y, p_x, p_y} every adjoint action keeps): the series
+    and dilatation entries there, and per generator 2..15 the cells of its
+    flattened block and the positions of the entries that fill them."""
+    n = N_GENERATORS
+    k, row, col = np.unravel_index(np.concatenate([_SERIES_FLAT, _DIL_FLAT]),
+                                   (n, n, n))
+    affine = (row < 5) & (col < 5)
+    series, dil = np.split(affine, [_SERIES_FLAT.size])
+    k, cells = k[affine], (row * 5 + col)[affine]
+    return (_SERIES_ALPHA[series], _SERIES_POWERS[:, series], _DIL_ALPHA[dil],
+            _DIL_DIAG[dil],
+            [(cells[k == i], np.flatnonzero(k == i)) for i in range(1, n)])
+
+
+(_AFFINE_SERIES_ALPHA, _AFFINE_SERIES_POWERS, _AFFINE_DIL_ALPHA,
+ _AFFINE_DIL_DIAG, _AFFINE_GROUPS) = _affine_table()
+
+
 def adjoint_generator(i: int) -> np.ndarray:
     """The matrix C_i with (C_i)[j, k] = c[i][j][k] (0-based array indices)."""
     _check_index(i)
     return _C[i].copy()
 
 
-def _adjoint_stack(alpha: np.ndarray) -> np.ndarray:
-    """M_k^T(alpha_k) at index k - 1 of one (15, 15, 15) array (hot path);
-    each series adds f_p = f_{p-1} * (f_1 / p), f_1 = -alpha, in order."""
-    f1 = -alpha[_SERIES_ALPHA]
-    f, entries = f1, _SERIES_POWERS[0] + f1 * _SERIES_POWERS[1]
-    for p in range(2, len(_SERIES_POWERS)):
+def _series(powers, f1):
+    """sum_p f1**p / p! * powers[p], adding f_p = f_{p-1} * (f_1 / p) in
+    order, so an entry's bits do not depend on the shape of ``f1``."""
+    f, entries = f1, powers[0] + f1 * powers[1]
+    for p in range(2, len(powers)):
         f = f * (f1 / p)
-        entries = entries + f * _SERIES_POWERS[p]
+        entries = entries + f * powers[p]
+    return entries
+
+
+def _adjoint_stack(alpha: np.ndarray) -> np.ndarray:
+    """M_k^T(alpha_k) at index k - 1 of one (15, 15, 15) array (hot path)."""
     MT = _IDENTITIES.copy()
     flat = MT.reshape(-1)
-    flat[_SERIES_FLAT] = entries
+    flat[_SERIES_FLAT] = _series(_SERIES_POWERS, -alpha[_SERIES_ALPHA])
     flat[_DIL_FLAT] = np.exp(-alpha[_DIL_ALPHA] * _DIL_DIAG)
     return MT
+
+
+def _affine_blocks(alpha: np.ndarray):
+    """Yield the leading 5x5 block of M_k^T(alpha_k) for k = 2..15 (M_1 is
+    the identity) as an (N, 5, 5) array over an (N, 15) stack of parameter
+    vectors; each block is bit for bit that of :func:`_adjoint_stack`."""
+    values = np.concatenate([
+        _series(_AFFINE_SERIES_POWERS, -alpha[:, _AFFINE_SERIES_ALPHA]),
+        np.exp(-alpha[:, _AFFINE_DIL_ALPHA] * _AFFINE_DIL_DIAG)], axis=1)
+    for cells, entries in _AFFINE_GROUPS:
+        block = np.empty((len(alpha), 5, 5))
+        block[:] = np.eye(5)
+        block.reshape(-1, 25)[:, cells] = values[:, entries]
+        yield block
 
 
 def _adjoint(i: int, alpha: float) -> np.ndarray:

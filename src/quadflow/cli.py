@@ -185,8 +185,8 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
         else 0.8 * result.breakdown.t_break
     states = [s for s in result.samples if s.t <= t_cmp]
 
-    err = max(observables.heisenberg_map(s.alpha).symplectic_defect()
-              for s in states)
+    err = observables.heisenberg_map(
+        np.array([s.alpha for s in states])).symplectic_defect()
     yield "symplecticity of the Heisenberg map along the flow", err, 1e-8
 
     alpha_cmp = result.interpolate(t_cmp)

@@ -117,9 +117,18 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     if alpha0.shape != (N_GENERATORS,):
         raise ValueError("initial_alpha must be a 15-vector")
 
+    last = [None, None]   # (t, a(t)) of the latest right-hand side
+
     def rhs(t, alpha):
         # InvalidSchedule propagates; an overflowing term is a NaN stage
-        return explicit_rhs(schedule.coefficients(t).tolist(), alpha.tolist())
+        a = schedule.coefficients(t)
+        last[:] = t, a
+        return explicit_rhs(a.tolist(), alpha.tolist())
+
+    def coefficients(t):
+        # a step's last stage evaluates the schedule at exactly t + h, the
+        # time the sentinel checks
+        return last[1] if last[0] == t else schedule.coefficients(t)
 
     def conditioned(t, alpha):
         # assemble's det(nu) = 1 assertion is the conditioning sentinel: once
@@ -127,7 +136,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # is meaningless, so the step is rejected and the controller degrades
         # into an underflow breakdown
         try:
-            assemble(schedule.coefficients(t), alpha)
+            assemble(coefficients(t), alpha)
         except SingularNu:
             return False
         return True
@@ -137,8 +146,12 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
 
     breakdown = None
     if res.status != "done":
+        # the largest component at the stop; a halt before the first step
+        # stops at alpha0, so there the fastest-moving one, by |alpha_dot|
+        offending = res.y_stop if res.dense.t0.size else explicit_rhs(
+            coefficients(res.t_stop).tolist(), res.y_stop.tolist())
         breakdown = Breakdown(
-            t_break=res.t_stop, index=int(np.argmax(np.abs(res.y_stop))) + 1,
+            t_break=res.t_stop, index=int(np.argmax(np.abs(offending))) + 1,
             reason={"cap": "magnitude-overflow",
                     "underflow": "step-underflow"}[res.status])
 
@@ -173,8 +186,8 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
     """Analytic transformation parameters for the constant-field Hamiltonian.
 
     Valid on the first factorization branch omega_c*t in (-pi, pi); raises
-    SingularTime at and beyond the tan/log singularity (omega_c*t = pi mod
-    2*pi is where the first divergence sits).
+    SingularTime at and beyond the tan/log singularity, for every
+    |omega_c*t| >= pi (and where cos(omega_c*t/2) <= 1e-12 just below it).
 
     Accepts scalar or array ``t``; returns shape (..., 15).  A zero (or
     underflowing) m*omega_c**k, k = 1..3, raises SingularTime as well.
@@ -185,11 +198,12 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
     t_arr = np.asarray(t, dtype=float)
     th = 0.5 * omega_c * t_arr                 # half cyclotron phase
     c, s = np.cos(th), np.sin(th)
-    if np.any(c <= 1e-12):
-        raise SingularTime(
-            "closed form undefined at/beyond omega_c*t = pi (mod 2*pi): "
-            f"cos(omega_c*t/2) = {np.min(c)!r}")
     wt = omega_c * t_arr
+    if np.any((c <= 1e-12) | (np.abs(wt) >= math.pi)):
+        raise SingularTime(
+            "closed form undefined at/beyond |omega_c*t| = pi: "
+            f"max |omega_c*t| = {np.max(np.abs(wt))!r}, "
+            f"cos(omega_c*t/2) = {np.min(c)!r}")
     sin_wt = np.sin(wt)
     one_m_cos = 2 * np.sin(0.5 * wt) ** 2                  # 1 - cos(wt)
     wt_m_sin = _odd_series(wt, _WT_MINUS_SIN, wt - sin_wt)  # wt - sin(wt)
@@ -218,10 +232,11 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
 
 
 def write_alphas_csv(result: FlowResult, path):
-    """CSV with header t,alpha1,...,alpha15 at full double precision."""
+    """CSV with header t,alpha1,...,alpha15 and one row per sample, every
+    field ``%.17g``."""
     header = "t," + ",".join(f"alpha{i}" for i in range(1, N_GENERATORS + 1))
+    row = ",".join(["%.17g"] * (N_GENERATORS + 1)) + "\n"
+    table = np.column_stack([result.ts, result.alphas]).tolist()
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for state in result.samples:
-            row = [state.t, *state.alpha]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(map(row.__mod__, map(tuple, table)))

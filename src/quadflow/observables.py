@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _adjoint_stack
+from .adjoint import _affine_blocks
 from .algebra import N_GENERATORS
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
@@ -44,19 +44,25 @@ SYMPLECTIC_J = np.array([
 
 @dataclass(frozen=True)
 class AffineSymplecticMap:
-    """Affine action z -> S z + d on (x, y, p_x, p_y), plus the action phase."""
+    """Affine action z -> S z + d on (x, y, p_x, p_y), plus the action phase.
 
-    S: np.ndarray       # (4, 4)
-    d: np.ndarray       # (4,)
-    phase: float        # accumulated classical action (units of hbar)
+    A stack of maps carries leading axes: S (..., 4, 4), d (..., 4) and
+    phase (...); ``symplectic_defect`` and ``push_gaussian`` also take a
+    stack, ``map_quadratic`` a single map.
+    """
+
+    S: np.ndarray               # (4, 4)
+    d: np.ndarray               # (4,)
+    phase: float | np.ndarray   # accumulated classical action (units of hbar)
 
     def apply(self, z) -> np.ndarray:
         return self.S @ np.asarray(z, dtype=float) + self.d
 
     def symplectic_defect(self) -> float:
-        """max-norm of S^T J S - J; zero for an exactly symplectic map."""
-        return float(np.max(np.abs(self.S.T @ SYMPLECTIC_J @ self.S
-                                   - SYMPLECTIC_J)))
+        """max-norm of S^T J S - J, the largest over a stack of maps; zero
+        for an exactly symplectic map."""
+        return float(np.max(np.abs(self.S.swapaxes(-1, -2) @ SYMPLECTIC_J
+                                   @ self.S - SYMPLECTIC_J)))
 
     def map_quadratic(self, Q, l=None, c=0.0):
         """Push a quadratic observable z^T Q z + l . z + c through the map.
@@ -78,7 +84,8 @@ class AffineSymplecticMap:
         """Mean and covariance of a Gaussian state after the map."""
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
-        return self.S @ mean + self.d, self.S @ cov @ self.S.T
+        return (self.S @ mean + self.d,
+                self.S @ cov @ self.S.swapaxes(-1, -2))
 
 
 def heisenberg_map(alpha) -> AffineSymplecticMap:
@@ -86,18 +93,23 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
 
     span{1, x, y, p_x, p_y} is invariant under every adjoint action, so the
     product M_2(a2) M_3(a3) ... M_15(a15) (M_1 = identity) is taken over the
-    leading 5x5 blocks of one adjoint stack; its constant column gives
-    d = (alpha4, alpha5, -alpha2, -alpha3) exactly.
+    leading 5x5 blocks alone; its constant column gives
+    d = (alpha4, alpha5, -alpha2, -alpha3) exactly.  ``alpha`` of shape
+    (..., 15) gives a stack of maps (S (..., 4, 4), d (..., 4), phase (...))
+    from fourteen batched 5x5 products, each map bit for bit the one its
+    own 15-vector gives.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (N_GENERATORS,):
-        raise ValueError("alpha must be a 15-vector")
-    MT = _adjoint_stack(alpha)
+    if alpha.shape[-1:] != (N_GENERATORS,):
+        raise ValueError("alpha must be a 15-vector or a stack of them")
+    lead = alpha.shape[:-1]
     block = np.eye(5)
-    for k in range(1, N_GENERATORS):
-        block = block @ MT[k, :5, :5].T
-    return AffineSymplecticMap(S=block[1:, 1:].copy(), d=block[1:, 0].copy(),
-                               phase=float(alpha[0]))
+    for MT in _affine_blocks(alpha.reshape(-1, N_GENERATORS)):
+        block = block @ MT.swapaxes(-1, -2)
+    return AffineSymplecticMap(
+        S=block[:, 1:, 1:].reshape(lead + (4, 4)),
+        d=block[:, 1:, 0].reshape(lead + (4,)),
+        phase=alpha[..., 0].copy() if lead else float(alpha[0]))
 
 
 def heisenberg_closed_form(alpha) -> AffineSymplecticMap:
@@ -172,13 +184,27 @@ def euler_residuals(a, alpha, alpha_dot) -> np.ndarray:
     return np.array([r2, r3, r4, r5])
 
 
+# one record in json.dump's indent=1 layout, with %s for its 22 numbers
+_JSON_RECORD = json.dumps(
+    [{"t": 0.5, "S": [[0.5] * 4] * 4, "d": [0.5] * 4, "phase": 0.5}],
+    indent=1)[2:-2].replace("0.5", "%s")
+
+
 def write_heisenberg_json(flow_result, path):
-    """One record per flow sample: {"t", "S", "d", "phase"}."""
-    records = []
-    for state in flow_result.samples:
-        m = heisenberg_map(state.alpha)
-        records.append({"t": state.t, "S": m.S.tolist(), "d": m.d.tolist(),
-                        "phase": m.phase})
+    """One record per flow sample: {"t", "S", "d", "phase"}.
+
+    The bytes are those of ``json.dump(records, fh, indent=1)`` plus a
+    newline; every map comes from one stacked :func:`heisenberg_map` call.
+    """
+    m = heisenberg_map(flow_result.alphas)
+    fields = np.column_stack([flow_result.ts, m.S.reshape(-1, 16), m.d,
+                              m.phase])
+    # json spells non-finite floats NaN, Infinity and -Infinity
+    text = float.__repr__ if np.isfinite(fields).all() else json.dumps
+    records = (_JSON_RECORD % tuple(map(text, row))
+               for row in fields.tolist())
     with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+        # a FlowResult holds at least one sample
+        fh.write("[\n" + next(records))
+        fh.writelines(",\n" + record for record in records)
+        fh.write("\n]\n")

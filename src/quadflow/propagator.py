@@ -241,17 +241,29 @@ def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan) -> GreenSample:
                        kernel(x, y, x_prime, y_prime), kernel.branch)
 
 
+def _formatted(values) -> list:
+    """``%.17g`` of every element, C order, formatting each distinct bit
+    pattern once (a grid repeats its axis values; -0.0 stays ``-0``)."""
+    flat = np.ravel(np.asarray(values, dtype=float))
+    _, first, inverse = np.unique(flat.view(np.uint64), return_index=True,
+                                  return_inverse=True)
+    text = np.array(["%.17g" % v for v in flat[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_green_csv(samples, path):
     """CSV with columns x,y,t,x_prime,y_prime,re,im,branch; one row per
-    broadcast element of each sample, in C order."""
+    broadcast element of each sample, in C order, every number ``%.17g``.
+
+    Coordinates are formatted once per distinct value; ``re`` and ``im``
+    go through one row format per sample that holds ``t`` and the branch.
+    """
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
         for s in samples:
-            t = f"{s.t:.17g}"
+            row = (f"%s,%s,{s.t:.17g},%s,%s,%.17g,%.17g,"
+                   f"{s.branch.replace('%', '%%')}\n")
             value = np.ravel(s.value)
-            rows = zip(*(np.ravel(c).tolist() for c in
-                         (s.x, s.y, s.x_prime, s.y_prime,
-                          value.real, value.imag)))
-            fh.writelines(f"{x:.17g},{y:.17g},{t},{xp:.17g},{yp:.17g},"
-                          f"{re:.17g},{im:.17g},{s.branch}\n"
-                          for x, y, xp, yp, re, im in rows)
+            fh.writelines(map(row.__mod__, zip(
+                *map(_formatted, (s.x, s.y, s.x_prime, s.y_prime)),
+                value.real.tolist(), value.imag.tolist())))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow.adjoint import (_adjoint, _adjoint_stack, adjoint_closed_form,
-                              adjoint_generator, adjoint_matrix)
+from quadflow.adjoint import (_adjoint, _adjoint_stack, _affine_blocks,
+                              adjoint_closed_form, adjoint_generator,
+                              adjoint_matrix)
 from quadflow.observables import heisenberg_map
 
 ALPHAS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -166,3 +167,17 @@ def test_adjoint_stack_equals_the_series_bit_for_bit():
                 assert np.array_equal(M, adjoint_matrix(i, a)), (i, a)
                 assert np.array_equal(M, _taylor_series(i, a)), (i, a)
     assert np.array_equal(adjoint_matrix(1, 0.7), np.eye(15))
+
+
+def test_affine_blocks_are_the_stack_blocks_bit_for_bit():
+    # the Heisenberg map's per-generator 5x5 blocks over a stack of vectors
+    # hold exactly the leading blocks of each vector's own adjoint stack
+    rng = np.random.default_rng(8)
+    alphas = np.concatenate([rng.uniform(-mag, mag, (20, 15))
+                             for mag in (1e-3, 0.1, 1.0, 20.0)])
+    blocks = list(_affine_blocks(alphas))
+    assert len(blocks) == 14
+    for n, alpha in enumerate(alphas):
+        MT = _adjoint_stack(alpha)
+        for k, block in enumerate(blocks, start=1):
+            assert np.array_equal(block[n], MT[k, :5, :5]), (k, alpha)

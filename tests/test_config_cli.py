@@ -423,7 +423,9 @@ def test_halt_before_first_step_with_green_is_a_json_error(tmp_path, capsys):
     with np.errstate(over="ignore"):
         info = run_config_file(p, outdir=tmp_path)
     assert info["t_final"] == 0.0
-    assert info["breakdown"] == {"t_break": 0.0, "index": 1,
+    # no step was accepted: the component with the largest |alpha_dot(0)|,
+    # alpha6 (a6 = a9 = 1e300 tie between alpha6 and alpha9; the first wins)
+    assert info["breakdown"] == {"t_break": 0.0, "index": 6,
                                  "reason": "step-underflow"}
 
 
@@ -442,7 +444,9 @@ def test_huge_coefficients_print_nothing_on_stderr(tmp_path):
     assert proc.stderr == "", proc.stderr
     assert proc.returncode == 0
     info = json.loads(proc.stdout)
-    assert info["breakdown"] == {"t_break": 0.0, "index": 1,
+    # no step was accepted: the component with the largest |alpha_dot(0)|,
+    # alpha6 (a6 = a9 = 1e300 tie between alpha6 and alpha9; the first wins)
+    assert info["breakdown"] == {"t_break": 0.0, "index": 6,
                                  "reason": "step-underflow"}
 
 

@@ -72,6 +72,16 @@ def test_closed_form_singular_time():
         constant_field_closed_form(1.0, 1e-300, 0.3, t=0.5)
 
 
+@pytest.mark.parametrize("t", [3.5 * math.pi, -3.5 * math.pi, 4 * math.pi])
+def test_closed_form_raises_past_the_first_branch(t):
+    # cos(t/2) is positive again on (3 pi, 5 pi), but the tan/log branch
+    # of the closed form ended at |omega_c t| = pi
+    with pytest.raises(SingularTime):
+        constant_field_closed_form(1.0, 1.0, t=t)
+    with pytest.raises(SingularTime):
+        constant_field_closed_form(1.0, 1.0, 0.3, -0.2, t=[0.5, t])
+
+
 @pytest.mark.parametrize("omega_c", [1e-6, 1e-8, 1e-20])
 def test_closed_form_keeps_its_accuracy_at_small_omega_c(omega_c):
     # the O(1/omega_c**k) terms must not cancel as omega_c -> 0
@@ -124,6 +134,36 @@ def test_integrate_runs_the_assemble_sentinel_at_every_step(monkeypatch):
         res = integrate(sched, t_end)
         assert len(calls) >= res.dense.t0.size > 0
     assert refused  # the driven flow's approach to its pole trips det(nu)
+
+
+def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
+    # the sentinel at t + h reuses the coefficients of the step's last
+    # stage, which the right-hand side has just evaluated at that time
+    calls = []
+    real = CoefficientSchedule.coefficients
+
+    def counting(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(CoefficientSchedule, "coefficients", counting)
+    for sched, t_end in ((landau(E_x=0.3, E_y=-0.2), 2.5), (driven(), 4.0)):
+        calls.clear()
+        res = integrate(sched, t_end)
+        assert len(calls) == res.n_rhs > 0
+
+
+def test_halt_before_the_first_step_names_the_fastest_component():
+    # no step is accepted, so the state at the stop is alpha(0) = 0; the
+    # breakdown names the largest |alpha_dot(0)| (alpha10 here), not alpha1
+    a = np.zeros(15)
+    a[5], a[9] = 1e300, 2e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate(CoefficientSchedule.from_constant_vector(a), 1.0)
+    assert res.dense.t0.size == 0
+    assert res.breakdown.t_break == 0.0
+    assert res.breakdown.reason == "step-underflow"
+    assert res.breakdown.index == 10
 
 
 def test_magnitude_cap_breakdown_reports_riccati_component():

@@ -171,3 +171,16 @@ def test_heisenberg_map_equals_the_block_loop_bit_for_bit():
             m = heisenberg_map(alpha)
             assert np.array_equal(m.S, block[1:, 1:]), alpha
             assert np.array_equal(m.d, block[1:, 0]), alpha
+
+
+def test_stacked_push_gaussian_equals_the_per_map_pushes():
+    rng = np.random.default_rng(24)
+    alphas = rng.uniform(-1, 1, (6, 15))
+    mean = rng.uniform(-1, 1, 4)
+    cov = np.diag(rng.uniform(0.5, 2.0, 4))
+    means, covs = heisenberg_map(alphas).push_gaussian(mean, cov)
+    assert means.shape == (6, 4) and covs.shape == (6, 4, 4)
+    for k, alpha in enumerate(alphas):
+        one_mean, one_cov = heisenberg_map(alpha).push_gaussian(mean, cov)
+        np.testing.assert_array_equal(means[k], one_mean)
+        np.testing.assert_array_equal(covs[k], one_cov)
