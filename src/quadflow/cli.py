@@ -16,6 +16,7 @@ Failures print a machine-readable JSON object to stderr
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -264,7 +265,9 @@ def _cmd_print_odes(args) -> int:
         return _fail(exc, where=args.config or args.preset)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: ``main`` only parses."""
     ap = argparse.ArgumentParser(
         prog="quadflow",
         description="Exact evolution of 2D quadratic Hamiltonians by "

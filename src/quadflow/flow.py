@@ -11,10 +11,11 @@ bracketed breakdown time.
 
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`).  The matrix pipeline
-(:func:`.reduction.assemble`) runs once per attempted step, at the
-candidate end state: its det(nu) = 1 check is the conditioning sentinel,
-and a step it refuses is rejected like one with a non-finite stage, so the
-approach to a pole ends in a step-underflow breakdown.
+(:func:`.reduction.assemble`) runs once per accepted step, at its end
+state: its det(nu) = 1 check is the conditioning sentinel.  When it refuses
+that state, the step is kept and the sentinel's crossing is bisected on the
+step's dense polynomial; the flow halts at the last state it passes, a
+step-underflow breakdown, since no step can be certified beyond it.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -127,14 +128,13 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
 
     def coefficients(t):
         # a step's last stage evaluates the schedule at exactly t + h, the
-        # time the sentinel checks
+        # time the sentinel checks; only the bisection's probes miss
         return last[1] if last[0] == t else schedule.coefficients(t)
 
     def conditioned(t, alpha):
         # assemble's det(nu) = 1 assertion is the conditioning sentinel: once
         # the matrix entries outrun double precision the factorization data
-        # is meaningless, so the step is rejected and the controller degrades
-        # into an underflow breakdown
+        # is meaningless, so the flow halts at the last state it passes
         try:
             assemble(coefficients(t), alpha)
         except SingularNu:

@@ -104,8 +104,11 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
         raise ValueError("alpha must be a 15-vector or a stack of them")
     lead = alpha.shape[:-1]
     block = np.eye(5)
-    for MT in _affine_blocks(alpha.reshape(-1, N_GENERATORS)):
-        block = block @ MT.swapaxes(-1, -2)
+    # an overflowing e^{2 alpha12} makes inf and nan entries, which the map
+    # reports as they are; numpy's warnings about them would reach stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for MT in _affine_blocks(alpha.reshape(-1, N_GENERATORS)):
+            block = block @ MT.swapaxes(-1, -2)
     return AffineSymplecticMap(
         S=block[:, 1:, 1:].reshape(lead + (4, 4)),
         d=block[:, 1:, 0].reshape(lead + (4,)),

@@ -23,8 +23,8 @@ roles:
 * :func:`assemble` builds w, nu and mu from the structure constants (one
   adjoint stack gives every M_k^T and one (15, 15, 15) array every R_k).
   For this ordering det(nu) = 1 identically, which it asserts; ``integrate``
-  runs it once per attempted step at the step's end state as the
-  conditioning sentinel that rejects the step once the factorization data
+  runs it once per accepted step at the step's end state as the
+  conditioning sentinel that halts the flow where the factorization data
   outruns double precision.  It is also the oracle for the transcription:
   agreement to 1e-10 over random states is an acceptance criterion.
 """

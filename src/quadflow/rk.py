@@ -6,16 +6,18 @@ proportional-integral rule (error exponent 0.2 - 0.75*beta, beta = 0.04).
 Each accepted step stores the quartic dense-output polynomial, so solutions
 can be evaluated anywhere without re-integration.
 
-Two halting modes besides reaching ``t_end``:
+Two halting modes besides reaching ``t_end``, both located by bisection on
+the dense polynomial of the accepted step inside which they occur:
 
-* ``cap``: some |y_i| exceeded ``cap`` during an accepted step; the crossing
-  time is bracketed by bisection on the dense polynomial of that step.
-* ``underflow``: the controller pushed the step size below the resolvable
-  floor (typically because the solution blows up faster than any polynomial).
-
-Non-finite stage values or error norms, and a candidate end state the
-caller's ``check`` refuses, reject the step rather than raising, so blow-ups
-degrade gracefully into the ``underflow`` outcome.
+* ``cap``: some |y_i| exceeded ``cap`` at the end of an accepted step; the
+  run stops at the first bracketed state beyond the cap.
+* ``underflow``: the caller's ``check`` refused the end state of an
+  accepted step; the run stops at the last bracketed state ``check``
+  passes.  When the cap and ``check`` both fail at the step's end, the
+  earlier crossing wins.  The same status ends a run whose step size the
+  controller pushes below the resolvable floor (non-finite stage values or
+  error norms reject a step rather than raising, so blow-ups degrade
+  gracefully into this outcome).
 """
 
 from __future__ import annotations
@@ -136,9 +138,13 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, t_end - t0, max_step)
 
 
-def _cap_crossing(t0, h, y0, q, cap: float):
-    """Bisect inside one accepted step for the first time max|y| = cap;
-    returns that time and the state there."""
+def _crossing(t0, h, y0, q, ok):
+    """Bisect inside one accepted step, whose start passes ``ok`` and whose
+    end fails it, to a width of 1e-12 * max(1, |t|).
+
+    Returns ``(t, y)`` at the last passing and at the first failing time
+    found, both evaluated on the step's polynomial.
+    """
     step = np.array([t0]), np.array([h]), y0[None], q[None]
 
     def y_at(t):
@@ -147,13 +153,13 @@ def _cap_crossing(t0, h, y0, q, cap: float):
     t_lo, t_hi = t0, t0 + h
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        if np.max(np.abs(y_at(t_mid))) > cap:
-            t_hi = t_mid
-        else:
+        if ok(t_mid, y_at(t_mid)):
             t_lo = t_mid
+        else:
+            t_hi = t_mid
         if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
             break
-    return t_hi, y_at(t_hi)
+    return (t_lo, y_at(t_lo)), (t_hi, y_at(t_hi))
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
@@ -165,9 +171,9 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     f : callable (t, y) -> array-like; may return non-finite values, which
         reject the current step
     cap : optional magnitude bound; integration halts once any |y_i| > cap
-    check : optional callable (t, y) -> bool, called once per attempted
-        step at its finite candidate end state (t + h, y_new); False
-        rejects the step the way a non-finite stage does
+    check : optional callable (t, y) -> bool, called once per accepted
+        step at its end state (t + h, y_new) and at the bisection's probes;
+        False there halts the run at the last state it passes
     """
     y0 = np.asarray(y0, dtype=float)
     if t_end <= t0:
@@ -212,8 +218,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             continue
         y_new = y + h * (K.T @ _B)
         err_vec = h * (K.T @ _E)
-        if not (np.all(np.isfinite(y_new))
-                and (check is None or check(t + h, y_new))):
+        if not np.all(np.isfinite(y_new)):
             h *= 0.25
             rejections += 1
             continue
@@ -232,11 +237,21 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         rejections = 0
         q = K.T @ _P
         steps.append((t, h, y, q))
-        if cap is not None and np.max(np.abs(y_new)) > cap:
+        over = cap is not None and np.max(np.abs(y_new)) > cap
+        refused = check is not None and not check(t + h, y_new)
+        if over or refused:
             # the step keeps its full length: its polynomial is only valid
             # with the h it was built with, and t_stop marks the end
-            t, y = _cap_crossing(t, h, y, q, cap)
-            status = "cap"
+            def ok(t_mid, y_mid):
+                if over and np.max(np.abs(y_mid)) > cap:
+                    return False
+                return not refused or check(t_mid, y_mid)
+
+            passed, failed = _crossing(t, h, y, q, ok)
+            if over and np.max(np.abs(failed[1])) > cap:
+                status, (t, y) = "cap", failed
+            else:
+                status, (t, y) = "underflow", passed
             break
         # PI controller (accepted step)
         fac11 = err ** _EXPO if err > 0 else 1e-10

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadflow.cli import main, run_config_file
+from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import load_config
 from quadflow.errors import ConfigError
 from quadflow.schedule import PRESETS, CoefficientSchedule
@@ -144,6 +144,17 @@ def test_runs_are_deterministic(landau_cfg, tmp_path):
     for name in ("alphas.csv", "heisenberg.json", "green.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_main_reuses_one_parser(landau_cfg, tmp_path, capsys):
+    parser = build_parser()
+    assert build_parser() is parser
+    for k in range(2):
+        assert main(["run", str(landau_cfg),
+                     "--outdir", str(tmp_path / str(k))]) == 0
+    assert build_parser() is parser
+    assert (tmp_path / "0" / "alphas.csv").read_bytes() == \
+        (tmp_path / "1" / "alphas.csv").read_bytes()
 
 
 def test_cli_run_and_json_summary(landau_cfg, tmp_path, capsys):

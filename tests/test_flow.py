@@ -1,6 +1,7 @@
 """Flow integration: closed-form oracle, breakdown, schedule handling."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from quadflow import flow, rk
 from quadflow.errors import InvalidSchedule, SingularNu, SingularTime
 from quadflow.flow import (constant_field_closed_form, integrate,
                            write_alphas_csv)
+from quadflow.reduction import assemble
 from quadflow.schedule import CoefficientSchedule
 
 
@@ -138,19 +140,88 @@ def test_integrate_runs_the_assemble_sentinel_at_every_step(monkeypatch):
 
 def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
     # the sentinel at t + h reuses the coefficients of the step's last
-    # stage, which the right-hand side has just evaluated at that time
-    calls = []
+    # stage, which the right-hand side has just evaluated at that time; the
+    # only other evaluations are the probes of the sentinel's bisection,
+    # all strictly inside the last accepted step
+    calls, rhs_times = [], []
     real = CoefficientSchedule.coefficients
+    real_solve = rk.solve
 
     def counting(self, t):
         calls.append(t)
         return real(self, t)
 
+    def solve(f, *args, **kwargs):
+        def timed(t, y):
+            rhs_times.append(t)
+            return f(t, y)
+        return real_solve(timed, *args, **kwargs)
+
     monkeypatch.setattr(CoefficientSchedule, "coefficients", counting)
+    monkeypatch.setattr(rk, "solve", solve)
     for sched, t_end in ((landau(E_x=0.3, E_y=-0.2), 2.5), (driven(), 4.0)):
         calls.clear()
+        rhs_times.clear()
         res = integrate(sched, t_end)
-        assert len(calls) == res.n_rhs > 0
+        probes = Counter(calls) - Counter(rhs_times)
+        assert len(rhs_times) == res.n_rhs > 0
+        assert len(calls) == res.n_rhs + probes.total()
+        lo, hi = res.dense.t0[-1], res.dense.t0[-1] + res.dense.h[-1]
+        assert all(lo < t < hi for t in probes)
+        assert bool(probes) == (res.breakdown is not None)
+
+
+def test_solve_halts_at_the_last_state_check_passes():
+    # y' = 1 from 0 with check t < 0.3737: one accepted step straddles the
+    # limit, and the run stops inside it instead of shrinking h to the floor
+    res = rk.solve(lambda t, y: np.ones(1), 0.0, [0.0], 1.0, max_step=1.0,
+                   check=lambda t, y: t < 0.3737)
+    assert res.status == "underflow"
+    assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
+    assert res.y_stop[0] == pytest.approx(res.t_stop, abs=1e-15)
+    np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
+    assert res.n_rhs <= 6 * res.dense.t0.size + 2
+
+
+@pytest.mark.parametrize("limit, status, t_cross", [
+    (0.3737, "underflow", 0.3737),   # the sentinel fails first
+    (0.6, "cap", 0.5),               # the cap is crossed first
+])
+def test_solve_halts_at_the_earlier_of_cap_and_check(limit, status, t_cross):
+    # the last step runs from t = 0.1111 to t = 1, so the cap (y = t = 0.5)
+    # and the check both fail at its end
+    res = rk.solve(lambda t, y: np.ones(1), 0.0, [0.0], 1.0, max_step=1.0,
+                   cap=0.5, check=lambda t, y: t < limit)
+    assert res.dense.t0[-1] < 0.3737
+    assert res.dense.t0[-1] + res.dense.h[-1] == 1.0
+    assert res.status == status
+    assert abs(res.t_stop - t_cross) <= 1e-12
+
+
+def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
+    # the flow stops on the last state the det(nu) sentinel passes, at the
+    # cost of one bisection, not of a sawtooth of refused six-stage steps
+    stops = []
+    real_solve = rk.solve
+
+    def solve(*args, **kwargs):
+        stops.append(real_solve(*args, **kwargs))
+        return stops[-1]
+
+    monkeypatch.setattr(rk, "solve", solve)
+    sched = driven()
+    first, second = integrate(sched, 4.0), integrate(sched, 4.0)
+    y_stop = stops[0].y_stop
+    t_break = first.breakdown.t_break
+    assert first.breakdown.reason == "step-underflow"
+    assemble(sched.coefficients(t_break), y_stop)  # passes det(nu) = 1
+    np.testing.assert_array_equal(first.interpolate(t_break), y_stop)
+    np.testing.assert_array_equal(first.final.alpha, y_stop)
+    assert first.n_rhs <= 6.5 * first.dense.t0.size
+    assert second.breakdown == first.breakdown
+    assert second.n_rhs == first.n_rhs
+    np.testing.assert_array_equal(second.ts, first.ts)
+    np.testing.assert_array_equal(second.alphas, first.alphas)
 
 
 def test_halt_before_the_first_step_names_the_fastest_component():
@@ -297,6 +368,23 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
     assert flow.breakdown.reason == "magnitude-overflow"
     np.testing.assert_array_equal(flow.dense(flow.breakdown.t_break),
                                   flow.final.alpha)
+    # the cap-only bisection on the last step, written out: the sentinel's
+    # crossing search must leave the cap halt's time and state bit for bit
+    last = rk.DenseSolution(*(v[-1:] for v in (flow.dense.t0, flow.dense.h,
+                                               flow.dense.y0, flow.dense.q)))
+    t_lo, t_hi = flow.dense.t0[-1], flow.dense.t0[-1] + flow.dense.h[-1]
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if np.max(np.abs(last(t_mid))) > 1e8:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+        if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
+            break
+    assert flow.breakdown.t_break == t_hi
+    assert flow.breakdown.t_break == pytest.approx(0.8252577130737292,
+                                                   rel=1e-13)
+    np.testing.assert_array_equal(flow.final.alpha, last(t_hi))
 
 
 def test_alphas_csv_row_count_and_precision(tmp_path):

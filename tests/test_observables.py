@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import simpson
@@ -20,6 +21,20 @@ def test_identity_at_zero_alpha():
     np.testing.assert_array_equal(m.S, np.eye(4))
     np.testing.assert_array_equal(m.d, np.zeros(4))
     assert m.phase == 0.0
+
+
+def test_overflowing_map_is_non_finite_without_warnings():
+    # e^{2 alpha12} overflows at alpha12 = 400: the map is inf/NaN, and
+    # numpy prints nothing that would reach a CLI run's stderr
+    alphas = np.zeros((2, 15))
+    alphas[1, 11] = 400.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = heisenberg_map(alphas)
+        single = heisenberg_map(alphas[1])
+    np.testing.assert_array_equal(m.S[0], np.eye(4))
+    assert not np.all(np.isfinite(m.S[1]))
+    np.testing.assert_array_equal(single.S, m.S[1])
 
 
 def test_landau_quarter_period_rows():
