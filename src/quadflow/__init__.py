@@ -11,19 +11,17 @@ cross-validated against independent brute-force oracles.
 """
 
 from .algebra import (GENERATOR_LABELS, N_GENERATORS, StructureConstants,
-                      commutator, export_tensor_json, standard_algebra,
-                      subalgebra_closed, validate_algebra)
+                      commutator, standard_algebra, validate_algebra)
 from .adjoint import adjoint_closed_form, adjoint_matrix
 from .errors import (BranchUnavailable, ConfigError, DegenerateGeometry,
                      GridUnderresolved, InvalidSchedule, ParseError,
                      QuadflowError, SingularNu, SingularTime)
 from .expressions import parse_expression, pretty
-from .flow import (AlphaState, Breakdown, FlowResult,
-                   constant_field_closed_form, integrate, write_alphas_csv)
+from .flow import (Breakdown, FlowResult, constant_field_closed_form,
+                   integrate, write_alphas_csv)
 from .observables import (SYMPLECTIC_J, AffineSymplecticMap,
-                          classical_lagrangian, euler_residuals,
-                          heisenberg_closed_form, heisenberg_map,
-                          write_heisenberg_json)
+                          classical_lagrangian, heisenberg_closed_form,
+                          heisenberg_map, write_heisenberg_json)
 from .oracles import GaussianState, apply_kernel, fundamental_matrix
 from .propagator import (GreenSample, QuadraticPhaseKernel,
                          degenerate_kernel, generic_kernel, green,
@@ -34,7 +32,7 @@ from .schedule import CoefficientSchedule
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSymplecticMap", "AlphaState", "Breakdown",
+    "AffineSymplecticMap", "Breakdown",
     "BranchUnavailable", "CoefficientSchedule", "ConfigError",
     "DegenerateGeometry", "FlowResult", "GaussianState",
     "GENERATOR_LABELS", "GreenSample", "GridUnderresolved",
@@ -42,11 +40,10 @@ __all__ = [
     "ReductionState", "SingularNu", "SingularTime", "StructureConstants",
     "SYMPLECTIC_J", "adjoint_closed_form", "adjoint_matrix", "apply_kernel",
     "assemble", "classical_lagrangian", "commutator",
-    "constant_field_closed_form", "euler_residuals",
-    "export_tensor_json", "fundamental_matrix", "green", "green_kernel",
+    "constant_field_closed_form", "fundamental_matrix", "green", "green_kernel",
     "heisenberg_closed_form", "heisenberg_map", "integrate",
     "landau_kernel", "degenerate_kernel", "generic_kernel", "QuadraticPhaseKernel",
     "parse_expression", "pretty", "reference_odes", "standard_algebra",
-    "subalgebra_closed", "validate_algebra", "write_alphas_csv",
+    "validate_algebra", "write_alphas_csv",
     "write_green_csv", "write_heisenberg_json",
 ]

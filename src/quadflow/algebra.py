@@ -15,10 +15,9 @@ appear downstream (adjoint matrices).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 N_GENERATORS = 15
 
@@ -137,10 +136,6 @@ class StructureConstants:
         _check_index(j)
         return dict(self._table.get((i, j), {}))
 
-    def c(self, i: int, j: int, k: int) -> Fraction:
-        _check_index(k)
-        return self.commutator(i, j).get(k, Fraction(0))
-
     def with_entry(self, i: int, j: int, k: int, value) -> "StructureConstants":
         """Copy with c[i][j][k] replaced (no antisymmetric mirroring).
 
@@ -206,32 +201,6 @@ class StructureConstants:
                             return AlgebraReport(False, True, True, False, v)
         return AlgebraReport(True, True, True, True, None)
 
-    def subalgebra_closed(self, ids: Iterable[int]) -> bool:
-        """True iff all pairwise commutators of ``ids`` lie in span(ids)."""
-        members = {_check_index(i) for i in ids}
-        if not members:
-            raise ValueError("subalgebra_closed needs a non-empty subset")
-        for i in members:
-            for j in members:
-                if any(k not in members for k in self._table.get((i, j), {})):
-                    return False
-        return True
-
-    # -- export --------------------------------------------------------------
-
-    def nonzero_entries(self):
-        """Yield (i, j, k, Fraction) over all nonzero tensor entries."""
-        for (i, j) in sorted(self._table):
-            row = self._table[(i, j)]
-            for k in sorted(row):
-                yield i, j, k, row[k]
-
-    def to_json(self) -> str:
-        """JSON document {"c": [[i, j, k, num, den], ...]} of nonzero entries."""
-        rows = [[i, j, k, v.numerator, v.denominator]
-                for i, j, k, v in self.nonzero_entries()]
-        return json.dumps({"c": rows})
-
 
 _STANDARD = StructureConstants.standard()
 
@@ -247,11 +216,3 @@ def commutator(i: int, j: int) -> dict[int, Fraction]:
 
 def validate_algebra(tensor: StructureConstants | None = None) -> AlgebraReport:
     return (_STANDARD if tensor is None else tensor).validate()
-
-
-def subalgebra_closed(ids: Iterable[int]) -> bool:
-    return _STANDARD.subalgebra_closed(ids)
-
-
-def export_tensor_json() -> str:
-    return _STANDARD.to_json()

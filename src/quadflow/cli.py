@@ -5,6 +5,7 @@ Subcommands
 run <config>...   integrate the flow and write the configured artifacts;
                   several configs run in parallel (QUADFLOW_THREADS caps
                   the worker count), each in its own output directory
+                  (<outdir>/<stem> under --outdir, so stems must differ)
 verify            run the oracle cross-check table for a preset or config
 green <config>    the same as run, limited to the Green-function samples
 print-odes        dump the flow right-hand side at a given (a(t), alpha)
@@ -53,7 +54,7 @@ def _green_samples(cfg: RunConfig, result) -> list:
         pts.append(np.column_stack([xs.ravel(), ys.ravel(),
                                     np.tile(req.source, (xs.size, 1))]))
     x, y, xp, yp = np.concatenate(pts).T
-    t_final = result.final.t
+    t_final = float(result.ts[-1])
     samples = []
     for t in req.times or (t_final,):
         if not 0 <= t <= t_final:
@@ -94,7 +95,7 @@ def run_config_file(path, outdir=None, green_only=False) -> dict:
         propagator.write_green_csv(_green_samples(cfg, result), dest)
         written.append(str(dest))
     info = {"config": str(path), "written": written,
-            "t_final": result.final.t}
+            "t_final": float(result.ts[-1])}
     if result.breakdown is not None:
         info["breakdown"] = {"t_break": result.breakdown.t_break,
                              "index": result.breakdown.index,
@@ -119,6 +120,14 @@ def _cmd_run(args) -> int:
             if not raw.strip().isdecimal():
                 raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
                                   "non-negative integer")
+            stems = [Path(path).stem for path in configs]
+            clash = [str(path) for path, stem in zip(configs, stems)
+                     if stems.count(stem) > 1]
+            if args.outdir and clash:
+                # each job writes into <outdir>/<stem>: the last would win
+                raise ConfigError(f"configs {', '.join(clash)} share a file "
+                                  "stem, so their outputs would overwrite "
+                                  "each other under --outdir")
             # never more workers than jobs: a fork pool starts them all
             workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
             # imported here: multiprocessing is a cost single runs skip
@@ -182,12 +191,12 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
 
     # near a breakdown the map entries grow without bound and float
     # comparisons lose meaning; stop well inside the regular region
-    t_cmp = result.final.t if result.breakdown is None \
+    t_cmp = float(result.ts[-1]) if result.breakdown is None \
         else 0.8 * result.breakdown.t_break
-    states = [s for s in result.samples if s.t <= t_cmp]
+    keep = result.ts <= t_cmp
+    ts, alphas = result.ts[keep], result.alphas[keep]
 
-    err = observables.heisenberg_map(
-        np.array([s.alpha for s in states])).symplectic_defect()
+    err = observables.heisenberg_map(alphas).symplectic_defect()
     yield "symplecticity of the Heisenberg map along the flow", err, 1e-8
 
     alpha_cmp = result.interpolate(t_cmp)
@@ -202,12 +211,12 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
     yield "classical shift vs (alpha4, alpha5, -alpha2, -alpha3)", err, 1e-6
 
     ls = np.array([observables.classical_lagrangian(
-        schedule.coefficients(s.t), s.alpha,
-        reference_odes(schedule.coefficients(s.t), s.alpha))
-        for s in states])
+        schedule.coefficients(t), alpha,
+        reference_odes(schedule.coefficients(t), alpha))
+        for t, alpha in zip(ts.tolist(), alphas)])
     from scipy.integrate import simpson
-    action = simpson(ls, x=np.array([s.t for s in states]))
-    err = abs(action - states[-1].alpha[0])
+    action = simpson(ls, x=ts)
+    err = abs(action - alphas[-1, 0])
     yield "action integral of L vs accumulated alpha1", err, 1e-8
 
 
@@ -245,12 +254,17 @@ def _cmd_print_odes(args) -> int:
             schedule = load_config(args.config).schedule
         else:
             schedule = CoefficientSchedule.preset(args.preset)
+        if not math.isfinite(args.t):
+            raise ConfigError(f"--t = {args.t!r} must be finite")
         alpha = np.zeros(15)
         if args.alpha:
             alpha = np.array(_parse_tuple(args.alpha, 15, "--alpha"))
         a = schedule.coefficients(args.t)
         state = assemble(a, alpha)
         ref = reference_odes(a, alpha)
+        if not (np.isfinite(state.mu).all() and np.isfinite(ref).all()):
+            raise ConfigError("the flow right-hand side is not finite at "
+                              f"--t = {args.t!r}, --alpha = {alpha.tolist()}")
         print(json.dumps({
             "t": args.t,
             "a": a.tolist(),

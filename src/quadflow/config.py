@@ -74,7 +74,6 @@ class RunConfig:
     magnitude_cap: float = 1e8
     outputs: dict = field(default_factory=dict)   # name -> filename
     green: GreenRequest | None = None
-    path: Path | None = None
 
 
 # (predicate, requirement) pairs for _float's ``check``
@@ -188,7 +187,6 @@ def load_config(path) -> RunConfig:
         # inf is allowed: it switches the magnitude sentinel off
         magnitude_cap=_float(run, "magnitude_cap", 1e8, where=where,
                              check=_POSITIVE),
-        path=path,
     )
 
     if "outputs" in parser:

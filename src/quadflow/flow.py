@@ -35,14 +35,8 @@ from .errors import SingularNu, SingularTime
 from .reduction import assemble, explicit_rhs
 from .schedule import CoefficientSchedule
 
-__all__ = ["AlphaState", "Breakdown", "FlowResult", "integrate",
+__all__ = ["Breakdown", "FlowResult", "integrate",
            "constant_field_closed_form", "write_alphas_csv"]
-
-
-@dataclass(frozen=True)
-class AlphaState:
-    t: float
-    alpha: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,40 +48,24 @@ class Breakdown:
 
 @dataclass
 class FlowResult:
-    samples: list               # ordered AlphaState, strictly increasing t
+    ts: np.ndarray              # (n,) sample times, strictly increasing
+    alphas: np.ndarray          # (n, 15) alpha at each sample time
     breakdown: Breakdown | None
     dense: rk.DenseSolution
     n_rhs: int
 
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([s.alpha for s in self.samples])
-
-    @property
-    def final(self) -> AlphaState:
-        return self.samples[-1]
-
-    @property
-    def step_times(self) -> np.ndarray:
-        """Endpoints of the accepted integrator steps (natural time grid)."""
-        return np.append(self.dense.t0, self.final.t)
-
     def interpolate(self, t):
         """Dense-output evaluation of alpha(t) within the integrated span.
 
-        Raises ValueError for any t outside [0, ``final.t``]: past the span
+        Raises ValueError for any t outside [0, ``ts[-1]``]: past the span
         the last step's polynomial is an extrapolation, not the flow.
         """
         t_arr = np.asarray(t, dtype=float)
-        if not np.all((t_arr >= 0.0) & (t_arr <= self.final.t)):
+        if not np.all((t_arr >= 0.0) & (t_arr <= self.ts[-1])):
             raise ValueError(f"t outside the integrated span "
-                             f"[0, {self.final.t!r}]")
+                             f"[0, {float(self.ts[-1])!r}]")
         if not self.dense.t0.size:   # halted before any step: the span is {0}
-            return np.tile(self.final.alpha, np.shape(t) + (1,))
+            return np.tile(self.alphas[-1], np.shape(t) + (1,))
         return self.dense(t)
 
 
@@ -100,8 +78,9 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     ----------
     schedule : coefficient functions a(t); non-finite evaluations raise
         InvalidSchedule
-    samples : number of uniform interior sample points; accepted step
-        endpoints are merged in as well
+    samples : number of uniform intervals; ``ts`` holds samples + 1 times
+        spanning [0, t_stop] (a single 0.0 if the flow halts before its
+        first step)
     magnitude_cap : |alpha_i| bound beyond which the factorization is
         declared broken down
     initial_alpha : optional 15-vector for piecewise continuation (defaults
@@ -158,13 +137,12 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     # uniform sample grid over the integrated span (samples + 1 rows in the
     # CSV contract); the dense interpolant carries the per-step resolution
     if res.dense.t0.size:
-        times = np.linspace(0.0, res.t_stop, samples + 1)
-        states = [AlphaState(float(t), alpha)
-                  for t, alpha in zip(times, res.dense(times))]
-    else:
-        states = [AlphaState(0.0, alpha0.copy())]  # halted before any step
-    return FlowResult(samples=states, breakdown=breakdown, dense=res.dense,
-                      n_rhs=res.n_rhs)
+        ts = np.linspace(0.0, res.t_stop, samples + 1)
+        alphas = res.dense(ts)
+    else:                                         # halted before any step
+        ts, alphas = np.array([0.0]), alpha0[None]
+    return FlowResult(ts=ts, alphas=alphas, breakdown=breakdown,
+                      dense=res.dense, n_rhs=res.n_rhs)
 
 
 # x**3 * (c_0 + c_1 x**2 + ...) for |x| < 1/2, where the direct forms of

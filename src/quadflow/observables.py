@@ -12,8 +12,6 @@ computed two independent ways - the ordered product of the adjoint
 matrices' affine 5x5 blocks, and a transcription of the closed-form
 coefficient expressions - which the test suite holds to 1e-12 of each other.
 
-Quadratic observables transform through the same map (A_H = A evaluated on
-the mapped operators), exposed as :meth:`AffineSymplecticMap.map_quadratic`;
 Gaussian means/covariances push forward with
 :meth:`AffineSymplecticMap.push_gaussian`.
 """
@@ -31,7 +29,7 @@ from .algebra import N_GENERATORS
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
            "heisenberg_closed_form", "classical_lagrangian",
-           "euler_residuals", "write_heisenberg_json"]
+           "write_heisenberg_json"]
 
 # symplectic form on (x, y, p_x, p_y)
 SYMPLECTIC_J = np.array([
@@ -48,37 +46,18 @@ class AffineSymplecticMap:
 
     A stack of maps carries leading axes: S (..., 4, 4), d (..., 4) and
     phase (...); ``symplectic_defect`` and ``push_gaussian`` also take a
-    stack, ``map_quadratic`` a single map.
+    stack.
     """
 
     S: np.ndarray               # (4, 4)
     d: np.ndarray               # (4,)
     phase: float | np.ndarray   # accumulated classical action (units of hbar)
 
-    def apply(self, z) -> np.ndarray:
-        return self.S @ np.asarray(z, dtype=float) + self.d
-
     def symplectic_defect(self) -> float:
         """max-norm of S^T J S - J, the largest over a stack of maps; zero
         for an exactly symplectic map."""
         return float(np.max(np.abs(self.S.swapaxes(-1, -2) @ SYMPLECTIC_J
                                    @ self.S - SYMPLECTIC_J)))
-
-    def map_quadratic(self, Q, l=None, c=0.0):
-        """Push a quadratic observable z^T Q z + l . z + c through the map.
-
-        Heisenberg images of analytic observables are the observables of the
-        mapped operators, so for A(z) = z^T Q z + l.z + c:
-
-            A_H(z) = z^T (S^T Q S) z + (S^T (Q + Q^T) d + S^T l) . z
-                     + d^T Q d + l . d + c
-        """
-        Q = np.asarray(Q, dtype=float)
-        l = np.zeros(4) if l is None else np.asarray(l, dtype=float)
-        Qh = self.S.T @ Q @ self.S
-        lh = self.S.T @ ((Q + Q.T) @ self.d + l)
-        ch = float(self.d @ Q @ self.d + l @ self.d + c)
-        return Qh, lh, ch
 
     def push_gaussian(self, mean, cov):
         """Mean and covariance of a Gaussian state after the map."""
@@ -162,29 +141,6 @@ def classical_lagrangian(a, alpha, alpha_dot) -> float:
         - a[5] * al[3] + a[2] * al[4] - a[14] * al[3] * al[4]
         + a[3] * al[5] - 2 * a[13] * al[3] * al[5] + a[8] * al[4] * al[5]
         + a[1] - al[4] * ad[2] - al[5] * ad[3])
-
-
-def euler_residuals(a, alpha, alpha_dot) -> np.ndarray:
-    """Euler-Lagrange combinations d/dt(dL/d(alpha_k_dot)) - dL/d(alpha_k).
-
-    Returned in the order (k = 2, 3, 4, 5); the four expressions vanish
-    identically along a valid flow and reproduce the flow equations for
-    alpha4, alpha5, alpha2, alpha3 with signs (+, +, -, -).
-    """
-    a = np.concatenate(([0.0], np.asarray(a, dtype=float)))
-    al = np.concatenate(([0.0], np.asarray(alpha, dtype=float)))
-    ad = np.concatenate(([0.0], np.asarray(alpha_dot, dtype=float)))
-    # dL/d(alpha2_dot) = -alpha4, dL/d(alpha3_dot) = -alpha5; the rest lack
-    # velocity dependence
-    r2 = (-ad[4] - (2 * a[9] * al[2] - a[4] + a[11] * al[3]
-                    - 2 * a[12] * al[4] - a[15] * al[5]))
-    r3 = (-ad[5] - (a[11] * al[2] + 2 * a[10] * al[3] - a[5]
-                    - a[14] * al[4] - 2 * a[13] * al[5]))
-    r4 = -(-2 * a[12] * al[2] + 2 * a[6] * al[4] + a[2]
-           - a[14] * al[3] + a[8] * al[5] - ad[2])
-    r5 = -(-a[15] * al[2] + 2 * a[7] * al[5] + a[3]
-           - 2 * a[13] * al[3] + a[8] * al[4] - ad[3])
-    return np.array([r2, r3, r4, r5])
 
 
 # one record in json.dump's indent=1 layout, with %s for its 22 numbers

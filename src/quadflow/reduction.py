@@ -99,7 +99,8 @@ def assemble(a, alpha) -> ReductionState:
         R, nu = _w_nu(alpha)
         det = np.linalg.det(nu)
         if not np.isfinite(det) or abs(det - 1.0) > _DET_TOL:
-            raise SingularNu(f"det(nu) = {det!r} at alpha = {alpha.tolist()}")
+            raise SingularNu(f"det(nu) = {float(det)!r} at alpha = "
+                             f"{alpha.tolist()}")
         w = R @ a
         mu = np.linalg.solve(nu, w)
     return ReductionState(a=a, alpha=alpha, w=w, nu=nu, mu=mu)

@@ -121,9 +121,8 @@ def test_criterion_07_symplecticity_along_flows():
     for sched in _random_schedules(20, rng):
         res = qf.integrate(sched, 0.5)
         assert res.breakdown is None
-        for state in res.samples:
-            worst = max(worst,
-                        qf.heisenberg_map(state.alpha).symplectic_defect())
+        for alpha in res.alphas:
+            worst = max(worst, qf.heisenberg_map(alpha).symplectic_defect())
     assert worst < 1e-8
     _report(7, "symplecticity",
             f"20 random schedules on [0, 0.5], max defect {worst:.2e} < 1e-8")
@@ -139,11 +138,11 @@ def test_criterion_08_classical_oracle_agreement():
     for sched in scheds:
         t_end = 0.5
         res = qf.integrate(sched, t_end)
-        m = qf.heisenberg_map(res.final.alpha)
+        m = qf.heisenberg_map(res.alphas[-1])
         S_cl, d_cl = qf.fundamental_matrix(sched, t_end)
         worst_map = max(worst_map, float(np.max(np.abs(m.S - S_cl))),
                         float(np.max(np.abs(m.d - d_cl))))
-        al = res.final.alpha
+        al = res.alphas[-1]
         shift = np.array([al[3], al[4], -al[1], -al[2]])
         worst_shift = max(worst_shift, float(np.max(np.abs(d_cl - shift))))
     assert worst_map < 1e-6
@@ -158,12 +157,11 @@ def test_criterion_09_action_equals_alpha1():
                                           E_y=E_Y, e=CHARGE)
     res = qf.integrate(sched, 2.5)
     ls = np.array([
-        qf.classical_lagrangian(sched.coefficients(s.t), s.alpha,
-                                reference_odes(sched.coefficients(s.t),
-                                               s.alpha))
-        for s in res.samples])
+        qf.classical_lagrangian(sched.coefficients(t), alpha,
+                                reference_odes(sched.coefficients(t), alpha))
+        for t, alpha in zip(res.ts, res.alphas)])
     action = float(simpson(ls, x=res.ts))
-    gap = abs(action - res.final.alpha[0])
+    gap = abs(action - res.alphas[-1][0])
     assert gap < 1e-8
     _report(9, "action integral",
             f"|alpha1 - integral L dt| = {gap:.2e} < 1e-8")

@@ -311,6 +311,27 @@ def test_bad_thread_count_is_a_json_error(landau_cfg, tmp_path, capsys,
     assert "QUADFLOW_THREADS" in err["detail"]
 
 
+@pytest.mark.parametrize("second", ["same", "sibling"])
+def test_batch_with_a_shared_stem_is_a_json_error(landau_cfg, tmp_path,
+                                                  capsys, second):
+    # each config of a batch writes into <outdir>/<stem>/
+    other = landau_cfg
+    if second == "sibling":
+        other = tmp_path / "elsewhere" / landau_cfg.name
+        other.parent.mkdir()
+        other.write_text(LANDAU_CFG.replace("t_end = 2.5", "t_end = 1.5"))
+    code = main(["run", str(landau_cfg), str(other),
+                 "--outdir", str(tmp_path / "batch")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config-error"
+    assert str(landau_cfg) in err["detail"] and str(other) in err["detail"]
+    assert not (tmp_path / "batch").exists()
+
+
 # a valid config on the free preset; each case below overrides one key
 NUMERIC_BASE = {
     "hamiltonian": {"preset": "free", "hbar": "1.0"},
@@ -355,6 +376,30 @@ def test_bad_print_odes_alpha_is_a_json_error(capsys, alpha):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config-error"
     assert "--alpha" in err["detail"] and alpha in err["detail"]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--t", "nan"], "--t = nan"),
+    (["--t", "inf"], "--t = inf"),
+    (["--alpha", "0,1e300" + ",0" * 13], "not finite"),
+], ids=["t-nan", "t-inf", "alpha-overflow"])
+def test_non_finite_print_odes_is_a_json_error(capsys, argv, fragment):
+    assert main(["print-odes", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config-error"
+    assert fragment in err["detail"]
+
+
+def test_singular_nu_detail_prints_a_plain_float(capsys):
+    # e^{2 alpha12} overflows at alpha12 = 1000, so det(nu) is NaN
+    alpha = ",".join("1000" if k == 11 else "0" for k in range(15))
+    assert main(["print-odes", "--alpha", alpha]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "singular-nu"
+    assert err["detail"].startswith("det(nu) = nan at alpha = ")
 
 
 @pytest.mark.parametrize("t_end", ["-1", "nan"])

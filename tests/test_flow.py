@@ -34,7 +34,7 @@ def test_zero_schedule_stays_at_origin():
 
 def test_pure_magnetic_quarter_period_values():
     res = integrate(landau(), math.pi / 2)
-    al = res.final.alpha
+    al = res.alphas[-1]
     s2 = math.sqrt(2) / 2
     expected = np.zeros(15)
     expected[5] = expected[6] = 0.25            # (m wc / 4) tan(pi/4)
@@ -60,7 +60,7 @@ def test_closed_form_zero_time_and_alpha2_value():
     got = constant_field_closed_form(1.0, wc, Ex, Ey, e, t=t)[1]
     assert abs(got - a2) < 1e-15
     res = integrate(landau(E_x=Ex, E_y=Ey), t)
-    assert abs(res.final.alpha[1] - a2) < 1e-6
+    assert abs(res.alphas[-1, 1] - a2) < 1e-6
 
 
 def test_closed_form_singular_time():
@@ -216,7 +216,7 @@ def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
     assert first.breakdown.reason == "step-underflow"
     assemble(sched.coefficients(t_break), y_stop)  # passes det(nu) = 1
     np.testing.assert_array_equal(first.interpolate(t_break), y_stop)
-    np.testing.assert_array_equal(first.final.alpha, y_stop)
+    np.testing.assert_array_equal(first.alphas[-1], y_stop)
     assert first.n_rhs <= 6.5 * first.dense.t0.size
     assert second.breakdown == first.breakdown
     assert second.n_rhs == first.n_rhs
@@ -274,17 +274,17 @@ def test_time_reversal_returns_to_origin():
     T = 0.5
     fwd = integrate(sched, T)
     back = integrate(sched.negated_reverse(T), T,
-                     initial_alpha=fwd.final.alpha)
-    assert np.max(np.abs(back.final.alpha)) < 1e-6
+                     initial_alpha=fwd.alphas[-1])
+    assert np.max(np.abs(back.alphas[-1])) < 1e-6
 
 
 def test_piecewise_handoff_matches_single_run():
     whole = integrate(landau(E_x=0.2), 0.6)
     first = integrate(landau(E_x=0.2), 0.3)
-    second = integrate(landau(E_x=0.2), 0.3, initial_alpha=first.final.alpha)
+    second = integrate(landau(E_x=0.2), 0.3, initial_alpha=first.alphas[-1])
     # constant coefficients: the flow is autonomous, so state handoff
     # composes exactly
-    np.testing.assert_allclose(second.final.alpha, whole.final.alpha,
+    np.testing.assert_allclose(second.alphas[-1], whole.alphas[-1],
                                atol=1e-9)
 
 
@@ -310,26 +310,27 @@ def test_invalid_arguments():
 def test_dense_output_matches_samples():
     res = integrate(landau(E_x=0.1), 1.2)
     mid = 0.37
-    direct = integrate(landau(E_x=0.1), mid).final.alpha
+    direct = integrate(landau(E_x=0.1), mid).alphas[-1]
     np.testing.assert_allclose(res.interpolate(mid), direct, atol=1e-8)
-    assert res.step_times[0] == 0.0
-    assert res.step_times[-1] == pytest.approx(1.2)
+    assert res.dense.t0[0] == 0.0
+    assert res.ts[-1] == pytest.approx(1.2)
 
 
 def test_interpolate_refuses_times_outside_the_span():
     res = integrate(landau(), 3.9)   # breaks down at the pole t = pi
-    assert res.final.t < 3.9
+    assert res.ts[-1] < 3.9
     for t in (3.9, -1e-9, [0.5, 3.9], float("nan")):
         with pytest.raises(ValueError, match="integrated span"):
             res.interpolate(t)
-    np.testing.assert_array_equal(res.interpolate(res.final.t),
-                                  res.final.alpha)
+    np.testing.assert_array_equal(res.interpolate(res.ts[-1]),
+                                  res.alphas[-1])
     assert res.interpolate([0.0, 1.0]).shape == (2, 15)
 
 
 def test_dense_array_call_equals_per_point_calls():
     res = integrate(landau(E_x=0.3, E_y=-0.2), 2.5)
-    ts = np.concatenate([np.linspace(-0.5, 3.0, 97), res.step_times])
+    ts = np.concatenate([np.linspace(-0.5, 3.0, 97), res.dense.t0,
+                         res.ts[-1:]])
     batch = res.dense(ts)
     assert batch.shape == (ts.size, 15)
     for t, row in zip(ts, batch):
@@ -367,7 +368,7 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
                                                          lam=0.3), 2.0)
     assert flow.breakdown.reason == "magnitude-overflow"
     np.testing.assert_array_equal(flow.dense(flow.breakdown.t_break),
-                                  flow.final.alpha)
+                                  flow.alphas[-1])
     # the cap-only bisection on the last step, written out: the sentinel's
     # crossing search must leave the cap halt's time and state bit for bit
     last = rk.DenseSolution(*(v[-1:] for v in (flow.dense.t0, flow.dense.h,
@@ -384,7 +385,7 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
     assert flow.breakdown.t_break == t_hi
     assert flow.breakdown.t_break == pytest.approx(0.8252577130737292,
                                                    rel=1e-13)
-    np.testing.assert_array_equal(flow.final.alpha, last(t_hi))
+    np.testing.assert_array_equal(flow.alphas[-1], last(t_hi))
 
 
 def test_alphas_csv_row_count_and_precision(tmp_path):
@@ -397,4 +398,4 @@ def test_alphas_csv_row_count_and_precision(tmp_path):
     values = [float(v) for v in lines[-1].split(",")]
     assert values[0] == pytest.approx(1.0, abs=0)
     # full double precision round-trip
-    assert values[6] == res.final.alpha[5]
+    assert values[6] == res.alphas[-1][5]

@@ -4,14 +4,19 @@ Each check runs in a fresh interpreter, so what this test session already
 imported cannot hide a module-level import.  ``run``, ``green`` and
 ``print-odes`` must not pay for ``scipy.integrate`` (most of a cold start)
 or ``multiprocessing`` (only a multi-config ``run`` starts a pool); the
-oracles load scipy on their first call.
+oracles load scipy on their first call.  Every name an ``__all__`` lists
+must exist, or ``from quadflow import *`` fails.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import quadflow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -87,3 +92,13 @@ def test_fundamental_matrix_works_as_first_call(tmp_path):
             "assert np.allclose(S, expected, atol=1e-9), S\n"
             "assert np.allclose(d, 0.0, atol=1e-12), d\n")
     assert "scipy.integrate" in _loaded_after(code, tmp_path)
+
+
+def test_every_all_entry_resolves():
+    modules = [quadflow] + [
+        importlib.import_module(f"quadflow.{info.name}")
+        for info in pkgutil.iter_modules(quadflow.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], module.__name__

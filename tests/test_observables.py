@@ -10,8 +10,8 @@ from scipy.integrate import simpson
 from quadflow.adjoint import adjoint_matrix
 from quadflow.flow import integrate, constant_field_closed_form
 from quadflow.observables import (SYMPLECTIC_J, classical_lagrangian,
-                                  euler_residuals, heisenberg_closed_form,
-                                  heisenberg_map, write_heisenberg_json)
+                                  heisenberg_closed_form, heisenberg_map,
+                                  write_heisenberg_json)
 from quadflow.reduction import reference_odes
 from quadflow.schedule import CoefficientSchedule
 
@@ -68,24 +68,8 @@ def test_symplecticity_along_random_flows():
         sched = CoefficientSchedule.from_constant_vector(
             rng.uniform(-1, 1, 15))
         res = integrate(sched, 0.5)
-        for state in res.samples[:: max(1, len(res.samples) // 20)]:
-            assert heisenberg_map(state.alpha).symplectic_defect() < 1e-8
-
-
-def test_map_quadratic_agrees_with_direct_substitution():
-    rng = np.random.default_rng(15)
-    al = rng.uniform(-0.5, 0.5, 15)
-    m = heisenberg_map(al)
-    Q = rng.uniform(-1, 1, (4, 4))
-    l = rng.uniform(-1, 1, 4)
-    c = 0.7
-    Qh, lh, ch = m.map_quadratic(Q, l, c)
-    for _ in range(10):
-        z = rng.uniform(-2, 2, 4)
-        zh = m.apply(z)
-        direct = zh @ Q @ zh + l @ zh + c
-        mapped = z @ Qh @ z + lh @ z + ch
-        assert abs(direct - mapped) < 1e-10
+        for alpha in res.alphas[:: max(1, len(res.alphas) // 20)]:
+            assert heisenberg_map(alpha).symplectic_defect() < 1e-8
 
 
 def test_push_gaussian_moments():
@@ -111,11 +95,11 @@ def test_free_particle_lagrangian_is_kinetic_energy():
     sched = CoefficientSchedule.free(m=m_mass)
     res = integrate(sched, 1.0, initial_alpha=np.array(
         [0, 0.6, -0.3, 0.2, 0.1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0]))
-    st = res.final
-    a = sched.coefficients(st.t)
-    adot = reference_odes(a, st.alpha)
-    L = classical_lagrangian(a, st.alpha, adot)
-    kinetic = (st.alpha[1] ** 2 + st.alpha[2] ** 2) / (2 * m_mass)
+    alpha = res.alphas[-1]
+    a = sched.coefficients(res.ts[-1])
+    adot = reference_odes(a, alpha)
+    L = classical_lagrangian(a, alpha, adot)
+    kinetic = (alpha[1] ** 2 + alpha[2] ** 2) / (2 * m_mass)
     assert abs(L - kinetic) < 1e-12
 
 
@@ -123,19 +107,45 @@ def test_action_accumulates_alpha1():
     sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2)
     res = integrate(sched, 2.5)
     ls = []
-    for s in res.samples:
-        a = sched.coefficients(s.t)
-        ls.append(classical_lagrangian(a, s.alpha, reference_odes(a, s.alpha)))
+    for t, alpha in zip(res.ts, res.alphas):
+        a = sched.coefficients(t)
+        ls.append(classical_lagrangian(a, alpha, reference_odes(a, alpha)))
     action = simpson(np.array(ls), x=res.ts)
-    assert abs(action - res.final.alpha[0]) < 1e-8
+    assert abs(action - res.alphas[-1, 0]) < 1e-8
+
+
+def euler_residuals(a, alpha, alpha_dot):
+    """Euler-Lagrange combinations d/dt(dL/d(alpha_k_dot)) - dL/d(alpha_k),
+    k = 2..5, of :func:`classical_lagrangian`.
+
+    L is at most quadratic in each single variable, so a central difference
+    with unit step is its exact partial derivative.  The velocity partials
+    are -alpha4, -alpha5, 0, 0, whose time derivatives are read off
+    ``alpha_dot``.
+    """
+    def partials(which):
+        out = []
+        for k in range(1, 5):
+            up = [np.array(alpha, dtype=float), np.array(alpha_dot, dtype=float)]
+            down = [v.copy() for v in up]
+            up[which][k] += 1.0
+            down[which][k] -= 1.0
+            out.append((classical_lagrangian(a, *up)
+                        - classical_lagrangian(a, *down)) / 2)
+        return np.array(out)
+
+    np.testing.assert_allclose(partials(1), [-alpha[3], -alpha[4], 0, 0],
+                               rtol=0, atol=1e-12)
+    momenta_dot = np.array([-alpha_dot[3], -alpha_dot[4], 0.0, 0.0])
+    return momenta_dot - partials(0)
 
 
 def test_euler_residuals_vanish_along_flow():
     sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.2)
     res = integrate(sched, 2.0)
-    for s in res.samples[::17]:
-        a = sched.coefficients(s.t)
-        r = euler_residuals(a, s.alpha, reference_odes(a, s.alpha))
+    for t, alpha in zip(res.ts[::17], res.alphas[::17]):
+        a = sched.coefficients(t)
+        r = euler_residuals(a, alpha, reference_odes(a, alpha))
         assert np.max(np.abs(r)) < 1e-8
 
 

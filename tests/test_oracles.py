@@ -61,7 +61,7 @@ def test_agrees_with_heisenberg_map_landau():
     sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2)
     t = math.pi / 2
     S, d = fundamental_matrix(sched, t)
-    m = heisenberg_map(integrate(sched, t).final.alpha)
+    m = heisenberg_map(integrate(sched, t).alphas[-1])
     assert np.max(np.abs(S - m.S)) < 1e-6
     assert np.max(np.abs(d - m.d)) < 1e-6
 
@@ -70,7 +70,7 @@ def test_shift_identity_against_flow_parameters():
     sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.4, E_y=0.1)
     t = 1.3
     _, d = fundamental_matrix(sched, t)
-    al = integrate(sched, t).final.alpha
+    al = integrate(sched, t).alphas[-1]
     np.testing.assert_allclose(d, [al[3], al[4], -al[1], -al[2]], atol=1e-6)
 
 

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from quadflow import observables
-from quadflow.flow import (AlphaState, FlowResult, integrate,
-                           write_alphas_csv)
+from quadflow.flow import FlowResult, integrate, write_alphas_csv
 from quadflow.observables import heisenberg_map, write_heisenberg_json
 from quadflow.propagator import GreenSample, green, write_green_csv
 from quadflow.schedule import CoefficientSchedule
@@ -23,16 +22,15 @@ from quadflow.schedule import CoefficientSchedule
 def ref_alphas_csv(result, path):
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"alpha{i}" for i in range(1, 16)) + "\n")
-        for state in result.samples:
-            fh.write(",".join(f"{v:.17g}" for v in [state.t, *state.alpha])
-                     + "\n")
+        for t, alpha in zip(result.ts.tolist(), result.alphas):
+            fh.write(",".join(f"{v:.17g}" for v in [t, *alpha]) + "\n")
 
 
 def ref_heisenberg_json(result, path):
     records = []
-    for state in result.samples:
-        m = heisenberg_map(state.alpha)
-        records.append({"t": state.t, "S": m.S.tolist(), "d": m.d.tolist(),
+    for t, alpha in zip(result.ts.tolist(), result.alphas):
+        m = heisenberg_map(alpha)
+        records.append({"t": t, "S": m.S.tolist(), "d": m.d.tolist(),
                         "phase": m.phase})
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)
@@ -142,9 +140,8 @@ def test_heisenberg_bytes_match_with_non_finite_maps(tmp_path):
     alphas[1, 11] = 400.0
     alphas[2, [11, 14]] = 354.0, 1e10
     alphas[3, [11, 14]] = 354.0, -1e10
-    res = FlowResult(samples=[AlphaState(0.25 * k, a)
-                              for k, a in enumerate(alphas)],
-                     breakdown=None, dense=None, n_rhs=0)
+    res = FlowResult(ts=0.25 * np.arange(4), alphas=alphas, breakdown=None,
+                     dense=None, n_rhs=0)
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_bytes(tmp_path, write_heisenberg_json,
                           ref_heisenberg_json, res)
@@ -166,7 +163,7 @@ def test_heisenberg_writer_maps_every_sample_in_one_call(tmp_path,
     monkeypatch.setattr(observables, "heisenberg_map", counting)
     res = landau_flow()
     write_heisenberg_json(res, tmp_path / "h.json")
-    assert calls == [(len(res.samples), 15)]
+    assert calls == [res.alphas.shape]
 
 
 def test_stacked_map_equals_the_per_alpha_maps_bit_for_bit():

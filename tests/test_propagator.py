@@ -180,7 +180,7 @@ def test_generic_smearing_matches_affine_map():
     sched = CoefficientSchedule.from_expressions(
         {9: "0.5", 10: "0.5", 11: "0.3", 6: "0.1", 2: "0.2"})
     res = integrate(sched, 0.7)
-    al = res.final.alpha
+    al = res.alphas[-1]
     assert abs(al[10]) > 1e-3
     kern = generic_kernel(al, 1.0)
     state = GaussianState.separable([0.4, -0.2, 0.3, 0.1], 1.0, 1.0)

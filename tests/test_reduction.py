@@ -48,7 +48,7 @@ def test_pipeline_matches_transcription_on_random_states():
 
 def test_pipeline_matches_transcription_along_constant_field_flow():
     sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0)
-    alpha = integrate(sched, 0.5).final.alpha
+    alpha = integrate(sched, 0.5).alphas[-1]
     a = sched.coefficients(0.5)
     state = assemble(a, alpha)
     assert np.max(np.abs(state.mu - reference_odes(a, alpha))) < 1e-10
