@@ -13,17 +13,18 @@ Two independent implementations are provided and tested against each other:
 * :func:`adjoint_matrix` - matrix exponential of the structure constants.
   C_i is nilpotent of index <= 3 for every generator except the dilatation
   generators 12 and 13, whose C is purely diagonal; both cases are summed
-  exactly (terminating series / elementwise exp) from one table built at
-  import, and ``_adjoint_stack`` evaluates every M_k^T(alpha_k) at once
-  for the reduction pipeline; ``_affine_blocks`` yields only their
-  leading 5x5 blocks, one generator at a time over a stack of parameter
-  vectors, for the Heisenberg map.
+  exactly (terminating series / elementwise exp) from one table, built at
+  import, of the entries each M_k^T moves off the identity.  Its one
+  evaluator, ``_adjoint_blocks``, gives the leading size x size block of
+  every M_k^T over a stack of parameter vectors: size 15 for ``assemble``,
+  size 5 for ``heisenberg_map``, a one-hot vector for this function.
 * :func:`adjoint_closed_form` - the conjugation rules transcribed entry by
   entry, used as the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,48 +49,26 @@ def _build_generator_matrices():
 _C = _build_generator_matrices()
 
 
-def _stack_table():
-    """Flat-index table for the adjoint stack: C_1, C_12 and C_13 are diagonal
-    (M^T = exp(-alpha*C)); every other M_k^T is a terminating series over the
-    powers (C_k^T)^p, kept only at the entries they move off the identity."""
+def _entry_table():
+    """The entries (k, row, col) each M_k^T = exp(alpha_k * G_k), with
+    G_k = -C_k^T, moves off the identity, paired with their coefficients.
+    G_1, G_12 and G_13 are diagonal: exp of alpha_k times the diagonal.
+    Every other M_k^T is the terminating series over the powers G_k^p."""
     n = N_GENERATORS
-    CT = np.transpose(_C[1:], (0, 2, 1))
-    diagonal = ~(CT * (1 - np.eye(n))).any(axis=(1, 2))
+    G = -np.transpose(_C[1:], (0, 2, 1))
+    diagonal = ~(G * (1 - np.eye(n))).any(axis=(1, 2))
     powers = [np.tile(np.eye(n), (n, 1, 1))]
-    while (P := powers[-1] @ CT * ~diagonal[:, None, None]).any():
+    while (P := powers[-1] @ G * ~diagonal[:, None, None]).any():
         if len(powers) > 8:  # so no general matrix exponential is needed
             raise ValueError("a C_k is neither diagonal nor nilpotent")
         powers.append(P)
-    flat = np.flatnonzero(np.any(powers[1:], axis=0))
-    k = np.flatnonzero(diagonal)[:, None]
-    dil = (k * n * n + np.arange(n) * (n + 1)).ravel()
-    return (powers[0], flat, flat // (n * n),
-            np.reshape(powers, (len(powers), -1))[:, flat],
-            dil, dil // (n * n), CT.reshape(-1)[dil])
+    series = np.nonzero(np.any(powers[1:], axis=0))
+    k, row = np.nonzero(np.repeat(diagonal[:, None], n, axis=1))
+    return [(series, np.array(powers)[(slice(None), *series)]),
+            ((k, row, row), G[k, row, row])]
 
 
-(_IDENTITIES, _SERIES_FLAT, _SERIES_ALPHA, _SERIES_POWERS,
- _DIL_FLAT, _DIL_ALPHA, _DIL_DIAG) = _stack_table()
-
-
-def _affine_table():
-    """The stack table restricted to the leading 5x5 block of each M_k^T
-    (the span {1, x, y, p_x, p_y} every adjoint action keeps): the series
-    and dilatation entries there, and per generator 2..15 the cells of its
-    flattened block and the positions of the entries that fill them."""
-    n = N_GENERATORS
-    k, row, col = np.unravel_index(np.concatenate([_SERIES_FLAT, _DIL_FLAT]),
-                                   (n, n, n))
-    affine = (row < 5) & (col < 5)
-    series, dil = np.split(affine, [_SERIES_FLAT.size])
-    k, cells = k[affine], (row * 5 + col)[affine]
-    return (_SERIES_ALPHA[series], _SERIES_POWERS[:, series], _DIL_ALPHA[dil],
-            _DIL_DIAG[dil],
-            [(cells[k == i], np.flatnonzero(k == i)) for i in range(1, n)])
-
-
-(_AFFINE_SERIES_ALPHA, _AFFINE_SERIES_POWERS, _AFFINE_DIL_ALPHA,
- _AFFINE_DIL_DIAG, _AFFINE_GROUPS) = _affine_table()
+_ENTRIES = _entry_table()
 
 
 def adjoint_generator(i: int) -> np.ndarray:
@@ -108,34 +87,35 @@ def _series(powers, f1):
     return entries
 
 
-def _adjoint_stack(alpha: np.ndarray) -> np.ndarray:
-    """M_k^T(alpha_k) at index k - 1 of one (15, 15, 15) array (hot path)."""
-    MT = _IDENTITIES.copy()
-    flat = MT.reshape(-1)
-    flat[_SERIES_FLAT] = _series(_SERIES_POWERS, -alpha[_SERIES_ALPHA])
-    flat[_DIL_FLAT] = np.exp(-alpha[_DIL_ALPHA] * _DIL_DIAG)
-    return MT
+@functools.cache
+def _block_table(size: int, ndim: int):
+    """The entry table restricted to the leading size x size blocks, for a
+    parameter stack of ``ndim`` axes: the flattened identity blocks, and per
+    kind of entry its cells in the flattened (15, size, size) stack, its
+    generator and its coefficients, which broadcast over the stack axes."""
+    kinds = []
+    for (k, row, col), coeffs in _ENTRIES:
+        keep = (row < size) & (col < size)
+        coeffs = coeffs[..., keep]
+        kinds.append((((k * size + row) * size + col)[keep], k[keep],
+                      coeffs.reshape(coeffs.shape + (1,) * (ndim - 1))))
+    return np.tile(np.eye(size), (N_GENERATORS, 1, 1)).reshape(-1), kinds
 
 
-def _affine_blocks(alpha: np.ndarray):
-    """Yield the leading 5x5 block of M_k^T(alpha_k) for k = 2..15 (M_1 is
-    the identity) as an (N, 5, 5) array over an (N, 15) stack of parameter
-    vectors; each block is bit for bit that of :func:`_adjoint_stack`."""
-    values = np.concatenate([
-        _series(_AFFINE_SERIES_POWERS, -alpha[:, _AFFINE_SERIES_ALPHA]),
-        np.exp(-alpha[:, _AFFINE_DIL_ALPHA] * _AFFINE_DIL_DIAG)], axis=1)
-    for cells, entries in _AFFINE_GROUPS:
-        block = np.empty((len(alpha), 5, 5))
-        block[:] = np.eye(5)
-        block.reshape(-1, 25)[:, cells] = values[:, entries]
-        yield block
-
-
-def _adjoint(i: int, alpha: float) -> np.ndarray:
-    """exp(-alpha*C_i) from the stack, without index or finiteness checks."""
-    one = np.zeros(N_GENERATORS)
-    one[i - 1] = alpha
-    return _adjoint_stack(one)[i - 1].T
+def _adjoint_blocks(alpha, size: int = N_GENERATORS) -> np.ndarray:
+    """The leading size x size block of M_k^T(alpha_k) at ``[..., k - 1,
+    :, :]`` for a (..., 15) float array of parameter vectors; an entry's
+    bits depend on neither the stack's shape nor ``size``."""
+    lead = alpha.shape[:-1]
+    identity, ((s_cells, s_k, powers), (d_cells, d_k, diag)) = \
+        _block_table(size, alpha.ndim)
+    blocks = np.empty(lead + identity.shape)
+    blocks[...] = identity
+    # stack axes last: one index on the first axis serves every vector
+    cells, a = blocks.T, alpha.T
+    cells[s_cells] = _series(powers, a[s_k])
+    cells[d_cells] = np.exp(a[d_k] * diag)
+    return blocks.reshape(lead + (N_GENERATORS, size, size))
 
 
 def adjoint_matrix(i: int, alpha: float) -> np.ndarray:
@@ -156,7 +136,9 @@ def adjoint_matrix(i: int, alpha: float) -> np.ndarray:
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return _adjoint(i, alpha)
+    one = np.zeros(N_GENERATORS)
+    one[i - 1] = alpha
+    return _adjoint_blocks(one)[i - 1].T
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Subcommands
 run <config>...   integrate the flow and write the configured artifacts;
                   several configs run in parallel (QUADFLOW_THREADS caps
                   the worker count), each in its own output directory
-                  (<outdir>/<stem> under --outdir, so stems must differ)
+                  (<outdir>/<stem> under --outdir); no two outputs of a
+                  run may resolve to one file
 verify            run the oracle cross-check table for a preset or config
 green <config>    the same as run, limited to the Green-function samples
 print-odes        dump the flow right-hand side at a given (a(t), alpha)
@@ -66,9 +67,9 @@ def _green_samples(cfg: RunConfig, result) -> list:
     return samples
 
 
-def run_config_file(path, outdir=None, green_only=False) -> dict:
-    """Integrate one config and write its outputs (only green.csv when
-    ``green_only``); returns the info object printed by the CLI."""
+def _plan(path, outdir=None, green_only=False):
+    """Load one config and resolve where its outputs go: the config, the
+    output directory and {output kind: destination}."""
     cfg = load_config(path)
     outputs = cfg.outputs
     if green_only:
@@ -76,24 +77,46 @@ def run_config_file(path, outdir=None, green_only=False) -> dict:
     if "green" in outputs and cfg.green is None:
         raise ConfigError("green output requested without [green] section")
     out_base = Path(outdir) if outdir else Path(path).resolve().parent
+    return cfg, out_base, {kind: out_base / name
+                           for kind, name in outputs.items()}
+
+
+def _refuse_shared_destinations(plans):
+    """Refuse outputs that would write one file (the last would silently
+    win); ``plans`` holds (config path, {kind: destination}) pairs."""
+    owners = {}
+    for path, dests in plans:
+        for kind, dest in dests.items():
+            owners.setdefault(dest.resolve(), []).append(
+                f"{path} [outputs] {kind}")
+    for dest, names in owners.items():
+        if len(names) > 1:
+            raise ConfigError(f"{dest} is the destination of "
+                              f"{' and '.join(names)}; each output needs "
+                              "a file of its own")
+
+
+def run_config_file(path, outdir=None, green_only=False) -> dict:
+    """Integrate one config and write its outputs (only green.csv when
+    ``green_only``); returns the info object printed by the CLI."""
+    cfg, out_base, dests = _plan(path, outdir, green_only)
+    _refuse_shared_destinations([(path, dests)])
     out_base.mkdir(parents=True, exist_ok=True)
     result = flow_mod.integrate(
         cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
         max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap,
         samples=cfg.samples)
     written = []
-    if "alphas" in outputs:
-        dest = out_base / outputs["alphas"]
-        flow_mod.write_alphas_csv(result, dest)
-        written.append(str(dest))
-    if "heisenberg" in outputs:
-        dest = out_base / outputs["heisenberg"]
-        observables.write_heisenberg_json(result, dest)
-        written.append(str(dest))
-    if "green" in outputs:
-        dest = out_base / outputs["green"]
-        propagator.write_green_csv(_green_samples(cfg, result), dest)
-        written.append(str(dest))
+    if "alphas" in dests:
+        flow_mod.write_alphas_csv(result, dests["alphas"])
+        written.append(str(dests["alphas"]))
+    if "heisenberg" in dests:
+        observables.write_heisenberg_json(result, dests["heisenberg"])
+        written.append(str(dests["heisenberg"]))
+    if "green" in dests:
+        propagator.write_green_csv(_green_samples(cfg, result),
+                                   dests["green"])
+        written.append(str(dests["green"]))
     info = {"config": str(path), "written": written,
             "t_final": float(result.ts[-1])}
     if result.breakdown is not None:
@@ -120,14 +143,10 @@ def _cmd_run(args) -> int:
             if not raw.strip().isdecimal():
                 raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
                                   "non-negative integer")
-            stems = [Path(path).stem for path in configs]
-            clash = [str(path) for path, stem in zip(configs, stems)
-                     if stems.count(stem) > 1]
-            if args.outdir and clash:
-                # each job writes into <outdir>/<stem>: the last would win
-                raise ConfigError(f"configs {', '.join(clash)} share a file "
-                                  "stem, so their outputs would overwrite "
-                                  "each other under --outdir")
+            # every job's files, before any job starts (each job reloads
+            # its config: a schedule does not pickle into a worker)
+            _refuse_shared_destinations([(job[0], _plan(*job)[2])
+                                         for job in jobs])
             # never more workers than jobs: a fork pool starts them all
             workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
             # imported here: multiprocessing is a cost single runs skip

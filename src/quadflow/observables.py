@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _affine_blocks
+from .adjoint import _adjoint_blocks
 from .algebra import N_GENERATORS
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
@@ -81,17 +81,16 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-1:] != (N_GENERATORS,):
         raise ValueError("alpha must be a 15-vector or a stack of them")
-    lead = alpha.shape[:-1]
     block = np.eye(5)
     # an overflowing e^{2 alpha12} makes inf and nan entries, which the map
     # reports as they are; numpy's warnings about them would reach stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for MT in _affine_blocks(alpha.reshape(-1, N_GENERATORS)):
-            block = block @ MT.swapaxes(-1, -2)
+        MT = _adjoint_blocks(alpha, 5)
+        for k in range(1, N_GENERATORS):
+            block = block @ MT[..., k, :, :].swapaxes(-1, -2)
     return AffineSymplecticMap(
-        S=block[:, 1:, 1:].reshape(lead + (4, 4)),
-        d=block[:, 1:, 0].reshape(lead + (4,)),
-        phase=alpha[..., 0].copy() if lead else float(alpha[0]))
+        S=block[..., 1:, 1:], d=block[..., 1:, 0],
+        phase=alpha[..., 0].copy() if alpha.ndim > 1 else float(alpha[0]))
 
 
 def heisenberg_closed_form(alpha) -> AffineSymplecticMap:

@@ -21,7 +21,7 @@ roles:
   side: ``integrate`` calls it at every Runge-Kutta stage.
   :func:`reference_odes` is its checked ndarray form.
 * :func:`assemble` builds w, nu and mu from the structure constants (one
-  adjoint stack gives every M_k^T and one (15, 15, 15) array every R_k).
+  adjoint evaluation gives every M_k^T and one (15, 15, 15) array every R_k).
   For this ordering det(nu) = 1 identically, which it asserts; ``integrate``
   runs it once per accepted step at the step's end state as the
   conditioning sentinel that halts the flow where the factorization data
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _adjoint_stack
+from .adjoint import _adjoint_blocks
 from .algebra import N_GENERATORS
 from .errors import SingularNu
 
@@ -44,6 +44,7 @@ __all__ = ["ReductionState", "assemble", "explicit_rhs", "reference_odes"]
 
 _DET_TOL = 1e-6
 _DIAG = np.arange(N_GENERATORS)
+_IDENTITY = np.eye(N_GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ def _w_nu(alpha: np.ndarray):
     # R_k = M_15^T ... M_{k+1}^T by descending recursion into Rs[k - 1]
     # (R_15 = I); column k of nu is column k of R_k, and w = R_1 a since
     # M_1 = I (h1 central).
-    MT = _adjoint_stack(alpha)
+    MT = _adjoint_blocks(alpha)
     Rs = np.empty((N_GENERATORS, N_GENERATORS, N_GENERATORS))
-    Rs[-1] = np.eye(N_GENERATORS)
+    Rs[-1] = _IDENTITY
     for k in range(N_GENERATORS - 1, 0, -1):
         np.matmul(Rs[k], MT[k], out=Rs[k - 1])
     return Rs[0], Rs[_DIAG, :, _DIAG].T

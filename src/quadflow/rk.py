@@ -205,24 +205,15 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             status = "underflow"
             break
         K[0] = k1
-        failed_finite = False
+        err = math.nan  # a non-finite stage, state or error norm rejects
         for s in range(1, 7):
-            ys_stage = y + h * (K[:s].T @ _A[s])
-            K[s] = rhs(t + _C[s] * h, ys_stage)
+            K[s] = rhs(t + _C[s] * h, y + h * (K[:s].T @ _A[s]))
             if not np.all(np.isfinite(K[s])):
-                failed_finite = True
                 break
-        if failed_finite:
-            h *= 0.25
-            rejections += 1
-            continue
-        y_new = y + h * (K.T @ _B)
-        err_vec = h * (K.T @ _E)
-        if not np.all(np.isfinite(y_new)):
-            h *= 0.25
-            rejections += 1
-            continue
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        else:
+            y_new = y + h * (K.T @ _B)
+            if np.all(np.isfinite(y_new)):
+                err = _error_norm(h * (K.T @ _E), y, y_new, rtol, atol)
         if not math.isfinite(err):
             h *= 0.25
             rejections += 1

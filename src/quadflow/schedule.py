@@ -137,9 +137,12 @@ class CoefficientSchedule:
     @classmethod
     def kanai_caldirola(cls, m=1.0, omega=1.0, lam=0.1, hbar=1.0):
         _check_mass(m)
+        # a6 and a9 use np.exp (math.exp rounds differently); an overflow
+        # is a non-finite coefficient, which evaluation reports, not a warning
+        quiet = np.errstate(over="ignore", invalid="ignore")
         funcs = [lambda t: 0.0] * N_GENERATORS
-        funcs[5] = lambda t: 0.5 * m * omega ** 2 * np.exp(lam * t)   # a6
-        funcs[8] = lambda t: np.exp(-lam * t) / (2 * m)               # a9
+        funcs[5] = quiet(lambda t: 0.5 * m * omega ** 2 * np.exp(lam * t))
+        funcs[8] = quiet(lambda t: np.exp(-lam * t) / (2 * m))
         return cls(funcs, hbar=hbar, kind="kanai_caldirola",
                    params=dict(m=m, omega=omega, lam=lam))
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow.adjoint import (_adjoint, _adjoint_stack, _affine_blocks,
-                              adjoint_closed_form, adjoint_generator,
-                              adjoint_matrix)
+from quadflow.adjoint import (_adjoint_blocks, adjoint_closed_form,
+                              adjoint_generator, adjoint_matrix)
 from quadflow.observables import heisenberg_map
 
 ALPHAS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -124,7 +123,7 @@ def test_affine_block_is_invariant():
     rng = np.random.default_rng(12)
     for i in range(1, 16):
         for alpha in rng.uniform(-3.0, 3.0, 40):
-            m = _adjoint(i, alpha)
+            m = adjoint_matrix(i, alpha)
             assert not m[:5, 5:].any(), (i, alpha)
             if i >= 6:
                 assert not m[5:, :5].any(), (i, alpha)
@@ -155,13 +154,14 @@ def _taylor_series(i, alpha):
 
 
 def test_adjoint_stack_equals_the_series_bit_for_bit():
-    # one stack evaluation gives every M_k^T exactly as adjoint_matrix and
+    # one size-15 evaluation gives every M_k^T exactly as adjoint_matrix and
     # the plain Taylor series do, over parameter magnitudes 1e-3..20
     rng = np.random.default_rng(7)
     for mag in (1e-3, 1e-2, 0.1, 1.0, 3.0, 20.0):
         for _ in range(25):
             alpha = rng.uniform(-mag, mag, 15)
-            MT = _adjoint_stack(alpha)
+            MT = _adjoint_blocks(alpha)
+            assert MT.shape == (15, 15, 15)
             for i in range(1, 16):
                 a, M = alpha[i - 1], MT[i - 1].T
                 assert np.array_equal(M, adjoint_matrix(i, a)), (i, a)
@@ -170,14 +170,14 @@ def test_adjoint_stack_equals_the_series_bit_for_bit():
 
 
 def test_affine_blocks_are_the_stack_blocks_bit_for_bit():
-    # the Heisenberg map's per-generator 5x5 blocks over a stack of vectors
-    # hold exactly the leading blocks of each vector's own adjoint stack
+    # the size-5 blocks of a whole stack of vectors, in any stack shape,
+    # hold exactly the leading blocks of each vector's own size-15 result
     rng = np.random.default_rng(8)
     alphas = np.concatenate([rng.uniform(-mag, mag, (20, 15))
                              for mag in (1e-3, 0.1, 1.0, 20.0)])
-    blocks = list(_affine_blocks(alphas))
-    assert len(blocks) == 14
-    for n, alpha in enumerate(alphas):
-        MT = _adjoint_stack(alpha)
-        for k, block in enumerate(blocks, start=1):
-            assert np.array_equal(block[n], MT[k, :5, :5]), (k, alpha)
+    blocks = _adjoint_blocks(alphas, 5)
+    assert blocks.shape == (80, 15, 5, 5)
+    assert np.array_equal(_adjoint_blocks(alphas.reshape(4, 20, 15), 5),
+                          blocks.reshape(4, 20, 15, 5, 5))
+    for alpha, block in zip(alphas, blocks):
+        assert np.array_equal(block, _adjoint_blocks(alpha)[:, :5, :5]), alpha

@@ -332,6 +332,61 @@ def test_batch_with_a_shared_stem_is_a_json_error(landau_cfg, tmp_path,
     assert not (tmp_path / "batch").exists()
 
 
+FREE_ALPHAS_CFG = ("[hamiltonian]\npreset = free\n\n[run]\nt_end = 1.0\n\n"
+                   "[outputs]\nalphas = alphas.csv\n")
+
+
+def _json_error(captured):
+    """The one JSON error line on stderr, with nothing on stdout."""
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("second", ["y", "x"])
+def test_batch_whose_outputs_collide_is_a_json_error(tmp_path, capsys,
+                                                     second):
+    # without --outdir each config writes next to itself: two configs of
+    # one directory, or one config twice, would write one alphas.csv
+    same = tmp_path / "same"
+    same.mkdir()
+    (same / "x.cfg").write_text(FREE_ALPHAS_CFG)
+    (same / "y.cfg").write_text(FREE_ALPHAS_CFG.replace("free", "landau"))
+    configs = [str(same / "x.cfg"), str(same / f"{second}.cfg")]
+    assert main(["run", *configs]) == 1
+    err = _json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert str(same / "alphas.csv") in err["detail"]
+    assert all(c in err["detail"] for c in configs)
+    assert not (same / "alphas.csv").exists()
+
+
+def test_config_whose_outputs_share_a_file_is_a_json_error(tmp_path,
+                                                           capsys):
+    p = tmp_path / "one.cfg"
+    p.write_text(FREE_ALPHAS_CFG.replace(
+        "alphas = alphas.csv", "alphas = a.csv\nheisenberg = a.csv"))
+    assert main(["run", str(p)]) == 1
+    err = _json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert str(tmp_path / "a.csv") in err["detail"]
+    assert "alphas" in err["detail"] and "heisenberg" in err["detail"]
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_same_stem_batch_with_distinct_files_runs(landau_cfg, tmp_path,
+                                                  capsys):
+    # both configs write into <outdir>/landau/, under different names
+    other = tmp_path / "elsewhere" / landau_cfg.name
+    other.parent.mkdir()
+    other.write_text(FREE_ALPHAS_CFG.replace("alphas.csv", "free.csv"))
+    assert main(["run", str(landau_cfg), str(other),
+                 "--outdir", str(tmp_path / "batch")]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    assert {p.name for p in (tmp_path / "batch" / "landau").iterdir()} == {
+        "alphas.csv", "heisenberg.json", "green.csv", "free.csv"}
+
+
 # a valid config on the free preset; each case below overrides one key
 NUMERIC_BASE = {
     "hamiltonian": {"preset": "free", "hbar": "1.0"},
@@ -485,18 +540,22 @@ def test_halt_before_first_step_with_green_is_a_json_error(tmp_path, capsys):
                                  "reason": "step-underflow"}
 
 
-def test_huge_coefficients_print_nothing_on_stderr(tmp_path):
-    # a fresh interpreter without np.errstate, as from the shell: numpy's
-    # overflow warnings would land on stderr ahead of the JSON line
-    p = tmp_path / "huge.cfg"
-    p.write_text(HUGE_CFG)
+def _fresh_cli(*argv):
+    """Run the CLI in a fresh interpreter without np.errstate, as from the
+    shell: numpy's warnings would land on stderr ahead of any JSON line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         v for v in (src, env.get("PYTHONPATH")) if v)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadflow.cli", "run", str(p), "--outdir",
-         str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-m", "quadflow.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_huge_coefficients_print_nothing_on_stderr(tmp_path):
+    p = tmp_path / "huge.cfg"
+    p.write_text(HUGE_CFG)
+    proc = _fresh_cli("run", str(p), "--outdir", str(tmp_path))
     assert proc.stderr == "", proc.stderr
     assert proc.returncode == 0
     info = json.loads(proc.stdout)
@@ -504,6 +563,22 @@ def test_huge_coefficients_print_nothing_on_stderr(tmp_path):
     # alpha6 (a6 = a9 = 1e300 tie between alpha6 and alpha9; the first wins)
     assert info["breakdown"] == {"t_break": 0.0, "index": 6,
                                  "reason": "step-underflow"}
+
+
+@pytest.mark.parametrize("lam,coefficient", [("400", "a6"), ("-400", "a9")])
+def test_overflowing_kanai_caldirola_is_one_json_line(tmp_path, lam,
+                                                      coefficient):
+    # e^{lam t} (a6) or e^{-lam t} (a9) overflows at t = 5
+    p = tmp_path / "kc.cfg"
+    p.write_text(f"[hamiltonian]\npreset = kanai_caldirola\nlam = {lam}\n\n"
+                 "[run]\nt_end = 2.0\n\n[outputs]\nalphas = alphas.csv\n")
+    proc = _fresh_cli("print-odes", "--config", str(p), "--t", "5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-schedule"
+    assert err["detail"] == f"{coefficient} non-finite at t = 5.0"
 
 
 def test_verify_landau_with_weak_field_passes_closed_form(capsys):
