@@ -101,6 +101,11 @@ def run_config_file(path, outdir=None, green_only=False) -> dict:
     ``green_only``); returns the info object printed by the CLI."""
     cfg, out_base, dests = _plan(path, outdir, green_only)
     _refuse_shared_destinations([(path, dests)])
+    return _run_plan(path, cfg, out_base, dests)
+
+
+def _run_plan(path, cfg, out_base, dests) -> dict:
+    """Integrate a planned config and write its outputs."""
     out_base.mkdir(parents=True, exist_ok=True)
     result = flow_mod.integrate(
         cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
@@ -143,16 +148,18 @@ def _cmd_run(args) -> int:
             if not raw.strip().isdecimal():
                 raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
                                   "non-negative integer")
-            # every job's files, before any job starts (each job reloads
-            # its config: a schedule does not pickle into a worker)
-            _refuse_shared_destinations([(job[0], _plan(*job)[2])
-                                         for job in jobs])
+            # every job's files, before any job starts; the workers take
+            # these plans (a schedule pickles by its generated source), so
+            # each config is loaded once
+            plans = [(job[0], *_plan(*job)) for job in jobs]
+            _refuse_shared_destinations([(plan[0], plan[3])
+                                         for plan in plans])
             # never more workers than jobs: a fork pool starts them all
             workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
             # imported here: multiprocessing is a cost single runs skip
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                infos = list(pool.map(_run_job, jobs))
+                infos = list(pool.map(_run_plan, *zip(*plans)))
     except QuadflowError as exc:
         return _fail(exc, where=where)
     except OSError as exc:
@@ -160,10 +167,6 @@ def _cmd_run(args) -> int:
     for info in infos:
         print(json.dumps(info))
     return 0
-
-
-def _run_job(job):
-    return run_config_file(*job)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,7 @@ def _cmd_print_odes(args) -> int:
                               f"--t = {args.t!r}, --alpha = {alpha.tolist()}")
         print(json.dumps({
             "t": args.t,
-            "a": a.tolist(),
+            "a": a,
             "alpha": alpha.tolist(),
             "mu": state.mu.tolist(),
             "explicit": ref.tolist(),

@@ -12,7 +12,9 @@ Grammar (whitespace insignificant, byte offsets reported on error):
 Function application requires parentheses (``sin t`` is a parse error).
 Recognised functions: neg, sin, cos, tan, exp, ln, sqrt.  The variable is
 ``t``; any other bare identifier is a named constant, resolved when the tree
-is compiled by :func:`to_callable`.
+is compiled.  :func:`to_callable` compiles a tree to generated Python source:
+one straight-line function with an assignment per operation (see
+:func:`straight_line`), not a tree of closures.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Const", "Unary", "Binary", "parse_expression",
-           "to_callable", "pretty", "FUNCTIONS"]
+           "to_callable", "straight_line", "define", "literal", "pretty",
+           "FUNCTIONS", "NAMESPACE"]
 
 FUNCTIONS = {
     "neg": lambda x: -x,
@@ -199,43 +202,88 @@ def free_names(node) -> set:
     return set()
 
 
+def literal(value) -> str:
+    """Python source for the float ``value``, with every bit kept."""
+    value = float(value)
+    if math.isfinite(value):
+        return repr(value)   # float(repr(x)) == x for every finite float
+    name = "_inf" if math.isinf(value) else "_nan"
+    return name if math.copysign(1.0, value) > 0 else f"-{name}"
+
+
+_BINARY_OPS = ("+", "-", "*", "/", "^")
+
+
+def straight_line(node, constants=None, prefix="_v"):
+    """Generate the tree as straight-line code over the variable ``t``.
+
+    Returns ``(lines, operand)``: one assignment ``<prefix><n> = ...`` per
+    operation, in left-to-right post-order, and the operand (a local, a
+    literal or ``t``) that holds the value.  Numbers and named constants
+    become :func:`literal` operands, ``^`` calls ``math.pow`` and every
+    other function is its entry of :data:`FUNCTIONS`, so the code computes
+    what a walk of the tree would, bit for bit, and raises what it would.
+    No expression nests, whatever the depth of the tree.  Raises KeyError
+    for a named constant missing from ``constants``.
+    """
+    constants = constants or {}
+    lines, operands = [], []
+    todo = [(node, False)]   # an explicit stack: deep trees do not recurse
+    while todo:
+        node, operands_ready = todo.pop()
+        if isinstance(node, Num):
+            operands.append(literal(node.value))
+        elif isinstance(node, Var):
+            operands.append("t")
+        elif isinstance(node, Const):
+            operands.append(literal(constants[node.name]))
+        elif not operands_ready:
+            if not (isinstance(node, Unary) and node.op in FUNCTIONS
+                    or isinstance(node, Binary) and node.op in _BINARY_OPS):
+                raise TypeError(f"not an expression node: {node!r}")
+            todo.append((node, True))
+            if isinstance(node, Binary):
+                todo.append((node.right, False))
+                todo.append((node.left, False))
+            else:
+                todo.append((node.arg, False))
+        else:
+            if isinstance(node, Unary):
+                arg = operands.pop()
+                code = f"-{arg}" if node.op == "neg" else f"{node.op}({arg})"
+            else:
+                right, left = operands.pop(), operands.pop()
+                code = (f"_pow({left}, {right})" if node.op == "^"
+                        else f"{left} {node.op} {right}")
+            local = f"{prefix}{len(lines)}"
+            lines.append(f"{local} = {code}")
+            operands.append(local)
+    return lines, operands.pop()
+
+
+# the names generated code reads besides t
+NAMESPACE = {**FUNCTIONS, "_pow": math.pow, "_inf": math.inf,
+             "_nan": math.nan}
+
+
+def define(lines, result, namespace=NAMESPACE):
+    """Compile ``def f(t): <lines>; return <result>`` over ``namespace``."""
+    body = "".join(f"    {line}\n" for line in lines)
+    scope = {}
+    exec(compile(f"def f(t):\n{body}    return {result}\n",
+                 "<quadflow expression>", "exec"), dict(namespace), scope)
+    return scope["f"]
+
+
 def to_callable(node, constants=None):
-    """Compile the tree to a plain ``f(t) -> float`` closure.
+    """Compile the tree to a plain ``f(t) -> float`` function of
+    :func:`straight_line` code.
 
     Raises KeyError for a named constant missing from ``constants``.  The
-    closure raises ValueError / ZeroDivisionError / OverflowError on domain
-    errors (callers map these to InvalidSchedule).
+    function raises ValueError / ZeroDivisionError / OverflowError on
+    domain errors (callers map these to InvalidSchedule).
     """
-    constants = dict(constants or {})
-    if isinstance(node, Num):
-        v = node.value
-        return lambda t: v
-    if isinstance(node, Var):
-        return lambda t: t
-    if isinstance(node, Const):
-        if node.name not in constants:
-            raise KeyError(node.name)
-        v = float(constants[node.name])
-        return lambda t: v
-    if isinstance(node, Unary):
-        fn = FUNCTIONS[node.op]
-        arg = to_callable(node.arg, constants)
-        return lambda t: fn(arg(t))
-    if isinstance(node, Binary):
-        left = to_callable(node.left, constants)
-        right = to_callable(node.right, constants)
-        op = node.op
-        if op == "+":
-            return lambda t: left(t) + right(t)
-        if op == "-":
-            return lambda t: left(t) - right(t)
-        if op == "*":
-            return lambda t: left(t) * right(t)
-        if op == "/":
-            return lambda t: left(t) / right(t)
-        if op == "^":
-            return lambda t: math.pow(left(t), right(t))
-    raise TypeError(f"not an expression node: {node!r}")
+    return define(*straight_line(node, constants))
 
 
 # precedence levels for the pretty-printer

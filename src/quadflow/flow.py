@@ -10,7 +10,9 @@ or when the step size underflows, and reports the offending component and a
 bracketed breakdown time.
 
 The right-hand side is the transcribed flow equations on Python floats
-(:func:`.reduction.explicit_rhs`).  The matrix pipeline
+(:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
+function returns, and the stepper checks each stage on those floats.  The
+matrix pipeline
 (:func:`.reduction.assemble`) runs once per accepted step, at its end
 state: its det(nu) = 1 check is the conditioning sentinel.  When it refuses
 that state, the step is kept and the sentinel's crossing is bisected on the
@@ -103,7 +105,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # InvalidSchedule propagates; an overflowing term is a NaN stage
         a = schedule.coefficients(t)
         last[:] = t, a
-        return explicit_rhs(a.tolist(), alpha.tolist())
+        return explicit_rhs(a, alpha.tolist())
 
     def coefficients(t):
         # a step's last stage evaluates the schedule at exactly t + h, the
@@ -128,7 +130,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # the largest component at the stop; a halt before the first step
         # stops at alpha0, so there the fastest-moving one, by |alpha_dot|
         offending = res.y_stop if res.dense.t0.size else explicit_rhs(
-            coefficients(res.t_stop).tolist(), res.y_stop.tolist())
+            coefficients(res.t_stop), res.y_stop.tolist())
         breakdown = Breakdown(
             t_break=res.t_stop, index=int(np.argmax(np.abs(offending))) + 1,
             reason={"cap": "magnitude-overflow",

@@ -30,7 +30,8 @@ import numpy as np
 __all__ = ["RKResult", "DenseSolution", "solve"]
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# stage times t + c h are Python floats, like everything f sees
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -129,7 +130,7 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, t_end - t0, max_step)
         y1 = y0 + h0 * f0
-        f1 = f(t0 + h0, y1)
+        f1 = np.asarray(f(t0 + h0, y1))
         d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -168,8 +169,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
 
     Parameters
     ----------
-    f : callable (t, y) -> array-like; may return non-finite values, which
-        reject the current step
+    f : callable (t, y) -> list of floats (an array is converted); may
+        return non-finite values, which reject the current step
     cap : optional magnitude bound; integration halts once any |y_i| > cap
     check : optional callable (t, y) -> bool, called once per accepted
         step at its end state (t + h, y_new) and at the bisection's probes;
@@ -187,10 +188,12 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     def rhs(t, y):
         nonlocal n_rhs
         n_rhs += 1
-        return np.asarray(f(t, y), dtype=float)
+        row = f(t, y)
+        return row if isinstance(row, list) \
+            else np.asarray(row, dtype=float).tolist()
 
     t, y = float(t0), y0.copy()
-    k1 = rhs(t, y)
+    k1 = np.array(rhs(t, y), dtype=float)
     h = _initial_step(rhs, t, y, k1, t_end, rtol, atol, max_step)
 
     steps = []  # (t0, h, y0, q) per accepted step
@@ -207,8 +210,11 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         K[0] = k1
         err = math.nan  # a non-finite stage, state or error norm rejects
         for s in range(1, 7):
-            K[s] = rhs(t + _C[s] * h, y + h * (K[:s].T @ _A[s]))
-            if not np.all(np.isfinite(K[s])):
+            row = rhs(t + _C[s] * h, y + h * (K[:s].T @ _A[s]))
+            K[s] = row
+            # a finite sum has finite terms; the array test only runs to
+            # tell finite terms whose sum overflows from a non-finite one
+            if not (math.isfinite(sum(row)) or np.all(np.isfinite(K[s]))):
                 break
         else:
             y_new = y + h * (K.T @ _B)

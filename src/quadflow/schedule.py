@@ -16,9 +16,18 @@ from named presets:
   a9 = 1/(2m).
 * ``kanai_caldirola(m, omega, lam)`` - damped oscillator along x with
   exponentially scaled mass: a9 = exp(-lam*t)/(2m), a6 = m*omega^2*exp(lam*t)/2.
+
+A preset's parameter products are evaluated once, when it is built; one
+that overflows or is not finite raises :class:`InvalidSchedule` naming the
+coefficient.  Every schedule compiles to one straight-line function of t
+(generated source, see :mod:`.expressions`), and
+:meth:`CoefficientSchedule.coefficients` returns its 15 values as a list of
+floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +46,12 @@ PRESETS = {
     "zero": (),
 }
 
+# the names schedule code reads besides t: kanai_caldirola's np.exp, whose
+# overflow is a non-finite coefficient that evaluation reports, not a warning
+_NAMESPACE = {**ex.NAMESPACE, "_float": float,
+              "_np_exp": np.errstate(over="ignore", invalid="ignore")(np.exp)}
+_DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
 
 def _check_mass(m):
     # every massive preset carries the kinetic coefficient 1/(2m)
@@ -45,20 +60,51 @@ def _check_mass(m):
                               "coefficients 1/(2m) are undefined")
 
 
-class CoefficientSchedule:
-    """The 15 coefficient functions plus hbar.
+def _products(kind, params, products):
+    """Evaluate a preset's {slot: parameter product} on Python floats; a
+    product that overflows or is not finite names its coefficient."""
+    values = {}
+    for k, product in sorted(products.items()):
+        try:
+            values[k] = product()
+        except OverflowError:
+            values[k] = math.inf
+        if not math.isfinite(values[k]):
+            given = ", ".join(f"{key} = {v!r}" for key, v in params.items())
+            raise InvalidSchedule(f"{kind} preset: a{k} is not finite for "
+                                  f"{given}", coefficient=k)
+    return values
 
-    Evaluation returns a plain float 15-vector; any non-finite or undefined
-    value raises :class:`InvalidSchedule` naming the coefficient and time.
+
+class CoefficientSchedule:
+    """The 15 coefficient functions plus hbar, compiled to one function.
+
+    ``slots`` holds each coefficient's generated code, a ``(lines,
+    operand)`` pair of :func:`.expressions.straight_line`; the ``prologue``
+    lines run first and may rebind ``t``.  One ``compile`` turns them into
+    a function that returns the 15 values as a list; a schedule pickles by
+    this source.  Evaluation returns that list of floats; any non-finite or
+    undefined value raises :class:`InvalidSchedule` naming the coefficient
+    and time.
     """
 
-    def __init__(self, funcs, hbar=1.0, kind="custom", params=None):
-        if len(funcs) != N_GENERATORS:
-            raise ValueError("need exactly 15 coefficient functions")
-        self._funcs = list(funcs)
+    def __init__(self, slots, hbar=1.0, kind="custom", params=None,
+                 prologue=()):
+        if len(slots) != N_GENERATORS:
+            raise ValueError("need exactly 15 coefficient slots")
+        self._slots = tuple(slots)
+        self._prologue = tuple(prologue)
         self.hbar = float(hbar)
         self.kind = kind
         self.params = dict(params or {})
+        body = [*self._prologue,
+                *(line for lines, _ in self._slots for line in lines)]
+        operands = ", ".join(operand for _, operand in self._slots)
+        self._fn = ex.define(body, f"[{operands}]", _NAMESPACE)
+
+    def __reduce__(self):
+        return CoefficientSchedule, (self._slots, self.hbar, self.kind,
+                                     self.params, self._prologue)
 
     # -- construction ---------------------------------------------------
 
@@ -67,8 +113,8 @@ class CoefficientSchedule:
         a = np.asarray(a, dtype=float)
         if a.shape != (N_GENERATORS,):
             raise ValueError("coefficient vector must have 15 entries")
-        funcs = [(lambda v: (lambda t: v))(v) for v in a]
-        return cls(funcs, hbar=hbar, kind=kind, params=params)
+        return cls([((), ex.literal(v)) for v in a.tolist()], hbar=hbar,
+                   kind=kind, params=params)
 
     @classmethod
     def from_expressions(cls, sources, constants=None, hbar=1.0):
@@ -78,7 +124,7 @@ class CoefficientSchedule:
         over the run interval).
         """
         constants = dict(constants or {})
-        trees = {}
+        slots = [((), "0.0")] * N_GENERATORS
         for key, src in sources.items():
             idx = int(str(key).lstrip("a")) if not isinstance(key, int) else key
             if not 1 <= idx <= N_GENERATORS:
@@ -89,62 +135,61 @@ class CoefficientSchedule:
                 raise InvalidSchedule(
                     f"a{idx} references undefined constants {sorted(unknown)}",
                     coefficient=idx)
-            trees[idx] = tree
-        funcs = []
-        for i in range(1, N_GENERATORS + 1):
-            if i in trees:
-                funcs.append(ex.to_callable(trees[i], constants))
-            else:
-                funcs.append(lambda t: 0.0)
-        return cls(funcs, hbar=hbar, kind="expressions")
+            slots[idx - 1] = ex.straight_line(tree, constants,
+                                              prefix=f"_a{idx}_")
+        return cls(slots, hbar=hbar, kind="expressions")
+
+    @classmethod
+    def _constant_preset(cls, kind, hbar, params, products):
+        """A preset whose coefficients are {slot: parameter product}."""
+        values = _products(kind, params, products)
+        return cls([((), ex.literal(values.get(k, 0.0)))
+                    for k in range(1, N_GENERATORS + 1)],
+                   hbar=hbar, kind=kind, params=params)
 
     @classmethod
     def zero(cls, hbar=1.0):
-        return cls.from_constant_vector(np.zeros(N_GENERATORS), hbar=hbar,
-                                        kind="zero")
+        return cls._constant_preset("zero", hbar, {}, {})
 
     @classmethod
     def landau(cls, m=1.0, omega_c=1.0, E_x=0.0, E_y=0.0, e=1.0, hbar=1.0):
         _check_mass(m)
-        a = np.zeros(N_GENERATORS)
-        a[1] = e * E_x              # a2
-        a[2] = e * E_y              # a3
-        a[5] = a[6] = m * omega_c ** 2 / 8
-        a[8] = a[9] = 1.0 / (2 * m)
-        a[13] = omega_c / 2         # a14
-        a[14] = -omega_c / 2        # a15
         params = dict(m=m, omega_c=omega_c, E_x=E_x, E_y=E_y, e=e)
-        return cls.from_constant_vector(a, hbar=hbar, kind="landau",
-                                        params=params)
+        return cls._constant_preset("landau", hbar, params, {
+            2: lambda: e * E_x, 3: lambda: e * E_y,
+            6: lambda: m * omega_c ** 2 / 8, 7: lambda: m * omega_c ** 2 / 8,
+            9: lambda: 1.0 / (2 * m), 10: lambda: 1.0 / (2 * m),
+            14: lambda: omega_c / 2, 15: lambda: -omega_c / 2})
 
     @classmethod
     def free(cls, m=1.0, hbar=1.0):
         _check_mass(m)
-        a = np.zeros(N_GENERATORS)
-        a[8] = a[9] = 1.0 / (2 * m)
-        return cls.from_constant_vector(a, hbar=hbar, kind="free",
-                                        params=dict(m=m))
+        return cls._constant_preset("free", hbar, dict(m=m), {
+            9: lambda: 1.0 / (2 * m), 10: lambda: 1.0 / (2 * m)})
 
     @classmethod
     def harmonic1d(cls, m=1.0, omega=1.0, hbar=1.0):
         _check_mass(m)
-        a = np.zeros(N_GENERATORS)
-        a[5] = m * omega ** 2 / 2   # a6
-        a[8] = 1.0 / (2 * m)        # a9
-        return cls.from_constant_vector(a, hbar=hbar, kind="harmonic1d",
-                                        params=dict(m=m, omega=omega))
+        params = dict(m=m, omega=omega)
+        return cls._constant_preset("harmonic1d", hbar, params, {
+            6: lambda: m * omega ** 2 / 2, 9: lambda: 1.0 / (2 * m)})
 
     @classmethod
     def kanai_caldirola(cls, m=1.0, omega=1.0, lam=0.1, hbar=1.0):
         _check_mass(m)
-        # a6 and a9 use np.exp (math.exp rounds differently); an overflow
-        # is a non-finite coefficient, which evaluation reports, not a warning
-        quiet = np.errstate(over="ignore", invalid="ignore")
-        funcs = [lambda t: 0.0] * N_GENERATORS
-        funcs[5] = quiet(lambda t: 0.5 * m * omega ** 2 * np.exp(lam * t))
-        funcs[8] = quiet(lambda t: np.exp(-lam * t) / (2 * m))
-        return cls(funcs, hbar=hbar, kind="kanai_caldirola",
-                   params=dict(m=m, omega=omega, lam=lam))
+        params = dict(m=m, omega=omega, lam=lam)
+        # a6 = (0.5 m omega^2) e^{lam t} and a9 = e^{-lam t} / (2m), with
+        # np.exp (math.exp rounds differently) taken to a float
+        c6 = _products("kanai_caldirola", params,
+                       {6: lambda: 0.5 * m * omega ** 2})[6]
+        slots = [((), "0.0")] * N_GENERATORS
+        slots[5] = ([f"_a6_0 = {ex.literal(lam)} * t",
+                     f"_a6_1 = {ex.literal(c6)} * _float(_np_exp(_a6_0))"],
+                    "_a6_1")
+        slots[8] = ([f"_a9_0 = {ex.literal(-lam)} * t",
+                     f"_a9_1 = _float(_np_exp(_a9_0)) / {ex.literal(2 * m)}"],
+                    "_a9_1")
+        return cls(slots, hbar=hbar, kind="kanai_caldirola", params=params)
 
     @classmethod
     def preset(cls, name, hbar=1.0, **params):
@@ -155,25 +200,34 @@ class CoefficientSchedule:
 
     # -- evaluation -------------------------------------------------------
 
-    def coefficients(self, t: float) -> np.ndarray:
-        out = np.empty(N_GENERATORS)
-        for i, fn in enumerate(self._funcs):
+    def coefficients(self, t: float) -> list:
+        """The 15 coefficients at ``t``, a list of floats."""
+        try:
+            values = self._fn(t)
+        except _DOMAIN_ERRORS:
+            self._raise_undefined(t)
+            raise
+        if math.isfinite(sum(values)):
+            return values
+        # a non-finite value, or finite values whose sum overflows
+        for k, v in enumerate(values, 1):
+            if not math.isfinite(v):
+                raise InvalidSchedule(f"a{k} non-finite at t = {t!r}",
+                                      coefficient=k, time=t)
+        return values
+
+    def _raise_undefined(self, t):
+        """Compile and evaluate slot by slot; raise for the first failure."""
+        for k, (lines, operand) in enumerate(self._slots, 1):
             try:
-                out[i] = fn(t)
-            except (ValueError, ZeroDivisionError, OverflowError, KeyError) as exc:
-                raise InvalidSchedule(
-                    f"a{i + 1} undefined at t = {t!r}: {exc}",
-                    coefficient=i + 1, time=t) from exc
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise InvalidSchedule(f"a{k} non-finite at t = {t!r}",
-                                  coefficient=k, time=t)
-        return out
+                ex.define([*self._prologue, *lines], operand, _NAMESPACE)(t)
+            except _DOMAIN_ERRORS as exc:
+                raise InvalidSchedule(f"a{k} undefined at t = {t!r}: {exc}",
+                                      coefficient=k, time=t) from exc
 
     def negated_reverse(self, t_total: float) -> "CoefficientSchedule":
         """The schedule s -> -a(t_total - s), which undoes this one's flow."""
-        funcs = [(lambda fn: (lambda s: -fn(t_total - s)))(fn)
-                 for fn in self._funcs]
-        return CoefficientSchedule(funcs, hbar=self.hbar,
-                                   kind=f"reversed-{self.kind}")
+        return CoefficientSchedule(
+            [(lines, f"-{operand}") for lines, operand in self._slots],
+            hbar=self.hbar, kind=f"reversed-{self.kind}",
+            prologue=[f"t = {ex.literal(t_total)} - t", *self._prologue])

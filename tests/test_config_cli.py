@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadflow import cli
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import load_config
 from quadflow.errors import ConfigError
@@ -177,6 +178,29 @@ def test_cli_run_batch_isolates_outputs(landau_cfg, tmp_path, capsys,
     assert len(lines) == 2
     assert (tmp_path / "batch" / "landau" / "alphas.csv").exists()
     assert (tmp_path / "batch" / "second" / "alphas.csv").exists()
+
+
+def test_batch_loads_each_config_once(landau_cfg, tmp_path, capsys,
+                                      monkeypatch):
+    # the workers (forked, so they share this patch) take the parent's
+    # plans; each load appends a line to a file all processes can see
+    log = tmp_path / "loads.txt"
+    real = cli.load_config
+
+    def logged(path):
+        with open(log, "a") as fh:
+            fh.write(f"{path}\n")
+        return real(path)
+
+    other = tmp_path / "second.cfg"
+    other.write_text(LANDAU_CFG.replace("t_end = 2.5", "t_end = 1.5"))
+    monkeypatch.setattr(cli, "load_config", logged)
+    monkeypatch.setenv("QUADFLOW_THREADS", "2")
+    assert main(["run", str(landau_cfg), str(other),
+                 "--outdir", str(tmp_path / "batch")]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    assert sorted(log.read_text().splitlines()) == sorted(
+        [str(landau_cfg), str(other)])
 
 
 def test_cli_reports_breakdown(tmp_path, capsys):
@@ -579,6 +603,47 @@ def test_overflowing_kanai_caldirola_is_one_json_line(tmp_path, lam,
     err = json.loads(line)
     assert err["error"] == "invalid-schedule"
     assert err["detail"] == f"{coefficient} non-finite at t = 5.0"
+
+
+@pytest.mark.parametrize("preset, flag", [("harmonic1d", "--omega"),
+                                          ("landau", "--omega-c")])
+def test_overflowing_preset_parameter_is_one_json_line(preset, flag):
+    # m * omega**2 overflows on Python floats
+    proc = _fresh_cli("verify", "--preset", preset, flag, "1e200")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-schedule"
+    assert err["detail"].startswith(f"{preset} preset: a6 is not finite ")
+
+
+def test_overflowing_preset_parameter_in_a_config_is_a_config_error(
+        tmp_path, capsys):
+    p = tmp_path / "h.cfg"
+    p.write_text("[hamiltonian]\npreset = harmonic1d\nomega = 1e200\n\n"
+                 "[run]\nt_end = 1.0\n")
+    assert main(["run", str(p)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert err["detail"].startswith("[hamiltonian]: harmonic1d preset: a6 ")
+
+
+def test_schedule_error_inside_the_flow_prints_a_plain_time(tmp_path,
+                                                            capsys):
+    # RK stage times are Python floats: the detail reads t = 1.00007...,
+    # not numpy's repr of a scalar
+    p = tmp_path / "sqrt.cfg"
+    p.write_text("[hamiltonian]\na6 = sqrt(1-t)\na9 = 0.5\n\n"
+                 "[run]\nt_end = 2.0\n\n[outputs]\nalphas = alphas.csv\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-schedule"
+    head, sep, tail = err["detail"].partition(" undefined at t = ")
+    assert head == "a6" and sep
+    t, _, reason = tail.partition(": ")
+    assert reason == "math domain error"
+    assert 1.0 < float(t) < 1.01
 
 
 def test_verify_landau_with_weak_field_passes_closed_form(capsys):

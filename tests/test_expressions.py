@@ -1,14 +1,22 @@
-"""Expression mini-language: grammar, offsets, round trips, compiled closures."""
+"""Expression mini-language: grammar, offsets, round trips, generated code."""
 
+import json
 import math
+import operator
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadflow.errors import ParseError
-from quadflow.expressions import (Binary, Const, Num, Unary, Var, free_names,
-                                  parse_expression, pretty, to_callable)
+from quadflow.expressions import (FUNCTIONS, Binary, Const, Num, Unary, Var,
+                                  free_names, parse_expression, pretty,
+                                  straight_line, to_callable)
 
 
 def value_at(src, t):
@@ -148,3 +156,109 @@ def _trees(depth):
 @given(tree=_trees(3))
 def test_round_trip_random_trees(tree):
     assert parse_expression(pretty(tree)) == tree
+
+
+# -- generated code ---------------------------------------------------------
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": math.pow}
+
+
+def walk(node, constants, t):
+    """The reference interpreter: a recursive walk of the tree."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return t
+    if isinstance(node, Const):
+        return float(constants[node.name])
+    if isinstance(node, Unary):
+        return FUNCTIONS[node.op](walk(node.arg, constants, t))
+    left = walk(node.left, constants, t)
+    return _BINARY[node.op](left, walk(node.right, constants, t))
+
+
+def outcome(fn, *args):
+    """The bits of ``fn(*args)`` (any NaN alike), or the type it raises."""
+    try:
+        value = fn(*args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _any_trees(depth):
+    leaf = st.one_of(ANY_FLOAT.map(Num), st.just(Var()),
+                     st.sampled_from(["a", "b"]).map(Const))
+    if depth == 0:
+        return leaf
+    sub = _any_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(
+            lambda x: Binary(*x)),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub).map(
+            lambda x: Unary(*x)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_any_trees(4), a=ANY_FLOAT, b=ANY_FLOAT, t=ANY_FLOAT)
+def test_generated_code_equals_the_tree_walk(tree, a, b, t):
+    constants = {"a": a, "b": b}
+    assert outcome(to_callable(tree, constants), t) == \
+        outcome(walk, tree, constants, t)
+
+
+def test_generated_code_is_one_assignment_per_operation():
+    lines, operand = straight_line(parse_expression("-2^t + sin(t*w) - 3"),
+                                   {"w": -0.5}, prefix="_x")
+    assert lines == ["_x0 = _pow(2.0, t)", "_x1 = -_x0", "_x2 = t * -0.5",
+                     "_x3 = sin(_x2)", "_x4 = _x1 + _x3", "_x5 = _x4 - 3.0"]
+    assert operand == "_x5"
+    assert straight_line(Num(-math.inf)) == ([], "-_inf")
+    assert straight_line(Var()) == ([], "t")
+
+
+def _fold(values, op):
+    total = values[0]
+    for v in values[1:]:
+        total = op(total, v)
+    return total
+
+
+DEEP = {
+    # the deepest chains the parser accepts; nested code would not compile
+    "sum-997": ("+".join(["t"] * 997), _fold([0.75] * 997, operator.add)),
+    "pow-494": ("^".join(["1"] * 494), 1.0),
+    "sin-197": ("sin(" * 197 + "t" + ")" * 197,
+                _fold([0.75] + [None] * 197, lambda x, _: math.sin(x))),
+    "neg-988": ("-" * 988 + "t", 0.75),
+}
+# the parser recurses, so it is run from the top of a fresh interpreter's
+# stack, as a script runs it, and not from under pytest's frames
+_DEEP_SCRIPT = """
+import json, sys
+from quadflow.expressions import parse_expression, to_callable
+values = []
+for src in json.loads(sys.argv[1]):
+    values.append(to_callable(parse_expression(src))(0.75))
+print(json.dumps(values))
+"""
+
+
+def test_deep_expressions_compile_and_evaluate():
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        v for v in (src_dir, env.get("PYTHONPATH")) if v)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_SCRIPT,
+         json.dumps([src for src, _ in DEEP.values()])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    values = dict(zip(DEEP, json.loads(proc.stdout)))
+    assert values == {name: expected for name, (_, expected) in DEEP.items()}

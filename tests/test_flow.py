@@ -1,6 +1,7 @@
 """Flow integration: closed-form oracle, breakdown, schedule handling."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -196,6 +197,28 @@ def test_solve_halts_at_the_earlier_of_cap_and_check(limit, status, t_cross):
     assert res.dense.t0[-1] + res.dense.h[-1] == 1.0
     assert res.status == status
     assert abs(res.t_stop - t_cross) <= 1e-12
+
+
+def test_solve_accepts_finite_stages_whose_sum_overflows():
+    # 32 entries of 6e306 sum past the float range, while every stage
+    # combination of the tableau stays finite (with entries of 1e308 the
+    # combinations would overflow themselves); y' = 6e306 is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rk.solve(lambda t, y: [6e306] * 32, 0.0, np.zeros(32), 1.0,
+                       atol=1e306)
+    assert res.status == "done" and res.t_stop == 1.0
+    np.testing.assert_allclose(res.y_stop, 6e306, rtol=1e-12)
+
+
+def test_solve_rejects_a_stage_with_one_nan():
+    # the second entry turns NaN past t = 0.5: every step across it is
+    # rejected until h falls to the floor there
+    res = rk.solve(lambda t, y: [1.0, math.nan if t > 0.5 else 1.0], 0.0,
+                   [0.0, 0.0], 1.0)
+    assert res.status == "underflow"
+    assert 0.5 - 1e-12 < res.t_stop <= 0.5
+    assert np.all(np.isfinite(res.dense.q))
 
 
 def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):

@@ -1,0 +1,141 @@
+"""Coefficient schedules: the compiled evaluator, its error path, pickling."""
+
+import math
+import pickle
+import struct
+
+import numpy as np
+import pytest
+
+from quadflow.config import load_config
+from quadflow.errors import InvalidSchedule
+from quadflow.schedule import PRESETS, CoefficientSchedule
+
+TIMES = (0.0, 0.37, 1.5, 2.75, -0.5)
+
+DRIVEN_CFG = """
+[hamiltonian]
+a6 = A*sin(w*t)
+a9 = 0.5
+a10 = 0.5
+a11 = B*cos(t)
+a14 = C
+a15 = -C
+
+[constants]
+A = 0.5
+w = 2.0
+B = 0.1
+C = 0.5
+
+[run]
+t_end = 4.0
+"""
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_coefficients_are_a_list_of_floats():
+    sched = CoefficientSchedule.from_expressions({6: "0.5*sin(2*t)", 9: "1"})
+    a = sched.coefficients(0.25)
+    assert type(a) is list and len(a) == 15
+    assert all(type(v) is float for v in a)
+    assert a[5] == 0.5 * math.sin(0.5) and a[8] == 1.0
+    assert a.count(0.0) == 13
+
+
+@pytest.mark.parametrize("src, t, detail", [
+    # the parent's texts, byte for byte
+    ("ln(t-1)", 0.0, "a7 undefined at t = 0.0: math domain error"),
+    ("1/(t-t)", 0.0, "a7 undefined at t = 0.0: float division by zero"),
+    ("exp(1000*t)", 1.0, "a7 undefined at t = 1.0: math range error"),
+    ("1e200*1e200", 0.0, "a7 non-finite at t = 0.0"),
+])
+def test_invalid_schedule_names_the_coefficient_and_time(src, t, detail):
+    sched = CoefficientSchedule.from_expressions({3: "t", 7: src, 9: "0.5"})
+    with pytest.raises(InvalidSchedule) as err:
+        sched.coefficients(t)
+    assert str(err.value) == detail
+    assert err.value.coefficient == 7
+    assert err.value.time == t
+
+
+def test_an_undefined_coefficient_wins_over_an_earlier_non_finite_one():
+    # every slot is evaluated before non-finite values are looked for
+    sched = CoefficientSchedule.from_expressions({3: "1e200*1e200",
+                                                  9: "ln(t-1)"})
+    with pytest.raises(InvalidSchedule) as err:
+        sched.coefficients(0.0)
+    assert str(err.value) == "a9 undefined at t = 0.0: math domain error"
+
+
+def test_finite_coefficients_whose_sum_overflows_are_returned():
+    a = np.zeros(15)
+    a[5] = a[8] = 1e308
+    assert CoefficientSchedule.from_constant_vector(a).coefficients(0.0) == \
+        a.tolist()
+
+
+def build(name, tmp_path):
+    if name == "expressions":   # as a config file gives it
+        p = tmp_path / "driven.cfg"
+        p.write_text(DRIVEN_CFG)
+        return load_config(p).schedule
+    if name == "kanai_caldirola-decay":
+        return CoefficientSchedule.kanai_caldirola(m=0.7, omega=1.3,
+                                                   lam=-0.45, hbar=0.5)
+    return CoefficientSchedule.preset(name)
+
+
+@pytest.mark.parametrize("name", ["expressions", *PRESETS,
+                                  "kanai_caldirola-decay"])
+def test_schedule_pickles_with_the_same_bits(name, tmp_path):
+    sched = build(name, tmp_path)
+    back = pickle.loads(pickle.dumps(sched))
+    assert (back.kind, back.params, back.hbar) == \
+        (sched.kind, sched.params, sched.hbar)
+    for t in TIMES:
+        assert bits(back.coefficients(t)) == bits(sched.coefficients(t))
+    reversed_ = sched.negated_reverse(1.25)
+    back = pickle.loads(pickle.dumps(reversed_))
+    for t in TIMES:
+        assert bits(back.coefficients(t)) == bits(reversed_.coefficients(t))
+
+
+def test_negated_reverse_negates_the_reversed_values():
+    sched = CoefficientSchedule.from_expressions({2: "0.4", 6: "sin(2*t)",
+                                                  14: "t^2"})
+    twice = sched.negated_reverse(0.5).negated_reverse(2.0)
+    for s in TIMES:
+        once = sched.negated_reverse(0.5).coefficients(s)
+        assert bits(once) == bits([-v for v in sched.coefficients(0.5 - s)])
+        assert bits(twice.coefficients(s)) == \
+            bits(sched.coefficients(0.5 - (2.0 - s)))
+
+
+@pytest.mark.parametrize("name, params, coefficient", [
+    ("harmonic1d", dict(omega=1e200), 6),
+    ("landau", dict(omega_c=1e200), 6),
+    ("landau", dict(E_x=1e300, e=1e10), 2),
+    ("free", dict(m=1e-320), 9),
+    ("kanai_caldirola", dict(omega=math.inf), 6),
+])
+def test_preset_product_that_is_not_finite_names_its_coefficient(
+        name, params, coefficient):
+    with pytest.raises(InvalidSchedule) as err:
+        CoefficientSchedule.preset(name, **params)
+    assert err.value.coefficient == coefficient
+    assert str(err.value).startswith(f"{name} preset: a{coefficient} is "
+                                     "not finite for ")
+
+
+def test_kanai_caldirola_keeps_the_values_of_numpy_exp():
+    m, omega, lam = 0.7, 1.3, 0.45
+    sched = CoefficientSchedule.kanai_caldirola(m=m, omega=omega, lam=lam)
+    for t in TIMES:
+        a = sched.coefficients(t)
+        assert bits([a[5], a[8]]) == bits([
+            float(0.5 * m * omega ** 2 * np.exp(lam * t)),
+            float(np.exp(-lam * t) / (2 * m))])
