@@ -12,9 +12,15 @@ Grammar (whitespace insignificant, byte offsets reported on error):
 Function application requires parentheses (``sin t`` is a parse error).
 Recognised functions: neg, sin, cos, tan, exp, ln, sqrt.  The variable is
 ``t``; any other bare identifier is a named constant, resolved when the tree
-is compiled.  :func:`to_callable` compiles a tree to generated Python source:
-one straight-line function with an assignment per operation (see
-:func:`straight_line`), not a tree of closures.
+is compiled.
+
+:func:`parse_expression` reads this grammar in one loop over the tokens,
+with an operand stack and an operator stack (a function call or a group is
+a paren marker on the operator stack that its ``)`` closes), so no depth of
+nesting recurses.  :func:`to_callable` compiles a tree to generated Python
+source: one straight-line function with an assignment per operation (see
+:func:`straight_line`, which walks the tree with an explicit stack and
+reports every missing named constant at once), not a tree of closures.
 """
 
 from __future__ import annotations
@@ -92,114 +98,82 @@ def _tokenize(src: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
+# how tightly each stacked operator holds its operands; a paren marker
+# ("(" or "(<function>") holds nothing, so no reduction passes it
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _reduce(operands, operators, floor):
+    """Apply the stacked operators that bind at least ``floor`` tightly."""
+    while operators and _BINDING.get(operators[-1], 0) >= floor:
+        op = operators.pop()
+        if op == "neg":
+            operands.append(Unary("neg", operands.pop()))
+        else:
+            right = operands.pop()
+            operands.append(Binary(op, operands.pop(), right))
 
-    def expect_op(self, text):
-        kind, value, offset = self.peek()
-        if kind == "op" and value == text:
-            return self.advance()
-        raise ParseError(f"expected {text!r}, found {value or 'end of input'!r}",
-                         offset, expected=(text,))
 
-    def parse(self):
-        node = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input {value!r}", offset,
-                             expected=("end of input",))
-        return node
+def parse_expression(src: str):
+    """Parse ``src`` into an expression tree; ParseError carries the byte offset.
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = Binary(value, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = Binary(value, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return Binary("^", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, value, offset = self.advance()
+    One loop over the tokens with an operand stack and an operator stack,
+    so no depth of nesting recurses.
+    """
+    tokens = _tokenize(src)
+    operands, operators = [], []
+    i = 0
+    while True:
+        # an operand is due: a prefix '-', an opening paren or an atom
+        kind, value, offset = tokens[i]
+        i += 1
+        if kind == "op" and value in "-(":
+            operators.append("neg" if value == "-" else "(")
+            continue
         if kind == "number":
-            return Num(float(value))
-        if kind == "ident":
-            nxt_kind, nxt_value, nxt_offset = self.peek()
+            operands.append(Num(float(value)))
+        elif kind == "ident":
+            nxt_kind, nxt_value, nxt_offset = tokens[i]
             if nxt_kind == "op" and nxt_value == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset,
                                      expected=tuple(sorted(FUNCTIONS)))
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(value, arg)
+                operators.append("(" + value)
+                i += 1
+                continue
             if value in FUNCTIONS:
                 # function names always take parenthesised arguments
                 raise ParseError(
                     f"function {value!r} requires parentheses", nxt_offset,
                     expected=("(",))
-            if value == "t":
-                return Var()
-            return Const(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected {value or 'end of input'!r}", offset,
-                         expected=("number", "identifier", "("))
-
-
-def parse_expression(src: str):
-    """Parse ``src`` into an expression tree; ParseError carries the byte offset."""
-    return _Parser(src).parse()
-
-
-def free_names(node) -> set:
-    """Named constants appearing in the tree (the variable t excluded)."""
-    if isinstance(node, Const):
-        return {node.name}
-    if isinstance(node, Unary):
-        return free_names(node.arg)
-    if isinstance(node, Binary):
-        return free_names(node.left) | free_names(node.right)
-    return set()
+            operands.append(Var() if value == "t" else Const(value))
+        else:
+            raise ParseError(f"unexpected {value or 'end of input'!r}", offset,
+                             expected=("number", "identifier", "("))
+        # an operator is due: a binary one, a closing paren or the end
+        while True:
+            kind, value, offset = tokens[i]
+            i += 1
+            if kind == "op" and value in _BINDING:
+                # '^' binds tightest and is right-associative: it reduces
+                # nothing, and unary minus stays outside it (-2^2 = -(2^2))
+                if value != "^":
+                    _reduce(operands, operators, _BINDING[value])
+                operators.append(value)
+                break
+            _reduce(operands, operators, 1)
+            if not operators:
+                if kind != "eof":
+                    raise ParseError(f"trailing input {value!r}", offset,
+                                     expected=("end of input",))
+                return operands.pop()
+            if not (kind == "op" and value == ")"):
+                raise ParseError(
+                    f"expected ')', found {value or 'end of input'!r}",
+                    offset, expected=(")",))
+            function = operators.pop()[1:]
+            if function:
+                operands.append(Unary(function, operands.pop()))
 
 
 def literal(value) -> str:
@@ -223,11 +197,12 @@ def straight_line(node, constants=None, prefix="_v"):
     become :func:`literal` operands, ``^`` calls ``math.pow`` and every
     other function is its entry of :data:`FUNCTIONS`, so the code computes
     what a walk of the tree would, bit for bit, and raises what it would.
-    No expression nests, whatever the depth of the tree.  Raises KeyError
-    for a named constant missing from ``constants``.
+    No expression nests, whatever the depth of the tree.  Raises one
+    KeyError whose argument is the sorted list of the named constants
+    missing from ``constants``.
     """
     constants = constants or {}
-    lines, operands = [], []
+    lines, operands, missing = [], [], set()
     todo = [(node, False)]   # an explicit stack: deep trees do not recurse
     while todo:
         node, operands_ready = todo.pop()
@@ -236,7 +211,11 @@ def straight_line(node, constants=None, prefix="_v"):
         elif isinstance(node, Var):
             operands.append("t")
         elif isinstance(node, Const):
-            operands.append(literal(constants[node.name]))
+            if node.name in constants:
+                operands.append(literal(constants[node.name]))
+            else:
+                missing.add(node.name)
+                operands.append(node.name)
         elif not operands_ready:
             if not (isinstance(node, Unary) and node.op in FUNCTIONS
                     or isinstance(node, Binary) and node.op in _BINARY_OPS):
@@ -258,6 +237,8 @@ def straight_line(node, constants=None, prefix="_v"):
             local = f"{prefix}{len(lines)}"
             lines.append(f"{local} = {code}")
             operands.append(local)
+    if missing:
+        raise KeyError(sorted(missing))
     return lines, operands.pop()
 
 
@@ -279,7 +260,7 @@ def to_callable(node, constants=None):
     """Compile the tree to a plain ``f(t) -> float`` function of
     :func:`straight_line` code.
 
-    Raises KeyError for a named constant missing from ``constants``.  The
+    Raises KeyError for named constants missing from ``constants``.  The
     function raises ValueError / ZeroDivisionError / OverflowError on
     domain errors (callers map these to InvalidSchedule).
     """

@@ -12,9 +12,10 @@ bracketed breakdown time.
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
 function returns, and the stepper checks each stage on those floats.  The
-matrix pipeline
-(:func:`.reduction.assemble`) runs once per accepted step, at its end
-state: its det(nu) = 1 check is the conditioning sentinel.  When it refuses
+matrix pipeline (:func:`.reduction.assemble`) runs once per accepted step,
+at its end state: its det(nu) = 1 check is the conditioning sentinel.
+det(nu) depends on alpha alone, so the sentinel reads no coefficients and
+the schedule is evaluated once per right-hand side.  When it refuses
 that state, the step is kept and the sentinel's crossing is bisected on the
 step's dense polynomial; the flow halts at the last state it passes, a
 step-underflow breakdown, since no step can be certified beyond it.
@@ -71,6 +72,9 @@ class FlowResult:
         return self.dense(t)
 
 
+_NO_COEFFICIENTS = np.zeros(N_GENERATORS)
+
+
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
               atol=1e-10, max_step=None, magnitude_cap=1e8, samples=200,
               initial_alpha=None) -> FlowResult:
@@ -99,25 +103,17 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     if alpha0.shape != (N_GENERATORS,):
         raise ValueError("initial_alpha must be a 15-vector")
 
-    last = [None, None]   # (t, a(t)) of the latest right-hand side
-
     def rhs(t, alpha):
         # InvalidSchedule propagates; an overflowing term is a NaN stage
-        a = schedule.coefficients(t)
-        last[:] = t, a
-        return explicit_rhs(a, alpha.tolist())
-
-    def coefficients(t):
-        # a step's last stage evaluates the schedule at exactly t + h, the
-        # time the sentinel checks; only the bisection's probes miss
-        return last[1] if last[0] == t else schedule.coefficients(t)
+        return explicit_rhs(schedule.coefficients(t), alpha.tolist())
 
     def conditioned(t, alpha):
         # assemble's det(nu) = 1 assertion is the conditioning sentinel: once
         # the matrix entries outrun double precision the factorization data
-        # is meaningless, so the flow halts at the last state it passes
+        # is meaningless, so the flow halts at the last state it passes.
+        # det(nu) depends on alpha alone, so the coefficients are zeros
         try:
-            assemble(coefficients(t), alpha)
+            assemble(_NO_COEFFICIENTS, alpha)
         except SingularNu:
             return False
         return True
@@ -130,7 +126,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # the largest component at the stop; a halt before the first step
         # stops at alpha0, so there the fastest-moving one, by |alpha_dot|
         offending = res.y_stop if res.dense.t0.size else explicit_rhs(
-            coefficients(res.t_stop), res.y_stop.tolist())
+            schedule.coefficients(res.t_stop), res.y_stop.tolist())
         breakdown = Breakdown(
             t_break=res.t_stop, index=int(np.argmax(np.abs(offending))) + 1,
             reason={"cap": "magnitude-overflow",

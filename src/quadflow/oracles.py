@@ -4,9 +4,9 @@ Two oracles, deliberately sharing no code with the adjoint/reduction
 machinery beyond the coefficient schedule:
 
 * :func:`fundamental_matrix` integrates the *classical* equations of motion
-  dz/dt = A(t) z + b(t) on z = (x, y, p_x, p_y), with A = J H(t) assembled
-  directly from the symmetric coefficient matrix of the quadratic form and
-  b from the linear coefficients.  The resulting flow map (S, d) must match
+  dz/dt = A(t) z + b(t) on z = (x, y, p_x, p_y), with A = J (2H(t))
+  assembled directly from the symmetric matrix H of the quadratic form and
+  b = J l from the linear coefficients.  The resulting flow map (S, d) must match
   the Heisenberg-picture affine map.
 
 * :func:`apply_kernel` pushes a Gaussian wavepacket through a Green-function
@@ -36,10 +36,10 @@ __all__ = ["hamiltonian_matrix", "classical_system", "fundamental_matrix",
 
 
 def hamiltonian_matrix(a) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric matrix H and linear vector l with H(z) = 1/2 z^T (2H?) ...
+    """Symmetric H and linear l of the classical value z^T H z + l . z + a1.
 
-    Conventions: the classical Hamiltonian value is z^T H z + l . z + a1,
-    so H collects the quadratic coefficients symmetrically:
+    z = (x, y, p_x, p_y), and H collects the quadratic coefficients
+    symmetrically:
 
         H = [[2a6,  a8,  2a12, a14],        l = (a2, a3, a4, a5)
              [a8,  2a7,  a15,  2a13],

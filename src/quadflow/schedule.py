@@ -118,25 +118,24 @@ class CoefficientSchedule:
 
     @classmethod
     def from_expressions(cls, sources, constants=None, hbar=1.0):
-        """Build from {index or 'a<index>': source-or-tree}; missing slots are 0.
+        """Build from {index: source string}, index 1..15; missing slots are 0.
 
-        Unknown names are rejected up front (every expression must evaluate
-        over the run interval).
+        Each source is parsed and compiled in one pass over its tree.  An
+        unknown named constant is rejected up front (every expression must
+        evaluate over the run interval).
         """
-        constants = dict(constants or {})
         slots = [((), "0.0")] * N_GENERATORS
-        for key, src in sources.items():
-            idx = int(str(key).lstrip("a")) if not isinstance(key, int) else key
+        for idx, src in sources.items():
             if not 1 <= idx <= N_GENERATORS:
-                raise ValueError(f"coefficient index out of range: {key!r}")
-            tree = src if not isinstance(src, str) else ex.parse_expression(src)
-            unknown = ex.free_names(tree) - set(constants)
-            if unknown:
+                raise ValueError(f"coefficient index out of range: {idx!r}")
+            tree = ex.parse_expression(src)
+            try:
+                slots[idx - 1] = ex.straight_line(tree, constants,
+                                                  prefix=f"_a{idx}_")
+            except KeyError as exc:
                 raise InvalidSchedule(
-                    f"a{idx} references undefined constants {sorted(unknown)}",
-                    coefficient=idx)
-            slots[idx - 1] = ex.straight_line(tree, constants,
-                                              prefix=f"_a{idx}_")
+                    f"a{idx} references undefined constants {exc.args[0]}",
+                    coefficient=idx) from None
         return cls(slots, hbar=hbar, kind="expressions")
 
     @classmethod

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadflow import cli
 from quadflow.cli import build_parser, main, run_config_file
-from quadflow.config import load_config
-from quadflow.errors import ConfigError
+from quadflow.config import RunConfig, load_config
+from quadflow.errors import ConfigError, InvalidSchedule
+from quadflow.expressions import FUNCTIONS
 from quadflow.schedule import PRESETS, CoefficientSchedule
 
 LANDAU_CFG = """
@@ -686,3 +689,77 @@ def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "quadflow.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# coefficient expressions nested far past the interpreter's recursion limit
+DEEP_EXPRESSIONS = {
+    "neg-3000": "-" * 3000 + "t",
+    "sum-3000": "+".join(["t"] * 3000),
+    "paren-1000": "(" * 1000 + "t" + ")" * 1000,
+    "sin-3000": "sin(" * 3000 + "t" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_EXPRESSIONS))
+def test_deep_expression_configs_run(tmp_path, capsys, name):
+    p = tmp_path / f"{name}.cfg"
+    p.write_text(f"[hamiltonian]\na6 = {DEEP_EXPRESSIONS[name]}\na9 = 0.5\n\n"
+                 "[run]\nt_end = 1.0\n\n[outputs]\nalphas = alphas.csv\n")
+    code = main(["run", str(p), "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["written"]
+
+
+# the expression alphabet: numbers, t, names (w is defined, k is not), the
+# functions bare and called, an unknown function, a stray character,
+# operators, parentheses and spaces
+EXPRESSION_TOKENS = [
+    "0.5", "2", "1e3", ".5", "t", "w", "k", *sorted(FUNCTIONS),
+    *(f"{name}(" for name in sorted(FUNCTIONS)), "sinh(", "$", "+", "-", "*",
+    "/", "^", "(", ")", " "]
+
+
+# units that open an operand: repeated, they nest or chain without error
+PREFIX_UNITS = ["-", "(", "sin(", "exp(", "ln(", "neg(", "t+", "2*", "t^",
+                "w/", " "]
+
+
+def _expression_text():
+    tokens = st.lists(st.sampled_from(EXPRESSION_TOKENS), min_size=1,
+                      max_size=8)
+    units = st.one_of(tokens, st.lists(st.sampled_from(PREFIX_UNITS),
+                                       min_size=1, max_size=4))
+
+    def chain(unit, n, tail, balance):
+        # a unit repeated to about n tokens, then a tail; balancing closes
+        # every paren the chain left open
+        text = "".join(unit) * (n // len(unit)) + "".join(tail)
+        return text + ")" * max(0, text.count("(") - text.count(")")) \
+            if balance else text
+
+    short = st.lists(st.sampled_from(EXPRESSION_TOKENS), max_size=30).map(
+        "".join)
+    tails = st.one_of(tokens, st.sampled_from(["t", "w", "0.5"]).map(list))
+    return st.one_of(short, st.builds(chain, units, st.integers(1000, 4000),
+                                      tails, st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_expression_text())
+def test_any_expression_text_loads_or_is_a_config_error(tmp_path_factory,
+                                                        text):
+    p = tmp_path_factory.mktemp("expr") / "expr.cfg"
+    p.write_text(f"[hamiltonian]\na6 = {text}\n\n[constants]\nw = 2.0\n\n"
+                 "[run]\nt_end = 1.0\n")
+    try:
+        cfg = load_config(p)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    try:
+        values = cfg.schedule.coefficients(0.5)
+    except InvalidSchedule:
+        return
+    assert len(values) == 15 and all(type(v) is float for v in values)

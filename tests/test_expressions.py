@@ -1,13 +1,8 @@
 """Expression mini-language: grammar, offsets, round trips, generated code."""
 
-import json
 import math
 import operator
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +10,8 @@ from hypothesis import strategies as st
 
 from quadflow.errors import ParseError
 from quadflow.expressions import (FUNCTIONS, Binary, Const, Num, Unary, Var,
-                                  free_names, parse_expression, pretty,
-                                  straight_line, to_callable)
+                                  parse_expression, pretty, straight_line,
+                                  to_callable)
 
 
 def value_at(src, t):
@@ -85,11 +80,15 @@ def test_precedence_structure():
 
 
 def test_named_constants_and_free_names():
-    tree = parse_expression("omega*t + phi0")
-    assert free_names(tree) == {"omega", "phi0"}
-    assert to_callable(tree, {"omega": 1.5, "phi0": 0.25})(2.0) == 3.25
-    with pytest.raises(KeyError):  # a missing constant fails at compile time
-        to_callable(tree, {"omega": 1.5})
+    tree = parse_expression("phi0 + omega*t*phi0")
+    assert to_callable(tree, {"omega": 1.5, "phi0": 0.25})(2.0) == 1.0
+    # missing constants fail at compile time, all of them in one KeyError
+    with pytest.raises(KeyError) as err:
+        to_callable(tree)
+    assert err.value.args == (["omega", "phi0"],)
+    with pytest.raises(KeyError) as err:
+        straight_line(tree, {"omega": 1.5})
+    assert err.value.args == (["phi0"],)
 
 
 def test_domain_errors_propagate():
@@ -231,34 +230,25 @@ def _fold(values, op):
 
 
 DEEP = {
-    # the deepest chains the parser accepts; nested code would not compile
-    "sum-997": ("+".join(["t"] * 997), _fold([0.75] * 997, operator.add)),
-    "pow-494": ("^".join(["1"] * 494), 1.0),
-    "sin-197": ("sin(" * 197 + "t" + ")" * 197,
-                _fold([0.75] + [None] * 197, lambda x, _: math.sin(x))),
-    "neg-988": ("-" * 988 + "t", 0.75),
+    # chains far past the interpreter's recursion limit: parsing, the
+    # constant check and the generated code all run without recursing
+    "sum-3000": ("+".join(["t"] * 3000), _fold([0.75] * 3000, operator.add)),
+    "pow-3000": ("^".join(["1"] * 3000), 1.0),
+    "sin-3000": ("sin(" * 3000 + "t" + ")" * 3000,
+                 _fold([0.75] + [None] * 3000, lambda x, _: math.sin(x))),
+    "neg-3001": ("-" * 3001 + "t", -0.75),
+    "paren-3000": ("(" * 3000 + "t" + ")" * 3000, 0.75),
+    "mixed-1000": ("(-sin(t)*" * 1000 + "t" + ")" * 1000, None),
 }
-# the parser recurses, so it is run from the top of a fresh interpreter's
-# stack, as a script runs it, and not from under pytest's frames
-_DEEP_SCRIPT = """
-import json, sys
-from quadflow.expressions import parse_expression, to_callable
-values = []
-for src in json.loads(sys.argv[1]):
-    values.append(to_callable(parse_expression(src))(0.75))
-print(json.dumps(values))
-"""
 
 
 def test_deep_expressions_compile_and_evaluate():
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        v for v in (src_dir, env.get("PYTHONPATH")) if v)
-    proc = subprocess.run(
-        [sys.executable, "-c", _DEEP_SCRIPT,
-         json.dumps([src for src, _ in DEEP.values()])],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    values = dict(zip(DEEP, json.loads(proc.stdout)))
-    assert values == {name: expected for name, (_, expected) in DEEP.items()}
+    # a deep tree is never compared or printed: the dataclasses' __eq__
+    # and __repr__ recurse
+    for name, (src, expected) in DEEP.items():
+        value = to_callable(parse_expression(src))(0.75)
+        if expected is None:   # (-sin(t)*(-sin(t)*(...*t))), inside out
+            expected = 0.75
+            for _ in range(1000):
+                expected = -math.sin(0.75) * expected
+        assert value == expected, name

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -140,36 +139,23 @@ def test_integrate_runs_the_assemble_sentinel_at_every_step(monkeypatch):
 
 
 def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
-    # the sentinel at t + h reuses the coefficients of the step's last
-    # stage, which the right-hand side has just evaluated at that time; the
-    # only other evaluations are the probes of the sentinel's bisection,
-    # all strictly inside the last accepted step
-    calls, rhs_times = [], []
+    # the det(nu) sentinel reads no coefficients, so the schedule runs once
+    # per right-hand side and never for the bisection's probes
+    calls = []
     real = CoefficientSchedule.coefficients
-    real_solve = rk.solve
 
     def counting(self, t):
         calls.append(t)
         return real(self, t)
 
-    def solve(f, *args, **kwargs):
-        def timed(t, y):
-            rhs_times.append(t)
-            return f(t, y)
-        return real_solve(timed, *args, **kwargs)
-
     monkeypatch.setattr(CoefficientSchedule, "coefficients", counting)
-    monkeypatch.setattr(rk, "solve", solve)
+    broke = []
     for sched, t_end in ((landau(E_x=0.3, E_y=-0.2), 2.5), (driven(), 4.0)):
         calls.clear()
-        rhs_times.clear()
         res = integrate(sched, t_end)
-        probes = Counter(calls) - Counter(rhs_times)
-        assert len(rhs_times) == res.n_rhs > 0
-        assert len(calls) == res.n_rhs + probes.total()
-        lo, hi = res.dense.t0[-1], res.dense.t0[-1] + res.dense.h[-1]
-        assert all(lo < t < hi for t in probes)
-        assert bool(probes) == (res.breakdown is not None)
+        assert len(calls) == res.n_rhs > 0
+        broke.append(res.breakdown is not None)
+    assert broke == [False, True]   # the driven halt bisects the sentinel
 
 
 def test_solve_halts_at_the_last_state_check_passes():

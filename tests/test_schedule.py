@@ -62,6 +62,14 @@ def test_invalid_schedule_names_the_coefficient_and_time(src, t, detail):
     assert err.value.time == t
 
 
+def test_undefined_constants_are_named_in_one_sorted_list():
+    with pytest.raises(InvalidSchedule) as err:
+        CoefficientSchedule.from_expressions(
+            {3: "t", 7: "w*t + k0*sin(w) - k0", 9: "0.5"}, constants={"a": 1.0})
+    assert str(err.value) == "a7 references undefined constants ['k0', 'w']"
+    assert err.value.coefficient == 7
+
+
 def test_an_undefined_coefficient_wins_over_an_earlier_non_finite_one():
     # every slot is evaluated before non-finite values are looked for
     sched = CoefficientSchedule.from_expressions({3: "1e200*1e200",
