@@ -7,7 +7,7 @@ run <config>...   integrate the flow and write the configured artifacts;
                   the worker count), each in its own output directory
                   (<outdir>/<stem> under --outdir); no two outputs of a
                   run may resolve to one file
-verify            run the oracle cross-check table for a preset or config
+verify            the oracle cross-check table on run's flow, config or preset
 green <config>    the same as run, limited to the Green-function samples
 print-odes        dump the flow right-hand side at a given (a(t), alpha)
 
@@ -36,12 +36,26 @@ from .errors import ConfigError, QuadflowError, SingularTime
 from .reduction import assemble, reference_odes
 from .schedule import PRESETS, CoefficientSchedule
 
+_PRESET = "landau"  # the preset of verify and print-odes without --config
+# every preset parameter, in PRESETS order: verify's options --m ... --e
+_PARAMS = tuple(dict.fromkeys(k for keys in PRESETS.values() for k in keys))
 
-def _fail(exc: Exception, where: str, code: str | None = None) -> int:
-    code = code or getattr(exc, "code", "error")
-    payload = {"error": code, "detail": str(exc), "at": where}
-    print(json.dumps(payload), file=sys.stderr)
-    return 1
+
+def _load(args) -> RunConfig:
+    """The run of verify or print-odes: ``--config``, or the preset built
+    from the options given; an option the run would ignore is refused."""
+    given = {key: value for key, value in vars(args).items()
+             if key in ("preset", "t_end", *_PARAMS)}
+    if "config" in args:
+        if given:
+            flags = sorted("--" + key.replace("_", "-") for key in given)
+            raise ConfigError(f"--config sets the run; {', '.join(flags)} "
+                              "would be ignored")
+        return load_config(args.config)
+    name, t_end = given.pop("preset", _PRESET), given.pop("t_end", 2.5)
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"--t-end = {t_end!r} must be positive and finite")
+    return RunConfig(CoefficientSchedule.preset(name, **given), t_end)
 
 
 def _green_samples(cfg: RunConfig, result) -> list:
@@ -139,31 +153,24 @@ def _cmd_run(args) -> int:
         if outdir and len(configs) > 1:
             outdir = str(Path(outdir) / Path(path).stem)
         jobs.append((path, outdir, args.green_only))
-    where = ";".join(str(c) for c in configs)
-    try:
-        if len(jobs) == 1:
-            infos = [run_config_file(*jobs[0])]
-        else:
-            raw = os.environ.get("QUADFLOW_THREADS", "0")
-            if not raw.strip().isdecimal():
-                raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
-                                  "non-negative integer")
-            # every job's files, before any job starts; the workers take
-            # these plans (a schedule pickles by its generated source), so
-            # each config is loaded once
-            plans = [(job[0], *_plan(*job)) for job in jobs]
-            _refuse_shared_destinations([(plan[0], plan[3])
-                                         for plan in plans])
-            # never more workers than jobs: a fork pool starts them all
-            workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
-            # imported here: multiprocessing is a cost single runs skip
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                infos = list(pool.map(_run_plan, *zip(*plans)))
-    except QuadflowError as exc:
-        return _fail(exc, where=where)
-    except OSError as exc:
-        return _fail(exc, where=where, code="io-error")
+    if len(jobs) == 1:
+        infos = [run_config_file(*jobs[0])]
+    else:
+        raw = os.environ.get("QUADFLOW_THREADS", "0")
+        if not raw.strip().isdecimal():
+            raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
+                              "non-negative integer")
+        # every job's files, before any job starts; the workers take these
+        # plans (a schedule pickles by its generated source), so each
+        # config is loaded once
+        plans = [(job[0], *_plan(*job)) for job in jobs]
+        _refuse_shared_destinations([(plan[0], plan[3]) for plan in plans])
+        # never more workers than jobs: a fork pool starts them all
+        workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
+        # imported here: multiprocessing is a cost single runs skip
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            infos = list(pool.map(_run_plan, *zip(*plans)))
     for info in infos:
         print(json.dumps(info))
     return 0
@@ -173,8 +180,9 @@ def _cmd_run(args) -> int:
 # verify: oracle cross-check table
 # ---------------------------------------------------------------------------
 
-def _verify_checks(schedule: CoefficientSchedule, t_end: float):
-    """Yield (name, max_error, tolerance) rows; NaN error marks a skip."""
+def _verify_checks(cfg: RunConfig):
+    """Yield (name, max_error, tolerance) rows; NaN error marks a skip.
+    The flow is ``run``'s for ``cfg``, on the 200 rows the action row needs."""
     rng = np.random.default_rng(20240915)
 
     err = 0.0
@@ -193,15 +201,17 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
                 adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
     yield "adjoint exponential vs closed-form rules", err, 1e-12
 
-    result = flow_mod.integrate(schedule, t_end, rtol=1e-10, atol=1e-10)
+    result = flow_mod.integrate(
+        cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
+        max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap)
     if result.breakdown is not None:
         yield (f"flow breakdown at t = {result.breakdown.t_break:.6g} "
                f"(component {result.breakdown.index}); comparisons truncated "
                f"to the regular part of the flow", math.nan, math.nan)
 
-    p = schedule.params
+    p = cfg.schedule.params
     err = math.nan
-    if schedule.kind == "landau" and result.breakdown is None:
+    if cfg.schedule.kind == "landau" and result.breakdown is None:
         try:
             closed = flow_mod.constant_field_closed_form(
                 p["m"], p["omega_c"], p["E_x"], p["E_y"], p["e"],
@@ -223,7 +233,7 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
 
     alpha_cmp = result.interpolate(t_cmp)
     m = observables.heisenberg_map(alpha_cmp)
-    S_cl, d_cl = oracles.fundamental_matrix(schedule, t_cmp)
+    S_cl, d_cl = oracles.fundamental_matrix(cfg.schedule, t_cmp)
     err = float(max(np.max(np.abs(m.S - S_cl)), np.max(np.abs(m.d - d_cl))))
     yield "Heisenberg map vs classical fundamental matrix", err, 1e-6
 
@@ -233,8 +243,8 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
     yield "classical shift vs (alpha4, alpha5, -alpha2, -alpha3)", err, 1e-6
 
     ls = np.array([observables.classical_lagrangian(
-        schedule.coefficients(t), alpha,
-        reference_odes(schedule.coefficients(t), alpha))
+        cfg.schedule.coefficients(t), alpha,
+        reference_odes(cfg.schedule.coefficients(t), alpha))
         for t, alpha in zip(ts.tolist(), alphas)])
     from scipy.integrate import simpson
     action = simpson(ls, x=ts)
@@ -243,62 +253,43 @@ def _verify_checks(schedule: CoefficientSchedule, t_end: float):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        if args.config:
-            cfg = load_config(args.config)
-            schedule, t_end = cfg.schedule, cfg.t_end
+    failed = 0
+    for name, err, tol in _verify_checks(_load(args)):
+        if math.isnan(tol):
+            print(f"[NOTE] {name}")
+        elif math.isnan(err):
+            print(f"[SKIP] {name}")
+        elif err < tol:
+            print(f"[PASS] {name}: max error {err:.3e} < {tol:.0e}")
         else:
-            params = {key: getattr(args, key) for key in PRESETS[args.preset]}
-            schedule = CoefficientSchedule.preset(args.preset, **params)
-            t_end = args.t_end
-            if not 0 < t_end < math.inf:
-                raise ConfigError(f"--t-end = {t_end!r} must be positive "
-                                  "and finite")
-        failed = 0
-        for name, err, tol in _verify_checks(schedule, t_end):
-            if math.isnan(tol):
-                print(f"[NOTE] {name}")
-            elif math.isnan(err):
-                print(f"[SKIP] {name}")
-            elif err < tol:
-                print(f"[PASS] {name}: max error {err:.3e} < {tol:.0e}")
-            else:
-                print(f"[FAIL] {name}: max error {err:.3e} >= {tol:.0e}")
-                failed += 1
-        return 1 if failed else 0
-    except QuadflowError as exc:
-        return _fail(exc, where=args.config or args.preset)
+            print(f"[FAIL] {name}: max error {err:.3e} >= {tol:.0e}")
+            failed += 1
+    return 1 if failed else 0
 
 
 def _cmd_print_odes(args) -> int:
-    try:
-        if args.config:
-            schedule = load_config(args.config).schedule
-        else:
-            schedule = CoefficientSchedule.preset(args.preset)
-        if not math.isfinite(args.t):
-            raise ConfigError(f"--t = {args.t!r} must be finite")
-        alpha = np.zeros(15)
-        if args.alpha:
-            alpha = np.array(_parse_tuple(args.alpha, 15, "--alpha"))
-        a = schedule.coefficients(args.t)
-        state = assemble(a, alpha)
-        ref = reference_odes(a, alpha)
-        if not (np.isfinite(state.mu).all() and np.isfinite(ref).all()):
-            raise ConfigError("the flow right-hand side is not finite at "
-                              f"--t = {args.t!r}, --alpha = {alpha.tolist()}")
-        print(json.dumps({
-            "t": args.t,
-            "a": a,
-            "alpha": alpha.tolist(),
-            "mu": state.mu.tolist(),
-            "explicit": ref.tolist(),
-            "max_difference": float(np.max(np.abs(state.mu - ref))),
-            "det_nu": float(np.linalg.det(state.nu)),
-        }, indent=1))
-        return 0
-    except QuadflowError as exc:
-        return _fail(exc, where=args.config or args.preset)
+    schedule = _load(args).schedule
+    if not math.isfinite(args.t):
+        raise ConfigError(f"--t = {args.t!r} must be finite")
+    alpha = np.zeros(15)
+    if args.alpha:
+        alpha = np.array(_parse_tuple(args.alpha, 15, "--alpha"))
+    a = schedule.coefficients(args.t)
+    state = assemble(a, alpha)
+    ref = reference_odes(a, alpha)
+    if not (np.isfinite(state.mu).all() and np.isfinite(ref).all()):
+        raise ConfigError("the flow right-hand side is not finite at "
+                          f"--t = {args.t!r}, --alpha = {alpha.tolist()}")
+    print(json.dumps({
+        "t": args.t,
+        "a": a,
+        "alpha": alpha.tolist(),
+        "mu": state.mu.tolist(),
+        "explicit": ref.tolist(),
+        "max_difference": float(np.max(np.abs(state.mu - ref))),
+        "det_nu": float(np.linalg.det(state.nu)),
+    }, indent=1))
+    return 0
 
 
 @functools.cache
@@ -316,28 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--outdir", default=None)
     p_run.set_defaults(fn=_cmd_run, green_only=False)
 
-    p_ver = sub.add_parser("verify", help="run the oracle cross-check table")
-    p_ver.add_argument("--preset", default="landau", choices=list(PRESETS))
-    p_ver.add_argument("--config", default=None)
-    p_ver.add_argument("--t-end", dest="t_end", type=float, default=2.5)
-    p_ver.add_argument("--m", type=float, default=1.0)
-    p_ver.add_argument("--omega-c", dest="omega_c", type=float, default=1.0)
-    p_ver.add_argument("--omega", type=float, default=1.0)
-    p_ver.add_argument("--lam", type=float, default=0.1)
-    p_ver.add_argument("--E-x", dest="E_x", type=float, default=0.0)
-    p_ver.add_argument("--E-y", dest="E_y", type=float, default=0.0)
-    p_ver.add_argument("--e", type=float, default=1.0)
+    # in verify and print-odes an option not given stays out of the
+    # namespace: _load applies the defaults and refuses ignored options
+    p_ver = sub.add_parser("verify", help="run the oracle cross-check table",
+                           argument_default=argparse.SUPPRESS)
+    p_green = sub.add_parser("green", help="write Green-function samples")
+    p_odes = sub.add_parser("print-odes",
+                            help="dump the flow RHS at a given state",
+                            argument_default=argparse.SUPPRESS)
+    for p in (p_ver, p_odes):
+        p.add_argument("--preset", choices=list(PRESETS))
+        p.add_argument("--config")
+
+    p_ver.add_argument("--t-end", dest="t_end", type=float)
+    for key in _PARAMS:
+        p_ver.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p_ver.set_defaults(fn=_cmd_verify)
 
-    p_green = sub.add_parser("green", help="write Green-function samples")
     p_green.add_argument("config", nargs=1)
     p_green.add_argument("--outdir", default=None)
     p_green.set_defaults(fn=_cmd_run, green_only=True)
 
-    p_odes = sub.add_parser("print-odes",
-                            help="dump the flow RHS at a given state")
-    p_odes.add_argument("--preset", default="landau", choices=list(PRESETS))
-    p_odes.add_argument("--config", default=None)
     p_odes.add_argument("--t", type=float, default=0.0)
     p_odes.add_argument("--alpha", default=None,
                         help="comma-separated 15 values (default zeros)")
@@ -347,7 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except QuadflowError as exc:
+        code, detail = exc.code, str(exc)
+    except OSError as exc:
+        code, detail = "io-error", str(exc)
+    except MemoryError as exc:
+        code, detail = "out-of-memory", str(exc)
+    # "at" names the configs of run and green, else --config or the preset
+    where = getattr(args, "config", None) or getattr(args, "preset", _PRESET)
+    if isinstance(where, list):
+        where = ";".join(map(str, where))
+    print(json.dumps({"error": code, "detail": detail, "at": where}),
+          file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

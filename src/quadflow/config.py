@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, InvalidSchedule, ParseError
-from .schedule import PRESETS, CoefficientSchedule
+from .schedule import CoefficientSchedule
 
 __all__ = ["GreenRequest", "RunConfig", "load_config"]
 
@@ -79,15 +79,26 @@ class RunConfig:
 # (predicate, requirement) pairs for _float's ``check``
 _POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
 _POSITIVE = (lambda v: v > 0, "positive")
-_COUNT = (lambda v: v.is_integer() and v >= 1, "an integer >= 1")
+_EXTENT = (lambda v: 0 < v <= 8.98e307, "positive and at most 8.98e307")
+# numpy holds at most 2**60 floats: samples + 1 rows, and an N x N grid
+_COUNT = (lambda v: v.is_integer() and 1 <= v < 2 ** 59,
+          "an integer from 1 to 2**59 - 1")
+_GRID = (lambda v: v.is_integer() and 1 <= v < 2 ** 30,
+         "an integer from 1 to 2**30 - 1")
+
+# [run] key -> requirement; a key not given takes RunConfig's default (a
+# magnitude_cap of inf is allowed: it switches the magnitude sentinel off)
+_RUN_KEYS = {"t_end": _POSITIVE_FINITE, "rtol": _POSITIVE_FINITE,
+             "atol": _POSITIVE_FINITE, "samples": _COUNT,
+             "max_step": _POSITIVE_FINITE, "magnitude_cap": _POSITIVE}
+_SECTIONS = ("hamiltonian", "constants", "run", "outputs", "green")
+_HAMILTONIAN_KEYS = ("preset", "hbar", *(f"a{k}" for k in range(1, 16)))
+_GREEN_KEYS = ("points", "times", "grid_extent", "grid_points", "source")
 
 
-def _float(section, key, default=None, *, where="", check=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r} in {where}")
-        return default
+def _float(section, key, *, where, check=None):
+    """``section[key]`` as a float (an int for a count) meeting ``check``."""
+    raw = section[key]
     try:
         value = float(raw)
     except ValueError as exc:
@@ -95,7 +106,15 @@ def _float(section, key, default=None, *, where="", check=None):
     if check is not None and not check[0](value):
         raise ConfigError(f"{where}: {key} = {raw.strip()!r} must be "
                           f"{check[1]}")
-    return value
+    return int(value) if check in (_COUNT, _GRID) else value
+
+
+def _refuse_unknown(where, kind, names, known):
+    """Refuse names a run would ignore, such as a misspelled key."""
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown {kind} {unknown} (known: "
+                          f"{', '.join(known)})")
 
 
 def _parse_tuple(raw, n, where):
@@ -114,7 +133,7 @@ def _parse_tuple(raw, n, where):
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file; refuse unknown names."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -122,95 +141,67 @@ def load_config(path) -> RunConfig:
     parser.optionxform = str  # keep case of constant names
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    _refuse_unknown(path, "sections", parser.sections(), _SECTIONS)
 
     if "hamiltonian" not in parser:
         raise ConfigError(f"{path}: missing [hamiltonian] section")
     ham = parser["hamiltonian"]
-    hbar = _float(ham, "hbar", 1.0, where="[hamiltonian]",
-                  check=_POSITIVE_FINITE)
+    hbar = {"hbar": _float(ham, "hbar", where="[hamiltonian]",
+                           check=_POSITIVE_FINITE)} if "hbar" in ham else {}
 
-    constants = {}
-    if "constants" in parser:
-        for name, raw in parser["constants"].items():
-            constants[name] = _float(parser["constants"], name,
-                                     where="[constants]")
+    section = parser["constants"] if "constants" in parser else {}
+    constants = {name: _float(section, name, where="[constants]")
+                 for name in section}
 
     if "preset" in ham:
-        name = ham["preset"].strip()
-        if name not in PRESETS:
-            raise ConfigError(f"[hamiltonian]: unknown preset {name!r}")
-        params = {}
-        for key in PRESETS[name]:
-            if key in ham:
-                params[key] = _float(ham, key, where="[hamiltonian]")
-        extra = set(ham) - set(PRESETS[name]) - {"preset", "hbar"}
-        if extra:
-            raise ConfigError(
-                f"[hamiltonian]: keys {sorted(extra)} not valid for preset "
-                f"{name!r}")
+        params = {key: _float(ham, key, where="[hamiltonian]")
+                  for key in ham if key not in ("preset", "hbar")}
         try:
-            schedule = CoefficientSchedule.preset(name, hbar=hbar, **params)
-        except InvalidSchedule as exc:
+            schedule = CoefficientSchedule.preset(ham["preset"].strip(),
+                                                  **hbar, **params)
+        except (ConfigError, InvalidSchedule) as exc:
             raise ConfigError(f"[hamiltonian]: {exc}") from exc
     else:
-        sources = {}
-        for key in ham:
-            if key == "hbar":
-                continue
-            if not (key.startswith("a") and key[1:].isdigit()
-                    and 1 <= int(key[1:]) <= 15):
-                raise ConfigError(f"[hamiltonian]: unknown key {key!r} "
-                                  "(expected preset or a1..a15)")
-            sources[int(key[1:])] = ham[key]
+        _refuse_unknown("[hamiltonian]", "keys", ham, _HAMILTONIAN_KEYS)
+        sources = {int(key[1:]): ham[key] for key in ham if key != "hbar"}
         if not sources:
             raise ConfigError("[hamiltonian]: needs a preset or at least one "
                               "coefficient expression")
         try:
             schedule = CoefficientSchedule.from_expressions(
-                sources, constants=constants, hbar=hbar)
+                sources, constants=constants, **hbar)
         except (ParseError, InvalidSchedule) as exc:
             raise ConfigError(f"[hamiltonian]: {exc}") from exc
 
     run = parser["run"] if "run" in parser else {}
-    where = "[run]"
-    cfg = RunConfig(
-        schedule=schedule,
-        t_end=_float(run, "t_end", where=where, check=_POSITIVE_FINITE),
-        rtol=_float(run, "rtol", 1e-10, where=where, check=_POSITIVE_FINITE),
-        atol=_float(run, "atol", 1e-10, where=where, check=_POSITIVE_FINITE),
-        samples=int(_float(run, "samples", 200, where=where, check=_COUNT)),
-        max_step=(_float(run, "max_step", where=where,
-                         check=_POSITIVE_FINITE)
-                  if "max_step" in run else None),
-        # inf is allowed: it switches the magnitude sentinel off
-        magnitude_cap=_float(run, "magnitude_cap", 1e8, where=where,
-                             check=_POSITIVE),
-    )
+    _refuse_unknown("[run]", "keys", run, _RUN_KEYS)
+    if "t_end" not in run:
+        raise ConfigError("missing key 't_end' in [run]")
+    cfg = RunConfig(schedule, **{key: _float(run, key, where="[run]",
+                                             check=check)
+                                 for key, check in _RUN_KEYS.items()
+                                 if key in run})
 
     if "outputs" in parser:
-        for key, raw in parser["outputs"].items():
-            if key not in ("alphas", "heisenberg", "green"):
-                raise ConfigError(f"[outputs]: unknown output {key!r}")
-            cfg.outputs[key] = raw.strip()
+        outputs = parser["outputs"]
+        _refuse_unknown("[outputs]", "outputs", outputs,
+                        ("alphas", "heisenberg", "green"))
+        cfg.outputs = {key: raw.strip() for key, raw in outputs.items()}
 
     if "green" in parser:
         g = parser["green"]
-        points = []
-        if "points" in g:
-            for chunk in g["points"].split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    points.append(_parse_tuple(chunk, 4, "[green] points"))
+        _refuse_unknown("[green]", "keys", g, _GREEN_KEYS)
+        points = [_parse_tuple(chunk.strip(), 4, "[green] points")
+                  for chunk in g.get("points", "").split(";") if chunk.strip()]
         times = _parse_tuple(g["times"], None, "[green] times") \
             if "times" in g else ()
         grid_extent = _float(g, "grid_extent", where="[green]",
-                             check=_POSITIVE_FINITE) \
+                             check=_EXTENT) \
             if "grid_extent" in g else None
-        grid_points = int(_float(g, "grid_points", where="[green]",
-                                 check=_COUNT)) \
-            if "grid_points" in g else None
+        grid_points = _float(g, "grid_points", where="[green]",
+                             check=_GRID) if "grid_points" in g else None
         source = _parse_tuple(g["source"], 2, "[green] source") \
             if "source" in g else None
         if (grid_extent is None) != (grid_points is None):

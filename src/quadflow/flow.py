@@ -178,8 +178,8 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
     if np.any((c <= 1e-12) | (np.abs(wt) >= math.pi)):
         raise SingularTime(
             "closed form undefined at/beyond |omega_c*t| = pi: "
-            f"max |omega_c*t| = {np.max(np.abs(wt))!r}, "
-            f"cos(omega_c*t/2) = {np.min(c)!r}")
+            f"max |omega_c*t| = {float(np.max(np.abs(wt)))!r}, "
+            f"cos(omega_c*t/2) = {float(np.min(c))!r}")
     sin_wt = np.sin(wt)
     one_m_cos = 2 * np.sin(0.5 * wt) ** 2                  # 1 - cos(wt)
     wt_m_sin = _odd_series(wt, _WT_MINUS_SIN, wt - sin_wt)  # wt - sin(wt)

@@ -52,6 +52,8 @@ __all__ = ["GreenSample", "QuadraticPhaseKernel", "landau_kernel",
            "write_green_csv"]
 
 DEFAULT_BRANCH_EPS = 1e-6
+# kernels evaluate quietly: an overflow gives inf and nan, written as is
+_quiet = np.errstate(all="ignore")
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ class QuadraticPhaseKernel:
     def phase_src(self, x_prime, y_prime):
         return self.phase(0.0, 0.0, x_prime, y_prime)
 
+    @_quiet
     def __call__(self, x, y, x_prime, y_prime):
         return self.prefactor * np.exp(1j * self.phase(x, y, x_prime, y_prime))
 
@@ -144,6 +147,7 @@ def landau_kernel(m, omega_c, hbar, alpha, t) -> QuadraticPhaseKernel:
     return QuadraticPhaseKernel(pref, phase, "landau")
 
 
+@_quiet
 def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
     """alpha11 -> 0 limit of the kernel.
 
@@ -161,13 +165,13 @@ def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
     DegenerateGeometry when alpha9 or alpha10 vanishes.
     """
     al = np.concatenate(([0.0], _check_alpha(alpha)))
-    a9, a10 = al[9], al[10]
+    a9, a10 = float(al[9]), float(al[10])
     if a9 == 0 or a10 == 0:
         raise DegenerateGeometry(
             "kernel keeps a delta factor when alpha9 or alpha10 vanishes "
             f"(alpha9 = {a9!r}, alpha10 = {a10!r}); not pointwise-evaluable")
-    pref = (math.exp(al[12] + al[13])
-            / (4 * math.pi * hbar * cmath.sqrt(complex(a9 * a10))))
+    scale = 4 * math.pi * hbar * cmath.sqrt(complex(a9 * a10))
+    pref = math.exp(al[12] + al[13]) / scale if scale else math.inf
 
     def phase(x, y, xp, yp):
         X = x - al[4]
@@ -182,6 +186,7 @@ def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
     return QuadraticPhaseKernel(pref, phase, "degenerate")
 
 
+@_quiet
 def generic_kernel(alpha, hbar,
                    eps_branch=DEFAULT_BRANCH_EPS) -> QuadraticPhaseKernel:
     """Generic-branch kernel.  Requires |alpha11| > eps_branch *
@@ -192,7 +197,7 @@ def generic_kernel(alpha, hbar,
     a9, a10, a11 = al[9], al[10], al[11]
     if abs(a11) <= eps_branch * max(abs(a9), abs(a10), 1.0):
         raise BranchUnavailable(
-            f"|alpha11| = {abs(a11)!r} below branch threshold; "
+            f"|alpha11| = {float(abs(a11))!r} below branch threshold; "
             "use the degenerate branch")
     disc = a11 ** 2 - 4 * a9 * a10
     if disc == 0:

@@ -115,6 +115,8 @@ class RKResult:
     n_rhs: int
 
 
+# an overflowing scale accepts the step, an overflowing ratio rejects it
+@np.errstate(over="ignore", invalid="ignore")
 def _error_norm(delta, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     return math.sqrt(float(np.mean((delta / scale) ** 2)))

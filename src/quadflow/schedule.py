@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expressions as ex
 from .algebra import N_GENERATORS
-from .errors import InvalidSchedule
+from .errors import ConfigError, InvalidSchedule
 
 __all__ = ["PRESETS", "CoefficientSchedule"]
 
@@ -192,9 +192,14 @@ class CoefficientSchedule:
 
     @classmethod
     def preset(cls, name, hbar=1.0, **params):
+        """Preset ``name`` from the ``params`` given; an unknown name, or a
+        parameter the preset does not take, raises :class:`ConfigError`."""
         if name not in PRESETS:
-            raise ValueError(f"unknown preset {name!r}; "
-                             f"choose from {sorted(PRESETS)}")
+            raise ConfigError(f"unknown preset {name!r}")
+        extra = set(params) - set(PRESETS[name])
+        if extra:
+            raise ConfigError(f"keys {sorted(extra)} not valid for preset "
+                              f"{name!r}")
         return getattr(cls, name)(hbar=hbar, **params)
 
     # -- evaluation -------------------------------------------------------

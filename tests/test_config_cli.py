@@ -1,12 +1,15 @@
 """Config parsing and the quadflow command line."""
 
+import contextlib
 import csv
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -432,8 +435,11 @@ NUMERIC_BASE = {
     ("run", "samples", "nan"),
     ("run", "samples", "2.7"),
     ("run", "samples", "0"),
+    ("run", "samples", "1e308"),     # numpy's arange refuses the size
     ("green", "grid_points", "-3"),
+    ("green", "grid_points", "2e9"),  # N^2 above numpy's size limit
     ("green", "grid_extent", "nan"),
+    ("green", "grid_extent", "1e308"),   # the axis spans 2e308, not finite
     ("green", "times", "0.5, x"),
     ("green", "points", "nan,0,0,0"),
     ("hamiltonian", "hbar", "nan"),
@@ -763,3 +769,242 @@ def test_any_expression_text_loads_or_is_a_config_error(tmp_path_factory,
     except InvalidSchedule:
         return
     assert len(values) == 15 and all(type(v) is float for v in values)
+
+
+# whole config text: the known sections with their keys plus misspelled
+# ones, numbers, non-finite, negative-zero and subnormal values,
+# non-numbers, empty values, expression text and bytes that are not UTF-8
+CONFIG_TEMPLATES = [
+    {"hamiltonian": {"preset": "landau"}, "run": {"t_end": "1.0"},
+     "outputs": {"alphas": "alphas.csv"}},
+    {"hamiltonian": {"preset": "landau", "E_x": "0.3"},
+     "run": {"t_end": "2.5", "samples": "20"},
+     "outputs": {"heisenberg": "heisenberg.json", "green": "green.csv"},
+     "green": {"points": "0,0,1,0 ; 1,0.5,0,0", "times": "0.5, 1"}},
+    {"hamiltonian": {"a6": "A*sin(w*t)", "a9": "0.5", "a10": "0.5",
+                     "a11": "B*cos(t)", "a14": "C", "a15": "-C"},
+     "constants": {"A": "0.5", "w": "2.0", "B": "0.1", "C": "0.5"},
+     "run": {"t_end": "4.0", "samples": "10"},
+     "outputs": {"alphas": "alphas.csv", "green": "green.csv"},
+     "green": {"grid_extent": "1.0", "grid_points": "3", "source": "0,0"}},
+]
+CONFIG_KEYS = {
+    "hamiltonian": ["preset", "hbar", "m", "omega_c", "E_x", "omega", "lam",
+                    "a1", "a6", "a9", "a10", "a11", "a14", "a16", "Preset"],
+    "constants": ["A", "w", "k", "t"],
+    "run": ["t_end", "rtol", "atol", "samples", "max_step", "magnitude_cap",
+            "sample", "t-end"],
+    "outputs": ["alphas", "heisenberg", "green", "alpha"],
+    "green": ["points", "times", "grid_extent", "grid_points", "source",
+              "time"],
+}
+# misspelled sections, and configparser's DEFAULT, whose keys every
+# section sees
+ODD_SECTIONS = {"output": ["alphas"], "Run": ["t_end"], "DEFAULT": ["m", "x"]}
+NUMBERS = ["0.5", "2", "10", "-1", "0", "-0", "1e-320", "1e308", "nan",
+           "inf", "-inf"]
+WORDS = ["", "x", "landau", "free", "harmonic1d", "kanai_caldirola", "zero",
+         "nosuch", "0,0,0,0", "1e308,1e308,-1e308,1e308", "0.5, 1", "0,0",
+         "-0, 1e-320"]
+FILE_NAMES = ["alphas.csv", "h.json", "green.csv", "", "missing/x.csv"]
+
+
+def _config_value(key):
+    if key in ("t_end", "t-end"):   # t_end stays <= 5
+        return st.sampled_from(["0.5", "2.5", "5", "-0", "0", "1e-320", "-1",
+                                "nan", "inf", "x", ""])
+    if key in ("samples", "sample", "grid_points"):
+        # counts from 1..1000 (a grid of up to 40^2 points) or >= 1e16,
+        # sizes whose allocation fails at once
+        top = 40 if key == "grid_points" else 1000
+        return st.one_of(st.integers(1, top).map(str), st.sampled_from(
+            ["1e16", "1e308", "2.5", "-0", "1e-320", "nan", "x", ""]))
+    if key in CONFIG_KEYS["outputs"]:
+        return st.sampled_from(FILE_NAMES)
+    if key == "w":
+        # the driving frequency stays below 1e308: sin(1e308 t) is noise
+        # that the flow resolves in steps of about 1e-8, a day-long run
+        return st.sampled_from([v for v in NUMBERS if v != "1e308"] + WORDS)
+    expression = st.lists(st.sampled_from(EXPRESSION_TOKENS),
+                          max_size=8).map("".join)
+    if key.startswith("a"):
+        return st.one_of(st.sampled_from(NUMBERS), expression)
+    # mostly numbers: a value that is not one ends the run at once
+    return st.one_of(st.sampled_from(NUMBERS), st.sampled_from(NUMBERS),
+                     st.sampled_from(NUMBERS + WORDS), expression)
+
+
+@st.composite
+def _config_bytes(draw):
+    sections = {name: dict(body)
+                for name, body in draw(st.sampled_from(CONFIG_TEMPLATES))
+                .items()}
+    # known sections three times as often as odd ones
+    keys = {**CONFIG_KEYS, **ODD_SECTIONS}
+    names = [*CONFIG_KEYS] * 3 + [*ODD_SECTIONS]
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from(names))
+        key = draw(st.sampled_from(keys[section]))
+        sections.setdefault(section, {})[key] = draw(_config_value(key))
+    data = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in body.items()) + "\n"
+                   for name, body in sections.items()).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80",
+                                                 b"\xff\xfe"])) + data[at:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_config_bytes())
+def test_any_config_runs_or_is_one_json_error(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("cfg")
+    p = d / "any.cfg"
+    p.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["run", str(p), "--outdir", str(d / "out")])
+    if code == 0:
+        assert err.getvalue() == ""
+        (line,) = out.getvalue().splitlines()
+        assert set(json.loads(line)) <= {"config", "written", "t_final",
+                                         "breakdown"}
+    else:
+        assert code == 1 and out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "detail", "at"}
+
+
+def _one_json_error(captured) -> dict:
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert set(err) == {"error", "detail", "at"}
+    return err
+
+
+CAP_CFG = """
+[hamiltonian]
+preset = landau
+
+[run]
+t_end = 3.5
+rtol = 1e-4
+magnitude_cap = 10
+
+[outputs]
+alphas = alphas.csv
+"""
+
+
+def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys):
+    # run's tolerance and cap stop the flow before the default run would
+    p = tmp_path / "cap.cfg"
+    p.write_text(CAP_CFG)
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
+    t_break = json.loads(capsys.readouterr().out)["breakdown"]["t_break"]
+    assert main(["verify", "--config", str(p)]) == 0
+    note = (f"[NOTE] flow breakdown at t = {t_break:.6g} (component 15); "
+            "comparisons truncated to the regular part of the flow")
+    assert note in capsys.readouterr().out.splitlines()
+    assert f"{t_break:.6g}" == "2.94226"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["verify", "--preset", "free", "--omega", "5", "--lam", "3"],
+     "keys ['lam', 'omega'] not valid for preset 'free'"),
+    (["verify", "--config", "CFG", "--m", "7"], "--m would be ignored"),
+    (["verify", "--config", "CFG", "--preset", "landau", "--t-end", "3"],
+     "--preset, --t-end would be ignored"),
+    (["print-odes", "--config", "CFG", "--preset", "landau"],
+     "--preset would be ignored"),
+], ids=["unused-parameters", "config-and-m", "config-and-preset",
+        "print-odes-config-and-preset"])
+def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
+    p = tmp_path / "cap.cfg"
+    p.write_text(CAP_CFG)
+    argv = [str(p) if arg == "CFG" else arg for arg in argv]
+    assert main(argv) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert fragment in err["detail"]
+
+
+@pytest.mark.parametrize("old, new, fragment", [
+    ("[outputs]", "[output]", "unknown sections ['output']"),
+    ("t_end = 1.0", "t_end = 1.0\nsample = 10", "[run]: unknown keys ['sample']"),
+    ("times = 0.5", "time = 0.5", "[green]: unknown keys ['time']"),
+], ids=["section-output", "run-sample", "green-time"])
+def test_ignored_config_input_is_refused(tmp_path, capsys, old, new,
+                                         fragment):
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in body.items()) + "\n"
+                   for name, body in NUMERIC_BASE.items())
+    p = tmp_path / "bad.cfg"
+    p.write_text(text.replace(old, new))
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert fragment in err["detail"]
+    assert not (tmp_path / "alphas.csv").exists()
+
+
+# each allocation asks for far more than 2**47 bytes, so it fails at once
+@pytest.mark.parametrize("run, green", [
+    ("samples = 1e16", "points = 0,0,1,0"),                   # 71 PiB
+    ("", "grid_extent = 1\ngrid_points = 1e7\nsource = 0,0"),  # 728 TiB
+], ids=["samples", "grid"])
+def test_an_allocation_that_fails_is_one_json_error(tmp_path, capsys, run,
+                                                    green):
+    p = tmp_path / "big.cfg"
+    p.write_text(f"[hamiltonian]\npreset = landau\n\n[run]\nt_end = 1.0\n"
+                 f"{run}\n\n[green]\n{green}\n")
+    assert main(["green", str(p), "--outdir", str(tmp_path)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "out-of-memory"
+    assert err["detail"].startswith("Unable to allocate")
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "bom.cfg"
+    p.write_bytes(b"\xff\xfe[hamiltonian]\npreset = landau\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert "can't decode byte 0xff" in err["detail"]
+
+
+def test_degenerate_geometry_detail_prints_plain_floats(tmp_path, capsys):
+    p = tmp_path / "a9.cfg"
+    p.write_text("[hamiltonian]\na9 = 0.5\n\n[run]\nt_end = 0.5\n\n"
+                 "[green]\npoints = 0,0,0,0\n")
+    assert main(["green", str(p), "--outdir", str(tmp_path)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["detail"] == (
+        "kernel keeps a delta factor when alpha9 or alpha10 vanishes "
+        "(alpha9 = 0.24999999999999997, alpha10 = 0.0); not "
+        "pointwise-evaluable")
+
+
+@pytest.mark.parametrize("hamiltonian, green, row_end", [
+    ("preset = landau\nhbar = 1e-320", "0,0,1,0", ",nan,nan,degenerate"),
+    ("preset = landau", "1e308,1e308,-1e308,1e308", ",nan,nan,degenerate"),
+    ("a9 = 0.5\na10 = 0.5\na11 = 0.1\nhbar = 1e-320", "0,0,1,0",
+     ",nan,nan,generic"),
+    # alpha9 * alpha10 underflows to 0 in the prefactor's denominator
+    ("preset = landau", "1,0.5,0,0\ntimes = 1e-320", ",nan,nan,degenerate"),
+], ids=["tiny-hbar", "huge-points", "tiny-hbar-generic", "tiny-time"])
+def test_green_overflow_writes_non_finite_values_silently(
+        tmp_path, capsys, hamiltonian, green, row_end):
+    p = tmp_path / "g.cfg"
+    p.write_text(f"[hamiltonian]\n{hamiltonian}\n\n[run]\nt_end = 1.0\n\n"
+                 f"[green]\npoints = {green}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["green", str(p), "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    row = (tmp_path / "green.csv").read_text().splitlines()[1]
+    assert row.endswith(row_end)

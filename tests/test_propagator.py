@@ -122,7 +122,8 @@ def test_degenerate_free_particle_factorizes():
 def test_degenerate_geometry_error():
     al = np.zeros(15)
     al[5] = 0.3  # quadratic terms present but no kinetic spreading
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(DegenerateGeometry,
+                       match=r"\(alpha9 = 0\.0, alpha10 = 0\.0\)"):
         degenerate_kernel(al, 1.0)
     al[8] = 0.4  # alpha9 != 0, alpha10 still 0: y-delta survives
     with pytest.raises(DegenerateGeometry):
@@ -162,7 +163,7 @@ def test_generic_converges_to_degenerate():
 def test_generic_branch_preconditions():
     al = np.zeros(15)
     al[8], al[9] = 0.3, 0.3     # alpha11 = 0
-    with pytest.raises(BranchUnavailable):
+    with pytest.raises(BranchUnavailable, match=r"^\|alpha11\| = 0\.0 "):
         generic_kernel(al, 1.0)
     al[10] = 2 * math.sqrt(0.3 * 0.3)  # alpha11^2 == 4 a9 a10
     with pytest.raises(BranchUnavailable):
