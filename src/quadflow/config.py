@@ -23,7 +23,8 @@ Minimal example::
 
 Instead of a preset, the [hamiltonian] section may list coefficient
 expressions a1 .. a15 over the variable t (omitted slots default to 0),
-optionally using names from a [constants] section::
+optionally using names from a [constants] section (which a preset
+refuses)::
 
     [hamiltonian]
     a6 = 0.5*m0*sin(2*t)
@@ -151,11 +152,10 @@ def load_config(path) -> RunConfig:
     hbar = {"hbar": _float(ham, "hbar", where="[hamiltonian]",
                            check=_POSITIVE_FINITE)} if "hbar" in ham else {}
 
-    section = parser["constants"] if "constants" in parser else {}
-    constants = {name: _float(section, name, where="[constants]")
-                 for name in section}
-
     if "preset" in ham:
+        if "constants" in parser:
+            raise ConfigError("[constants]: a preset reads no constants; its "
+                              "parameters go in [hamiltonian]")
         params = {key: _float(ham, key, where="[hamiltonian]")
                   for key in ham if key not in ("preset", "hbar")}
         try:
@@ -164,6 +164,9 @@ def load_config(path) -> RunConfig:
         except (ConfigError, InvalidSchedule) as exc:
             raise ConfigError(f"[hamiltonian]: {exc}") from exc
     else:
+        section = parser["constants"] if "constants" in parser else {}
+        constants = {name: _float(section, name, where="[constants]")
+                     for name in section}
         _refuse_unknown("[hamiltonian]", "keys", ham, _HAMILTONIAN_KEYS)
         sources = {int(key[1:]): ham[key] for key in ham if key != "hbar"}
         if not sources:

@@ -12,13 +12,16 @@ bracketed breakdown time.
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
 function returns, and the stepper checks each stage on those floats.  The
-matrix pipeline (:func:`.reduction.assemble`) runs once per accepted step,
-at its end state: its det(nu) = 1 check is the conditioning sentinel.
-det(nu) depends on alpha alone, so the sentinel reads no coefficients and
-the schedule is evaluated once per right-hand side.  When it refuses
-that state, the step is kept and the sentinel's crossing is bisected on the
-step's dense polynomial; the flow halts at the last state it passes, a
-step-underflow breakdown, since no step can be certified beyond it.
+matrix pipeline (:func:`.reduction.assemble`) checks the end state of every
+accepted step: its det(nu) = 1 check is the conditioning sentinel.  det(nu)
+depends on alpha alone, so the sentinel reads no coefficients and the
+schedule is evaluated once per right-hand side; and its answer does not
+steer the stepper until it refuses, so the stepper hands it the end states
+in stacks of up to 32, one ``assemble`` call each.  The first refused step
+is kept, the steps past it are dropped, and the sentinel's crossing is
+bisected on that step's dense polynomial; the flow halts at the last state
+it passes, a step-underflow breakdown, since no step can be certified
+beyond it.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -107,16 +110,26 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # InvalidSchedule propagates; an overflowing term is a NaN stage
         return explicit_rhs(schedule.coefficients(t), alpha.tolist())
 
-    def conditioned(t, alpha):
+    def conditioned(ts, alphas):
         # assemble's det(nu) = 1 assertion is the conditioning sentinel: once
         # the matrix entries outrun double precision the factorization data
         # is meaningless, so the flow halts at the last state it passes.
-        # det(nu) depends on alpha alone, so the coefficients are zeros
+        # det(nu) depends on alpha alone, so the coefficients are zeros.
+        # One call checks the stack; a refusal is located row by row
+        ok = np.ones(len(alphas), dtype=bool)
         try:
-            assemble(_NO_COEFFICIENTS, alpha)
+            assemble(_NO_COEFFICIENTS, alphas)
+            return ok
         except SingularNu:
-            return False
-        return True
+            if len(alphas) == 1:   # a bisection probe: that row is refused
+                return ~ok
+        for i, alpha in enumerate(alphas):
+            try:
+                assemble(_NO_COEFFICIENTS, alpha)
+            except SingularNu:
+                ok[i:] = False
+                break
+        return ok
 
     res = rk.solve(rhs, 0.0, alpha0, t_end, rtol=rtol, atol=atol,
                    max_step=max_step, cap=magnitude_cap, check=conditioned)

@@ -20,13 +20,14 @@ roles:
   transcribed term by term on Python floats.  It is the flow's right-hand
   side: ``integrate`` calls it at every Runge-Kutta stage.
   :func:`reference_odes` is its checked ndarray form.
-* :func:`assemble` builds w, nu and mu from the structure constants (one
-  adjoint evaluation gives every M_k^T and one (15, 15, 15) array every R_k).
-  For this ordering det(nu) = 1 identically, which it asserts; ``integrate``
-  runs it once per accepted step at the step's end state as the
-  conditioning sentinel that halts the flow where the factorization data
-  outruns double precision.  It is also the oracle for the transcription:
-  agreement to 1e-10 over random states is an acceptance criterion.
+* :func:`assemble` builds w, nu and mu from the structure constants, for
+  one state or a stack of them (one adjoint evaluation gives every M_k^T,
+  and the chain of R_k runs through two rolling buffers).  For this
+  ordering det(nu) = 1 identically, which it asserts; ``integrate`` runs it
+  on stacks of accepted end states as the conditioning sentinel that halts
+  the flow where the factorization data outruns double precision.  It is
+  also the oracle for the transcription: agreement to 1e-10 over random
+  states is an acceptance criterion.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from .errors import SingularNu
 __all__ = ["ReductionState", "assemble", "explicit_rhs", "reference_odes"]
 
 _DET_TOL = 1e-6
-_DIAG = np.arange(N_GENERATORS)
 _IDENTITY = np.eye(N_GENERATORS)
 
 
 @dataclass(frozen=True)
 class ReductionState:
-    """One evaluation of the reduction pipeline at (a, alpha)."""
+    """One evaluation of the reduction pipeline at (a, alpha); the arrays
+    carry the stack axes of the inputs in front."""
 
     a: np.ndarray
     alpha: np.ndarray
@@ -58,25 +59,39 @@ class ReductionState:
     mu: np.ndarray
 
 
-def _as_vector(x, name):
+def _as_vectors(x, name):
+    """``x`` as a float 15-vector or (..., 15) stack of finite entries."""
     v = np.asarray(x, dtype=float)
-    if v.shape != (N_GENERATORS,):
-        raise ValueError(f"{name} must be a 15-vector, got shape {v.shape}")
+    if v.shape[-1:] != (N_GENERATORS,):
+        raise ValueError(f"{name} must be a 15-vector or a stack of them, "
+                         f"got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
+def _as_vector(x, name):
+    v = _as_vectors(x, name)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a 15-vector, got shape {v.shape}")
+    return v
+
+
 def _w_nu(alpha: np.ndarray):
-    # R_k = M_15^T ... M_{k+1}^T by descending recursion into Rs[k - 1]
-    # (R_15 = I); column k of nu is column k of R_k, and w = R_1 a since
-    # M_1 = I (h1 central).
+    # R_k = M_15^T ... M_{k+1}^T by the descending recursion R_{k-1} =
+    # R_k M_k^T (R_15 = I) through two rolling buffers; column k of nu is
+    # column k of R_k, and w = R_1 a since M_1 = I (h1 central).
     MT = _adjoint_blocks(alpha)
-    Rs = np.empty((N_GENERATORS, N_GENERATORS, N_GENERATORS))
-    Rs[-1] = _IDENTITY
+    R = np.empty(MT.shape[:-3] + (N_GENERATORS, N_GENERATORS))
+    R[...] = _IDENTITY
+    R_next = np.empty_like(R)
+    nu = np.empty_like(R)
+    nu[..., -1] = R[..., -1]
     for k in range(N_GENERATORS - 1, 0, -1):
-        np.matmul(Rs[k], MT[k], out=Rs[k - 1])
-    return Rs[0], Rs[_DIAG, :, _DIAG].T
+        np.matmul(R, MT[..., k, :, :], out=R_next)
+        R, R_next = R_next, R
+        nu[..., k - 1] = R[..., k - 1]
+    return R, nu
 
 
 def assemble(a, alpha) -> ReductionState:
@@ -84,26 +99,31 @@ def assemble(a, alpha) -> ReductionState:
 
     Parameters
     ----------
-    a : 15-vector of Hamiltonian coefficients at the current time
-    alpha : 15-vector of transformation parameters
+    a : 15-vector of Hamiltonian coefficients, or a (..., 15) stack
+    alpha : 15-vector of transformation parameters, or a (..., 15) stack;
+        the stack axes of ``a`` and ``alpha`` broadcast, and every entry's
+        bits are those of the one-state evaluation
 
     Raises
     ------
     SingularNu
-        If |det(nu) - 1| > 1e-6.  det(nu) = 1 holds analytically for this
-        transformation ordering, so a violation indicates an assembly bug
-        (or a wildly out-of-range alpha).
+        If |det(nu) - 1| > 1e-6 in any row of the stack; the message names
+        the first such row's det and alpha.  det(nu) = 1 holds analytically
+        for this transformation ordering, so a violation indicates an
+        assembly bug (or a wildly out-of-range alpha).
     """
-    a = _as_vector(a, "a")
-    alpha = _as_vector(alpha, "alpha")
+    a = _as_vectors(a, "a")
+    alpha = _as_vectors(alpha, "alpha")
     with np.errstate(over="ignore", invalid="ignore"):
         R, nu = _w_nu(alpha)
         det = np.linalg.det(nu)
-        if not np.isfinite(det) or abs(det - 1.0) > _DET_TOL:
-            raise SingularNu(f"det(nu) = {float(det)!r} at alpha = "
-                             f"{alpha.tolist()}")
-        w = R @ a
-        mu = np.linalg.solve(nu, w)
+        bad = ~(np.abs(det - 1.0) <= _DET_TOL)   # NaN fails as well
+        if bad.any():
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            raise SingularNu(f"det(nu) = {float(det[first])!r} at alpha = "
+                             f"{alpha[first].tolist()}")
+        w = (R @ a[..., None])[..., 0]
+        mu = np.linalg.solve(nu, w[..., None])[..., 0]
     return ReductionState(a=a, alpha=alpha, w=w, nu=nu, mu=mu)
 
 

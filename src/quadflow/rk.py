@@ -18,6 +18,13 @@ the dense polynomial of the accepted step inside which they occur:
   controller pushes below the resolvable floor (non-finite stage values or
   error norms reject a step rather than raising, so blow-ups degrade
   gracefully into this outcome).
+
+``check`` never steers the stepper before it refuses, so it sees the end
+states in stacks: they wait until ``_CHUNK`` of them are pending or the loop
+ends (at ``t_end``, the cap, the floor, or an exception raised by ``f``).
+The first refused step wins over everything after it: the steps past it are
+dropped, and an exception of ``f`` raised past it is too.  The steps before
+it are the ones a check after every step would have taken, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# accepted end states per call of ``check``
+_CHUNK = 32
 
 
 @dataclass
@@ -174,9 +183,12 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     f : callable (t, y) -> list of floats (an array is converted); may
         return non-finite values, which reject the current step
     cap : optional magnitude bound; integration halts once any |y_i| > cap
-    check : optional callable (t, y) -> bool, called once per accepted
-        step at its end state (t + h, y_new) and at the bisection's probes;
-        False there halts the run at the last state it passes
+    check : optional callable (ts, ys) -> boolean mask of the rows that
+        pass, for an (n,) array of times and an (n, len(y0)) stack of
+        states; called on the end states of accepted steps, in stacks of up
+        to ``_CHUNK``, and on the bisection's probes, one row each.  The
+        first refused row halts the run at the last state ``check`` passes
+        inside its step; rows after it may be reported either way.
     """
     y0 = np.asarray(y0, dtype=float)
     if t_end <= t0:
@@ -199,67 +211,102 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     h = _initial_step(rhs, t, y, k1, t_end, rtol, atol, max_step)
 
     steps = []  # (t0, h, y0, q) per accepted step
+    pending = []  # (t + h, y_new) of the last accepted steps, not checked
+    refused = None  # index into steps of the first step check refuses
+
+    def first_refused():
+        # check the pending end states in one stack
+        if check is None or not pending:
+            return None
+        ts, ys = zip(*pending)
+        ok = np.asarray(check(np.array(ts), np.array(ys)), dtype=bool)
+        pending.clear()
+        return len(steps) - len(ts) + int(np.argmin(ok)) \
+            if not ok.all() else None
+
     facold = 1e-4
     status = "done"
+    over = False
     K = np.empty((7, y.size))
     rejections = 0  # consecutive; a long streak means no h can be certified
-
-    while t < t_end:
-        h = min(h, max_step, t_end - t)
-        if h < 16 * np.finfo(float).eps * max(abs(t), 1.0) or rejections > 60:
-            status = "underflow"
-            break
-        K[0] = k1
-        err = math.nan  # a non-finite stage, state or error norm rejects
-        for s in range(1, 7):
-            row = rhs(t + _C[s] * h, y + h * (K[:s].T @ _A[s]))
-            K[s] = row
-            # a finite sum has finite terms; the array test only runs to
-            # tell finite terms whose sum overflows from a non-finite one
-            if not (math.isfinite(sum(row)) or np.all(np.isfinite(K[s]))):
+    try:
+        while t < t_end:
+            h = min(h, max_step, t_end - t)
+            if h < 16 * np.finfo(float).eps * max(abs(t), 1.0) \
+                    or rejections > 60:
+                status = "underflow"
                 break
-        else:
-            y_new = y + h * (K.T @ _B)
-            if np.all(np.isfinite(y_new)):
-                err = _error_norm(h * (K.T @ _E), y, y_new, rtol, atol)
-        if not math.isfinite(err):
-            h *= 0.25
-            rejections += 1
-            continue
-        if err > 1.0:
-            # rejected: plain proportional shrink, no PI memory update
-            factor = max(_MIN_FACTOR, _SAFETY * err ** (-_EXPO))
-            h *= min(1.0, factor)
-            rejections += 1
-            continue
-        # accepted
-        rejections = 0
-        q = K.T @ _P
-        steps.append((t, h, y, q))
-        over = cap is not None and np.max(np.abs(y_new)) > cap
-        refused = check is not None and not check(t + h, y_new)
-        if over or refused:
-            # the step keeps its full length: its polynomial is only valid
-            # with the h it was built with, and t_stop marks the end
-            def ok(t_mid, y_mid):
-                if over and np.max(np.abs(y_mid)) > cap:
-                    return False
-                return not refused or check(t_mid, y_mid)
-
-            passed, failed = _crossing(t, h, y, q, ok)
-            if over and np.max(np.abs(failed[1])) > cap:
-                status, (t, y) = "cap", failed
+            K[0] = k1
+            err = math.nan  # a non-finite stage, state or error norm rejects
+            for s in range(1, 7):
+                row = rhs(t + _C[s] * h, y + h * (K[:s].T @ _A[s]))
+                K[s] = row
+                # a finite sum has finite terms; the array test only runs to
+                # tell finite terms whose sum overflows from a non-finite one
+                if not (math.isfinite(sum(row)) or np.all(np.isfinite(K[s]))):
+                    break
             else:
-                status, (t, y) = "underflow", passed
-            break
-        # PI controller (accepted step)
-        fac11 = err ** _EXPO if err > 0 else 1e-10
-        factor = min(_MAX_FACTOR,
-                     max(_MIN_FACTOR, _SAFETY * facold ** _BETA / fac11))
-        facold = max(err, 1e-4)
-        t, y = t + h, y_new
-        h *= factor
-        k1 = K[6]  # FSAL
+                y_new = y + h * (K.T @ _B)
+                if np.all(np.isfinite(y_new)):
+                    err = _error_norm(h * (K.T @ _E), y, y_new, rtol, atol)
+            if not math.isfinite(err):
+                h *= 0.25
+                rejections += 1
+                continue
+            if err > 1.0:
+                # rejected: plain proportional shrink, no PI memory update
+                factor = max(_MIN_FACTOR, _SAFETY * err ** (-_EXPO))
+                h *= min(1.0, factor)
+                rejections += 1
+                continue
+            # accepted; check sees the end state later, with its chunk, and
+            # its answer never changes the steps taken before a refusal
+            rejections = 0
+            steps.append((t, h, y, K.T @ _P))
+            pending.append((t + h, y_new))
+            over = cap is not None and np.max(np.abs(y_new)) > cap
+            if over:
+                break
+            if len(pending) == _CHUNK:
+                refused = first_refused()
+                if refused is not None:
+                    break
+            # PI controller (accepted step)
+            fac11 = err ** _EXPO if err > 0 else 1e-10
+            factor = min(_MAX_FACTOR,
+                         max(_MIN_FACTOR, _SAFETY * facold ** _BETA / fac11))
+            facold = max(err, 1e-4)
+            t, y = t + h, y_new
+            h *= factor
+            k1 = K[6]  # FSAL
+    except Exception:
+        # an error of f past a refused state is not part of the run
+        refused = first_refused()
+        if refused is None:
+            raise
+    if refused is None:
+        refused = first_refused()
+
+    if refused is not None or over:
+        # halt inside the first refused step, or else the one over the cap;
+        # the step keeps its full length: its polynomial is only valid with
+        # the h it was built with, and t_stop marks the end
+        over = over and refused in (None, len(steps) - 1)
+        if refused is not None:
+            del steps[refused + 1:]
+        t, h, y, q = steps[-1]
+
+        def ok(t_mid, y_mid):
+            if over and np.max(np.abs(y_mid)) > cap:
+                return False
+            return refused is None or bool(
+                check(np.array([t_mid]), y_mid[None])[0])
+
+        passed, failed = _crossing(t, h, y, q, ok)
+        if over and np.max(np.abs(failed[1])) > cap:
+            status, (t, y) = "cap", failed
+        else:
+            status, (t, y) = "underflow", passed
 
     t0s, hs, y0s, qs = zip(*steps) if steps else ((), (), (), ())
     dense = DenseSolution(np.array(t0s), np.array(hs),

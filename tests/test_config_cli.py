@@ -22,6 +22,7 @@ from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
 from quadflow.expressions import FUNCTIONS
+from quadflow.reduction import assemble, reference_odes
 from quadflow.schedule import PRESETS, CoefficientSchedule
 
 LANDAU_CFG = """
@@ -913,6 +914,22 @@ def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys):
     assert f"{t_break:.6g}" == "2.94226"
 
 
+def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():
+    # the row assembles its 200 random states in stacks of 32; its error is
+    # the one a loop of one-state assemble calls finds, to the bit
+    rng = np.random.default_rng(20240915)
+    err = 0.0
+    for _ in range(200):
+        a, al = rng.uniform(-1, 1, 15), rng.uniform(-1, 1, 15)
+        state = assemble(a, al)
+        err = max(err, abs(np.linalg.det(state.nu) - 1.0),
+                  float(np.max(np.abs(state.mu - reference_odes(a, al)))))
+    cfg = RunConfig(CoefficientSchedule.preset("landau"), 1.0)
+    name, got, _ = next(cli._verify_checks(cfg))
+    assert name.startswith("reduction pipeline vs explicit equations")
+    assert 0 < got == err
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["verify", "--preset", "free", "--omega", "5", "--lam", "3"],
      "keys ['lam', 'omega'] not valid for preset 'free'"),
@@ -937,7 +954,9 @@ def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
     ("[outputs]", "[output]", "unknown sections ['output']"),
     ("t_end = 1.0", "t_end = 1.0\nsample = 10", "[run]: unknown keys ['sample']"),
     ("times = 0.5", "time = 0.5", "[green]: unknown keys ['time']"),
-], ids=["section-output", "run-sample", "green-time"])
+    ("[outputs]", "[constants]\nw = 5\n\n[outputs]",
+     "[constants]: a preset reads no constants"),
+], ids=["section-output", "run-sample", "green-time", "preset-constants"])
 def test_ignored_config_input_is_refused(tmp_path, capsys, old, new,
                                          fragment):
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"

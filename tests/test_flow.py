@@ -117,15 +117,21 @@ def test_driven_schedule_breaks_down_by_step_underflow_at_alpha15():
     assert 1.2 < res.breakdown.t_break < 4.0
 
 
-def test_integrate_runs_the_assemble_sentinel_at_every_step(monkeypatch):
+def _last_step_end(dense):
+    # the last step's polynomial at x = 1
+    return dense.y0[-1] + dense.h[-1] * dense.q[-1].sum(axis=1)
+
+
+def test_integrate_runs_the_assemble_sentinel_on_every_accepted_step(
+        monkeypatch):
     # quadflow.flow.assemble is the det(nu) sentinel (and the call site the
-    # benchmark tracer wraps): it runs once per attempted step, so at least
-    # once per accepted one, and its refusals drive the driven breakdown
-    calls, refused = [], []
+    # benchmark tracer wraps): it sees the end state of every accepted step,
+    # in stacks, and its refusals drive the driven breakdown
+    rows, refused = [], []
     real = flow.assemble
 
     def counting(a, alpha):
-        calls.append(1)
+        rows.extend(map(tuple, np.reshape(alpha, (-1, 15))))
         try:
             return real(a, alpha)
         except SingularNu:
@@ -134,10 +140,49 @@ def test_integrate_runs_the_assemble_sentinel_at_every_step(monkeypatch):
 
     monkeypatch.setattr(flow, "assemble", counting)
     for sched, t_end in ((landau(E_x=0.3, E_y=-0.2), 2.5), (driven(), 4.0)):
-        calls.clear()
+        rows.clear()
         res = integrate(sched, t_end)
-        assert len(calls) >= res.dense.t0.size > 0
+        d = res.dense
+        assert d.t0.size > 0
+        # each step's end state is the next one's start, bit for bit; the
+        # last one's is its polynomial at x = 1, to rounding
+        assert set(map(tuple, d.y0[1:])) <= set(rows)
+        end = _last_step_end(d)
+        assert np.min(np.max(np.abs(np.array(rows) - end), axis=1)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(end)))
     assert refused  # the driven flow's approach to its pole trips det(nu)
+
+
+@pytest.mark.parametrize("sched, t_end", [(landau(), 3.5), (driven(), 4.0)])
+def test_sentinel_halt_brackets_the_first_refused_state(sched, t_end):
+    # with the one-state assemble, whatever stacks the flow checked: every
+    # accepted end state before the last passes, the state at t_break
+    # passes, and the last step's end state fails
+    res = integrate(sched, t_end)
+    d = res.dense
+    assert res.breakdown.reason == "step-underflow"
+    for alpha in d.y0[1:]:
+        assemble(np.zeros(15), alpha)
+    assemble(np.zeros(15), res.interpolate(res.breakdown.t_break))
+    with pytest.raises(SingularNu):
+        assemble(np.zeros(15), _last_step_end(d))
+
+
+def test_coefficient_failing_past_the_sentinel_halt_keeps_the_breakdown():
+    # the stepper runs past the first refused step until its chunk is
+    # checked; a coefficient that is not finite from just past that step's
+    # end on must not turn the driven breakdown into an InvalidSchedule
+    plain = integrate(driven(), 4.0)
+    t_end_step = float(plain.dense.t0[-1] + plain.dense.h[-1])
+    sched = CoefficientSchedule.from_expressions(
+        {6: "A*sin(w*t)", 9: "0.5", 10: "0.5",
+         11: "B*cos(t) + 0*sqrt(T - t)", 14: "C", 15: "-C"},
+        constants=dict(A=0.5, w=2.0, B=0.1, C=0.5, T=t_end_step + 1e-9))
+    with pytest.raises(InvalidSchedule):
+        sched.coefficients(t_end_step + 2e-9)
+    res = integrate(sched, 4.0)
+    assert res.breakdown == plain.breakdown
+    np.testing.assert_array_equal(res.alphas, plain.alphas)
 
 
 def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
@@ -164,7 +209,7 @@ def test_solve_halts_at_the_last_state_check_passes():
     # y' = 1 from 0 with check t < 0.3737: one accepted step straddles the
     # limit, and the run stops inside it instead of shrinking h to the floor
     res = rk.solve(lambda t, y: np.ones(1), 0.0, [0.0], 1.0, max_step=1.0,
-                   check=lambda t, y: t < 0.3737)
+                   check=lambda ts, ys: ts < 0.3737)
     assert res.status == "underflow"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
     assert res.y_stop[0] == pytest.approx(res.t_stop, abs=1e-15)
@@ -180,11 +225,79 @@ def test_solve_halts_at_the_earlier_of_cap_and_check(limit, status, t_cross):
     # the last step runs from t = 0.1111 to t = 1, so the cap (y = t = 0.5)
     # and the check both fail at its end
     res = rk.solve(lambda t, y: np.ones(1), 0.0, [0.0], 1.0, max_step=1.0,
-                   cap=0.5, check=lambda t, y: t < limit)
+                   cap=0.5, check=lambda ts, ys: ts < limit)
     assert res.dense.t0[-1] < 0.3737
     assert res.dense.t0[-1] + res.dense.h[-1] == 1.0
     assert res.status == status
     assert abs(res.t_stop - t_cross) <= 1e-12
+
+
+def _unit_slope(t, y):
+    return [1.0]
+
+
+def _step_ends():
+    # end times of the steps y' = 1 takes on [0, 1]: steps of 0.01 after a
+    # ramp from 1e-4, so the 32-step chunks run 0-31, 32-63, ...
+    res = rk.solve(_unit_slope, 0.0, [0.0], 1.0, max_step=0.01)
+    return res.dense.t0 + res.dense.h
+
+
+def test_solve_prefers_an_earlier_refusal_to_a_later_cap_in_one_chunk():
+    seen = []
+
+    def check(ts, ys):
+        seen.extend(ts.tolist())
+        return ts < 0.3737
+
+    refused, over = np.searchsorted(_step_ends(), [0.3737, 0.5])
+    assert 32 <= refused < over < 64   # both in the second chunk
+    res = rk.solve(_unit_slope, 0.0, [0.0], 1.0, max_step=0.01, cap=0.5,
+                   check=check)
+    assert max(seen) > 0.5    # the cap step ran before the refusal was seen
+    assert res.status == "underflow"
+    assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
+    assert res.dense.t0[-1] + res.dense.h[-1] > 0.3737 > res.dense.t0[-1]
+
+
+@pytest.mark.parametrize("index", [31, 32])
+def test_solve_halts_in_a_refused_step_at_a_chunk_boundary(index):
+    # the 32nd step closes the first chunk and the 33rd opens the second
+    ends = _step_ends()
+    limit = 0.5 * (ends[index - 1] + ends[index])
+    res = rk.solve(_unit_slope, 0.0, [0.0], 1.0, max_step=0.01,
+                   check=lambda ts, ys: ts < limit)
+    assert res.status == "underflow"
+    assert res.dense.t0.size == index + 1
+    np.testing.assert_array_equal(res.dense.t0 + res.dense.h,
+                                  ends[:index + 1])
+    assert limit - 1e-12 <= res.t_stop < limit
+
+
+def test_solve_returns_a_pending_refusal_when_f_raises_later():
+    def f(t, y):
+        if t > 0.45:
+            raise ValueError("past the refusal")
+        return [1.0]
+
+    res = rk.solve(f, 0.0, [0.0], 1.0, max_step=0.01,
+                   check=lambda ts, ys: ts < 0.3737)
+    assert res.status == "underflow"
+    assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
+
+
+def test_solve_reraises_an_error_of_f_when_nothing_is_refused():
+    error = ValueError("not refused")
+
+    def f(t, y):
+        if t > 0.45:
+            raise error
+        return [1.0]
+
+    with pytest.raises(ValueError) as excinfo:
+        rk.solve(f, 0.0, [0.0], 1.0, max_step=0.01,
+                 check=lambda ts, ys: ts < 0.6)
+    assert excinfo.value is error
 
 
 def test_solve_accepts_finite_stages_whose_sum_overflows():

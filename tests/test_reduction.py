@@ -130,15 +130,21 @@ def test_invalid_shapes_rejected():
         assemble(np.zeros(15), np.full(15, np.nan))
 
 
-def _reference_assemble(a, alpha):
-    # w, nu and mu by the descending recursion R_{k-1} = R_k M_k^T over one
-    # adjoint_matrix call per generator; None where det(nu) strays from 1
+def _reference_recursion(alpha):
+    # R_1 and nu by the descending recursion R_{k-1} = R_k M_k^T over one
+    # adjoint_matrix call per generator
     nu = np.empty((15, 15))
     R = np.eye(15)
     for k in range(15, 0, -1):
         nu[:, k - 1] = R[:, k - 1]
         if k > 1:
             R = R @ adjoint_matrix(k, alpha[k - 1]).T
+    return R, nu
+
+
+def _reference_assemble(a, alpha):
+    # w, nu and mu; None where det(nu) strays from 1
+    R, nu = _reference_recursion(alpha)
     det = np.linalg.det(nu)
     if not np.isfinite(det) or abs(det - 1.0) > 1e-6:
         return None
@@ -148,7 +154,7 @@ def _reference_assemble(a, alpha):
 
 def test_assemble_equals_the_reference_recursion_bit_for_bit():
     rng = np.random.default_rng(17)
-    raised = 0
+    good, bad = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for mag in (1e-3, 0.1, 1.0, 3.0, 10.0, 30.0):
             for _ in range(40):
@@ -156,11 +162,39 @@ def test_assemble_equals_the_reference_recursion_bit_for_bit():
                 alpha = rng.uniform(-mag, mag, 15)
                 ref = _reference_assemble(a, alpha)
                 if ref is None:
-                    raised += 1
+                    bad.append((a, alpha))
                     with pytest.raises(SingularNu):
                         assemble(a, alpha)
                     continue
+                good.append((a, alpha, ref))
                 state = assemble(a, alpha)
                 for got, want in zip((state.w, state.nu, state.mu), ref):
                     assert np.array_equal(got, want), (a, alpha)
-    assert 0 < raised < 240  # both outcomes are exercised
+    assert 0 < len(bad) < 240  # both outcomes are exercised
+
+    # stacked, in stacks of 32 and as one, and broadcast against one a:
+    # every row carries the one-state bits
+    a, alpha, refs = map(list, zip(*good))
+    for stack in (slice(0, 32), slice(32, None)):
+        state = assemble(a[stack], alpha[stack])
+        for k, ref in enumerate(refs[stack]):
+            for got, want in zip((state.w, state.nu, state.mu), ref):
+                assert np.array_equal(got[k], want)
+    state = assemble(a[0], np.reshape(alpha[:30], (5, 6, 15)))
+    for k in range(30):
+        row = assemble(a[0], alpha[k])
+        for got, want in zip((state.w, state.nu, state.mu),
+                             (row.w, row.nu, row.mu)):
+            assert np.array_equal(got[divmod(k, 6)], want)
+
+    # a stack with one bad row names that row's det and alpha
+    bad_a, bad_alpha = bad[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(_reference_recursion(bad_alpha)[1]))
+    for at in (0, 7, 31):
+        rows = alpha[:31]
+        rows.insert(at, bad_alpha)
+        with pytest.raises(SingularNu) as excinfo:
+            assemble(bad_a, rows)
+        assert str(excinfo.value) == (f"det(nu) = {det!r} at alpha = "
+                                      f"{bad_alpha.tolist()}")
