@@ -19,9 +19,16 @@ class InvalidSchedule(QuadflowError):
 
 
 class SingularNu(QuadflowError):
-    """det(nu) strayed from 1, which signals an assembly bug."""
+    """det(nu) strayed from 1: the conditioning sentinel's refusal of a
+    state whose factorization data outran double precision (or an assembly
+    bug).  ``row`` is the flat C-order index of the first refused state of
+    the stack, 0 for one state."""
 
     code = "singular-nu"
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class BranchUnavailable(QuadflowError):

@@ -19,8 +19,9 @@ with an operand stack and an operator stack (a function call or a group is
 a paren marker on the operator stack that its ``)`` closes), so no depth of
 nesting recurses.  :func:`to_callable` compiles a tree to generated Python
 source: one straight-line function with an assignment per operation (see
-:func:`straight_line`, which walks the tree with an explicit stack and
-reports every missing named constant at once), not a tree of closures.
+:func:`straight_line`, which reports every missing named constant at
+once), not a tree of closures.  It and :func:`pretty` walk the tree with one
+explicit stack, so no depth of tree recurses there either.
 """
 
 from __future__ import annotations
@@ -188,6 +189,33 @@ def literal(value) -> str:
 _BINARY_OPS = ("+", "-", "*", "/", "^")
 
 
+def _fold(node, leaf, combine):
+    """Fold the tree in left-to-right post-order with an explicit stack, so
+    no depth of tree recurses: ``leaf(node)`` gives the value of a number,
+    ``t`` or a named constant, and ``combine(node, *values)`` that of an
+    operation from the values of its operands.  Raises TypeError for
+    anything that is not an expression node."""
+    values = []
+    todo = [(node, False)]
+    while todo:
+        node, operands_ready = todo.pop()
+        if isinstance(node, (Num, Var, Const)):
+            values.append(leaf(node))
+        elif operands_ready:
+            n = 1 if isinstance(node, Unary) else 2
+            operands = values[-n:]
+            del values[-n:]
+            values.append(combine(node, *operands))
+        elif isinstance(node, Unary) and node.op in FUNCTIONS:
+            todo += [(node, True), (node.arg, False)]
+        elif isinstance(node, Binary) and node.op in _BINARY_OPS:
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        else:   # named by type and op: the repr of a deep node recurses
+            raise TypeError(f"not an expression node: {type(node).__name__}"
+                            f" with op {getattr(node, 'op', None)!r}")
+    return values.pop()
+
+
 def straight_line(node, constants=None, prefix="_v"):
     """Generate the tree as straight-line code over the variable ``t``.
 
@@ -202,44 +230,34 @@ def straight_line(node, constants=None, prefix="_v"):
     missing from ``constants``.
     """
     constants = constants or {}
-    lines, operands, missing = [], [], set()
-    todo = [(node, False)]   # an explicit stack: deep trees do not recurse
-    while todo:
-        node, operands_ready = todo.pop()
+    lines, missing = [], set()
+
+    def leaf(node):
         if isinstance(node, Num):
-            operands.append(literal(node.value))
-        elif isinstance(node, Var):
-            operands.append("t")
-        elif isinstance(node, Const):
-            if node.name in constants:
-                operands.append(literal(constants[node.name]))
-            else:
-                missing.add(node.name)
-                operands.append(node.name)
-        elif not operands_ready:
-            if not (isinstance(node, Unary) and node.op in FUNCTIONS
-                    or isinstance(node, Binary) and node.op in _BINARY_OPS):
-                raise TypeError(f"not an expression node: {node!r}")
-            todo.append((node, True))
-            if isinstance(node, Binary):
-                todo.append((node.right, False))
-                todo.append((node.left, False))
-            else:
-                todo.append((node.arg, False))
+            return literal(node.value)
+        if isinstance(node, Var):
+            return "t"
+        if node.name in constants:
+            return literal(constants[node.name])
+        missing.add(node.name)
+        return node.name
+
+    def combine(node, *operands):
+        if isinstance(node, Unary):
+            (arg,) = operands
+            code = f"-{arg}" if node.op == "neg" else f"{node.op}({arg})"
         else:
-            if isinstance(node, Unary):
-                arg = operands.pop()
-                code = f"-{arg}" if node.op == "neg" else f"{node.op}({arg})"
-            else:
-                right, left = operands.pop(), operands.pop()
-                code = (f"_pow({left}, {right})" if node.op == "^"
-                        else f"{left} {node.op} {right}")
-            local = f"{prefix}{len(lines)}"
-            lines.append(f"{local} = {code}")
-            operands.append(local)
+            left, right = operands
+            code = (f"_pow({left}, {right})" if node.op == "^"
+                    else f"{left} {node.op} {right}")
+        local = f"{prefix}{len(lines)}"
+        lines.append(f"{local} = {code}")
+        return local
+
+    operand = _fold(node, leaf, combine)
     if missing:
         raise KeyError(sorted(missing))
-    return lines, operands.pop()
+    return lines, operand
 
 
 # the names generated code reads besides t
@@ -267,46 +285,33 @@ def to_callable(node, constants=None):
     return define(*straight_line(node, constants))
 
 
-# precedence levels for the pretty-printer
+# precedence levels for the pretty-printer; a leaf or a function call binds
+# tightest, at 4
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}
-
-
-def _prec(node) -> float:
-    if isinstance(node, Binary):
-        return _PREC[node.op]
-    if isinstance(node, Unary) and node.op == "neg":
-        return _PREC["neg"]
-    return 4.0
 
 
 def pretty(node) -> str:
     """Render the tree; ``parse_expression(pretty(x))`` rebuilds ``x`` exactly."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = pretty(node.arg)
-            if _prec(node.arg) < _PREC["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{node.op}({pretty(node.arg)})"
-    if isinstance(node, Binary):
-        lhs, rhs = pretty(node.left), pretty(node.right)
+
+    def leaf(node):   # (text, precedence), like every value of the fold
+        if isinstance(node, Num):
+            return repr(node.value), 4
+        return ("t" if isinstance(node, Var) else node.name), 4
+
+    def combine(node, *operands):
+        if isinstance(node, Unary) and node.op != "neg":
+            return f"{node.op}({operands[0][0]})", 4
         p = _PREC[node.op]
-        if node.op == "^":
-            # right-associative: parenthesise the left at equal precedence
-            if _prec(node.left) <= p:
-                lhs = f"({lhs})"
-            if _prec(node.right) < p:
-                rhs = f"({rhs})"
-        else:
-            if _prec(node.left) < p:
-                lhs = f"({lhs})"
-            if _prec(node.right) <= p:
-                rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
-    raise TypeError(f"not an expression node: {node!r}")
+        if isinstance(node, Unary):
+            ((inner, q),) = operands
+            return (f"-({inner})" if q < p else f"-{inner}"), p
+        (lhs, left), (rhs, right) = operands
+        # '^' is right-associative: its left operand is parenthesised at
+        # equal precedence and its right one is not; the others the reverse
+        if left < p or left == p and node.op == "^":
+            lhs = f"({lhs})"
+        if right < p or right == p and node.op != "^":
+            rhs = f"({rhs})"
+        return f"{lhs}{node.op}{rhs}", p
+
+    return _fold(node, leaf, combine)[0]

@@ -17,11 +17,11 @@ accepted step: its det(nu) = 1 check is the conditioning sentinel.  det(nu)
 depends on alpha alone, so the sentinel reads no coefficients and the
 schedule is evaluated once per right-hand side; and its answer does not
 steer the stepper until it refuses, so the stepper hands it the end states
-in stacks of up to 32, one ``assemble`` call each.  The first refused step
-is kept, the steps past it are dropped, and the sentinel's crossing is
-bisected on that step's dense polynomial; the flow halts at the last state
-it passes, a step-underflow breakdown, since no step can be certified
-beyond it.
+in stacks of up to 32, one ``assemble`` call each, which names the first
+refused state.  That step is kept, the steps past it are dropped, and the
+sentinel's crossing is bisected on that step's dense polynomial; the flow
+halts at the last state it passes, a step-underflow breakdown, since no
+step can be certified beyond it.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -115,21 +115,12 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # the matrix entries outrun double precision the factorization data
         # is meaningless, so the flow halts at the last state it passes.
         # det(nu) depends on alpha alone, so the coefficients are zeros.
-        # One call checks the stack; a refusal is located row by row
-        ok = np.ones(len(alphas), dtype=bool)
+        # One call checks the stack and names its first refused row
         try:
             assemble(_NO_COEFFICIENTS, alphas)
-            return ok
-        except SingularNu:
-            if len(alphas) == 1:   # a bisection probe: that row is refused
-                return ~ok
-        for i, alpha in enumerate(alphas):
-            try:
-                assemble(_NO_COEFFICIENTS, alpha)
-            except SingularNu:
-                ok[i:] = False
-                break
-        return ok
+        except SingularNu as refusal:
+            return refusal.row
+        return len(alphas)
 
     res = rk.solve(rhs, 0.0, alpha0, t_end, rtol=rtol, atol=atol,
                    max_step=max_step, cap=magnitude_cap, check=conditioned)

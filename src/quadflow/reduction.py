@@ -108,7 +108,8 @@ def assemble(a, alpha) -> ReductionState:
     ------
     SingularNu
         If |det(nu) - 1| > 1e-6 in any row of the stack; the message names
-        the first such row's det and alpha.  det(nu) = 1 holds analytically
+        the first such row's det and alpha, and ``row`` its flat C-order
+        index in the stack (0 for one state).  det(nu) = 1 holds analytically
         for this transformation ordering, so a violation indicates an
         assembly bug (or a wildly out-of-range alpha).
     """
@@ -119,9 +120,10 @@ def assemble(a, alpha) -> ReductionState:
         det = np.linalg.det(nu)
         bad = ~(np.abs(det - 1.0) <= _DET_TOL)   # NaN fails as well
         if bad.any():
-            first = np.unravel_index(np.argmax(bad), bad.shape)
+            row = int(np.argmax(bad))
+            first = np.unravel_index(row, bad.shape)
             raise SingularNu(f"det(nu) = {float(det[first])!r} at alpha = "
-                             f"{alpha[first].tolist()}")
+                             f"{alpha[first].tolist()}", row)
         w = (R @ a[..., None])[..., 0]
         mu = np.linalg.solve(nu, w[..., None])[..., 0]
     return ReductionState(a=a, alpha=alpha, w=w, nu=nu, mu=mu)

@@ -17,14 +17,19 @@ the dense polynomial of the accepted step inside which they occur:
   earlier crossing wins.  The same status ends a run whose step size the
   controller pushes below the resolvable floor (non-finite stage values or
   error norms reject a step rather than raising, so blow-ups degrade
-  gracefully into this outcome).
+  gracefully into this outcome), and one that spends ``_MAX_ATTEMPTS``
+  step attempts, accepted or rejected, whose length the controller chose
+  (shorter than both ``max_step`` and the rest of the run) before reaching
+  ``t_end``.
 
-``check`` never steers the stepper before it refuses, so it sees the end
-states in stacks: they wait until ``_CHUNK`` of them are pending or the loop
-ends (at ``t_end``, the cap, the floor, or an exception raised by ``f``).
-The first refused step wins over everything after it: the steps past it are
-dropped, and an exception of ``f`` raised past it is too.  The steps before
-it are the ones a check after every step would have taken, bit for bit.
+``check(ts, ys)`` returns how many leading rows of a stack pass.  It never
+steers the stepper before it refuses, so it sees the end states in stacks:
+they wait until ``_CHUNK`` of them are pending or the loop ends (at
+``t_end``, the cap, the floor, the budget, or an exception raised by
+``f``).  The first refused step wins over everything after it: the steps
+past it are dropped, and an exception of ``f`` raised past it is too.  The
+steps before it are the ones a check after every step would have taken,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # accepted end states per call of ``check``
 _CHUNK = 32
+# controller-sized step attempts, accepted or rejected, before a run ends
+# as "underflow" (DOPRI5's NMAX, Hairer, Norsett & Wanner, Solving ODEs I)
+_MAX_ATTEMPTS = 100_000
 
 
 @dataclass
@@ -175,20 +183,20 @@ def _crossing(t0, h, y0, q, ok):
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
-          cap=None, check=None) -> RKResult:
+          cap=math.inf, check=None) -> RKResult:
     """Integrate y' = f(t, y) from t0 to t_end.
 
     Parameters
     ----------
-    f : callable (t, y) -> list of floats (an array is converted); may
-        return non-finite values, which reject the current step
-    cap : optional magnitude bound; integration halts once any |y_i| > cap
-    check : optional callable (ts, ys) -> boolean mask of the rows that
+    f : callable (t, y) -> list of floats; may return non-finite values,
+        which reject the current step
+    cap : magnitude bound; integration halts once any |y_i| > cap
+    check : optional callable (ts, ys) -> the number of leading rows that
         pass, for an (n,) array of times and an (n, len(y0)) stack of
         states; called on the end states of accepted steps, in stacks of up
         to ``_CHUNK``, and on the bisection's probes, one row each.  The
         first refused row halts the run at the last state ``check`` passes
-        inside its step; rows after it may be reported either way.
+        inside its step.
     """
     y0 = np.asarray(y0, dtype=float)
     if t_end <= t0:
@@ -202,9 +210,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     def rhs(t, y):
         nonlocal n_rhs
         n_rhs += 1
-        row = f(t, y)
-        return row if isinstance(row, list) \
-            else np.asarray(row, dtype=float).tolist()
+        return f(t, y)
 
     t, y = float(t0), y0.copy()
     k1 = np.array(rhs(t, y), dtype=float)
@@ -219,23 +225,27 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         if check is None or not pending:
             return None
         ts, ys = zip(*pending)
-        ok = np.asarray(check(np.array(ts), np.array(ys)), dtype=bool)
+        passed = check(np.array(ts), np.array(ys))
         pending.clear()
-        return len(steps) - len(ts) + int(np.argmin(ok)) \
-            if not ok.all() else None
+        return None if passed == len(ts) else len(steps) - len(ts) + passed
 
     facold = 1e-4
     status = "done"
     over = False
     K = np.empty((7, y.size))
     rejections = 0  # consecutive; a long streak means no h can be certified
+    attempts = 0
     try:
         while t < t_end:
+            # only a step the controller sized counts against the budget;
+            # one that max_step or t_end cut never ends a run
+            sized = h < min(max_step, t_end - t)
             h = min(h, max_step, t_end - t)
             if h < 16 * np.finfo(float).eps * max(abs(t), 1.0) \
-                    or rejections > 60:
+                    or rejections > 60 or attempts == _MAX_ATTEMPTS:
                 status = "underflow"
                 break
+            attempts += sized
             K[0] = k1
             err = math.nan  # a non-finite stage, state or error norm rejects
             for s in range(1, 7):
@@ -264,7 +274,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             rejections = 0
             steps.append((t, h, y, K.T @ _P))
             pending.append((t + h, y_new))
-            over = cap is not None and np.max(np.abs(y_new)) > cap
+            over = np.max(np.abs(y_new)) > cap
             if over:
                 break
             if len(pending) == _CHUNK:
@@ -299,8 +309,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         def ok(t_mid, y_mid):
             if over and np.max(np.abs(y_mid)) > cap:
                 return False
-            return refused is None or bool(
-                check(np.array([t_mid]), y_mid[None])[0])
+            return refused is None or \
+                check(np.array([t_mid]), y_mid[None]) == 1
 
         passed, failed = _crossing(t, h, y, q, ok)
         if over and np.max(np.abs(failed[1])) > cap:

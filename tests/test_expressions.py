@@ -252,3 +252,20 @@ def test_deep_expressions_compile_and_evaluate():
             for _ in range(1000):
                 expected = -math.sin(0.75) * expected
         assert value == expected, name
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_trees_print_and_reparse(name):
+    # the printed text and the generated code are compared, not the trees
+    tree = parse_expression(DEEP[name][0])
+    printed = pretty(tree)
+    again = parse_expression(printed)
+    assert pretty(again) == printed
+    assert straight_line(again) == straight_line(tree)
+
+
+def test_an_unknown_operation_over_a_deep_tree_is_a_type_error():
+    deep = parse_expression(DEEP["neg-3001"][0])
+    for render in (pretty, straight_line):
+        with pytest.raises(TypeError, match="Binary with op '%'"):
+            render(Binary("%", deep, Num(1.0)))

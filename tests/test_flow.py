@@ -208,8 +208,8 @@ def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
 def test_solve_halts_at_the_last_state_check_passes():
     # y' = 1 from 0 with check t < 0.3737: one accepted step straddles the
     # limit, and the run stops inside it instead of shrinking h to the floor
-    res = rk.solve(lambda t, y: np.ones(1), 0.0, [0.0], 1.0, max_step=1.0,
-                   check=lambda ts, ys: ts < 0.3737)
+    res = rk.solve(lambda t, y: [1.0], 0.0, [0.0], 1.0, max_step=1.0,
+                   check=lambda ts, ys: int(np.sum(ts < 0.3737)))
     assert res.status == "underflow"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
     assert res.y_stop[0] == pytest.approx(res.t_stop, abs=1e-15)
@@ -224,8 +224,8 @@ def test_solve_halts_at_the_last_state_check_passes():
 def test_solve_halts_at_the_earlier_of_cap_and_check(limit, status, t_cross):
     # the last step runs from t = 0.1111 to t = 1, so the cap (y = t = 0.5)
     # and the check both fail at its end
-    res = rk.solve(lambda t, y: np.ones(1), 0.0, [0.0], 1.0, max_step=1.0,
-                   cap=0.5, check=lambda ts, ys: ts < limit)
+    res = rk.solve(lambda t, y: [1.0], 0.0, [0.0], 1.0, max_step=1.0,
+                   cap=0.5, check=lambda ts, ys: int(np.sum(ts < limit)))
     assert res.dense.t0[-1] < 0.3737
     assert res.dense.t0[-1] + res.dense.h[-1] == 1.0
     assert res.status == status
@@ -248,7 +248,7 @@ def test_solve_prefers_an_earlier_refusal_to_a_later_cap_in_one_chunk():
 
     def check(ts, ys):
         seen.extend(ts.tolist())
-        return ts < 0.3737
+        return int(np.sum(ts < 0.3737))
 
     refused, over = np.searchsorted(_step_ends(), [0.3737, 0.5])
     assert 32 <= refused < over < 64   # both in the second chunk
@@ -266,7 +266,7 @@ def test_solve_halts_in_a_refused_step_at_a_chunk_boundary(index):
     ends = _step_ends()
     limit = 0.5 * (ends[index - 1] + ends[index])
     res = rk.solve(_unit_slope, 0.0, [0.0], 1.0, max_step=0.01,
-                   check=lambda ts, ys: ts < limit)
+                   check=lambda ts, ys: int(np.sum(ts < limit)))
     assert res.status == "underflow"
     assert res.dense.t0.size == index + 1
     np.testing.assert_array_equal(res.dense.t0 + res.dense.h,
@@ -281,7 +281,7 @@ def test_solve_returns_a_pending_refusal_when_f_raises_later():
         return [1.0]
 
     res = rk.solve(f, 0.0, [0.0], 1.0, max_step=0.01,
-                   check=lambda ts, ys: ts < 0.3737)
+                   check=lambda ts, ys: int(np.sum(ts < 0.3737)))
     assert res.status == "underflow"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
 
@@ -296,7 +296,7 @@ def test_solve_reraises_an_error_of_f_when_nothing_is_refused():
 
     with pytest.raises(ValueError) as excinfo:
         rk.solve(f, 0.0, [0.0], 1.0, max_step=0.01,
-                 check=lambda ts, ys: ts < 0.6)
+                 check=lambda ts, ys: int(np.sum(ts < 0.6)))
     assert excinfo.value is error
 
 
@@ -346,6 +346,64 @@ def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
     assert second.n_rhs == first.n_rhs
     np.testing.assert_array_equal(second.ts, first.ts)
     np.testing.assert_array_equal(second.alphas, first.alphas)
+
+
+@pytest.mark.parametrize("params", [
+    {}, dict(A=0.51, w=1.96), dict(B=0.104, C=0.49),
+    dict(A=0.49, w=2.04, C=0.51)])
+def test_a_refused_stack_is_located_without_one_state_calls(monkeypatch,
+                                                            params):
+    # one assemble call per stack locates its first refused row, so the
+    # only one-row calls left are the bisection's probes
+    one_row, probes = [], []
+    real_assemble, real_crossing = flow.assemble, rk._crossing
+
+    def counting(a, alpha):
+        if np.size(alpha) == 15:
+            one_row.append(alpha)
+        return real_assemble(a, alpha)
+
+    def crossing(t0, h, y0, q, ok):
+        def counted(t, y):
+            probes.append(t)
+            return ok(t, y)
+        return real_crossing(t0, h, y0, q, counted)
+
+    monkeypatch.setattr(flow, "assemble", counting)
+    monkeypatch.setattr(rk, "_crossing", crossing)
+    res = integrate(driven(**params), 4.0)
+    assert res.breakdown.reason == "step-underflow"
+    assert len(one_row) == len(probes) > 0
+
+
+def test_solve_ends_after_its_attempt_budget(monkeypatch):
+    # y' = cos(1e4 t) is resolved in steps far shorter than max_step, so
+    # both accepted and rejected attempts count; each costs six RHS calls
+    # after the two of the start
+    monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 40)
+    res = rk.solve(lambda t, y: [math.cos(1e4 * t)], 0.0, [0.0], 1.0)
+    assert res.status == "underflow"
+    assert res.t_stop < 1.0
+    assert 0 < res.dense.t0.size < 40
+    assert res.n_rhs == 2 + 6 * 40
+    # a schedule that oscillates beyond resolution ends as a breakdown
+    res = integrate(driven(w=1e308), 4.0)
+    assert res.breakdown.reason == "step-underflow"
+    assert res.breakdown.t_break == res.ts[-1] < 4.0
+
+
+def test_steps_that_max_step_cuts_do_not_spend_the_budget(monkeypatch):
+    # 100 steps of length max_step, past a budget of 40: the run is long,
+    # not unresolvable, so it reaches t_end with no breakdown
+    monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 40)
+    res = rk.solve(lambda t, y: [1.0], 0.0, [0.0], 1.0, max_step=0.01)
+    assert res.status == "done"
+    assert res.t_stop == 1.0
+    assert res.dense.t0.size >= 100
+    res = integrate(landau(), 1.0, max_step=0.01)
+    assert res.breakdown is None
+    assert res.ts[-1] == 1.0
+    assert res.n_rhs > 6 * 40
 
 
 def test_halt_before_the_first_step_names_the_fastest_component():
@@ -483,7 +541,7 @@ def test_dense_output_picks_the_bisection_step():
 
 def test_dense_output_at_cap_stop_is_the_crossing_state():
     # y' = y^2, y(0) = 1 blows up at t = 1 as y = 1 / (1 - t)
-    res = rk.solve(lambda t, y: y * y, 0.0, [1.0], 2.0, cap=1e3)
+    res = rk.solve(lambda t, y: (y * y).tolist(), 0.0, [1.0], 2.0, cap=1e3)
     assert res.status == "cap"
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
     assert res.y_stop[0] > 1e3

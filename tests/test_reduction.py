@@ -1,5 +1,7 @@
 """Reduction pipeline (w, nu, mu) against the transcribed flow equations."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -119,8 +121,25 @@ def test_overflowing_alpha_raises_singular_nu():
     a = np.ones(15)
     alpha = np.zeros(15)
     alpha[11] = 400.0  # exp(+-4*alpha12) overflows the determinant
-    with pytest.raises(SingularNu):
+    with pytest.raises(SingularNu) as excinfo:
         assemble(a, alpha)
+    assert excinfo.value.row == 0
+
+
+def test_a_refused_stack_names_its_first_refused_row():
+    # refused rows at flat C-order indices 4 and 5 of a (2, 3, 15) stack
+    alpha = np.zeros((2, 3, 15))
+    alpha[1, 1, 11] = 400.0
+    alpha[1, 2, 11] = 500.0
+    with pytest.raises(SingularNu) as one:
+        assemble(np.ones(15), alpha[1, 1])
+    with pytest.raises(SingularNu) as excinfo:
+        assemble(np.ones(15), alpha)
+    assert excinfo.value.row == 4
+    assert str(excinfo.value) == str(one.value)
+    # the row survives a round trip to a worker process
+    assert pickle.loads(pickle.dumps(excinfo.value)).row == 4
+    assert SingularNu("one argument").row is None
 
 
 def test_invalid_shapes_rejected():
