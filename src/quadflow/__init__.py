@@ -15,7 +15,7 @@ from .algebra import (GENERATOR_LABELS, N_GENERATORS, StructureConstants,
 from .adjoint import adjoint_closed_form, adjoint_matrix
 from .errors import (BranchUnavailable, ConfigError, DegenerateGeometry,
                      GridUnderresolved, InvalidSchedule, ParseError,
-                     QuadflowError, SingularNu, SingularTime)
+                     QuadflowError, SingularNu, SingularTime, StepBudget)
 from .expressions import parse_expression, pretty
 from .flow import (Breakdown, FlowResult, constant_field_closed_form,
                    integrate, write_alphas_csv)
@@ -37,7 +37,8 @@ __all__ = [
     "DegenerateGeometry", "FlowResult", "GaussianState",
     "GENERATOR_LABELS", "GreenSample", "GridUnderresolved",
     "InvalidSchedule", "N_GENERATORS", "ParseError", "QuadflowError",
-    "ReductionState", "SingularNu", "SingularTime", "StructureConstants",
+    "ReductionState", "SingularNu", "SingularTime", "StepBudget",
+    "StructureConstants",
     "SYMPLECTIC_J", "adjoint_closed_form", "adjoint_matrix", "apply_kernel",
     "assemble", "classical_lagrangian", "commutator",
     "constant_field_closed_form", "fundamental_matrix", "green", "green_kernel",

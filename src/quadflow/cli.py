@@ -120,11 +120,11 @@ def run_config_file(path, outdir=None, green_only=False) -> dict:
 
 def _run_plan(path, cfg, out_base, dests) -> dict:
     """Integrate a planned config and write its outputs."""
-    out_base.mkdir(parents=True, exist_ok=True)
     result = flow_mod.integrate(
         cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
         max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap,
         samples=cfg.samples)
+    out_base.mkdir(parents=True, exist_ok=True)
     written = []
     if "alphas" in dests:
         flow_mod.write_alphas_csv(result, dests["alphas"])

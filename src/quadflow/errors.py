@@ -31,6 +31,13 @@ class SingularNu(QuadflowError):
         self.row = row
 
 
+class StepBudget(QuadflowError):
+    """The flow spent its budget of step attempts before ``t_end``: the
+    run was not resolved, but the chart did not break down either."""
+
+    code = "step-budget"
+
+
 class BranchUnavailable(QuadflowError):
     """Generic propagator branch cannot be evaluated at these parameters."""
 

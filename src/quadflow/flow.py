@@ -5,23 +5,24 @@ t = 0) and is advanced with the embedded 5(4) pair from :mod:`.rk` at tight
 default tolerances.  The factorization has coordinate singularities - for
 the pure-magnetic-field case alpha_6 grows like tan(omega_c t / 2) and
 diverges at omega_c t = pi - so breakdown is a first-class result, not an
-exception: integration halts when any |alpha_i| exceeds ``magnitude_cap``
-or when the step size underflows, and reports the offending component and a
-bracketed breakdown time.
+exception: the flow halts at the last state the chart passes and reports
+the offending component.
 
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
-function returns, and the stepper checks each stage on those floats.  The
-matrix pipeline (:func:`.reduction.assemble`) checks the end state of every
-accepted step: its det(nu) = 1 check is the conditioning sentinel.  det(nu)
-depends on alpha alone, so the sentinel reads no coefficients and the
-schedule is evaluated once per right-hand side; and its answer does not
-steer the stepper until it refuses, so the stepper hands it the end states
-in stacks of up to 32, one ``assemble`` call each, which names the first
-refused state.  That step is kept, the steps past it are dropped, and the
-sentinel's crossing is bisected on that step's dense polynomial; the flow
-halts at the last state it passes, a step-underflow breakdown, since no
-step can be certified beyond it.
+function returns, and the stepper checks each stage on those floats.  One
+predicate decides where the chart ends: every |alpha_i| <= ``magnitude_cap``
+and det(nu) = 1 in the matrix pipeline (:func:`.reduction.assemble`), the
+conditioning sentinel.  It depends on alpha alone, so it reads no
+coefficients, and it does not steer the stepper until it refuses, so the
+stepper hands it the end states of accepted steps in stacks of up to 32.
+Rows from the first over-cap one on never reach ``assemble``, whose one call
+names the first row it refuses.  That step is kept, the steps past it are
+dropped, and the crossing is bisected on that step's dense polynomial; the
+flow halts at the last state that passes.  The reason names the bound the
+last failing probe broke: magnitude-overflow for the cap, step-underflow
+for det(nu), as for a step size pushed to the floor.  A spent step budget
+is no breakdown: it raises :class:`.StepBudget`.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import rk
 from .algebra import N_GENERATORS
-from .errors import SingularNu, SingularTime
+from .errors import SingularNu, SingularTime, StepBudget
 from .reduction import assemble, explicit_rhs
 from .schedule import CoefficientSchedule
 
@@ -81,7 +82,8 @@ _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
               atol=1e-10, max_step=None, magnitude_cap=1e8, samples=200,
               initial_alpha=None) -> FlowResult:
-    """Integrate the flow from t = 0 to ``t_end``.
+    """Integrate the flow from t = 0 to ``t_end``; raises StepBudget if the
+    stepper's budget of step attempts runs out first.
 
     Parameters
     ----------
@@ -91,7 +93,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         spanning [0, t_stop] (a single 0.0 if the flow halts before its
         first step)
     magnitude_cap : |alpha_i| bound beyond which the factorization is
-        declared broken down
+        declared broken down; the flow stops at the last state within it
     initial_alpha : optional 15-vector for piecewise continuation (defaults
         to zeros, the identity factorization)
 
@@ -110,20 +112,32 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # InvalidSchedule propagates; an overflowing term is a NaN stage
         return explicit_rhs(schedule.coefficients(t), alpha.tolist())
 
+    reason = "step-underflow"   # the bound the last failing probe broke
+
     def conditioned(ts, alphas):
-        # assemble's det(nu) = 1 assertion is the conditioning sentinel: once
-        # the matrix entries outrun double precision the factorization data
-        # is meaningless, so the flow halts at the last state it passes.
-        # det(nu) depends on alpha alone, so the coefficients are zeros.
-        # One call checks the stack and names its first refused row
+        # the rows before the first over-cap one go to one assemble call,
+        # which names the first it refuses: once the matrix entries outrun
+        # double precision det(nu) strays from 1.  It depends on alpha
+        # alone, so the coefficients are zeros
+        nonlocal reason
+        over = np.max(np.abs(alphas), axis=1) > magnitude_cap
+        n = int(np.argmax(over)) if over.any() else len(alphas)
         try:
-            assemble(_NO_COEFFICIENTS, alphas)
+            if n:
+                assemble(_NO_COEFFICIENTS, alphas[:n])
         except SingularNu as refusal:
+            reason = "step-underflow"
             return refusal.row
-        return len(alphas)
+        if n < len(alphas):
+            reason = "magnitude-overflow"
+        return n
 
     res = rk.solve(rhs, 0.0, alpha0, t_end, rtol=rtol, atol=atol,
-                   max_step=max_step, cap=magnitude_cap, check=conditioned)
+                   max_step=max_step, check=conditioned)
+    if res.status == "budget":
+        raise StepBudget(f"the flow spent {rk._MAX_ATTEMPTS} step attempts "
+                         f"and reached only t = {res.t_stop!r} of t_end = "
+                         f"{t_end!r}")
 
     breakdown = None
     if res.status != "done":
@@ -133,8 +147,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
             schedule.coefficients(res.t_stop), res.y_stop.tolist())
         breakdown = Breakdown(
             t_break=res.t_stop, index=int(np.argmax(np.abs(offending))) + 1,
-            reason={"cap": "magnitude-overflow",
-                    "underflow": "step-underflow"}[res.status])
+            reason=reason)
 
     # uniform sample grid over the integrated span (samples + 1 rows in the
     # CSV contract); the dense interpolant carries the per-step resolution

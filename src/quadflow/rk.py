@@ -6,30 +6,21 @@ proportional-integral rule (error exponent 0.2 - 0.75*beta, beta = 0.04).
 Each accepted step stores the quartic dense-output polynomial, so solutions
 can be evaluated anywhere without re-integration.
 
-Two halting modes besides reaching ``t_end``, both located by bisection on
-the dense polynomial of the accepted step inside which they occur:
-
-* ``cap``: some |y_i| exceeded ``cap`` at the end of an accepted step; the
-  run stops at the first bracketed state beyond the cap.
-* ``underflow``: the caller's ``check`` refused the end state of an
-  accepted step; the run stops at the last bracketed state ``check``
-  passes.  When the cap and ``check`` both fail at the step's end, the
-  earlier crossing wins.  The same status ends a run whose step size the
-  controller pushes below the resolvable floor (non-finite stage values or
-  error norms reject a step rather than raising, so blow-ups degrade
-  gracefully into this outcome), and one that spends ``_MAX_ATTEMPTS``
-  step attempts, accepted or rejected, whose length the controller chose
-  (shorter than both ``max_step`` and the rest of the run) before reaching
-  ``t_end``.
-
-``check(ts, ys)`` returns how many leading rows of a stack pass.  It never
-steers the stepper before it refuses, so it sees the end states in stacks:
-they wait until ``_CHUNK`` of them are pending or the loop ends (at
-``t_end``, the cap, the floor, the budget, or an exception raised by
-``f``).  The first refused step wins over everything after it: the steps
-past it are dropped, and an exception of ``f`` raised past it is too.  The
-steps before it are the ones a check after every step would have taken,
-bit for bit.
+``check(ts, ys)``, the one halting predicate, returns how many leading rows
+of a stack pass.  It never steers the stepper before it refuses, so it sees
+the end states of accepted steps in stacks: they wait until ``_CHUNK`` of
+them are pending or the loop ends.  The first refused step wins over
+everything after it: the steps past it are dropped, and an exception of
+``f`` raised past it is too.  The run stops (status ``refused``) at the last
+state ``check`` passes inside that step, bisected on its dense polynomial;
+the steps before it are the ones a check after every step would have taken,
+bit for bit.  Otherwise a run ends ``done`` at ``t_end``; ``underflow`` when
+the controller pushes the step size below the resolvable floor or rejects
+60 steps in a row (non-finite stage values or error norms reject a step
+rather than raising, so blow-ups degrade gracefully into this outcome); or
+``budget`` after ``_MAX_ATTEMPTS`` step attempts, accepted or rejected,
+whose length the controller chose (shorter than both ``max_step`` and the
+rest of the run), at its last accepted state.
 """
 
 from __future__ import annotations
@@ -81,7 +72,7 @@ _MAX_FACTOR = 10.0
 # accepted end states per call of ``check``
 _CHUNK = 32
 # controller-sized step attempts, accepted or rejected, before a run ends
-# as "underflow" (DOPRI5's NMAX, Hairer, Norsett & Wanner, Solving ODEs I)
+# as "budget" (DOPRI5's NMAX, Hairer, Norsett & Wanner, Solving ODEs I)
 _MAX_ATTEMPTS = 100_000
 
 
@@ -126,7 +117,7 @@ def _quartic(t0, h, y0, q, t):
 @dataclass
 class RKResult:
     dense: DenseSolution
-    status: str              # "done" | "cap" | "underflow"
+    status: str              # "done" | "refused" | "underflow" | "budget"
     t_stop: float            # final valid time
     y_stop: np.ndarray       # state at t_stop
     n_rhs: int
@@ -162,8 +153,8 @@ def _crossing(t0, h, y0, q, ok):
     """Bisect inside one accepted step, whose start passes ``ok`` and whose
     end fails it, to a width of 1e-12 * max(1, |t|).
 
-    Returns ``(t, y)`` at the last passing and at the first failing time
-    found, both evaluated on the step's polynomial.
+    Returns ``(t, y)`` at the last passing time found, evaluated on the
+    step's polynomial.
     """
     step = np.array([t0]), np.array([h]), y0[None], q[None]
 
@@ -179,18 +170,17 @@ def _crossing(t0, h, y0, q, ok):
             t_hi = t_mid
         if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
             break
-    return (t_lo, y_at(t_lo)), (t_hi, y_at(t_hi))
+    return t_lo, y_at(t_lo)
 
 
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
-          cap=math.inf, check=None) -> RKResult:
+          check=None) -> RKResult:
     """Integrate y' = f(t, y) from t0 to t_end.
 
     Parameters
     ----------
     f : callable (t, y) -> list of floats; may return non-finite values,
         which reject the current step
-    cap : magnitude bound; integration halts once any |y_i| > cap
     check : optional callable (ts, ys) -> the number of leading rows that
         pass, for an (n,) array of times and an (n, len(y0)) stack of
         states; called on the end states of accepted steps, in stacks of up
@@ -231,7 +221,6 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
 
     facold = 1e-4
     status = "done"
-    over = False
     K = np.empty((7, y.size))
     rejections = 0  # consecutive; a long streak means no h can be certified
     attempts = 0
@@ -242,8 +231,11 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             sized = h < min(max_step, t_end - t)
             h = min(h, max_step, t_end - t)
             if h < 16 * np.finfo(float).eps * max(abs(t), 1.0) \
-                    or rejections > 60 or attempts == _MAX_ATTEMPTS:
+                    or rejections > 60:
                 status = "underflow"
+                break
+            if attempts == _MAX_ATTEMPTS:
+                status = "budget"
                 break
             attempts += sized
             K[0] = k1
@@ -274,9 +266,6 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             rejections = 0
             steps.append((t, h, y, K.T @ _P))
             pending.append((t + h, y_new))
-            over = np.max(np.abs(y_new)) > cap
-            if over:
-                break
             if len(pending) == _CHUNK:
                 refused = first_refused()
                 if refused is not None:
@@ -297,26 +286,16 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     if refused is None:
         refused = first_refused()
 
-    if refused is not None or over:
-        # halt inside the first refused step, or else the one over the cap;
-        # the step keeps its full length: its polynomial is only valid with
-        # the h it was built with, and t_stop marks the end
-        over = over and refused in (None, len(steps) - 1)
-        if refused is not None:
-            del steps[refused + 1:]
-        t, h, y, q = steps[-1]
+    if refused is not None:
+        # halt inside the first refused step at the last state check
+        # passes; the step keeps its full length: its polynomial is only
+        # valid with the h it was built with, and t_stop marks the end
+        del steps[refused + 1:]
 
         def ok(t_mid, y_mid):
-            if over and np.max(np.abs(y_mid)) > cap:
-                return False
-            return refused is None or \
-                check(np.array([t_mid]), y_mid[None]) == 1
+            return check(np.array([t_mid]), y_mid[None]) == 1
 
-        passed, failed = _crossing(t, h, y, q, ok)
-        if over and np.max(np.abs(failed[1])) > cap:
-            status, (t, y) = "cap", failed
-        else:
-            status, (t, y) = "underflow", passed
+        status, (t, y) = "refused", _crossing(*steps[-1], ok)
 
     t0s, hs, y0s, qs = zip(*steps) if steps else ((), (), (), ())
     dense = DenseSolution(np.array(t0s), np.array(hs),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow import cli
+from quadflow import cli, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
@@ -912,6 +912,41 @@ def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys):
             "comparisons truncated to the regular part of the flow")
     assert note in capsys.readouterr().out.splitlines()
     assert f"{t_break:.6g}" == "2.94226"
+
+
+SMOOTH_CFG = """
+[hamiltonian]
+a2 = sin(50*t)
+
+[run]
+t_end = 400
+
+[outputs]
+alphas = alphas.csv
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_spent_step_budget_is_one_json_error(tmp_path, capsys, monkeypatch,
+                                               command):
+    # the chart of a2 = sin(50 t) cannot break down: a run that spends the
+    # stepper's budget is an error that names the config and writes no file
+    monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 200)
+    p = tmp_path / "smooth.cfg"
+    p.write_text(SMOOTH_CFG)
+    out = tmp_path / "out"
+    argv = ["run", str(p), "--outdir", str(out)] if command == "run" \
+        else ["verify", "--config", str(p)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "breakdown" not in captured.out
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert set(err) == {"error", "detail", "at"}
+    assert err["error"] == "step-budget"
+    assert err["at"] == str(p)
+    assert "spent 200 step attempts" in err["detail"]
+    assert not out.exists() and not (tmp_path / "alphas.csv").exists()
 
 
 def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from quadflow import flow, rk
-from quadflow.errors import InvalidSchedule, SingularNu, SingularTime
+from quadflow.errors import (InvalidSchedule, SingularNu, SingularTime,
+                             StepBudget)
 from quadflow.flow import (constant_field_closed_form, integrate,
                            write_alphas_csv)
 from quadflow.reduction import assemble
@@ -210,26 +211,11 @@ def test_solve_halts_at_the_last_state_check_passes():
     # limit, and the run stops inside it instead of shrinking h to the floor
     res = rk.solve(lambda t, y: [1.0], 0.0, [0.0], 1.0, max_step=1.0,
                    check=lambda ts, ys: int(np.sum(ts < 0.3737)))
-    assert res.status == "underflow"
+    assert res.status == "refused"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
     assert res.y_stop[0] == pytest.approx(res.t_stop, abs=1e-15)
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
     assert res.n_rhs <= 6 * res.dense.t0.size + 2
-
-
-@pytest.mark.parametrize("limit, status, t_cross", [
-    (0.3737, "underflow", 0.3737),   # the sentinel fails first
-    (0.6, "cap", 0.5),               # the cap is crossed first
-])
-def test_solve_halts_at_the_earlier_of_cap_and_check(limit, status, t_cross):
-    # the last step runs from t = 0.1111 to t = 1, so the cap (y = t = 0.5)
-    # and the check both fail at its end
-    res = rk.solve(lambda t, y: [1.0], 0.0, [0.0], 1.0, max_step=1.0,
-                   cap=0.5, check=lambda ts, ys: int(np.sum(ts < limit)))
-    assert res.dense.t0[-1] < 0.3737
-    assert res.dense.t0[-1] + res.dense.h[-1] == 1.0
-    assert res.status == status
-    assert abs(res.t_stop - t_cross) <= 1e-12
 
 
 def _unit_slope(t, y):
@@ -243,23 +229,6 @@ def _step_ends():
     return res.dense.t0 + res.dense.h
 
 
-def test_solve_prefers_an_earlier_refusal_to_a_later_cap_in_one_chunk():
-    seen = []
-
-    def check(ts, ys):
-        seen.extend(ts.tolist())
-        return int(np.sum(ts < 0.3737))
-
-    refused, over = np.searchsorted(_step_ends(), [0.3737, 0.5])
-    assert 32 <= refused < over < 64   # both in the second chunk
-    res = rk.solve(_unit_slope, 0.0, [0.0], 1.0, max_step=0.01, cap=0.5,
-                   check=check)
-    assert max(seen) > 0.5    # the cap step ran before the refusal was seen
-    assert res.status == "underflow"
-    assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
-    assert res.dense.t0[-1] + res.dense.h[-1] > 0.3737 > res.dense.t0[-1]
-
-
 @pytest.mark.parametrize("index", [31, 32])
 def test_solve_halts_in_a_refused_step_at_a_chunk_boundary(index):
     # the 32nd step closes the first chunk and the 33rd opens the second
@@ -267,7 +236,7 @@ def test_solve_halts_in_a_refused_step_at_a_chunk_boundary(index):
     limit = 0.5 * (ends[index - 1] + ends[index])
     res = rk.solve(_unit_slope, 0.0, [0.0], 1.0, max_step=0.01,
                    check=lambda ts, ys: int(np.sum(ts < limit)))
-    assert res.status == "underflow"
+    assert res.status == "refused"
     assert res.dense.t0.size == index + 1
     np.testing.assert_array_equal(res.dense.t0 + res.dense.h,
                                   ends[:index + 1])
@@ -282,7 +251,7 @@ def test_solve_returns_a_pending_refusal_when_f_raises_later():
 
     res = rk.solve(f, 0.0, [0.0], 1.0, max_step=0.01,
                    check=lambda ts, ys: int(np.sum(ts < 0.3737)))
-    assert res.status == "underflow"
+    assert res.status == "refused"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
 
 
@@ -382,14 +351,28 @@ def test_solve_ends_after_its_attempt_budget(monkeypatch):
     # after the two of the start
     monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 40)
     res = rk.solve(lambda t, y: [math.cos(1e4 * t)], 0.0, [0.0], 1.0)
-    assert res.status == "underflow"
-    assert res.t_stop < 1.0
+    assert res.status == "budget"
     assert 0 < res.dense.t0.size < 40
+    assert res.t_stop == res.dense.t0[-1] + res.dense.h[-1] < 1.0
     assert res.n_rhs == 2 + 6 * 40
-    # a schedule that oscillates beyond resolution ends as a breakdown
-    res = integrate(driven(w=1e308), 4.0)
-    assert res.breakdown.reason == "step-underflow"
-    assert res.breakdown.t_break == res.ts[-1] < 4.0
+    # a schedule that oscillates beyond resolution is an error, not a
+    # breakdown
+    with pytest.raises(StepBudget, match="spent 40 step attempts"):
+        integrate(driven(w=1e308), 4.0)
+
+
+def test_a_smooth_flow_that_spends_its_budget_raises(monkeypatch):
+    # a2 = sin(50 t) has no quadratic term, so its chart cannot break down;
+    # a run too long for the budget reports the time it reached instead
+    monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 200)
+    sched = CoefficientSchedule.from_expressions({2: "sin(50*t)"})
+    with pytest.raises(StepBudget) as excinfo:
+        integrate(sched, 400.0)
+    detail = str(excinfo.value)
+    assert excinfo.value.code == "step-budget"
+    assert "spent 200 step attempts" in detail
+    t_reached = float(detail.split("reached only t = ")[1].split()[0])
+    assert 0.5 < t_reached < 400.0
 
 
 def test_steps_that_max_step_cuts_do_not_spend_the_budget(monkeypatch):
@@ -539,20 +522,29 @@ def test_dense_output_picks_the_bisection_step():
     assert len(d.segments) == n
 
 
+def _within(cap):
+    """A check passing the leading rows whose every |y_i| is at most cap."""
+    def check(ts, ys):
+        over = np.max(np.abs(ys), axis=1) > cap
+        return int(np.argmax(over)) if over.any() else len(ys)
+    return check
+
+
 def test_dense_output_at_cap_stop_is_the_crossing_state():
     # y' = y^2, y(0) = 1 blows up at t = 1 as y = 1 / (1 - t)
-    res = rk.solve(lambda t, y: (y * y).tolist(), 0.0, [1.0], 2.0, cap=1e3)
-    assert res.status == "cap"
+    res = rk.solve(lambda t, y: (y * y).tolist(), 0.0, [1.0], 2.0,
+                   check=_within(1e3))
+    assert res.status == "refused"
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
-    assert res.y_stop[0] > 1e3
+    assert 0.99e3 < res.y_stop[0] <= 1e3
     assert res.y_stop[0] == pytest.approx(1 / (1 - res.t_stop), rel=1e-6)
     flow = integrate(CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0,
                                                          lam=0.3), 2.0)
     assert flow.breakdown.reason == "magnitude-overflow"
     np.testing.assert_array_equal(flow.dense(flow.breakdown.t_break),
                                   flow.alphas[-1])
-    # the cap-only bisection on the last step, written out: the sentinel's
-    # crossing search must leave the cap halt's time and state bit for bit
+    # the cap's bisection on the last step, written out: det(nu) passes
+    # every probe, so the halt is the last probe within the cap, bit for bit
     last = rk.DenseSolution(*(v[-1:] for v in (flow.dense.t0, flow.dense.h,
                                                flow.dense.y0, flow.dense.q)))
     t_lo, t_hi = flow.dense.t0[-1], flow.dense.t0[-1] + flow.dense.h[-1]
@@ -564,10 +556,73 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
             t_lo = t_mid
         if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
             break
-    assert flow.breakdown.t_break == t_hi
-    assert flow.breakdown.t_break == pytest.approx(0.8252577130737292,
+    assert flow.breakdown.t_break == t_lo
+    assert flow.breakdown.t_break == pytest.approx(0.8252577130729704,
                                                    rel=1e-13)
-    np.testing.assert_array_equal(flow.alphas[-1], last(t_hi))
+    np.testing.assert_array_equal(flow.alphas[-1], last(t_lo))
+
+
+@pytest.mark.parametrize("sched, t_end, kwargs", [
+    (landau(), 3.5, dict(rtol=1e-4, magnitude_cap=10.0)),
+    (CoefficientSchedule.harmonic1d(m=1.0, omega=1.0), 3.0, {}),
+    (CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0, lam=0.3), 2.0,
+     {}),
+], ids=["landau-cap-10", "harmonic1d", "kanai_caldirola"])
+def test_a_cap_stop_writes_no_row_beyond_the_cap(tmp_path, sched, t_end,
+                                                 kwargs):
+    # the run stops at the last state within the cap, so every row of
+    # alphas.csv and the dense solution at t_break keep |alpha_i| <= cap
+    cap = kwargs.get("magnitude_cap", 1e8)
+    res = integrate(sched, t_end, **kwargs)
+    assert res.breakdown.reason == "magnitude-overflow"
+    path = tmp_path / "alphas.csv"
+    write_alphas_csv(res, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows[-1, 0] == res.breakdown.t_break
+    assert 0.99 * cap < np.max(np.abs(rows[:, 1:])) <= cap
+    assert np.max(np.abs(res.dense(res.breakdown.t_break))) <= cap
+
+
+@pytest.mark.parametrize("first", ["cap", "det(nu)"])
+def test_the_first_failing_row_of_a_stack_names_the_reason(monkeypatch,
+                                                           first):
+    # the driven flow's sentinel refuses row k of a 32-row stack; a cap
+    # between rows 0 and 1 fails row 1 first, and one between rows k and
+    # k + 1 fails row k + 1 after the refusal.  (det(nu) is at its noise
+    # floor near row k: a cap just before it may see a probe refused by
+    # det(nu), and that probe names the reason)
+    refusals, rows = [], []
+    real = flow.assemble
+
+    def recording(a, alpha):
+        rows.extend(np.reshape(alpha, (-1, 15)))
+        try:
+            return real(a, alpha)
+        except SingularNu as refusal:
+            refusals.append((np.array(alpha), refusal.row))
+            raise
+
+    monkeypatch.setattr(flow, "assemble", recording)
+    plain = integrate(driven(), 4.0)
+    stack, k = refusals[0]
+    size = np.max(np.abs(stack), axis=1)
+    assert 2 <= k < len(stack) - 1
+    if first == "cap":
+        cap = math.sqrt(size[0] * size[1])
+    else:
+        cap = math.sqrt(size[k] * size[k + 1])
+    assert np.argmax(size > cap) == (1 if first == "cap" else k + 1)
+    rows.clear()
+    res = integrate(driven(), 4.0, magnitude_cap=cap)
+    assert np.max(np.abs(res.alphas)) <= cap
+    if first == "cap":
+        assert res.breakdown.reason == "magnitude-overflow"
+        assert res.breakdown.t_break < plain.breakdown.t_break
+        # rows from the first over-cap row on never reach assemble
+        assert np.max(np.abs(rows)) <= cap
+    else:
+        assert res.breakdown == plain.breakdown
+        np.testing.assert_array_equal(res.alphas, plain.alphas)
 
 
 def test_alphas_csv_row_count_and_precision(tmp_path):
