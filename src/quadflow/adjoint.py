@@ -17,7 +17,7 @@ Two independent implementations are provided and tested against each other:
   import, of the entries each M_k^T moves off the identity.  Its one
   evaluator, ``_adjoint_blocks``, gives the leading size x size block of
   every M_k^T over a stack of parameter vectors: size 15 for ``assemble``,
-  size 5 for ``heisenberg_map``, a one-hot vector for this function.
+  size 5 for ``heisenberg_map``, one-hot vectors for this function.
 * :func:`adjoint_closed_form` - the conjugation rules transcribed entry by
   entry, used as the oracle.
 """
@@ -118,27 +118,29 @@ def _adjoint_blocks(alpha, size: int = N_GENERATORS) -> np.ndarray:
     return blocks.reshape(lead + (N_GENERATORS, size, size))
 
 
-def adjoint_matrix(i: int, alpha: float) -> np.ndarray:
+def adjoint_matrix(i: int, alpha) -> np.ndarray:
     """M_i(alpha) = exp(-alpha*C_i) via exact terminating series.
 
     Parameters
     ----------
     i : generator index in 1..15
-    alpha : transformation parameter (finite)
+    alpha : transformation parameter (finite), or an array of them
 
     Returns
     -------
     15x15 array whose entry ``[j-1, k-1]`` is the coefficient of h_k in
-    the image of h_j.  Sign convention check: row 2 of M_9(alpha) is
-    h2 + 2*alpha*h4 (x picks up 2*alpha_9*p_x under U_9).
+    the image of h_j; an array ``alpha`` gives a (..., 15, 15) stack with
+    one matrix per entry, each with the bits of the one-parameter call.
+    Sign convention check: row 2 of M_9(alpha) is h2 + 2*alpha*h4 (x picks
+    up 2*alpha_9*p_x under U_9).
     """
     _check_index(i)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha)):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    one = np.zeros(N_GENERATORS)
-    one[i - 1] = alpha
-    return _adjoint_blocks(one)[i - 1].T
+    one = np.zeros(alpha.shape + (N_GENERATORS,))
+    one[..., i - 1] = alpha
+    return _adjoint_blocks(one)[..., i - 1, :, :].swapaxes(-1, -2)
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def adjoint_matrix(i: int, alpha: float) -> np.ndarray:
 # (row j, column k, coefficient as a function of alpha).
 # --------------------------------------------------------------------------
 
-def _closed_form_entries(i: int, a: float):
+def _closed_form_entries(i: int, a):
     if i == 1:
         return []
     if i == 2:
@@ -205,19 +207,25 @@ _DILATATION_ROWS = {
 }
 
 
-def adjoint_closed_form(i: int, alpha: float) -> np.ndarray:
+def adjoint_closed_form(i: int, alpha) -> np.ndarray:
     """Hardcoded closed-form conjugation matrices (test oracle).
 
     Implemented independently from the exponential path; agreement of the two
-    implementations to 1e-12 is part of the acceptance suite.
+    implementations to 1e-12 is part of the acceptance suite.  An array
+    ``alpha`` gives a (..., 15, 15) stack whose every matrix has the bits of
+    the one-parameter call; each dilatation entry is its own ``math.exp``,
+    so no exp is shared with :func:`adjoint_matrix`.
     """
     _check_index(i)
-    a = float(alpha)
-    M = np.eye(N_GENERATORS)
+    a = np.asarray(alpha, dtype=float)
+    M = np.empty(a.shape + (N_GENERATORS, N_GENERATORS))
+    M[...] = np.eye(N_GENERATORS)
     if i in _DILATATION_ROWS:
+        values = a.ravel().tolist()
         for row, mult in _DILATATION_ROWS[i]:
-            M[row - 1, row - 1] = math.exp(mult * a)
+            M[..., row - 1, row - 1] = np.reshape(
+                [math.exp(mult * v) for v in values], a.shape)
     else:
         for row, col, coeff in _closed_form_entries(i, a):
-            M[row - 1, col - 1] += coeff
+            M[..., row - 1, col - 1] += coeff
     return M

@@ -185,21 +185,21 @@ def _verify_checks(cfg: RunConfig):
     The flow is ``run``'s for ``cfg``, on the 200 rows the action row needs."""
     rng = np.random.default_rng(20240915)
 
-    # 200 (a, alpha) pairs, assembled in stacks of 32: the adjoint blocks
+    # 200 (a, alpha) pairs, both sides in stacks of 32: the adjoint blocks
     # of a stack take 27 kB per row
     err, draws = 0.0, rng.uniform(-1, 1, (200, 2, 15))
     for pairs in np.split(draws, range(32, 200, 32)):
         state = assemble(pairs[:, 0], pairs[:, 1])
-        ref = np.array([reference_odes(a, al) for a, al in pairs])
+        ref = reference_odes(pairs[:, 0], pairs[:, 1])
         err = max(err, float(np.max(np.abs(np.linalg.det(state.nu) - 1.0))),
                   float(np.max(np.abs(state.mu - ref))))
     yield "reduction pipeline vs explicit equations (200 random states)", err, 1e-10
 
     err = 0.0
     for i in range(2, 16):
-        for alpha in rng.uniform(-1, 1, 25):
-            err = max(err, float(np.max(np.abs(
-                adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
+        alphas = rng.uniform(-1, 1, 25)
+        err = max(err, float(np.max(np.abs(
+            adjoint_matrix(i, alphas) - adjoint_closed_form(i, alphas)))))
     yield "adjoint exponential vs closed-form rules", err, 1e-12
 
     result = flow_mod.integrate(
@@ -243,10 +243,8 @@ def _verify_checks(cfg: RunConfig):
     err = float(np.max(np.abs(d_cl - shift)))
     yield "classical shift vs (alpha4, alpha5, -alpha2, -alpha3)", err, 1e-6
 
-    ls = np.array([observables.classical_lagrangian(
-        cfg.schedule.coefficients(t), alpha,
-        reference_odes(cfg.schedule.coefficients(t), alpha))
-        for t, alpha in zip(ts.tolist(), alphas)])
+    a = np.array([cfg.schedule.coefficients(t) for t in ts.tolist()])
+    ls = observables.classical_lagrangian(a, alphas, reference_odes(a, alphas))
     from scipy.integrate import simpson
     action = simpson(ls, x=ts)
     err = abs(action - alphas[-1, 0])

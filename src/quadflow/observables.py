@@ -124,22 +124,29 @@ def heisenberg_closed_form(alpha) -> AffineSymplecticMap:
     return AffineSymplecticMap(S=S, d=d, phase=float(alpha[0]))
 
 
-def classical_lagrangian(a, alpha, alpha_dot) -> float:
+def classical_lagrangian(a, alpha, alpha_dot):
     """Classical Lagrangian in the transformation-parameter variables.
 
     Along a valid flow L equals alpha1_dot, so the accumulated phase alpha1
-    is the classical action integral.
+    is the classical action integral.  ``a``, ``alpha`` and ``alpha_dot``
+    are 15-vectors, which give a float, or (..., 15) stacks whose stack
+    axes broadcast, which give an ndarray of the broadcast stack shape;
+    every entry has the bits of the one-state call.
     """
-    a = np.concatenate(([0.0], np.asarray(a, dtype=float)))
-    al = np.concatenate(([0.0], np.asarray(alpha, dtype=float)))
-    ad = np.concatenate(([0.0], np.asarray(alpha_dot, dtype=float)))
-    return float(
-        a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
-        - 2 * a[12] * al[4] * al[2] - a[15] * al[5] * al[2]
-        + a[10] * al[3] ** 2 + a[6] * al[4] ** 2 + a[7] * al[5] ** 2
-        - a[5] * al[3] + a[2] * al[4] - a[14] * al[3] * al[4]
-        + a[3] * al[5] - 2 * a[13] * al[3] * al[5] + a[8] * al[4] * al[5]
-        + a[1] - al[4] * ad[2] - al[5] * ad[3])
+    rows = [np.asarray(x, dtype=float) for x in (a, alpha, alpha_dot)]
+    if any(x.shape[-1:] != (N_GENERATORS,) for x in rows):
+        raise ValueError("a, alpha and alpha_dot must be 15-vectors or "
+                         "stacks of them, got shapes "
+                         f"{[x.shape for x in rows]}")
+    # 1-based views of the components keep the transcription readable
+    a, al, ad = ((None, *np.moveaxis(x, -1, 0)) for x in rows)
+    L = (a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
+         - 2 * a[12] * al[4] * al[2] - a[15] * al[5] * al[2]
+         + a[10] * al[3] ** 2 + a[6] * al[4] ** 2 + a[7] * al[5] ** 2
+         - a[5] * al[3] + a[2] * al[4] - a[14] * al[3] * al[4]
+         + a[3] * al[5] - 2 * a[13] * al[3] * al[5] + a[8] * al[4] * al[5]
+         + a[1] - al[4] * ad[2] - al[5] * ad[3])
+    return float(L) if np.ndim(L) == 0 else L
 
 
 # one record in json.dump's indent=1 layout, with %s for its 22 numbers

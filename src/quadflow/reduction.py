@@ -19,7 +19,8 @@ roles:
 * :func:`explicit_rhs` is the paper's fifteen explicit right-hand sides,
   transcribed term by term on Python floats.  It is the flow's right-hand
   side: ``integrate`` calls it at every Runge-Kutta stage.
-  :func:`reference_odes` is its checked ndarray form.
+  :func:`reference_odes` is its checked ndarray form, one state or a
+  stack of them.
 * :func:`assemble` builds w, nu and mu from the structure constants, for
   one state or a stack of them (one adjoint evaluation gives every M_k^T,
   and the chain of R_k runs through two rolling buffers).  For this
@@ -67,13 +68,6 @@ def _as_vectors(x, name):
                          f"got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-def _as_vector(x, name):
-    v = _as_vectors(x, name)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 15-vector, got shape {v.shape}")
     return v
 
 
@@ -134,13 +128,17 @@ def reference_odes(a, alpha) -> np.ndarray:
 
     Returns alpha_dot such that each transcribed expression
     mu_k(a, alpha) - alpha_dot_k vanishes.  This is the checked form of
-    :func:`explicit_rhs` (15-vectors of finite floats in, an ndarray out);
-    it deliberately shares no code with the matrix pipeline and is the
-    oracle for :func:`assemble`.
+    :func:`explicit_rhs`: ``a`` and ``alpha`` are 15-vectors of finite
+    floats or (..., 15) stacks whose stack axes broadcast, validated once,
+    and the result is an ndarray of the broadcast shape whose every row has
+    the bits of :func:`explicit_rhs` on that row.  It deliberately shares
+    no code with the matrix pipeline and is the oracle for :func:`assemble`.
     """
-    a = _as_vector(a, "a")
-    alpha = _as_vector(alpha, "alpha")
-    return np.array(explicit_rhs(a.tolist(), alpha.tolist()))
+    a, alpha = np.broadcast_arrays(_as_vectors(a, "a"),
+                                   _as_vectors(alpha, "alpha"))
+    rows = zip(a.reshape(-1, N_GENERATORS).tolist(),
+               alpha.reshape(-1, N_GENERATORS).tolist())
+    return np.array([explicit_rhs(*row) for row in rows]).reshape(a.shape)
 
 
 def explicit_rhs(a, alpha) -> list:
@@ -151,60 +149,61 @@ def explicit_rhs(a, alpha) -> list:
     overflows (float ``**`` and ``math.exp`` raise OverflowError) turns the
     whole result into NaN, the non-finite stage the integrator rejects.
     """
-    # 1-based views keep the transcription readable
-    a = [0.0, *a]
-    al = [0.0, *alpha]
+    # locals named as in the paper keep the transcription readable
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    (l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12, l13, l14,
+     l15) = alpha
     try:
-        e_pm = math.exp(2 * al[13] - 2 * al[12])   # e^{2 a13 - 2 a12}
-        e_mp = math.exp(2 * al[12] - 2 * al[13])   # e^{2 a12 - 2 a13}
-        d = [0.0] * 16
-        d[1] = (a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
-                + a[10] * al[3] ** 2 - a[6] * al[4] ** 2 - a[7] * al[5] ** 2
-                - a[5] * al[3] - a[8] * al[4] * al[5] + a[1])
-        d[2] = (-2 * a[12] * al[2] - a[14] * al[3] + 2 * a[6] * al[4]
-                + a[8] * al[5] + a[2])
-        d[3] = (-a[15] * al[2] - 2 * a[13] * al[3] + a[8] * al[4]
-                + 2 * a[7] * al[5] + a[3])
-        d[4] = (-2 * a[9] * al[2] - a[11] * al[3] + 2 * a[12] * al[4]
-                + a[15] * al[5] + a[4])
-        d[5] = (-a[11] * al[2] - 2 * a[10] * al[3] + a[14] * al[4]
-                + 2 * a[13] * al[5] + a[5])
-        d[6] = (4 * a[9] * al[6] ** 2 - 4 * a[12] * al[6]
-                + 2 * a[11] * al[8] * al[6] + a[10] * al[8] ** 2
-                - a[14] * al[8] + a[6])
-        d[7] = (4 * a[10] * al[7] ** 2 - 4 * a[13] * al[7]
-                + 2 * a[11] * al[8] * al[7] + a[9] * al[8] ** 2
-                - a[15] * al[8] + a[7])
-        d[8] = (-2 * a[14] * al[7] - 2 * a[15] * al[6]
-                - 2 * a[12] * al[8] - 2 * a[13] * al[8]
-                + 4 * a[9] * al[6] * al[8] + 4 * a[10] * al[7] * al[8]
-                + a[11] * (al[8] ** 2 + 4 * al[6] * al[7]) + a[8])
-        d[9] = (4 * a[12] * al[9] + a[15] * al[11]
-                - 2 * a[11] * (al[8] * al[9] + al[7] * al[11])
-                + a[9] * (1 - 8 * al[6] * al[9] - 2 * al[8] * al[11]))
-        d[10] = (4 * a[13] * al[10] + a[14] * al[11]
-                 - 2 * a[11] * (al[8] * al[10] + al[6] * al[11])
-                 + a[10] * (1 - 8 * al[7] * al[10] - 2 * al[8] * al[11]))
-        d[11] = (2 * a[14] * al[9] + 2 * a[15] * al[10]
-                 + 2 * a[12] * al[11] + 2 * a[13] * al[11]
-                 - a[9] * (4 * al[8] * al[10] + 4 * al[6] * al[11])
-                 - a[10] * (4 * al[8] * al[9] + 4 * al[7] * al[11])
-                 + a[11] * (1 - 4 * al[6] * al[9] - 4 * al[7] * al[10]
-                            - 2 * al[8] * al[11]))
-        d[12] = (0.5 * e_pm * a[15] * al[14]
-                 - a[11] * (al[8] / 2 + e_pm * al[7] * al[14])
-                 - a[9] * (2 * al[6] + e_pm * al[8] * al[14]) + a[12])
-        d[13] = (-2 * a[10] * al[7] - 0.5 * e_pm * a[15] * al[14]
-                 + e_pm * a[9] * al[8] * al[14]
-                 + a[11] * (e_pm * al[7] * al[14] - al[8] / 2) + a[13])
-        d[14] = (e_pm * a[15] * al[14] ** 2
-                 - 2 * e_pm * a[9] * al[8] * al[14] ** 2
-                 + e_mp * a[14] - 2 * e_mp * a[10] * al[8]
-                 - 2 * math.exp(-2 * (al[12] + al[13])) * a[11]
-                 * (math.exp(4 * al[13]) * al[7] * al[14] ** 2
-                    + math.exp(4 * al[12]) * al[6]))
-        d[15] = (e_pm * a[15] - 2 * e_pm * a[11] * al[7]
-                 - 2 * e_pm * a[9] * al[8])
-        return d[1:]
+        e_pm = math.exp(2 * l13 - 2 * l12)   # e^{2 alpha13 - 2 alpha12}
+        e_mp = math.exp(2 * l12 - 2 * l13)   # e^{2 alpha12 - 2 alpha13}
+        d1 = (a9 * l2 ** 2 - a4 * l2 + a11 * l3 * l2
+              + a10 * l3 ** 2 - a6 * l4 ** 2 - a7 * l5 ** 2
+              - a5 * l3 - a8 * l4 * l5 + a1)
+        d2 = (-2 * a12 * l2 - a14 * l3 + 2 * a6 * l4
+              + a8 * l5 + a2)
+        d3 = (-a15 * l2 - 2 * a13 * l3 + a8 * l4
+              + 2 * a7 * l5 + a3)
+        d4 = (-2 * a9 * l2 - a11 * l3 + 2 * a12 * l4
+              + a15 * l5 + a4)
+        d5 = (-a11 * l2 - 2 * a10 * l3 + a14 * l4
+              + 2 * a13 * l5 + a5)
+        d6 = (4 * a9 * l6 ** 2 - 4 * a12 * l6
+              + 2 * a11 * l8 * l6 + a10 * l8 ** 2
+              - a14 * l8 + a6)
+        d7 = (4 * a10 * l7 ** 2 - 4 * a13 * l7
+              + 2 * a11 * l8 * l7 + a9 * l8 ** 2
+              - a15 * l8 + a7)
+        d8 = (-2 * a14 * l7 - 2 * a15 * l6
+              - 2 * a12 * l8 - 2 * a13 * l8
+              + 4 * a9 * l6 * l8 + 4 * a10 * l7 * l8
+              + a11 * (l8 ** 2 + 4 * l6 * l7) + a8)
+        d9 = (4 * a12 * l9 + a15 * l11
+              - 2 * a11 * (l8 * l9 + l7 * l11)
+              + a9 * (1 - 8 * l6 * l9 - 2 * l8 * l11))
+        d10 = (4 * a13 * l10 + a14 * l11
+               - 2 * a11 * (l8 * l10 + l6 * l11)
+               + a10 * (1 - 8 * l7 * l10 - 2 * l8 * l11))
+        d11 = (2 * a14 * l9 + 2 * a15 * l10
+               + 2 * a12 * l11 + 2 * a13 * l11
+               - a9 * (4 * l8 * l10 + 4 * l6 * l11)
+               - a10 * (4 * l8 * l9 + 4 * l7 * l11)
+               + a11 * (1 - 4 * l6 * l9 - 4 * l7 * l10
+                        - 2 * l8 * l11))
+        d12 = (0.5 * e_pm * a15 * l14
+               - a11 * (l8 / 2 + e_pm * l7 * l14)
+               - a9 * (2 * l6 + e_pm * l8 * l14) + a12)
+        d13 = (-2 * a10 * l7 - 0.5 * e_pm * a15 * l14
+               + e_pm * a9 * l8 * l14
+               + a11 * (e_pm * l7 * l14 - l8 / 2) + a13)
+        d14 = (e_pm * a15 * l14 ** 2
+               - 2 * e_pm * a9 * l8 * l14 ** 2
+               + e_mp * a14 - 2 * e_mp * a10 * l8
+               - 2 * math.exp(-2 * (l12 + l13)) * a11
+               * (math.exp(4 * l13) * l7 * l14 ** 2
+                  + math.exp(4 * l12) * l6))
+        d15 = (e_pm * a15 - 2 * e_pm * a11 * l7
+               - 2 * e_pm * a9 * l8)
+        return [d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14,
+                d15]
     except OverflowError:
         return [math.nan] * N_GENERATORS

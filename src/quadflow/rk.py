@@ -139,6 +139,8 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
         d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, t_end - t0, max_step)
+        if h0 == 0:  # a span or max_step that underflows: no step resolves
+            return 0.0
         y1 = y0 + h0 * f0
         f1 = np.asarray(f(t0 + h0, y1))
         d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0

@@ -181,3 +181,30 @@ def test_affine_blocks_are_the_stack_blocks_bit_for_bit():
                           blocks.reshape(4, 20, 15, 5, 5))
     for alpha, block in zip(alphas, blocks):
         assert np.array_equal(block, _adjoint_blocks(alpha)[:, :5, :5]), alpha
+
+
+def _bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(30,), (5, 6)], ids=["n", "n-m"])
+@pytest.mark.parametrize("i", range(1, 16))
+def test_stacked_adjoints_equal_the_one_parameter_calls_bit_for_bit(i, shape):
+    # both implementations, -0.0 and magnitudes 1e-3..20 included: every
+    # matrix of a stack is the one-parameter call's
+    rng = np.random.default_rng(40 + i)
+    alphas = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-3, 1.3, shape)
+    alphas.flat[:3] = (0.0, -0.0, 1.0)
+    for f in (adjoint_matrix, adjoint_closed_form):
+        stack = f(i, alphas)
+        assert stack.shape == shape + (15, 15)
+        for k in np.ndindex(shape):
+            assert _bits_equal(stack[k], f(i, float(alphas[k]))), (f, k)
+        assert f(i, alphas[(0,) * len(shape)]).shape == (15, 15)
+
+
+@pytest.mark.parametrize("alpha", [[0.5, np.nan], [[0.1], [-np.inf]]])
+def test_nonfinite_alpha_in_a_stack_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        adjoint_matrix(3, alpha)

@@ -21,7 +21,10 @@ from quadflow import cli, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
+from quadflow.adjoint import adjoint_closed_form, adjoint_matrix
 from quadflow.expressions import FUNCTIONS
+from quadflow.flow import integrate
+from quadflow.observables import classical_lagrangian
 from quadflow.reduction import assemble, reference_odes
 from quadflow.schedule import PRESETS, CoefficientSchedule
 
@@ -963,6 +966,97 @@ def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():
     name, got, _ = next(cli._verify_checks(cfg))
     assert name.startswith("reduction pipeline vs explicit equations")
     assert 0 < got == err
+
+
+def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
+    # the adjoint row compares one stack of 25 parameters per generator and
+    # the action row evaluates its Lagrangian on one stack of flow rows;
+    # each error is the one the loops of one-parameter and one-state calls
+    # find, to the bit
+    # the benchmark's seed-7 landau input, whose action error is not 0
+    cfg = RunConfig(CoefficientSchedule.preset(
+        "landau", m=0.9734795173293455, omega_c=0.9836329001050563,
+        E_x=0.2946697649907765, E_y=-0.1952997849560123), 2.5)
+    rows = {name: err for name, err, _ in cli._verify_checks(cfg)}
+
+    rng = np.random.default_rng(20240915)
+    rng.uniform(-1, 1, (200, 2, 15))  # the reduction row's draws
+    err = 0.0
+    for i in range(2, 16):
+        for alpha in rng.uniform(-1, 1, 25):
+            err = max(err, float(np.max(np.abs(
+                adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
+    assert 0 < rows["adjoint exponential vs closed-form rules"] == err
+
+    from scipy.integrate import simpson
+    res = integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
+                    max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap)
+    assert res.breakdown is None
+    a = [cfg.schedule.coefficients(t) for t in res.ts.tolist()]
+    ls = np.array([classical_lagrangian(a_t, alpha, reference_odes(a_t, alpha))
+                   for a_t, alpha in zip(a, res.alphas)])
+    err = abs(simpson(ls, x=res.ts) - res.alphas[-1, 0])
+    assert 0 < rows["action integral of L vs accumulated alpha1"] == err
+
+
+@pytest.mark.parametrize("t_end", ["5e-324", "1e-322", "2e-322"])
+def test_a_tiny_t_end_breaks_down_at_t_zero(tmp_path, capsys, t_end):
+    # the default max_step, t_end / 50, underflows to 0 below about 1.2e-322;
+    # every positive t_end ends as 2e-322 does: a step-underflow breakdown at 0
+    p = tmp_path / "tiny.cfg"
+    p.write_text("[hamiltonian]\npreset = landau\n\n"
+                 f"[run]\nt_end = {t_end}\n\n[outputs]\nalphas = alphas.csv\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["t_final"] == 0.0
+    assert info["breakdown"] == {"t_break": 0.0, "index": 9,
+                                 "reason": "step-underflow"}
+    rows = (tmp_path / "alphas.csv").read_text().splitlines()
+    assert rows[1:] == [",".join(["0"] * 16)]
+    assert main(["verify", "--preset", "landau", "--t-end", t_end]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("[NOTE] flow breakdown at t = 0 (component 9); comparisons "
+            "truncated to the regular part of the flow"
+            in captured.out.splitlines())
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_the_oracle_table_passes_on_every_preset(capsys, preset):
+    assert main(["verify", "--preset", preset]) == 0, capsys.readouterr()
+
+
+DRIVEN_VERIFY_CFG = """
+[hamiltonian]
+a6 = A*sin(w*t)
+a9 = 0.5
+a10 = 0.5
+a11 = B*cos(t)
+a14 = C
+a15 = -C
+
+[constants]
+A = 0.5
+w = 2.0
+B = 0.1
+C = 0.5
+
+[run]
+t_end = 4.0
+"""
+
+
+def test_the_oracle_table_passes_on_a_driven_schedule_that_breaks_down(
+        tmp_path, capsys):
+    # the flow ends in a step-underflow breakdown, so every comparison (the
+    # batched symplecticity row among them) runs on its truncation
+    p = tmp_path / "driven.cfg"
+    p.write_text(DRIVEN_VERIFY_CFG)
+    rc = main(["verify", "--config", str(p)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert any(line.startswith("[NOTE] flow breakdown")
+               for line in out.splitlines()), out
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -5,6 +5,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from scipy.integrate import simpson
 
 from quadflow.adjoint import adjoint_matrix
@@ -209,3 +210,33 @@ def test_stacked_push_gaussian_equals_the_per_map_pushes():
         one_mean, one_cov = heisenberg_map(alpha).push_gaussian(mean, cov)
         np.testing.assert_array_equal(means[k], one_mean)
         np.testing.assert_array_equal(covs[k], one_cov)
+
+
+@pytest.mark.parametrize("shape", [(40,), (5, 8)], ids=["n", "n-m"])
+def test_stacked_lagrangian_equals_the_one_state_calls_bit_for_bit(shape):
+    # zeros, -0.0 and magnitudes 1e-3..1e3 included; a stack broadcast
+    # against one a gives every entry of the one-state call too
+    rng = np.random.default_rng(29)
+    a, al, ad = (rng.uniform(-1, 1, shape + (15,))
+                 * 10.0 ** rng.uniform(-3, 3, shape + (1,)) for _ in range(3))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    al[rng.random(al.shape) < 0.2] = -0.0
+    got = classical_lagrangian(a, al, ad)
+    assert isinstance(got, np.ndarray) and got.shape == shape
+    first = (0,) * len(shape)
+    one_a = classical_lagrangian(a[first], al, ad)
+    for k in np.ndindex(shape):
+        want = classical_lagrangian(a[k], al[k], ad[k])
+        assert type(want) is float
+        assert got[k].tobytes() == np.float64(want).tobytes(), k
+        want = classical_lagrangian(a[first], al[k], ad[k])
+        assert one_a[k].tobytes() == np.float64(want).tobytes(), k
+
+
+@pytest.mark.parametrize("shapes", [
+    ((14,), (15,), (15,)), ((15,), (3, 15), (4, 15)),
+    ((2, 16), (2, 15), (15,)),
+], ids=["short-a", "unbroadcastable", "long-a"])
+def test_lagrangian_refuses_bad_shapes(shapes):
+    with pytest.raises(ValueError):
+        classical_lagrangian(*(np.zeros(s) for s in shapes))

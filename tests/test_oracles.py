@@ -7,7 +7,8 @@ import pytest
 
 from quadflow.errors import GridUnderresolved
 from quadflow.flow import constant_field_closed_form, integrate
-from quadflow.observables import SYMPLECTIC_J, heisenberg_map
+from quadflow.observables import (SYMPLECTIC_J, heisenberg_closed_form,
+                                  heisenberg_map)
 from quadflow.oracles import (GaussianState, apply_kernel, classical_system,
                               fundamental_matrix, hamiltonian_matrix)
 from quadflow.propagator import landau_kernel
@@ -78,6 +79,53 @@ def test_time_zero_is_identity():
     S, d = fundamental_matrix(CoefficientSchedule.zero(), 0.0)
     np.testing.assert_array_equal(S, np.eye(4))
     np.testing.assert_array_equal(d, np.zeros(4))
+
+
+def _map_error(got, S, d):
+    return max(float(np.max(np.abs(got[0] - S))),
+               float(np.max(np.abs(got[1] - d))))
+
+
+def test_the_classical_oracle_meets_the_exact_maps_to_1e_10():
+    # landau at t = 2.5: the closed-form map of the closed-form alphas
+    p = dict(m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2, e=1.0)
+    exact = heisenberg_closed_form(constant_field_closed_form(t=2.5, **p))
+    got = fundamental_matrix(CoefficientSchedule.landau(**p), 2.5)
+    assert _map_error(got, exact.S, exact.d) < 1e-10
+    # free particle: x += t p_x / m, y += t p_y / m
+    m, t = 1.7, 0.9
+    S = np.eye(4)
+    S[0, 2] = S[1, 3] = t / m
+    got = fundamental_matrix(CoefficientSchedule.free(m=m), t)
+    assert _map_error(got, S, np.zeros(4)) < 1e-10
+    # harmonic oscillator along x; y and p_y stay put
+    m, w, t = 1.2, 1.5, 0.8
+    S = np.eye(4)
+    S[np.ix_([0, 2], [0, 2])] = [
+        [math.cos(w * t), math.sin(w * t) / (m * w)],
+        [-m * w * math.sin(w * t), math.cos(w * t)]]
+    got = fundamental_matrix(CoefficientSchedule.harmonic1d(m=m, omega=w), t)
+    assert _map_error(got, S, np.zeros(4)) < 1e-10
+
+
+@pytest.mark.parametrize("omega, lam, t", [(2.0, 0.3, 1.3), (1.0, 0.1, 1.3)])
+def test_the_classical_oracle_meets_a_tight_reference_on_kanai_caldirola(
+        omega, lam, t):
+    # scipy's RK45 at rtol 1e-13, atol 1e-15: other stepping code, run far
+    # tighter than the oracle's defaults
+    from scipy.integrate import solve_ivp
+    sched = CoefficientSchedule.kanai_caldirola(omega=omega, lam=lam)
+
+    def rhs(tt, y):
+        A, b = classical_system(sched.coefficients(tt))
+        return np.concatenate([(A @ y[:16].reshape(4, 4)).ravel(),
+                               A @ y[16:] + b])
+
+    y0 = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
+    ref = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=1e-13,
+                    atol=1e-15).y[:, -1]
+    got = fundamental_matrix(sched, t)
+    assert _map_error(got, ref[:16].reshape(4, 4), ref[16:]) < 1e-10
 
 
 # -- Gaussian states ---------------------------------------------------------

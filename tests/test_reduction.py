@@ -217,3 +217,46 @@ def test_assemble_equals_the_reference_recursion_bit_for_bit():
             assemble(bad_a, rows)
         assert str(excinfo.value) == (f"det(nu) = {det!r} at alpha = "
                                       f"{bad_alpha.tolist()}")
+
+
+def _bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(40,), (5, 8)], ids=["n", "n-m"])
+def test_stacked_reference_odes_equal_the_one_state_calls_bit_for_bit(shape):
+    # zeros, -0.0 and magnitudes 1e-3..1e3 included; every row of a stack,
+    # and of a stack broadcast against one a or one alpha, is the one-state
+    # call's row
+    rng = np.random.default_rng(23)
+    a, alpha = (rng.uniform(-1, 1, shape + (15,))
+                * 10.0 ** rng.uniform(-3, top, shape + (1,)) for top in (3, 1))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    alpha[rng.random(alpha.shape) < 0.2] = -0.0
+    got = reference_odes(a, alpha)
+    assert got.shape == shape + (15,)
+    for k in np.ndindex(shape):
+        assert _bits_equal(got[k], explicit_rhs(a[k].tolist(),
+                                                alpha[k].tolist())), k
+    first = (0,) * len(shape)
+    one_a = reference_odes(a[first], alpha)
+    one_alpha = reference_odes(a, alpha[first])
+    for k in np.ndindex(shape):
+        assert _bits_equal(one_a[k], reference_odes(a[first], alpha[k]))
+        assert _bits_equal(one_alpha[k], reference_odes(a[k], alpha[first]))
+    # a 15-vector pair still gives one 15-vector
+    assert reference_odes(a[first], alpha[first]).shape == (15,)
+
+
+@pytest.mark.parametrize("a, alpha", [
+    (np.zeros(14), np.zeros(15)),
+    (np.zeros((3, 15)), np.zeros((4, 15))),
+    (np.zeros((2, 15)), np.zeros((2, 16))),
+    (np.zeros((2, 15)), np.array([np.zeros(15), np.full(15, np.nan)])),
+    (np.array([np.zeros(15), np.full(15, np.inf)]), np.zeros(15)),
+], ids=["short-a", "unbroadcastable", "long-alpha", "nan-row", "inf-row"])
+def test_stacked_reference_odes_refuse_bad_shapes_and_non_finite_rows(
+        a, alpha):
+    with pytest.raises(ValueError):
+        reference_odes(a, alpha)
