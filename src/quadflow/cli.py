@@ -118,12 +118,20 @@ def run_config_file(path, outdir=None, green_only=False) -> dict:
     return _run_plan(path, cfg, out_base, dests)
 
 
-def _run_plan(path, cfg, out_base, dests) -> dict:
-    """Integrate a planned config and write its outputs."""
-    result = flow_mod.integrate(
+def _flow(cfg: RunConfig, samples: int):
+    """The flow of ``cfg`` under its [run] settings, sampled on ``samples``
+    intervals: the one integration that ``run`` writes and ``verify``
+    checks.  ``flow_mod.integrate`` is looked up at each call, where the
+    benchmark's tracer wraps it."""
+    return flow_mod.integrate(
         cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
         max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap,
-        samples=cfg.samples)
+        samples=samples)
+
+
+def _run_plan(path, cfg, out_base, dests) -> dict:
+    """Integrate a planned config and write its outputs."""
+    result = _flow(cfg, cfg.samples)
     out_base.mkdir(parents=True, exist_ok=True)
     written = []
     if "alphas" in dests:
@@ -181,8 +189,9 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(cfg: RunConfig):
-    """Yield (name, max_error, tolerance) rows; NaN error marks a skip.
-    The flow is ``run``'s for ``cfg``, on the 200 rows the action row needs."""
+    """Yield (name, max_error, tolerance) rows; NaN error marks a skip, a
+    row that compared nothing.  The flow is ``run``'s for ``cfg`` (one
+    ``_flow`` call), on the 200 intervals the action row needs."""
     rng = np.random.default_rng(20240915)
 
     # 200 (a, alpha) pairs, both sides in stacks of 32: the adjoint blocks
@@ -202,9 +211,7 @@ def _verify_checks(cfg: RunConfig):
             adjoint_matrix(i, alphas) - adjoint_closed_form(i, alphas)))))
     yield "adjoint exponential vs closed-form rules", err, 1e-12
 
-    result = flow_mod.integrate(
-        cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
-        max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap)
+    result = _flow(cfg, samples=200)
     if result.breakdown is not None:
         yield (f"flow breakdown at t = {result.breakdown.t_break:.6g} "
                f"(component {result.breakdown.index}); comparisons truncated "
@@ -226,29 +233,36 @@ def _verify_checks(cfg: RunConfig):
     # comparisons lose meaning; stop well inside the regular region
     t_cmp = float(result.ts[-1]) if result.breakdown is None \
         else 0.8 * result.breakdown.t_break
+    # on a regular part of {0} each row below compares the identity map at
+    # t = 0 with itself: it compares nothing, so it skips instead of passing
+    skip = t_cmp == 0
     keep = result.ts <= t_cmp
     ts, alphas = result.ts[keep], result.alphas[keep]
 
     err = observables.heisenberg_map(alphas).symplectic_defect()
-    yield "symplecticity of the Heisenberg map along the flow", err, 1e-8
+    yield ("symplecticity of the Heisenberg map along the flow",
+           math.nan if skip else err, 1e-8)
 
     alpha_cmp = result.interpolate(t_cmp)
     m = observables.heisenberg_map(alpha_cmp)
     S_cl, d_cl = oracles.fundamental_matrix(cfg.schedule, t_cmp)
     err = float(max(np.max(np.abs(m.S - S_cl)), np.max(np.abs(m.d - d_cl))))
-    yield "Heisenberg map vs classical fundamental matrix", err, 1e-6
+    yield ("Heisenberg map vs classical fundamental matrix",
+           math.nan if skip else err, 1e-6)
 
     shift = np.array([alpha_cmp[3], alpha_cmp[4],
                       -alpha_cmp[1], -alpha_cmp[2]])
     err = float(np.max(np.abs(d_cl - shift)))
-    yield "classical shift vs (alpha4, alpha5, -alpha2, -alpha3)", err, 1e-6
+    yield ("classical shift vs (alpha4, alpha5, -alpha2, -alpha3)",
+           math.nan if skip else err, 1e-6)
 
     a = np.array([cfg.schedule.coefficients(t) for t in ts.tolist()])
     ls = observables.classical_lagrangian(a, alphas, reference_odes(a, alphas))
     from scipy.integrate import simpson
     action = simpson(ls, x=ts)
     err = abs(action - alphas[-1, 0])
-    yield "action integral of L vs accumulated alpha1", err, 1e-8
+    yield ("action integral of L vs accumulated alpha1",
+           math.nan if skip else err, 1e-8)
 
 
 def _cmd_verify(args) -> int:

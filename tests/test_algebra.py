@@ -112,6 +112,8 @@ def test_validate_standard_tensor_passes():
     assert report.ok
     assert report.antisymmetry_ok and report.jacobi_ok and report.central_ok
     assert report.violation is None
+    assert str(report) == ("algebra ok: antisymmetry, centrality and "
+                           "Jacobi hold exactly")
 
 
 def test_validate_reports_deliberate_corruption():
@@ -120,6 +122,32 @@ def test_validate_reports_deliberate_corruption():
     assert not report.ok
     assert report.violation.kind in ("antisymmetry", "jacobi")
     assert report.violation.indices[:2] in ((2, 4), (4, 2))
+
+
+def test_validate_reports_a_non_central_h1():
+    # both orientations of [h1, h2] = h3 keep the tensor antisymmetric
+    bad = standard_algebra().with_entry(1, 2, 3, 1).with_entry(2, 1, 3, -1)
+    report = bad.validate()
+    assert (report.ok, report.antisymmetry_ok, report.central_ok,
+            report.jacobi_ok) == (False, True, False, True)
+    assert report.violation.kind == "central"
+    assert report.violation.indices == (1, 2, 0)
+    assert str(report) == ("algebra INVALID: central at (1, 2, 0): "
+                           "h1 row/column not zero")
+
+
+def test_validate_reports_a_jacobi_violation():
+    # [h8, h9] = 2 h15 rescaled to 4 h15 in both orientations: the tensor
+    # stays antisymmetric with h1 central, and the first triple in
+    # lexicographic order whose Jacobi sum no longer vanishes is (h2, h8, h9)
+    bad = standard_algebra().with_entry(8, 9, 15, 4).with_entry(9, 8, 15, -4)
+    report = bad.validate()
+    assert (report.ok, report.antisymmetry_ok, report.central_ok,
+            report.jacobi_ok) == (False, True, True, False)
+    assert report.violation.kind == "jacobi"
+    assert report.violation.indices == (2, 8, 9, 3)
+    assert str(report) == ("algebra INVALID: jacobi at (2, 8, 9, 3): "
+                           "Jacobi sum = -2")
 
 
 def test_validate_zero_tensor_passes():
