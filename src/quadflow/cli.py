@@ -123,10 +123,9 @@ def _flow(cfg: RunConfig, samples: int):
     intervals: the one integration that ``run`` writes and ``verify``
     checks.  ``flow_mod.integrate`` is looked up at each call, where the
     benchmark's tracer wraps it."""
-    return flow_mod.integrate(
-        cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
-        max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap,
-        samples=samples)
+    return flow_mod.integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol,
+                              atol=cfg.atol, max_step=cfg.max_step,
+                              samples=samples)
 
 
 def _run_plan(path, cfg, out_base, dests) -> dict:

@@ -38,8 +38,8 @@ list ``points = x,y,xp,yp; x,y,xp,yp; ...`` (evaluated at t_end, or at each
 time in ``times = t1, t2, ...``) or a square grid over the output coordinates
 with a fixed source point: ``grid_extent``, ``grid_points``, ``source = xp,yp``.
 
-Identical files produce bit-identical outputs: there is no randomness in a
-run.
+Any name a run would ignore is refused; the flow's chart bound is no [run]
+key.  Identical files produce bit-identical outputs: there is no randomness.
 """
 
 from __future__ import annotations
@@ -72,14 +72,12 @@ class RunConfig:
     atol: float = 1e-10
     samples: int = 200
     max_step: float | None = None
-    magnitude_cap: float = 1e8
     outputs: dict = field(default_factory=dict)   # name -> filename
     green: GreenRequest | None = None
 
 
 # (predicate, requirement) pairs for _float's ``check``
 _POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
-_POSITIVE = (lambda v: v > 0, "positive")
 _EXTENT = (lambda v: 0 < v <= 8.98e307, "positive and at most 8.98e307")
 # numpy holds at most 2**60 floats: samples + 1 rows, and an N x N grid
 _COUNT = (lambda v: v.is_integer() and 1 <= v < 2 ** 59,
@@ -87,11 +85,10 @@ _COUNT = (lambda v: v.is_integer() and 1 <= v < 2 ** 59,
 _GRID = (lambda v: v.is_integer() and 1 <= v < 2 ** 30,
          "an integer from 1 to 2**30 - 1")
 
-# [run] key -> requirement; a key not given takes RunConfig's default (a
-# magnitude_cap of inf is allowed: it switches the magnitude sentinel off)
+# [run] key -> requirement; a key not given takes RunConfig's default
 _RUN_KEYS = {"t_end": _POSITIVE_FINITE, "rtol": _POSITIVE_FINITE,
              "atol": _POSITIVE_FINITE, "samples": _COUNT,
-             "max_step": _POSITIVE_FINITE, "magnitude_cap": _POSITIVE}
+             "max_step": _POSITIVE_FINITE}
 _SECTIONS = ("hamiltonian", "constants", "run", "outputs", "green")
 _HAMILTONIAN_KEYS = ("preset", "hbar", *(f"a{k}" for k in range(1, 16)))
 _GREEN_KEYS = ("points", "times", "grid_extent", "grid_points", "source")
@@ -182,10 +179,9 @@ def load_config(path) -> RunConfig:
     _refuse_unknown("[run]", "keys", run, _RUN_KEYS)
     if "t_end" not in run:
         raise ConfigError("missing key 't_end' in [run]")
-    cfg = RunConfig(schedule, **{key: _float(run, key, where="[run]",
-                                             check=check)
-                                 for key, check in _RUN_KEYS.items()
-                                 if key in run})
+    cfg = RunConfig(schedule, **{
+        key: _float(run, key, where="[run]", check=check)
+        for key, check in _RUN_KEYS.items() if key in run})
 
     if "outputs" in parser:
         outputs = parser["outputs"]

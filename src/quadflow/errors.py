@@ -32,8 +32,8 @@ class SingularNu(QuadflowError):
 
 
 class StepBudget(QuadflowError):
-    """The flow spent its budget of step attempts before ``t_end``: the
-    run was not resolved, but the chart did not break down either."""
+    """The flow spent its step budget before ``t_end``, or its ``max_step``
+    asks for more steps than it holds: unresolved, but no breakdown."""
 
     code = "step-budget"
 

@@ -11,18 +11,19 @@ the offending component.
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
 function returns, and the stepper checks each stage on those floats.  One
-predicate decides where the chart ends: every |alpha_i| <= ``magnitude_cap``
-and det(nu) = 1 in the matrix pipeline (:func:`.reduction.assemble`), the
-conditioning sentinel.  It depends on alpha alone, so it reads no
-coefficients, and it does not steer the stepper until it refuses, so the
-stepper hands it the end states of accepted steps in stacks of up to 32.
-Rows from the first over-cap one on never reach ``assemble``, whose one call
-names the first row it refuses.  That step is kept, the steps past it are
-dropped, and the crossing is bisected on that step's dense polynomial; the
-flow halts at the last state that passes.  The reason names the bound the
-last failing probe broke: magnitude-overflow for the cap, step-underflow
-for det(nu), as for a step size pushed to the floor.  A spent step budget
-is no breakdown: it raises :class:`.StepBudget`.
+predicate decides where the chart ends: |alpha_i| <= ``_MAGNITUDE_CAP`` on
+the chart coordinates alpha_6 .. alpha_15 (the action alpha_1 and the
+trajectory alpha_2 .. alpha_5 stay finite wherever the chart exists) and
+det(nu) = 1 in the matrix pipeline (:func:`.reduction.assemble`), the
+conditioning sentinel.  It reads alpha alone and does not steer the stepper
+until it refuses, so the stepper hands it the end states of accepted steps
+in stacks of up to 32.  Rows from the first over-cap one on never reach
+``assemble``, whose one call names the first row it refuses.  That step is
+kept, the steps past it are dropped, and the crossing is bisected on that
+step's dense polynomial; the flow halts at the last state that passes.  The
+reason names the bound the last failing probe broke: magnitude-overflow for
+the cap, step-underflow for det(nu), as for a step size pushed to the floor.
+A spent step budget is no breakdown: it raises :class:`.StepBudget`.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -49,7 +50,7 @@ __all__ = ["Breakdown", "FlowResult", "integrate",
 @dataclass(frozen=True)
 class Breakdown:
     t_break: float
-    index: int            # offending generator index, 1-based
+    index: int            # 1-based: the largest chart coordinate
     reason: str           # "magnitude-overflow" | "step-underflow"
 
 
@@ -77,13 +78,18 @@ class FlowResult:
 
 
 _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
+# the chart coordinates alpha6..alpha15, which the cap bounds; a max_step
+# may ask for as many steps as the budget has attempts (it spends none)
+_CHART = slice(5, None)
+_MAGNITUDE_CAP = 1e8
+_MAX_STEPS = rk._MAX_ATTEMPTS
 
 
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
-              atol=1e-10, max_step=None, magnitude_cap=1e8, samples=200,
+              atol=1e-10, max_step=None, samples=200,
               initial_alpha=None) -> FlowResult:
     """Integrate the flow from t = 0 to ``t_end``; raises StepBudget if the
-    stepper's budget of step attempts runs out first.
+    step budget runs out first, at once if t_end / max_step > ``_MAX_STEPS``.
 
     Parameters
     ----------
@@ -92,8 +98,6 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     samples : number of uniform intervals; ``ts`` holds samples + 1 times
         spanning [0, t_stop] (a single 0.0 if the flow halts before its
         first step)
-    magnitude_cap : |alpha_i| bound beyond which the factorization is
-        declared broken down; the flow stops at the last state within it
     initial_alpha : optional 15-vector for piecewise continuation (defaults
         to zeros, the identity factorization)
 
@@ -107,6 +111,9 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         else np.asarray(initial_alpha, dtype=float).copy()
     if alpha0.shape != (N_GENERATORS,):
         raise ValueError("initial_alpha must be a 15-vector")
+    if max_step is not None and t_end > max_step * _MAX_STEPS:
+        raise StepBudget(f"max_step = {max_step!r} asks for more than "
+                         f"{_MAX_STEPS} steps to reach t_end = {t_end!r}")
 
     def rhs(t, alpha):
         # InvalidSchedule propagates; an overflowing term is a NaN stage
@@ -115,12 +122,11 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     reason = "step-underflow"   # the bound the last failing probe broke
 
     def conditioned(ts, alphas):
-        # the rows before the first over-cap one go to one assemble call,
-        # which names the first it refuses: once the matrix entries outrun
-        # double precision det(nu) strays from 1.  It depends on alpha
-        # alone, so the coefficients are zeros
+        # rows before the first with a chart coordinate over the cap go to
+        # one assemble call, which names the first it refuses (det(nu) != 1
+        # past double precision); it reads alpha alone: zero coefficients
         nonlocal reason
-        over = np.max(np.abs(alphas), axis=1) > magnitude_cap
+        over = np.max(np.abs(alphas[:, _CHART]), axis=1) > _MAGNITUDE_CAP
         n = int(np.argmax(over)) if over.any() else len(alphas)
         try:
             if n:
@@ -141,13 +147,13 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
 
     breakdown = None
     if res.status != "done":
-        # the largest component at the stop; a halt before the first step
-        # stops at alpha0, so there the fastest-moving one, by |alpha_dot|
+        # the largest chart coordinate at the stop; a halt before the first
+        # step stops at alpha0, so there the fastest-moving one (|alpha_dot|)
         offending = res.y_stop if res.dense.t0.size else explicit_rhs(
             schedule.coefficients(res.t_stop), res.y_stop.tolist())
-        breakdown = Breakdown(
-            t_break=res.t_stop, index=int(np.argmax(np.abs(offending))) + 1,
-            reason=reason)
+        chart = np.abs(offending)[_CHART]
+        breakdown = Breakdown(t_break=res.t_stop, reason=reason,
+                              index=_CHART.start + int(np.argmax(chart)) + 1)
 
     # uniform sample grid over the integrated span (samples + 1 rows in the
     # CSV contract); the dense interpolant carries the per-step resolution

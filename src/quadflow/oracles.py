@@ -37,6 +37,7 @@ from .schedule import CoefficientSchedule
 
 __all__ = ["hamiltonian_matrix", "classical_system", "fundamental_matrix",
            "GaussianState", "apply_kernel"]
+_CHUNK = 256   # output points per quadrature block in apply_kernel
 
 
 def hamiltonian_matrix(a) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +162,7 @@ def _phase_consistency(kernel, x_out, y_out, p0, p1, pm):
 
 
 def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
-                 hbar=1.0, chunk=256) -> GaussianState:
+                 hbar=1.0) -> GaussianState:
     """Quadrature pushforward psi_t = integral G * psi_0 over a square grid.
 
     Parameters
@@ -227,8 +228,8 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
         # output point, so the quadrature reduces to matrix products
         M = kernel.coupling
         W = np.exp(1j * kernel.phase_src(X, Y)) * psi0
-        for lo in range(0, xo_flat.size, chunk):
-            hi = min(lo + chunk, xo_flat.size)
+        for lo in range(0, xo_flat.size, _CHUNK):
+            hi = min(lo + _CHUNK, xo_flat.size)
             kx = M[0, 0] * xo_flat[lo:hi] + M[1, 0] * yo_flat[lo:hi]
             ky = M[0, 1] * xo_flat[lo:hi] + M[1, 1] * yo_flat[lo:hi]
             Ex = np.exp(1j * np.outer(kx, axis))
@@ -240,8 +241,8 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
     else:
         xp = X[None, :, :]
         yp = Y[None, :, :]
-        for lo in range(0, xo_flat.size, chunk):
-            hi = min(lo + chunk, xo_flat.size)
+        for lo in range(0, xo_flat.size, _CHUNK):
+            hi = min(lo + _CHUNK, xo_flat.size)
             G = kernel(xo_flat[lo:hi, None, None], yo_flat[lo:hi, None, None],
                        xp, yp)
             psi_t[lo:hi] = np.tensordot(G, psi0,

@@ -53,8 +53,6 @@ class ReductionState:
     """One evaluation of the reduction pipeline at (a, alpha); the arrays
     carry the stack axes of the inputs in front."""
 
-    a: np.ndarray
-    alpha: np.ndarray
     w: np.ndarray
     nu: np.ndarray
     mu: np.ndarray
@@ -120,7 +118,7 @@ def assemble(a, alpha) -> ReductionState:
                              f"{alpha[first].tolist()}", row)
         w = (R @ a[..., None])[..., 0]
         mu = np.linalg.solve(nu, w[..., None])[..., 0]
-    return ReductionState(a=a, alpha=alpha, w=w, nu=nu, mu=mu)
+    return ReductionState(w=w, nu=nu, mu=mu)
 
 
 def reference_odes(a, alpha) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow import cli, rk
+from quadflow import cli, flow, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
@@ -437,7 +437,6 @@ NUMERIC_BASE = {
     ("run", "rtol", "nan"),
     ("run", "atol", "-1"),
     ("run", "max_step", "-1"),
-    ("run", "magnitude_cap", "nan"),
     ("run", "samples", "nan"),
     ("run", "samples", "2.7"),
     ("run", "samples", "0"),
@@ -927,15 +926,16 @@ preset = landau
 [run]
 t_end = 3.5
 rtol = 1e-4
-magnitude_cap = 10
 
 [outputs]
 alphas = alphas.csv
 """
 
 
-def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys):
-    # run's tolerance and cap stop the flow before the default run would
+def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys,
+                                               monkeypatch):
+    # run's tolerance and a cap patched to 10 stop the flow early
+    monkeypatch.setattr(flow, "_MAGNITUDE_CAP", 10.0)
     p = tmp_path / "cap.cfg"
     p.write_text(CAP_CFG)
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
@@ -982,6 +982,40 @@ def test_a_spent_step_budget_is_one_json_error(tmp_path, capsys, monkeypatch,
     assert not out.exists() and not (tmp_path / "alphas.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_max_step_too_short_for_the_budget_is_one_json_error(
+        tmp_path, capsys, command):
+    # 1e9 steps of max_step would run for hours: the flow is refused before
+    # it integrates, with an error that names the config; no file is written
+    p = tmp_path / "fine.cfg"
+    p.write_text("[hamiltonian]\npreset = free\n\n[run]\nt_end = 1\n"
+                 "max_step = 1e-9\n\n[outputs]\nalphas = alphas.csv\n")
+    out = tmp_path / "out"
+    argv = ["run", str(p), "--outdir", str(out)] if command == "run" \
+        else ["verify", "--config", str(p)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "breakdown" not in captured.out
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert set(err) == {"error", "detail", "at"}
+    assert err["error"] == "step-budget"
+    assert err["at"] == str(p)
+    assert "max_step = 1e-09" in err["detail"]
+    assert not out.exists() and not (tmp_path / "alphas.csv").exists()
+
+
+def test_verify_compares_a_strong_field_flow_with_the_closed_form(capsys):
+    # the action passes 1e8 at t = 2.1, before omega_c t = pi: no breakdown,
+    # so the closed-form row compares the whole flow.  (Rows with absolute
+    # tolerances on entries of about 1e8 are not pinned either way.)
+    main(["verify", "--preset", "landau", "--E-x", "1e4", "--E-y=-2e3"])
+    out = capsys.readouterr().out
+    assert "[NOTE] flow breakdown" not in out
+    assert "[SKIP]" not in out
+    assert "integrated alpha vs constant-field closed form: max error" in out
+
+
 def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():
     # the row assembles its 200 random states in stacks of 32; its error is
     # the one a loop of one-state assemble calls finds, to the bit
@@ -1020,7 +1054,7 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
 
     from scipy.integrate import simpson
     res = integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step, magnitude_cap=cfg.magnitude_cap)
+                    max_step=cfg.max_step)
     assert res.breakdown is None
     a = [cfg.schedule.coefficients(t) for t in res.ts.tolist()]
     ls = np.array([classical_lagrangian(a_t, alpha, reference_odes(a_t, alpha))
@@ -1162,10 +1196,13 @@ def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
 @pytest.mark.parametrize("old, new, fragment", [
     ("[outputs]", "[output]", "unknown sections ['output']"),
     ("t_end = 1.0", "t_end = 1.0\nsample = 10", "[run]: unknown keys ['sample']"),
+    ("t_end = 1.0", "t_end = 1.0\nmagnitude_cap = 10",
+     "[run]: unknown keys ['magnitude_cap']"),
     ("times = 0.5", "time = 0.5", "[green]: unknown keys ['time']"),
     ("[outputs]", "[constants]\nw = 5\n\n[outputs]",
      "[constants]: a preset reads no constants"),
-], ids=["section-output", "run-sample", "green-time", "preset-constants"])
+], ids=["section-output", "run-sample", "run-magnitude_cap", "green-time",
+        "preset-constants"])
 def test_ignored_config_input_is_refused(tmp_path, capsys, old, new,
                                          fragment):
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"

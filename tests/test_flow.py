@@ -11,6 +11,8 @@ from quadflow.errors import (InvalidSchedule, SingularNu, SingularTime,
                              StepBudget)
 from quadflow.flow import (constant_field_closed_form, integrate,
                            write_alphas_csv)
+from quadflow.observables import heisenberg_map
+from quadflow.oracles import fundamental_matrix
 from quadflow.reduction import assemble
 from quadflow.schedule import CoefficientSchedule
 
@@ -389,6 +391,25 @@ def test_steps_that_max_step_cuts_do_not_spend_the_budget(monkeypatch):
     assert res.n_rhs > 6 * 40
 
 
+def test_a_max_step_too_short_for_the_budget_is_refused_at_once(monkeypatch):
+    # steps that max_step cuts spend no budget, so max_step = 1e-9 over
+    # t_end 1 would ask for 1e9 steps; it is refused before the first
+    # right-hand side
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refused run integrated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rk, "solve", unreachable)
+        with pytest.raises(StepBudget, match="max_step = 1e-09 asks for "
+                           "more than 100000 steps"):
+            integrate(CoefficientSchedule.free(m=1.0), 1.0, max_step=1e-9)
+    # the bound is the number of steps: 40 of them run, 41 are refused
+    monkeypatch.setattr(flow, "_MAX_STEPS", 40)
+    assert integrate(landau(), 1.0, max_step=1 / 40).breakdown is None
+    with pytest.raises(StepBudget, match="more than 40 steps"):
+        integrate(landau(), 1.0, max_step=1 / 41)
+
+
 def test_halt_before_the_first_step_names_the_fastest_component():
     # no step is accepted, so the state at the stop is alpha(0) = 0; the
     # breakdown names the largest |alpha_dot(0)| (alpha10 here), not alpha1
@@ -411,6 +432,52 @@ def test_magnitude_cap_breakdown_reports_riccati_component():
     assert res.breakdown.reason == "magnitude-overflow"
     assert res.breakdown.index == 6
     assert abs(res.dense(res.breakdown.t_break)[5]) >= 0.99e8
+
+
+def test_a_large_action_is_no_breakdown():
+    # a free particle with a1 = 1e9 is a pure phase: alpha1 = a1 t passes
+    # the cap, but the action is no chart coordinate
+    sched = CoefficientSchedule.from_expressions({1: "1e9", 9: "0.5",
+                                                  10: "0.5"})
+    res = integrate(sched, 1.0)
+    assert res.breakdown is None and res.ts[-1] == 1.0
+    np.testing.assert_allclose(res.alphas[:, 0], 1e9 * res.ts, rtol=1e-12,
+                               atol=0)
+
+
+def test_a_strong_field_flow_reaches_t_end():
+    # E = (1e4, -2e3) drives the action alpha1 past 1e8 at t = 2.1, well
+    # before the chart ends at omega_c t = pi
+    res = integrate(landau(E_x=1e4, E_y=-2e3), 2.5)
+    assert res.breakdown is None and res.ts[-1] == 2.5
+    ref = constant_field_closed_form(1.0, 1.0, 1e4, -2e3, 1.0, t=res.ts)
+    assert np.max(np.abs(ref[:, 0])) > 1e8
+    scale = np.maximum(np.max(np.abs(ref), axis=0), 1.0)
+    assert np.max(np.abs(res.alphas - ref) / scale) < 1e-9
+
+
+OSCILLATOR = {6: "0.5", 7: "0.3", 9: "0.5", 10: "0.5", 14: "0.2", 15: "-0.2"}
+
+
+def test_a_uniform_force_leaves_the_breakdown_where_it_was():
+    # a uniform force moves the trajectory alpha2..alpha5 and the action,
+    # which reaches 2.4e13, but not the chart: the forced oscillator breaks
+    # down where the unforced one does, on the same coordinate
+    plain = integrate(CoefficientSchedule.from_expressions(OSCILLATOR), 3.0)
+    sched = CoefficientSchedule.from_expressions({**OSCILLATOR, 2: "1e7",
+                                                  3: "-3e6"})
+    res = integrate(sched, 3.0, samples=40)
+    assert plain.breakdown.index == res.breakdown.index == 15
+    assert res.breakdown.t_break == pytest.approx(plain.breakdown.t_break,
+                                                  rel=1e-6)
+    assert np.max(np.abs(res.alphas[:, 0])) > 1e13
+    # every row of the regular part is the classical map
+    keep = (res.ts > 0) & (res.ts <= 0.8 * res.breakdown.t_break)
+    maps = heisenberg_map(res.alphas[keep])
+    for t, S, d in zip(res.ts[keep].tolist(), maps.S, maps.d):
+        S_cl, d_cl = fundamental_matrix(sched, t)
+        assert np.max(np.abs(S - S_cl)) < 1e-8 * np.max(np.abs(S_cl))
+        assert np.max(np.abs(d - d_cl)) < 1e-8 * np.max(np.abs(d_cl))
 
 
 def test_linear_potential_subalgebra_decouples():
@@ -562,17 +629,17 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
     np.testing.assert_array_equal(flow.alphas[-1], last(t_lo))
 
 
-@pytest.mark.parametrize("sched, t_end, kwargs", [
-    (landau(), 3.5, dict(rtol=1e-4, magnitude_cap=10.0)),
-    (CoefficientSchedule.harmonic1d(m=1.0, omega=1.0), 3.0, {}),
+@pytest.mark.parametrize("sched, t_end, kwargs, cap", [
+    (landau(), 3.5, dict(rtol=1e-4), 10.0),
+    (CoefficientSchedule.harmonic1d(m=1.0, omega=1.0), 3.0, {}, 1e8),
     (CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0, lam=0.3), 2.0,
-     {}),
+     {}, 1e8),
 ], ids=["landau-cap-10", "harmonic1d", "kanai_caldirola"])
-def test_a_cap_stop_writes_no_row_beyond_the_cap(tmp_path, sched, t_end,
-                                                 kwargs):
+def test_a_cap_stop_writes_no_row_beyond_the_cap(tmp_path, monkeypatch,
+                                                 sched, t_end, kwargs, cap):
     # the run stops at the last state within the cap, so every row of
     # alphas.csv and the dense solution at t_break keep |alpha_i| <= cap
-    cap = kwargs.get("magnitude_cap", 1e8)
+    monkeypatch.setattr(flow, "_MAGNITUDE_CAP", cap)
     res = integrate(sched, t_end, **kwargs)
     assert res.breakdown.reason == "magnitude-overflow"
     path = tmp_path / "alphas.csv"
@@ -613,7 +680,8 @@ def test_the_first_failing_row_of_a_stack_names_the_reason(monkeypatch,
         cap = math.sqrt(size[k] * size[k + 1])
     assert np.argmax(size > cap) == (1 if first == "cap" else k + 1)
     rows.clear()
-    res = integrate(driven(), 4.0, magnitude_cap=cap)
+    monkeypatch.setattr(flow, "_MAGNITUDE_CAP", cap)
+    res = integrate(driven(), 4.0)
     assert np.max(np.abs(res.alphas)) <= cap
     if first == "cap":
         assert res.breakdown.reason == "magnitude-overflow"
