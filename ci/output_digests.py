@@ -18,7 +18,12 @@ The cases:
 - ``verify`` on each of the five presets;
 - ``run`` on the breakdown presets harmonic1d (t_end 3), kanai_caldirola
   (m 1, omega 2, lam 0.3, t_end 2) and landau (t_end 3.5);
-- the nominal driven config under ``run`` and ``verify``.
+- ``run`` on the free preset with m 1e-9 and t_end 1, which stops on the
+  magnitude cap although alpha9 = t / 2m has no pole;
+- the nominal driven config under ``run`` and ``verify``;
+- the unresolved runs ``a2 = 1e300`` (a9 = a10 = 0.5, t_end 1) and landau
+  with t_end 2e-322, each under ``run``;
+- ``verify --preset free --m 1e-26``, which breaks down at t = 0.
 """
 
 from __future__ import annotations
@@ -43,10 +48,15 @@ PRESET_RUNS = {
     "kanai_caldirola": "preset = kanai_caldirola\nm = 1.0\nomega = 2.0\n"
                        "lam = 0.3\n\n[run]\nt_end = 2.0\n",
     "landau": "preset = landau\n\n[run]\nt_end = 3.5\n",
+    "free_light": "preset = free\nm = 1e-9\n\n[run]\nt_end = 1.0\n",
 }
 DRIVEN = ("a6 = A*sin(w*t)\na9 = 0.5\na10 = 0.5\na11 = B*cos(t)\na14 = C\n"
           "a15 = -C\n\n[constants]\nA = 0.5\nw = 2.0\nB = 0.1\nC = 0.5\n\n"
           "[run]\nt_end = 4.0\n")
+UNRESOLVED = {
+    "huge_a2": "a2 = 1e300\na9 = 0.5\na10 = 0.5\n\n[run]\nt_end = 1.0\n",
+    "tiny_t_end": "preset = landau\n\n[run]\nt_end = 2e-322\n",
+}
 
 
 def _sha(data: bytes, tmp: Path) -> str:
@@ -89,6 +99,10 @@ def cases(seeds):
     for command in ("run", "verify"):
         yield f"{command}:driven", lambda tmp, c=command: _config(
             tmp, DRIVEN, c)
+    for name, text in UNRESOLVED.items():
+        yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
+    yield "verify:free_m1e-26", lambda tmp: [
+        "verify", "--preset", "free", "--m", "1e-26"]
 
 
 def _config(tmp: Path, body: str, command: str) -> list:

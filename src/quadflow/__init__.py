@@ -15,7 +15,8 @@ from .algebra import (GENERATOR_LABELS, N_GENERATORS, StructureConstants,
 from .adjoint import adjoint_closed_form, adjoint_matrix
 from .errors import (BranchUnavailable, ConfigError, DegenerateGeometry,
                      GridUnderresolved, InvalidSchedule, ParseError,
-                     QuadflowError, SingularNu, SingularTime, StepBudget)
+                     QuadflowError, SingularNu, SingularTime, StepBudget,
+                     StepUnderflow)
 from .expressions import parse_expression, pretty
 from .flow import (Breakdown, FlowResult, constant_field_closed_form,
                    integrate, write_alphas_csv)
@@ -38,7 +39,7 @@ __all__ = [
     "GENERATOR_LABELS", "GreenSample", "GridUnderresolved",
     "InvalidSchedule", "N_GENERATORS", "ParseError", "QuadflowError",
     "ReductionState", "SingularNu", "SingularTime", "StepBudget",
-    "StructureConstants",
+    "StepUnderflow", "StructureConstants",
     "SYMPLECTIC_J", "adjoint_closed_form", "adjoint_matrix", "apply_kernel",
     "assemble", "classical_lagrangian", "commutator",
     "constant_field_closed_form", "fundamental_matrix", "green", "green_kernel",

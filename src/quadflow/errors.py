@@ -38,6 +38,12 @@ class StepBudget(QuadflowError):
     code = "step-budget"
 
 
+class StepUnderflow(QuadflowError):
+    """No step of the flow resolves: unresolved, but no breakdown."""
+
+    code = "step-underflow"
+
+
 class BranchUnavailable(QuadflowError):
     """Generic propagator branch cannot be evaluated at these parameters."""
 

@@ -4,9 +4,7 @@ The flow starts from alpha(0) = 0 (the evolution operator is the identity at
 t = 0) and is advanced with the embedded 5(4) pair from :mod:`.rk` at tight
 default tolerances.  The factorization has coordinate singularities - for
 the pure-magnetic-field case alpha_6 grows like tan(omega_c t / 2) and
-diverges at omega_c t = pi - so breakdown is a first-class result, not an
-exception: the flow halts at the last state the chart passes and reports
-the offending component.
+diverges at omega_c t = pi - so breakdown is a result, not an exception.
 
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
@@ -21,9 +19,11 @@ in stacks of up to 32.  Rows from the first over-cap one on never reach
 ``assemble``, whose one call names the first row it refuses.  That step is
 kept, the steps past it are dropped, and the crossing is bisected on that
 step's dense polynomial; the flow halts at the last state that passes.  The
-reason names the bound the last failing probe broke: magnitude-overflow for
-the cap, step-underflow for det(nu), as for a step size pushed to the floor.
-A spent step budget is no breakdown: it raises :class:`.StepBudget`.
+:class:`Breakdown` reads the first refused state, that step's end: its
+largest chart coordinate, and magnitude-overflow for the cap or singular-nu
+for det(nu).  An unresolved flow is no breakdown: a spent step budget
+raises :class:`.StepBudget`, a step that cannot be resolved at all (below
+the step-size floor, 60 rejections in a row) :class:`.StepUnderflow`.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rk
 from .algebra import N_GENERATORS
-from .errors import SingularNu, SingularTime, StepBudget
+from .errors import SingularNu, SingularTime, StepBudget, StepUnderflow
 from .reduction import assemble, explicit_rhs
 from .schedule import CoefficientSchedule
 
@@ -49,14 +49,17 @@ __all__ = ["Breakdown", "FlowResult", "integrate",
 
 @dataclass(frozen=True)
 class Breakdown:
+    """The chart ended: ``t_break`` is the last state the predicate passes,
+    ``index`` and ``reason`` read the first it refused, that step's end."""
+
     t_break: float
-    index: int            # 1-based: the largest chart coordinate
-    reason: str           # "magnitude-overflow" | "step-underflow"
+    index: int            # 1-based: the largest chart coordinate refused
+    reason: str           # "magnitude-overflow" | "singular-nu"
 
 
 @dataclass
 class FlowResult:
-    ts: np.ndarray              # (n,) sample times, strictly increasing
+    ts: np.ndarray              # (samples + 1,) uniform on [0, t_stop]
     alphas: np.ndarray          # (n, 15) alpha at each sample time
     breakdown: Breakdown | None
     dense: rk.DenseSolution
@@ -72,8 +75,6 @@ class FlowResult:
         if not np.all((t_arr >= 0.0) & (t_arr <= self.ts[-1])):
             raise ValueError(f"t outside the integrated span "
                              f"[0, {float(self.ts[-1])!r}]")
-        if not self.dense.t0.size:   # halted before any step: the span is {0}
-            return np.tile(self.alphas[-1], np.shape(t) + (1,))
         return self.dense(t)
 
 
@@ -89,21 +90,22 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
               atol=1e-10, max_step=None, samples=200,
               initial_alpha=None) -> FlowResult:
     """Integrate the flow from t = 0 to ``t_end``; raises StepBudget if the
-    step budget runs out first, at once if t_end / max_step > ``_MAX_STEPS``.
+    step budget runs out first, at once if t_end / max_step > ``_MAX_STEPS``,
+    and StepUnderflow if no step resolves.
 
     Parameters
     ----------
     schedule : coefficient functions a(t); non-finite evaluations raise
         InvalidSchedule
     samples : number of uniform intervals; ``ts`` holds samples + 1 times
-        spanning [0, t_stop] (a single 0.0 if the flow halts before its
-        first step)
+        spanning [0, t_stop]
     initial_alpha : optional 15-vector for piecewise continuation (defaults
         to zeros, the identity factorization)
 
     Returns
     -------
-    FlowResult; if breakdown occurred, samples stop at ``t_break``.
+    FlowResult over at least one accepted step; if breakdown occurred,
+    samples stop at ``t_break``.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -119,23 +121,17 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         # InvalidSchedule propagates; an overflowing term is a NaN stage
         return explicit_rhs(schedule.coefficients(t), alpha.tolist())
 
-    reason = "step-underflow"   # the bound the last failing probe broke
-
     def conditioned(ts, alphas):
         # rows before the first with a chart coordinate over the cap go to
         # one assemble call, which names the first it refuses (det(nu) != 1
         # past double precision); it reads alpha alone: zero coefficients
-        nonlocal reason
         over = np.max(np.abs(alphas[:, _CHART]), axis=1) > _MAGNITUDE_CAP
         n = int(np.argmax(over)) if over.any() else len(alphas)
         try:
             if n:
                 assemble(_NO_COEFFICIENTS, alphas[:n])
         except SingularNu as refusal:
-            reason = "step-underflow"
             return refusal.row
-        if n < len(alphas):
-            reason = "magnitude-overflow"
         return n
 
     res = rk.solve(rhs, 0.0, alpha0, t_end, rtol=rtol, atol=atol,
@@ -144,25 +140,22 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         raise StepBudget(f"the flow spent {rk._MAX_ATTEMPTS} step attempts "
                          f"and reached only t = {res.t_stop!r} of t_end = "
                          f"{t_end!r}")
+    if res.status == "underflow":
+        raise StepUnderflow(f"no step of the flow resolves at t = "
+                            f"{res.t_stop!r} of t_end = {t_end!r}")
 
     breakdown = None
-    if res.status != "done":
-        # the largest chart coordinate at the stop; a halt before the first
-        # step stops at alpha0, so there the fastest-moving one (|alpha_dot|)
-        offending = res.y_stop if res.dense.t0.size else explicit_rhs(
-            schedule.coefficients(res.t_stop), res.y_stop.tolist())
-        chart = np.abs(offending)[_CHART]
+    if res.status == "refused":
+        chart = np.abs(res.y_refused)[_CHART]
+        reason = "magnitude-overflow" if np.max(chart) > _MAGNITUDE_CAP \
+            else "singular-nu"
         breakdown = Breakdown(t_break=res.t_stop, reason=reason,
                               index=_CHART.start + int(np.argmax(chart)) + 1)
 
     # uniform sample grid over the integrated span (samples + 1 rows in the
     # CSV contract); the dense interpolant carries the per-step resolution
-    if res.dense.t0.size:
-        ts = np.linspace(0.0, res.t_stop, samples + 1)
-        alphas = res.dense(ts)
-    else:                                         # halted before any step
-        ts, alphas = np.array([0.0]), alpha0[None]
-    return FlowResult(ts=ts, alphas=alphas, breakdown=breakdown,
+    ts = np.linspace(0.0, res.t_stop, samples + 1)
+    return FlowResult(ts=ts, alphas=res.dense(ts), breakdown=breakdown,
                       dense=res.dense, n_rhs=res.n_rhs)
 
 

@@ -17,10 +17,10 @@ the steps before it are the ones a check after every step would have taken,
 bit for bit.  Otherwise a run ends ``done`` at ``t_end``; ``underflow`` when
 the controller pushes the step size below the resolvable floor or rejects
 60 steps in a row (non-finite stage values or error norms reject a step
-rather than raising, so blow-ups degrade gracefully into this outcome); or
-``budget`` after ``_MAX_ATTEMPTS`` step attempts, accepted or rejected,
-whose length the controller chose (shorter than both ``max_step`` and the
-rest of the run), at its last accepted state.
+rather than raising); or ``budget`` after ``_MAX_ATTEMPTS`` step attempts,
+accepted or rejected, whose length the controller chose (shorter than both
+``max_step`` and the rest of the run).  Both leave the run unresolved at
+its last accepted state, which may be ``y0``: the dense solution is empty.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ class DenseSolution:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if not self.t0.size:
-            raise ValueError("empty dense solution")
         k = np.minimum(np.searchsorted(self.t0 + self.h, t.ravel()),
                        self.t0.size - 1)
         y = _quartic(self.t0[k], self.h[k], self.y0[k], self.q[k], t.ravel())
@@ -121,6 +119,7 @@ class RKResult:
     t_stop: float            # final valid time
     y_stop: np.ndarray       # state at t_stop
     n_rhs: int
+    y_refused: np.ndarray | None = None   # the first state check refused
 
 
 # an overflowing scale accepts the step, an overflowing ratio rejects it
@@ -187,8 +186,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         pass, for an (n,) array of times and an (n, len(y0)) stack of
         states; called on the end states of accepted steps, in stacks of up
         to ``_CHUNK``, and on the bisection's probes, one row each.  The
-        first refused row halts the run at the last state ``check`` passes
-        inside its step.
+        first refused row (``y_refused``) halts the run at the last state
+        ``check`` passes inside its step.
     """
     y0 = np.asarray(y0, dtype=float)
     if t_end <= t0:
@@ -210,7 +209,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
 
     steps = []  # (t0, h, y0, q) per accepted step
     pending = []  # (t + h, y_new) of the last accepted steps, not checked
-    refused = None  # index into steps of the first step check refuses
+    refused = None  # (index into steps, end state) of the first refused
 
     def first_refused():
         # check the pending end states in one stack
@@ -219,7 +218,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         ts, ys = zip(*pending)
         passed = check(np.array(ts), np.array(ys))
         pending.clear()
-        return None if passed == len(ts) else len(steps) - len(ts) + passed
+        return None if passed == len(ts) else \
+            (len(steps) - len(ts) + passed, ys[passed])
 
     facold = 1e-4
     status = "done"
@@ -292,7 +292,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         # halt inside the first refused step at the last state check
         # passes; the step keeps its full length: its polynomial is only
         # valid with the h it was built with, and t_stop marks the end
-        del steps[refused + 1:]
+        del steps[refused[0] + 1:]
 
         def ok(t_mid, y_mid):
             return check(np.array([t_mid]), y_mid[None]) == 1
@@ -304,4 +304,4 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
                           np.array(y0s).reshape(-1, y.size),
                           np.array(qs).reshape(-1, y.size, 4))
     return RKResult(dense=dense, status=status, t_stop=t, y_stop=y,
-                    n_rhs=n_rhs)
+                    n_rhs=n_rhs, y_refused=refused and refused[1])

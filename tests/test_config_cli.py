@@ -556,26 +556,18 @@ def test_verify_landau_with_underflowing_field_skips_closed_form(capsys):
     assert "[FAIL]" not in out
 
 
-def test_halt_before_first_step_with_green_is_a_json_error(tmp_path, capsys):
-    # the flow stops at t = 0, where the Green function is a delta function
-    p = tmp_path / "halt.cfg"
-    p.write_text("[hamiltonian]\na6 = 1e300\na9 = 1e300\n\n[run]\n"
-                 "t_end = 1.0\n\n[green]\npoints = 0,0,0,0\n\n"
+def test_green_on_the_zero_preset_is_a_degenerate_geometry_error(tmp_path,
+                                                                capsys):
+    # alpha stays 0, where the Green function is a delta function
+    p = tmp_path / "zero.cfg"
+    p.write_text("[hamiltonian]\npreset = zero\n\n[run]\nt_end = 1.0\n\n"
+                 "[green]\npoints = 0,0,0,0\n\n"
                  "[outputs]\nalphas = alphas.csv\ngreen = green.csv\n")
-    with np.errstate(over="ignore"):
-        assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert set(err) == {"error", "detail", "at"}
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+    err = _one_json_error(capsys.readouterr())
     assert err["error"] == "degenerate-geometry"
+    assert err["at"] == str(p)
     assert not (tmp_path / "green.csv").exists()
-    p.write_text(p.read_text().replace("green = green.csv", ""))
-    with np.errstate(over="ignore"):
-        info = run_config_file(p, outdir=tmp_path)
-    assert info["t_final"] == 0.0
-    # no step was accepted: the component with the largest |alpha_dot(0)|,
-    # alpha6 (a6 = a9 = 1e300 tie between alpha6 and alpha9; the first wins)
-    assert info["breakdown"] == {"t_break": 0.0, "index": 6,
-                                 "reason": "step-underflow"}
 
 
 def _fresh_cli(*argv, **environ):
@@ -591,17 +583,16 @@ def _fresh_cli(*argv, **environ):
                           timeout=300)
 
 
-def test_huge_coefficients_print_nothing_on_stderr(tmp_path):
+def test_huge_coefficients_are_one_json_line_on_stderr(tmp_path):
+    # no step resolves, and no numpy warning lands ahead of the JSON line
     p = tmp_path / "huge.cfg"
     p.write_text(HUGE_CFG)
     proc = _fresh_cli("run", str(p), "--outdir", str(tmp_path))
-    assert proc.stderr == "", proc.stderr
-    assert proc.returncode == 0
-    info = json.loads(proc.stdout)
-    # no step was accepted: the component with the largest |alpha_dot(0)|,
-    # alpha6 (a6 = a9 = 1e300 tie between alpha6 and alpha9; the first wins)
-    assert info["breakdown"] == {"t_break": 0.0, "index": 6,
-                                 "reason": "step-underflow"}
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "step-underflow"
+    assert not (tmp_path / "alphas.csv").exists()
 
 
 @pytest.mark.parametrize("lam,coefficient", [("400", "a6"), ("-400", "a9")])
@@ -959,27 +950,45 @@ alphas = alphas.csv
 """
 
 
+# unresolved runs: (config, error code, a fragment of its detail)
+UNRESOLVED = [
+    # the chart of a2 = sin(50 t) cannot break down; it spends the budget
+    (SMOOTH_CFG, "step-budget", "spent 200 step attempts"),
+    # the first stage overflows in the action, and no chart coordinate moves
+    ("[hamiltonian]\na2 = 1e300\na9 = 0.5\na10 = 0.5\n\n[run]\nt_end = 1\n"
+     "\n[outputs]\nalphas = alphas.csv\n", "step-underflow",
+     "no step of the flow resolves at t = 0.0 of t_end = 1.0"),
+] + [
+    # the default max_step, t_end / 50, underflows to 0 below about
+    # 1.2e-322, and a step of 2e-322 / 50 is below the step-size floor
+    (f"[hamiltonian]\npreset = landau\n\n[run]\nt_end = {t_end}\n\n"
+     "[outputs]\nalphas = alphas.csv\n", "step-underflow",
+     f"at t = 0.0 of t_end = {t_end}")
+    for t_end in ("5e-324", "1e-322", "2e-322")]
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_a_spent_step_budget_is_one_json_error(tmp_path, capsys, monkeypatch,
                                                command):
-    # the chart of a2 = sin(50 t) cannot break down: a run that spends the
-    # stepper's budget is an error that names the config and writes no file
+    # a run that spends the stepper's budget, or that no step resolves, is
+    # no breakdown: it is an error that names the config and writes no file
     monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 200)
-    p = tmp_path / "smooth.cfg"
-    p.write_text(SMOOTH_CFG)
-    out = tmp_path / "out"
-    argv = ["run", str(p), "--outdir", str(out)] if command == "run" \
-        else ["verify", "--config", str(p)]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "breakdown" not in captured.out
-    (line,) = captured.err.splitlines()
-    err = json.loads(line)
-    assert set(err) == {"error", "detail", "at"}
-    assert err["error"] == "step-budget"
-    assert err["at"] == str(p)
-    assert "spent 200 step attempts" in err["detail"]
-    assert not out.exists() and not (tmp_path / "alphas.csv").exists()
+    for k, (text, code, fragment) in enumerate(UNRESOLVED):
+        p = tmp_path / f"unresolved{k}.cfg"
+        p.write_text(text)
+        out = tmp_path / "out"
+        argv = ["run", str(p), "--outdir", str(out)] if command == "run" \
+            else ["verify", "--config", str(p)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "breakdown" not in captured.out
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "detail", "at"}
+        assert err["error"] == code
+        assert err["at"] == str(p)
+        assert fragment in err["detail"]
+        assert not out.exists() and not (tmp_path / "alphas.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -1082,21 +1091,20 @@ def test_a_failing_row_prints_fail_and_exits_1(capsys, monkeypatch):
                         "max error 1.000e-09 >= 1e-12")
 
 
-@pytest.mark.parametrize("t_end", ["5e-324", "1e-322", "2e-322"])
-def test_a_tiny_t_end_breaks_down_at_t_zero(tmp_path, capsys, t_end):
-    # the default max_step, t_end / 50, underflows to 0 below about 1.2e-322;
-    # every positive t_end ends as 2e-322 does: a step-underflow breakdown at 0
-    p = tmp_path / "tiny.cfg"
-    p.write_text("[hamiltonian]\npreset = landau\n\n"
-                 f"[run]\nt_end = {t_end}\n\n[outputs]\nalphas = alphas.csv\n")
+def test_a_breakdown_at_t_zero_skips_every_comparison(tmp_path, capsys):
+    # alpha9 = t / 2m passes the cap within the first step of a free
+    # particle of mass 1e-26, so the flow stops at t = 0 on alpha9
+    p = tmp_path / "light.cfg"
+    p.write_text("[hamiltonian]\npreset = free\nm = 1e-26\n\n[run]\n"
+                 "t_end = 2.5\nsamples = 3\n\n[outputs]\nalphas = alphas.csv\n")
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["t_final"] == 0.0
     assert info["breakdown"] == {"t_break": 0.0, "index": 9,
-                                 "reason": "step-underflow"}
+                                 "reason": "magnitude-overflow"}
     rows = (tmp_path / "alphas.csv").read_text().splitlines()
-    assert rows[1:] == [",".join(["0"] * 16)]
-    assert main(["verify", "--preset", "landau", "--t-end", t_end]) == 0
+    assert rows[1:] == [",".join(["0"] * 16)] * 4
+    assert main(["verify", "--preset", "free", "--m", "1e-26"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     # each row after the breakdown compares the identity map at t = 0 with
@@ -1139,7 +1147,7 @@ t_end = 4.0
 
 def test_the_oracle_table_passes_on_a_driven_schedule_that_breaks_down(
         tmp_path, capsys):
-    # the flow ends in a step-underflow breakdown, so every comparison (the
+    # the flow ends in a singular-nu breakdown, so every comparison (the
     # batched symplecticity row among them) runs on its truncation
     p = tmp_path / "driven.cfg"
     p.write_text(DRIVEN_CFG)
@@ -1165,7 +1173,7 @@ def test_driven_runs_in_two_fresh_interpreters_write_the_same_bytes(
         assert proc.stderr == "", proc.stderr
         assert proc.returncode == 0
         breakdown = json.loads(proc.stdout)["breakdown"]
-        assert breakdown["reason"] == "step-underflow"
+        assert breakdown["reason"] == "singular-nu"
         written.append({name: (out / name).read_bytes()
                         for name in ("alphas.csv", "heisenberg.json")})
     assert written[0] == written[1]

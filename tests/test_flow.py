@@ -8,7 +8,7 @@ import pytest
 
 from quadflow import flow, rk
 from quadflow.errors import (InvalidSchedule, SingularNu, SingularTime,
-                             StepBudget)
+                             StepBudget, StepUnderflow)
 from quadflow.flow import (constant_field_closed_form, integrate,
                            write_alphas_csv)
 from quadflow.observables import heisenberg_map
@@ -107,15 +107,15 @@ def test_breakdown_at_first_factorization_pole():
     assert res.breakdown is not None
     assert abs(res.breakdown.t_break - math.pi) < 1e-3
     assert res.breakdown.index in (6, 7, 12, 15)  # divergent components
-    assert res.breakdown.reason in ("magnitude-overflow", "step-underflow")
+    assert res.breakdown.reason in ("magnitude-overflow", "singular-nu")
     assert res.ts[-1] <= res.breakdown.t_break + 1e-12
     assert np.all(np.diff(res.ts) > 0)
 
 
-def test_driven_schedule_breaks_down_by_step_underflow_at_alpha15():
+def test_driven_schedule_breaks_down_by_singular_nu_at_alpha15():
     res = integrate(driven(), 4.0)
     assert res.breakdown is not None
-    assert res.breakdown.reason == "step-underflow"
+    assert res.breakdown.reason == "singular-nu"
     assert res.breakdown.index == 15
     assert 1.2 < res.breakdown.t_break < 4.0
 
@@ -163,7 +163,7 @@ def test_sentinel_halt_brackets_the_first_refused_state(sched, t_end):
     # passes, and the last step's end state fails
     res = integrate(sched, t_end)
     d = res.dense
-    assert res.breakdown.reason == "step-underflow"
+    assert res.breakdown.reason == "singular-nu"
     for alpha in d.y0[1:]:
         assemble(np.zeros(15), alpha)
     assemble(np.zeros(15), res.interpolate(res.breakdown.t_break))
@@ -243,6 +243,8 @@ def test_solve_halts_in_a_refused_step_at_a_chunk_boundary(index):
     np.testing.assert_array_equal(res.dense.t0 + res.dense.h,
                                   ends[:index + 1])
     assert limit - 1e-12 <= res.t_stop < limit
+    # the first refused state is that step's end, y = t past the limit
+    assert res.y_refused[0] == pytest.approx(ends[index], abs=1e-15)
 
 
 def test_solve_returns_a_pending_refusal_when_f_raises_later():
@@ -308,7 +310,7 @@ def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
     first, second = integrate(sched, 4.0), integrate(sched, 4.0)
     y_stop = stops[0].y_stop
     t_break = first.breakdown.t_break
-    assert first.breakdown.reason == "step-underflow"
+    assert first.breakdown.reason == "singular-nu"
     assemble(sched.coefficients(t_break), y_stop)  # passes det(nu) = 1
     np.testing.assert_array_equal(first.interpolate(t_break), y_stop)
     np.testing.assert_array_equal(first.alphas[-1], y_stop)
@@ -343,7 +345,7 @@ def test_a_refused_stack_is_located_without_one_state_calls(monkeypatch,
     monkeypatch.setattr(flow, "assemble", counting)
     monkeypatch.setattr(rk, "_crossing", crossing)
     res = integrate(driven(**params), 4.0)
-    assert res.breakdown.reason == "step-underflow"
+    assert res.breakdown.reason == "singular-nu"
     assert len(one_row) == len(probes) > 0
 
 
@@ -410,17 +412,71 @@ def test_a_max_step_too_short_for_the_budget_is_refused_at_once(monkeypatch):
         integrate(landau(), 1.0, max_step=1 / 41)
 
 
-def test_halt_before_the_first_step_names_the_fastest_component():
-    # no step is accepted, so the state at the stop is alpha(0) = 0; the
-    # breakdown names the largest |alpha_dot(0)| (alpha10 here), not alpha1
+def test_a_flow_that_no_step_resolves_raises_step_underflow():
+    # the first stage overflows, so no step is accepted: the chart did not
+    # end, the run is unresolved
     a = np.zeros(15)
     a[5], a[9] = 1e300, 2e300
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = integrate(CoefficientSchedule.from_constant_vector(a), 1.0)
-    assert res.dense.t0.size == 0
-    assert res.breakdown.t_break == 0.0
-    assert res.breakdown.reason == "step-underflow"
-    assert res.breakdown.index == 10
+    with pytest.raises(StepUnderflow, match="no step of the flow resolves "
+                       "at t = 0.0 of t_end = 1.0") as excinfo:
+        integrate(CoefficientSchedule.from_constant_vector(a), 1.0)
+    assert excinfo.value.code == "step-underflow"
+
+
+def _random_schedules(n=8, seed=2024):
+    """Seeded schedules c + A sin(w t) on all 15 coefficients, a9, a10 > 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        c, A = rng.uniform(-1, 1, (2, 15))
+        w = rng.uniform(0.5, 3.0, 15)
+        c[8:10] = np.abs(A[8:10]) + rng.uniform(0.1, 1.0, 2)
+        yield CoefficientSchedule.from_expressions(
+            {k: f"c{k} + A{k}*sin(w{k}*t)" for k in range(1, 16)},
+            constants={f"{name}{k + 1}": float(v[k]) for name, v in
+                       (("c", c), ("A", A), ("w", w)) for k in range(15)})
+
+
+CORPUS = [(CoefficientSchedule.preset(name), t_end) for name, t_end in (
+    ("landau", 3.5), ("free", 2.5), ("harmonic1d", 3.0),
+    ("kanai_caldirola", 2.0), ("zero", 2.5))] + [
+    (sched, 4.0) for sched in _random_schedules()]
+
+
+def test_every_corpus_breakdown_reads_its_refused_step(monkeypatch):
+    # no corpus flow is unresolved (integrate would raise StepUnderflow);
+    # each breakdown spans an accepted step, ends its samples at t_break,
+    # and reads the first refused state, the refused step's end: the argmax
+    # of its chart coordinates, and the clause of the predicate that
+    # refuses it
+    stops = []
+    real_solve = rk.solve
+
+    def solve(*args, **kwargs):
+        stops.append(real_solve(*args, **kwargs))
+        return stops[-1]
+
+    monkeypatch.setattr(rk, "solve", solve)
+    reasons = []
+    for sched, t_end in CORPUS:
+        res = integrate(sched, t_end)
+        if res.breakdown is None:
+            assert res.ts[-1] == t_end
+            continue
+        assert res.dense.t0.size >= 1
+        assert res.ts[-1] == res.breakdown.t_break
+        refused, end = stops[-1].y_refused, _last_step_end(res.dense)
+        assert np.max(np.abs(refused - end)) <= 1e-12 * np.max(np.abs(end))
+        chart = np.abs(refused)[5:]
+        assert res.breakdown.index == 6 + np.argmax(chart)
+        if np.max(chart) > flow._MAGNITUDE_CAP:
+            assert res.breakdown.reason == "magnitude-overflow"
+        else:
+            assert res.breakdown.reason == "singular-nu"
+            with pytest.raises(SingularNu):
+                assemble(np.zeros(15), refused)
+        reasons.append(res.breakdown.reason)
+    assert sorted(set(reasons)) == ["magnitude-overflow", "singular-nu"]
+    assert len(reasons) == 10
 
 
 def test_magnitude_cap_breakdown_reports_riccati_component():
@@ -655,9 +711,9 @@ def test_the_first_failing_row_of_a_stack_names_the_reason(monkeypatch,
                                                            first):
     # the driven flow's sentinel refuses row k of a 32-row stack; a cap
     # between rows 0 and 1 fails row 1 first, and one between rows k and
-    # k + 1 fails row k + 1 after the refusal.  (det(nu) is at its noise
-    # floor near row k: a cap just before it may see a probe refused by
-    # det(nu), and that probe names the reason)
+    # k + 1 fails row k + 1 after the refusal.  The reason is the clause
+    # that refused the first refused row, whatever the bisection's probes
+    # meet
     refusals, rows = [], []
     real = flow.assemble
 
