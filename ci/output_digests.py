@@ -18,12 +18,14 @@ The cases:
 - ``verify`` on each of the five presets;
 - ``run`` on the breakdown presets harmonic1d (t_end 3), kanai_caldirola
   (m 1, omega 2, lam 0.3, t_end 2) and landau (t_end 3.5);
-- ``run`` on the free preset with m 1e-9 and t_end 1, which stops on the
-  magnitude cap although alpha9 = t / 2m has no pole;
+- ``run`` on landau with t_end 3.1, before the pole pi but past the stop
+  2 acos(sqrt(eps)) = 3.0783 of the chart bound eps = 1e-3: a chart-end;
+- ``run`` on the free preset with m 1e-9 and t_end 1, which reaches t_end:
+  alpha9 = t / 2m grows to 5e8 but has no pole;
 - the nominal driven config under ``run`` and ``verify``;
 - the unresolved runs ``a2 = 1e300`` (a9 = a10 = 0.5, t_end 1) and landau
   with t_end 2e-322, each under ``run``;
-- ``verify --preset free --m 1e-26``, which breaks down at t = 0.
+- ``verify --preset free --m 1e-26``, whose alpha9 reaches 1.25e26.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ PRESET_RUNS = {
     "kanai_caldirola": "preset = kanai_caldirola\nm = 1.0\nomega = 2.0\n"
                        "lam = 0.3\n\n[run]\nt_end = 2.0\n",
     "landau": "preset = landau\n\n[run]\nt_end = 3.5\n",
+    "landau_band": "preset = landau\n\n[run]\nt_end = 3.1\n",
     "free_light": "preset = free\nm = 1e-9\n\n[run]\nt_end = 1.0\n",
 }
 DRIVEN = ("a6 = A*sin(w*t)\na9 = 0.5\na10 = 0.5\na11 = B*cos(t)\na14 = C\n"

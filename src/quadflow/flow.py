@@ -9,21 +9,23 @@ diverges at omega_c t = pi - so breakdown is a result, not an exception.
 The right-hand side is the transcribed flow equations on Python floats
 (:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
 function returns, and the stepper checks each stage on those floats.  One
-predicate decides where the chart ends: |alpha_i| <= ``_MAGNITUDE_CAP`` on
-the chart coordinates alpha_6 .. alpha_15 (the action alpha_1 and the
-trajectory alpha_2 .. alpha_5 stay finite wherever the chart exists) and
-det(nu) = 1 in the matrix pipeline (:func:`.reduction.assemble`), the
-conditioning sentinel.  It reads alpha alone and does not steer the stepper
+predicate decides where the chart ends.  Its first clause is the chart
+itself: S00 = e^{2 alpha_12} and the Schur complement e^{2 alpha_13} of the
+Heisenberg map vanish where the factorization ends (every other alpha is a
+rational function of the map with those two in its denominators), so a
+state is refused when it is not finite or min(e^{2 alpha_12},
+e^{2 alpha_13}) < ``_CHART_EPS``.  Its second, on the rows the first
+passes, is the conditioning sentinel det(nu) = 1 in the matrix pipeline
+(:func:`.reduction.assemble`), whose one call names the first row it
+refuses.  The predicate reads alpha alone and does not steer the stepper
 until it refuses, so the stepper hands it the end states of accepted steps
-in stacks of up to 32.  Rows from the first over-cap one on never reach
-``assemble``, whose one call names the first row it refuses.  That step is
-kept, the steps past it are dropped, and the crossing is bisected on that
-step's dense polynomial; the flow halts at the last state that passes.  The
-:class:`Breakdown` reads the first refused state, that step's end: its
-largest chart coordinate, and magnitude-overflow for the cap or singular-nu
-for det(nu).  An unresolved flow is no breakdown: a spent step budget
-raises :class:`.StepBudget`, a step that cannot be resolved at all (below
-the step-size floor, 60 rejections in a row) :class:`.StepUnderflow`.
+in stacks of up to 32.  The first refused step is kept, the steps past it
+are dropped, and the crossing is bisected on its dense polynomial; the flow
+stops at the last state that passes, the last written row.  The
+:class:`Breakdown` reads the first refused state, that step's end.
+An unresolved flow is no breakdown: a spent step budget raises
+:class:`.StepBudget`, a step that cannot be resolved at all (below the
+step-size floor, 60 rejections in a row) :class:`.StepUnderflow`.
 
 :func:`constant_field_closed_form` holds the analytic solution for constant
 perpendicular magnetic plus in-plane electric fields; it is the oracle the
@@ -49,12 +51,16 @@ __all__ = ["Breakdown", "FlowResult", "integrate",
 
 @dataclass(frozen=True)
 class Breakdown:
-    """The chart ended: ``t_break`` is the last state the predicate passes,
-    ``index`` and ``reason`` read the first it refused, that step's end."""
+    """The chart ended.  ``index`` and ``reason`` read the first state the
+    predicate refused, that step's end: chart-end names the coordinate,
+    12 or 13, whose e^{2 alpha} fell below ``_CHART_EPS``, and ``t_break``
+    is its pole estimate, at or after the stop ``ts[-1]``; singular-nu
+    (det(nu) != 1) names the largest chart coordinate |alpha_6..15|, and
+    ``t_break`` is the stop."""
 
     t_break: float
-    index: int            # 1-based: the largest chart coordinate refused
-    reason: str           # "magnitude-overflow" | "singular-nu"
+    index: int            # 1-based
+    reason: str           # "chart-end" | "singular-nu"
 
 
 @dataclass
@@ -79,11 +85,31 @@ class FlowResult:
 
 
 _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
-# the chart coordinates alpha6..alpha15, which the cap bounds; a max_step
-# may ask for as many steps as the budget has attempts (it spends none)
-_CHART = slice(5, None)
-_MAGNITUDE_CAP = 1e8
+# the least e^{2 alpha12}, e^{2 alpha13} the chart keeps; a max_step may ask
+# for as many steps as the budget has attempts (it spends none)
+_CHART_EPS = 1e-3
 _MAX_STEPS = rk._MAX_ATTEMPTS
+
+
+@np.errstate(over="ignore")
+def _chart(alphas):
+    """min(e^{2 alpha12}, e^{2 alpha13}) over the last axis."""
+    return np.min(np.exp(2 * alphas[..., 11:13]), axis=-1)
+
+
+def _pole(rhs, dense, t, i):
+    """t + alpha_dot / alpha_ddot of coordinate ``i`` (0-based) at the stop
+    t: the pole of a coordinate that goes as (k/2) log(t_p - t), for
+    any root order k.  alpha_ddot is the second-order backward difference of
+    alpha_dot along ``dense``, inside the span, with a step of 1e-3 of the
+    distance 1 / (2 |alpha_dot|) to a simple root; falls back to t unless
+    the estimate is finite and >= t.  Makes three ``rhs`` calls."""
+    v0 = rhs(t, dense(t))[i]
+    dt = min(5e-4 / abs(v0), 0.25 * t) if math.isfinite(v0) and v0 else 0.0
+    v1, v2 = (rhs(s, dense(s))[i] for s in (t - dt, t - 2 * dt))
+    accel = (3 * v0 - 4 * v1 + v2) / (2 * dt) if dt else 0.0
+    t_pole = t + v0 / accel if accel else math.inf
+    return t_pole if t <= t_pole < math.inf else t
 
 
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
@@ -105,7 +131,8 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     Returns
     -------
     FlowResult over at least one accepted step; if breakdown occurred,
-    samples stop at ``t_break``.
+    samples stop at the last state the predicate passes, ``ts[-1]`` <=
+    ``t_break``.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -122,11 +149,11 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         return explicit_rhs(schedule.coefficients(t), alpha.tolist())
 
     def conditioned(ts, alphas):
-        # rows before the first with a chart coordinate over the cap go to
-        # one assemble call, which names the first it refuses (det(nu) != 1
-        # past double precision); it reads alpha alone: zero coefficients
-        over = np.max(np.abs(alphas[:, _CHART]), axis=1) > _MAGNITUDE_CAP
-        n = int(np.argmax(over)) if over.any() else len(alphas)
+        # rows before the first off the chart go to one assemble call, which
+        # names the first it refuses (det(nu) != 1 past double precision);
+        # it reads alpha alone: zero coefficients
+        on = np.isfinite(alphas).all(axis=1) & (_chart(alphas) >= _CHART_EPS)
+        n = len(alphas) if on.all() else int(np.argmin(on))
         try:
             if n:
                 assemble(_NO_COEFFICIENTS, alphas[:n])
@@ -144,19 +171,26 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         raise StepUnderflow(f"no step of the flow resolves at t = "
                             f"{res.t_stop!r} of t_end = {t_end!r}")
 
-    breakdown = None
+    breakdown, n_rhs = None, res.n_rhs
     if res.status == "refused":
-        chart = np.abs(res.y_refused)[_CHART]
-        reason = "magnitude-overflow" if np.max(chart) > _MAGNITUDE_CAP \
-            else "singular-nu"
-        breakdown = Breakdown(t_break=res.t_stop, reason=reason,
-                              index=_CHART.start + int(np.argmax(chart)) + 1)
+        # accepted states are finite, so the refused one fails a clause
+        refused = res.y_refused
+        if _chart(refused) < _CHART_EPS:
+            i = 11 + int(np.argmin(refused[11:13]))
+            t_pole = _pole(rhs, res.dense, res.t_stop, i)
+            breakdown = Breakdown(t_break=t_pole, index=i + 1,
+                                  reason="chart-end")
+            n_rhs += 3
+        else:
+            chart = np.abs(refused[5:])   # alpha6..alpha15
+            breakdown = Breakdown(t_break=res.t_stop, reason="singular-nu",
+                                  index=6 + int(np.argmax(chart)))
 
     # uniform sample grid over the integrated span (samples + 1 rows in the
     # CSV contract); the dense interpolant carries the per-step resolution
     ts = np.linspace(0.0, res.t_stop, samples + 1)
     return FlowResult(ts=ts, alphas=res.dense(ts), breakdown=breakdown,
-                      dense=res.dense, n_rhs=res.n_rhs)
+                      dense=res.dense, n_rhs=n_rhs)
 
 
 # x**3 * (c_0 + c_1 x**2 + ...) for |x| < 1/2, where the direct forms of

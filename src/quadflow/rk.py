@@ -279,7 +279,9 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             facold = max(err, 1e-4)
             t, y = t + h, y_new
             h *= factor
-            k1 = K[6]  # FSAL
+            # FSAL; a copy, since the next attempt overwrites K[6] even
+            # when it is rejected
+            k1 = K[6].copy()
     except Exception:
         # an error of f past a refused state is not part of the run
         refused = first_refused()

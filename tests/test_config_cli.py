@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow import cli, flow, rk
+from quadflow import cli, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
@@ -661,7 +661,8 @@ def test_verify_landau_with_weak_field_passes_closed_form(capsys):
 
 def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys):
     # Green samples up to the end of the span, and verify after a breakdown
-    # (it compares at 0.8 t_break); FlowResult.interpolate refuses the rest
+    # (it compares at 0.8 t_break, or at the stop when the pole estimate
+    # lies past 1.25 times the stop); FlowResult.interpolate refuses the rest
     p = tmp_path / "ends.cfg"
     p.write_text(LANDAU_CFG + "times = 0.5, 2.5\n")
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
@@ -671,6 +672,14 @@ def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys):
     assert main(["verify", "--t-end", "3.9"]) == 0
     out = capsys.readouterr().out
     assert "[NOTE] flow breakdown" in out and "[FAIL]" not in out
+    # alpha12 = -t - 0.01 t^2 stops at t = 3.34, and alpha_dot / alpha_ddot
+    # puts its pole estimate at 56.7
+    p.write_text("[hamiltonian]\na9 = 0.5\na10 = 0.5\na12 = -1 - 0.02*t\n\n"
+                 "[run]\nt_end = 5\n")
+    assert main(["verify", "--config", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "[NOTE] flow breakdown at t = 56.6844" in out
+    assert "[FAIL]" not in out and "[SKIP] symplecticity" not in out
 
 
 def test_unknown_print_odes_preset_is_a_usage_error(capsys):
@@ -910,32 +919,46 @@ def test_any_config_runs_or_is_one_json_error(tmp_path_factory, data):
         assert set(json.loads(line)) == {"error", "detail", "at"}
 
 
-CAP_CFG = """
+LOOSE_CFG = """
 [hamiltonian]
 preset = landau
 
 [run]
 t_end = 3.5
-rtol = 1e-4
+rtol = 1e-3
+atol = 1e-3
+max_step = 3.5
 
 [outputs]
 alphas = alphas.csv
 """
 
 
-def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys,
-                                               monkeypatch):
-    # run's tolerance and a cap patched to 10 stop the flow early
-    monkeypatch.setattr(flow, "_MAGNITUDE_CAP", 10.0)
-    p = tmp_path / "cap.cfg"
-    p.write_text(CAP_CFG)
+def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys):
+    # run's loose tolerances move the pole estimate from pi - 4e-5 (the
+    # default tolerances) to 3.14131, and verify reports that breakdown
+    p = tmp_path / "loose.cfg"
+    p.write_text(LOOSE_CFG)
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
     t_break = json.loads(capsys.readouterr().out)["breakdown"]["t_break"]
-    assert main(["verify", "--config", str(p)]) == 0
-    note = (f"[NOTE] flow breakdown at t = {t_break:.6g} (component 15); "
+    main(["verify", "--config", str(p)])
+    note = (f"[NOTE] flow breakdown at t = {t_break:.6g} (component 12); "
             "comparisons truncated to the regular part of the flow")
     assert note in capsys.readouterr().out.splitlines()
-    assert f"{t_break:.6g}" == "2.94226"
+    assert f"{t_break:.6g}" == "3.14131"
+
+
+def test_verify_on_an_unresolved_flow_prints_no_row(tmp_path, capsys):
+    # the flow runs before the first row, so stdout holds no half table
+    # next to the error
+    p = tmp_path / "huge.cfg"
+    p.write_text("[hamiltonian]\na2 = 1e300\na9 = 0.5\na10 = 0.5\n\n"
+                 "[run]\nt_end = 1\n")
+    assert main(["verify", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "step-underflow"
 
 
 SMOOTH_CFG = """
@@ -1092,25 +1115,27 @@ def test_a_failing_row_prints_fail_and_exits_1(capsys, monkeypatch):
 
 
 def test_a_breakdown_at_t_zero_skips_every_comparison(tmp_path, capsys):
-    # alpha9 = t / 2m passes the cap within the first step of a free
-    # particle of mass 1e-26, so the flow stops at t = 0 on alpha9
-    p = tmp_path / "light.cfg"
-    p.write_text("[hamiltonian]\npreset = free\nm = 1e-26\n\n[run]\n"
-                 "t_end = 2.5\nsamples = 3\n\n[outputs]\nalphas = alphas.csv\n")
+    # a squeeze a12 = -1e15 drives e^{2 alpha12} below the chart bound
+    # within 1e-12 of t = 0, so the flow stops at t = 0 on alpha12; with no
+    # pole ahead (alpha12 is linear in t) t_break is the stop
+    p = tmp_path / "squeeze.cfg"
+    p.write_text("[hamiltonian]\na9 = 0.5\na10 = 0.5\na12 = -1e15\n\n"
+                 "[run]\nt_end = 2.5\nsamples = 3\n\n[outputs]\n"
+                 "alphas = alphas.csv\n")
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["t_final"] == 0.0
-    assert info["breakdown"] == {"t_break": 0.0, "index": 9,
-                                 "reason": "magnitude-overflow"}
+    assert info["breakdown"] == {"t_break": 0.0, "index": 12,
+                                 "reason": "chart-end"}
     rows = (tmp_path / "alphas.csv").read_text().splitlines()
     assert rows[1:] == [",".join(["0"] * 16)] * 4
-    assert main(["verify", "--preset", "free", "--m", "1e-26"]) == 0
+    assert main(["verify", "--config", str(p)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     # each row after the breakdown compares the identity map at t = 0 with
     # itself: it skips instead of passing on nothing
     assert captured.out.splitlines()[2:] == [
-        "[NOTE] flow breakdown at t = 0 (component 9); comparisons "
+        "[NOTE] flow breakdown at t = 0 (component 12); comparisons "
         "truncated to the regular part of the flow",
         "[SKIP] integrated alpha vs constant-field closed form",
         "[SKIP] symplecticity of the Heisenberg map along the flow",
@@ -1147,7 +1172,7 @@ t_end = 4.0
 
 def test_the_oracle_table_passes_on_a_driven_schedule_that_breaks_down(
         tmp_path, capsys):
-    # the flow ends in a singular-nu breakdown, so every comparison (the
+    # the flow ends in a chart-end breakdown, so every comparison (the
     # batched symplecticity row among them) runs on its truncation
     p = tmp_path / "driven.cfg"
     p.write_text(DRIVEN_CFG)
@@ -1173,7 +1198,7 @@ def test_driven_runs_in_two_fresh_interpreters_write_the_same_bytes(
         assert proc.stderr == "", proc.stderr
         assert proc.returncode == 0
         breakdown = json.loads(proc.stdout)["breakdown"]
-        assert breakdown["reason"] == "singular-nu"
+        assert breakdown["reason"] == "chart-end"
         written.append({name: (out / name).read_bytes()
                         for name in ("alphas.csv", "heisenberg.json")})
     assert written[0] == written[1]
@@ -1192,8 +1217,8 @@ def test_driven_runs_in_two_fresh_interpreters_write_the_same_bytes(
 ], ids=["unused-parameter", "unused-parameters", "config-and-m",
         "config-and-preset", "print-odes-config-and-preset"])
 def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
-    p = tmp_path / "cap.cfg"
-    p.write_text(CAP_CFG)
+    p = tmp_path / "loose.cfg"
+    p.write_text(LOOSE_CFG)
     argv = [str(p) if arg == "CFG" else arg for arg in argv]
     assert main(argv) == 1
     err = _one_json_error(capsys.readouterr())

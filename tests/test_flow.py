@@ -103,21 +103,61 @@ def test_closed_form_keeps_its_accuracy_at_small_omega_c(omega_c):
 
 
 def test_breakdown_at_first_factorization_pole():
+    # e^{2 alpha12} = cos^2(t / 2) falls to the chart bound at
+    # 2 acos(sqrt(eps)), where the flow stops; the breakdown reports the
+    # pole pi of that double root
     res = integrate(landau(), 3.5)
     assert res.breakdown is not None
-    assert abs(res.breakdown.t_break - math.pi) < 1e-3
-    assert res.breakdown.index in (6, 7, 12, 15)  # divergent components
-    assert res.breakdown.reason in ("magnitude-overflow", "singular-nu")
-    assert res.ts[-1] <= res.breakdown.t_break + 1e-12
+    assert abs(res.breakdown.t_break - math.pi) < 1e-4
+    assert res.breakdown.index == 12
+    assert res.breakdown.reason == "chart-end"
+    t_stop = 2 * math.acos(math.sqrt(flow._CHART_EPS))
+    assert res.ts[-1] == pytest.approx(t_stop, abs=1e-9)
+    assert res.ts[-1] < res.breakdown.t_break
     assert np.all(np.diff(res.ts) > 0)
 
 
-def test_driven_schedule_breaks_down_by_singular_nu_at_alpha15():
+def test_driven_schedule_breaks_down_by_chart_end_at_alpha12():
     res = integrate(driven(), 4.0)
     assert res.breakdown is not None
-    assert res.breakdown.reason == "singular-nu"
-    assert res.breakdown.index == 15
-    assert 1.2 < res.breakdown.t_break < 4.0
+    assert res.breakdown.reason == "chart-end"
+    assert res.breakdown.index == 12
+    assert 1.2 < res.ts[-1] < res.breakdown.t_break < 4.0
+
+
+# the four driven inputs of the benchmark at seed 7: (A, w, B, C)
+DRIVEN_SEED7 = [
+    (0.4816689768502123, 2.0713557765319788, 0.09860691781803409,
+     0.49017633716161685),
+    (0.5033938278132276, 2.0549585047390506, 0.10118146047179884,
+     0.493277161912882),
+    (0.5240550701182386, 2.0331183315006958, 0.0995056144301944,
+     0.5245856989430356),
+    (0.5187015254338632, 1.9112113783012024, 0.10409089628109483,
+     0.5055041674977728),
+]
+
+
+@pytest.mark.parametrize("params", DRIVEN_SEED7)
+def test_a_driven_stop_writes_the_classical_map_and_reports_its_pole(params):
+    # the last written row is the classical map to the verify tolerance,
+    # and t_break is the root of S00 = e^{2 alpha12}, bisected on the
+    # classical fundamental matrix
+    sched = driven(*params)
+    res = integrate(sched, 4.0)
+    t_stop, t_break = float(res.ts[-1]), res.breakdown.t_break
+    m = heisenberg_map(res.alphas[-1])
+    S, d = fundamental_matrix(sched, t_stop)
+    assert max(np.max(np.abs(m.S - S)), np.max(np.abs(m.d - d))) < 1e-6
+    lo, hi = t_stop, t_break + 2 * (t_break - t_stop)
+    assert fundamental_matrix(sched, hi)[0][0, 0] < 0 < S[0, 0]
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if fundamental_matrix(sched, mid)[0][0, 0] > 0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(t_break - 0.5 * (lo + hi)) < 1e-6
 
 
 def _last_step_end(dense):
@@ -128,8 +168,9 @@ def _last_step_end(dense):
 def test_integrate_runs_the_assemble_sentinel_on_every_accepted_step(
         monkeypatch):
     # quadflow.flow.assemble is the det(nu) sentinel (and the call site the
-    # benchmark tracer wraps): it sees the end state of every accepted step,
-    # in stacks, and its refusals drive the driven breakdown
+    # benchmark tracer wraps): it sees the end state of every accepted step
+    # the chart clause passes, in stacks; on the driven flow the chart
+    # clause refuses the last step's end first, so the sentinel refuses none
     rows, refused = [], []
     real = flow.assemble
 
@@ -151,24 +192,27 @@ def test_integrate_runs_the_assemble_sentinel_on_every_accepted_step(
         # last one's is its polynomial at x = 1, to rounding
         assert set(map(tuple, d.y0[1:])) <= set(rows)
         end = _last_step_end(d)
-        assert np.min(np.max(np.abs(np.array(rows) - end), axis=1)) \
-            <= 1e-12 * max(1.0, np.max(np.abs(end)))
-    assert refused  # the driven flow's approach to its pole trips det(nu)
+        if res.breakdown is None:
+            assert np.min(np.max(np.abs(np.array(rows) - end), axis=1)) \
+                <= 1e-12 * max(1.0, np.max(np.abs(end)))
+        else:
+            assert flow._chart(end) < flow._CHART_EPS
+            assert np.min(flow._chart(np.array(rows))) >= flow._CHART_EPS
+    assert not refused
 
 
 @pytest.mark.parametrize("sched, t_end", [(landau(), 3.5), (driven(), 4.0)])
 def test_sentinel_halt_brackets_the_first_refused_state(sched, t_end):
-    # with the one-state assemble, whatever stacks the flow checked: every
-    # accepted end state before the last passes, the state at t_break
-    # passes, and the last step's end state fails
+    # with one-state checks, whatever stacks the flow checked: every
+    # accepted end state before the last passes both clauses, the state at
+    # the stop passes, and the last step's end state fails the chart clause
     res = integrate(sched, t_end)
     d = res.dense
-    assert res.breakdown.reason == "singular-nu"
-    for alpha in d.y0[1:]:
+    assert res.breakdown.reason == "chart-end"
+    for alpha in [*d.y0[1:], res.interpolate(res.ts[-1])]:
+        assert flow._chart(alpha) >= flow._CHART_EPS
         assemble(np.zeros(15), alpha)
-    assemble(np.zeros(15), res.interpolate(res.breakdown.t_break))
-    with pytest.raises(SingularNu):
-        assemble(np.zeros(15), _last_step_end(d))
+    assert flow._chart(_last_step_end(d)) < flow._CHART_EPS
 
 
 def test_coefficient_failing_past_the_sentinel_halt_keeps_the_breakdown():
@@ -189,8 +233,9 @@ def test_coefficient_failing_past_the_sentinel_halt_keeps_the_breakdown():
 
 
 def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
-    # the det(nu) sentinel reads no coefficients, so the schedule runs once
-    # per right-hand side and never for the bisection's probes
+    # the predicate reads no coefficients, so the schedule runs once per
+    # right-hand side (the pole estimate's three among them) and never for
+    # the bisection's probes
     calls = []
     real = CoefficientSchedule.coefficients
 
@@ -273,6 +318,31 @@ def test_solve_reraises_an_error_of_f_when_nothing_is_refused():
     assert excinfo.value is error
 
 
+def test_a_rejected_attempt_keeps_the_first_stage_of_the_next():
+    # the last stage of an accepted step is the first of the next attempt
+    # (FSAL), also after rejected attempts, whose last stages are discarded.
+    # y' = -50 (y - cos t) rejects steps all along; the error stays at the
+    # tolerance (a rejected attempt's last stage reused as the first gave
+    # 2.4e-7)
+    k = 50.0
+
+    def exact(t):
+        return (k * (k * math.cos(t) + math.sin(t))
+                - k * k * math.exp(-k * t)) / (k * k + 1)
+
+    res = rk.solve(lambda t, y: [-k * (y[0] - math.cos(t))], 0.0, [0.0],
+                   10.0, rtol=1e-8, atol=1e-8, max_step=10.0)
+    assert res.status == "done"
+    ts = np.linspace(0.0, 10.0, 1001)
+    assert np.max(np.abs(res.dense(ts)[:, 0] - np.vectorize(exact)(ts))) \
+        < 2e-8
+    # a rejected attempt's non-finite last stage left every later attempt
+    # non-finite, so this loose flow ended in step-underflow at t = 2.02
+    res = integrate(landau(), 3.5, rtol=1e-3, atol=1e-3, max_step=3.5)
+    assert res.breakdown.reason == "chart-end"
+    assert abs(res.breakdown.t_break - math.pi) < 1e-3
+
+
 def test_solve_accepts_finite_stages_whose_sum_overflows():
     # 32 entries of 6e306 sum past the float range, while every stage
     # combination of the tableau stays finite (with entries of 1e308 the
@@ -296,8 +366,9 @@ def test_solve_rejects_a_stage_with_one_nan():
 
 
 def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
-    # the flow stops on the last state the det(nu) sentinel passes, at the
-    # cost of one bisection, not of a sawtooth of refused six-stage steps
+    # the flow stops on the last state the predicate passes, at the cost of
+    # one bisection and the pole estimate's three right-hand sides, not of
+    # a sawtooth of refused six-stage steps
     stops = []
     real_solve = rk.solve
 
@@ -308,12 +379,14 @@ def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
     monkeypatch.setattr(rk, "solve", solve)
     sched = driven()
     first, second = integrate(sched, 4.0), integrate(sched, 4.0)
-    y_stop = stops[0].y_stop
-    t_break = first.breakdown.t_break
-    assert first.breakdown.reason == "singular-nu"
-    assemble(sched.coefficients(t_break), y_stop)  # passes det(nu) = 1
-    np.testing.assert_array_equal(first.interpolate(t_break), y_stop)
+    y_stop, t_stop = stops[0].y_stop, stops[0].t_stop
+    assert first.breakdown.reason == "chart-end"
+    assert first.ts[-1] == t_stop < first.breakdown.t_break
+    assert flow._chart(y_stop) >= flow._CHART_EPS
+    assemble(sched.coefficients(t_stop), y_stop)  # passes det(nu) = 1
+    np.testing.assert_array_equal(first.interpolate(t_stop), y_stop)
     np.testing.assert_array_equal(first.alphas[-1], y_stop)
+    assert first.n_rhs == stops[0].n_rhs + 3
     assert first.n_rhs <= 6.5 * first.dense.t0.size
     assert second.breakdown == first.breakdown
     assert second.n_rhs == first.n_rhs
@@ -326,15 +399,23 @@ def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
     dict(A=0.49, w=2.04, C=0.51)])
 def test_a_refused_stack_is_located_without_one_state_calls(monkeypatch,
                                                             params):
-    # one assemble call per stack locates its first refused row, so the
-    # only one-row calls left are the bisection's probes
-    one_row, probes = [], []
+    # one check per stack locates its first refused row, so the only
+    # one-row checks left are the bisection's probes; assemble sees one
+    # row only for a probe that the chart clause passes
+    one_row, checks, probes = [], [], []
     real_assemble, real_crossing = flow.assemble, rk._crossing
+    real_solve = rk.solve
 
     def counting(a, alpha):
         if np.size(alpha) == 15:
             one_row.append(alpha)
         return real_assemble(a, alpha)
+
+    def solve(*args, check, **kwargs):
+        def counted(ts, ys):
+            checks.append(len(ys))
+            return check(ts, ys)
+        return real_solve(*args, check=counted, **kwargs)
 
     def crossing(t0, h, y0, q, ok):
         def counted(t, y):
@@ -343,10 +424,12 @@ def test_a_refused_stack_is_located_without_one_state_calls(monkeypatch,
         return real_crossing(t0, h, y0, q, counted)
 
     monkeypatch.setattr(flow, "assemble", counting)
+    monkeypatch.setattr(rk, "solve", solve)
     monkeypatch.setattr(rk, "_crossing", crossing)
     res = integrate(driven(**params), 4.0)
-    assert res.breakdown.reason == "singular-nu"
-    assert len(one_row) == len(probes) > 0
+    assert res.breakdown.reason == "chart-end"
+    assert checks.count(1) == len(probes) > 0
+    assert 0 < len(one_row) < len(probes)
 
 
 def test_solve_ends_after_its_attempt_budget(monkeypatch):
@@ -444,10 +527,11 @@ CORPUS = [(CoefficientSchedule.preset(name), t_end) for name, t_end in (
 
 def test_every_corpus_breakdown_reads_its_refused_step(monkeypatch):
     # no corpus flow is unresolved (integrate would raise StepUnderflow);
-    # each breakdown spans an accepted step, ends its samples at t_break,
-    # and reads the first refused state, the refused step's end: the argmax
-    # of its chart coordinates, and the clause of the predicate that
-    # refuses it
+    # each breakdown spans an accepted step, ends its samples at the stop,
+    # and reads the first refused state, the refused step's end: the clause
+    # of the predicate that refuses it, and the vanishing coordinate with
+    # its pole at or past the stop (chart-end) or the argmax of its chart
+    # coordinates at the stop (singular-nu)
     stops = []
     real_solve = rk.solve
 
@@ -463,41 +547,60 @@ def test_every_corpus_breakdown_reads_its_refused_step(monkeypatch):
             assert res.ts[-1] == t_end
             continue
         assert res.dense.t0.size >= 1
-        assert res.ts[-1] == res.breakdown.t_break
+        assert res.ts[-1] == stops[-1].t_stop
         refused, end = stops[-1].y_refused, _last_step_end(res.dense)
         assert np.max(np.abs(refused - end)) <= 1e-12 * np.max(np.abs(end))
-        chart = np.abs(refused)[5:]
-        assert res.breakdown.index == 6 + np.argmax(chart)
-        if np.max(chart) > flow._MAGNITUDE_CAP:
-            assert res.breakdown.reason == "magnitude-overflow"
+        if flow._chart(refused) < flow._CHART_EPS:
+            assert res.breakdown.reason == "chart-end"
+            assert res.breakdown.index == 12 + np.argmin(refused[11:13])
+            assert res.breakdown.t_break > res.ts[-1]
         else:
             assert res.breakdown.reason == "singular-nu"
+            assert res.breakdown.index == 6 + np.argmax(np.abs(refused)[5:])
+            assert res.breakdown.t_break == res.ts[-1]
             with pytest.raises(SingularNu):
                 assemble(np.zeros(15), refused)
         reasons.append(res.breakdown.reason)
-    assert sorted(set(reasons)) == ["magnitude-overflow", "singular-nu"]
-    assert len(reasons) == 10
+    assert reasons.count("chart-end") == 9
+    assert reasons.count("singular-nu") == 1
 
 
-def test_magnitude_cap_breakdown_reports_riccati_component():
-    # Kanai-Caldirola factorization has a tan-type pole; the quadratic
-    # potential parameter crosses the cap first
+def test_kanai_caldirola_breakdown_reports_the_classical_pole():
+    # the Kanai-Caldirola factorization ends where the damped oscillator's
+    # S00 = e^{2 alpha12} has its root; the Riccati coordinate alpha6 has
+    # its tan-type pole there
     sched = CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0, lam=0.3)
     res = integrate(sched, 2.0)
     assert res.breakdown is not None
-    assert res.breakdown.reason == "magnitude-overflow"
-    assert res.breakdown.index == 6
-    assert abs(res.dense(res.breakdown.t_break)[5]) >= 0.99e8
+    assert res.breakdown.reason == "chart-end"
+    assert res.breakdown.index == 12
+    lo, hi = float(res.ts[-1]), 2 * res.breakdown.t_break - res.ts[-1]
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if fundamental_matrix(sched, mid)[0][0, 0] > 0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(res.breakdown.t_break - 0.5 * (lo + hi)) < 1e-6
 
 
 def test_a_large_action_is_no_breakdown():
-    # a free particle with a1 = 1e9 is a pure phase: alpha1 = a1 t passes
-    # the cap, but the action is no chart coordinate
+    # a free particle with a1 = 1e9 is a pure phase: alpha1 = a1 t grows
+    # without bound, but the action is no chart coordinate
     sched = CoefficientSchedule.from_expressions({1: "1e9", 9: "0.5",
                                                   10: "0.5"})
     res = integrate(sched, 1.0)
     assert res.breakdown is None and res.ts[-1] == 1.0
     np.testing.assert_allclose(res.alphas[:, 0], 1e9 * res.ts, rtol=1e-12,
+                               atol=0)
+
+
+def test_a_light_free_particle_reaches_t_end():
+    # alpha9 = t / 2m reaches 5e8 with no pole: e^{2 alpha12} =
+    # e^{2 alpha13} = 1 along the flow, so the chart never ends
+    res = integrate(CoefficientSchedule.free(m=1e-9), 1.0)
+    assert res.breakdown is None and res.ts[-1] == 1.0
+    np.testing.assert_allclose(res.alphas[:, 8], res.ts / 2e-9, rtol=1e-12,
                                atol=0)
 
 
@@ -523,7 +626,7 @@ def test_a_uniform_force_leaves_the_breakdown_where_it_was():
     sched = CoefficientSchedule.from_expressions({**OSCILLATOR, 2: "1e7",
                                                   3: "-3e6"})
     res = integrate(sched, 3.0, samples=40)
-    assert plain.breakdown.index == res.breakdown.index == 15
+    assert plain.breakdown.index == res.breakdown.index == 12
     assert res.breakdown.t_break == pytest.approx(plain.breakdown.t_break,
                                                   rel=1e-6)
     assert np.max(np.abs(res.alphas[:, 0])) > 1e13
@@ -661,59 +764,59 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
     assert 0.99e3 < res.y_stop[0] <= 1e3
     assert res.y_stop[0] == pytest.approx(1 / (1 - res.t_stop), rel=1e-6)
-    flow = integrate(CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0,
-                                                         lam=0.3), 2.0)
-    assert flow.breakdown.reason == "magnitude-overflow"
-    np.testing.assert_array_equal(flow.dense(flow.breakdown.t_break),
-                                  flow.alphas[-1])
-    # the cap's bisection on the last step, written out: det(nu) passes
-    # every probe, so the halt is the last probe within the cap, bit for bit
-    last = rk.DenseSolution(*(v[-1:] for v in (flow.dense.t0, flow.dense.h,
-                                               flow.dense.y0, flow.dense.q)))
-    t_lo, t_hi = flow.dense.t0[-1], flow.dense.t0[-1] + flow.dense.h[-1]
+    res = integrate(CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0,
+                                                        lam=0.3), 2.0)
+    assert res.breakdown.reason == "chart-end"
+    np.testing.assert_array_equal(res.dense(res.ts[-1]), res.alphas[-1])
+    # the chart's bisection on the last step, written out: det(nu) passes
+    # every probe, so the stop is the last probe on the chart, bit for bit
+    last = rk.DenseSolution(*(v[-1:] for v in (res.dense.t0, res.dense.h,
+                                               res.dense.y0, res.dense.q)))
+    t_lo, t_hi = res.dense.t0[-1], res.dense.t0[-1] + res.dense.h[-1]
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        if np.max(np.abs(last(t_mid))) > 1e8:
+        if flow._chart(last(t_mid)) < flow._CHART_EPS:
             t_hi = t_mid
         else:
             t_lo = t_mid
         if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
             break
-    assert flow.breakdown.t_break == t_lo
-    assert flow.breakdown.t_break == pytest.approx(0.8252577130729704,
-                                                   rel=1e-13)
-    np.testing.assert_array_equal(flow.alphas[-1], last(t_lo))
+    assert res.ts[-1] == t_lo
+    assert t_lo == pytest.approx(0.8246918790583199, rel=1e-13)
+    np.testing.assert_array_equal(res.alphas[-1], last(t_lo))
 
 
-@pytest.mark.parametrize("sched, t_end, kwargs, cap", [
-    (landau(), 3.5, dict(rtol=1e-4), 10.0),
-    (CoefficientSchedule.harmonic1d(m=1.0, omega=1.0), 3.0, {}, 1e8),
+@pytest.mark.parametrize("sched, t_end, kwargs", [
+    (landau(), 3.5, dict(rtol=1e-4)),
+    (CoefficientSchedule.harmonic1d(m=1.0, omega=1.0), 3.0, {}),
     (CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0, lam=0.3), 2.0,
-     {}, 1e8),
-], ids=["landau-cap-10", "harmonic1d", "kanai_caldirola"])
-def test_a_cap_stop_writes_no_row_beyond_the_cap(tmp_path, monkeypatch,
-                                                 sched, t_end, kwargs, cap):
-    # the run stops at the last state within the cap, so every row of
-    # alphas.csv and the dense solution at t_break keep |alpha_i| <= cap
-    monkeypatch.setattr(flow, "_MAGNITUDE_CAP", cap)
+     {}),
+], ids=["landau-rtol-1e-4", "harmonic1d", "kanai_caldirola"])
+def test_a_chart_end_writes_no_row_off_the_chart(tmp_path, sched, t_end,
+                                                 kwargs):
+    # the run stops at the last state on the chart, so every row of
+    # alphas.csv and the dense solution at the stop keep
+    # min(e^{2 alpha12}, e^{2 alpha13}) >= eps; the last row is at the bound
+    eps = flow._CHART_EPS
     res = integrate(sched, t_end, **kwargs)
-    assert res.breakdown.reason == "magnitude-overflow"
+    assert res.breakdown.reason == "chart-end"
     path = tmp_path / "alphas.csv"
     write_alphas_csv(res, path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows[-1, 0] == res.breakdown.t_break
-    assert 0.99 * cap < np.max(np.abs(rows[:, 1:])) <= cap
-    assert np.max(np.abs(res.dense(res.breakdown.t_break))) <= cap
+    assert rows[-1, 0] == res.ts[-1] < res.breakdown.t_break
+    assert eps <= np.min(flow._chart(rows[:, 1:])) < 1.01 * eps
+    assert flow._chart(res.dense(res.ts[-1])) >= eps
 
 
-@pytest.mark.parametrize("first", ["cap", "det(nu)"])
+@pytest.mark.parametrize("first", ["chart", "det(nu)"])
 def test_the_first_failing_row_of_a_stack_names_the_reason(monkeypatch,
                                                            first):
-    # the driven flow's sentinel refuses row k of a 32-row stack; a cap
-    # between rows 0 and 1 fails row 1 first, and one between rows k and
-    # k + 1 fails row k + 1 after the refusal.  The reason is the clause
-    # that refused the first refused row, whatever the bisection's probes
-    # meet
+    # on the corpus flow that det(nu) ends, the sentinel refuses row k of a
+    # 32-row stack, whose e^{2 alpha12} falls row by row; a chart bound
+    # between rows k - 1 and k fails row k in the chart clause, which runs
+    # first, and one between rows k and k + 1 fails row k + 1 after the
+    # refusal.  The reason is the clause that refused the first refused
+    # row, whatever the bisection's probes meet
     refusals, rows = [], []
     real = flow.assemble
 
@@ -726,24 +829,24 @@ def test_the_first_failing_row_of_a_stack_names_the_reason(monkeypatch,
             raise
 
     monkeypatch.setattr(flow, "assemble", recording)
-    plain = integrate(driven(), 4.0)
+    sched, t_end = CORPUS[6]
+    plain = integrate(sched, t_end)
+    assert plain.breakdown.reason == "singular-nu"
     stack, k = refusals[0]
-    size = np.max(np.abs(stack), axis=1)
-    assert 2 <= k < len(stack) - 1
-    if first == "cap":
-        cap = math.sqrt(size[0] * size[1])
-    else:
-        cap = math.sqrt(size[k] * size[k + 1])
-    assert np.argmax(size > cap) == (1 if first == "cap" else k + 1)
+    chart = flow._chart(stack)
+    assert 1 <= k < len(stack) - 1 and np.all(np.diff(chart) < 0)
+    j = k if first == "chart" else k + 1
+    eps = math.sqrt(chart[j - 1] * chart[j])
+    assert np.min(flow._chart(plain.dense.y0)) > eps
     rows.clear()
-    monkeypatch.setattr(flow, "_MAGNITUDE_CAP", cap)
-    res = integrate(driven(), 4.0)
-    assert np.max(np.abs(res.alphas)) <= cap
-    if first == "cap":
-        assert res.breakdown.reason == "magnitude-overflow"
-        assert res.breakdown.t_break < plain.breakdown.t_break
-        # rows from the first over-cap row on never reach assemble
-        assert np.max(np.abs(rows)) <= cap
+    monkeypatch.setattr(flow, "_CHART_EPS", eps)
+    res = integrate(sched, t_end)
+    assert np.min(flow._chart(res.alphas)) >= eps
+    if first == "chart":
+        assert res.breakdown.reason == "chart-end"
+        assert res.breakdown.index in (12, 13)
+        # rows off the chart never reach assemble
+        assert np.min(flow._chart(np.array(rows))) >= eps
     else:
         assert res.breakdown == plain.breakdown
         np.testing.assert_array_equal(res.alphas, plain.alphas)

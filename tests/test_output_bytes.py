@@ -63,7 +63,7 @@ def landau_flow():
 
 
 def driven_flow():
-    # the benchmark's driven schedule: it ends in a singular-nu breakdown
+    # the benchmark's driven schedule: it ends in a chart-end breakdown
     sched = CoefficientSchedule.from_expressions(
         {6: "A*sin(w*t)", 9: "0.5", 10: "0.5", 11: "B*cos(t)", 14: "C",
          15: "-C"}, constants=dict(A=0.5, w=2.0, B=0.1, C=0.5))
