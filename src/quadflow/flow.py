@@ -54,7 +54,8 @@ class Breakdown:
     """The chart ended.  ``index`` and ``reason`` read the first state the
     predicate refused, that step's end: chart-end names the coordinate,
     12 or 13, whose e^{2 alpha} fell below ``_CHART_EPS``, and ``t_break``
-    is its pole estimate, at or after the stop ``ts[-1]``; singular-nu
+    is its pole estimate, after the stop ``ts[-1]``, or the stop where
+    the coordinate fits no root (a squeeze has none); singular-nu
     (det(nu) != 1) names the largest chart coordinate |alpha_6..15|, and
     ``t_break`` is the stop."""
 
@@ -98,18 +99,26 @@ def _chart(alphas):
 
 
 def _pole(rhs, dense, t, i):
-    """t + alpha_dot / alpha_ddot of coordinate ``i`` (0-based) at the stop
-    t: the pole of a coordinate that goes as (k/2) log(t_p - t), for
-    any root order k.  alpha_ddot is the second-order backward difference of
-    alpha_dot along ``dense``, inside the span, with a step of 1e-3 of the
-    distance 1 / (2 |alpha_dot|) to a simple root; falls back to t unless
-    the estimate is finite and >= t.  Makes three ``rhs`` calls."""
+    """The pole of coordinate ``i`` (0-based) ahead of the stop t, and the
+    number of ``rhs`` calls made.  Near a root of order k of e^{2 alpha},
+    alpha goes as (k/2) log(t_p - t), so t_p = t + alpha_dot / alpha_ddot
+    and k = -2 alpha_dot**2 / alpha_ddot.  alpha_ddot is the second-order
+    backward difference of alpha_dot along ``dense``, inside the span, with
+    a step of 1e-3 of the distance 1 / (2 |alpha_dot|) to a simple root.  A
+    coordinate that only decays fits no root (a constant squeeze has
+    alpha_ddot = 0; a faster one implies k > 6), so the pole falls back to t
+    unless k is within 0.1 of a whole order 1..4 and t_p is finite and
+    >= t."""
     v0 = rhs(t, dense(t))[i]
     dt = min(5e-4 / abs(v0), 0.25 * t) if math.isfinite(v0) and v0 else 0.0
+    if not dt:
+        return t, 1
     v1, v2 = (rhs(s, dense(s))[i] for s in (t - dt, t - 2 * dt))
-    accel = (3 * v0 - 4 * v1 + v2) / (2 * dt) if dt else 0.0
-    t_pole = t + v0 / accel if accel else math.inf
-    return t_pole if t <= t_pole < math.inf else t
+    accel = (3 * v0 - 4 * v1 + v2) / (2 * dt)
+    order = -2 * v0 * v0 / accel if accel else math.inf
+    t_pole = t + v0 / accel if 0.5 < order < 4.5 \
+        and abs(order - round(order)) < 0.1 else t
+    return (t_pole if t <= t_pole < math.inf else t), 3
 
 
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
@@ -177,10 +186,10 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         refused = res.y_refused
         if _chart(refused) < _CHART_EPS:
             i = 11 + int(np.argmin(refused[11:13]))
-            t_pole = _pole(rhs, res.dense, res.t_stop, i)
+            t_pole, calls = _pole(rhs, res.dense, res.t_stop, i)
             breakdown = Breakdown(t_break=t_pole, index=i + 1,
                                   reason="chart-end")
-            n_rhs += 3
+            n_rhs += calls
         else:
             chart = np.abs(refused[5:])   # alpha6..alpha15
             breakdown = Breakdown(t_break=res.t_stop, reason="singular-nu",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow import cli, rk
+from quadflow import cli, flow, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
@@ -659,7 +659,8 @@ def test_verify_landau_with_weak_field_passes_closed_form(capsys):
     assert "[FAIL]" not in out
 
 
-def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys):
+def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys,
+                                                   monkeypatch):
     # Green samples up to the end of the span, and verify after a breakdown
     # (it compares at 0.8 t_break, or at the stop when the pole estimate
     # lies past 1.25 times the stop); FlowResult.interpolate refuses the rest
@@ -672,13 +673,18 @@ def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys):
     assert main(["verify", "--t-end", "3.9"]) == 0
     out = capsys.readouterr().out
     assert "[NOTE] flow breakdown" in out and "[FAIL]" not in out
-    # alpha12 = -t - 0.01 t^2 stops at t = 3.34, and alpha_dot / alpha_ddot
-    # puts its pole estimate at 56.7
+    # alpha12 = -t - 0.01 t^2 stops at t = 3.34 and fits no root, so
+    # t_break is the stop; an estimate far past it (patched in) compares
+    # at the stop, not past the span
     p.write_text("[hamiltonian]\na9 = 0.5\na10 = 0.5\na12 = -1 - 0.02*t\n\n"
                  "[run]\nt_end = 5\n")
     assert main(["verify", "--config", str(p)]) == 0
     out = capsys.readouterr().out
-    assert "[NOTE] flow breakdown at t = 56.6844" in out
+    assert "[NOTE] flow breakdown at t = 3.34218" in out
+    monkeypatch.setattr(flow, "_pole", lambda rhs, dense, t, i: (17 * t, 1))
+    assert main(["verify", "--config", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "[NOTE] flow breakdown at t = 56.817 (component 12)" in out
     assert "[FAIL]" not in out and "[SKIP] symplecticity" not in out
 
 
@@ -919,33 +925,35 @@ def test_any_config_runs_or_is_one_json_error(tmp_path_factory, data):
         assert set(json.loads(line)) == {"error", "detail", "at"}
 
 
-LOOSE_CFG = """
+TOL_CFG = """
 [hamiltonian]
 preset = landau
 
 [run]
 t_end = 3.5
-rtol = 1e-3
-atol = 1e-3
-max_step = 3.5
+rtol = 1e-4
 
 [outputs]
 alphas = alphas.csv
 """
 
 
-def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys):
-    # run's loose tolerances move the pole estimate from pi - 4e-5 (the
-    # default tolerances) to 3.14131, and verify reports that breakdown
-    p = tmp_path / "loose.cfg"
-    p.write_text(LOOSE_CFG)
+def test_verify_checks_the_flow_that_run_writes(tmp_path, capsys,
+                                               monkeypatch):
+    # run's tolerance and a chart bound patched to 1e-2 stop the flow at
+    # 2 acos(0.1) = 2.94, and verify reports the pole estimate near pi
+    monkeypatch.setattr(flow, "_CHART_EPS", 1e-2)
+    p = tmp_path / "tol.cfg"
+    p.write_text(TOL_CFG)
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
-    t_break = json.loads(capsys.readouterr().out)["breakdown"]["t_break"]
-    main(["verify", "--config", str(p)])
+    info = json.loads(capsys.readouterr().out)
+    t_break = info["breakdown"]["t_break"]
+    assert f"{info['t_final']:.6g}" == "2.94126"
+    assert main(["verify", "--config", str(p)]) == 0
     note = (f"[NOTE] flow breakdown at t = {t_break:.6g} (component 12); "
             "comparisons truncated to the regular part of the flow")
     assert note in capsys.readouterr().out.splitlines()
-    assert f"{t_break:.6g}" == "3.14131"
+    assert f"{t_break:.6g}" == "3.14026"
 
 
 def test_verify_on_an_unresolved_flow_prints_no_row(tmp_path, capsys):
@@ -1117,7 +1125,10 @@ def test_a_failing_row_prints_fail_and_exits_1(capsys, monkeypatch):
 def test_a_breakdown_at_t_zero_skips_every_comparison(tmp_path, capsys):
     # a squeeze a12 = -1e15 drives e^{2 alpha12} below the chart bound
     # within 1e-12 of t = 0, so the flow stops at t = 0 on alpha12; with no
-    # pole ahead (alpha12 is linear in t) t_break is the stop
+    # pole ahead (alpha12 is linear in t) t_break is the stop.  This is the
+    # bound's false stop (the squeeze has no pole); a real pole that close
+    # to t = 0 ends in step-underflow under the step-size floor instead, so
+    # a stop certified by the classical map needs another input for t = 0
     p = tmp_path / "squeeze.cfg"
     p.write_text("[hamiltonian]\na9 = 0.5\na10 = 0.5\na12 = -1e15\n\n"
                  "[run]\nt_end = 2.5\nsamples = 3\n\n[outputs]\n"
@@ -1218,7 +1229,7 @@ def test_driven_runs_in_two_fresh_interpreters_write_the_same_bytes(
         "config-and-preset", "print-odes-config-and-preset"])
 def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
     p = tmp_path / "loose.cfg"
-    p.write_text(LOOSE_CFG)
+    p.write_text(TOL_CFG)
     argv = [str(p) if arg == "CFG" else arg for arg in argv]
     assert main(argv) == 1
     err = _one_json_error(capsys.readouterr())

@@ -584,6 +584,25 @@ def test_kanai_caldirola_breakdown_reports_the_classical_pole():
     assert abs(res.breakdown.t_break - 0.5 * (lo + hi)) < 1e-6
 
 
+@pytest.mark.parametrize("a12, t_end", [("-1", 4.0), ("-1 - 0.02*t", 5.0)])
+def test_a_squeeze_below_the_chart_bound_reports_no_pole(a12, t_end):
+    # alpha12 = -t (or -t - 0.01 t**2) has no pole, but e^{2 alpha12} falls
+    # below the bound and the flow stops there: the bound is no certificate.
+    # The rows are the flow, and t_break is the stop: alpha_ddot = 0 fits
+    # no root, and the implied order of the second (about 114) fits none
+    sched = CoefficientSchedule.from_expressions({9: "0.5", 10: "0.5",
+                                                  12: a12})
+    res = integrate(sched, t_end)
+    t_stop = float(res.ts[-1])
+    assert res.breakdown == flow.Breakdown(t_break=t_stop, index=12,
+                                           reason="chart-end")
+    np.testing.assert_allclose(res.alphas[:, 11],
+                               -res.ts - (a12 != "-1") * 0.01 * res.ts ** 2,
+                               rtol=1e-12, atol=1e-15)
+    assert math.exp(2 * res.alphas[-1, 11]) == pytest.approx(
+        flow._CHART_EPS, rel=1e-9)
+
+
 def test_a_large_action_is_no_breakdown():
     # a free particle with a1 = 1e9 is a pure phase: alpha1 = a1 t grows
     # without bound, but the action is no chart coordinate
@@ -845,6 +864,7 @@ def test_the_first_failing_row_of_a_stack_names_the_reason(monkeypatch,
     if first == "chart":
         assert res.breakdown.reason == "chart-end"
         assert res.breakdown.index in (12, 13)
+        assert res.ts[-1] < plain.ts[-1]
         # rows off the chart never reach assemble
         assert np.min(flow._chart(np.array(rows))) >= eps
     else:
