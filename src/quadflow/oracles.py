@@ -14,14 +14,19 @@ machinery beyond the coefficient schedule:
   covariances (position side from |psi|^2, momentum side from the FFT) and
   the norm.
 
-The classical integrator is scipy's 8th-order Dormand-Prince pair (DOP853;
-Hairer, Norsett & Wanner, Solving ODEs I, section II.10), so even the
-stepping code differs from the in-package 5(4) flow integrator.  On this
-smooth linear 20-component system it needs far fewer right-hand sides than
-a 5th-order method at the same tolerances (134 against RK45's 476 on the
-landau preset to t = 2.5).  scipy is imported on the first call, not with
-the package: ``run``, ``green`` and ``print-odes`` never reach an oracle,
-and importing ``scipy.integrate`` is most of a cold start.
+The classical integrator is Gragg-Bulirsch-Stoer extrapolation (Bulirsch &
+Stoer, Numer. Math. 8, 1, 1966; Hairer, Norsett & Wanner, Solving ODEs I,
+section II.9): each macro step runs the modified midpoint rule with 2, 4,
+..., 16 substeps and extrapolates the eight results to zero step size in
+h**2 by Aitken-Neville, and the step size follows the difference of the
+last two diagonal entries of that tableau.  It is another method family
+than the flow's embedded Dormand-Prince 5(4) pair and shares no code with
+:mod:`.rk`, so an error in the stepper cannot cancel out of the comparison.
+On this smooth linear 20-component system it takes long steps: three
+accepted on the landau preset to t = 2.5.  A macro step evaluates the
+schedule once per distinct node time and builds every A(t), b(t) in one
+stacked :func:`classical_system` call.  The package needs no scipy: the
+tests use scipy's integrators as the independent reference for this one.
 """
 
 from __future__ import annotations
@@ -40,6 +45,13 @@ __all__ = ["hamiltonian_matrix", "classical_system", "fundamental_matrix",
 _CHUNK = 256   # output points per quadrature block in apply_kernel
 
 
+# hamiltonian_matrix: H[i, j] = _H_WEIGHT[i, j] * a[_H_SLOT[i, j]] / 2
+_H_SLOT = np.array([[6, 8, 12, 14], [8, 7, 15, 13],
+                    [12, 15, 9, 11], [14, 13, 11, 10]]) - 1
+_H_WEIGHT = np.array([[2.0, 1.0, 2.0, 1.0], [1.0, 2.0, 1.0, 2.0],
+                      [2.0, 1.0, 2.0, 1.0], [1.0, 2.0, 1.0, 2.0]])
+
+
 def hamiltonian_matrix(a) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric H and linear l of the classical value z^T H z + l . z + a1.
 
@@ -50,25 +62,64 @@ def hamiltonian_matrix(a) -> tuple[np.ndarray, np.ndarray]:
              [a8,  2a7,  a15,  2a13],
              [2a12, a15, 2a9,  a11],
              [a14, 2a13, a11,  2a10]] / 2
+
+    ``a`` is a 15-vector or a (..., 15) stack; H and l carry its stack axes.
     """
-    a = np.concatenate(([0.0], np.asarray(a, dtype=float)))
-    H = 0.5 * np.array([
-        [2 * a[6], a[8], 2 * a[12], a[14]],
-        [a[8], 2 * a[7], a[15], 2 * a[13]],
-        [2 * a[12], a[15], 2 * a[9], a[11]],
-        [a[14], 2 * a[13], a[11], 2 * a[10]],
-    ])
-    l = np.array([a[2], a[3], a[4], a[5]])
-    return H, l
+    a = np.asarray(a, dtype=float)
+    return 0.5 * (_H_WEIGHT * a[..., _H_SLOT]), a[..., 1:5].copy()
 
 
 def classical_system(a) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part A = J (2H) and shift b = J l of Hamilton's equations.
+    """Linear part A = J (2H) and shift b = J l of Hamilton's equations,
+    for a 15-vector or a (..., 15) stack of coefficients.
 
     J A is symmetric by construction (A is a Hamiltonian matrix).
     """
     H, l = hamiltonian_matrix(a)
-    return SYMPLECTIC_J @ (2 * H), SYMPLECTIC_J @ l
+    return SYMPLECTIC_J @ (2 * H), l @ SYMPLECTIC_J.T
+
+
+# Gragg-Bulirsch-Stoer: each macro step of length H runs the modified
+# midpoint rule with n_j = 2j substeps, j = 1..8, and extrapolates the eight
+# results to h = 0 in h**2.  Substep k of sequence j starts at the node
+# t0 + H k / n_j; _NODES holds the distinct fractions k / n_j, and
+# _NODE_OF[k] the node of substep k in each sequence still running there,
+# the j >= k // 2 (0-based) with n_j > k.
+_SUBSTEPS = np.arange(2, 17, 2)
+_LCM = math.lcm(*_SUBSTEPS.tolist())
+_keys = [[k * (_LCM // n) for k in range(n)] for n in _SUBSTEPS.tolist()]
+_distinct = sorted(set(sum(_keys, [])))
+_NODES = np.array(_distinct) / _LCM
+_NODE_OF = [np.searchsorted(_distinct, [row[k] for row in _keys[k // 2:]])
+            for k in range(16)]
+# Aitken-Neville in h**2: column c divides by (n_j / n_{j-c})**2 - 1
+_NEVILLE = [((_SUBSTEPS[c:] / _SUBSTEPS[:-c]) ** 2 - 1)[:, None, None]
+            for c in range(1, 8)]
+# |T_88 - T_77| estimates the error of T_77, and the step keeps T_88, so
+# the map is well inside the tolerances; a tenth of them is a margin for an
+# estimate that reads low (the tests' cases meet 1e-10 relative at 1.0 too)
+_TOL_SCALE = 0.1
+_GROW, _SHRINK = 4.0, 0.2
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gbs_step(schedule, t0, H, Y0):
+    """One macro step from (t0, Y0) of the augmented (5, 5) state; returns
+    the last two diagonal entries T_88, T_77 of the extrapolation tableau."""
+    a = [schedule.coefficients(s) for s in (t0 + H * _NODES).tolist()]
+    M = np.zeros((len(a), 5, 5))
+    M[:, :4, :4], M[:, :4, 4] = classical_system(a)
+    h = (H / _SUBSTEPS)[:, None, None]
+    prev = np.broadcast_to(Y0, (8, 5, 5)).copy()
+    cur = prev + h * (M[0] @ Y0)
+    for k in range(1, 16):
+        lo = k // 2
+        nxt = prev[lo:] + 2 * h[lo:] * (M[_NODE_OF[k]] @ cur[lo:])
+        prev[lo:] = cur[lo:]
+        cur[lo:] = nxt
+    for c, denominator in enumerate(_NEVILLE, 1):
+        cur[c:] += (cur[c:] - cur[c - 1:-1]) / denominator
+    return cur[7], cur[6]
 
 
 def fundamental_matrix(schedule: CoefficientSchedule, t: float, *,
@@ -76,27 +127,36 @@ def fundamental_matrix(schedule: CoefficientSchedule, t: float, *,
     """Classical flow map: z(t) = S z(0) + d.
 
     Integrates dZ/dt = A(t) Z with Z(0) = I alongside the inhomogeneous
-    shift, with scipy's DOP853 at ``rtol`` and ``atol``.
+    shift, by Gragg-Bulirsch-Stoer extrapolation at ``rtol`` and ``atol``.
+    Raises RuntimeError when a step falls below 16 eps t without a finite
+    result within the tolerances.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t = {t!r} must be finite and non-negative")
     if t == 0:
         return np.eye(4), np.zeros(4)
-    from scipy.integrate import solve_ivp
-
-    def rhs(tt, y):
-        A, b = classical_system(schedule.coefficients(tt))
-        Z = y[:16].reshape(4, 4)
-        d = y[16:]
-        return np.concatenate([(A @ Z).ravel(), A @ d + b])
-
-    y0 = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"classical oracle integration failed: {sol.message}")
-    yT = sol.y[:, -1]
-    return yT[:16].reshape(4, 4), yT[16:]
+    # (S | d) with the constant row (0, 0, 0, 0, 1): dY/dt = [A b; 0 0] Y
+    Y = np.eye(5)
+    t0, H, floor = 0.0, t, 16 * np.finfo(float).eps * t
+    while t0 < t:
+        last = t0 + 1.05 * H >= t   # no sliver of a step before t
+        if last:
+            H = t - t0
+        new, old = _gbs_step(schedule, t0, H, Y)
+        scale = atol + rtol * np.maximum(np.abs(Y), np.abs(new))
+        err = float(np.max(np.abs(new - old) / scale)) / _TOL_SCALE
+        # the estimate goes as H**15, the local error of T_77
+        if err <= 1.0:
+            t0, Y = t if last else t0 + H, new
+            H *= min(_GROW, 0.9 * err ** (-1 / 15)) if err else _GROW
+            continue
+        H *= max(_SHRINK, 0.9 * err ** (-1 / 15)) if err < math.inf \
+            else _SHRINK   # a non-finite state shrinks the most
+        if H < floor:
+            raise RuntimeError(f"classical oracle integration failed: no "
+                               f"step of {floor!r} or more resolves at "
+                               f"t = {t0!r} of {t!r}")
+    return Y[:4, :4].copy(), Y[:4, 4].copy()
 
 
 @dataclass

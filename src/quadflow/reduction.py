@@ -34,7 +34,8 @@ roles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,11 +52,23 @@ _IDENTITY = np.eye(N_GENERATORS)
 @dataclass(frozen=True)
 class ReductionState:
     """One evaluation of the reduction pipeline at (a, alpha); the arrays
-    carry the stack axes of the inputs in front."""
+    carry the stack axes of the inputs in front.  ``w`` and ``mu`` are
+    formed on first read: the flow's sentinel reads only det(nu)."""
 
-    w: np.ndarray
     nu: np.ndarray
-    mu: np.ndarray
+    _R: np.ndarray = field(repr=False)   # R_1, with w = R_1 a
+    _a: np.ndarray = field(repr=False)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self._R @ self._a[..., None])[..., 0]
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        w = self.w
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.solve(self.nu, w[..., None])[..., 0]
 
 
 def _as_vectors(x, name):
@@ -116,9 +129,7 @@ def assemble(a, alpha) -> ReductionState:
             first = np.unravel_index(row, bad.shape)
             raise SingularNu(f"det(nu) = {float(det[first])!r} at alpha = "
                              f"{alpha[first].tolist()}", row)
-        w = (R @ a[..., None])[..., 0]
-        mu = np.linalg.solve(nu, w[..., None])[..., 0]
-    return ReductionState(w=w, nu=nu, mu=mu)
+    return ReductionState(nu=nu, _R=R, _a=a.copy())
 
 
 def reference_odes(a, alpha) -> np.ndarray:

@@ -1092,14 +1092,13 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
                 adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
     assert 0 < rows["adjoint exponential vs closed-form rules"] == err
 
-    from scipy.integrate import simpson
     res = integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
                     max_step=cfg.max_step)
     assert res.breakdown is None
     a = [cfg.schedule.coefficients(t) for t in res.ts.tolist()]
     ls = np.array([classical_lagrangian(a_t, alpha, reference_odes(a_t, alpha))
                    for a_t, alpha in zip(a, res.alphas)])
-    err = abs(simpson(ls, x=res.ts) - res.alphas[-1, 0])
+    err = abs(cli._simpson(ls, res.ts) - res.alphas[-1, 0])
     assert 0 < rows["action integral of L vs accumulated alpha1"] == err
 
 

@@ -125,6 +125,17 @@ def test_driven_schedule_breaks_down_by_chart_end_at_alpha12():
     assert 1.2 < res.ts[-1] < res.breakdown.t_break < 4.0
 
 
+def test_the_sentinel_forms_no_flow_rhs(monkeypatch):
+    # the det(nu) sentinel reads nu alone: with the solve for mu = nu^-1 w
+    # unavailable, a driven flow still runs to its chart-end
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    res = integrate(driven(), 4.0)
+    assert res.breakdown.reason == "chart-end"
+
+
 # the four driven inputs of the benchmark at seed 7: (A, w, B, C)
 DRIVEN_SEED7 = [
     (0.4816689768502123, 2.0713557765319788, 0.09860691781803409,

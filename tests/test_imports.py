@@ -1,11 +1,13 @@
-"""Import contract: scipy and multiprocessing load only where they are used.
+"""Import contract: quadflow never loads scipy, and multiprocessing only
+where it is used.
 
 Each check runs in a fresh interpreter, so what this test session already
-imported cannot hide a module-level import.  ``run``, ``green`` and
-``print-odes`` must not pay for ``scipy.integrate`` (most of a cold start)
-or ``multiprocessing`` (only a multi-config ``run`` starts a pool); the
-oracles load scipy on their first call.  Every name an ``__all__`` lists
-must exist, or ``from quadflow import *`` fails.
+imported cannot hide a module-level import.  No command loads ``scipy``
+(importing ``scipy.integrate`` would be most of a cold start): the oracles
+integrate and sum in the package, and scipy is only the tests' reference.
+Only a multi-config ``run`` starts a pool, so no other command loads
+``multiprocessing``.  Every name an ``__all__`` lists must exist, or
+``from quadflow import *`` fails.
 """
 
 import importlib
@@ -75,10 +77,10 @@ def test_run_with_green_grid_loads_neither(tmp_path):
     assert (tmp_path / "out" / "green.csv").exists()
 
 
-def test_verify_loads_scipy_integrate(tmp_path):
+def test_verify_loads_no_scipy(tmp_path):
     code = ("from quadflow.cli import main\n"
             "assert main(['verify', '--preset', 'landau']) == 0\n")
-    assert "scipy.integrate" in _loaded_after(code, tmp_path)
+    assert "scipy" not in _loaded_after(code, tmp_path)
 
 
 def test_fundamental_matrix_works_as_first_call(tmp_path):
@@ -91,7 +93,7 @@ def test_fundamental_matrix_works_as_first_call(tmp_path):
             " [np.zeros((2, 2)), np.eye(2)]])\n"
             "assert np.allclose(S, expected, atol=1e-9), S\n"
             "assert np.allclose(d, 0.0, atol=1e-12), d\n")
-    assert "scipy.integrate" in _loaded_after(code, tmp_path)
+    assert "scipy" not in _loaded_after(code, tmp_path)
 
 
 def test_every_all_entry_resolves():

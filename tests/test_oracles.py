@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quadflow import cli, oracles
 from quadflow.errors import GridUnderresolved
 from quadflow.flow import constant_field_closed_form, integrate
 from quadflow.observables import (SYMPLECTIC_J, heisenberg_closed_form,
@@ -126,6 +127,90 @@ def test_the_classical_oracle_meets_a_tight_reference_on_kanai_caldirola(
                     atol=1e-15).y[:, -1]
     got = fundamental_matrix(sched, t)
     assert _map_error(got, ref[:16].reshape(4, 4), ref[16:]) < 1e-10
+
+
+def _tight_reference(sched, t):
+    # scipy's DOP853 at rtol 1e-13, atol 1e-15: another method family than
+    # the oracle's extrapolation, run far tighter than its defaults
+    from scipy.integrate import solve_ivp
+
+    def rhs(tt, y):
+        A, b = classical_system(sched.coefficients(tt))
+        return np.concatenate([(A @ y[:16].reshape(4, 4)).ravel(),
+                               A @ y[16:] + b])
+
+    y0 = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-15)
+    assert sol.success
+    return sol.y[:16, -1].reshape(4, 4), sol.y[16:, -1]
+
+
+def _smooth_schedules(n=8, seed=11):
+    """Seeded schedules c + A sin(w t) on all 15 coefficients."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        c, A = rng.uniform(-1, 1, (2, 15))
+        w = rng.uniform(0.5, 3.0, 15)
+        yield CoefficientSchedule.from_expressions(
+            {k: f"c{k} + A{k}*sin(w{k}*t)" for k in range(1, 16)},
+            constants={f"{name}{k + 1}": float(v[k]) for name, v in
+                       (("c", c), ("A", A), ("w", w)) for k in range(15)})
+
+
+def _oracle_cases():
+    from test_flow import DRIVEN_SEED7, driven
+    cases = [(CoefficientSchedule.preset(name), 2.5) for name in
+             ("landau", "free", "harmonic1d", "kanai_caldirola", "zero")]
+    cases.append((CoefficientSchedule.landau(omega_c=5.0), 2.5))
+    for params in DRIVEN_SEED7:
+        sched = driven(*params)
+        t_break = integrate(sched, 4.0).breakdown.t_break
+        cases += [(sched, t) for t in (0.4, 0.8, 1.2, 0.8 * t_break)]
+    return cases + [(sched, 0.5) for sched in _smooth_schedules()]
+
+
+def test_the_classical_oracle_meets_a_tight_reference_on_every_case():
+    # the presets at t = 2.5, landau at omega_c = 5, the benchmark's seed-7
+    # driven inputs up to 0.8 t_break and eight random smooth schedules:
+    # within 1e-10 of the reference, relative to max(1, max |S|)
+    for sched, t in _oracle_cases():
+        S, d = _tight_reference(sched, t)
+        bound = 1e-10 * max(1.0, float(np.max(np.abs(S))))
+        assert _map_error(fundamental_matrix(sched, t), S, d) <= bound, t
+
+
+@pytest.mark.parametrize("a6", [math.nan, 1e300])
+def test_a_non_finite_classical_state_raises(monkeypatch, a6):
+    # a NaN in A(t), or a finite A(t) whose products overflow: every
+    # attempt shrinks the step until it falls below the floor 16 eps t
+    sched = CoefficientSchedule.harmonic1d()
+    if math.isnan(a6):
+        def nan_system(a):
+            A, b = classical_system(a)
+            return A * math.nan, b
+
+        monkeypatch.setattr(oracles, "classical_system", nan_system)
+    else:
+        sched = CoefficientSchedule.from_expressions({6: "1e300", 9: "0.5"})
+    with pytest.raises(RuntimeError, match="classical oracle integration"):
+        fundamental_matrix(sched, 2.5)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_a_time_off_the_half_line_is_refused(t):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        fundamental_matrix(CoefficientSchedule.free(), t)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4, 200, 201])
+def test_the_action_quadrature_is_scipy_simpson(points):
+    # an odd interval count ends in Cartwright's correction, as in scipy
+    from scipy.integrate import simpson
+    x = np.linspace(0.0, 2.3, points)
+    y = np.sin(3 * x) + x ** 2
+    assert cli._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-14,
+                                               abs=1e-15)
 
 
 # -- Gaussian states ---------------------------------------------------------
