@@ -8,29 +8,39 @@ coupled ODEs for the transformation parameters alpha(t), and from them
 produces Heisenberg-picture affine maps, classical-correspondence
 quantities (Lagrangian, action), and the coordinate-space propagator, all
 cross-validated against independent brute-force oracles.
+
+Importing the package loads none of its modules: each public name imports
+its module on first use, so a command loads only the modules it runs.
 """
 
-from .algebra import (GENERATOR_LABELS, N_GENERATORS, StructureConstants,
-                      commutator, standard_algebra, validate_algebra)
-from .adjoint import adjoint_closed_form, adjoint_matrix
-from .errors import (BranchUnavailable, ConfigError, DegenerateGeometry,
-                     GridUnderresolved, InvalidSchedule, ParseError,
-                     QuadflowError, SingularNu, SingularTime, StepBudget,
-                     StepUnderflow)
-from .expressions import parse_expression, pretty
-from .flow import (Breakdown, FlowResult, constant_field_closed_form,
-                   integrate, write_alphas_csv)
-from .observables import (SYMPLECTIC_J, AffineSymplecticMap,
-                          classical_lagrangian, heisenberg_closed_form,
-                          heisenberg_map, write_heisenberg_json)
-from .oracles import GaussianState, apply_kernel, fundamental_matrix
-from .propagator import (GreenSample, QuadraticPhaseKernel,
-                         degenerate_kernel, generic_kernel, green,
-                         green_kernel, landau_kernel, write_green_csv)
-from .reduction import ReductionState, assemble, reference_odes
-from .schedule import CoefficientSchedule
+import importlib
 
 __version__ = "0.1.0"
+
+# the module that defines each public name
+_SOURCES = {
+    "adjoint": ("N_GENERATORS", "adjoint_closed_form", "adjoint_matrix"),
+    "algebra": ("GENERATOR_LABELS", "StructureConstants", "commutator",
+                "standard_algebra", "validate_algebra"),
+    "errors": ("BranchUnavailable", "ConfigError", "DegenerateGeometry",
+               "GridUnderresolved", "InvalidSchedule", "ParseError",
+               "QuadflowError", "SingularNu", "SingularTime", "StepBudget",
+               "StepUnderflow"),
+    "expressions": ("parse_expression", "pretty"),
+    "flow": ("Breakdown", "FlowResult", "constant_field_closed_form",
+             "integrate", "write_alphas_csv"),
+    "observables": ("SYMPLECTIC_J", "AffineSymplecticMap",
+                    "classical_lagrangian", "heisenberg_closed_form",
+                    "heisenberg_map", "write_heisenberg_json"),
+    "oracles": ("GaussianState", "apply_kernel", "fundamental_matrix"),
+    "propagator": ("GreenSample", "QuadraticPhaseKernel", "degenerate_kernel",
+                   "generic_kernel", "green", "green_kernel", "landau_kernel",
+                   "write_green_csv"),
+    "reduction": ("ReductionState", "assemble", "reference_odes"),
+    "schedule": ("CoefficientSchedule",),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names}
 
 __all__ = [
     "AffineSymplecticMap", "Breakdown",
@@ -49,3 +59,17 @@ __all__ = [
     "validate_algebra", "write_alphas_csv",
     "write_green_csv", "write_heisenberg_json",
 ]
+
+
+def __getattr__(name):
+    """Import the module that defines the public ``name`` and keep the value."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,10 +14,11 @@ Two independent implementations are provided and tested against each other:
   C_i is nilpotent of index <= 3 for every generator except the dilatation
   generators 12 and 13, whose C is purely diagonal; both cases are summed
   exactly (terminating series / elementwise exp) from one table, built at
-  import, of the entries each M_k^T moves off the identity.  Its one
-  evaluator, ``_adjoint_blocks``, gives the leading size x size block of
-  every M_k^T over a stack of parameter vectors: size 15 for ``assemble``,
-  size 5 for ``heisenberg_map``, one-hot vectors for this function.
+  import from the structure constants ``_UPPER``, of the entries each M_k^T
+  moves off the identity.  ``_adjoint_blocks`` gives the leading size x
+  size block of every M_k^T over a stack of parameter vectors: size 15 for
+  ``assemble``, size 5 for ``heisenberg_map``; this function forms
+  generator i's entries alone, with the same operations.
 * :func:`adjoint_closed_form` - the conjugation rules transcribed entry by
   entry, used as the oracle.
 """
@@ -29,21 +30,46 @@ import math
 
 import numpy as np
 
-from .algebra import N_GENERATORS, _check_index, standard_algebra
+__all__ = ["N_GENERATORS", "adjoint_matrix", "adjoint_closed_form",
+           "adjoint_generator"]
 
-__all__ = ["adjoint_matrix", "adjoint_closed_form", "adjoint_generator"]
+N_GENERATORS = 15
+
+# c[i][j][k] for i < j as {(i, j): {k: c}}, the nonzero structure constants
+# of :mod:`.algebra` in plain numbers (ints and +-1/2, exact as floats);
+# the tests check them against ``StructureConstants.standard()``
+_UPPER = {
+    (2, 4): {1: 1}, (2, 9): {4: 2}, (2, 11): {5: 1}, (2, 12): {2: 2},
+    (2, 15): {3: 1}, (3, 5): {1: 1}, (3, 10): {5: 2}, (3, 11): {4: 1},
+    (3, 13): {3: 2}, (3, 14): {2: 1}, (4, 6): {2: -2}, (4, 8): {3: -1},
+    (4, 12): {4: -2}, (4, 14): {5: -1}, (5, 7): {3: -2}, (5, 8): {2: -1},
+    (5, 13): {5: -2}, (5, 15): {4: -1}, (6, 9): {12: 2}, (6, 11): {14: 2},
+    (6, 12): {6: 4}, (6, 15): {8: 2}, (7, 10): {13: 2}, (7, 11): {15: 2},
+    (7, 13): {7: 4}, (7, 14): {8: 2}, (8, 9): {15: 2}, (8, 10): {14: 2},
+    (8, 11): {12: 0.5, 13: 0.5}, (8, 12): {8: 2}, (8, 13): {8: 2},
+    (8, 14): {6: 1}, (8, 15): {7: 1}, (9, 12): {9: -4}, (9, 14): {11: -2},
+    (10, 13): {10: -4}, (10, 15): {11: -2}, (11, 12): {11: -2},
+    (11, 13): {11: -2}, (11, 14): {10: -1}, (11, 15): {9: -1},
+    (12, 14): {14: -2}, (12, 15): {15: 2}, (13, 14): {14: 2},
+    (13, 15): {15: -2}, (14, 15): {12: -0.5, 13: 0.5},
+}
+
+
+def _check_index(i: int) -> int:
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= N_GENERATORS:
+        raise ValueError(f"generator index must be an integer in 1..15, got {i!r}")
+    return i
 
 
 def _build_generator_matrices():
-    alg = standard_algebra()
-    mats = [None]
-    for i in range(1, N_GENERATORS + 1):
-        C = np.zeros((N_GENERATORS, N_GENERATORS))
-        for j in range(1, N_GENERATORS + 1):
-            for k, v in alg.commutator(i, j).items():
-                C[j - 1, k - 1] = float(v)
-        mats.append(C)
-    return mats
+    """C[i] with C[i][j - 1, k - 1] = c[i][j][k], the antisymmetric
+    completion of ``_UPPER``; C[0] is unused."""
+    C = np.zeros((N_GENERATORS + 1, N_GENERATORS, N_GENERATORS))
+    for (i, j), row in _UPPER.items():
+        for k, v in row.items():
+            C[i, j - 1, k - 1] = v
+            C[j, i - 1, k - 1] = -v
+    return C
 
 
 _C = _build_generator_matrices()
@@ -138,9 +164,16 @@ def adjoint_matrix(i: int, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha)):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    one = np.zeros(alpha.shape + (N_GENERATORS,))
-    one[..., i - 1] = alpha
-    return _adjoint_blocks(one)[..., i - 1, :, :].swapaxes(-1, -2)
+    M = np.empty(alpha.shape + (N_GENERATORS, N_GENERATORS))
+    M[...] = np.eye(N_GENERATORS)
+    # generator i's entries alone, each formed as _adjoint_blocks forms it;
+    # the table's (row, col) cells are those of M_i^T
+    ((s_k, s_row, s_col), powers), ((d_k, d_row, d_col), diag) = _ENTRIES
+    s, d = s_k == i - 1, d_k == i - 1
+    a = alpha[..., None]
+    M[..., s_col[s], s_row[s]] = _series(powers[:, s], a)
+    M[..., d_col[d], d_row[d]] = np.exp(a * diag[d])
+    return M
 
 
 # --------------------------------------------------------------------------

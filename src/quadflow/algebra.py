@@ -9,17 +9,19 @@ Generator basis (1-based indices, used everywhere in the public API):
 
 Commutators close on this set:  [h_i, h_j] = i*hbar * sum_k c[i][j][k] h_k,
 with exact rational structure constants c (entries in {0, +-1, +-2, +-4,
-+-1/2}).  Everything here is exact ``Fraction`` arithmetic; floats only
-appear downstream (adjoint matrices).
++-1/2}).  Everything here is exact ``Fraction`` arithmetic.  The flow does
+not import this module: :mod:`.adjoint` builds its float matrices from a
+plain-number copy of the table, and the tests check that copy against
+:meth:`StructureConstants.standard`, which is built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-N_GENERATORS = 15
+from .adjoint import N_GENERATORS, _check_index
 
 GENERATOR_LABELS = (
     "1", "x", "y", "p_x", "p_y",
@@ -82,14 +84,7 @@ _UPPER: dict[tuple[int, int], dict[int, Fraction]] = {
 }
 
 
-def _check_index(i: int) -> int:
-    if not isinstance(i, (int,)) or isinstance(i, bool) or not 1 <= i <= N_GENERATORS:
-        raise ValueError(f"generator index must be an integer in 1..15, got {i!r}")
-    return i
-
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Location of the first identity failure found by :meth:`validate`."""
 
     kind: str               # "antisymmetry" | "jacobi" | "central"
@@ -97,8 +92,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     ok: bool
     antisymmetry_ok: bool
     central_ok: bool
@@ -202,17 +196,16 @@ class StructureConstants:
         return AlgebraReport(True, True, True, True, None)
 
 
-_STANDARD = StructureConstants.standard()
-
-
+@functools.cache
 def standard_algebra() -> StructureConstants:
-    return _STANDARD
+    """The tensor of the 15-generator algebra, built on first use."""
+    return StructureConstants.standard()
 
 
 def commutator(i: int, j: int) -> dict[int, Fraction]:
     """(1/i*hbar)[h_i, h_j] in the generator basis, as a sparse dict."""
-    return _STANDARD.commutator(i, j)
+    return standard_algebra().commutator(i, j)
 
 
 def validate_algebra(tensor: StructureConstants | None = None) -> AlgebraReport:
-    return (_STANDARD if tensor is None else tensor).validate()
+    return (standard_algebra() if tensor is None else tensor).validate()

@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import flow as flow_mod
-from . import observables, oracles, propagator
+from . import observables, propagator
 from .adjoint import adjoint_closed_form, adjoint_matrix
 from .config import RunConfig, _parse_tuple, load_config
 from .errors import ConfigError, QuadflowError, SingularTime
@@ -191,13 +192,16 @@ def _verify_checks(cfg: RunConfig):
     """Yield (name, max_error, tolerance) rows; NaN error marks a skip, a
     row that compared nothing.  The flow is ``run``'s for ``cfg`` (one
     ``_flow`` call), on the 200 intervals the action row needs; it runs
-    before the first row, so an unresolved flow raises with no row out."""
+    before the first row, so an unresolved flow raises with no row out.
+    ``oracles`` is imported here: no other command uses it."""
+    from . import oracles
+
     result = _flow(cfg, samples=200)
-    rng = np.random.default_rng(20240915)
+    rng = random.Random(20240915)
 
     # 200 (a, alpha) pairs, both sides in stacks of 32: the adjoint blocks
     # of a stack take 27 kB per row
-    err, draws = 0.0, rng.uniform(-1, 1, (200, 2, 15))
+    err, draws = 0.0, _uniform(rng, (200, 2, 15))
     for pairs in np.split(draws, range(32, 200, 32)):
         state = assemble(pairs[:, 0], pairs[:, 1])
         ref = reference_odes(pairs[:, 0], pairs[:, 1])
@@ -207,7 +211,7 @@ def _verify_checks(cfg: RunConfig):
 
     err = 0.0
     for i in range(2, 16):
-        alphas = rng.uniform(-1, 1, 25)
+        alphas = _uniform(rng, (25,))
         err = max(err, float(np.max(np.abs(
             adjoint_matrix(i, alphas) - adjoint_closed_form(i, alphas)))))
     yield "adjoint exponential vs closed-form rules", err, 1e-12
@@ -264,6 +268,13 @@ def _verify_checks(cfg: RunConfig):
     err = abs(action - alphas[-1, 0])
     yield ("action integral of L vs accumulated alpha1",
            math.nan if skip else err, 1e-8)
+
+
+def _uniform(rng: random.Random, shape) -> np.ndarray:
+    """Floats uniform on [-1, 1) in ``shape``: the top 53 bits of each of
+    ``rng``'s little-endian 64-bit words, times 2**-52, minus 1 (exact)."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0 ** -52 - 1.0).reshape(shape)
 
 
 def _simpson(y, x) -> float:

@@ -44,10 +44,9 @@ key.  Identical files produce bit-identical outputs: there is no randomness.
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidSchedule, ParseError
 from .schedule import CoefficientSchedule
@@ -55,8 +54,7 @@ from .schedule import CoefficientSchedule
 __all__ = ["GreenRequest", "RunConfig", "load_config"]
 
 
-@dataclass(frozen=True)
-class GreenRequest:
+class GreenRequest(NamedTuple):
     points: tuple = ()          # tuples (x, y, x_prime, y_prime)
     times: tuple = ()           # evaluation times; empty -> t_end only
     grid_extent: float | None = None
@@ -64,15 +62,16 @@ class GreenRequest:
     source: tuple | None = None
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     schedule: CoefficientSchedule
     t_end: float
     rtol: float = 1e-10
     atol: float = 1e-10
     samples: int = 200
     max_step: float | None = None
-    outputs: dict = field(default_factory=dict)   # name -> filename
+    # name -> filename; every default RunConfig shares one empty dict, so
+    # callers read ``outputs`` and never change it
+    outputs: dict = {}
     green: GreenRequest | None = None
 
 
@@ -132,6 +131,8 @@ def _parse_tuple(raw, n, where):
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file; refuse unknown names."""
+    import configparser  # here: verify and print-odes on a preset read no file
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -179,16 +180,17 @@ def load_config(path) -> RunConfig:
     _refuse_unknown("[run]", "keys", run, _RUN_KEYS)
     if "t_end" not in run:
         raise ConfigError("missing key 't_end' in [run]")
-    cfg = RunConfig(schedule, **{
-        key: _float(run, key, where="[run]", check=check)
-        for key, check in _RUN_KEYS.items() if key in run})
+    settings = {key: _float(run, key, where="[run]", check=check)
+                for key, check in _RUN_KEYS.items() if key in run}
 
+    outputs = {}
     if "outputs" in parser:
-        outputs = parser["outputs"]
-        _refuse_unknown("[outputs]", "outputs", outputs,
+        section = parser["outputs"]
+        _refuse_unknown("[outputs]", "outputs", section,
                         ("alphas", "heisenberg", "green"))
-        cfg.outputs = {key: raw.strip() for key, raw in outputs.items()}
+        outputs = {key: raw.strip() for key, raw in section.items()}
 
+    green = None
     if "green" in parser:
         g = parser["green"]
         _refuse_unknown("[green]", "keys", g, _GREEN_KEYS)
@@ -209,7 +211,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError("[green]: grid mode needs a source = xp,yp")
         if not points and grid_extent is None:
             raise ConfigError("[green]: needs points or a grid spec")
-        cfg.green = GreenRequest(points=tuple(points), times=times,
-                                 grid_extent=grid_extent,
-                                 grid_points=grid_points, source=source)
-    return cfg
+        green = GreenRequest(points=tuple(points), times=times,
+                             grid_extent=grid_extent,
+                             grid_points=grid_points, source=source)
+    return RunConfig(schedule, **settings, outputs=outputs, green=green)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -47,29 +47,35 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
 class Var:
-    pass  # the time variable t
+    """The time variable t: every Var equals every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Var or NotImplemented
+
+    def __hash__(self):
+        return hash(Var)
+
+    def __repr__(self):
+        return "Var()"
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # 'neg' or a function name
     arg: object
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # + - * / ^
     left: object
     right: object

@@ -35,12 +35,12 @@ acceptance suite integrates against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rk
-from .algebra import N_GENERATORS
+from .adjoint import N_GENERATORS
 from .errors import SingularNu, SingularTime, StepBudget, StepUnderflow
 from .reduction import assemble, explicit_rhs
 from .schedule import CoefficientSchedule
@@ -49,8 +49,7 @@ __all__ = ["Breakdown", "FlowResult", "integrate",
            "constant_field_closed_form", "write_alphas_csv"]
 
 
-@dataclass(frozen=True)
-class Breakdown:
+class Breakdown(NamedTuple):
     """The chart ended.  ``index`` and ``reason`` read the first state the
     predicate refused, that step's end: chart-end names the coordinate,
     12 or 13, whose e^{2 alpha} fell below ``_CHART_EPS``, and ``t_break``
@@ -64,8 +63,7 @@ class Breakdown:
     reason: str           # "chart-end" | "singular-nu"
 
 
-@dataclass
-class FlowResult:
+class FlowResult(NamedTuple):
     ts: np.ndarray              # (samples + 1,) uniform on [0, t_stop]
     alphas: np.ndarray          # (n, 15) alpha at each sample time
     breakdown: Breakdown | None

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .adjoint import _adjoint_blocks
-from .algebra import N_GENERATORS
+from .adjoint import N_GENERATORS, _adjoint_blocks
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
            "heisenberg_closed_form", "classical_lagrangian",
@@ -40,8 +39,7 @@ SYMPLECTIC_J = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class AffineSymplecticMap:
+class AffineSymplecticMap(NamedTuple):
     """Affine action z -> S z + d on (x, y, p_x, p_y), plus the action phase.
 
     A stack of maps carries leading axes: S (..., 4, 4), d (..., 4) and

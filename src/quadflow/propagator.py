@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import N_GENERATORS
+from .adjoint import N_GENERATORS
 from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
 
 __all__ = ["GreenSample", "QuadraticPhaseKernel", "landau_kernel",
@@ -56,8 +56,7 @@ DEFAULT_BRANCH_EPS = 1e-6
 _quiet = np.errstate(all="ignore")
 
 
-@dataclass(frozen=True)
-class GreenSample:
+class GreenSample(NamedTuple):
     """Green-function values at one time t.
 
     ``x``, ``y``, ``x_prime``, ``y_prime`` and ``value`` share one broadcast

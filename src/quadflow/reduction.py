@@ -34,13 +34,11 @@ roles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .adjoint import _adjoint_blocks
-from .algebra import N_GENERATORS
+from .adjoint import N_GENERATORS, _adjoint_blocks
 from .errors import SingularNu
 
 __all__ = ["ReductionState", "assemble", "explicit_rhs", "reference_odes"]
@@ -49,15 +47,18 @@ _DET_TOL = 1e-6
 _IDENTITY = np.eye(N_GENERATORS)
 
 
-@dataclass(frozen=True)
 class ReductionState:
     """One evaluation of the reduction pipeline at (a, alpha); the arrays
     carry the stack axes of the inputs in front.  ``w`` and ``mu`` are
     formed on first read: the flow's sentinel reads only det(nu)."""
 
-    nu: np.ndarray
-    _R: np.ndarray = field(repr=False)   # R_1, with w = R_1 a
-    _a: np.ndarray = field(repr=False)
+    def __init__(self, nu: np.ndarray, _R: np.ndarray, _a: np.ndarray):
+        self.nu = nu
+        self._R = _R   # R_1, with w = R_1 a
+        self._a = _a
+
+    def __repr__(self) -> str:
+        return f"ReductionState(nu={self.nu!r})"
 
     @cached_property
     def w(self) -> np.ndarray:

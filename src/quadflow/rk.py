@@ -26,7 +26,7 @@ its last accepted state, which may be ``y0``: the dense solution is empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ _CHUNK = 32
 _MAX_ATTEMPTS = 100_000
 
 
-@dataclass
-class DenseSolution:
+class DenseSolution(NamedTuple):
     """Piecewise-quartic interpolant over the accepted steps.
 
     Row k of the stacked arrays is accepted step k: its start ``t0``, its
@@ -112,8 +111,7 @@ def _quartic(t0, h, y0, q, t):
     return y0 + h[:, None] * (q @ p[:, :, None])[:, :, 0]
 
 
-@dataclass
-class RKResult:
+class RKResult(NamedTuple):
     dense: DenseSolution
     status: str              # "done" | "refused" | "underflow" | "budget"
     t_stop: float            # final valid time

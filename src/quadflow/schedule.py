@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import expressions as ex
-from .algebra import N_GENERATORS
+from .adjoint import N_GENERATORS
 from .errors import ConfigError, InvalidSchedule
 
 __all__ = ["PRESETS", "CoefficientSchedule"]

@@ -1,10 +1,13 @@
 """Adjoint matrices: exponential path vs transcribed conjugation rules."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadflow import adjoint, algebra
 from quadflow.adjoint import (_adjoint_blocks, adjoint_closed_form,
                               adjoint_generator, adjoint_matrix)
 from quadflow.observables import heisenberg_map
@@ -202,6 +205,26 @@ def test_stacked_adjoints_equal_the_one_parameter_calls_bit_for_bit(i, shape):
         for k in np.ndindex(shape):
             assert _bits_equal(stack[k], f(i, float(alphas[k]))), (f, k)
         assert f(i, alphas[(0,) * len(shape)]).shape == (15, 15)
+
+
+def test_the_plain_structure_constants_are_the_exact_tensor(monkeypatch):
+    # adjoint's table is the exact Fraction table, entry for entry; every
+    # C_i it builds is the one StructureConstants gives, and so is the
+    # entry table built from them, to the bit
+    assert {key: {k: Fraction(v) for k, v in row.items()}
+            for key, row in adjoint._UPPER.items()} == algebra._UPPER
+    exact = algebra.StructureConstants.standard()
+    C = np.zeros((16, 15, 15))
+    for i in range(1, 16):
+        for j in range(1, 16):
+            for k, v in exact.commutator(i, j).items():
+                C[i, j - 1, k - 1] = float(v)
+        assert _bits_equal(adjoint_generator(i), C[i]), i
+    monkeypatch.setattr(adjoint, "_C", C)
+    for ((cells, coeffs), (want_cells, want_coeffs)) in zip(
+            adjoint._ENTRIES, adjoint._entry_table(), strict=True):
+        assert all(map(np.array_equal, cells, want_cells))
+        assert _bits_equal(coeffs, want_coeffs)
 
 
 @pytest.mark.parametrize("alpha", [[0.5, np.nan], [[0.1], [-np.inf]]])

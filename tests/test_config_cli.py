@@ -7,10 +7,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1059,10 +1061,9 @@ def test_verify_compares_a_strong_field_flow_with_the_closed_form(capsys):
 def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():
     # the row assembles its 200 random states in stacks of 32; its error is
     # the one a loop of one-state assemble calls finds, to the bit
-    rng = np.random.default_rng(20240915)
+    draws = cli._uniform(random.Random(20240915), (200, 2, 15))
     err = 0.0
-    for _ in range(200):
-        a, al = rng.uniform(-1, 1, 15), rng.uniform(-1, 1, 15)
+    for a, al in draws:
         state = assemble(a, al)
         err = max(err, abs(np.linalg.det(state.nu) - 1.0),
                   float(np.max(np.abs(state.mu - reference_odes(a, al)))))
@@ -1070,6 +1071,18 @@ def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():
     name, got, _ = next(cli._verify_checks(cfg))
     assert name.startswith("reduction pipeline vs explicit equations")
     assert 0 < got == err
+
+
+def test_verify_draws_span_the_half_open_interval():
+    # the least and the greatest 53-bit draw are -1 and 1 - 2**-52, exactly
+    zeros = SimpleNamespace(randbytes=lambda n: b"\x00" * n)
+    ones = SimpleNamespace(randbytes=lambda n: b"\xff" * n)
+    assert (cli._uniform(zeros, (2, 3)) == -1.0).all()
+    assert (cli._uniform(ones, (4,)) == 1.0 - 2.0 ** -52).all()
+    draws = cli._uniform(random.Random(20240915), (200, 2, 15))
+    assert draws.shape == (200, 2, 15)
+    assert -1.0 <= draws.min() and draws.max() < 1.0
+    assert abs(draws.mean()) < 0.05
 
 
 def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
@@ -1083,11 +1096,11 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
         E_x=0.2946697649907765, E_y=-0.1952997849560123), 2.5)
     rows = {name: err for name, err, _ in cli._verify_checks(cfg)}
 
-    rng = np.random.default_rng(20240915)
-    rng.uniform(-1, 1, (200, 2, 15))  # the reduction row's draws
+    rng = random.Random(20240915)
+    cli._uniform(rng, (200, 2, 15))  # the reduction row's draws
     err = 0.0
     for i in range(2, 16):
-        for alpha in rng.uniform(-1, 1, 25):
+        for alpha in cli._uniform(rng, (25,)):
             err = max(err, float(np.max(np.abs(
                 adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
     assert 0 < rows["adjoint exponential vs closed-form rules"] == err

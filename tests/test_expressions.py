@@ -243,8 +243,8 @@ DEEP = {
 
 
 def test_deep_expressions_compile_and_evaluate():
-    # a deep tree is never compared or printed: the dataclasses' __eq__
-    # and __repr__ recurse
+    # a deep tree is never compared or printed: the nodes' __eq__ and
+    # __repr__ recurse
     for name, (src, expected) in DEEP.items():
         value = to_callable(parse_expression(src))(0.75)
         if expected is None:   # (-sin(t)*(-sin(t)*(...*t))), inside out

@@ -1,12 +1,15 @@
-"""Import contract: quadflow never loads scipy, and multiprocessing only
-where it is used.
+"""Import contract: a command loads only the modules it runs.
 
 Each check runs in a fresh interpreter, so what this test session already
 imported cannot hide a module-level import.  No command loads ``scipy``
 (importing ``scipy.integrate`` would be most of a cold start): the oracles
 integrate and sum in the package, and scipy is only the tests' reference.
 Only a multi-config ``run`` starts a pool, so no other command loads
-``multiprocessing``.  Every name an ``__all__`` lists must exist, or
+``multiprocessing``.  Only ``verify`` loads ``quadflow.oracles``; no
+command builds the exact algebra (``fractions``), defines a dataclass or
+draws from ``numpy.random``, and only a config file loads ``configparser``.
+``import quadflow`` loads none of its modules: each public name imports its
+module on first use.  Every name an ``__all__`` lists must exist, or
 ``from quadflow import *`` fails.
 """
 
@@ -44,7 +47,8 @@ grid_points = 11
 source = 0.0, 0.0
 """
 
-WATCHED = ("scipy", "scipy.integrate", "multiprocessing")
+WATCHED = ("scipy", "scipy.integrate", "multiprocessing", "quadflow.oracles",
+           "dataclasses", "fractions", "numpy.random", "configparser")
 LOADED = ("import json, sys\n"
           f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n")
 
@@ -73,14 +77,34 @@ def test_run_with_green_grid_loads_neither(tmp_path):
             "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n"
             "assert main(['green', 'grid.cfg', '--outdir', 'g']) == 0\n"
             "assert main(['print-odes', '--t', '0.5']) == 0\n")
-    assert _loaded_after(code, tmp_path) == []
+    # reading a config file is what loads configparser
+    assert _loaded_after(code, tmp_path) == ["configparser"]
     assert (tmp_path / "out" / "green.csv").exists()
 
 
-def test_verify_loads_no_scipy(tmp_path):
+def test_print_odes_on_a_preset_loads_none(tmp_path):
+    code = ("from quadflow.cli import main\n"
+            "assert main(['print-odes', '--t', '0.5']) == 0\n")
+    assert _loaded_after(code, tmp_path) == []
+
+
+def test_verify_loads_only_the_oracles(tmp_path):
+    # the GaussianState record of quadflow.oracles is a dataclass
     code = ("from quadflow.cli import main\n"
             "assert main(['verify', '--preset', 'landau']) == 0\n")
-    assert "scipy" not in _loaded_after(code, tmp_path)
+    assert _loaded_after(code, tmp_path) == ["quadflow.oracles",
+                                             "dataclasses"]
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    code = ("import sys\n"
+            "import quadflow\n"
+            "loaded = [m for m in sys.modules if m.startswith('quadflow.')]\n"
+            "assert loaded == [], loaded\n"
+            "assert set(quadflow.__all__) <= set(dir(quadflow))\n"
+            "for name in quadflow.__all__:\n"
+            "    getattr(quadflow, name)\n")
+    _loaded_after(code, tmp_path)
 
 
 def test_fundamental_matrix_works_as_first_call(tmp_path):
