@@ -7,23 +7,26 @@ the pure-magnetic-field case alpha_6 grows like tan(omega_c t / 2) and
 diverges at omega_c t = pi - so breakdown is a result, not an exception.
 
 The right-hand side is the transcribed flow equations on Python floats
-(:func:`.reduction.explicit_rhs`), fed the list the schedule's compiled
-function returns, and the stepper checks each stage on those floats.  One
-predicate decides where the chart ends.  Its first clause is the chart
-itself: S00 = e^{2 alpha_12} and the Schur complement e^{2 alpha_13} of the
-Heisenberg map vanish where the factorization ends (every other alpha is a
-rational function of the map with those two in its denominators), so a
-state is refused when it is not finite or min(e^{2 alpha_12},
-e^{2 alpha_13}) < ``_CHART_EPS``.  Its second, on the rows the first
-passes, is the conditioning sentinel det(nu) = 1 in the matrix pipeline
-(:func:`.reduction.assemble`), whose one call names the first row it
-refuses.  The predicate reads alpha alone and does not steer the stepper
-until it refuses, so the stepper hands it the end states of accepted steps
-in stacks of up to 32.  The first refused step is kept, the steps past it
-are dropped, and the crossing is bisected on its dense polynomial; the flow
-stops at the last state that passes, the last written row.  The
-:class:`Breakdown` reads the first refused state, that step's end.
-An unresolved flow is no breakdown: a spent step budget raises
+(:func:`.reduction.explicit_rhs`): the coefficients are the list the
+schedule's compiled function returns, and alpha is the list of floats the
+stepper's attempt passes, a function compiled for 15 entries when this
+module is imported.  The attempt checks each stage as it returns, and a
+non-finite entry (an overflowing term makes the whole stage NaN) rejects the
+step before another stage is evaluated.  One predicate decides where the
+chart ends.  Its first clause is the chart itself: S00 = e^{2 alpha_12} and
+the Schur complement e^{2 alpha_13} of the Heisenberg map vanish where the
+factorization ends (every other alpha is a rational function of the map with
+those two in its denominators), so a state is refused when it is not finite
+or min(e^{2 alpha_12}, e^{2 alpha_13}) < ``_CHART_EPS``.  Its second, on the
+rows the first passes, is the conditioning sentinel det(nu) = 1 in the
+matrix pipeline (:func:`.reduction.assemble`), whose one call names the
+first row it refuses.  The predicate reads alpha alone and does not steer the
+stepper until it refuses, so the stepper hands it the end states of accepted
+steps in stacks of up to 32.  The first refused step is kept, the steps past
+it are dropped, and the crossing is bisected on its dense polynomial; the
+flow stops at the last state that passes, the last written row.  The
+:class:`Breakdown` reads the first refused state, that step's end.  An
+unresolved flow is no breakdown: a spent step budget raises
 :class:`.StepBudget`, a step that cannot be resolved at all (below the
 step-size floor, 60 rejections in a row) :class:`.StepUnderflow`.
 
@@ -88,6 +91,9 @@ _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
 # for as many steps as the budget has attempts (it spends none)
 _CHART_EPS = 1e-3
 _MAX_STEPS = rk._MAX_ATTEMPTS
+# the stepper's attempt for the 15 alphas compiles here, with the imports,
+# not inside the first run
+rk._attempt(N_GENERATORS)
 
 
 @np.errstate(over="ignore")
@@ -107,11 +113,11 @@ def _pole(rhs, dense, t, i):
     alpha_ddot = 0; a faster one implies k > 6), so the pole falls back to t
     unless k is within 0.1 of a whole order 1..4 and t_p is finite and
     >= t."""
-    v0 = rhs(t, dense(t))[i]
+    v0 = rhs(t, dense(t).tolist())[i]
     dt = min(5e-4 / abs(v0), 0.25 * t) if math.isfinite(v0) and v0 else 0.0
     if not dt:
         return t, 1
-    v1, v2 = (rhs(s, dense(s))[i] for s in (t - dt, t - 2 * dt))
+    v1, v2 = (rhs(s, dense(s).tolist())[i] for s in (t - dt, t - 2 * dt))
     accel = (3 * v0 - 4 * v1 + v2) / (2 * dt)
     order = -2 * v0 * v0 / accel if accel else math.inf
     t_pole = t + v0 / accel if 0.5 < order < 4.5 \
@@ -153,7 +159,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
 
     def rhs(t, alpha):
         # InvalidSchedule propagates; an overflowing term is a NaN stage
-        return explicit_rhs(schedule.coefficients(t), alpha.tolist())
+        return explicit_rhs(schedule.coefficients(t), alpha)
 
     def conditioned(ts, alphas):
         # rows before the first off the chart go to one assemble call, which

@@ -6,48 +6,56 @@ proportional-integral rule (error exponent 0.2 - 0.75*beta, beta = 0.04).
 Each accepted step stores the quartic dense-output polynomial, so solutions
 can be evaluated anywhere without re-integration.
 
+The state is a list of Python floats, and so is every argument and result
+of ``f``.  A step attempt is one straight-line function on n named float
+locals, generated and compiled once per state size n (:func:`_attempt`),
+with no numpy call; a non-finite stage, state or error norm rejects the
+step.  The dense output of all accepted steps is one product at the end.
+
 ``check(ts, ys)``, the one halting predicate, returns how many leading rows
 of a stack pass.  It never steers the stepper before it refuses, so it sees
-the end states of accepted steps in stacks: they wait until ``_CHUNK`` of
-them are pending or the loop ends.  The first refused step wins over
-everything after it: the steps past it are dropped, and an exception of
-``f`` raised past it is too.  The run stops (status ``refused``) at the last
-state ``check`` passes inside that step, bisected on its dense polynomial;
-the steps before it are the ones a check after every step would have taken,
-bit for bit.  Otherwise a run ends ``done`` at ``t_end``; ``underflow`` when
-the controller pushes the step size below the resolvable floor or rejects
-60 steps in a row (non-finite stage values or error norms reject a step
-rather than raising); or ``budget`` after ``_MAX_ATTEMPTS`` step attempts,
-accepted or rejected, whose length the controller chose (shorter than both
-``max_step`` and the rest of the run).  Both leave the run unresolved at
-its last accepted state, which may be ``y0``: the dense solution is empty.
+the end states of accepted steps in numpy stacks: they wait until
+``_CHUNK`` of them are pending or the loop ends.  The first refused step
+wins over everything after it: the steps past it are dropped, and an
+exception of ``f`` raised past it is too.  The run stops (status
+``refused``) at the last state ``check`` passes inside that step, bisected
+on its dense polynomial; the steps before it are the ones a check after
+every step would have taken, bit for bit.  Otherwise a run ends ``done`` at
+``t_end``; ``underflow`` when the controller pushes the step size below the
+resolvable floor or rejects 60 steps in a row; or ``budget`` after
+``_MAX_ATTEMPTS`` step attempts, accepted or rejected, whose length the
+controller chose (shorter than both ``max_step`` and the rest of the run).
+Both leave the run unresolved at its last accepted state, which may be
+``y0``: the dense solution is empty.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["RKResult", "DenseSolution", "solve"]
 
-# Dormand-Prince 5(4) tableau
-# stage times t + c h are Python floats, like everything f sees
+# Dormand-Prince 5(4) tableau.  Stage s + 1 (s = 1..6) is f at t + _C[s] h
+# and y + h (_A[s] . (k1, ..., ks)); row 6 holds the fifth-order weights,
+# so the seventh stage is f at the new state, the next step's first (FSAL)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
 # b - b_hat: weights of the embedded error estimate
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
 # quartic dense-output coefficients (Shampine's interpolant for this pair)
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
@@ -120,27 +128,94 @@ class RKResult(NamedTuple):
     y_refused: np.ndarray | None = None   # the first state check refused
 
 
-# an overflowing scale accepts the step, an overflowing ratio rejects it
-@np.errstate(over="ignore", invalid="ignore")
-def _error_norm(delta, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return math.sqrt(float(np.mean((delta / scale) ** 2)))
+# an attempt's result for a non-finite stage or state: err = nan rejects
+_REJECT = (math.nan, None, None)
+
+
+def _weighted(weights, i):
+    """``w1 * k1_i + w2 * k2_i + ...`` over the nonzero weights, in order."""
+    return " + ".join(f"{w!r} * k{j}_{i}"
+                      for j, w in enumerate(weights, 1) if w)
+
+
+def _attempt_source(n):
+    """Source of ``attempt(f, t, h, y, k1, rtol, atol)`` for n floats.
+
+    Stage s + 1 evaluates f on the list ``[y_i + h * (a_1 k1_i + ... +
+    a_s ks_i)]``, each sum over the tableau row's nonzero weights, left to
+    right; the seventh stage's list is the fifth-order state.  A stage with
+    a non-finite entry returns ``_REJECT`` before the next stage is
+    evaluated, and so does a non-finite fifth-order state.  Otherwise the
+    error norm is sqrt((r_0 r_0 + r_1 r_1 + ...) / n), summed in that order,
+    where r_i = h * (e_1 k1_i + ...) / (atol + rtol * max(|y_i|, |z_i|))
+    and z is the new state; float ``*`` and ``/`` overflow to inf, which
+    rejects the step, where ``**`` would raise.  Returns ``(err, z, (k1,
+    ..., k7))``.
+    """
+    def unpack(name, prefix):
+        names = "".join(f"{prefix}{i}, " for i in range(n)).rstrip(" ")
+        return f"    {names} = {name}"
+
+    def finite(name):
+        # a finite sum has finite terms; the term test only runs to tell
+        # finite terms whose sum overflows from a non-finite one
+        return [f"    if not (isfinite(sum({name}))"
+                f" or all(map(isfinite, {name}))):", "        return _REJECT"]
+
+    lines = ["def attempt(f, t, h, y, k1, rtol, atol):",
+             unpack("y", "y"), unpack("k1", "k1_")]
+    for s in range(1, 7):
+        state = ", ".join(f"y{i} + h * ({_weighted(_A[s], i)})"
+                          for i in range(n))
+        k = f"k{s + 1}"
+        if s < 6:
+            lines.append(f"    {k} = f(t + {_C[s]!r} * h, [{state}])")
+        else:
+            lines += [f"    z = [{state}]", f"    {k} = f(t + h, z)"]
+        lines += [*finite(k), unpack(k, f"{k}_")]
+    lines += [*finite("z"), unpack("z", "z")]
+    for i in range(n):
+        # a conditional: max(abs(.), abs(.)) costs about 0.1 us more
+        lines += [f"    a = abs(y{i})", f"    b = abs(z{i})",
+                  f"    r = h * ({_weighted(_E, i)}) / "
+                  f"(atol + rtol * (a if a > b else b))",
+                  "    s = r * r" if i == 0 else "    s += r * r"]
+    lines.append(f"    return sqrt(s / {n}), z, (k1, k2, k3, k4, k5, k6, k7)")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _attempt(n):
+    """One Dormand-Prince attempt on states of ``n`` floats, compiled once
+    per n: see :func:`_attempt_source`."""
+    scope = {}
+    exec(compile(_attempt_source(n), f"<quadflow.rk attempt, n = {n}>",
+                 "exec"),
+         {"isfinite": math.isfinite, "sqrt": math.sqrt, "_REJECT": _REJECT},
+         scope)
+    return scope["attempt"]
+
+
+def _rms(values):
+    """sqrt(mean(v * v)), summed left to right."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total / len(values))
 
 
 def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
-    scale = atol + rtol * np.abs(y0)
-    # a huge f0 overflows the scaled norms to inf, which yields h = 0 and
-    # the underflow outcome; that is a result, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        h0 = min(h0, t_end - t0, max_step)
-        if h0 == 0:  # a span or max_step that underflows: no step resolves
-            return 0.0
-        y1 = y0 + h0 * f0
-        f1 = np.asarray(f(t0 + h0, y1))
-        d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    # a huge f0 overflows the scaled norms to inf (float * and / do not
+    # raise), which yields h = 0 and the underflow outcome
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t0, max_step)
+    if h0 == 0:  # a span or max_step that underflows: no step resolves
+        return 0.0
+    f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -178,8 +253,10 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
 
     Parameters
     ----------
-    f : callable (t, y) -> list of floats; may return non-finite values,
-        which reject the current step
+    f : callable (t, y) -> a new list of floats, for a list ``y`` of
+        len(y0) Python floats (every call gets one); may return non-finite
+        values, which reject the current step.  The lists it returns are
+        kept as the step's stages, not copied.
     check : optional callable (ts, ys) -> the number of leading rows that
         pass, for an (n,) array of times and an (n, len(y0)) stack of
         states; called on the end states of accepted steps, in stacks of up
@@ -187,13 +264,14 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         first refused row (``y_refused``) halts the run at the last state
         ``check`` passes inside its step.
     """
-    y0 = np.asarray(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     if max_step is None:
         max_step = (t_end - t0) / 50
+    attempt = _attempt(len(y))
     n_rhs = 0
 
     def rhs(t, y):
@@ -201,11 +279,11 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         n_rhs += 1
         return f(t, y)
 
-    t, y = float(t0), y0.copy()
-    k1 = np.array(rhs(t, y), dtype=float)
+    t = float(t0)
+    k1 = rhs(t, y)
     h = _initial_step(rhs, t, y, k1, t_end, rtol, atol, max_step)
 
-    steps = []  # (t0, h, y0, q) per accepted step
+    steps = []  # (t0, h, y0, stages) per accepted step
     pending = []  # (t + h, y_new) of the last accepted steps, not checked
     refused = None  # (index into steps, end state) of the first refused
 
@@ -214,14 +292,15 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         if check is None or not pending:
             return None
         ts, ys = zip(*pending)
-        passed = check(np.array(ts), np.array(ys))
+        ys = np.array(ys)
+        passed = check(np.array(ts), ys)
         pending.clear()
         return None if passed == len(ts) else \
             (len(steps) - len(ts) + passed, ys[passed])
 
     facold = 1e-4
     status = "done"
-    K = np.empty((7, y.size))
+    floor = 16 * np.finfo(float).eps
     rejections = 0  # consecutive; a long streak means no h can be certified
     attempts = 0
     try:
@@ -230,27 +309,15 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             # one that max_step or t_end cut never ends a run
             sized = h < min(max_step, t_end - t)
             h = min(h, max_step, t_end - t)
-            if h < 16 * np.finfo(float).eps * max(abs(t), 1.0) \
-                    or rejections > 60:
+            if h < floor * max(abs(t), 1.0) or rejections > 60:
                 status = "underflow"
                 break
             if attempts == _MAX_ATTEMPTS:
                 status = "budget"
                 break
             attempts += sized
-            K[0] = k1
-            err = math.nan  # a non-finite stage, state or error norm rejects
-            for s in range(1, 7):
-                row = rhs(t + _C[s] * h, y + h * (K[:s].T @ _A[s]))
-                K[s] = row
-                # a finite sum has finite terms; the array test only runs to
-                # tell finite terms whose sum overflows from a non-finite one
-                if not (math.isfinite(sum(row)) or np.all(np.isfinite(K[s]))):
-                    break
-            else:
-                y_new = y + h * (K.T @ _B)
-                if np.all(np.isfinite(y_new)):
-                    err = _error_norm(h * (K.T @ _E), y, y_new, rtol, atol)
+            # a non-finite stage or state returns err = nan
+            err, y_new, stages = attempt(rhs, t, h, y, k1, rtol, atol)
             if not math.isfinite(err):
                 h *= 0.25
                 rejections += 1
@@ -264,7 +331,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             # accepted; check sees the end state later, with its chunk, and
             # its answer never changes the steps taken before a refusal
             rejections = 0
-            steps.append((t, h, y, K.T @ _P))
+            steps.append((t, h, y, stages))
             pending.append((t + h, y_new))
             if len(pending) == _CHUNK:
                 refused = first_refused()
@@ -277,9 +344,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             facold = max(err, 1e-4)
             t, y = t + h, y_new
             h *= factor
-            # FSAL; a copy, since the next attempt overwrites K[6] even
-            # when it is rejected
-            k1 = K[6].copy()
+            k1 = stages[6]  # FSAL
     except Exception:
         # an error of f past a refused state is not part of the run
         refused = first_refused()
@@ -287,21 +352,27 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             raise
     if refused is None:
         refused = first_refused()
+    if refused is not None:
+        # the first refused step is the last one kept
+        del steps[refused[0] + 1:]
 
+    n = len(y)
+    t0s, hs, y0s, ks = zip(*steps) if steps else ((), (), (), ())
+    # each step's dense-output matrix K^T P, all steps in one product
+    flat = chain.from_iterable(chain.from_iterable(ks))
+    stages = np.fromiter(flat, float, 7 * n * len(ks))
+    dense = DenseSolution(np.array(t0s), np.array(hs),
+                          np.array(y0s).reshape(-1, n),
+                          stages.reshape(-1, 7, n).transpose(0, 2, 1) @ _P)
     if refused is not None:
         # halt inside the first refused step at the last state check
         # passes; the step keeps its full length: its polynomial is only
         # valid with the h it was built with, and t_stop marks the end
-        del steps[refused[0] + 1:]
-
         def ok(t_mid, y_mid):
             return check(np.array([t_mid]), y_mid[None]) == 1
 
-        status, (t, y) = "refused", _crossing(*steps[-1], ok)
-
-    t0s, hs, y0s, qs = zip(*steps) if steps else ((), (), (), ())
-    dense = DenseSolution(np.array(t0s), np.array(hs),
-                          np.array(y0s).reshape(-1, y.size),
-                          np.array(qs).reshape(-1, y.size, 4))
-    return RKResult(dense=dense, status=status, t_stop=t, y_stop=y,
-                    n_rhs=n_rhs, y_refused=refused and refused[1])
+        status = "refused"
+        t, y = _crossing(t0s[-1], hs[-1], dense.y0[-1], dense.q[-1], ok)
+    return RKResult(dense=dense, status=status, t_stop=t,
+                    y_stop=np.array(y, dtype=float), n_rhs=n_rhs,
+                    y_refused=refused and refused[1])

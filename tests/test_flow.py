@@ -374,6 +374,8 @@ def test_solve_rejects_a_stage_with_one_nan():
     assert res.status == "underflow"
     assert 0.5 - 1e-12 < res.t_stop <= 0.5
     assert np.all(np.isfinite(res.dense.q))
+    # each rejected attempt stops at its first non-finite stage
+    assert (res.n_rhs, res.dense.t0.size) == (548, 63)
 
 
 def test_driven_sentinel_halt_is_certified_and_cheap(monkeypatch):
@@ -788,7 +790,7 @@ def _within(cap):
 
 def test_dense_output_at_cap_stop_is_the_crossing_state():
     # y' = y^2, y(0) = 1 blows up at t = 1 as y = 1 / (1 - t)
-    res = rk.solve(lambda t, y: (y * y).tolist(), 0.0, [1.0], 2.0,
+    res = rk.solve(lambda t, y: [v * v for v in y], 0.0, [1.0], 2.0,
                    check=_within(1e3))
     assert res.status == "refused"
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)

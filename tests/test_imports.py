@@ -9,8 +9,9 @@ Only a multi-config ``run`` starts a pool, so no other command loads
 command builds the exact algebra (``fractions``), defines a dataclass or
 draws from ``numpy.random``, and only a config file loads ``configparser``.
 ``import quadflow`` loads none of its modules: each public name imports its
-module on first use.  Every name an ``__all__`` lists must exist, or
-``from quadflow import *`` fails.
+module on first use.  ``import quadflow.cli`` compiles the stepper's attempt
+for the 15 alphas, and a run compiles no other.  Every name an ``__all__``
+lists must exist, or ``from quadflow import *`` fails.
 """
 
 import importlib
@@ -80,6 +81,23 @@ def test_run_with_green_grid_loads_neither(tmp_path):
     # reading a config file is what loads configparser
     assert _loaded_after(code, tmp_path) == ["configparser"]
     assert (tmp_path / "out" / "green.csv").exists()
+
+
+def test_the_flow_attempt_compiles_on_import_and_no_run_compiles_more(
+        tmp_path):
+    # the one-time compile of the stepper's 15-float attempt belongs to the
+    # set-up a fresh process pays, not to the first run
+    (tmp_path / "grid.cfg").write_text(GRID_CFG)
+    code = ("import quadflow.cli\n"
+            "from quadflow import rk\n"
+            "compiled = rk._attempt.cache_info()\n"
+            "assert (compiled.misses, compiled.currsize) == (1, 1), compiled\n"
+            "rk._attempt(15)\n"
+            "assert rk._attempt.cache_info().misses == 1\n"
+            "assert quadflow.cli.main(['run', 'grid.cfg', '--outdir',"
+            " 'out']) == 0\n"
+            "assert rk._attempt.cache_info().misses == 1\n")
+    assert _loaded_after(code, tmp_path) == ["configparser"]
 
 
 def test_print_odes_on_a_preset_loads_none(tmp_path):
