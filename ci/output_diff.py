@@ -23,39 +23,18 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import struct
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from output_digests import cases  # noqa: E402  (ci/output_digests.py)
+from output_digests import cases, outputs  # noqa: E402  (ci/output_digests.py)
 
 _NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      rb"|inf(?:inity)?|nan)", re.IGNORECASE)
-
-
-def outputs(src: Path, write, tmp: Path) -> dict:
-    """Run one case with ``src`` on the path; {part: bytes}, the exit
-    status under ``rc``."""
-    argv = write(tmp)
-    inputs = set(tmp.rglob("*"))
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "quadflow.cli", *argv],
-                          cwd=tmp, env=env, capture_output=True)
-    parts = {"rc": str(proc.returncode).encode(), "stdout": proc.stdout,
-             "stderr": proc.stderr}
-    for path in sorted(set(tmp.rglob("*")) - inputs):
-        if path.is_file():
-            parts[str(path.relative_to(tmp))] = path.read_bytes()
-    for root in (str(tmp.resolve()), str(tmp)):
-        parts = {k: v.replace(root.encode(), b"<tmp>")
-                 for k, v in parts.items()}
-    return parts
 
 
 def _ordinal(x: float) -> int:

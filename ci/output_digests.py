@@ -62,27 +62,30 @@ UNRESOLVED = {
 }
 
 
-def _sha(data: bytes, tmp: Path) -> str:
-    for root in (str(tmp.resolve()), str(tmp)):
-        data = data.replace(root.encode(), b"<tmp>")
-    return hashlib.sha256(data).hexdigest()
-
-
-def digest(name: str, argv: list, tmp: Path) -> str:
-    """Run ``quadflow <argv>`` in ``tmp``; hash its results and every file
-    it wrote there."""
+def outputs(src: Path, write, tmp: Path) -> dict:
+    """Run one case with ``src`` on the path, in ``tmp``; {part: bytes} for
+    stdout, stderr and every file it wrote, the exit status under ``rc``."""
+    argv = write(tmp)
     inputs = set(tmp.rglob("*"))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "quadflow.cli", *argv],
                           cwd=tmp, env=env, capture_output=True)
-    parts = [f"{name} rc={proc.returncode}",
-             f"stdout={_sha(proc.stdout, tmp)}",
-             f"stderr={_sha(proc.stderr, tmp)}"]
+    parts = {"rc": str(proc.returncode).encode(), "stdout": proc.stdout,
+             "stderr": proc.stderr}
     for path in sorted(set(tmp.rglob("*")) - inputs):
         if path.is_file():
-            parts.append(f"{path.relative_to(tmp)}="
-                         f"{_sha(path.read_bytes(), tmp)}")
-    return " ".join(parts)
+            parts[str(path.relative_to(tmp))] = path.read_bytes()
+    for root in (str(tmp.resolve()), str(tmp)):
+        parts = {k: v.replace(root.encode(), b"<tmp>")
+                 for k, v in parts.items()}
+    return parts
+
+
+def digest(name: str, parts: dict) -> str:
+    """A case's line: its exit status, then the sha256 of each other part."""
+    return " ".join([f"{name} rc={parts['rc'].decode()}",
+                     *(f"{part}={hashlib.sha256(data).hexdigest()}"
+                       for part, data in parts.items() if part != "rc")])
 
 
 def cases(seeds):
@@ -122,9 +125,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 7, 11])
     args = ap.parse_args(argv)
     for name, write in cases(args.seeds):
-        with tempfile.TemporaryDirectory() as raw:
-            tmp = Path(raw)
-            print(digest(name, write(tmp), tmp), flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            print(digest(name, outputs(ROOT / "src", write, Path(tmp))),
+                  flush=True)
     return 0
 
 

@@ -42,23 +42,7 @@ _SOURCES = {
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}
 
-__all__ = [
-    "AffineSymplecticMap", "Breakdown",
-    "BranchUnavailable", "CoefficientSchedule", "ConfigError",
-    "DegenerateGeometry", "FlowResult", "GaussianState",
-    "GENERATOR_LABELS", "GreenSample", "GridUnderresolved",
-    "InvalidSchedule", "N_GENERATORS", "ParseError", "QuadflowError",
-    "ReductionState", "SingularNu", "SingularTime", "StepBudget",
-    "StepUnderflow", "StructureConstants",
-    "SYMPLECTIC_J", "adjoint_closed_form", "adjoint_matrix", "apply_kernel",
-    "assemble", "classical_lagrangian", "commutator",
-    "constant_field_closed_form", "fundamental_matrix", "green", "green_kernel",
-    "heisenberg_closed_form", "heisenberg_map", "integrate",
-    "landau_kernel", "degenerate_kernel", "generic_kernel", "QuadraticPhaseKernel",
-    "parse_expression", "pretty", "reference_odes", "standard_algebra",
-    "validate_algebra", "write_alphas_csv",
-    "write_green_csv", "write_heisenberg_json",
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):

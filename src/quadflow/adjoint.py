@@ -14,13 +14,18 @@ Two independent implementations are provided and tested against each other:
   C_i is nilpotent of index <= 3 for every generator except the dilatation
   generators 12 and 13, whose C is purely diagonal; both cases are summed
   exactly (terminating series / elementwise exp) from one table, built at
-  import from the structure constants ``_UPPER``, of the entries each M_k^T
-  moves off the identity.  ``_adjoint_blocks`` gives the leading size x
-  size block of every M_k^T over a stack of parameter vectors: size 15 for
-  ``assemble``, size 5 for ``heisenberg_map``; this function forms
-  generator i's entries alone, with the same operations.
+  import from ``_UPPER``, of the entries each M_k^T moves off the identity.
+  ``_adjoint_blocks`` gives the leading size x size block of every M_k^T
+  over a stack of parameter vectors: size 15 for ``assemble``, size 5 for
+  ``heisenberg_map``; this function forms generator i's entries alone, with
+  the same operations.
 * :func:`adjoint_closed_form` - the conjugation rules transcribed entry by
   entry, used as the oracle.
+
+``_UPPER`` is the package's one table of structure constants, and the exact
+tensor of :mod:`.algebra` is built from it.  Three independent checks hold
+it: the Poisson-bracket derivation in the tests, the exact Jacobi check of
+``validate_algebra``, and the two implementations above (tests, ``verify``).
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ __all__ = ["N_GENERATORS", "adjoint_matrix", "adjoint_closed_form",
 N_GENERATORS = 15
 
 # c[i][j][k] for i < j as {(i, j): {k: c}}, the nonzero structure constants
-# of :mod:`.algebra` in plain numbers (ints and +-1/2, exact as floats);
-# the tests check them against ``StructureConstants.standard()``
+# (ints and +-1/2, exact as floats and as fractions).  Entry (8, 9) is 2*h15:
+# [x*y, p_x^2] = 2i*hbar*y*p_x (forced by the Jacobi identity and by the h9
+# row of the U8 conjugation rule).
 _UPPER = {
     (2, 4): {1: 1}, (2, 9): {4: 2}, (2, 11): {5: 1}, (2, 12): {2: 2},
     (2, 15): {3: 1}, (3, 5): {1: 1}, (3, 10): {5: 2}, (3, 11): {4: 1},

@@ -9,10 +9,12 @@ Generator basis (1-based indices, used everywhere in the public API):
 
 Commutators close on this set:  [h_i, h_j] = i*hbar * sum_k c[i][j][k] h_k,
 with exact rational structure constants c (entries in {0, +-1, +-2, +-4,
-+-1/2}).  Everything here is exact ``Fraction`` arithmetic.  The flow does
-not import this module: :mod:`.adjoint` builds its float matrices from a
-plain-number copy of the table, and the tests check that copy against
-:meth:`StructureConstants.standard`, which is built on first use.
++-1/2}).  Everything here is exact ``Fraction`` arithmetic.  The tensor is
+built on first use from ``_UPPER`` of :mod:`.adjoint`, the package's one
+table (its ints and +-1/2 convert exactly); no command imports this module.
+Three independent checks hold the table: the Poisson-bracket derivation in
+the tests, the exact Jacobi check of :meth:`StructureConstants.validate`,
+and :func:`.adjoint_closed_form` against :func:`.adjoint_matrix`.
 """
 
 from __future__ import annotations
@@ -21,67 +23,13 @@ import functools
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .adjoint import N_GENERATORS, _check_index
+from .adjoint import _UPPER, N_GENERATORS, _check_index
 
 GENERATOR_LABELS = (
     "1", "x", "y", "p_x", "p_y",
     "x^2", "y^2", "x*y", "p_x^2", "p_y^2",
     "p_x*p_y", "x*p_x+p_x*x", "y*p_y+p_y*y", "x*p_y", "y*p_x",
 )
-
-_F = Fraction
-
-# Nonzero commutators (1/i*hbar)[h_i, h_j] for i < j; the full tensor is the
-# antisymmetric completion.  Entry (8, 9) is 2*h15: [x*y, p_x^2] = 2i*hbar*y*p_x
-# (forced by the Jacobi identity and by the h9 row of the U8 conjugation rule).
-_UPPER: dict[tuple[int, int], dict[int, Fraction]] = {
-    (2, 4): {1: _F(1)},
-    (2, 9): {4: _F(2)},
-    (2, 11): {5: _F(1)},
-    (2, 12): {2: _F(2)},
-    (2, 15): {3: _F(1)},
-    (3, 5): {1: _F(1)},
-    (3, 10): {5: _F(2)},
-    (3, 11): {4: _F(1)},
-    (3, 13): {3: _F(2)},
-    (3, 14): {2: _F(1)},
-    (4, 6): {2: _F(-2)},
-    (4, 8): {3: _F(-1)},
-    (4, 12): {4: _F(-2)},
-    (4, 14): {5: _F(-1)},
-    (5, 7): {3: _F(-2)},
-    (5, 8): {2: _F(-1)},
-    (5, 13): {5: _F(-2)},
-    (5, 15): {4: _F(-1)},
-    (6, 9): {12: _F(2)},
-    (6, 11): {14: _F(2)},
-    (6, 12): {6: _F(4)},
-    (6, 15): {8: _F(2)},
-    (7, 10): {13: _F(2)},
-    (7, 11): {15: _F(2)},
-    (7, 13): {7: _F(4)},
-    (7, 14): {8: _F(2)},
-    (8, 9): {15: _F(2)},
-    (8, 10): {14: _F(2)},
-    (8, 11): {12: _F(1, 2), 13: _F(1, 2)},
-    (8, 12): {8: _F(2)},
-    (8, 13): {8: _F(2)},
-    (8, 14): {6: _F(1)},
-    (8, 15): {7: _F(1)},
-    (9, 12): {9: _F(-4)},
-    (9, 14): {11: _F(-2)},
-    (10, 13): {10: _F(-4)},
-    (10, 15): {11: _F(-2)},
-    (11, 12): {11: _F(-2)},
-    (11, 13): {11: _F(-2)},
-    (11, 14): {10: _F(-1)},
-    (11, 15): {9: _F(-1)},
-    (12, 14): {14: _F(-2)},
-    (12, 15): {15: _F(2)},
-    (13, 14): {14: _F(2)},
-    (13, 15): {15: _F(-2)},
-    (14, 15): {12: _F(-1, 2), 13: _F(1, 2)},
-}
 
 
 class Violation(NamedTuple):
@@ -117,7 +65,8 @@ class StructureConstants:
 
     @classmethod
     def standard(cls) -> "StructureConstants":
-        """Tensor of the 15-generator algebra, antisymmetrically completed."""
+        """Tensor of the 15-generator algebra: :mod:`.adjoint`'s ``_UPPER``
+        as exact fractions, antisymmetrically completed."""
         entries: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), row in _UPPER.items():
             entries[(i, j)] = dict(row)

@@ -90,7 +90,6 @@ _RUN_KEYS = {"t_end": _POSITIVE_FINITE, "rtol": _POSITIVE_FINITE,
              "max_step": _POSITIVE_FINITE}
 _SECTIONS = ("hamiltonian", "constants", "run", "outputs", "green")
 _HAMILTONIAN_KEYS = ("preset", "hbar", *(f"a{k}" for k in range(1, 16)))
-_GREEN_KEYS = ("points", "times", "grid_extent", "grid_points", "source")
 
 
 def _float(section, key, *, where, check=None):
@@ -193,7 +192,7 @@ def load_config(path) -> RunConfig:
     green = None
     if "green" in parser:
         g = parser["green"]
-        _refuse_unknown("[green]", "keys", g, _GREEN_KEYS)
+        _refuse_unknown("[green]", "keys", g, GreenRequest._fields)
         points = [_parse_tuple(chunk.strip(), 4, "[green] points")
                   for chunk in g.get("points", "").split(";") if chunk.strip()]
         times = _parse_tuple(g["times"], None, "[green] times") \
