@@ -25,7 +25,11 @@ The cases:
 - the nominal driven config under ``run`` and ``verify``;
 - the unresolved runs ``a2 = 1e300`` (a9 = a10 = 0.5, t_end 1) and landau
   with t_end 2e-322, each under ``run``;
-- ``verify --preset free --m 1e-26``, whose alpha9 reaches 1.25e26.
+- the three inputs whose verify rows fail on an absolute tolerance while
+  the relative error is tiny: ``verify --preset free --m 1e-26`` (alpha9
+  reaches 1.25e26), ``verify --preset kanai_caldirola --lam 400`` (a
+  breakdown near t = 0.086, with max|S| in the billions before it) and
+  ``verify --preset landau --E-x 1e4 --E-y=-2e3`` (alpha1 near 1.35e8).
 """
 
 from __future__ import annotations
@@ -109,6 +113,10 @@ def cases(seeds):
         yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     yield "verify:free_m1e-26", lambda tmp: [
         "verify", "--preset", "free", "--m", "1e-26"]
+    yield "verify:kanai_caldirola_lam400", lambda tmp: [
+        "verify", "--preset", "kanai_caldirola", "--lam", "400"]
+    yield "verify:landau_E1e4", lambda tmp: [
+        "verify", "--preset", "landau", "--E-x", "1e4", "--E-y=-2e3"]
 
 
 def _config(tmp: Path, body: str, command: str) -> list:

@@ -29,12 +29,12 @@ _SOURCES = {
     "expressions": ("parse_expression", "pretty"),
     "flow": ("Breakdown", "FlowResult", "constant_field_closed_form",
              "integrate", "write_alphas_csv"),
-    "observables": ("SYMPLECTIC_J", "AffineSymplecticMap",
-                    "classical_lagrangian", "heisenberg_closed_form",
-                    "heisenberg_map", "write_heisenberg_json"),
-    "oracles": ("GaussianState", "apply_kernel", "fundamental_matrix"),
+    "observables": ("SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
+                    "write_heisenberg_json"),
+    "oracles": ("GaussianState", "apply_kernel", "classical_lagrangian",
+                "fundamental_matrix", "heisenberg_closed_form", "landau_kernel"),
     "propagator": ("GreenSample", "QuadraticPhaseKernel", "degenerate_kernel",
-                   "generic_kernel", "green", "green_kernel", "landau_kernel",
+                   "generic_kernel", "green", "green_kernel",
                    "write_green_csv"),
     "reduction": ("ReductionState", "assemble", "reference_odes"),
     "schedule": ("CoefficientSchedule",),

@@ -263,7 +263,7 @@ def _verify_checks(cfg: RunConfig):
            math.nan if skip else err, 1e-6)
 
     a = np.array([cfg.schedule.coefficients(t) for t in ts.tolist()])
-    ls = observables.classical_lagrangian(a, alphas, reference_odes(a, alphas))
+    ls = oracles.classical_lagrangian(a, alphas, reference_odes(a, alphas))
     action = _simpson(ls, ts)
     err = abs(action - alphas[-1, 0])
     yield ("action integral of L vs accumulated alpha1",

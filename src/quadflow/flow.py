@@ -153,6 +153,8 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         else np.asarray(initial_alpha, dtype=float).copy()
     if alpha0.shape != (N_GENERATORS,):
         raise ValueError("initial_alpha must be a 15-vector")
+    if max_step is not None and not max_step > 0:
+        raise ValueError(f"max_step = {max_step!r} must be positive")
     if max_step is not None and t_end > max_step * _MAX_STEPS:
         raise StepBudget(f"max_step = {max_step!r} asks for more than "
                          f"{_MAX_STEPS} steps to reach t_end = {t_end!r}")

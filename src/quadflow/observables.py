@@ -7,10 +7,10 @@ operators,
 
 with S symplectic and d = (alpha4, alpha5, -alpha2, -alpha3): the first
 five transformation parameters carry the classical action (alpha1) and the
-classical trajectory (alpha2..alpha5 = -p_x, -p_y, x, y).  The map is
-computed two independent ways - the ordered product of the adjoint
-matrices' affine 5x5 blocks, and a transcription of the closed-form
-coefficient expressions - which the test suite holds to 1e-12 of each other.
+classical trajectory (alpha2..alpha5 = -p_x, -p_y, x, y).  The map is the
+ordered product of the adjoint matrices' affine 5x5 blocks.  Its oracles
+live in :mod:`quadflow.oracles`: the transcribed closed-form coefficients
+(``heisenberg_closed_form``) and the Lagrangian (``classical_lagrangian``).
 
 Gaussian means/covariances push forward with
 :meth:`AffineSymplecticMap.push_gaussian`.
@@ -19,7 +19,6 @@ Gaussian means/covariances push forward with
 from __future__ import annotations
 
 import json
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from .adjoint import N_GENERATORS, _adjoint_blocks
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
-           "heisenberg_closed_form", "classical_lagrangian",
            "write_heisenberg_json"]
 
 # symplectic form on (x, y, p_x, p_y)
@@ -89,62 +87,6 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
     return AffineSymplecticMap(
         S=block[..., 1:, 1:], d=block[..., 1:, 0],
         phase=alpha[..., 0].copy() if alpha.ndim > 1 else float(alpha[0]))
-
-
-def heisenberg_closed_form(alpha) -> AffineSymplecticMap:
-    """Transcribed closed-form coefficients of the Heisenberg operators (oracle)."""
-    alpha = np.asarray(alpha, dtype=float)
-    (a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15) = alpha[1:]
-    e12, e13 = math.exp(2 * a12), math.exp(2 * a13)
-    em12, em13 = math.exp(-2 * a12), math.exp(-2 * a13)
-    k = a14 * a15 + 1.0
-    gx = 4 * a6 * a9 + a8 * a11 - 1.0
-    gy = 4 * a7 * a10 + a8 * a11 - 1.0
-    S = np.array([
-        [e12,
-         e12 * a15,
-         2 * em12 * a9 * k - em13 * a11 * a15,
-         em13 * a11 - 2 * em12 * a9 * a14],
-        [e13 * a14,
-         e13 * k,
-         em12 * a11 * k - 2 * em13 * a10 * a15,
-         2 * em13 * a10 - em12 * a11 * a14],
-        [-(2 * e12 * a6 + e13 * a8 * a14),
-         -(2 * e12 * a6 * a15 + e13 * a8 * k),
-         2 * em13 * (a8 * a10 + a6 * a11) * a15 - em12 * gx * k,
-         em12 * gx * a14 - 2 * em13 * (a8 * a10 + a6 * a11)],
-        [-(e12 * a8 + 2 * e13 * a7 * a14),
-         -(e12 * a8 * a15 + 2 * e13 * a7 * k),
-         em13 * gy * a15 - 2 * em12 * (a8 * a9 + a7 * a11) * k,
-         2 * em12 * (a8 * a9 + a7 * a11) * a14 - em13 * gy],
-    ])
-    d = np.array([a4, a5, -a2, -a3])
-    return AffineSymplecticMap(S=S, d=d, phase=float(alpha[0]))
-
-
-def classical_lagrangian(a, alpha, alpha_dot):
-    """Classical Lagrangian in the transformation-parameter variables.
-
-    Along a valid flow L equals alpha1_dot, so the accumulated phase alpha1
-    is the classical action integral.  ``a``, ``alpha`` and ``alpha_dot``
-    are 15-vectors, which give a float, or (..., 15) stacks whose stack
-    axes broadcast, which give an ndarray of the broadcast stack shape;
-    every entry has the bits of the one-state call.
-    """
-    rows = [np.asarray(x, dtype=float) for x in (a, alpha, alpha_dot)]
-    if any(x.shape[-1:] != (N_GENERATORS,) for x in rows):
-        raise ValueError("a, alpha and alpha_dot must be 15-vectors or "
-                         "stacks of them, got shapes "
-                         f"{[x.shape for x in rows]}")
-    # 1-based views of the components keep the transcription readable
-    a, al, ad = ((None, *np.moveaxis(x, -1, 0)) for x in rows)
-    L = (a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
-         - 2 * a[12] * al[4] * al[2] - a[15] * al[5] * al[2]
-         + a[10] * al[3] ** 2 + a[6] * al[4] ** 2 + a[7] * al[5] ** 2
-         - a[5] * al[3] + a[2] * al[4] - a[14] * al[3] * al[4]
-         + a[3] * al[5] - 2 * a[13] * al[3] * al[5] + a[8] * al[4] * al[5]
-         + a[1] - al[4] * ad[2] - al[5] * ad[3])
-    return float(L) if np.ndim(L) == 0 else L
 
 
 # one record in json.dump's indent=1 layout, with %s for its 22 numbers

@@ -1,7 +1,7 @@
-"""Brute-force reference implementations used to cross-check the pipeline.
+"""Brute-force and closed-form references used to cross-check the pipeline.
 
-Two oracles, deliberately sharing no code with the adjoint/reduction
-machinery beyond the coefficient schedule:
+Only ``verify`` loads this module.  Two brute-force oracles share no code
+with the adjoint/reduction machinery beyond the coefficient schedule:
 
 * :func:`fundamental_matrix` integrates the *classical* equations of motion
   dz/dt = A(t) z + b(t) on z = (x, y, p_x, p_y), with A = J (2H(t))
@@ -13,6 +13,10 @@ machinery beyond the coefficient schedule:
   kernel by tensor-product quadrature on a square grid and extracts means,
   covariances (position side from |psi|^2, momentum side from the FFT) and
   the norm.
+
+Transcribed closed forms: :func:`heisenberg_closed_form` (Heisenberg map),
+:func:`classical_lagrangian` (action alpha1) and :func:`landau_kernel` (the
+degenerate Green branch on the constant-field charge).
 
 The classical integrator is Gragg-Bulirsch-Stoer extrapolation (Bulirsch &
 Stoer, Numer. Math. 8, 1, 1966; Hairer, Norsett & Wanner, Solving ODEs I,
@@ -36,12 +40,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridUnderresolved
-from .observables import SYMPLECTIC_J
+from .adjoint import N_GENERATORS
+from .errors import GridUnderresolved, SingularTime
+from .observables import SYMPLECTIC_J, AffineSymplecticMap
+from .propagator import QuadraticPhaseKernel, _check_alpha
 from .schedule import CoefficientSchedule
 
-__all__ = ["hamiltonian_matrix", "classical_system", "fundamental_matrix",
-           "GaussianState", "apply_kernel"]
+__all__ = ["hamiltonian_matrix", "classical_system", "heisenberg_closed_form",
+           "classical_lagrangian", "fundamental_matrix", "landau_kernel",
+           "phase_parts", "GaussianState", "apply_kernel"]
 _CHUNK = 256   # output points per quadrature block in apply_kernel
 
 
@@ -79,6 +86,62 @@ def classical_system(a) -> tuple[np.ndarray, np.ndarray]:
     return SYMPLECTIC_J @ (2 * H), l @ SYMPLECTIC_J.T
 
 
+def heisenberg_closed_form(alpha) -> AffineSymplecticMap:
+    """Transcribed closed-form coefficients of the Heisenberg operators (oracle)."""
+    alpha = np.asarray(alpha, dtype=float)
+    (a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15) = alpha[1:]
+    e12, e13 = math.exp(2 * a12), math.exp(2 * a13)
+    em12, em13 = math.exp(-2 * a12), math.exp(-2 * a13)
+    k = a14 * a15 + 1.0
+    gx = 4 * a6 * a9 + a8 * a11 - 1.0
+    gy = 4 * a7 * a10 + a8 * a11 - 1.0
+    S = np.array([
+        [e12,
+         e12 * a15,
+         2 * em12 * a9 * k - em13 * a11 * a15,
+         em13 * a11 - 2 * em12 * a9 * a14],
+        [e13 * a14,
+         e13 * k,
+         em12 * a11 * k - 2 * em13 * a10 * a15,
+         2 * em13 * a10 - em12 * a11 * a14],
+        [-(2 * e12 * a6 + e13 * a8 * a14),
+         -(2 * e12 * a6 * a15 + e13 * a8 * k),
+         2 * em13 * (a8 * a10 + a6 * a11) * a15 - em12 * gx * k,
+         em12 * gx * a14 - 2 * em13 * (a8 * a10 + a6 * a11)],
+        [-(e12 * a8 + 2 * e13 * a7 * a14),
+         -(e12 * a8 * a15 + 2 * e13 * a7 * k),
+         em13 * gy * a15 - 2 * em12 * (a8 * a9 + a7 * a11) * k,
+         2 * em12 * (a8 * a9 + a7 * a11) * a14 - em13 * gy],
+    ])
+    d = np.array([a4, a5, -a2, -a3])
+    return AffineSymplecticMap(S=S, d=d, phase=float(alpha[0]))
+
+
+def classical_lagrangian(a, alpha, alpha_dot):
+    """Classical Lagrangian in the transformation-parameter variables.
+
+    Along a valid flow L equals alpha1_dot, so the accumulated phase alpha1
+    is the classical action integral.  ``a``, ``alpha`` and ``alpha_dot``
+    are 15-vectors, which give a float, or (..., 15) stacks whose stack
+    axes broadcast, which give an ndarray of the broadcast stack shape;
+    every entry has the bits of the one-state call.
+    """
+    rows = [np.asarray(x, dtype=float) for x in (a, alpha, alpha_dot)]
+    if any(x.shape[-1:] != (N_GENERATORS,) for x in rows):
+        raise ValueError("a, alpha and alpha_dot must be 15-vectors or "
+                         "stacks of them, got shapes "
+                         f"{[x.shape for x in rows]}")
+    # 1-based views of the components keep the transcription readable
+    a, al, ad = ((None, *np.moveaxis(x, -1, 0)) for x in rows)
+    L = (a[9] * al[2] ** 2 - a[4] * al[2] + a[11] * al[3] * al[2]
+         - 2 * a[12] * al[4] * al[2] - a[15] * al[5] * al[2]
+         + a[10] * al[3] ** 2 + a[6] * al[4] ** 2 + a[7] * al[5] ** 2
+         - a[5] * al[3] + a[2] * al[4] - a[14] * al[3] * al[4]
+         + a[3] * al[5] - 2 * a[13] * al[3] * al[5] + a[8] * al[4] * al[5]
+         + a[1] - al[4] * ad[2] - al[5] * ad[3])
+    return float(L) if np.ndim(L) == 0 else L
+
+
 # Gragg-Bulirsch-Stoer: each macro step of length H runs the modified
 # midpoint rule with n_j = 2j substeps, j = 1..8, and extrapolates the eight
 # results to h = 0 in h**2.  Substep k of sequence j starts at the node
@@ -100,6 +163,7 @@ _NEVILLE = [((_SUBSTEPS[c:] / _SUBSTEPS[:-c]) ** 2 - 1)[:, None, None]
 # estimate that reads low (the tests' cases meet 1e-10 relative at 1.0 too)
 _TOL_SCALE = 0.1
 _GROW, _SHRINK = 4.0, 0.2
+_RTOL, _ATOL = 1e-10, 1e-12   # fundamental_matrix's tolerances
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -122,12 +186,13 @@ def _gbs_step(schedule, t0, H, Y0):
     return cur[7], cur[6]
 
 
-def fundamental_matrix(schedule: CoefficientSchedule, t: float, *,
-                       rtol=1e-10, atol=1e-12) -> tuple[np.ndarray, np.ndarray]:
+def fundamental_matrix(schedule: CoefficientSchedule,
+                       t: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical flow map: z(t) = S z(0) + d.
 
     Integrates dZ/dt = A(t) Z with Z(0) = I alongside the inhomogeneous
-    shift, by Gragg-Bulirsch-Stoer extrapolation at ``rtol`` and ``atol``.
+    shift, by Gragg-Bulirsch-Stoer extrapolation at relative tolerance
+    1e-10 and absolute tolerance 1e-12.
     Raises RuntimeError when a step falls below 16 eps t without a finite
     result within the tolerances.
     """
@@ -143,7 +208,7 @@ def fundamental_matrix(schedule: CoefficientSchedule, t: float, *,
         if last:
             H = t - t0
         new, old = _gbs_step(schedule, t0, H, Y)
-        scale = atol + rtol * np.maximum(np.abs(Y), np.abs(new))
+        scale = _ATOL + _RTOL * np.maximum(np.abs(Y), np.abs(new))
         err = float(np.max(np.abs(new - old) / scale)) / _TOL_SCALE
         # the estimate goes as H**15, the local error of T_77
         if err <= 1.0:
@@ -157,6 +222,48 @@ def fundamental_matrix(schedule: CoefficientSchedule, t: float, *,
                                f"step of {floor!r} or more resolves at "
                                f"t = {t0!r} of {t!r}")
     return Y[:4, :4].copy(), Y[:4, 4].copy()
+
+
+def landau_kernel(m, omega_c, hbar, alpha, t) -> QuadraticPhaseKernel:
+    """Constant-field propagator with prefactor m*omega_c / (4*pi*hbar*
+    sin(omega_c t/2)); raises SingularTime where that diverges.  Only
+    alpha1..alpha5 are used (action and drift shifts from the electric
+    field); the magnetic part is carried by the cyclotron phase."""
+    al = np.concatenate(([0.0], _check_alpha(alpha)))
+    th = 0.5 * omega_c * t
+    s, c = math.sin(th), math.cos(th)
+    if abs(s) < 1e-12:
+        raise SingularTime(
+            f"prefactor diverges at omega_c*t = {omega_c * t!r} (mod 2*pi)")
+    pref = m * omega_c / (4 * math.pi * hbar * s)
+    kq = m * omega_c / (4 * hbar * s)
+
+    def phase(x, y, xp, yp):
+        X = x - al[4]
+        Y = y - al[5]
+        return (-(al[1] + al[2] * x + al[3] * y) / hbar
+                + kq * ((np.square(X) + np.square(Y) + np.square(xp)
+                         + np.square(yp)) * c
+                        - 2 * c * xp * X - 2 * s * xp * Y
+                        + 2 * s * yp * X - 2 * c * yp * Y))
+
+    return QuadraticPhaseKernel(pref, phase, "landau")
+
+
+def phase_parts(kernel: QuadraticPhaseKernel):
+    """The exact split of a quadratic kernel phase,
+
+        phase = phase_out(x, y) + phase_src(x', y') + (x, y) M (x', y')^T,
+
+    as ``(M, phase_out, phase_src)``; the 2x2 coupling M comes from the
+    four-point second-difference rule, which is exact for quadratics."""
+    phase, unit = kernel.phase, ((1.0, 0.0), (0.0, 1.0))
+    p00 = phase(0.0, 0.0, 0.0, 0.0)
+    coupling = np.array([[phase(*r, *s) - phase(*r, 0.0, 0.0)
+                          - phase(0.0, 0.0, *s) + p00 for s in unit]
+                         for r in unit])
+    return (coupling, lambda x, y: phase(x, y, 0.0, 0.0) - p00,
+            lambda x_prime, y_prime: phase(0.0, 0.0, x_prime, y_prime))
 
 
 @dataclass
@@ -227,7 +334,8 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
 
     Parameters
     ----------
-    kernel : callable (x, y, x_prime, y_prime) -> complex, numpy-broadcastable
+    kernel : callable (x, y, x_prime, y_prime) -> complex, numpy-broadcastable;
+        a QuadraticPhaseKernel is summed by matrix products (:func:`phase_parts`)
     initial : separable GaussianState (synthesizable wavefunction)
     extent, points : grid is [-extent, extent]^2 with ``points`` nodes per axis
 
@@ -260,11 +368,8 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
                (-extent, extent - dx)]
     for out_pt in corners:
         for (px, py) in corners:
-            for along_x in (True, False):
-                if along_x:
-                    p0, pm, p1 = (px, py), (px + dx / 2, py), (px + dx, py)
-                else:
-                    p0, pm, p1 = (px, py), (px, py + dx / 2), (px, py + dx)
+            for ux, uy in ((dx, 0.0), (0.0, dx)):
+                p0, pm, p1 = ((px + f * ux, py + f * uy) for f in (0, 0.5, 1))
                 inc, wrap = _phase_consistency(kernel, out_pt[0], out_pt[1],
                                                p0, p1, pm)
                 if abs(wrap) > 1e-6 or abs(inc) > 0.9 * math.pi:
@@ -283,11 +388,11 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
     xo_flat = X.ravel()
     yo_flat = Y.ravel()
     psi_t = np.empty(points * points, dtype=complex)
-    if hasattr(kernel, "phase_src") and hasattr(kernel, "coupling"):
+    if isinstance(kernel, QuadraticPhaseKernel):
         # quadratic-phase kernel: the source coupling is a plane wave per
         # output point, so the quadrature reduces to matrix products
-        M = kernel.coupling
-        W = np.exp(1j * kernel.phase_src(X, Y)) * psi0
+        M, phase_out, phase_src = phase_parts(kernel)
+        W = np.exp(1j * phase_src(X, Y)) * psi0
         for lo in range(0, xo_flat.size, _CHUNK):
             hi = min(lo + _CHUNK, xo_flat.size)
             kx = M[0, 0] * xo_flat[lo:hi] + M[1, 0] * yo_flat[lo:hi]
@@ -297,7 +402,7 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
             inner = Ey @ W.T              # [c, ix'] = sum_iy' Ey[c,iy'] W[ix',iy']
             psi_t[lo:hi] = np.einsum("ci,ci->c", Ex, inner)
         psi_t *= (kernel.prefactor * dx * dx
-                  * np.exp(1j * kernel.phase_out(xo_flat, yo_flat)))
+                  * np.exp(1j * phase_out(xo_flat, yo_flat)))
     else:
         xp = X[None, :, :]
         yp = Y[None, :, :]
@@ -309,32 +414,23 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
                                         axes=([1, 2], [0, 1])) * dx * dx
     psi_t = psi_t.reshape(points, points)
 
-    # position moments from |psi|^2
+    # position moments from |psi|^2, momentum moments from the Fourier side
     w = np.abs(psi_t) ** 2
     norm = float(np.sum(w)) * dx * dx
-    w = w / np.sum(w)
-    mx = float(np.sum(w * X))
-    my = float(np.sum(w * Y))
-    cov_pos = np.array([
-        [float(np.sum(w * (X - mx) ** 2)), float(np.sum(w * (X - mx) * (Y - my)))],
-        [float(np.sum(w * (X - mx) * (Y - my))), float(np.sum(w * (Y - my) ** 2))],
-    ])
-    # momentum moments from the Fourier side
-    psi_k = np.fft.fft2(psi_t)
+    mean_x, cov_x = _moments(w, X, Y)
     p_axis = 2 * math.pi * hbar * np.fft.fftfreq(points, d=dx)
     PX, PY = np.meshgrid(p_axis, p_axis, indexing="ij")
-    wk = np.abs(psi_k) ** 2
-    wk = wk / np.sum(wk)
-    mpx = float(np.sum(wk * PX))
-    mpy = float(np.sum(wk * PY))
-    cov_mom = np.array([
-        [float(np.sum(wk * (PX - mpx) ** 2)),
-         float(np.sum(wk * (PX - mpx) * (PY - mpy)))],
-        [float(np.sum(wk * (PX - mpx) * (PY - mpy))),
-         float(np.sum(wk * (PY - mpy) ** 2))],
-    ])
+    mean_p, cov_p = _moments(np.abs(np.fft.fft2(psi_t)) ** 2, PX, PY)
     cov = np.zeros((4, 4))
-    cov[:2, :2] = cov_pos
-    cov[2:, 2:] = cov_mom
-    return GaussianState(mean=np.array([mx, my, mpx, mpy]), covariance=cov,
+    cov[:2, :2], cov[2:, 2:] = cov_x, cov_p
+    return GaussianState(mean=np.array(mean_x + mean_p), covariance=cov,
                          norm=norm, hbar=hbar, validate=False)
+
+
+def _moments(w, A, B):
+    """Means and covariance of the grids ``A``, ``B`` under the weights
+    ``w``, normalized here."""
+    w = w / np.sum(w)
+    mean = [float(np.sum(w * A)), float(np.sum(w * B))]
+    d = (A - mean[0], B - mean[1])
+    return mean, [[float(np.sum(w * u * v)) for v in d] for u in d]

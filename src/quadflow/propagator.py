@@ -10,11 +10,11 @@ names the constructor that built it:
                 away from zero and alpha11^2 != 4*alpha9*alpha10.
 * degenerate  - :func:`degenerate_kernel`, the alpha11 -> 0 limit, which
                 covers the constant-field case (alpha11 = 0 identically).
-* landau      - :func:`landau_kernel`, the constant-field propagator in terms
-                of the cyclotron phase; the oracle for the degenerate branch.
 
 :func:`green` evaluates :func:`green_kernel` (generic where available, else
-degenerate) at broadcast coordinates.
+degenerate) at broadcast coordinates.  The constant-field propagator in
+terms of the cyclotron phase, the oracle for the degenerate branch, is
+:func:`quadflow.oracles.landau_kernel` (branch ``landau``).
 
 Conventions
 -----------
@@ -47,9 +47,8 @@ import numpy as np
 from .adjoint import N_GENERATORS
 from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
 
-__all__ = ["GreenSample", "QuadraticPhaseKernel", "landau_kernel",
-           "degenerate_kernel", "generic_kernel", "green_kernel", "green",
-           "write_green_csv"]
+__all__ = ["GreenSample", "QuadraticPhaseKernel", "degenerate_kernel",
+           "generic_kernel", "green_kernel", "green", "write_green_csv"]
 
 DEFAULT_BRANCH_EPS = 1e-6
 # kernels evaluate quietly: an overflow gives inf and nan, written as is
@@ -85,65 +84,29 @@ class QuadraticPhaseKernel:
     with a phase that is a joint quadratic polynomial in all four arguments.
 
     Callable like any kernel, numpy-broadcastable; ``branch`` names the
-    closed form it evaluates.  It additionally exposes the exact
-    decomposition
-
-        phase = phase_out(x, y) + phase_src(x', y') + (x, y) M (x', y')^T
-
-    (the 2x2 coupling M is recovered by the four-point second-difference
-    rule, which is exact for quadratics).  Quadrature code exploits the
-    decomposition to turn grid pushforwards into matrix products.
+    closed form it evaluates.  Building one evaluates nothing: the split of
+    the phase into output, source and coupling parts, which quadrature
+    turns into matrix products, is :func:`quadflow.oracles.phase_parts`.
     """
 
     def __init__(self, prefactor: complex, phase, branch: str):
         self.prefactor = complex(prefactor)
         self.phase = phase
         self.branch = branch
-        p00 = phase(0.0, 0.0, 0.0, 0.0)
-        self.coupling = np.empty((2, 2))
-        for i, out_pt in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            pi0 = phase(out_pt[0], out_pt[1], 0.0, 0.0)
-            for j, src_pt in enumerate(((1.0, 0.0), (0.0, 1.0))):
-                p0j = phase(0.0, 0.0, src_pt[0], src_pt[1])
-                pij = phase(out_pt[0], out_pt[1], src_pt[0], src_pt[1])
-                self.coupling[i, j] = pij - pi0 - p0j + p00
-        self._p00 = p00
-
-    def phase_out(self, x, y):
-        return self.phase(x, y, 0.0, 0.0) - self._p00
-
-    def phase_src(self, x_prime, y_prime):
-        return self.phase(0.0, 0.0, x_prime, y_prime)
 
     @_quiet
     def __call__(self, x, y, x_prime, y_prime):
         return self.prefactor * np.exp(1j * self.phase(x, y, x_prime, y_prime))
 
 
-def landau_kernel(m, omega_c, hbar, alpha, t) -> QuadraticPhaseKernel:
-    """Constant-field propagator with prefactor m*omega_c / (4*pi*hbar*
-    sin(omega_c t/2)); raises SingularTime where that diverges.  Only
-    alpha1..alpha5 are used (action and drift shifts from the electric
-    field); the magnetic part is carried by the cyclotron phase."""
-    al = np.concatenate(([0.0], _check_alpha(alpha)))
-    th = 0.5 * omega_c * t
-    s, c = math.sin(th), math.cos(th)
-    if abs(s) < 1e-12:
-        raise SingularTime(
-            f"prefactor diverges at omega_c*t = {omega_c * t!r} (mod 2*pi)")
-    pref = m * omega_c / (4 * math.pi * hbar * s)
-    kq = m * omega_c / (4 * hbar * s)
-
-    def phase(x, y, xp, yp):
-        X = x - al[4]
-        Y = y - al[5]
-        return (-(al[1] + al[2] * x + al[3] * y) / hbar
-                + kq * ((np.square(X) + np.square(Y) + np.square(xp)
-                         + np.square(yp)) * c
-                        - 2 * c * xp * X - 2 * s * xp * Y
-                        + 2 * s * yp * X - 2 * c * yp * Y))
-
-    return QuadraticPhaseKernel(pref, phase, "landau")
+def _shifts(al, x, y, xp, yp):
+    """X = x - a4, Y = y - a5 and the source combinations f, g of
+    :func:`degenerate_kernel`, for the 1-based alphas ``al``."""
+    X = x - al[4]
+    Y = y - al[5]
+    f = np.exp(2 * al[12]) * (xp + al[15] * yp)
+    g = np.exp(2 * al[13]) * (yp + al[14] * xp + al[14] * al[15] * yp)
+    return X, Y, f, g
 
 
 @_quiet
@@ -173,10 +136,7 @@ def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
     pref = math.exp(al[12] + al[13]) / scale if scale else math.inf
 
     def phase(x, y, xp, yp):
-        X = x - al[4]
-        Y = y - al[5]
-        f = np.exp(2 * al[12]) * (xp + al[15] * yp)
-        g = np.exp(2 * al[13]) * (yp + al[14] * xp + al[14] * al[15] * yp)
+        X, Y, f, g = _shifts(al, x, y, xp, yp)
         return (np.square(X - f) / (4 * a9) + np.square(Y - g) / (4 * a10)
                 - (al[1] + al[2] * x + al[3] * y
                    + al[6] * np.square(X) + al[7] * np.square(Y)
@@ -209,10 +169,7 @@ def generic_kernel(alpha, hbar,
             * math.exp(al[12] + al[13]))
 
     def phase(x, y, xp, yp):
-        X = x - al[4]
-        Y = y - al[5]
-        f = np.exp(2 * al[12]) * (xp + al[15] * yp)
-        g = np.exp(2 * al[13]) * (yp + al[14] * xp + al[14] * al[15] * yp)
+        X, Y, f, g = _shifts(al, x, y, xp, yp)
         quad = ((4 * a9 * al[6] - 1) / (4 * a9) * np.square(X)
                 + al[7] * np.square(Y)
                 + al[8] * X * Y

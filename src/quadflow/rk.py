@@ -265,12 +265,14 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         ``check`` passes inside its step.
     """
     y = np.asarray(y0, dtype=float).tolist()
-    if t_end <= t0:
+    if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     if max_step is None:
         max_step = (t_end - t0) / 50
+    elif not max_step > 0:
+        raise ValueError(f"max_step = {max_step!r} must be positive")
     attempt = _attempt(len(y))
     n_rhs = 0
 

@@ -12,9 +12,8 @@ from scipy.integrate import simpson
 
 import quadflow as qf
 from quadflow.expressions import parse_expression, pretty, to_callable
-from quadflow.oracles import GaussianState, apply_kernel
-from quadflow.propagator import (degenerate_kernel, generic_kernel,
-                                 landau_kernel)
+from quadflow.oracles import GaussianState, apply_kernel, landau_kernel
+from quadflow.propagator import degenerate_kernel, generic_kernel
 from quadflow.reduction import assemble, reference_odes
 
 M, OMEGA_C, CHARGE = 1.0, 1.0, 1.0

@@ -26,7 +26,7 @@ from quadflow.errors import ConfigError, InvalidSchedule
 from quadflow.adjoint import adjoint_closed_form, adjoint_matrix
 from quadflow.expressions import FUNCTIONS
 from quadflow.flow import integrate
-from quadflow.observables import classical_lagrangian
+from quadflow.oracles import classical_lagrangian
 from quadflow.reduction import assemble, reference_odes
 from quadflow.schedule import PRESETS, CoefficientSchedule
 

@@ -508,6 +508,37 @@ def test_a_max_step_too_short_for_the_budget_is_refused_at_once(monkeypatch):
         integrate(landau(), 1.0, max_step=1 / 41)
 
 
+@pytest.mark.parametrize("max_step", [math.nan, 0.0, -1.0])
+def test_a_max_step_that_is_not_positive_is_refused(monkeypatch, max_step):
+    # a NaN max_step cuts no step, so no attempt would count against the
+    # budget; 0 and -1 would read as asking for too many steps
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refused run integrated")
+
+    with pytest.raises(ValueError, match="must be positive"):
+        rk.solve(unreachable, 0.0, [0.0], 1.0, max_step=max_step)
+    monkeypatch.setattr(rk, "solve", unreachable)
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate(landau(), 1.0, max_step=max_step)
+
+
+def test_a_nan_max_step_cannot_outlast_the_budget(monkeypatch):
+    # the default max_step spends the budget on a2 = sin(50 t) well before
+    # t_end 40; a NaN one is refused rather than running to t_end uncounted
+    monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 200)
+    sched = CoefficientSchedule.from_expressions(
+        {2: "sin(50*t)", 9: "0.5", 10: "0.5"})
+    with pytest.raises(StepBudget, match="spent 200 step attempts"):
+        integrate(sched, 40.0)
+    with pytest.raises(ValueError, match="max_step = nan must be positive"):
+        integrate(sched, 40.0, max_step=math.nan)
+
+
+def test_solve_refuses_a_nan_t_end():
+    with pytest.raises(ValueError, match="t_end must exceed t0"):
+        rk.solve(lambda t, y: [1.0], 0.0, [0.0], math.nan)
+
+
 def test_a_flow_that_no_step_resolves_raises_step_underflow():
     # the first stage overflows, so no step is accepted: the chart did not
     # end, the run is unresolved

@@ -10,9 +10,9 @@ from scipy.integrate import simpson
 
 from quadflow.adjoint import adjoint_matrix
 from quadflow.flow import integrate, constant_field_closed_form
-from quadflow.observables import (SYMPLECTIC_J, classical_lagrangian,
-                                  heisenberg_closed_form, heisenberg_map,
+from quadflow.observables import (SYMPLECTIC_J, heisenberg_map,
                                   write_heisenberg_json)
+from quadflow.oracles import classical_lagrangian, heisenberg_closed_form
 from quadflow.reduction import reference_odes
 from quadflow.schedule import CoefficientSchedule
 

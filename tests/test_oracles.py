@@ -8,11 +8,11 @@ import pytest
 from quadflow import cli, oracles
 from quadflow.errors import GridUnderresolved
 from quadflow.flow import constant_field_closed_form, integrate
-from quadflow.observables import (SYMPLECTIC_J, heisenberg_closed_form,
-                                  heisenberg_map)
+from quadflow.observables import SYMPLECTIC_J, heisenberg_map
 from quadflow.oracles import (GaussianState, apply_kernel, classical_system,
-                              fundamental_matrix, hamiltonian_matrix)
-from quadflow.propagator import landau_kernel
+                              fundamental_matrix, hamiltonian_matrix,
+                              heisenberg_closed_form, landau_kernel,
+                              phase_parts)
 from quadflow.schedule import CoefficientSchedule
 
 
@@ -235,7 +235,21 @@ def test_wavefunction_needs_separable_state():
         st.wavefunction(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_a_mean_that_is_not_a_4_vector_is_refused():
+    with pytest.raises(ValueError, match="mean must be a 4-vector"):
+        GaussianState(mean=np.zeros(3), covariance=np.eye(4))
+
+
 # -- kernel pushforward ------------------------------------------------------
+
+def test_apply_kernel_refuses_a_state_without_widths():
+    st = GaussianState(mean=np.zeros(4),
+                       covariance=np.diag([1.0, 1.0, 0.25, 0.25]))
+    kern = landau_kernel(1.0, 1.0, 1.0,
+                         constant_field_closed_form(1.0, 1.0, t=1.0), 1.0)
+    with pytest.raises(ValueError, match="needs a separable initial state"):
+        apply_kernel(kern, st, extent=8.0, points=128)
+
 
 def test_free_kernel_spreading_law():
     # position variance grows as sigma^2 + (hbar t / (2 m sigma))^2; the
@@ -284,17 +298,21 @@ def test_landau_kernel_pushforward_matches_affine_map():
                                np.diag(cov_pred)[:2], rtol=3e-3)
 
 
-def test_fast_and_generic_quadrature_paths_agree():
+def test_fast_and_generic_quadrature_paths_agree(monkeypatch):
     t = math.pi / 2
     al = constant_field_closed_form(1.0, 1.0, t=t)
     kern = landau_kernel(1.0, 1.0, 1.0, al, t)
     state = GaussianState.separable([0.5, -0.3, 0.2, 0.1], 1.0, 1.0)
+    split = []
+    monkeypatch.setattr(oracles, "phase_parts",
+                        lambda k: split.append(k) or phase_parts(k))
     fast = apply_kernel(kern, state, extent=8.0, points=100, hbar=1.0)
 
     def plain(x, y, xp, yp):   # a bare callable takes the generic path
         return kern(x, y, xp, yp)
 
     slow = apply_kernel(plain, state, extent=8.0, points=100, hbar=1.0)
+    assert split == [kern]   # only the QuadraticPhaseKernel is split
     np.testing.assert_allclose(fast.mean, slow.mean, atol=1e-12)
     assert fast.norm == pytest.approx(slow.norm, abs=1e-12)
 

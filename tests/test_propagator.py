@@ -10,10 +10,10 @@ from quadflow.errors import (BranchUnavailable, DegenerateGeometry,
                              SingularTime)
 from quadflow.flow import constant_field_closed_form, integrate
 from quadflow.observables import heisenberg_map
-from quadflow.oracles import GaussianState
-from quadflow.propagator import (GreenSample, degenerate_kernel,
-                                 generic_kernel, green, green_kernel,
-                                 landau_kernel, write_green_csv)
+from quadflow.oracles import GaussianState, landau_kernel, phase_parts
+from quadflow.propagator import (GreenSample, QuadraticPhaseKernel,
+                                 degenerate_kernel, generic_kernel, green,
+                                 green_kernel, write_green_csv)
 from quadflow.schedule import CoefficientSchedule
 
 RNG = np.random.default_rng(2024)
@@ -38,7 +38,7 @@ def test_aux_f_g_collapse_for_symmetric_dilatations():
     al = np.zeros(15)
     al[8], al[9] = 0.25, 0.4
     al[11] = al[12] = 0.3   # alpha12 = alpha13
-    M = degenerate_kernel(al, 1.0).coupling
+    M, _, _ = phase_parts(degenerate_kernel(al, 1.0))
     np.testing.assert_allclose(
         M, np.diag([-math.exp(0.6) / (2 * 0.25), -math.exp(0.6) / (2 * 0.4)]),
         rtol=1e-14, atol=1e-14)
@@ -231,17 +231,42 @@ def test_kernel_phase_decomposes_into_out_src_and_coupling():
     x, y, xp, yp = RNG.uniform(-3, 3, (4, 20))
     for branch, kern in kernels.items():
         assert kern.branch == branch
-        cross = (x * (kern.coupling[0, 0] * xp + kern.coupling[0, 1] * yp)
-                 + y * (kern.coupling[1, 0] * xp + kern.coupling[1, 1] * yp))
+        M, phase_out, phase_src = phase_parts(kern)
+        cross = (x * (M[0, 0] * xp + M[0, 1] * yp)
+                 + y * (M[1, 0] * xp + M[1, 1] * yp))
         np.testing.assert_allclose(
-            kern.phase_out(x, y) + kern.phase_src(xp, yp) + cross,
+            phase_out(x, y) + phase_src(xp, yp) + cross,
             kern.phase(x, y, xp, yp), rtol=1e-12, atol=1e-12)
+
+
+def test_a_kernel_calls_its_phase_only_when_it_is_evaluated():
+    calls = []
+
+    def phase(x, y, xp, yp):
+        calls.append((x, y, xp, yp))
+        return x * xp + y * yp
+
+    kern = QuadraticPhaseKernel(0.5, phase, "counting")
+    assert calls == []
+    assert kern(1.0, 2.0, 0.5, 0.25) == pytest.approx(0.5 * cmath.exp(1j))
+    assert calls == [(1.0, 2.0, 0.5, 0.25)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda al: degenerate_kernel(al, 1.0),
+    lambda al: generic_kernel(al, 1.0),
+    lambda al: landau_kernel(1.0, 1.0, 1.0, al, 1.0),
+], ids=["degenerate", "generic", "landau"])
+def test_kernels_refuse_an_alpha_that_is_not_a_15_vector(build):
+    al = np.full(14, 0.3)
+    with pytest.raises(ValueError, match="alpha must be a 15-vector"):
+        build(al)
 
 
 def _analytic_smear(kernel, state, X, Y, hbar):
     """Exact Gaussian integral of a quadratic-phase kernel against a
     separable Gaussian; no grid quadrature, hence no aliasing limits."""
-    ps = kernel.phase_src
+    M, phase_out, ps = phase_parts(kernel)
     p00 = ps(0.0, 0.0)
     A = np.array([
         [ps(1.0, 0.0) + ps(-1.0, 0.0) - 2 * p00,
@@ -259,7 +284,6 @@ def _analytic_smear(kernel, state, X, Y, hbar):
     Q = 2 * D - 1j * A
     Qinv = np.linalg.inv(Q)
     det = np.linalg.det(Q)
-    M = kernel.coupling
     out = np.empty(X.shape, dtype=complex)
     for idx in np.ndindex(X.shape):
         r = np.array([X[idx], Y[idx]])
@@ -268,7 +292,7 @@ def _analytic_smear(kernel, state, X, Y, hbar):
         integral = (2 * math.pi / cmath.sqrt(det)
                     * cmath.exp(0.5 * v @ Qinv @ v - q @ D @ q + 1j * p00))
         out[idx] = (kernel.prefactor * amp
-                    * cmath.exp(1j * kernel.phase_out(*r)) * integral)
+                    * cmath.exp(1j * phase_out(*r)) * integral)
     return out
 
 

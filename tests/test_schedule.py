@@ -147,3 +147,12 @@ def test_kanai_caldirola_keeps_the_values_of_numpy_exp():
         assert bits([a[5], a[8]]) == bits([
             float(0.5 * m * omega ** 2 * np.exp(lam * t)),
             float(np.exp(-lam * t) / (2 * m))])
+
+
+def test_constructors_refuse_anything_but_15_coefficients():
+    with pytest.raises(ValueError, match="exactly 15 coefficient slots"):
+        CoefficientSchedule([((), "0.0")] * 14)
+    with pytest.raises(ValueError, match="must have 15 entries"):
+        CoefficientSchedule.from_constant_vector(np.zeros(14))
+    with pytest.raises(ValueError, match="out of range: 16"):
+        CoefficientSchedule.from_expressions({16: "1"})
