@@ -17,11 +17,12 @@ is compiled.
 :func:`parse_expression` reads this grammar in one loop over the tokens,
 with an operand stack and an operator stack (a function call or a group is
 a paren marker on the operator stack that its ``)`` closes), so no depth of
-nesting recurses.  :func:`to_callable` compiles a tree to generated Python
-source: one straight-line function with an assignment per operation (see
-:func:`straight_line`, which reports every missing named constant at
-once), not a tree of closures.  It and :func:`pretty` walk the tree with one
-explicit stack, so no depth of tree recurses there either.
+nesting recurses.  :func:`straight_line` generates Python source for a
+tree, one assignment per operation, and reports every missing named
+constant at once; :func:`define` compiles such lines into one function of
+``t``, not a tree of closures.  :func:`straight_line` and :func:`pretty`
+walk the tree with one explicit stack, so no depth of tree recurses there
+either.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Const", "Unary", "Binary", "parse_expression",
-           "to_callable", "straight_line", "define", "literal", "pretty",
+           "straight_line", "define", "literal", "pretty",
            "FUNCTIONS", "NAMESPACE"]
 
 FUNCTIONS = {
@@ -271,24 +272,13 @@ NAMESPACE = {**FUNCTIONS, "_pow": math.pow, "_inf": math.inf,
              "_nan": math.nan}
 
 
-def define(lines, result, namespace=NAMESPACE):
-    """Compile ``def f(t): <lines>; return <result>`` over ``namespace``."""
+def define(lines, result):
+    """Compile ``def f(t): <lines>; return <result>`` over NAMESPACE."""
     body = "".join(f"    {line}\n" for line in lines)
     scope = {}
     exec(compile(f"def f(t):\n{body}    return {result}\n",
-                 "<quadflow expression>", "exec"), dict(namespace), scope)
+                 "<quadflow expression>", "exec"), dict(NAMESPACE), scope)
     return scope["f"]
-
-
-def to_callable(node, constants=None):
-    """Compile the tree to a plain ``f(t) -> float`` function of
-    :func:`straight_line` code.
-
-    Raises KeyError for named constants missing from ``constants``.  The
-    function raises ValueError / ZeroDivisionError / OverflowError on
-    domain errors (callers map these to InvalidSchedule).
-    """
-    return define(*straight_line(node, constants))
 
 
 # precedence levels for the pretty-printer; a leaf or a function call binds

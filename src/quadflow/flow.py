@@ -136,8 +136,8 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     ----------
     schedule : coefficient functions a(t); non-finite evaluations raise
         InvalidSchedule
-    samples : number of uniform intervals; ``ts`` holds samples + 1 times
-        spanning [0, t_stop]
+    samples : number of uniform intervals, an integer >= 1; ``ts`` holds
+        samples + 1 times spanning [0, t_stop]
     initial_alpha : optional 15-vector for piecewise continuation (defaults
         to zeros, the identity factorization)
 
@@ -147,8 +147,10 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     samples stop at the last state the predicate passes, ``ts[-1]`` <=
     ``t_break``.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end = {t_end!r} must be positive and finite")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise ValueError(f"samples = {samples!r} must be an integer >= 1")
     alpha0 = np.zeros(N_GENERATORS) if initial_alpha is None \
         else np.asarray(initial_alpha, dtype=float).copy()
     if alpha0.shape != (N_GENERATORS,):

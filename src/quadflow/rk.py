@@ -267,8 +267,9 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     y = np.asarray(y0, dtype=float).tolist()
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError(f"rtol = {rtol!r} and atol = {atol!r} must be "
+                         "positive and finite")
     if max_step is None:
         max_step = (t_end - t0) / 50
     elif not max_step > 0:

@@ -5,22 +5,21 @@ a4 p_x, a5 p_y, a6 x^2, a7 y^2, a8 xy, a9 p_x^2, a10 p_y^2, a11 p_x p_y,
 a12 (x p_x + p_x x), a13 (y p_y + p_y y), a14 x p_y, a15 y p_x.
 
 Schedules come either from parsed expressions (see :mod:`.expressions`) or
-from named presets:
+from named presets, each a table of such expressions over ``t`` and its
+parameters (``_SOURCES``) that compiles as a config's expressions do:
 
 * ``landau(m, omega_c, E_x, E_y, e)`` - charged particle in a constant
-  perpendicular magnetic field and in-plane electric field (symmetric
-  gauge): a2 = e*E_x, a3 = e*E_y, a6 = a7 = m*omega_c^2/8, a9 = a10 = 1/(2m),
-  a14 = -a15 = omega_c/2.
-* ``free(m)`` - a9 = a10 = 1/(2m).
-* ``harmonic1d(m, omega)`` - 1D oscillator along x: a6 = m*omega^2/2,
-  a9 = 1/(2m).
+  perpendicular magnetic field and in-plane electric field (symmetric gauge).
+* ``free(m)`` - free particle.
+* ``harmonic1d(m, omega)`` - 1D oscillator along x.
 * ``kanai_caldirola(m, omega, lam)`` - damped oscillator along x with
-  exponentially scaled mass: a9 = exp(-lam*t)/(2m), a6 = m*omega^2*exp(lam*t)/2.
+  exponentially scaled mass.
+* ``zero()`` - every coefficient 0.
 
-A preset's parameter products are evaluated once, when it is built; one
-that overflows or is not finite raises :class:`InvalidSchedule` naming the
-coefficient.  Every schedule compiles to one straight-line function of t
-(generated source, see :mod:`.expressions`), and
+A preset is evaluated once at t = 0 when built; a value that is undefined
+or not finite there raises :class:`InvalidSchedule` naming the coefficient.
+Every schedule compiles to one straight-line function of t (generated
+source, see :mod:`.expressions`), and
 :meth:`CoefficientSchedule.coefficients` returns its 15 values as a list of
 floats.
 """
@@ -46,34 +45,17 @@ PRESETS = {
     "zero": (),
 }
 
-# the names schedule code reads besides t: kanai_caldirola's np.exp, whose
-# overflow is a non-finite coefficient that evaluation reports, not a warning
-_NAMESPACE = {**ex.NAMESPACE, "_float": float,
-              "_np_exp": np.errstate(over="ignore", invalid="ignore")(np.exp)}
+# preset name -> {slot: expression over t and the preset's parameters}; each
+# string fixes its order of operations, so keep them as written
+_SOURCES = {
+    "landau": {2: "e*E_x", 3: "e*E_y", 6: "m*omega_c^2/8", 7: "m*omega_c^2/8",
+               9: "1/(2*m)", 10: "1/(2*m)", 14: "omega_c/2", 15: "-omega_c/2"},
+    "free": {9: "1/(2*m)", 10: "1/(2*m)"},
+    "harmonic1d": {6: "m*omega^2/2", 9: "1/(2*m)"},
+    "kanai_caldirola": {6: "0.5*m*omega^2*exp(lam*t)", 9: "exp(-lam*t)/(2*m)"},
+    "zero": {},
+}
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
-
-
-def _check_mass(m):
-    # every massive preset carries the kinetic coefficient 1/(2m)
-    if m == 0:
-        raise InvalidSchedule("preset parameter m = 0: the kinetic "
-                              "coefficients 1/(2m) are undefined")
-
-
-def _products(kind, params, products):
-    """Evaluate a preset's {slot: parameter product} on Python floats; a
-    product that overflows or is not finite names its coefficient."""
-    values = {}
-    for k, product in sorted(products.items()):
-        try:
-            values[k] = product()
-        except OverflowError:
-            values[k] = math.inf
-        if not math.isfinite(values[k]):
-            given = ", ".join(f"{key} = {v!r}" for key, v in params.items())
-            raise InvalidSchedule(f"{kind} preset: a{k} is not finite for "
-                                  f"{given}", coefficient=k)
-    return values
 
 
 class CoefficientSchedule:
@@ -100,7 +82,7 @@ class CoefficientSchedule:
         body = [*self._prologue,
                 *(line for lines, _ in self._slots for line in lines)]
         operands = ", ".join(operand for _, operand in self._slots)
-        self._fn = ex.define(body, f"[{operands}]", _NAMESPACE)
+        self._fn = ex.define(body, f"[{operands}]")
 
     def __reduce__(self):
         return CoefficientSchedule, (self._slots, self.hbar, self.kind,
@@ -139,56 +121,43 @@ class CoefficientSchedule:
         return cls(slots, hbar=hbar, kind="expressions")
 
     @classmethod
-    def _constant_preset(cls, kind, hbar, params, products):
-        """A preset whose coefficients are {slot: parameter product}."""
-        values = _products(kind, params, products)
-        return cls([((), ex.literal(values.get(k, 0.0)))
-                    for k in range(1, N_GENERATORS + 1)],
-                   hbar=hbar, kind=kind, params=params)
+    def _preset(cls, kind, hbar, **params):
+        """Preset ``kind`` compiled from its expressions, checked at t = 0."""
+        # every massive preset carries the kinetic coefficient 1/(2m)
+        if params.get("m") == 0:
+            raise InvalidSchedule("preset parameter m = 0: the kinetic "
+                                  "coefficients 1/(2m) are undefined")
+        sched = cls.from_expressions(_SOURCES[kind], params, hbar)
+        sched.kind, sched.params = kind, params
+        try:
+            sched.coefficients(0.0)
+        except InvalidSchedule as exc:
+            given = ", ".join(f"{key} = {v!r}" for key, v in params.items())
+            raise InvalidSchedule(f"{kind} preset: a{exc.coefficient} is not "
+                                  f"finite for {given}",
+                                  coefficient=exc.coefficient) from None
+        return sched
 
     @classmethod
     def zero(cls, hbar=1.0):
-        return cls._constant_preset("zero", hbar, {}, {})
+        return cls._preset("zero", hbar)
 
     @classmethod
     def landau(cls, m=1.0, omega_c=1.0, E_x=0.0, E_y=0.0, e=1.0, hbar=1.0):
-        _check_mass(m)
-        params = dict(m=m, omega_c=omega_c, E_x=E_x, E_y=E_y, e=e)
-        return cls._constant_preset("landau", hbar, params, {
-            2: lambda: e * E_x, 3: lambda: e * E_y,
-            6: lambda: m * omega_c ** 2 / 8, 7: lambda: m * omega_c ** 2 / 8,
-            9: lambda: 1.0 / (2 * m), 10: lambda: 1.0 / (2 * m),
-            14: lambda: omega_c / 2, 15: lambda: -omega_c / 2})
+        return cls._preset("landau", hbar, m=m, omega_c=omega_c, E_x=E_x,
+                           E_y=E_y, e=e)
 
     @classmethod
     def free(cls, m=1.0, hbar=1.0):
-        _check_mass(m)
-        return cls._constant_preset("free", hbar, dict(m=m), {
-            9: lambda: 1.0 / (2 * m), 10: lambda: 1.0 / (2 * m)})
+        return cls._preset("free", hbar, m=m)
 
     @classmethod
     def harmonic1d(cls, m=1.0, omega=1.0, hbar=1.0):
-        _check_mass(m)
-        params = dict(m=m, omega=omega)
-        return cls._constant_preset("harmonic1d", hbar, params, {
-            6: lambda: m * omega ** 2 / 2, 9: lambda: 1.0 / (2 * m)})
+        return cls._preset("harmonic1d", hbar, m=m, omega=omega)
 
     @classmethod
     def kanai_caldirola(cls, m=1.0, omega=1.0, lam=0.1, hbar=1.0):
-        _check_mass(m)
-        params = dict(m=m, omega=omega, lam=lam)
-        # a6 = (0.5 m omega^2) e^{lam t} and a9 = e^{-lam t} / (2m), with
-        # np.exp (math.exp rounds differently) taken to a float
-        c6 = _products("kanai_caldirola", params,
-                       {6: lambda: 0.5 * m * omega ** 2})[6]
-        slots = [((), "0.0")] * N_GENERATORS
-        slots[5] = ([f"_a6_0 = {ex.literal(lam)} * t",
-                     f"_a6_1 = {ex.literal(c6)} * _float(_np_exp(_a6_0))"],
-                    "_a6_1")
-        slots[8] = ([f"_a9_0 = {ex.literal(-lam)} * t",
-                     f"_a9_1 = _float(_np_exp(_a9_0)) / {ex.literal(2 * m)}"],
-                    "_a9_1")
-        return cls(slots, hbar=hbar, kind="kanai_caldirola", params=params)
+        return cls._preset("kanai_caldirola", hbar, m=m, omega=omega, lam=lam)
 
     @classmethod
     def preset(cls, name, hbar=1.0, **params):
@@ -224,7 +193,7 @@ class CoefficientSchedule:
         """Compile and evaluate slot by slot; raise for the first failure."""
         for k, (lines, operand) in enumerate(self._slots, 1):
             try:
-                ex.define([*self._prologue, *lines], operand, _NAMESPACE)(t)
+                ex.define([*self._prologue, *lines], operand)(t)
             except _DOMAIN_ERRORS as exc:
                 raise InvalidSchedule(f"a{k} undefined at t = {t!r}: {exc}",
                                       coefficient=k, time=t) from exc

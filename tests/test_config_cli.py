@@ -159,6 +159,36 @@ def test_runs_are_deterministic(landau_cfg, tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+# each preset's parameters and its expressions (schedule._SOURCES) as a
+# config's [hamiltonian] lines, and the run's t_end
+ONE_PATH = {
+    "landau": ("m = 1.0\nomega_c = 1.0\nE_x = 0.3\nE_y = -0.2\ne = 1.0\n",
+               "a2 = e*E_x\na3 = e*E_y\na6 = m*omega_c^2/8\n"
+               "a7 = m*omega_c^2/8\na9 = 1/(2*m)\na10 = 1/(2*m)\n"
+               "a14 = omega_c/2\na15 = -omega_c/2\n", 2.5),
+    "kanai_caldirola": ("m = 1.0\nomega = 2.0\nlam = 0.3\n",
+                        "a6 = 0.5*m*omega^2*exp(lam*t)\n"
+                        "a9 = exp(-lam*t)/(2*m)\n", 2.0),
+}
+
+
+@pytest.mark.parametrize("preset", ONE_PATH)
+def test_a_preset_runs_as_the_config_of_its_expressions(tmp_path, preset):
+    params, expressions, t_end = ONE_PATH[preset]
+    rest = (f"\n[run]\nt_end = {t_end}\n\n[outputs]\nalphas = alphas.csv\n"
+            "heisenberg = heisenberg.json\n")
+    configs = {"preset": f"[hamiltonian]\npreset = {preset}\n{params}",
+               "expressions": f"[hamiltonian]\n{expressions}\n"
+                              f"[constants]\n{params}"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text + rest)
+        assert main(["run", str(tmp_path / f"{name}.cfg"),
+                     "--outdir", str(tmp_path / name)]) == 0
+    for out in ("alphas.csv", "heisenberg.json"):
+        assert (tmp_path / "preset" / out).read_bytes() == \
+            (tmp_path / "expressions" / out).read_bytes()
+
+
 def test_main_reuses_one_parser(landau_cfg, tmp_path, capsys):
     parser = build_parser()
     assert build_parser() is parser
@@ -610,7 +640,8 @@ def test_overflowing_kanai_caldirola_is_one_json_line(tmp_path, lam,
     (line,) = proc.stderr.splitlines()
     err = json.loads(line)
     assert err["error"] == "invalid-schedule"
-    assert err["detail"] == f"{coefficient} non-finite at t = 5.0"
+    assert err["detail"] == (f"{coefficient} undefined at t = 5.0: "
+                             "math range error")
 
 
 @pytest.mark.parametrize("preset, flag", [("harmonic1d", "--omega"),

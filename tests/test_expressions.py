@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from quadflow.errors import ParseError
 from quadflow.expressions import (FUNCTIONS, Binary, Const, Num, Unary, Var,
-                                  parse_expression, pretty, straight_line,
-                                  to_callable)
+                                  define, parse_expression, pretty,
+                                  straight_line)
 
 
 def value_at(src, t):
-    return to_callable(parse_expression(src))(t)
+    return define(*straight_line(parse_expression(src)))(t)
 
 
 def test_basic_arithmetic_example():
@@ -81,10 +81,11 @@ def test_precedence_structure():
 
 def test_named_constants_and_free_names():
     tree = parse_expression("phi0 + omega*t*phi0")
-    assert to_callable(tree, {"omega": 1.5, "phi0": 0.25})(2.0) == 1.0
+    assert define(*straight_line(tree, {"omega": 1.5, "phi0": 0.25}))(2.0) \
+        == 1.0
     # missing constants fail at compile time, all of them in one KeyError
     with pytest.raises(KeyError) as err:
-        to_callable(tree)
+        define(*straight_line(tree))
     assert err.value.args == (["omega", "phi0"],)
     with pytest.raises(KeyError) as err:
         straight_line(tree, {"omega": 1.5})
@@ -104,8 +105,9 @@ def test_domain_errors_propagate():
         value_at("exp(t)", 1e6)
 
 
-def test_to_callable_matches_python_arithmetic():
-    fn = to_callable(parse_expression("0.3*cos(2*t) - t/(1+t^2) + sqrt(t+4)"))
+def test_generated_code_matches_python_arithmetic():
+    fn = define(*straight_line(
+        parse_expression("0.3*cos(2*t) - t/(1+t^2) + sqrt(t+4)")))
     for t in (0.0, 0.5, 2.5):
         assert fn(t) == pytest.approx(
             0.3 * math.cos(2 * t) - t / (1 + t ** 2) + math.sqrt(t + 4))
@@ -208,7 +210,7 @@ def _any_trees(depth):
 @given(tree=_any_trees(4), a=ANY_FLOAT, b=ANY_FLOAT, t=ANY_FLOAT)
 def test_generated_code_equals_the_tree_walk(tree, a, b, t):
     constants = {"a": a, "b": b}
-    assert outcome(to_callable(tree, constants), t) == \
+    assert outcome(define(*straight_line(tree, constants)), t) == \
         outcome(walk, tree, constants, t)
 
 
@@ -246,7 +248,7 @@ def test_deep_expressions_compile_and_evaluate():
     # a deep tree is never compared or printed: the nodes' __eq__ and
     # __repr__ recurse
     for name, (src, expected) in DEEP.items():
-        value = to_callable(parse_expression(src))(0.75)
+        value = define(*straight_line(parse_expression(src)))(0.75)
         if expected is None:   # (-sin(t)*(-sin(t)*(...*t))), inside out
             expected = 0.75
             for _ in range(1000):

@@ -1,6 +1,7 @@
 """Flow integration: closed-form oracle, breakdown, schedule handling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -520,6 +521,34 @@ def test_a_max_step_that_is_not_positive_is_refused(monkeypatch, max_step):
     monkeypatch.setattr(rk, "solve", unreachable)
     with pytest.raises(ValueError, match="must be positive"):
         integrate(landau(), 1.0, max_step=max_step)
+
+
+class _Unevaluated:
+    """A schedule that fails the test if the flow ever evaluates it."""
+
+    def coefficients(self, t):
+        raise AssertionError("the refused run called the right-hand side")
+
+
+@pytest.mark.parametrize("settings, fragment", [
+    (dict(rtol=math.nan), "rtol = nan and atol = 1e-10 must be"),
+    (dict(atol=math.nan), "rtol = 1e-10 and atol = nan must be"),
+    (dict(rtol=math.inf), "rtol = inf and atol = 1e-10 must be"),
+    (dict(atol=math.inf), "rtol = 1e-10 and atol = inf must be"),
+    (dict(t_end=math.inf), "t_end = inf must be positive and finite"),
+    (dict(t_end=math.nan), "t_end = nan must be positive and finite"),
+    (dict(samples=0), "samples = 0 must be an integer >= 1"),
+    (dict(samples=-1), "samples = -1 must be an integer >= 1"),
+    (dict(samples=2.5), "samples = 2.5 must be an integer >= 1"),
+], ids=["rtol-nan", "atol-nan", "rtol-inf", "atol-inf", "t_end-inf",
+        "t_end-nan", "samples-0", "samples-minus-1", "samples-2.5"])
+def test_settings_out_of_range_are_refused_before_the_first_rhs_call(
+        settings, fragment):
+    # a NaN or infinite tolerance rejected every step (a misleading
+    # StepUnderflow at t = 0), an infinite t_end ran to a false breakdown,
+    # and a bad samples failed, or sampled t = 0 alone, after the whole run
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        integrate(_Unevaluated(), **{"t_end": 1.0, **settings})
 
 
 def test_a_nan_max_step_cannot_outlast_the_budget(monkeypatch):
