@@ -22,7 +22,12 @@ The cases:
   2 acos(sqrt(eps)) = 3.0783 of the chart bound eps = 1e-3: a chart-end;
 - ``run`` on the free preset with m 1e-9 and t_end 1, which reaches t_end:
   alpha9 = t / 2m grows to 5e8 but has no pole;
-- the nominal driven config under ``run`` and ``verify``;
+- the nominal driven config under ``run`` and ``verify``, and under
+  ``run`` with ``a1 = 0.3`` added: alpha1 moves while alpha2..alpha5 stay
+  0, and the run ends in a chart-end at t = 1.7446;
+- ``run`` and ``verify`` on a config that sets the slots no other case
+  sets, a1, a4, a5, a8, a12 and a13, with a9 = a10 = 0.5 (t_end 2): it
+  reaches t_end, and verify skips only the landau closed-form row;
 - the unresolved runs ``a2 = 1e300`` (a9 = a10 = 0.5, t_end 1) and landau
   with t_end 2e-322, each under ``run``;
 - the three inputs whose verify rows fail on an absolute tolerance while
@@ -60,6 +65,10 @@ PRESET_RUNS = {
 DRIVEN = ("a6 = A*sin(w*t)\na9 = 0.5\na10 = 0.5\na11 = B*cos(t)\na14 = C\n"
           "a15 = -C\n\n[constants]\nA = 0.5\nw = 2.0\nB = 0.1\nC = 0.5\n\n"
           "[run]\nt_end = 4.0\n")
+# every slot that no other case sets, plus the kinetic terms
+LINEAR_SLOTS = ("a1 = 0.2\na4 = 0.1*cos(t)\na5 = -0.1\na8 = 0.05\na9 = 0.5\n"
+                "a10 = 0.5\na12 = 0.1*sin(t)\na13 = -0.05\n\n"
+                "[run]\nt_end = 2.0\n")
 UNRESOLVED = {
     "huge_a2": "a2 = 1e300\na9 = 0.5\na10 = 0.5\n\n[run]\nt_end = 1.0\n",
     "tiny_t_end": "preset = landau\n\n[run]\nt_end = 2e-322\n",
@@ -109,6 +118,11 @@ def cases(seeds):
     for command in ("run", "verify"):
         yield f"{command}:driven", lambda tmp, c=command: _config(
             tmp, DRIVEN, c)
+    yield "run:driven_a1", lambda tmp: _config(tmp, "a1 = 0.3\n" + DRIVEN,
+                                               "run")
+    for command in ("run", "verify"):
+        yield f"{command}:linear_slots", lambda tmp, c=command: _config(
+            tmp, LINEAR_SLOTS, c)
     for name, text in UNRESOLVED.items():
         yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     yield "verify:free_m1e-26", lambda tmp: [

@@ -205,7 +205,7 @@ def _verify_checks(cfg: RunConfig):
     for pairs in np.split(draws, range(32, 200, 32)):
         state = assemble(pairs[:, 0], pairs[:, 1])
         ref = reference_odes(pairs[:, 0], pairs[:, 1])
-        err = max(err, float(np.max(np.abs(np.linalg.det(state.nu) - 1.0))),
+        err = max(err, float(np.max(np.abs(state.det - 1.0))),
                   float(np.max(np.abs(state.mu - ref))))
     yield "reduction pipeline vs explicit equations (200 random states)", err, 1e-10
 
@@ -332,7 +332,7 @@ def _cmd_print_odes(args) -> int:
         "mu": state.mu.tolist(),
         "explicit": ref.tolist(),
         "max_difference": float(np.max(np.abs(state.mu - ref))),
-        "det_nu": float(np.linalg.det(state.nu)),
+        "det_nu": float(state.det),
     }, indent=1))
     return 0
 

@@ -18,16 +18,18 @@ is compiled.
 with an operand stack and an operator stack (a function call or a group is
 a paren marker on the operator stack that its ``)`` closes), so no depth of
 nesting recurses.  :func:`straight_line` generates Python source for a
-tree, one assignment per operation, and reports every missing named
-constant at once; :func:`define` compiles such lines into one function of
-``t``, not a tree of closures.  :func:`straight_line` and :func:`pretty`
-walk the tree with one explicit stack, so no depth of tree recurses there
-either.
+tree, one assignment per operation on ``t`` (an operation without ``t`` is
+computed once, when the code is generated), and reports every missing
+named constant at once; :func:`define` compiles such lines into one
+function of ``t``, not a tree of closures.  :func:`straight_line` and
+:func:`pretty` walk the tree with one explicit stack, so no depth of tree
+recurses there either.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import NamedTuple
 
@@ -193,7 +195,9 @@ def literal(value) -> str:
     return name if math.copysign(1.0, value) > 0 else f"-{name}"
 
 
-_BINARY_OPS = ("+", "-", "*", "/", "^")
+# what each binary operation of the generated code computes
+_COMPUTE = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv, "^": math.pow}
 
 
 def _fold(node, leaf, combine):
@@ -215,7 +219,7 @@ def _fold(node, leaf, combine):
             values.append(combine(node, *operands))
         elif isinstance(node, Unary) and node.op in FUNCTIONS:
             todo += [(node, True), (node.arg, False)]
-        elif isinstance(node, Binary) and node.op in _BINARY_OPS:
+        elif isinstance(node, Binary) and node.op in _COMPUTE:
             todo += [(node, True), (node.right, False), (node.left, False)]
         else:   # named by type and op: the repr of a deep node recurses
             raise TypeError(f"not an expression node: {type(node).__name__}"
@@ -227,29 +231,49 @@ def straight_line(node, constants=None, prefix="_v"):
     """Generate the tree as straight-line code over the variable ``t``.
 
     Returns ``(lines, operand)``: one assignment ``<prefix><n> = ...`` per
-    operation, in left-to-right post-order, and the operand (a local, a
-    literal or ``t``) that holds the value.  Numbers and named constants
-    become :func:`literal` operands, ``^`` calls ``math.pow`` and every
-    other function is its entry of :data:`FUNCTIONS`, so the code computes
-    what a walk of the tree would, bit for bit, and raises what it would.
-    No expression nests, whatever the depth of the tree.  Raises one
-    KeyError whose argument is the sorted list of the named constants
-    missing from ``constants``.
+    operation that depends on ``t``, in left-to-right post-order, and the
+    operand (a local, a literal or ``t``) that holds the value.  Numbers and
+    named constants become :func:`literal` operands, ``^`` calls
+    ``math.pow`` and every other function is its entry of
+    :data:`FUNCTIONS`, so the code computes what a walk of the tree would,
+    bit for bit, and raises what it would.  An operation without ``t`` is
+    computed here, by the same function on the same operands: a finite
+    value that raises nothing becomes a literal operand and emits no line,
+    and one that raises or is not finite stays a line, so it raises, or
+    gives its value, where and when the code runs.  No expression nests,
+    whatever the depth of the tree.  Raises one KeyError whose argument is
+    the sorted list of the named constants missing from ``constants``.
     """
     constants = constants or {}
     lines, missing = [], set()
 
+    # a value of the fold is a float, a subtree without t computed here, or
+    # a str, the operand of a value the code computes
     def leaf(node):
-        if isinstance(node, Num):
-            return literal(node.value)
         if isinstance(node, Var):
             return "t"
-        if node.name in constants:
-            return literal(constants[node.name])
-        missing.add(node.name)
-        return node.name
+        if isinstance(node, Num):
+            value = node.value
+        elif node.name in constants:
+            value = float(constants[node.name])
+        else:
+            missing.add(node.name)
+            return node.name
+        return value if math.isfinite(value) else literal(value)
 
     def combine(node, *operands):
+        if not any(isinstance(x, str) for x in operands):
+            compute = FUNCTIONS[node.op] if isinstance(node, Unary) \
+                else _COMPUTE[node.op]
+            try:
+                value = compute(*operands)
+            except (ArithmeticError, ValueError):
+                pass
+            else:
+                if math.isfinite(value):
+                    return value
+        operands = [x if isinstance(x, str) else literal(x)
+                    for x in operands]
         if isinstance(node, Unary):
             (arg,) = operands
             code = f"-{arg}" if node.op == "neg" else f"{node.op}({arg})"
@@ -264,7 +288,7 @@ def straight_line(node, constants=None, prefix="_v"):
     operand = _fold(node, leaf, combine)
     if missing:
         raise KeyError(sorted(missing))
-    return lines, operand
+    return lines, operand if isinstance(operand, str) else literal(operand)
 
 
 # the names generated code reads besides t

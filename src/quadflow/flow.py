@@ -6,9 +6,15 @@ default tolerances.  The factorization has coordinate singularities - for
 the pure-magnetic-field case alpha_6 grows like tan(omega_c t / 2) and
 diverges at omega_c t = pi - so breakdown is a result, not an exception.
 
-The right-hand side is the transcribed flow equations on Python floats
-(:func:`.reduction.explicit_rhs`): the coefficients are the list the
-schedule's compiled function returns, and alpha is the list of floats the
+The right-hand side is the transcribed flow equations on Python floats,
+compiled for the schedule's structural zeros (:func:`.reduction.flow_rhs`:
+the schedule compiles it when built, and ``integrate`` asks for it again
+with alpha(0), after refusing bad settings): the terms that the zero
+coefficients and the alphas that stay at 0 make zero are gone, so a
+Hamiltonian without linear terms never evaluates the equations of
+alpha1..alpha5.  Its values are those of
+:func:`.reduction.explicit_rhs` bit for bit.  At every stage it gets the
+list the schedule's compiled function returns and the list of floats the
 stepper's attempt passes, a function compiled for 15 entries when this
 module is imported.  The attempt checks each stage as it returns, and a
 non-finite entry (an overflowing term makes the whole stage NaN) rejects the
@@ -20,13 +26,13 @@ those two in its denominators), so a state is refused when it is not finite
 or min(e^{2 alpha_12}, e^{2 alpha_13}) < ``_CHART_EPS``.  Its second, on the
 rows the first passes, is the conditioning sentinel det(nu) = 1 in the
 matrix pipeline (:func:`.reduction.assemble`), whose one call names the
-first row it refuses.  The predicate reads alpha alone and does not steer the
-stepper until it refuses, so the stepper hands it the end states of accepted
-steps in stacks of up to 32.  The first refused step is kept, the steps past
-it are dropped, and the crossing is bisected on its dense polynomial; the
-flow stops at the last state that passes, the last written row.  The
-:class:`Breakdown` reads the first refused state, that step's end.  An
-unresolved flow is no breakdown: a spent step budget raises
+first row it refuses.  The predicate reads alpha alone and does not steer
+the stepper until it refuses, so the stepper hands it the end states of
+accepted steps in stacks of up to 32.  The first refused step is kept, the
+steps past it are dropped, and the crossing is bisected on its dense
+polynomial; the flow stops at the last state that passes, the last written
+row.  The :class:`Breakdown` reads the first refused state, that step's end.
+An unresolved flow is no breakdown: a spent step budget raises
 :class:`.StepBudget`, a step that cannot be resolved at all (below the
 step-size floor, 60 rejections in a row) :class:`.StepUnderflow`.
 
@@ -45,7 +51,7 @@ import numpy as np
 from . import rk
 from .adjoint import N_GENERATORS
 from .errors import SingularNu, SingularTime, StepBudget, StepUnderflow
-from .reduction import assemble, explicit_rhs
+from .reduction import assemble, flow_rhs
 from .schedule import CoefficientSchedule
 
 __all__ = ["Breakdown", "FlowResult", "integrate",
@@ -153,17 +159,19 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         raise ValueError(f"samples = {samples!r} must be an integer >= 1")
     alpha0 = np.zeros(N_GENERATORS) if initial_alpha is None \
         else np.asarray(initial_alpha, dtype=float).copy()
-    if alpha0.shape != (N_GENERATORS,):
-        raise ValueError("initial_alpha must be a 15-vector")
-    if max_step is not None and not max_step > 0:
-        raise ValueError(f"max_step = {max_step!r} must be positive")
+    if alpha0.shape != (N_GENERATORS,) or not np.isfinite(alpha0).all():
+        raise ValueError(f"initial_alpha = {alpha0.tolist()!r} must be a "
+                         "15-vector of finite numbers")
+    rk._refuse_settings(rtol, atol, max_step)
     if max_step is not None and t_end > max_step * _MAX_STEPS:
         raise StepBudget(f"max_step = {max_step!r} asks for more than "
                          f"{_MAX_STEPS} steps to reach t_end = {t_end!r}")
+    # the settings are refused first; alpha(0) picks the alphas it prunes
+    kernel = flow_rhs(schedule.zeros, alpha0.tolist())
 
     def rhs(t, alpha):
         # InvalidSchedule propagates; an overflowing term is a NaN stage
-        return explicit_rhs(schedule.coefficients(t), alpha)
+        return kernel(schedule.coefficients(t), alpha)
 
     def conditioned(ts, alphas):
         # rows before the first off the chart go to one assemble call, which

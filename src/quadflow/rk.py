@@ -247,6 +247,16 @@ def _crossing(t0, h, y0, q, ok):
     return t_lo, y_at(t_lo)
 
 
+def _refuse_settings(rtol, atol, max_step):
+    """Raise ValueError unless rtol and atol are positive and finite and
+    ``max_step`` is None (the default) or positive."""
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError(f"rtol = {rtol!r} and atol = {atol!r} must be "
+                         "positive and finite")
+    if max_step is not None and not max_step > 0:
+        raise ValueError(f"max_step = {max_step!r} must be positive")
+
+
 def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
           check=None) -> RKResult:
     """Integrate y' = f(t, y) from t0 to t_end.
@@ -267,13 +277,9 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     y = np.asarray(y0, dtype=float).tolist()
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError(f"rtol = {rtol!r} and atol = {atol!r} must be "
-                         "positive and finite")
+    _refuse_settings(rtol, atol, max_step)
     if max_step is None:
         max_step = (t_end - t0) / 50
-    elif not max_step > 0:
-        raise ValueError(f"max_step = {max_step!r} must be positive")
     attempt = _attempt(len(y))
     n_rhs = 0
 

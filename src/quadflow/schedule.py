@@ -19,9 +19,13 @@ parameters (``_SOURCES``) that compiles as a config's expressions do:
 A preset is evaluated once at t = 0 when built; a value that is undefined
 or not finite there raises :class:`InvalidSchedule` naming the coefficient.
 Every schedule compiles to one straight-line function of t (generated
-source, see :mod:`.expressions`), and
-:meth:`CoefficientSchedule.coefficients` returns its 15 values as a list of
-floats.
+source, see :mod:`.expressions`, which computes an operation without t
+once, when it compiles), and :meth:`CoefficientSchedule.coefficients`
+returns its 15 values as a list of floats.  A slot that compiles to the
+number 0, an absent one included, is a structural zero
+(:attr:`CoefficientSchedule.zeros`).  Building a schedule also compiles
+the flow's right-hand side for its zeros (:func:`.reduction.flow_rhs`),
+once per pattern of zeros, so a run does not pay for it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from . import expressions as ex
 from .adjoint import N_GENERATORS
 from .errors import ConfigError, InvalidSchedule
+from .reduction import flow_rhs
 
 __all__ = ["PRESETS", "CoefficientSchedule"]
 
@@ -83,10 +88,27 @@ class CoefficientSchedule:
                 *(line for lines, _ in self._slots for line in lines)]
         operands = ", ".join(operand for _, operand in self._slots)
         self._fn = ex.define(body, f"[{operands}]")
+        # the flow's right-hand side for these zeros compiles with the
+        # schedule, not inside the first run
+        flow_rhs(self.zeros)
 
     def __reduce__(self):
         return CoefficientSchedule, (self._slots, self.hbar, self.kind,
                                      self.params, self._prologue)
+
+    @property
+    def zeros(self) -> tuple:
+        """Each slot's structural zero: 0.0 or -0.0 where the slot's code is
+        that float literal with no lines (an absent slot, a coefficient that
+        folds to zero, or either of them negated), None where it is
+        anything else."""
+        zeros = []
+        for lines, operand in self._slots:
+            digits = operand.lstrip("-")
+            negated = (len(operand) - len(digits)) % 2
+            zeros.append(None if lines or digits != "0.0"
+                         else -0.0 if negated else 0.0)
+        return tuple(zeros)
 
     # -- construction ---------------------------------------------------
 

@@ -224,6 +224,45 @@ def test_generated_code_is_one_assignment_per_operation():
     assert straight_line(Var()) == ([], "t")
 
 
+def test_operations_without_t_fold_to_literals():
+    # computed once, by the same function on the same operands
+    assert straight_line(parse_expression("m*omega_c^2/8"),
+                         {"m": 1.5, "omega_c": 3.0}) \
+        == ([], repr(1.5 * math.pow(3.0, 2.0) / 8.0))
+    assert straight_line(parse_expression("-C"), {"C": 0.5}) \
+        == ([], "-0.5")
+    lines, operand = straight_line(parse_expression("exp(-lam)*sin(t)/3"),
+                                   {"lam": 0.25}, prefix="_x")
+    assert lines == ["_x0 = sin(t)", f"_x1 = {math.exp(-0.25)!r} * _x0",
+                     "_x2 = _x1 / 3.0"]
+    assert operand == "_x2"
+    # a zero keeps its sign
+    assert straight_line(parse_expression("0*-1")) == ([], "-0.0")
+
+
+@pytest.mark.parametrize("src, error", [
+    ("1/0", ZeroDivisionError), ("exp(1000)", OverflowError),
+    ("ln(0)", ValueError), ("(-8)^(1/3)", ValueError)])
+def test_an_operation_without_t_that_raises_stays_a_line(src, error):
+    # it raises where and when the code runs, as the tree walk would
+    lines, _ = straight_line(parse_expression(src))
+    assert lines
+    with pytest.raises(error):
+        value_at(src, 0.0)
+    with pytest.raises(error):
+        value_at(f"t + {src}", 0.0)
+
+
+def test_an_operation_without_t_that_is_not_finite_stays_a_line():
+    # and so does every operation over it
+    assert straight_line(parse_expression("1e308*10 - 1")) \
+        == (["_v0 = 1e+308 * 10.0", "_v1 = _v0 - 1.0"], "_v1")
+    assert value_at("1e308*10 - 1", 0.0) == math.inf
+    assert straight_line(parse_expression("1/(1e308*10)")) \
+        == (["_v0 = 1e+308 * 10.0", "_v1 = 1.0 / _v0"], "_v1")
+    assert value_at("1/(1e308*10)", 0.0) == 0.0
+
+
 def _fold(values, op):
     total = values[0]
     for v in values[1:]:

@@ -540,8 +540,13 @@ class _Unevaluated:
     (dict(samples=0), "samples = 0 must be an integer >= 1"),
     (dict(samples=-1), "samples = -1 must be an integer >= 1"),
     (dict(samples=2.5), "samples = 2.5 must be an integer >= 1"),
+    (dict(initial_alpha=[math.nan] + [0.0] * 14),
+     "initial_alpha = [nan, 0.0, 0.0,"),
+    (dict(initial_alpha=[0.0] * 14 + [-math.inf]),
+     "0.0, -inf] must be a 15-vector of finite numbers"),
 ], ids=["rtol-nan", "atol-nan", "rtol-inf", "atol-inf", "t_end-inf",
-        "t_end-nan", "samples-0", "samples-minus-1", "samples-2.5"])
+        "t_end-nan", "samples-0", "samples-minus-1", "samples-2.5",
+        "initial_alpha-nan", "initial_alpha-inf"])
 def test_settings_out_of_range_are_refused_before_the_first_rhs_call(
         settings, fragment):
     # a NaN or infinite tolerance rejected every step (a misleading

@@ -10,7 +10,8 @@ command builds the exact algebra (``fractions``), defines a dataclass or
 draws from ``numpy.random``, and only a config file loads ``configparser``.
 ``import quadflow`` loads none of its modules: each public name imports its
 module on first use.  ``import quadflow.cli`` compiles the stepper's attempt
-for the 15 alphas, and a run compiles no other.  Every name an ``__all__``
+for the 15 alphas, loading a config compiles the flow's right-hand side for
+its schedule, and a run compiles neither again.  Every name an ``__all__``
 lists must exist, or ``from quadflow import *`` fails.
 """
 
@@ -97,6 +98,23 @@ def test_the_flow_attempt_compiles_on_import_and_no_run_compiles_more(
             "assert quadflow.cli.main(['run', 'grid.cfg', '--outdir',"
             " 'out']) == 0\n"
             "assert rk._attempt.cache_info().misses == 1\n")
+    assert _loaded_after(code, tmp_path) == ["configparser"]
+
+
+def test_the_run_kernel_compiles_in_load_config_and_no_run_compiles_more(
+        tmp_path):
+    # the flow's right-hand side for the schedule's constants compiles when
+    # the config is loaded, inside set-up, and the run reuses it
+    (tmp_path / "grid.cfg").write_text(GRID_CFG)
+    code = ("from quadflow import reduction\n"
+            "from quadflow.config import load_config\n"
+            "assert reduction._kernel.cache_info().currsize == 0\n"
+            "cfg = load_config('grid.cfg')\n"
+            "compiled = reduction._kernel.cache_info()\n"
+            "assert (compiled.misses, compiled.currsize) == (1, 1), compiled\n"
+            "from quadflow.cli import main\n"
+            "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n"
+            "assert reduction._kernel.cache_info().misses == 1\n")
     assert _loaded_after(code, tmp_path) == ["configparser"]
 
 

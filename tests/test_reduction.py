@@ -260,3 +260,13 @@ def test_stacked_reference_odes_refuse_bad_shapes_and_non_finite_rows(
         a, alpha):
     with pytest.raises(ValueError):
         reference_odes(a, alpha)
+
+
+def test_assemble_keeps_the_det_it_checked():
+    # verify and print-odes read it instead of computing it again
+    rng = np.random.default_rng(29)
+    a = rng.uniform(-1, 1, (7, 15))
+    alpha = rng.uniform(-1, 1, (7, 15))
+    for state in (assemble(a, alpha), assemble(a[0], alpha[0])):
+        assert np.asarray(state.det).tobytes() == \
+            np.asarray(np.linalg.det(state.nu)).tobytes()

@@ -160,3 +160,40 @@ def test_constructors_refuse_anything_but_15_coefficients():
         CoefficientSchedule.from_constant_vector(np.zeros(14))
     with pytest.raises(ValueError, match="out of range: 16"):
         CoefficientSchedule.from_expressions({16: "1"})
+
+
+def signed(values):
+    return [None if v is None else (v, math.copysign(1.0, v)) for v in values]
+
+
+def test_zeros_are_the_slots_that_compile_to_the_number_0():
+    # an absent slot is 0.0; a slot without t folds to its number, unless
+    # it raises or is not finite
+    sched = CoefficientSchedule.from_expressions(
+        {2: "0.4", 3: "2*C - 1", 6: "sin(2*t)", 8: "0*t", 9: "exp(1000)",
+         10: "1e308*10", 14: "-C*0"}, {"C": 0.5})
+    expected = [0.0, None, 0.0, 0.0, 0.0, None, 0.0, None, None, None, 0.0,
+                0.0, 0.0, -0.0, 0.0]
+    assert signed(sched.zeros) == signed(expected)
+    # reversing negates every zero
+    once = sched.negated_reverse(1.0)
+    assert signed(once.zeros) == signed(
+        [None if v is None else -v for v in expected])
+    assert signed(once.negated_reverse(2.0).zeros) == signed(expected)
+    vector = [0.0, -0.0, 1.5, -2.5e-300] + [0.0] * 11
+    assert signed(CoefficientSchedule.from_constant_vector(vector).zeros) \
+        == signed([0.0, -0.0, None, None] + [0.0] * 11)
+    # landau's electric field folds to a zero
+    assert CoefficientSchedule.landau().zeros[1:3] == (0.0, 0.0)
+    assert CoefficientSchedule.landau(E_x=0.3).zeros[1:3] == (None, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"kanai_caldirola"}))
+def test_a_constant_preset_compiles_to_its_numbers(name):
+    # every preset but kanai_caldirola is constant in t: each slot is one
+    # literal, and the function returns one list of them
+    sched = CoefficientSchedule.preset(name)
+    assert all(not lines for lines, _ in sched._slots)
+    kanai = CoefficientSchedule.kanai_caldirola()
+    assert [k for k, (lines, _) in enumerate(kanai._slots, 1) if lines] \
+        == [6, 9]
