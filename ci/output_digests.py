@@ -22,9 +22,15 @@ The cases:
   2 acos(sqrt(eps)) = 3.0783 of the chart bound eps = 1e-3: a chart-end;
 - ``run`` on the free preset with m 1e-9 and t_end 1, which reaches t_end:
   alpha9 = t / 2m grows to 5e8 but has no pole;
+- ``run`` on landau with omega_c 1e13 and t_end 2.5e-13, the phase
+  omega_c t = 2.5 of the t_end 2.5 default at a fast time scale: it reaches
+  t_end, since the step floor scales with the span below t_end = 1;
 - the nominal driven config under ``run`` and ``verify``, and under
   ``run`` with ``a1 = 0.3`` added: alpha1 moves while alpha2..alpha5 stay
   0, and the run ends in a chart-end at t = 1.7446;
+- ``green`` on the nominal driven config, with one point and a 33-point
+  grid at times 0.4, 0.8 and 1.2: generic-branch samples of 1,090 rows,
+  which cross a block boundary of the Green writer;
 - ``run`` and ``verify`` on a config that sets the slots no other case
   sets, a1, a4, a5, a8, a12 and a13, with a9 = a10 = 0.5 (t_end 2): it
   reaches t_end, and verify skips only the landau closed-form row;
@@ -61,10 +67,17 @@ PRESET_RUNS = {
     "landau": "preset = landau\n\n[run]\nt_end = 3.5\n",
     "landau_band": "preset = landau\n\n[run]\nt_end = 3.1\n",
     "free_light": "preset = free\nm = 1e-9\n\n[run]\nt_end = 1.0\n",
+    "landau_fast": "preset = landau\nomega_c = 1e13\n\n[run]\n"
+                   "t_end = 2.5e-13\n",
 }
 DRIVEN = ("a6 = A*sin(w*t)\na9 = 0.5\na10 = 0.5\na11 = B*cos(t)\na14 = C\n"
           "a15 = -C\n\n[constants]\nA = 0.5\nw = 2.0\nB = 0.1\nC = 0.5\n\n"
           "[run]\nt_end = 4.0\n")
+# a generic-branch grid of 33 x 33 points and one more: 1,090 rows per
+# time, more than one block of the Green writer
+DRIVEN_GREEN = (DRIVEN + "\n[green]\npoints = 0.5,-0.5,0.25,0.1\n"
+                "grid_extent = 2.0\ngrid_points = 33\nsource = 0.1,0.2\n"
+                "times = 0.4,0.8,1.2\n")
 # every slot that no other case sets, plus the kinetic terms
 LINEAR_SLOTS = ("a1 = 0.2\na4 = 0.1*cos(t)\na5 = -0.1\na8 = 0.05\na9 = 0.5\n"
                 "a10 = 0.5\na12 = 0.1*sin(t)\na13 = -0.05\n\n"
@@ -118,6 +131,7 @@ def cases(seeds):
     for command in ("run", "verify"):
         yield f"{command}:driven", lambda tmp, c=command: _config(
             tmp, DRIVEN, c)
+    yield "green:driven", lambda tmp: _config(tmp, DRIVEN_GREEN, "green")
     yield "run:driven_a1", lambda tmp: _config(tmp, "a1 = 0.3\n" + DRIVEN,
                                                "run")
     for command in ("run", "verify"):
@@ -135,11 +149,11 @@ def cases(seeds):
 
 def _config(tmp: Path, body: str, command: str) -> list:
     """Write ``[hamiltonian]`` + ``body`` + the outputs as a config; the
-    argv of ``command`` on it."""
+    argv of ``command`` (run, green or verify) on it."""
     path = tmp / "case.cfg"
     path.write_text("[hamiltonian]\n" + body + "\n" + OUTPUTS)
-    return ["run", str(path)] if command == "run" \
-        else ["verify", "--config", str(path)]
+    return ["verify", "--config", str(path)] if command == "verify" \
+        else [command, str(path)]
 
 
 def main(argv=None) -> int:

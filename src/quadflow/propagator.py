@@ -53,6 +53,8 @@ __all__ = ["GreenSample", "QuadraticPhaseKernel", "degenerate_kernel",
 DEFAULT_BRANCH_EPS = 1e-6
 # kernels evaluate quietly: an overflow gives inf and nan, written as is
 _quiet = np.errstate(all="ignore")
+# Green CSV rows per ``%`` operation: bounds the block's transient strings
+_BLOCK = 1024
 
 
 class GreenSample(NamedTuple):
@@ -216,8 +218,9 @@ def write_green_csv(samples, path):
     """CSV with columns x,y,t,x_prime,y_prime,re,im,branch; one row per
     broadcast element of each sample, in C order, every number ``%.17g``.
 
-    Coordinates are formatted once per distinct value; ``re`` and ``im``
-    go through one row format per sample that holds ``t`` and the branch.
+    Coordinates are formatted once per distinct value.  Each sample has one
+    row format that holds ``t`` and the branch; up to ``_BLOCK`` rows of it
+    are formatted by one ``%`` on a flat tuple of their fields.
     """
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
@@ -225,6 +228,12 @@ def write_green_csv(samples, path):
             row = (f"%s,%s,{s.t:.17g},%s,%s,%.17g,%.17g,"
                    f"{s.branch.replace('%', '%%')}\n")
             value = np.ravel(s.value)
-            fh.writelines(map(row.__mod__, zip(
-                *map(_formatted, (s.x, s.y, s.x_prime, s.y_prime)),
-                value.real.tolist(), value.imag.tolist())))
+            columns = (*map(_formatted, (s.x, s.y, s.x_prime, s.y_prime)),
+                       value.real.tolist(), value.imag.tolist())
+            n = len(columns[-1])
+            for start in range(0, n, _BLOCK):
+                stop = min(start + _BLOCK, n)
+                fields = [None] * (6 * (stop - start))
+                for j, column in enumerate(columns):
+                    fields[j::6] = column[start:stop]
+                fh.write((row * (stop - start)) % tuple(fields))

@@ -27,12 +27,20 @@ resolvable floor or rejects 60 steps in a row; or ``budget`` after
 controller chose (shorter than both ``max_step`` and the rest of the run).
 Both leave the run unresolved at its last accepted state, which may be
 ``y0``: the dense solution is empty.
+
+Both time thresholds are relative.  With s = min(1, t_end - t0), the run's
+span capped at 1, the floor is 16 eps max(|t|, s), never below the
+smallest normal double (which also refuses a zero step), and the bisection
+stops at a width of 1e-12 max(|t|, s).  So a short run resolves the phase a
+long one does: landau with omega_c = 1e13 reaches t_end = 2.5e-13 as
+omega_c = 1 reaches 2.5.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from itertools import chain
 from typing import NamedTuple
 
@@ -82,6 +90,8 @@ _CHUNK = 32
 # controller-sized step attempts, accepted or rejected, before a run ends
 # as "budget" (DOPRI5's NMAX, Hairer, Norsett & Wanner, Solving ODEs I)
 _MAX_ATTEMPTS = 100_000
+# the smallest normal double: no shorter step is resolvable (nor a zero one)
+_TINY = sys.float_info.min
 
 
 class DenseSolution(NamedTuple):
@@ -223,9 +233,10 @@ def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, t_end - t0, max_step)
 
 
-def _crossing(t0, h, y0, q, ok):
+def _crossing(t0, h, y0, q, ok, span):
     """Bisect inside one accepted step, whose start passes ``ok`` and whose
-    end fails it, to a width of 1e-12 * max(1, |t|).
+    end fails it, to a width of 1e-12 * max(|t|, span), where ``span`` is
+    the run's length, capped at 1 (see :func:`solve`).
 
     Returns ``(t, y)`` at the last passing time found, evaluated on the
     step's polynomial.
@@ -242,7 +253,7 @@ def _crossing(t0, h, y0, q, ok):
             t_lo = t_mid
         else:
             t_hi = t_mid
-        if t_hi - t_lo < 1e-12 * max(1.0, abs(t_hi)):
+        if t_hi - t_lo < 1e-12 * max(abs(t_hi), span):
             break
     return t_lo, y_at(t_lo)
 
@@ -309,6 +320,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
 
     facold = 1e-4
     status = "done"
+    # thresholds scale with |t|, or with the run's span below t_end = 1
+    span = min(1.0, t_end - t0)
     floor = 16 * np.finfo(float).eps
     rejections = 0  # consecutive; a long streak means no h can be certified
     attempts = 0
@@ -318,7 +331,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             # one that max_step or t_end cut never ends a run
             sized = h < min(max_step, t_end - t)
             h = min(h, max_step, t_end - t)
-            if h < floor * max(abs(t), 1.0) or rejections > 60:
+            if h < max(floor * max(abs(t), span), _TINY) \
+                    or rejections > 60:
                 status = "underflow"
                 break
             if attempts == _MAX_ATTEMPTS:
@@ -381,7 +395,8 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             return check(np.array([t_mid]), y_mid[None]) == 1
 
         status = "refused"
-        t, y = _crossing(t0s[-1], hs[-1], dense.y0[-1], dense.q[-1], ok)
+        t, y = _crossing(t0s[-1], hs[-1], dense.y0[-1], dense.q[-1], ok,
+                         span)
     return RKResult(dense=dense, status=status, t_stop=t,
                     y_stop=np.array(y, dtype=float), n_rhs=n_rhs,
                     y_refused=refused and refused[1])

@@ -431,11 +431,11 @@ def test_a_refused_stack_is_located_without_one_state_calls(monkeypatch,
             return check(ts, ys)
         return real_solve(*args, check=counted, **kwargs)
 
-    def crossing(t0, h, y0, q, ok):
+    def crossing(t0, h, y0, q, ok, span):
         def counted(t, y):
             probes.append(t)
             return ok(t, y)
-        return real_crossing(t0, h, y0, q, counted)
+        return real_crossing(t0, h, y0, q, counted, span)
 
     monkeypatch.setattr(flow, "assemble", counting)
     monkeypatch.setattr(rk, "solve", solve)
@@ -710,6 +710,22 @@ def test_a_strong_field_flow_reaches_t_end():
     assert np.max(np.abs(ref[:, 0])) > 1e8
     scale = np.maximum(np.max(np.abs(ref), axis=0), 1.0)
     assert np.max(np.abs(res.alphas - ref) / scale) < 1e-9
+
+
+def test_the_same_phase_resolves_at_every_time_scale():
+    # the step floor and the bisection width scale with the span below
+    # t_end = 1, so omega_c t reaches 2.5 and stops at the chart bound,
+    # 2 acos(sqrt(1e-3)) = 3.0783, whatever omega_c is
+    stops = []
+    for omega_c in (1.0, 1e3, 1e6, 1e9, 1e13, 1e15):
+        sched = CoefficientSchedule.landau(m=1.0, omega_c=omega_c)
+        res = integrate(sched, 2.5 / omega_c)
+        assert res.breakdown is None and res.ts[-1] == 2.5 / omega_c
+        res = integrate(sched, 3.5 / omega_c)
+        assert res.breakdown.reason == "chart-end"
+        stops.append(res.ts[-1] * omega_c)
+    assert stops[0] == pytest.approx(3.0783, abs=1e-4)
+    np.testing.assert_allclose(stops, stops[0], rtol=1e-10, atol=0)
 
 
 OSCILLATOR = {6: "0.5", 7: "0.3", 9: "0.5", 10: "0.5", 14: "0.2", 15: "-0.2"}

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from quadflow import observables
+from quadflow import observables, propagator
 from quadflow.flow import FlowResult, integrate, write_alphas_csv
 from quadflow.observables import heisenberg_map, write_heisenberg_json
 from quadflow.propagator import GreenSample, green, write_green_csv
@@ -89,27 +89,25 @@ def test_alphas_and_heisenberg_bytes_match_the_plain_writers(tmp_path, make):
                       res)
 
 
-def test_green_bytes_match_on_a_landau_run(tmp_path):
-    res = landau_flow()
-    samples = grid_samples(res, 1.0, (1.0, 2.5),
+def landau_green():
+    samples = grid_samples(landau_flow(), 1.0, (1.0, 2.5),
                            [[0.0, 0.0, 0.0, 0.0], [1.0, 0.5, -0.25, 0.125]],
                            (0.3, -0.2))
     assert {s.branch for s in samples} == {"degenerate"}
-    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
+    return samples
 
 
-def test_green_bytes_match_on_a_driven_breakdown(tmp_path):
-    res = driven_flow()
-    samples = grid_samples(res, 1.0, (0.4, 0.8, 1.2),
+def driven_green():
+    samples = grid_samples(driven_flow(), 1.0, (0.4, 0.8, 1.2),
                            [[0.5, -0.5, 0.25, 0.1]], (0.1, 0.2))
     assert {s.branch for s in samples} == {"generic"}
-    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
+    return samples
 
 
-def test_green_bytes_keep_negative_zero_and_non_finite_values(tmp_path):
-    res = landau_flow()
+def odd_green():
+    """Samples of 84, 2 and 1 rows holding -0, nan, inf and a subnormal."""
     with np.errstate(invalid="ignore"):
-        samples = grid_samples(res, 1.0, (0.5,),
+        samples = grid_samples(landau_flow(), 1.0, (0.5,),
                                [[-0.0, 0.0, -0.0, 1e-300],
                                 [math.nan, 0.5, 0.0, -0.0],
                                 [0.1, -0.0, math.inf, 0.0]], (-0.0, 0.0))
@@ -124,11 +122,45 @@ def test_green_bytes_keep_negative_zero_and_non_finite_values(tmp_path):
                                np.array(1 + 2j), "landau"))
     values = np.concatenate([np.ravel(s.value) for s in samples])
     assert np.isnan(values.real).any() and np.isinf(values.imag).any()
-    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
+    return samples
+
+
+def test_green_bytes_match_on_a_landau_run(tmp_path):
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv,
+                      landau_green())
+
+
+def test_green_bytes_match_on_a_driven_breakdown(tmp_path):
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv,
+                      driven_green())
+
+
+def test_green_bytes_keep_negative_zero_and_non_finite_values(tmp_path):
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, odd_green())
     text = (tmp_path / "out").read_text()
     assert "\n-0,0,0.5,-0,1e-300," in text
     assert ("\n0,-0,-0,4.9406564584124654e-324,-1.5,nan,inf,generic\n"
             "-0,-0,-0,4.9406564584124654e-324,-1.5,-inf,-0,generic\n") in text
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("make", [landau_green, driven_green, odd_green])
+def test_green_bytes_match_across_block_boundaries(tmp_path, monkeypatch,
+                                                   make, block):
+    # every sample above has more rows than the block, and the 1-row and
+    # 2-row samples end in a partial block of 2 and 7
+    monkeypatch.setattr(propagator, "_BLOCK", block)
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, make())
+
+
+def test_green_bytes_match_on_a_sample_longer_than_a_block(tmp_path):
+    # the 33 x 33 grid and two points: 1,091 rows per sample, one full
+    # block and a partial one
+    samples = grid_samples(landau_flow(), 1.0, (1.0, 2.5),
+                           [[0.0, 0.0, 0.0, 0.0], [1.0, 0.5, -0.25, 0.125]],
+                           (0.3, -0.2), n=33)
+    assert samples[0].value.size == 1091 > propagator._BLOCK
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
 
 
 def test_heisenberg_bytes_match_with_non_finite_maps(tmp_path):
