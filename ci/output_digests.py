@@ -36,6 +36,9 @@ The cases:
   reaches t_end, and verify skips only the landau closed-form row;
 - the unresolved runs ``a2 = 1e300`` (a9 = a10 = 0.5, t_end 1) and landau
   with t_end 2e-322, each under ``run``;
+- ``print-odes`` at t = 0.7 and a state with every alpha nonzero, on a
+  config that sets all fifteen slots and on the landau preset: the
+  right-hand side of no zeros, every term of every equation;
 - the three inputs whose verify rows fail on an absolute tolerance while
   the relative error is tiny: ``verify --preset free --m 1e-26`` (alpha9
   reaches 1.25e26), ``verify --preset kanai_caldirola --lam 400`` (a
@@ -82,6 +85,13 @@ DRIVEN_GREEN = (DRIVEN + "\n[green]\npoints = 0.5,-0.5,0.25,0.1\n"
 LINEAR_SLOTS = ("a1 = 0.2\na4 = 0.1*cos(t)\na5 = -0.1\na8 = 0.05\na9 = 0.5\n"
                 "a10 = 0.5\na12 = 0.1*sin(t)\na13 = -0.05\n\n"
                 "[run]\nt_end = 2.0\n")
+# all fifteen slots, for print-odes at a state with every alpha nonzero
+ALL_SLOTS = ("a1 = 0.2\na2 = 0.3*sin(t)\na3 = -0.1\na4 = 0.1*cos(t)\n"
+             "a5 = -0.1\na6 = 0.5\na7 = 0.4*cos(t)\na8 = 0.05\na9 = 0.5\n"
+             "a10 = 0.6\na11 = 0.1*cos(t)\na12 = 0.1*sin(t)\na13 = -0.05\n"
+             "a14 = 0.3\na15 = -0.25\n\n[run]\nt_end = 2.0\n")
+ODES = ["--t", "0.7", "--alpha", "0.1,-0.2,0.3,0.05,-0.15,0.2,-0.1,0.07,"
+        "0.3,-0.25,0.12,0.4,-0.3,0.2,-0.1"]
 UNRESOLVED = {
     "huge_a2": "a2 = 1e300\na9 = 0.5\na10 = 0.5\n\n[run]\nt_end = 1.0\n",
     "tiny_t_end": "preset = landau\n\n[run]\nt_end = 2e-322\n",
@@ -137,6 +147,10 @@ def cases(seeds):
     for command in ("run", "verify"):
         yield f"{command}:linear_slots", lambda tmp, c=command: _config(
             tmp, LINEAR_SLOTS, c)
+    yield "print-odes:all_slots", lambda tmp: [
+        *_config(tmp, ALL_SLOTS, "print-odes"), *ODES]
+    yield "print-odes:landau", lambda tmp: [
+        "print-odes", "--preset", "landau", *ODES]
     for name, text in UNRESOLVED.items():
         yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     yield "verify:free_m1e-26", lambda tmp: [
@@ -149,11 +163,11 @@ def cases(seeds):
 
 def _config(tmp: Path, body: str, command: str) -> list:
     """Write ``[hamiltonian]`` + ``body`` + the outputs as a config; the
-    argv of ``command`` (run, green or verify) on it."""
+    argv of ``command`` (run, green, verify or print-odes) on it."""
     path = tmp / "case.cfg"
     path.write_text("[hamiltonian]\n" + body + "\n" + OUTPUTS)
-    return ["verify", "--config", str(path)] if command == "verify" \
-        else [command, str(path)]
+    return [command, "--config", str(path)] \
+        if command in ("verify", "print-odes") else [command, str(path)]
 
 
 def main(argv=None) -> int:

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidSchedule, ParseError
+from .reduction import flow_rhs
 from .schedule import CoefficientSchedule
 
 __all__ = ["GreenRequest", "RunConfig", "load_config"]
@@ -213,4 +214,7 @@ def load_config(path) -> RunConfig:
         green = GreenRequest(points=tuple(points), times=times,
                              grid_extent=grid_extent,
                              grid_points=grid_points, source=source)
+    # the flow's right-hand side for the schedule's zeros compiles here, in
+    # set-up, not inside the first run
+    flow_rhs(schedule.zeros)
     return RunConfig(schedule, **settings, outputs=outputs, green=green)

@@ -17,13 +17,17 @@ is compiled.
 :func:`parse_expression` reads this grammar in one loop over the tokens,
 with an operand stack and an operator stack (a function call or a group is
 a paren marker on the operator stack that its ``)`` closes), so no depth of
-nesting recurses.  :func:`straight_line` generates Python source for a
-tree, one assignment per operation on ``t`` (an operation without ``t`` is
-computed once, when the code is generated), and reports every missing
-named constant at once; :func:`define` compiles such lines into one
-function of ``t``, not a tree of closures.  :func:`straight_line` and
-:func:`pretty` walk the tree with one explicit stack, so no depth of tree
-recurses there either.
+nesting recurses.  :func:`emit` is the one code generator: it writes the
+Python source of one or more trees over their run-time inputs (``t`` for a
+schedule, the coefficients and alphas for the flow's right-hand side), and
+reports every missing named constant at once.  It computes an operation
+without a run-time input once, when it generates the code, and an
+operation that occurs more than once once, into a local; it writes an
+operation that occurs once inline, nested at most ``_DEPTH`` deep, and
+keeps the tree's left-to-right post-order, so the code raises what a walk
+of the tree raises first.  :func:`define` compiles such lines into one
+function, not a tree of closures.  :func:`emit` and :func:`pretty` walk the
+tree with one explicit stack, so no depth of tree recurses there either.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import NamedTuple
 from .errors import ParseError
 
 __all__ = ["Num", "Var", "Const", "Unary", "Binary", "parse_expression",
-           "straight_line", "define", "literal", "pretty",
+           "emit", "straight_line", "define", "literal", "pretty",
            "FUNCTIONS", "NAMESPACE"]
 
 FUNCTIONS = {
@@ -84,26 +88,24 @@ class Binary(NamedTuple):
     right: object
 
 
-_TOKEN_RE = re.compile(r"""
+# a token and the whitespace before it, or the first character that
+# starts none
+_TOKEN_RE = re.compile(r"""\s*(?:
     (?P<number>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
 def _tokenize(src: str):
     tokens = []  # (kind, text, offset)
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos,
-                             expected=("number", "identifier", "operator"))
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             m.start(kind),
+                             expected=("number", "identifier", "operator"))
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("eof", "", len(src)))
     return tokens
 
@@ -210,85 +212,143 @@ def _fold(node, leaf, combine):
     todo = [(node, False)]
     while todo:
         node, operands_ready = todo.pop()
-        if isinstance(node, (Num, Var, Const)):
+        kind = type(node)
+        if kind in (Num, Var, Const):
             values.append(leaf(node))
         elif operands_ready:
-            n = 1 if isinstance(node, Unary) else 2
-            operands = values[-n:]
-            del values[-n:]
-            values.append(combine(node, *operands))
-        elif isinstance(node, Unary) and node.op in FUNCTIONS:
-            todo += [(node, True), (node.arg, False)]
-        elif isinstance(node, Binary) and node.op in _COMPUTE:
-            todo += [(node, True), (node.right, False), (node.left, False)]
+            if kind is Unary:
+                values[-1] = combine(node, values[-1])
+            else:
+                right = values.pop()
+                values[-1] = combine(node, values[-1], right)
+        elif kind is Binary and node.op in _COMPUTE:
+            todo += ((node, True), (node.right, False), (node.left, False))
+        elif kind is Unary and node.op in FUNCTIONS:
+            todo += ((node, True), (node.arg, False))
         else:   # named by type and op: the repr of a deep node recurses
-            raise TypeError(f"not an expression node: {type(node).__name__}"
+            raise TypeError(f"not an expression node: {kind.__name__}"
                             f" with op {getattr(node, 'op', None)!r}")
     return values.pop()
 
 
-def straight_line(node, constants=None, prefix="_v"):
-    """Generate the tree as straight-line code over the variable ``t``.
+# how deep operations nest inside one line; the operation at this depth
+# is a line of its own
+_DEPTH = 16
+# the operations written with an operator sign, not as a call: one of them
+# inside another is in parentheses
+_OPERATORS = ("+", "-", "*", "/", "neg")
 
-    Returns ``(lines, operand)``: one assignment ``<prefix><n> = ...`` per
-    operation that depends on ``t``, in left-to-right post-order, and the
-    operand (a local, a literal or ``t``) that holds the value.  Numbers and
-    named constants become :func:`literal` operands, ``^`` calls
+
+def emit(roots, constants=None, prefix="_v", inputs=()):
+    """Python source for the trees ``roots``: ``(lines, operands)``.
+
+    ``t`` and the named constants in ``inputs`` are read when the code
+    runs, and other named constants are looked up in ``constants``.  The
+    ``lines`` assign locals ``<prefix><n>``, and ``operands`` holds one
+    operand per root: a local, a literal or an input.  ``^`` calls
     ``math.pow`` and every other function is its entry of
-    :data:`FUNCTIONS`, so the code computes what a walk of the tree would,
-    bit for bit, and raises what it would.  An operation without ``t`` is
-    computed here, by the same function on the same operands: a finite
-    value that raises nothing becomes a literal operand and emits no line,
-    and one that raises or is not finite stays a line, so it raises, or
-    gives its value, where and when the code runs.  No expression nests,
-    whatever the depth of the tree.  Raises one KeyError whose argument is
-    the sorted list of the named constants missing from ``constants``.
+    :data:`FUNCTIONS`, so the code computes what a walk of each tree would,
+    bit for bit, and raises what the walk raises first.  An operation with
+    no run-time input is computed here: a finite value that raises nothing
+    becomes a :func:`literal`; anything else stays an operation, which
+    raises or gives its value when the code runs.  Every other operation is
+    numbered by its op and its operands' numbers; one that occurs more than
+    once is computed once, into a local, where it first occurs, and one
+    that occurs once is written inline, in parentheses, where it is read.
+    Each root is a line, and so is an operation ``_DEPTH`` deep, after the
+    values before it, so the operations run in the walk's left-to-right
+    post-order and no line nests deeper.  Raises one KeyError listing the
+    named constants missing from ``constants``, sorted.
     """
     constants = constants or {}
-    lines, missing = [], set()
+    numbers, keys, uses, values, missing = {}, [], [], {}, set()
 
-    # a value of the fold is a float, a subtree without t computed here, or
-    # a str, the operand of a value the code computes
+    # a key is an operand's source, or (op, *the numbers of its operands)
+    def number(key, value=None):
+        n = numbers.get(key)
+        if n is None:
+            n = numbers[key] = len(keys)
+            keys.append(key)
+            uses.append(0)
+            for m in key[1:] if isinstance(key, tuple) else ():
+                uses[m] += 1
+            if value is not None and math.isfinite(value):
+                values[n] = value
+        return n
+
     def leaf(node):
-        if isinstance(node, Var):
-            return "t"
         if isinstance(node, Num):
             value = node.value
+        elif isinstance(node, Var) or node.name in inputs:
+            return number(getattr(node, "name", "t"))
         elif node.name in constants:
             value = float(constants[node.name])
         else:
             missing.add(node.name)
-            return node.name
-        return value if math.isfinite(value) else literal(value)
+            return number(node.name)
+        return number(literal(value), value)
 
     def combine(node, *operands):
-        if not any(isinstance(x, str) for x in operands):
+        if operands[0] in values and operands[-1] in values:
             compute = FUNCTIONS[node.op] if isinstance(node, Unary) \
                 else _COMPUTE[node.op]
             try:
-                value = compute(*operands)
+                value = compute(*(values[n] for n in operands))
             except (ArithmeticError, ValueError):
                 pass
             else:
                 if math.isfinite(value):
-                    return value
-        operands = [x if isinstance(x, str) else literal(x)
-                    for x in operands]
-        if isinstance(node, Unary):
-            (arg,) = operands
-            code = f"-{arg}" if node.op == "neg" else f"{node.op}({arg})"
-        else:
-            left, right = operands
-            code = (f"_pow({left}, {right})" if node.op == "^"
-                    else f"{left} {node.op} {right}")
-        local = f"{prefix}{len(lines)}"
-        lines.append(f"{local} = {code}")
-        return local
+                    return number(literal(value), value)
+        return number((node.op, *operands))
 
-    operand = _fold(node, leaf, combine)
+    tops = [_fold(root, leaf, combine) for root in roots]
     if missing:
         raise KeyError(sorted(missing))
-    return lines, operand if isinstance(operand, str) else literal(operand)
+    for top in tops:
+        uses[top] += 1
+    # stack: (number, code, depth), depth 0 for an operand, else how deep
+    # the inline code nests; local: number -> the local that holds it
+    lines, stack, local = [], [], {}
+    todo = [(top, False) for top in reversed(tops)]
+    root = set(tops)
+    while todo:
+        n, ready = todo.pop()
+        key = keys[n]
+        if isinstance(key, str) or n in local:
+            stack.append((n, local.get(n, key), 0))
+            continue
+        if not ready:
+            todo += [(n, True), *[(m, False) for m in key[:0:-1]]]
+            continue
+        op, args, depth = key[0], [], 1
+        for m, code, nest in stack[1 - len(key):]:
+            if nest and m in local:     # computed once, here
+                code = f"({local[m]} := {code})"
+            elif nest and keys[m][0] in _OPERATORS and op in _OPERATORS:
+                code = f"({code})"
+            args.append(code)
+            depth = max(depth, nest + 1)
+        del stack[1 - len(key):]
+        stack.append((n, f"-{args[0]}" if op == "neg" else
+                      f"{op}({args[0]})" if len(args) == 1 else
+                      f"_pow({args[0]}, {args[1]})" if op == "^" else
+                      f"{args[0]} {op} {args[1]}", depth))
+        if n in root or depth == _DEPTH:
+            # a line, after every value before it in post-order
+            for j, (m, code, nest) in enumerate(stack):
+                if nest:
+                    local.setdefault(m, f"{prefix}{len(local)}")
+                    lines.append(f"{local[m]} = {code}")
+                    stack[j] = (m, local[m], 0)
+        elif uses[n] > 1:
+            local[n] = f"{prefix}{len(local)}"
+    return lines, [code for _, code, _ in stack]
+
+
+def straight_line(node, constants=None, prefix="_v"):
+    """:func:`emit` for one tree: ``(lines, operand)``."""
+    lines, (operand,) = emit([node], constants, prefix)
+    return lines, operand
 
 
 # the names generated code reads besides t
@@ -296,12 +356,17 @@ NAMESPACE = {**FUNCTIONS, "_pow": math.pow, "_inf": math.inf,
              "_nan": math.nan}
 
 
-def define(lines, result):
-    """Compile ``def f(t): <lines>; return <result>`` over NAMESPACE."""
-    body = "".join(f"    {line}\n" for line in lines)
+def define(lines, result, args="t", overflow=None):
+    """Compile ``def f(<args>): <lines>; return <result>`` over NAMESPACE;
+    where ``overflow`` is given, an OverflowError returns it instead."""
+    body = [*lines, f"return {result}"]
+    if overflow is not None:
+        body = ["try:", *(f"    {line}" for line in body),
+                "except OverflowError:", f"    return {overflow}"]
+    source = "".join(f"    {line}\n" for line in body)
     scope = {}
-    exec(compile(f"def f(t):\n{body}    return {result}\n",
-                 "<quadflow expression>", "exec"), dict(NAMESPACE), scope)
+    exec(compile(f"def f({args}):\n{source}", "<quadflow expression>",
+                 "exec"), dict(NAMESPACE), scope)
     return scope["f"]
 
 

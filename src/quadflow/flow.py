@@ -8,15 +8,16 @@ diverges at omega_c t = pi - so breakdown is a result, not an exception.
 
 The right-hand side is the transcribed flow equations on Python floats,
 compiled for the schedule's structural zeros (:func:`.reduction.flow_rhs`:
-the schedule compiles it when built, and ``integrate`` asks for it again
-with alpha(0), after refusing bad settings): the terms that the zero
+loading a config compiles it, and ``integrate`` asks for it again with
+alpha(0), after refusing bad settings): the terms that the zero
 coefficients and the alphas that stay at 0 make zero are gone, so a
 Hamiltonian without linear terms never evaluates the equations of
-alpha1..alpha5.  Its values are those of
-:func:`.reduction.explicit_rhs` bit for bit.  At every stage it gets the
-list the schedule's compiled function returns and the list of floats the
-stepper's attempt passes, a function compiled for 15 entries when this
-module is imported.  The attempt checks each stage as it returns, and a
+alpha1..alpha5, and the one code generator of :mod:`.expressions` computes
+each repeated operation once and nests the others inline.  Its values are
+those of :func:`.reduction.explicit_rhs` bit for bit.  At every stage it
+gets the list the schedule's compiled function returns and the list of
+floats the stepper's attempt passes, a function compiled for 15 entries
+when this module is imported.  The attempt checks each stage as it returns, and a
 non-finite entry (an overflowing term makes the whole stage NaN) rejects the
 step before another stage is evaluated.  One predicate decides where the
 chart ends.  Its first clause is the chart itself: S00 = e^{2 alpha_12} and

@@ -18,14 +18,14 @@ parameters (``_SOURCES``) that compiles as a config's expressions do:
 
 A preset is evaluated once at t = 0 when built; a value that is undefined
 or not finite there raises :class:`InvalidSchedule` naming the coefficient.
-Every schedule compiles to one straight-line function of t (generated
-source, see :mod:`.expressions`, which computes an operation without t
-once, when it compiles), and :meth:`CoefficientSchedule.coefficients`
+Every schedule compiles to one function of t, each slot generated on its
+own by :func:`.expressions.emit`, which computes an operation without t
+once, when it compiles, and a repeated operation on t once per call, and
+nests the others inline.  :meth:`CoefficientSchedule.coefficients`
 returns its 15 values as a list of floats.  A slot that compiles to the
 number 0, an absent one included, is a structural zero
-(:attr:`CoefficientSchedule.zeros`).  Building a schedule also compiles
-the flow's right-hand side for its zeros (:func:`.reduction.flow_rhs`),
-once per pattern of zeros, so a run does not pay for it.
+(:attr:`CoefficientSchedule.zeros`); loading a config compiles the flow's
+right-hand side for them (:func:`.reduction.flow_rhs`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from . import expressions as ex
 from .adjoint import N_GENERATORS
 from .errors import ConfigError, InvalidSchedule
-from .reduction import flow_rhs
 
 __all__ = ["PRESETS", "CoefficientSchedule"]
 
@@ -88,9 +87,6 @@ class CoefficientSchedule:
                 *(line for lines, _ in self._slots for line in lines)]
         operands = ", ".join(operand for _, operand in self._slots)
         self._fn = ex.define(body, f"[{operands}]")
-        # the flow's right-hand side for these zeros compiles with the
-        # schedule, not inside the first run
-        flow_rhs(self.zeros)
 
     def __reduce__(self):
         return CoefficientSchedule, (self._slots, self.hbar, self.kind,

@@ -58,14 +58,14 @@ def test_ordinals_are_adjacent_across_zero():
 
 
 def test_the_cases_at_one_seed(tmp_path):
-    # the benchmark's six inputs at the seed and the twenty-two fixed
+    # the benchmark's six inputs at the seed and the twenty-four fixed
     # cases, each laying out its inputs and giving a command line
     cases = list(output_digests.cases([3]))
     names = [name for name, _ in cases]
-    assert len(names) == 28 and len(set(names)) == 28
+    assert len(names) == 30 and len(set(names)) == 30
     for j, (name, write) in enumerate(cases):
         tmp = tmp_path / str(j)
         tmp.mkdir()
         argv = write(tmp)
-        assert argv[0] in ("run", "green", "verify"), name
+        assert argv[0] in ("run", "green", "verify", "print-odes"), name
         assert all(isinstance(arg, str) for arg in argv), name

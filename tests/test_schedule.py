@@ -52,6 +52,9 @@ def test_coefficients_are_a_list_of_floats():
     ("1/(t-t)", 0.0, "a7 undefined at t = 0.0: float division by zero"),
     ("exp(1000*t)", 1.0, "a7 undefined at t = 1.0: math range error"),
     ("1e200*1e200", 0.0, "a7 non-finite at t = 0.0"),
+    # 1/(t-t) is computed once, after ln(t-1), which fails first
+    ("ln(t-1)*(1/(t-t)) + 1/(t-t)", 0.0,
+     "a7 undefined at t = 0.0: math domain error"),
 ])
 def test_invalid_schedule_names_the_coefficient_and_time(src, t, detail):
     sched = CoefficientSchedule.from_expressions({3: "t", 7: src, 9: "0.5"})
