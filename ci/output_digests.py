@@ -39,6 +39,9 @@ The cases:
 - ``print-odes`` at t = 0.7 and a state with every alpha nonzero, on a
   config that sets all fifteen slots and on the landau preset: the
   right-hand side of no zeros, every term of every equation;
+- ``print-odes`` at the same state on a config whose expressions use every
+  function and operator of the grammar on t, with a named constant ``t``
+  that must leave t the time;
 - the three inputs whose verify rows fail on an absolute tolerance while
   the relative error is tiny: ``verify --preset free --m 1e-26`` (alpha9
   reaches 1.25e26), ``verify --preset kanai_caldirola --lam 400`` (a
@@ -90,6 +93,12 @@ ALL_SLOTS = ("a1 = 0.2\na2 = 0.3*sin(t)\na3 = -0.1\na4 = 0.1*cos(t)\n"
              "a5 = -0.1\na6 = 0.5\na7 = 0.4*cos(t)\na8 = 0.05\na9 = 0.5\n"
              "a10 = 0.6\na11 = 0.1*cos(t)\na12 = 0.1*sin(t)\na13 = -0.05\n"
              "a14 = 0.3\na15 = -0.25\n\n[run]\nt_end = 2.0\n")
+# every function and operator of the expression grammar, on t
+EVERY_FUNCTION = ("a6 = 0.5 + 0.1*tan(t/4)\na7 = 0.4*sqrt(1 + t^2)\n"
+                  "a9 = 0.5*exp(-t/3)\na10 = 0.5 + 0.1*ln(2 + t)\n"
+                  "a11 = neg(B)*cos(w*t)\na14 = C^2*sin(w*t)\na15 = -C\n\n"
+                  "[constants]\nB = 0.1\nC = 0.5\nw = 2.0\nt = 9.0\n\n"
+                  "[run]\nt_end = 2.0\n")
 ODES = ["--t", "0.7", "--alpha", "0.1,-0.2,0.3,0.05,-0.15,0.2,-0.1,0.07,"
         "0.3,-0.25,0.12,0.4,-0.3,0.2,-0.1"]
 UNRESOLVED = {
@@ -151,6 +160,8 @@ def cases(seeds):
         *_config(tmp, ALL_SLOTS, "print-odes"), *ODES]
     yield "print-odes:landau", lambda tmp: [
         "print-odes", "--preset", "landau", *ODES]
+    yield "print-odes:every_function", lambda tmp: [
+        *_config(tmp, EVERY_FUNCTION, "print-odes"), *ODES]
     for name, text in UNRESOLVED.items():
         yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     yield "verify:free_m1e-26", lambda tmp: [

@@ -201,7 +201,7 @@ def _verify_checks(cfg: RunConfig):
 
     # 200 (a, alpha) pairs, both sides in stacks of 32: the adjoint blocks
     # of a stack take 27 kB per row
-    err, draws = 0.0, _uniform(rng, (200, 2, 15))
+    err, draws = 0.0, oracles._uniform(rng, (200, 2, 15))
     for pairs in np.split(draws, range(32, 200, 32)):
         state = assemble(pairs[:, 0], pairs[:, 1])
         ref = reference_odes(pairs[:, 0], pairs[:, 1])
@@ -211,7 +211,7 @@ def _verify_checks(cfg: RunConfig):
 
     err = 0.0
     for i in range(2, 16):
-        alphas = _uniform(rng, (25,))
+        alphas = oracles._uniform(rng, (25,))
         err = max(err, float(np.max(np.abs(
             adjoint_matrix(i, alphas) - adjoint_closed_form(i, alphas)))))
     yield "adjoint exponential vs closed-form rules", err, 1e-12
@@ -264,37 +264,10 @@ def _verify_checks(cfg: RunConfig):
 
     a = np.array([cfg.schedule.coefficients(t) for t in ts.tolist()])
     ls = oracles.classical_lagrangian(a, alphas, reference_odes(a, alphas))
-    action = _simpson(ls, ts)
+    action = oracles._simpson(ls, ts)
     err = abs(action - alphas[-1, 0])
     yield ("action integral of L vs accumulated alpha1",
            math.nan if skip else err, 1e-8)
-
-
-def _uniform(rng: random.Random, shape) -> np.ndarray:
-    """Floats uniform on [-1, 1) in ``shape``: the top 53 bits of each of
-    ``rng``'s little-endian 64-bit words, times 2**-52, minus 1 (exact)."""
-    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
-    return ((words >> 11) * 2.0 ** -52 - 1.0).reshape(shape)
-
-
-def _simpson(y, x) -> float:
-    """Composite Simpson sum of the samples ``y`` on the uniform grid ``x``,
-    the value scipy.integrate.simpson gives for every point count: 0 for
-    one point, the trapezoid for two, and for an odd number N of intervals
-    Simpson on the first N - 1 plus Cartwright's h/12 (5 y_N + 8 y_{N-1} -
-    y_{N-2}) for the last."""
-    n = len(y)
-    if n < 2:
-        return 0.0
-    h = (x[-1] - x[0]) / (n - 1)
-    if n == 2:
-        return 0.5 * h * (y[0] + y[1])
-    m = n - 1 + n % 2          # the points of the even-interval part
-    total = h / 3 * (y[0] + 4 * np.sum(y[1:m - 1:2])
-                     + 2 * np.sum(y[2:m - 1:2]) + y[m - 1])
-    if m < n:
-        total += h / 12 * (5 * y[-1] + 8 * y[-2] - y[-3])
-    return float(total)
 
 
 def _cmd_verify(args) -> int:

@@ -10,24 +10,26 @@ Grammar (whitespace insignificant, byte offsets reported on error):
 
 ``^`` binds tighter than unary minus, so ``-2^2 == -4`` and ``2^3^2 == 512``.
 Function application requires parentheses (``sin t`` is a parse error).
-Recognised functions: neg, sin, cos, tan, exp, ln, sqrt.  The variable is
-``t``; any other bare identifier is a named constant, resolved when the tree
-is compiled.
+Recognised functions: neg, sin, cos, tan, exp, ln, sqrt.  Any other
+identifier, ``t`` included, is a name: the code reads it when it runs only
+where the caller of :func:`emit` lists it in ``inputs`` (``t`` for a
+schedule); elsewhere it is a named constant, resolved when the tree is
+compiled.
 
 :func:`parse_expression` reads this grammar in one loop over the tokens,
-with an operand stack and an operator stack (a function call or a group is
-a paren marker on the operator stack that its ``)`` closes), so no depth of
+with an operand stack and an operator stack (a function call or a group is a
+paren marker on the operator stack that its ``)`` closes), so no depth of
 nesting recurses.  :func:`emit` is the one code generator: it writes the
 Python source of one or more trees over their run-time inputs (``t`` for a
 schedule, the coefficients and alphas for the flow's right-hand side), and
-reports every missing named constant at once.  It computes an operation
-without a run-time input once, when it generates the code, and an
-operation that occurs more than once once, into a local; it writes an
-operation that occurs once inline, nested at most ``_DEPTH`` deep, and
-keeps the tree's left-to-right post-order, so the code raises what a walk
-of the tree raises first.  :func:`define` compiles such lines into one
-function, not a tree of closures.  :func:`emit` and :func:`pretty` walk the
-tree with one explicit stack, so no depth of tree recurses there either.
+reports every missing name at once.  It computes an operation without a
+run-time input once, when it generates the code, and an operation that
+occurs more than once once, into a local; it writes an operation that occurs
+once inline, nested at most ``_DEPTH`` deep, and keeps the tree's
+left-to-right post-order, so the code raises what a walk of the tree raises
+first.  :func:`define` compiles such lines into one function, not a tree of
+closures.  :func:`emit` and :func:`pretty` walk the tree with one explicit
+stack, so no depth of tree recurses there either.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 
-__all__ = ["Num", "Var", "Const", "Unary", "Binary", "parse_expression",
+__all__ = ["Num", "Const", "Unary", "Binary", "parse_expression",
            "emit", "straight_line", "define", "literal", "pretty",
            "FUNCTIONS", "NAMESPACE"]
 
@@ -56,21 +58,6 @@ FUNCTIONS = {
 
 class Num(NamedTuple):
     value: float
-
-
-class Var:
-    """The time variable t: every Var equals every other."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is Var or NotImplemented
-
-    def __hash__(self):
-        return hash(Var)
-
-    def __repr__(self):
-        return "Var()"
 
 
 class Const(NamedTuple):
@@ -158,7 +145,7 @@ def parse_expression(src: str):
                 raise ParseError(
                     f"function {value!r} requires parentheses", nxt_offset,
                     expected=("(",))
-            operands.append(Var() if value == "t" else Const(value))
+            operands.append(Const(value))
         else:
             raise ParseError(f"unexpected {value or 'end of input'!r}", offset,
                              expected=("number", "identifier", "("))
@@ -203,17 +190,17 @@ _COMPUTE = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def _fold(node, leaf, combine):
-    """Fold the tree in left-to-right post-order with an explicit stack, so
-    no depth of tree recurses: ``leaf(node)`` gives the value of a number,
-    ``t`` or a named constant, and ``combine(node, *values)`` that of an
-    operation from the values of its operands.  Raises TypeError for
-    anything that is not an expression node."""
+    """Fold the tree in left-to-right post-order with an explicit stack, so no
+    depth of tree recurses: ``leaf(node)`` gives the value of a number or a
+    name, and ``combine(node, *values)`` that of an operation from the
+    values of its operands.  Raises TypeError for anything that is not an
+    expression node."""
     values = []
     todo = [(node, False)]
     while todo:
         node, operands_ready = todo.pop()
         kind = type(node)
-        if kind in (Num, Var, Const):
+        if kind in (Num, Const):
             values.append(leaf(node))
         elif operands_ready:
             if kind is Unary:
@@ -242,23 +229,22 @@ _OPERATORS = ("+", "-", "*", "/", "neg")
 def emit(roots, constants=None, prefix="_v", inputs=()):
     """Python source for the trees ``roots``: ``(lines, operands)``.
 
-    ``t`` and the named constants in ``inputs`` are read when the code
-    runs, and other named constants are looked up in ``constants``.  The
-    ``lines`` assign locals ``<prefix><n>``, and ``operands`` holds one
-    operand per root: a local, a literal or an input.  ``^`` calls
-    ``math.pow`` and every other function is its entry of
-    :data:`FUNCTIONS`, so the code computes what a walk of each tree would,
-    bit for bit, and raises what the walk raises first.  An operation with
-    no run-time input is computed here: a finite value that raises nothing
-    becomes a :func:`literal`; anything else stays an operation, which
-    raises or gives its value when the code runs.  Every other operation is
-    numbered by its op and its operands' numbers; one that occurs more than
-    once is computed once, into a local, where it first occurs, and one
-    that occurs once is written inline, in parentheses, where it is read.
-    Each root is a line, and so is an operation ``_DEPTH`` deep, after the
-    values before it, so the operations run in the walk's left-to-right
-    post-order and no line nests deeper.  Raises one KeyError listing the
-    named constants missing from ``constants``, sorted.
+    A name is read when the code runs only where ``inputs`` lists it; every
+    other name is looked up in ``constants``.  The ``lines`` assign locals
+    ``<prefix><n>``, and ``operands`` holds one operand per root: a local, a
+    literal or an input.  ``^`` calls ``math.pow`` and every other function
+    is its entry of :data:`FUNCTIONS`, so the code computes what a walk of
+    each tree would, bit for bit, and raises what the walk raises first.  An
+    operation with no run-time input is computed here: a finite value that
+    raises nothing becomes a :func:`literal`; anything else stays an
+    operation, which raises or gives its value when the code runs.  Every
+    other operation is numbered by its op and its operands' numbers; one
+    that occurs more than once is computed once, into a local, where it
+    first occurs, and one that occurs once is written inline, in
+    parentheses, where it is read.  Each root is a line, and so is an
+    operation ``_DEPTH`` deep, after the values before it, so the operations
+    run in the walk's left-to-right post-order and no line nests deeper.
+    Raises one KeyError listing the names missing from both, sorted.
     """
     constants = constants or {}
     numbers, keys, uses, values, missing = {}, [], [], {}, set()
@@ -279,8 +265,8 @@ def emit(roots, constants=None, prefix="_v", inputs=()):
     def leaf(node):
         if isinstance(node, Num):
             value = node.value
-        elif isinstance(node, Var) or node.name in inputs:
-            return number(getattr(node, "name", "t"))
+        elif node.name in inputs:
+            return number(node.name)
         elif node.name in constants:
             value = float(constants[node.name])
         else:
@@ -346,8 +332,8 @@ def emit(roots, constants=None, prefix="_v", inputs=()):
 
 
 def straight_line(node, constants=None, prefix="_v"):
-    """:func:`emit` for one tree: ``(lines, operand)``."""
-    lines, (operand,) = emit([node], constants, prefix)
+    """:func:`emit` for one tree over ``t``: ``(lines, operand)``."""
+    lines, (operand,) = emit([node], constants, prefix, inputs=("t",))
     return lines, operand
 
 
@@ -370,23 +356,18 @@ def define(lines, result, args="t", overflow=None):
     return scope["f"]
 
 
-# precedence levels for the pretty-printer; a leaf or a function call binds
-# tightest, at 4
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}
-
-
 def pretty(node) -> str:
     """Render the tree; ``parse_expression(pretty(x))`` rebuilds ``x`` exactly."""
 
-    def leaf(node):   # (text, precedence), like every value of the fold
-        if isinstance(node, Num):
-            return repr(node.value), 4
-        return ("t" if isinstance(node, Var) else node.name), 4
+    # (text, binding), like every value of the fold: an operator binds as
+    # the parser's _BINDING says, and a leaf or a function call at 5
+    def leaf(node):
+        return (repr(node.value) if isinstance(node, Num) else node.name), 5
 
     def combine(node, *operands):
         if isinstance(node, Unary) and node.op != "neg":
-            return f"{node.op}({operands[0][0]})", 4
-        p = _PREC[node.op]
+            return f"{node.op}({operands[0][0]})", 5
+        p = _BINDING[node.op]
         if isinstance(node, Unary):
             ((inner, q),) = operands
             return (f"-({inner})" if q < p else f"-{inner}"), p

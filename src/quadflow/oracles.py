@@ -16,7 +16,9 @@ with the adjoint/reduction machinery beyond the coefficient schedule:
 
 Transcribed closed forms: :func:`heisenberg_closed_form` (Heisenberg map),
 :func:`classical_lagrangian` (action alpha1) and :func:`landau_kernel` (the
-degenerate Green branch on the constant-field charge).
+degenerate Green branch on the constant-field charge).  verify's random
+draws (:func:`_uniform`) and its action quadrature (:func:`_simpson`) live
+here too, off the run path.
 
 The classical integrator is Gragg-Bulirsch-Stoer extrapolation (Bulirsch &
 Stoer, Numer. Math. 8, 1, 1966; Hairer, Norsett & Wanner, Solving ODEs I,
@@ -140,6 +142,34 @@ def classical_lagrangian(a, alpha, alpha_dot):
          + a[3] * al[5] - 2 * a[13] * al[3] * al[5] + a[8] * al[4] * al[5]
          + a[1] - al[4] * ad[2] - al[5] * ad[3])
     return float(L) if np.ndim(L) == 0 else L
+
+
+def _uniform(rng, shape) -> np.ndarray:
+    """verify's draws: floats uniform on [-1, 1) in ``shape``, the top 53
+    bits of each of the :class:`random.Random` ``rng``'s little-endian
+    64-bit words, times 2**-52, minus 1 (exact)."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0 ** -52 - 1.0).reshape(shape)
+
+
+def _simpson(y, x) -> float:
+    """Composite Simpson sum of the samples ``y`` on the uniform grid ``x``,
+    the value scipy.integrate.simpson gives for every point count: 0 for
+    one point, the trapezoid for two, and for an odd number N of intervals
+    Simpson on the first N - 1 plus Cartwright's h/12 (5 y_N + 8 y_{N-1} -
+    y_{N-2}) for the last."""
+    n = len(y)
+    if n < 2:
+        return 0.0
+    h = (x[-1] - x[0]) / (n - 1)
+    if n == 2:
+        return 0.5 * h * (y[0] + y[1])
+    m = n - 1 + n % 2          # the points of the even-interval part
+    total = h / 3 * (y[0] + 4 * np.sum(y[1:m - 1:2])
+                     + 2 * np.sum(y[2:m - 1:2]) + y[m - 1])
+    if m < n:
+        total += h / 12 * (5 * y[-1] + 8 * y[-2] - y[-3])
+    return float(total)
 
 
 # Gragg-Bulirsch-Stoer: each macro step of length H runs the modified

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadflow import cli, flow, rk
+from quadflow import cli, flow, oracles, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
 from quadflow.errors import ConfigError, InvalidSchedule
@@ -137,6 +137,13 @@ def test_undefined_constant_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(p)
     assert "k0" in str(err.value)
+
+
+def test_a_constant_named_t_leaves_t_the_time(tmp_path):
+    p = tmp_path / "t.cfg"
+    p.write_text("[hamiltonian]\na6 = t\n\n[constants]\nt = 9\n\n"
+                 "[run]\nt_end = 1.0\n")
+    assert load_config(p).schedule.coefficients(0.25)[5] == 0.25
 
 
 def test_run_writes_all_artifacts(landau_cfg, tmp_path):
@@ -1092,7 +1099,7 @@ def test_verify_compares_a_strong_field_flow_with_the_closed_form(capsys):
 def test_verify_reduction_row_equals_the_one_state_loop_bit_for_bit():
     # the row assembles its 200 random states in stacks of 32; its error is
     # the one a loop of one-state assemble calls finds, to the bit
-    draws = cli._uniform(random.Random(20240915), (200, 2, 15))
+    draws = oracles._uniform(random.Random(20240915), (200, 2, 15))
     err = 0.0
     for a, al in draws:
         state = assemble(a, al)
@@ -1108,9 +1115,9 @@ def test_verify_draws_span_the_half_open_interval():
     # the least and the greatest 53-bit draw are -1 and 1 - 2**-52, exactly
     zeros = SimpleNamespace(randbytes=lambda n: b"\x00" * n)
     ones = SimpleNamespace(randbytes=lambda n: b"\xff" * n)
-    assert (cli._uniform(zeros, (2, 3)) == -1.0).all()
-    assert (cli._uniform(ones, (4,)) == 1.0 - 2.0 ** -52).all()
-    draws = cli._uniform(random.Random(20240915), (200, 2, 15))
+    assert (oracles._uniform(zeros, (2, 3)) == -1.0).all()
+    assert (oracles._uniform(ones, (4,)) == 1.0 - 2.0 ** -52).all()
+    draws = oracles._uniform(random.Random(20240915), (200, 2, 15))
     assert draws.shape == (200, 2, 15)
     assert -1.0 <= draws.min() and draws.max() < 1.0
     assert abs(draws.mean()) < 0.05
@@ -1128,10 +1135,10 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
     rows = {name: err for name, err, _ in cli._verify_checks(cfg)}
 
     rng = random.Random(20240915)
-    cli._uniform(rng, (200, 2, 15))  # the reduction row's draws
+    oracles._uniform(rng, (200, 2, 15))  # the reduction row's draws
     err = 0.0
     for i in range(2, 16):
-        for alpha in cli._uniform(rng, (25,)):
+        for alpha in oracles._uniform(rng, (25,)):
             err = max(err, float(np.max(np.abs(
                 adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
     assert 0 < rows["adjoint exponential vs closed-form rules"] == err
@@ -1142,7 +1149,7 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
     a = [cfg.schedule.coefficients(t) for t in res.ts.tolist()]
     ls = np.array([classical_lagrangian(a_t, alpha, reference_odes(a_t, alpha))
                    for a_t, alpha in zip(a, res.alphas)])
-    err = abs(cli._simpson(ls, res.ts) - res.alphas[-1, 0])
+    err = abs(oracles._simpson(ls, res.ts) - res.alphas[-1, 0])
     assert 0 < rows["action integral of L vs accumulated alpha1"] == err
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadflow.errors import ParseError
-from quadflow.expressions import (FUNCTIONS, Binary, Const, Num, Unary, Var,
+from quadflow.expressions import (FUNCTIONS, Binary, Const, Num, Unary,
                                   define, emit, parse_expression, pretty,
                                   straight_line)
 
@@ -76,7 +76,7 @@ def test_precedence_structure():
     tree = parse_expression("1+2*3")
     assert tree == Binary("+", Num(1.0), Binary("*", Num(2.0), Num(3.0)))
     tree = parse_expression("-t^2")
-    assert tree == Unary("neg", Binary("^", Var(), Num(2.0)))
+    assert tree == Unary("neg", Binary("^", Const("t"), Num(2.0)))
 
 
 def test_named_constants_and_free_names():
@@ -90,6 +90,11 @@ def test_named_constants_and_free_names():
     with pytest.raises(KeyError) as err:
         straight_line(tree, {"omega": 1.5})
     assert err.value.args == (["phi0"],)
+    # t is a name like any other: read when the code runs only where the
+    # caller lists it as an input
+    with pytest.raises(KeyError) as err:
+        emit([tree])
+    assert err.value.args == (["omega", "phi0", "t"],)
 
 
 def test_domain_errors_propagate():
@@ -138,7 +143,7 @@ def _trees(depth):
     leaf = st.one_of(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                   allow_infinity=False).map(Num),
-        st.just(Var()),
+        st.just(Const("t")),
         st.sampled_from(["a", "b", "w0"]).map(Const),
     )
     if depth == 0:
@@ -169,10 +174,8 @@ def walk(node, constants, t):
     """The reference interpreter: a recursive walk of the tree."""
     if isinstance(node, Num):
         return node.value
-    if isinstance(node, Var):
-        return t
     if isinstance(node, Const):
-        return float(constants[node.name])
+        return t if node.name == "t" else float(constants[node.name])
     if isinstance(node, Unary):
         return FUNCTIONS[node.op](walk(node.arg, constants, t))
     left = walk(node.left, constants, t)
@@ -192,7 +195,7 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
 def _any_trees(depth):
-    leaf = st.one_of(ANY_FLOAT.map(Num), st.just(Var()),
+    leaf = st.one_of(ANY_FLOAT.map(Num), st.just(Const("t")),
                      st.sampled_from(["a", "b"]).map(Const))
     if depth == 0:
         return leaf
@@ -234,20 +237,20 @@ def test_repeated_subtrees_equal_the_tree_walk(x, y, a, b, t):
 ])
 def test_a_repeated_operation_is_computed_once(srcs):
     trees = [parse_expression(src) for src in srcs]
-    lines, operands = emit(trees, {"w": 1.5})
+    lines, operands = emit(trees, {"w": 1.5}, inputs=("t",))
     assert "".join(lines).count("sin(") == 1
     values = define(lines, f"[{', '.join(operands)}]")(0.7)
     assert [struct.pack("<d", v) for v in values] == \
         [struct.pack("<d", walk(tree, {"w": 1.5}, 0.7)) for tree in trees]
 
 
-def test_generated_code_is_one_assignment_per_operation():
+def test_single_use_operations_nest_in_one_line():
     lines, operand = straight_line(parse_expression("-2^t + sin(t*w) - 3"),
                                    {"w": -0.5}, prefix="_x")
     assert lines == ["_x0 = ((-_pow(2.0, t)) + sin(t * -0.5)) - 3.0"]
     assert operand == "_x0"
     assert straight_line(Num(-math.inf)) == ([], "-_inf")
-    assert straight_line(Var()) == ([], "t")
+    assert straight_line(Const("t")) == ([], "t")
 
 
 def test_operations_without_t_fold_to_literals():
@@ -268,7 +271,7 @@ def test_operations_without_t_fold_to_literals():
 @pytest.mark.parametrize("src, error", [
     ("1/0", ZeroDivisionError), ("exp(1000)", OverflowError),
     ("ln(0)", ValueError), ("(-8)^(1/3)", ValueError)])
-def test_an_operation_without_t_that_raises_stays_a_line(src, error):
+def test_an_operation_without_t_that_raises_runs_with_the_code(src, error):
     # it raises where and when the code runs, as the tree walk would
     lines, _ = straight_line(parse_expression(src))
     assert lines
@@ -278,7 +281,7 @@ def test_an_operation_without_t_that_raises_stays_a_line(src, error):
         value_at(f"t + {src}", 0.0)
 
 
-def test_an_operation_without_t_that_is_not_finite_stays_a_line():
+def test_an_operation_without_t_that_is_not_finite_runs_with_the_code():
     # and so does every operation over it
     assert straight_line(parse_expression("1e308*10 - 1")) \
         == (["_v0 = (1e+308 * 10.0) - 1.0"], "_v0")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quadflow import cli, oracles
+from quadflow import oracles
 from quadflow.errors import GridUnderresolved
 from quadflow.flow import constant_field_closed_form, integrate
 from quadflow.observables import SYMPLECTIC_J, heisenberg_map
@@ -209,8 +209,8 @@ def test_the_action_quadrature_is_scipy_simpson(points):
     from scipy.integrate import simpson
     x = np.linspace(0.0, 2.3, points)
     y = np.sin(3 * x) + x ** 2
-    assert cli._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-14,
-                                               abs=1e-15)
+    assert oracles._simpson(y, x) == pytest.approx(simpson(y, x=x),
+                                                   rel=1e-14, abs=1e-15)
 
 
 # -- Gaussian states ---------------------------------------------------------
