@@ -40,13 +40,16 @@ The cases:
   config that sets all fifteen slots and on the landau preset: the
   right-hand side of no zeros, every term of every equation;
 - ``print-odes`` at the same state on a config whose expressions use every
-  function and operator of the grammar on t, with a named constant ``t``
-  that must leave t the time;
+  function and operator of the grammar on t, and on that config with a
+  constant ``t = 9.0`` added, which no expression reads (t is the time): a
+  config error with exit 1;
 - the three inputs whose verify rows fail on an absolute tolerance while
   the relative error is tiny: ``verify --preset free --m 1e-26`` (alpha9
   reaches 1.25e26), ``verify --preset kanai_caldirola --lam 400`` (a
   breakdown near t = 0.086, with max|S| in the billions before it) and
-  ``verify --preset landau --E-x 1e4 --E-y=-2e3`` (alpha1 near 1.35e8).
+  ``verify --preset landau --E-x 1e4 --E-y=-2e3`` (alpha1 near 1.35e8);
+- ``verify --preset landau --e 1e200``: the closed form squares the charge
+  as e * (e * E^2), since e ** 2 overflows a float.
 """
 
 from __future__ import annotations
@@ -97,8 +100,10 @@ ALL_SLOTS = ("a1 = 0.2\na2 = 0.3*sin(t)\na3 = -0.1\na4 = 0.1*cos(t)\n"
 EVERY_FUNCTION = ("a6 = 0.5 + 0.1*tan(t/4)\na7 = 0.4*sqrt(1 + t^2)\n"
                   "a9 = 0.5*exp(-t/3)\na10 = 0.5 + 0.1*ln(2 + t)\n"
                   "a11 = neg(B)*cos(w*t)\na14 = C^2*sin(w*t)\na15 = -C\n\n"
-                  "[constants]\nB = 0.1\nC = 0.5\nw = 2.0\nt = 9.0\n\n"
+                  "[constants]\nB = 0.1\nC = 0.5\nw = 2.0\n\n"
                   "[run]\nt_end = 2.0\n")
+# a constant named t, which no expression reads: refused
+CONSTANT_T = EVERY_FUNCTION.replace("w = 2.0\n", "w = 2.0\nt = 9.0\n")
 ODES = ["--t", "0.7", "--alpha", "0.1,-0.2,0.3,0.05,-0.15,0.2,-0.1,0.07,"
         "0.3,-0.25,0.12,0.4,-0.3,0.2,-0.1"]
 UNRESOLVED = {
@@ -162,6 +167,8 @@ def cases(seeds):
         "print-odes", "--preset", "landau", *ODES]
     yield "print-odes:every_function", lambda tmp: [
         *_config(tmp, EVERY_FUNCTION, "print-odes"), *ODES]
+    yield "print-odes:constant_t", lambda tmp: [
+        *_config(tmp, CONSTANT_T, "print-odes"), *ODES]
     for name, text in UNRESOLVED.items():
         yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     yield "verify:free_m1e-26", lambda tmp: [
@@ -170,6 +177,8 @@ def cases(seeds):
         "verify", "--preset", "kanai_caldirola", "--lam", "400"]
     yield "verify:landau_E1e4", lambda tmp: [
         "verify", "--preset", "landau", "--E-x", "1e4", "--E-y=-2e3"]
+    yield "verify:landau_e1e200", lambda tmp: [
+        "verify", "--preset", "landau", "--e", "1e200"]
 
 
 def _config(tmp: Path, body: str, command: str) -> list:

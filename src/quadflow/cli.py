@@ -221,13 +221,11 @@ def _verify_checks(cfg: RunConfig):
                f"(component {result.breakdown.index}); comparisons truncated "
                f"to the regular part of the flow", math.nan, math.nan)
 
-    p = cfg.schedule.params
     err = math.nan
     if cfg.schedule.kind == "landau" and result.breakdown is None:
         try:
             closed = flow_mod.constant_field_closed_form(
-                p["m"], p["omega_c"], p["E_x"], p["E_y"], p["e"],
-                t=result.ts)
+                **cfg.schedule.params, t=result.ts)
             err = float(np.max(np.abs(result.alphas - closed)))
         except SingularTime:  # omega_c is zero or too small for the formula
             pass

@@ -21,10 +21,15 @@ Minimal example::
     alphas = alphas.csv
     heisenberg = heisenberg.json
 
+A preset parameter not given takes its default (``schedule._PRESETS``):
+landau m = 1, omega_c = 1, E_x = 0, E_y = 0, e = 1; free m = 1; harmonic1d
+m = 1, omega = 1; kanai_caldirola m = 1, omega = 1, lam = 0.1; zero none.
+
 Instead of a preset, the [hamiltonian] section may list coefficient
 expressions a1 .. a15 over the variable t (omitted slots default to 0),
-optionally using names from a [constants] section (which a preset
-refuses)::
+optionally using names from a [constants] section.  A preset refuses that
+section, and a constant that no expression reads is refused, ``t`` among
+them (t is the time)::
 
     [hamiltonian]
     a6 = 0.5*m0*sin(2*t)
@@ -175,6 +180,11 @@ def load_config(path) -> RunConfig:
                 sources, constants=constants, **hbar)
         except (ParseError, InvalidSchedule) as exc:
             raise ConfigError(f"[hamiltonian]: {exc}") from exc
+        unread = sorted(set(constants) - set(schedule.params))
+        if unread:
+            raise ConfigError(f"[constants]: no expression reads {unread}"
+                              + ("; t is the time, not a constant"
+                                 if "t" in unread else ""))
 
     run = parser["run"] if "run" in parser else {}
     _refuse_unknown("[run]", "keys", run, _RUN_KEYS)

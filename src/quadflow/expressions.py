@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import ParseError
 
 __all__ = ["Num", "Const", "Unary", "Binary", "parse_expression",
-           "emit", "straight_line", "define", "literal", "pretty",
+           "emit", "straight_line", "names", "define", "literal", "pretty",
            "FUNCTIONS", "NAMESPACE"]
 
 FUNCTIONS = {
@@ -335,6 +335,12 @@ def straight_line(node, constants=None, prefix="_v"):
     """:func:`emit` for one tree over ``t``: ``(lines, operand)``."""
     lines, (operand,) = emit([node], constants, prefix, inputs=("t",))
     return lines, operand
+
+
+def names(node) -> set:
+    """Every name that ``node`` reads, ``t`` included."""
+    return _fold(node, lambda leaf: {leaf.name} if type(leaf) is Const
+                 else set(), lambda node, *operands: set().union(*operands))
 
 
 # the names generated code reads besides t

@@ -263,7 +263,7 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
     E2 = E_x ** 2 + E_y ** 2
     # (sin(wt) - wt*cos(wt)) / omega_c**3 etc. are grouped so that no two
     # O(1/omega_c**k) terms cancel: small omega_c*t keeps full accuracy
-    out[..., 0] = e ** 2 * E2 / (2 * m * omega_c ** 3) * _odd_series(
+    out[..., 0] = e * (e * E2) / (2 * m * omega_c ** 3) * _odd_series(
         wt, _SIN_MINUS_WT_COS, sin_wt - wt * np.cos(wt))
     out[..., 1] = (0.5 * e * E_x * (t_arr + sin_wt / omega_c)
                    - e * E_y / (2 * omega_c) * one_m_cos)

@@ -50,7 +50,8 @@ from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
 __all__ = ["GreenSample", "QuadraticPhaseKernel", "degenerate_kernel",
            "generic_kernel", "green_kernel", "green", "write_green_csv"]
 
-DEFAULT_BRANCH_EPS = 1e-6
+# the generic branch's relative threshold on |alpha11| (generic_kernel)
+_BRANCH_EPS = 1e-6
 # kernels evaluate quietly: an overflow gives inf and nan, written as is
 _quiet = np.errstate(all="ignore")
 # Green CSV rows per ``%`` operation: bounds the block's transient strings
@@ -148,15 +149,14 @@ def degenerate_kernel(alpha, hbar) -> QuadraticPhaseKernel:
 
 
 @_quiet
-def generic_kernel(alpha, hbar,
-                   eps_branch=DEFAULT_BRANCH_EPS) -> QuadraticPhaseKernel:
-    """Generic-branch kernel.  Requires |alpha11| > eps_branch *
+def generic_kernel(alpha, hbar) -> QuadraticPhaseKernel:
+    """Generic-branch kernel.  Requires |alpha11| > _BRANCH_EPS *
     max(|alpha9|, |alpha10|, 1), alpha11^2 != 4*alpha9*alpha10 and
     alpha9 != 0; otherwise raises BranchUnavailable and :func:`green_kernel`
     falls back to the degenerate branch."""
     al = np.concatenate(([0.0], _check_alpha(alpha)))
     a9, a10, a11 = al[9], al[10], al[11]
-    if abs(a11) <= eps_branch * max(abs(a9), abs(a10), 1.0):
+    if abs(a11) <= _BRANCH_EPS * max(abs(a9), abs(a10), 1.0):
         raise BranchUnavailable(
             f"|alpha11| = {float(abs(a11))!r} below branch threshold; "
             "use the degenerate branch")

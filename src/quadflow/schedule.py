@@ -5,17 +5,18 @@ a4 p_x, a5 p_y, a6 x^2, a7 y^2, a8 xy, a9 p_x^2, a10 p_y^2, a11 p_x p_y,
 a12 (x p_x + p_x x), a13 (y p_y + p_y y), a14 x p_y, a15 y p_x.
 
 Schedules come either from parsed expressions (see :mod:`.expressions`) or
-from named presets, each a table of such expressions over ``t`` and its
-parameters (``_SOURCES``) that compiles as a config's expressions do:
+from :meth:`CoefficientSchedule.preset`.  Each preset is one row of
+``_PRESETS``: its parameters with their defaults, and expressions over ``t``
+and them that compile as a config's do.  With their defaults:
 
-* ``landau(m, omega_c, E_x, E_y, e)`` - charged particle in a constant
-  perpendicular magnetic field and in-plane electric field (symmetric gauge).
-* ``free(m)`` - free particle.
-* ``harmonic1d(m, omega)`` - 1D oscillator along x.
-* ``kanai_caldirola(m, omega, lam)`` - damped oscillator along x with
-  exponentially scaled mass.
-* ``zero()`` - every coefficient 0.
+* ``landau(m=1, omega_c=1, E_x=0, E_y=0, e=1)`` - a charge in a constant
+  perpendicular magnetic field and in-plane electric field (symmetric gauge);
+* ``free(m=1)`` - a free particle; ``harmonic1d(m=1, omega=1)`` - an
+  oscillator along x; ``kanai_caldirola(m=1, omega=1, lam=0.1)`` - a damped
+  one with exponentially scaled mass; ``zero()`` - every coefficient 0.
 
+A schedule's ``params`` are the named constants its slots read, with their
+values (a preset's are its parameters).
 A preset is evaluated once at t = 0 when built; a value that is undefined
 or not finite there raises :class:`InvalidSchedule` naming the coefficient.
 Every schedule compiles to one function of t, each slot generated on its
@@ -32,33 +33,29 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import expressions as ex
 from .adjoint import N_GENERATORS
 from .errors import ConfigError, InvalidSchedule
 
 __all__ = ["PRESETS", "CoefficientSchedule"]
 
-# preset name -> the parameters its constructor takes besides hbar
-PRESETS = {
-    "landau": ("m", "omega_c", "E_x", "E_y", "e"),
-    "free": ("m",),
-    "harmonic1d": ("m", "omega"),
-    "kanai_caldirola": ("m", "omega", "lam"),
-    "zero": (),
+# preset name -> ({parameter: default}, {slot: expression}); each expression
+# fixes its order of operations, so keep them as written
+_PRESETS = {
+    "landau": ({"m": 1.0, "omega_c": 1.0, "E_x": 0.0, "E_y": 0.0, "e": 1.0},
+               {2: "e*E_x", 3: "e*E_y", 6: "m*omega_c^2/8",
+                7: "m*omega_c^2/8", 9: "1/(2*m)", 10: "1/(2*m)",
+                14: "omega_c/2", 15: "-omega_c/2"}),
+    "free": ({"m": 1.0}, {9: "1/(2*m)", 10: "1/(2*m)"}),
+    "harmonic1d": ({"m": 1.0, "omega": 1.0},
+                   {6: "m*omega^2/2", 9: "1/(2*m)"}),
+    "kanai_caldirola": ({"m": 1.0, "omega": 1.0, "lam": 0.1},
+                        {6: "0.5*m*omega^2*exp(lam*t)",
+                         9: "exp(-lam*t)/(2*m)"}),
+    "zero": ({}, {}),
 }
-
-# preset name -> {slot: expression over t and the preset's parameters}; each
-# string fixes its order of operations, so keep them as written
-_SOURCES = {
-    "landau": {2: "e*E_x", 3: "e*E_y", 6: "m*omega_c^2/8", 7: "m*omega_c^2/8",
-               9: "1/(2*m)", 10: "1/(2*m)", 14: "omega_c/2", 15: "-omega_c/2"},
-    "free": {9: "1/(2*m)", 10: "1/(2*m)"},
-    "harmonic1d": {6: "m*omega^2/2", 9: "1/(2*m)"},
-    "kanai_caldirola": {6: "0.5*m*omega^2*exp(lam*t)", 9: "exp(-lam*t)/(2*m)"},
-    "zero": {},
-}
+# preset name -> the parameters it takes besides hbar
+PRESETS = {name: tuple(defaults) for name, (defaults, _) in _PRESETS.items()}
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -109,26 +106,21 @@ class CoefficientSchedule:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_constant_vector(cls, a, hbar=1.0, kind="custom", params=None):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (N_GENERATORS,):
-            raise ValueError("coefficient vector must have 15 entries")
-        return cls([((), ex.literal(v)) for v in a.tolist()], hbar=hbar,
-                   kind=kind, params=params)
-
-    @classmethod
     def from_expressions(cls, sources, constants=None, hbar=1.0):
         """Build from {index: source string}, index 1..15; missing slots are 0.
 
         Each source is parsed and compiled in one pass over its tree.  An
         unknown named constant is rejected up front (every expression must
-        evaluate over the run interval).
+        evaluate over the run interval).  ``params`` keeps the ``constants``
+        read; ``t`` is the time, so a constant named ``t`` is never read.
         """
         slots = [((), "0.0")] * N_GENERATORS
+        read = set()
         for idx, src in sources.items():
             if not 1 <= idx <= N_GENERATORS:
                 raise ValueError(f"coefficient index out of range: {idx!r}")
             tree = ex.parse_expression(src)
+            read |= ex.names(tree) - {"t"}
             try:
                 slots[idx - 1] = ex.straight_line(tree, constants,
                                                   prefix=f"_a{idx}_")
@@ -136,58 +128,37 @@ class CoefficientSchedule:
                 raise InvalidSchedule(
                     f"a{idx} references undefined constants {exc.args[0]}",
                     coefficient=idx) from None
-        return cls(slots, hbar=hbar, kind="expressions")
+        return cls(slots, hbar=hbar, kind="expressions",
+                   params={name: value for name, value in
+                           (constants or {}).items() if name in read})
 
     @classmethod
-    def _preset(cls, kind, hbar, **params):
-        """Preset ``kind`` compiled from its expressions, checked at t = 0."""
+    def preset(cls, name, hbar=1.0, **params):
+        """Preset ``name``: ``params`` over its defaults, compiled from its
+        expressions and checked at t = 0.  An unknown name, or a parameter
+        the preset does not take, raises :class:`ConfigError`."""
+        if name not in _PRESETS:
+            raise ConfigError(f"unknown preset {name!r}")
+        defaults, sources = _PRESETS[name]
+        extra = set(params) - set(defaults)
+        if extra:
+            raise ConfigError(f"keys {sorted(extra)} not valid for preset "
+                              f"{name!r}")
+        params = {**defaults, **params}
         # every massive preset carries the kinetic coefficient 1/(2m)
         if params.get("m") == 0:
             raise InvalidSchedule("preset parameter m = 0: the kinetic "
                                   "coefficients 1/(2m) are undefined")
-        sched = cls.from_expressions(_SOURCES[kind], params, hbar)
-        sched.kind, sched.params = kind, params
+        sched = cls.from_expressions(sources, params, hbar)
+        sched.kind = name
         try:
             sched.coefficients(0.0)
         except InvalidSchedule as exc:
             given = ", ".join(f"{key} = {v!r}" for key, v in params.items())
-            raise InvalidSchedule(f"{kind} preset: a{exc.coefficient} is not "
+            raise InvalidSchedule(f"{name} preset: a{exc.coefficient} is not "
                                   f"finite for {given}",
                                   coefficient=exc.coefficient) from None
         return sched
-
-    @classmethod
-    def zero(cls, hbar=1.0):
-        return cls._preset("zero", hbar)
-
-    @classmethod
-    def landau(cls, m=1.0, omega_c=1.0, E_x=0.0, E_y=0.0, e=1.0, hbar=1.0):
-        return cls._preset("landau", hbar, m=m, omega_c=omega_c, E_x=E_x,
-                           E_y=E_y, e=e)
-
-    @classmethod
-    def free(cls, m=1.0, hbar=1.0):
-        return cls._preset("free", hbar, m=m)
-
-    @classmethod
-    def harmonic1d(cls, m=1.0, omega=1.0, hbar=1.0):
-        return cls._preset("harmonic1d", hbar, m=m, omega=omega)
-
-    @classmethod
-    def kanai_caldirola(cls, m=1.0, omega=1.0, lam=0.1, hbar=1.0):
-        return cls._preset("kanai_caldirola", hbar, m=m, omega=omega, lam=lam)
-
-    @classmethod
-    def preset(cls, name, hbar=1.0, **params):
-        """Preset ``name`` from the ``params`` given; an unknown name, or a
-        parameter the preset does not take, raises :class:`ConfigError`."""
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}")
-        extra = set(params) - set(PRESETS[name])
-        if extra:
-            raise ConfigError(f"keys {sorted(extra)} not valid for preset "
-                              f"{name!r}")
-        return getattr(cls, name)(hbar=hbar, **params)
 
     # -- evaluation -------------------------------------------------------
 

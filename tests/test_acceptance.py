@@ -28,13 +28,15 @@ def _report(num, label, detail):
 
 def _random_schedules(n, rng):
     mk = qf.CoefficientSchedule
-    schedules = [mk.from_constant_vector(rng.uniform(-1, 1, 15))
-                 for _ in range(n - 4)]
+    # constant schedules: each slot is the repr of its float, every bit kept
+    schedules = [mk.from_expressions(
+        dict(enumerate(map(repr, rng.uniform(-1, 1, 15).tolist()), 1)))
+        for _ in range(n - 4)]
     schedules.append(mk.from_expressions(
         {2: "0.5*sin(t)", 6: "0.4*cos(2*t)", 9: "0.5", 10: "0.5"}))
     schedules.append(mk.from_expressions(
         {8: "0.3*t", 9: "0.4", 10: "0.6", 11: "0.2*sin(t)"}))
-    schedules.append(mk.kanai_caldirola(m=1.0, omega=1.0, lam=0.2))
+    schedules.append(mk.preset("kanai_caldirola", m=1.0, omega=1.0, lam=0.2))
     schedules.append(mk.from_expressions(
         {12: "0.3*cos(t)", 14: "0.5", 15: "-0.5", 9: "0.5", 10: "0.5",
          3: "0.7"}))
@@ -92,8 +94,8 @@ def test_criterion_04_pipeline_equals_explicit_equations():
 
 
 def test_criterion_05_constant_field_closed_form():
-    sched = qf.CoefficientSchedule.landau(m=M, omega_c=OMEGA_C, E_x=E_X,
-                                          E_y=E_Y, e=CHARGE)
+    sched = qf.CoefficientSchedule.preset("landau", m=M, omega_c=OMEGA_C,
+                                          E_x=E_X, E_y=E_Y, e=CHARGE)
     res = qf.integrate(sched, 2.8, rtol=1e-10, atol=1e-10)
     assert res.breakdown is None
     closed = qf.constant_field_closed_form(M, OMEGA_C, E_X, E_Y, CHARGE,
@@ -105,8 +107,8 @@ def test_criterion_05_constant_field_closed_form():
 
 
 def test_criterion_06_breakdown_detection():
-    res = qf.integrate(qf.CoefficientSchedule.landau(m=M, omega_c=OMEGA_C),
-                       3.5)
+    res = qf.integrate(
+        qf.CoefficientSchedule.preset("landau", m=M, omega_c=OMEGA_C), 3.5)
     assert res.breakdown is not None
     gap = abs(res.breakdown.t_break - math.pi)
     assert gap < 1e-3
@@ -130,8 +132,8 @@ def test_criterion_07_symplecticity_along_flows():
 
 def test_criterion_08_classical_oracle_agreement():
     rng = np.random.default_rng(105)
-    scheds = [qf.CoefficientSchedule.landau(m=M, omega_c=OMEGA_C, E_x=E_X,
-                                            E_y=E_Y, e=CHARGE)]
+    scheds = [qf.CoefficientSchedule.preset("landau", m=M, omega_c=OMEGA_C,
+                                            E_x=E_X, E_y=E_Y, e=CHARGE)]
     scheds += _random_schedules(10, rng)
     worst_map = 0.0
     worst_shift = 0.0
@@ -153,8 +155,8 @@ def test_criterion_08_classical_oracle_agreement():
 
 
 def test_criterion_09_action_equals_alpha1():
-    sched = qf.CoefficientSchedule.landau(m=M, omega_c=OMEGA_C, E_x=E_X,
-                                          E_y=E_Y, e=CHARGE)
+    sched = qf.CoefficientSchedule.preset("landau", m=M, omega_c=OMEGA_C,
+                                          E_x=E_X, E_y=E_Y, e=CHARGE)
     res = qf.integrate(sched, 2.5)
     ls = np.array([
         qf.classical_lagrangian(sched.coefficients(t), alpha,
@@ -190,8 +192,7 @@ def test_criterion_10_propagator_branches():
     for s in (1e-2, 1e-3, 1e-4):
         al2 = base.copy()
         al2[10] = s
-        errs.append(abs(generic_kernel(al2, HBAR, eps_branch=1e-9)(
-            x, y, xp, yp) - gd))
+        errs.append(abs(generic_kernel(al2, HBAR)(x, y, xp, yp) - gd))
     assert errs[0] > errs[1] > errs[2]
     _report(10, "propagator branches",
             f"degenerate vs constant-field formula max rel {worst_rel:.2e} "

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import inspect
 import io
 import json
 import math
@@ -139,11 +138,25 @@ def test_undefined_constant_rejected(tmp_path):
     assert "k0" in str(err.value)
 
 
-def test_a_constant_named_t_leaves_t_the_time(tmp_path):
+def test_a_constant_that_no_expression_reads_is_refused(tmp_path, capsys):
+    # t is the time, so a constant named t is never read either
     p = tmp_path / "t.cfg"
-    p.write_text("[hamiltonian]\na6 = t\n\n[constants]\nt = 9\n\n"
+    for extra, detail in [
+            ("t = 9\n", "['t']; t is the time, not a constant"),
+            ("unused = 3\n", "['unused']"),
+            ("t = 9\nunused = 3\n",
+             "['t', 'unused']; t is the time, not a constant")]:
+        p.write_text("[hamiltonian]\na6 = w*t\n\n[constants]\nw = 2\n"
+                     f"{extra}\n[run]\nt_end = 1.0\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        assert str(err.value) == f"[constants]: no expression reads {detail}"
+        assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
+        out, stderr = capsys.readouterr()
+        assert out == "" and json.loads(stderr)["error"] == "config-error"
+    p.write_text("[hamiltonian]\na6 = w*t\n\n[constants]\nw = 2\n\n"
                  "[run]\nt_end = 1.0\n")
-    assert load_config(p).schedule.coefficients(0.25)[5] == 0.25
+    assert load_config(p).schedule.coefficients(0.25)[5] == 0.5
 
 
 def test_run_writes_all_artifacts(landau_cfg, tmp_path):
@@ -552,12 +565,6 @@ def test_outdir_that_is_a_file_is_a_json_error(landau_cfg, tmp_path, capsys):
     assert err["at"] == str(landau_cfg)
 
 
-def test_preset_table_matches_constructors():
-    for name, keys in PRESETS.items():
-        params = inspect.signature(getattr(CoefficientSchedule, name)).parameters
-        assert tuple(params) == keys + ("hbar",)
-
-
 @pytest.mark.parametrize("preset", ["landau", "free", "harmonic1d",
                                     "kanai_caldirola"])
 def test_zero_mass_preset_config_is_a_json_error(tmp_path, capsys, preset):
@@ -692,8 +699,12 @@ def test_schedule_error_inside_the_flow_prints_a_plain_time(tmp_path,
     assert 1.0 < float(t) < 1.01
 
 
-def test_verify_landau_with_weak_field_passes_closed_form(capsys):
-    assert main(["verify", "--omega-c", "1e-6", "--E-x", "0.3"]) == 0
+# a weak magnetic field, and a charge whose square overflows a float
+@pytest.mark.parametrize("args", [["--omega-c", "1e-6", "--E-x", "0.3"],
+                                  ["--e", "1e200"]],
+                         ids=["omega_c_1e-6", "e_1e200"])
+def test_verify_landau_with_weak_field_passes_closed_form(capsys, args):
+    assert main(["verify", *args]) == 0
     out = capsys.readouterr().out
     assert "[PASS] integrated alpha vs constant-field closed form" in out
     assert "[FAIL]" not in out
@@ -844,8 +855,9 @@ def _expression_text():
 def test_any_expression_text_loads_or_is_a_config_error(tmp_path_factory,
                                                         text):
     p = tmp_path_factory.mktemp("expr") / "expr.cfg"
-    p.write_text(f"[hamiltonian]\na6 = {text}\n\n[constants]\nw = 2.0\n\n"
-                 "[run]\nt_end = 1.0\n")
+    # a7 reads w, so the constant is read whatever a6 is
+    p.write_text(f"[hamiltonian]\na6 = {text}\na7 = w\n\n[constants]\n"
+                 "w = 2.0\n\n[run]\nt_end = 1.0\n")
     try:
         cfg = load_config(p)
     except ConfigError:

@@ -19,8 +19,8 @@ from quadflow.schedule import CoefficientSchedule
 
 
 def landau(E_x=0.0, E_y=0.0):
-    return CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=E_x, E_y=E_y,
-                                      e=1.0)
+    return CoefficientSchedule.preset("landau", m=1.0, omega_c=1.0, E_x=E_x,
+                                      E_y=E_y, e=1.0)
 
 
 def driven(A=0.5, w=2.0, B=0.1, C=0.5):
@@ -31,7 +31,7 @@ def driven(A=0.5, w=2.0, B=0.1, C=0.5):
 
 
 def test_zero_schedule_stays_at_origin():
-    res = integrate(CoefficientSchedule.zero(), 3.0)
+    res = integrate(CoefficientSchedule.preset("zero"), 3.0)
     assert res.breakdown is None
     assert np.max(np.abs(res.alphas)) == 0.0
 
@@ -93,8 +93,8 @@ def test_closed_form_raises_past_the_first_branch(t):
 @pytest.mark.parametrize("omega_c", [1e-6, 1e-8, 1e-20])
 def test_closed_form_keeps_its_accuracy_at_small_omega_c(omega_c):
     # the O(1/omega_c**k) terms must not cancel as omega_c -> 0
-    sched = CoefficientSchedule.landau(m=1.0, omega_c=omega_c, E_x=0.3,
-                                       E_y=-0.2, e=1.0)
+    sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=omega_c,
+                                       E_x=0.3, E_y=-0.2, e=1.0)
     res = integrate(sched, 2.5)
     ref = constant_field_closed_form(1.0, omega_c, 0.3, -0.2, 1.0, t=res.ts)
     assert np.max(np.abs(res.alphas - ref)) < 1e-6
@@ -501,7 +501,8 @@ def test_a_max_step_too_short_for_the_budget_is_refused_at_once(monkeypatch):
         patch.setattr(rk, "solve", unreachable)
         with pytest.raises(StepBudget, match="max_step = 1e-09 asks for "
                            "more than 100000 steps"):
-            integrate(CoefficientSchedule.free(m=1.0), 1.0, max_step=1e-9)
+            integrate(CoefficientSchedule.preset("free", m=1.0), 1.0,
+                      max_step=1e-9)
     # the bound is the number of steps: 40 of them run, 41 are refused
     monkeypatch.setattr(flow, "_MAX_STEPS", 40)
     assert integrate(landau(), 1.0, max_step=1 / 40).breakdown is None
@@ -580,7 +581,8 @@ def test_a_flow_that_no_step_resolves_raises_step_underflow():
     a[5], a[9] = 1e300, 2e300
     with pytest.raises(StepUnderflow, match="no step of the flow resolves "
                        "at t = 0.0 of t_end = 1.0") as excinfo:
-        integrate(CoefficientSchedule.from_constant_vector(a), 1.0)
+        integrate(CoefficientSchedule.from_expressions(
+            dict(enumerate(map(repr, a.tolist()), 1))), 1.0)
     assert excinfo.value.code == "step-underflow"
 
 
@@ -647,7 +649,8 @@ def test_kanai_caldirola_breakdown_reports_the_classical_pole():
     # the Kanai-Caldirola factorization ends where the damped oscillator's
     # S00 = e^{2 alpha12} has its root; the Riccati coordinate alpha6 has
     # its tan-type pole there
-    sched = CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0, lam=0.3)
+    sched = CoefficientSchedule.preset("kanai_caldirola", m=1.0, omega=2.0,
+                                       lam=0.3)
     res = integrate(sched, 2.0)
     assert res.breakdown is not None
     assert res.breakdown.reason == "chart-end"
@@ -695,7 +698,7 @@ def test_a_large_action_is_no_breakdown():
 def test_a_light_free_particle_reaches_t_end():
     # alpha9 = t / 2m reaches 5e8 with no pole: e^{2 alpha12} =
     # e^{2 alpha13} = 1 along the flow, so the chart never ends
-    res = integrate(CoefficientSchedule.free(m=1e-9), 1.0)
+    res = integrate(CoefficientSchedule.preset("free", m=1e-9), 1.0)
     assert res.breakdown is None and res.ts[-1] == 1.0
     np.testing.assert_allclose(res.alphas[:, 8], res.ts / 2e-9, rtol=1e-12,
                                atol=0)
@@ -718,7 +721,7 @@ def test_the_same_phase_resolves_at_every_time_scale():
     # 2 acos(sqrt(1e-3)) = 3.0783, whatever omega_c is
     stops = []
     for omega_c in (1.0, 1e3, 1e6, 1e9, 1e13, 1e15):
-        sched = CoefficientSchedule.landau(m=1.0, omega_c=omega_c)
+        sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=omega_c)
         res = integrate(sched, 2.5 / omega_c)
         assert res.breakdown is None and res.ts[-1] == 2.5 / omega_c
         res = integrate(sched, 3.5 / omega_c)
@@ -877,8 +880,8 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
     assert 0.99e3 < res.y_stop[0] <= 1e3
     assert res.y_stop[0] == pytest.approx(1 / (1 - res.t_stop), rel=1e-6)
-    res = integrate(CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0,
-                                                        lam=0.3), 2.0)
+    res = integrate(CoefficientSchedule.preset("kanai_caldirola", m=1.0,
+                                               omega=2.0, lam=0.3), 2.0)
     assert res.breakdown.reason == "chart-end"
     np.testing.assert_array_equal(res.dense(res.ts[-1]), res.alphas[-1])
     # the chart's bisection on the last step, written out: det(nu) passes
@@ -901,9 +904,9 @@ def test_dense_output_at_cap_stop_is_the_crossing_state():
 
 @pytest.mark.parametrize("sched, t_end, kwargs", [
     (landau(), 3.5, dict(rtol=1e-4)),
-    (CoefficientSchedule.harmonic1d(m=1.0, omega=1.0), 3.0, {}),
-    (CoefficientSchedule.kanai_caldirola(m=1.0, omega=2.0, lam=0.3), 2.0,
-     {}),
+    (CoefficientSchedule.preset("harmonic1d", m=1.0, omega=1.0), 3.0, {}),
+    (CoefficientSchedule.preset("kanai_caldirola", m=1.0, omega=2.0,
+                                lam=0.3), 2.0, {}),
 ], ids=["landau-rtol-1e-4", "harmonic1d", "kanai_caldirola"])
 def test_a_chart_end_writes_no_row_off_the_chart(tmp_path, sched, t_end,
                                                  kwargs):

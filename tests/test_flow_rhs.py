@@ -69,7 +69,8 @@ def assert_bits_equal(zeros, start, rng, states=20):
 
 def schedules():
     yield "driven", driven()
-    yield "landau-field", CoefficientSchedule.landau(E_x=0.3, E_y=-0.2)
+    yield "landau-field", CoefficientSchedule.preset("landau", E_x=0.3,
+                                                     E_y=-0.2)
     for name in PRESETS:
         yield name, CoefficientSchedule.preset(name)
 
@@ -174,23 +175,23 @@ def test_the_shared_exponentials_still_overflow():
     # e^{2 alpha12 - 2 alpha13} is evaluated as written in every kernel
     alpha = [0.0] * 15
     alpha[11] = 400.0
-    sched = CoefficientSchedule.free()
+    sched = CoefficientSchedule.preset("free")
     rates = flow_rhs(sched.zeros)(sched.coefficients(0.0), alpha)
     assert all(map(math.isnan, rates))
 
 
 def test_the_kernel_is_compiled_once_per_pattern():
-    sched = CoefficientSchedule.landau(m=2.0)
+    sched = CoefficientSchedule.preset("landau", m=2.0)
     assert flow_rhs(sched.zeros) \
-        is flow_rhs(CoefficientSchedule.landau(m=3.0).zeros)
+        is flow_rhs(CoefficientSchedule.preset("landau", m=3.0).zeros)
     assert flow_rhs(sched.zeros) \
-        is not flow_rhs(CoefficientSchedule.landau(E_x=0.3).zeros)
+        is not flow_rhs(CoefficientSchedule.preset("landau", E_x=0.3).zeros)
     # 0.0 and -0.0 compare equal but are different zeros
     assert flow_rhs([-0.0] * 15) is not flow_rhs([0.0] * 15)
 
 
 def test_the_kernel_takes_and_returns_lists_of_floats():
-    sched = CoefficientSchedule.landau()
+    sched = CoefficientSchedule.preset("landau")
     rates = flow_rhs(sched.zeros)(sched.coefficients(0.5),
                                   np.zeros(15).tolist())
     assert type(rates) is list and len(rates) == 15

@@ -147,7 +147,7 @@ def test_fundamental_matrix_works_as_first_call(tmp_path):
     # free particle, m = 1: x(1) = x(0) + p(0), p(1) = p(0)
     code = ("import numpy as np\n"
             "import quadflow\n"
-            "sched = quadflow.CoefficientSchedule.free(m=1.0)\n"
+            "sched = quadflow.CoefficientSchedule.preset('free', m=1.0)\n"
             "S, d = quadflow.fundamental_matrix(sched, 1.0)\n"
             "expected = np.block([[np.eye(2), np.eye(2)],"
             " [np.zeros((2, 2)), np.eye(2)]])\n"

@@ -30,7 +30,7 @@ def test_classical_system_is_hamiltonian():
 
 def test_free_particle_flow_map():
     m, t = 1.7, 0.9
-    S, d = fundamental_matrix(CoefficientSchedule.free(m=m), t)
+    S, d = fundamental_matrix(CoefficientSchedule.preset("free", m=m), t)
     expected = np.eye(4)
     expected[0, 2] = expected[1, 3] = t / m
     np.testing.assert_allclose(S, expected, atol=1e-9)
@@ -39,7 +39,8 @@ def test_free_particle_flow_map():
 
 def test_harmonic_oscillator_block():
     m, w, t = 1.2, 1.5, 0.8
-    S, _ = fundamental_matrix(CoefficientSchedule.harmonic1d(m=m, omega=w), t)
+    S, _ = fundamental_matrix(
+        CoefficientSchedule.preset("harmonic1d", m=m, omega=w), t)
     block = S[np.ix_([0, 2], [0, 2])]
     expected = np.array([
         [math.cos(w * t), math.sin(w * t) / (m * w)],
@@ -53,14 +54,16 @@ def test_harmonic_oscillator_block():
 def test_fundamental_matrix_is_symplectic():
     rng = np.random.default_rng(22)
     for _ in range(5):
-        sched = CoefficientSchedule.from_constant_vector(rng.uniform(-1, 1, 15))
+        sched = CoefficientSchedule.from_expressions(
+            dict(enumerate(map(repr, rng.uniform(-1, 1, 15).tolist()), 1)))
         S, _ = fundamental_matrix(sched, 0.7)
         defect = np.max(np.abs(S.T @ SYMPLECTIC_J @ S - SYMPLECTIC_J))
         assert defect < 1e-8
 
 
 def test_agrees_with_heisenberg_map_landau():
-    sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2)
+    sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=1.0,
+                                       E_x=0.3, E_y=-0.2)
     t = math.pi / 2
     S, d = fundamental_matrix(sched, t)
     m = heisenberg_map(integrate(sched, t).alphas[-1])
@@ -69,7 +72,8 @@ def test_agrees_with_heisenberg_map_landau():
 
 
 def test_shift_identity_against_flow_parameters():
-    sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.4, E_y=0.1)
+    sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=1.0,
+                                       E_x=0.4, E_y=0.1)
     t = 1.3
     _, d = fundamental_matrix(sched, t)
     al = integrate(sched, t).alphas[-1]
@@ -77,7 +81,7 @@ def test_shift_identity_against_flow_parameters():
 
 
 def test_time_zero_is_identity():
-    S, d = fundamental_matrix(CoefficientSchedule.zero(), 0.0)
+    S, d = fundamental_matrix(CoefficientSchedule.preset("zero"), 0.0)
     np.testing.assert_array_equal(S, np.eye(4))
     np.testing.assert_array_equal(d, np.zeros(4))
 
@@ -91,13 +95,13 @@ def test_the_classical_oracle_meets_the_exact_maps_to_1e_10():
     # landau at t = 2.5: the closed-form map of the closed-form alphas
     p = dict(m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2, e=1.0)
     exact = heisenberg_closed_form(constant_field_closed_form(t=2.5, **p))
-    got = fundamental_matrix(CoefficientSchedule.landau(**p), 2.5)
+    got = fundamental_matrix(CoefficientSchedule.preset("landau", **p), 2.5)
     assert _map_error(got, exact.S, exact.d) < 1e-10
     # free particle: x += t p_x / m, y += t p_y / m
     m, t = 1.7, 0.9
     S = np.eye(4)
     S[0, 2] = S[1, 3] = t / m
-    got = fundamental_matrix(CoefficientSchedule.free(m=m), t)
+    got = fundamental_matrix(CoefficientSchedule.preset("free", m=m), t)
     assert _map_error(got, S, np.zeros(4)) < 1e-10
     # harmonic oscillator along x; y and p_y stay put
     m, w, t = 1.2, 1.5, 0.8
@@ -105,7 +109,8 @@ def test_the_classical_oracle_meets_the_exact_maps_to_1e_10():
     S[np.ix_([0, 2], [0, 2])] = [
         [math.cos(w * t), math.sin(w * t) / (m * w)],
         [-m * w * math.sin(w * t), math.cos(w * t)]]
-    got = fundamental_matrix(CoefficientSchedule.harmonic1d(m=m, omega=w), t)
+    got = fundamental_matrix(
+        CoefficientSchedule.preset("harmonic1d", m=m, omega=w), t)
     assert _map_error(got, S, np.zeros(4)) < 1e-10
 
 
@@ -115,7 +120,7 @@ def test_the_classical_oracle_meets_a_tight_reference_on_kanai_caldirola(
     # scipy's RK45 at rtol 1e-13, atol 1e-15: other stepping code, run far
     # tighter than the oracle's defaults
     from scipy.integrate import solve_ivp
-    sched = CoefficientSchedule.kanai_caldirola(omega=omega, lam=lam)
+    sched = CoefficientSchedule.preset("kanai_caldirola", omega=omega, lam=lam)
 
     def rhs(tt, y):
         A, b = classical_system(sched.coefficients(tt))
@@ -162,7 +167,7 @@ def _oracle_cases():
     from test_flow import DRIVEN_SEED7, driven
     cases = [(CoefficientSchedule.preset(name), 2.5) for name in
              ("landau", "free", "harmonic1d", "kanai_caldirola", "zero")]
-    cases.append((CoefficientSchedule.landau(omega_c=5.0), 2.5))
+    cases.append((CoefficientSchedule.preset("landau", omega_c=5.0), 2.5))
     for params in DRIVEN_SEED7:
         sched = driven(*params)
         t_break = integrate(sched, 4.0).breakdown.t_break
@@ -184,7 +189,7 @@ def test_the_classical_oracle_meets_a_tight_reference_on_every_case():
 def test_a_non_finite_classical_state_raises(monkeypatch, a6):
     # a NaN in A(t), or a finite A(t) whose products overflow: every
     # attempt shrinks the step until it falls below the floor 16 eps t
-    sched = CoefficientSchedule.harmonic1d()
+    sched = CoefficientSchedule.preset("harmonic1d")
     if math.isnan(a6):
         def nan_system(a):
             A, b = classical_system(a)
@@ -200,7 +205,7 @@ def test_a_non_finite_classical_state_raises(monkeypatch, a6):
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_a_time_off_the_half_line_is_refused(t):
     with pytest.raises(ValueError, match="finite and non-negative"):
-        fundamental_matrix(CoefficientSchedule.free(), t)
+        fundamental_matrix(CoefficientSchedule.preset("free"), t)
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, 4, 200, 201])

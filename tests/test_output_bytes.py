@@ -57,8 +57,8 @@ def assert_same_bytes(tmp_path, write, ref, data):
 
 
 def landau_flow():
-    sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2,
-                                       e=1.0)
+    sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=1.0, E_x=0.3,
+                                       E_y=-0.2, e=1.0)
     return integrate(sched, 2.5, samples=80)
 
 

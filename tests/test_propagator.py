@@ -154,7 +154,7 @@ def test_generic_converges_to_degenerate():
     for s in (1e-2, 1e-3, 1e-4):
         al2 = al.copy()
         al2[10] = s
-        gg = generic_kernel(al2, 1.0, eps_branch=1e-9)(x, y, xp, yp)
+        gg = generic_kernel(al2, 1.0)(x, y, xp, yp)
         errs.append(abs(gg - gd))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3

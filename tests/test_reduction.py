@@ -49,7 +49,7 @@ def test_pipeline_matches_transcription_on_random_states():
 
 
 def test_pipeline_matches_transcription_along_constant_field_flow():
-    sched = CoefficientSchedule.landau(m=1.0, omega_c=1.0)
+    sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=1.0)
     alpha = integrate(sched, 0.5).alphas[-1]
     a = sched.coefficients(0.5)
     state = assemble(a, alpha)

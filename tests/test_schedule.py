@@ -9,7 +9,8 @@ import pytest
 
 from quadflow.config import load_config
 from quadflow.errors import InvalidSchedule
-from quadflow.schedule import PRESETS, CoefficientSchedule
+from quadflow.expressions import names, parse_expression
+from quadflow.schedule import _PRESETS, PRESETS, CoefficientSchedule
 
 TIMES = (0.0, 0.37, 1.5, 2.75, -0.5)
 
@@ -85,8 +86,9 @@ def test_an_undefined_coefficient_wins_over_an_earlier_non_finite_one():
 def test_finite_coefficients_whose_sum_overflows_are_returned():
     a = np.zeros(15)
     a[5] = a[8] = 1e308
-    assert CoefficientSchedule.from_constant_vector(a).coefficients(0.0) == \
-        a.tolist()
+    sched = CoefficientSchedule.from_expressions(
+        dict(enumerate(map(repr, a.tolist()), 1)))
+    assert sched.coefficients(0.0) == a.tolist()
 
 
 def build(name, tmp_path):
@@ -95,8 +97,8 @@ def build(name, tmp_path):
         p.write_text(DRIVEN_CFG)
         return load_config(p).schedule
     if name == "kanai_caldirola-decay":
-        return CoefficientSchedule.kanai_caldirola(m=0.7, omega=1.3,
-                                                   lam=-0.45, hbar=0.5)
+        return CoefficientSchedule.preset("kanai_caldirola", m=0.7,
+                                          omega=1.3, lam=-0.45, hbar=0.5)
     return CoefficientSchedule.preset(name)
 
 
@@ -148,7 +150,8 @@ def test_preset_product_that_is_not_finite_names_its_coefficient(
 
 def test_kanai_caldirola_computes_its_expressions_with_math_exp():
     m, omega, lam = 0.7, 1.3, 0.45
-    sched = CoefficientSchedule.kanai_caldirola(m=m, omega=omega, lam=lam)
+    sched = CoefficientSchedule.preset("kanai_caldirola", m=m, omega=omega,
+                                       lam=lam)
     for t in [*TIMES, *(k / 7 for k in range(-30, 90))]:
         a = sched.coefficients(t)
         assert bits([a[5], a[8]]) == bits([
@@ -159,8 +162,6 @@ def test_kanai_caldirola_computes_its_expressions_with_math_exp():
 def test_constructors_refuse_anything_but_15_coefficients():
     with pytest.raises(ValueError, match="exactly 15 coefficient slots"):
         CoefficientSchedule([((), "0.0")] * 14)
-    with pytest.raises(ValueError, match="must have 15 entries"):
-        CoefficientSchedule.from_constant_vector(np.zeros(14))
     with pytest.raises(ValueError, match="out of range: 16"):
         CoefficientSchedule.from_expressions({16: "1"})
 
@@ -184,11 +185,13 @@ def test_zeros_are_the_slots_that_compile_to_the_number_0():
         [None if v is None else -v for v in expected])
     assert signed(once.negated_reverse(2.0).zeros) == signed(expected)
     vector = [0.0, -0.0, 1.5, -2.5e-300] + [0.0] * 11
-    assert signed(CoefficientSchedule.from_constant_vector(vector).zeros) \
+    literals = dict(enumerate(map(repr, vector), 1))
+    assert signed(CoefficientSchedule.from_expressions(literals).zeros) \
         == signed([0.0, -0.0, None, None] + [0.0] * 11)
     # landau's electric field folds to a zero
-    assert CoefficientSchedule.landau().zeros[1:3] == (0.0, 0.0)
-    assert CoefficientSchedule.landau(E_x=0.3).zeros[1:3] == (None, 0.0)
+    assert CoefficientSchedule.preset("landau").zeros[1:3] == (0.0, 0.0)
+    assert CoefficientSchedule.preset("landau", E_x=0.3).zeros[1:3] == \
+        (None, 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"kanai_caldirola"}))
@@ -197,6 +200,31 @@ def test_a_constant_preset_compiles_to_its_numbers(name):
     # literal, and the function returns one list of them
     sched = CoefficientSchedule.preset(name)
     assert all(not lines for lines, _ in sched._slots)
-    kanai = CoefficientSchedule.kanai_caldirola()
+    kanai = CoefficientSchedule.preset("kanai_caldirola")
     assert [k for k, (lines, _) in enumerate(kanai._slots, 1) if lines] \
         == [6, 9]
+
+
+def test_each_preset_row_reads_exactly_its_parameters():
+    # a row's defaults name the constants its expressions read, t aside,
+    # and a preset built with no parameters takes every default
+    for name, (defaults, sources) in _PRESETS.items():
+        read = set().union(*(names(parse_expression(src))
+                             for src in sources.values()))
+        assert read - {"t"} == set(defaults), name
+        assert PRESETS[name] == tuple(defaults)
+        assert CoefficientSchedule.preset(name).params == defaults
+    assert {name: CoefficientSchedule.preset(name).params
+            for name in PRESETS} == {
+        "landau": dict(m=1.0, omega_c=1.0, E_x=0.0, E_y=0.0, e=1.0),
+        "free": dict(m=1.0), "harmonic1d": dict(m=1.0, omega=1.0),
+        "kanai_caldirola": dict(m=1.0, omega=1.0, lam=0.1), "zero": {}}
+
+
+def test_params_are_the_constants_the_slots_read():
+    sched = CoefficientSchedule.from_expressions(
+        {6: "A*sin(w*t)", 9: "0.5"}, {"w": 2.0, "t": 9.0, "B": 1.0, "A": 0.5})
+    assert sched.params == {"w": 2.0, "A": 0.5}
+    landau = CoefficientSchedule.preset("landau", E_y=0.25, m=2.0)
+    assert list(landau.params.items()) == [
+        ("m", 2.0), ("omega_c", 1.0), ("E_x", 0.0), ("E_y", 0.25), ("e", 1.0)]
