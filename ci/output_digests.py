@@ -28,6 +28,9 @@ The cases:
 - the nominal driven config under ``run`` and ``verify``, and under
   ``run`` with ``a1 = 0.3`` added: alpha1 moves while alpha2..alpha5 stay
   0, and the run ends in a chart-end at t = 1.7446;
+- ``run`` on a batch of two configs under one ``--outdir``, the landau
+  run above (t_end 3.5) and the nominal driven config: each writes into
+  ``out/<stem>``, and stdout holds one info line per config, in turn;
 - ``green`` on the nominal driven config, with one point and a 33-point
   grid at times 0.4, 0.8 and 1.2: generic-branch samples of 1,090 rows,
   which cross a block boundary of the Green writer;
@@ -158,6 +161,7 @@ def cases(seeds):
     yield "green:driven", lambda tmp: _config(tmp, DRIVEN_GREEN, "green")
     yield "run:driven_a1", lambda tmp: _config(tmp, "a1 = 0.3\n" + DRIVEN,
                                                "run")
+    yield "run:batch", _batch
     for command in ("run", "verify"):
         yield f"{command}:linear_slots", lambda tmp, c=command: _config(
             tmp, LINEAR_SLOTS, c)
@@ -181,13 +185,21 @@ def cases(seeds):
         "verify", "--preset", "landau", "--e", "1e200"]
 
 
-def _config(tmp: Path, body: str, command: str) -> list:
-    """Write ``[hamiltonian]`` + ``body`` + the outputs as a config; the
-    argv of ``command`` (run, green, verify or print-odes) on it."""
-    path = tmp / "case.cfg"
+def _config(tmp: Path, body: str, command: str, stem: str = "case") -> list:
+    """Write ``[hamiltonian]`` + ``body`` + the outputs as ``<stem>.cfg``;
+    the argv of ``command`` (run, green, verify or print-odes) on it."""
+    path = tmp / f"{stem}.cfg"
     path.write_text("[hamiltonian]\n" + body + "\n" + OUTPUTS)
     return [command, "--config", str(path)] \
         if command in ("verify", "print-odes") else [command, str(path)]
+
+
+def _batch(tmp: Path) -> list:
+    """The argv of ``run`` on the landau and driven configs as one batch."""
+    argv = ["run"]
+    for stem, body in (("landau", PRESET_RUNS["landau"]), ("driven", DRIVEN)):
+        argv += _config(tmp, body, "run", stem)[1:]
+    return argv + ["--outdir", str(tmp / "out")]
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # the module that defines each public name
 _SOURCES = {
-    "adjoint": ("N_GENERATORS", "adjoint_closed_form", "adjoint_matrix"),
+    "adjoint": ("adjoint_closed_form", "adjoint_matrix"),
     "algebra": ("GENERATOR_LABELS", "StructureConstants", "commutator",
                 "standard_algebra", "validate_algebra"),
     "errors": ("BranchUnavailable", "ConfigError", "DegenerateGeometry",
@@ -37,7 +37,7 @@ _SOURCES = {
                    "generic_kernel", "green", "green_kernel",
                    "write_green_csv"),
     "reduction": ("ReductionState", "assemble", "reference_odes"),
-    "schedule": ("CoefficientSchedule",),
+    "schedule": ("N_GENERATORS", "CoefficientSchedule"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}

@@ -35,10 +35,10 @@ import math
 
 import numpy as np
 
+from .schedule import N_GENERATORS
+
 __all__ = ["N_GENERATORS", "adjoint_matrix", "adjoint_closed_form",
            "adjoint_generator"]
-
-N_GENERATORS = 15
 
 # c[i][j][k] for i < j as {(i, j): {k: c}}, the nonzero structure constants
 # (ints and +-1/2, exact as floats and as fractions).  Entry (8, 9) is 2*h15:

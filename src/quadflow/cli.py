@@ -3,10 +3,11 @@
 Subcommands
 -----------
 run <config>...   integrate the flow and write the configured artifacts;
-                  several configs run in parallel (QUADFLOW_THREADS caps
-                  the worker count), each in its own output directory
-                  (<outdir>/<stem> under --outdir); no two outputs of a
-                  run may resolve to one file
+                  several configs run in turn, in argv order, each in its
+                  own output directory (<outdir>/<stem> under --outdir);
+                  no two outputs of a run may resolve to one file, and the
+                  first failing config stops the batch (a schedule still
+                  pickles, for callers who pool runs themselves)
 verify            the oracle cross-check table on run's flow, config or preset
 green <config>    the same as run, limited to the Green-function samples
 print-odes        dump the flow right-hand side at a given (a(t), alpha)
@@ -21,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 from pathlib import Path
@@ -155,30 +155,17 @@ def _run_plan(path, cfg, out_base, dests) -> dict:
 
 def _cmd_run(args) -> int:
     configs = args.config
-    jobs = []
-    for path in configs:
-        outdir = args.outdir
-        if outdir and len(configs) > 1:
-            outdir = str(Path(outdir) / Path(path).stem)
-        jobs.append((path, outdir, args.green_only))
-    if len(jobs) == 1:
-        infos = [run_config_file(*jobs[0])]
+    if len(configs) == 1:
+        infos = [run_config_file(configs[0], args.outdir, args.green_only)]
     else:
-        raw = os.environ.get("QUADFLOW_THREADS", "0")
-        if not raw.strip().isdecimal():
-            raise ConfigError(f"QUADFLOW_THREADS = {raw!r} is not a "
-                              "non-negative integer")
-        # every job's files, before any job starts; the workers take these
-        # plans (a schedule pickles by its generated source), so each
-        # config is loaded once
-        plans = [(job[0], *_plan(*job)) for job in jobs]
+        # each config writes into <outdir>/<stem>; every config is loaded
+        # and every destination checked before the first one runs
+        plans = []
+        for path in configs:
+            outdir = args.outdir and Path(args.outdir) / Path(path).stem
+            plans.append((path, *_plan(path, outdir, args.green_only)))
         _refuse_shared_destinations([(plan[0], plan[3]) for plan in plans])
-        # never more workers than jobs: a fork pool starts them all
-        workers = min(int(raw) or os.cpu_count() or 1, len(jobs))
-        # imported here: multiprocessing is a cost single runs skip
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            infos = list(pool.map(_run_plan, *zip(*plans)))
+        infos = [_run_plan(*plan) for plan in plans]
     for info in infos:
         print(json.dumps(info))
     return 0

@@ -50,10 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rk
-from .adjoint import N_GENERATORS
 from .errors import SingularNu, SingularTime, StepBudget, StepUnderflow
 from .reduction import assemble, flow_rhs
-from .schedule import CoefficientSchedule
+from .schedule import N_GENERATORS, CoefficientSchedule
 
 __all__ = ["Breakdown", "FlowResult", "integrate",
            "constant_field_closed_form", "write_alphas_csv"]

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adjoint import N_GENERATORS, _adjoint_blocks
+from .adjoint import _adjoint_blocks
+from .schedule import N_GENERATORS
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
            "write_heisenberg_json"]

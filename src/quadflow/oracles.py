@@ -42,11 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import N_GENERATORS
 from .errors import GridUnderresolved, SingularTime
 from .observables import SYMPLECTIC_J, AffineSymplecticMap
 from .propagator import QuadraticPhaseKernel, _check_alpha
-from .schedule import CoefficientSchedule
+from .schedule import N_GENERATORS, CoefficientSchedule
 
 __all__ = ["hamiltonian_matrix", "classical_system", "heisenberg_closed_form",
            "classical_lagrangian", "fundamental_matrix", "landau_kernel",
@@ -358,15 +357,16 @@ def _phase_consistency(kernel, x_out, y_out, p0, p1, pm):
     return halves, wrap
 
 
-def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
-                 hbar=1.0) -> GaussianState:
+def apply_kernel(kernel, initial: GaussianState, extent: float,
+                 points: int) -> GaussianState:
     """Quadrature pushforward psi_t = integral G * psi_0 over a square grid.
 
     Parameters
     ----------
     kernel : callable (x, y, x_prime, y_prime) -> complex, numpy-broadcastable;
         a QuadraticPhaseKernel is summed by matrix products (:func:`phase_parts`)
-    initial : separable GaussianState (synthesizable wavefunction)
+    initial : separable GaussianState (synthesizable wavefunction); its
+        ``hbar`` is the kernel's, and the result's
     extent, points : grid is [-extent, extent]^2 with ``points`` nodes per axis
 
     Raises
@@ -448,13 +448,13 @@ def apply_kernel(kernel, initial: GaussianState, extent: float, points: int,
     w = np.abs(psi_t) ** 2
     norm = float(np.sum(w)) * dx * dx
     mean_x, cov_x = _moments(w, X, Y)
-    p_axis = 2 * math.pi * hbar * np.fft.fftfreq(points, d=dx)
+    p_axis = 2 * math.pi * initial.hbar * np.fft.fftfreq(points, d=dx)
     PX, PY = np.meshgrid(p_axis, p_axis, indexing="ij")
     mean_p, cov_p = _moments(np.abs(np.fft.fft2(psi_t)) ** 2, PX, PY)
     cov = np.zeros((4, 4))
     cov[:2, :2], cov[2:, 2:] = cov_x, cov_p
     return GaussianState(mean=np.array(mean_x + mean_p), covariance=cov,
-                         norm=norm, hbar=hbar, validate=False)
+                         norm=norm, hbar=initial.hbar, validate=False)
 
 
 def _moments(w, A, B):

@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adjoint import N_GENERATORS
 from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
+from .schedule import N_GENERATORS
 
 __all__ = ["GreenSample", "QuadraticPhaseKernel", "degenerate_kernel",
            "generic_kernel", "green_kernel", "green", "write_green_csv"]

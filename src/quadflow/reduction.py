@@ -30,7 +30,7 @@ roles:
   of them.
 * :func:`assemble` builds w, nu and mu from the structure constants, for
   one state or a stack of them (one adjoint evaluation gives every M_k^T,
-  and the chain of R_k runs through two rolling buffers).  For this
+  and the chain of R_k is one matrix product per factor).  For this
   ordering det(nu) = 1 identically, which it asserts; ``integrate`` runs it
   on stacks of accepted end states as the conditioning sentinel that halts
   the flow where the factorization data outruns double precision.  It is
@@ -46,8 +46,9 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from . import expressions as ex
-from .adjoint import N_GENERATORS, _adjoint_blocks
+from .adjoint import _adjoint_blocks
 from .errors import SingularNu
+from .schedule import N_GENERATORS
 
 __all__ = ["ReductionState", "assemble", "explicit_rhs", "flow_rhs",
            "reference_odes"]
@@ -97,17 +98,14 @@ def _as_vectors(x, name):
 
 def _w_nu(alpha: np.ndarray):
     # R_k = M_15^T ... M_{k+1}^T by the descending recursion R_{k-1} =
-    # R_k M_k^T (R_15 = I) through two rolling buffers; column k of nu is
-    # column k of R_k, and w = R_1 a since M_1 = I (h1 central).
+    # R_k M_k^T (R_15 = I); column k of nu is column k of R_k, and
+    # w = R_1 a since M_1 = I (h1 central).
     MT = _adjoint_blocks(alpha)
-    R = np.empty(MT.shape[:-3] + (N_GENERATORS, N_GENERATORS))
-    R[...] = _IDENTITY
-    R_next = np.empty_like(R)
-    nu = np.empty_like(R)
+    R = _IDENTITY
+    nu = np.empty(MT.shape[:-3] + R.shape)
     nu[..., -1] = R[..., -1]
     for k in range(N_GENERATORS - 1, 0, -1):
-        np.matmul(R, MT[..., k, :, :], out=R_next)
-        R, R_next = R_next, R
+        R = R @ MT[..., k, :, :]
         nu[..., k - 1] = R[..., k - 1]
     return R, nu
 

@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 
 from . import expressions as ex
-from .adjoint import N_GENERATORS
 from .errors import ConfigError, InvalidSchedule
 
-__all__ = ["PRESETS", "CoefficientSchedule"]
+__all__ = ["N_GENERATORS", "PRESETS", "CoefficientSchedule"]
+
+N_GENERATORS = 15   # the slots a1..a15, one per generator of the algebra
 
 # preset name -> ({parameter: default}, {slot: expression}); each expression
 # fixes its order of operations, so keep them as written

@@ -206,7 +206,7 @@ def test_criterion_11_wavepacket_cross_check():
     kern = landau_kernel(M, OMEGA_C, HBAR, al, t)
     state = GaussianState.separable([1.0, 0.5, 0.3, -0.2], 1.0, 1.0,
                                     hbar=HBAR)
-    out = apply_kernel(kern, state, extent=10.0, points=128, hbar=HBAR)
+    out = apply_kernel(kern, state, extent=10.0, points=128)
     mean_pred, _ = qf.heisenberg_map(al).push_gaussian(state.mean,
                                                        state.covariance)
     mean_err = float(np.max(np.abs(out.mean - mean_pred)))

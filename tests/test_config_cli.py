@@ -228,11 +228,9 @@ def test_cli_run_and_json_summary(landau_cfg, tmp_path, capsys):
     assert "breakdown" not in info
 
 
-def test_cli_run_batch_isolates_outputs(landau_cfg, tmp_path, capsys,
-                                        monkeypatch):
+def test_cli_run_batch_isolates_outputs(landau_cfg, tmp_path, capsys):
     other = tmp_path / "second.cfg"
     other.write_text(LANDAU_CFG.replace("t_end = 2.5", "t_end = 1.5"))
-    monkeypatch.setenv("QUADFLOW_THREADS", "2")
     code = main(["run", str(landau_cfg), str(other),
                  "--outdir", str(tmp_path / "batch")])
     assert code == 0
@@ -244,25 +242,40 @@ def test_cli_run_batch_isolates_outputs(landau_cfg, tmp_path, capsys,
 
 def test_batch_loads_each_config_once(landau_cfg, tmp_path, capsys,
                                       monkeypatch):
-    # the workers (forked, so they share this patch) take the parent's
-    # plans; each load appends a line to a file all processes can see
-    log = tmp_path / "loads.txt"
+    loads = []
     real = cli.load_config
 
     def logged(path):
-        with open(log, "a") as fh:
-            fh.write(f"{path}\n")
+        loads.append(path)
         return real(path)
 
     other = tmp_path / "second.cfg"
     other.write_text(LANDAU_CFG.replace("t_end = 2.5", "t_end = 1.5"))
     monkeypatch.setattr(cli, "load_config", logged)
-    monkeypatch.setenv("QUADFLOW_THREADS", "2")
     assert main(["run", str(landau_cfg), str(other),
                  "--outdir", str(tmp_path / "batch")]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
-    assert sorted(log.read_text().splitlines()) == sorted(
-        [str(landau_cfg), str(other)])
+    assert loads == [str(landau_cfg), str(other)]
+
+
+def test_a_failing_config_stops_the_batch(landau_cfg, tmp_path, capsys):
+    # the configs run in turn: the first writes its files, the second
+    # fails, and the third never runs
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(LANDAU_CFG.replace("t_end = 2.5", "t_end = 2e-322"))
+    third = tmp_path / "third.cfg"
+    third.write_text(LANDAU_CFG.replace("t_end = 2.5", "t_end = 1.5"))
+    out = tmp_path / "batch"
+    assert main(["run", str(landau_cfg), str(tiny), str(third),
+                 "--outdir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "step-underflow"
+    assert sorted(p.name for p in (out / "landau").iterdir()) == [
+        "alphas.csv", "green.csv", "heisenberg.json"]
+    assert not (out / "tiny").exists()
+    assert not (out / "third").exists()
 
 
 def test_cli_reports_breakdown(tmp_path, capsys):
@@ -384,17 +397,6 @@ def test_green_time_past_breakdown_is_a_json_error(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config-error"
     assert "3.9" in err["detail"] and "integrated span" in err["detail"]
-
-
-def test_bad_thread_count_is_a_json_error(landau_cfg, tmp_path, capsys,
-                                          monkeypatch):
-    monkeypatch.setenv("QUADFLOW_THREADS", "abc")
-    code = main(["run", str(landau_cfg), str(landau_cfg),
-                 "--outdir", str(tmp_path)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "config-error"
-    assert "QUADFLOW_THREADS" in err["detail"]
 
 
 @pytest.mark.parametrize("second", ["same", "sibling"])

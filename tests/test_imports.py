@@ -4,8 +4,9 @@ Each check runs in a fresh interpreter, so what this test session already
 imported cannot hide a module-level import.  No command loads ``scipy``
 (importing ``scipy.integrate`` would be most of a cold start): the oracles
 integrate and sum in the package, and scipy is only the tests' reference.
-Only a multi-config ``run`` starts a pool, so no other command loads
-``multiprocessing``.  Only ``verify`` loads ``quadflow.oracles``; no
+A multi-config ``run`` runs its configs in turn, so no command loads
+``multiprocessing`` or ``concurrent.futures``.  ``import quadflow.schedule``
+loads no numpy.  Only ``verify`` loads ``quadflow.oracles``; no
 command builds the exact algebra (``fractions``), defines a dataclass or
 draws from ``numpy.random``, and only a config file loads ``configparser``.
 ``import quadflow`` loads none of its modules: each public name imports its
@@ -49,8 +50,9 @@ grid_points = 11
 source = 0.0, 0.0
 """
 
-WATCHED = ("scipy", "scipy.integrate", "multiprocessing", "quadflow.oracles",
-           "dataclasses", "fractions", "numpy.random", "configparser")
+WATCHED = ("scipy", "scipy.integrate", "multiprocessing", "concurrent.futures",
+           "quadflow.oracles", "dataclasses", "fractions", "numpy.random",
+           "configparser")
 LOADED = ("import json, sys\n"
           f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n")
 
@@ -82,6 +84,31 @@ def test_run_with_green_grid_loads_neither(tmp_path):
     # reading a config file is what loads configparser
     assert _loaded_after(code, tmp_path) == ["configparser"]
     assert (tmp_path / "out" / "green.csv").exists()
+
+
+def test_a_batch_run_loads_no_pool(tmp_path):
+    (tmp_path / "grid.cfg").write_text(GRID_CFG)
+    (tmp_path / "short.cfg").write_text(GRID_CFG.replace("t_end = 2.5",
+                                                         "t_end = 1.5"))
+    code = ("from quadflow.cli import main\n"
+            "assert main(['run', 'grid.cfg', 'short.cfg', '--outdir',"
+            " 'out']) == 0\n")
+    assert _loaded_after(code, tmp_path) == ["configparser"]
+    assert (tmp_path / "out" / "short" / "green.csv").exists()
+
+
+def test_the_schedule_loads_no_numpy(tmp_path):
+    # the generator count lives with the slots a1..a15, and the numeric
+    # modules take it from there
+    code = ("import sys\n"
+            "import quadflow\n"
+            "import quadflow.schedule\n"
+            "assert quadflow.N_GENERATORS == 15\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import quadflow.adjoint, quadflow.algebra\n"
+            "assert quadflow.adjoint.N_GENERATORS == 15\n"
+            "assert quadflow.algebra.N_GENERATORS == 15\n")
+    _loaded_after(code, tmp_path)
 
 
 def test_the_flow_attempt_compiles_on_import_and_no_run_compiles_more(

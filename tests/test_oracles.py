@@ -221,7 +221,7 @@ def test_the_action_quadrature_is_scipy_simpson(points):
 # -- Gaussian states ---------------------------------------------------------
 
 def test_separable_state_saturates_uncertainty():
-    st = GaussianState.separable([0, 0, 0, 0], 0.7, 1.1, hbar=1.0)
+    st = GaussianState.separable([0, 0, 0, 0], 0.7, 1.1)
     bound = st.covariance + 0.5j * SYMPLECTIC_J
     lam = np.linalg.eigvalsh(bound)
     assert lam.min() > -1e-12
@@ -230,7 +230,7 @@ def test_separable_state_saturates_uncertainty():
 def test_uncertainty_violation_rejected():
     cov = np.diag([1.0, 1.0, 1e-4, 1e-4])  # sigma_x*sigma_p << hbar/2
     with pytest.raises(ValueError):
-        GaussianState(mean=np.zeros(4), covariance=cov, hbar=1.0)
+        GaussianState(mean=np.zeros(4), covariance=cov)
 
 
 def test_wavefunction_needs_separable_state():
@@ -266,7 +266,7 @@ def test_free_kernel_spreading_law():
 
     kern = degenerate_kernel(al, 1.0)
     state = GaussianState.separable([0.0, 0.0, 0.0, 0.0], sigma, sigma)
-    out = apply_kernel(kern, state, extent=6.0, points=128, hbar=1.0)
+    out = apply_kernel(kern, state, extent=6.0, points=128)
     assert np.max(np.abs(out.mean)) < 1e-3
     assert abs(out.norm - 1.0) < 1e-3
     expected_var = sigma ** 2 + (t / (2 * m * sigma)) ** 2
@@ -284,7 +284,7 @@ def test_moving_packet_mean_follows_classical_drift():
 
     kern = degenerate_kernel(al, 1.0)
     state = GaussianState.separable([0.5, -0.3, 0.4, 0.2], 1.0, 1.0)
-    out = apply_kernel(kern, state, extent=6.0, points=128, hbar=1.0)
+    out = apply_kernel(kern, state, extent=6.0, points=128)
     expected = np.array([0.5 + 0.4 * t, -0.3 + 0.2 * t, 0.4, 0.2])
     assert np.max(np.abs(out.mean - expected)) < 1e-3
 
@@ -294,13 +294,30 @@ def test_landau_kernel_pushforward_matches_affine_map():
     al = constant_field_closed_form(1.0, 1.0, t=t)
     kern = landau_kernel(1.0, 1.0, 1.0, al, t)
     state = GaussianState.separable([1.0, 0.5, 0.3, -0.2], 1.0, 1.0)
-    out = apply_kernel(kern, state, extent=10.0, points=128, hbar=1.0)
+    out = apply_kernel(kern, state, extent=10.0, points=128)
     mean_pred, cov_pred = heisenberg_map(al).push_gaussian(state.mean,
                                                            state.covariance)
     assert np.max(np.abs(out.mean - mean_pred)) < 1e-3
     assert abs(out.norm - 1.0) < 1e-3
     np.testing.assert_allclose(np.diag(out.covariance)[:2],
                                np.diag(cov_pred)[:2], rtol=3e-3)
+
+
+def test_pushforward_reads_the_states_hbar():
+    # the momentum axis and the returned state take the initial state's
+    # hbar, so the momentum moments match the affine map at hbar != 1
+    t, hbar = math.pi / 2, 2.0
+    al = constant_field_closed_form(1.0, 1.0, t=t)
+    kern = landau_kernel(1.0, 1.0, hbar, al, t)
+    state = GaussianState.separable([1.0, 0.5, 0.3, -0.2], 1.0, 1.0,
+                                    hbar=hbar)
+    out = apply_kernel(kern, state, extent=10.0, points=128)
+    mean_pred, cov_pred = heisenberg_map(al).push_gaussian(state.mean,
+                                                           state.covariance)
+    assert out.hbar == hbar
+    assert np.max(np.abs(out.mean - mean_pred)) < 1e-3
+    np.testing.assert_allclose(np.diag(out.covariance),
+                               np.diag(cov_pred), rtol=3e-3)
 
 
 def test_fast_and_generic_quadrature_paths_agree(monkeypatch):
@@ -311,12 +328,12 @@ def test_fast_and_generic_quadrature_paths_agree(monkeypatch):
     split = []
     monkeypatch.setattr(oracles, "phase_parts",
                         lambda k: split.append(k) or phase_parts(k))
-    fast = apply_kernel(kern, state, extent=8.0, points=100, hbar=1.0)
+    fast = apply_kernel(kern, state, extent=8.0, points=100)
 
     def plain(x, y, xp, yp):   # a bare callable takes the generic path
         return kern(x, y, xp, yp)
 
-    slow = apply_kernel(plain, state, extent=8.0, points=100, hbar=1.0)
+    slow = apply_kernel(plain, state, extent=8.0, points=100)
     assert split == [kern]   # only the QuadraticPhaseKernel is split
     np.testing.assert_allclose(fast.mean, slow.mean, atol=1e-12)
     assert fast.norm == pytest.approx(slow.norm, abs=1e-12)

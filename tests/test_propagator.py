@@ -185,7 +185,7 @@ def test_generic_smearing_matches_affine_map():
     assert abs(al[10]) > 1e-3
     kern = generic_kernel(al, 1.0)
     state = GaussianState.separable([0.4, -0.2, 0.3, 0.1], 1.0, 1.0)
-    out = apply_kernel(kern, state, extent=6.5, points=160, hbar=1.0)
+    out = apply_kernel(kern, state, extent=6.5, points=160)
     mean_pred, _ = heisenberg_map(al).push_gaussian(state.mean,
                                                     state.covariance)
     assert np.max(np.abs(out.mean - mean_pred)) < 1e-3
