@@ -25,6 +25,9 @@ The cases:
 - ``run`` on landau with omega_c 1e13 and t_end 2.5e-13, the phase
   omega_c t = 2.5 of the t_end 2.5 default at a fast time scale: it reaches
   t_end, since the step floor scales with the span below t_end = 1;
+- ``run`` on landau with t_end 6.293060839510291e-05, where fifty steps of
+  max_step = t_end / 50 sum to a few ulps short of t_end: the last step
+  takes the sliver and the run reaches t_end;
 - the nominal driven config under ``run`` and ``verify``, and under
   ``run`` with ``a1 = 0.3`` added: alpha1 moves while alpha2..alpha5 stay
   0, and the run ends in a chart-end at t = 1.7446;
@@ -34,6 +37,9 @@ The cases:
 - ``green`` on the nominal driven config, with one point and a 33-point
   grid at times 0.4, 0.8 and 1.2: generic-branch samples of 1,090 rows,
   which cross a block boundary of the Green writer;
+- ``run`` on landau (t_end 2.5) writing all three files, with a 3 x 3 Green
+  grid of extent 1 around the source (-0.0, 0.0): the writer keeps the
+  sign of a constant -0.0 coordinate;
 - ``run`` and ``verify`` on a config that sets the slots no other case
   sets, a1, a4, a5, a8, a12 and a13, with a9 = a10 = 0.5 (t_end 2): it
   reaches t_end, and verify skips only the landau closed-form row;
@@ -81,6 +87,8 @@ PRESET_RUNS = {
     "free_light": "preset = free\nm = 1e-9\n\n[run]\nt_end = 1.0\n",
     "landau_fast": "preset = landau\nomega_c = 1e13\n\n[run]\n"
                    "t_end = 2.5e-13\n",
+    "landau_short": "preset = landau\n\n[run]\n"
+                    "t_end = 6.293060839510291e-05\n",
 }
 DRIVEN = ("a6 = A*sin(w*t)\na9 = 0.5\na10 = 0.5\na11 = B*cos(t)\na14 = C\n"
           "a15 = -C\n\n[constants]\nA = 0.5\nw = 2.0\nB = 0.1\nC = 0.5\n\n"
@@ -90,6 +98,9 @@ DRIVEN = ("a6 = A*sin(w*t)\na9 = 0.5\na10 = 0.5\na11 = B*cos(t)\na14 = C\n"
 DRIVEN_GREEN = (DRIVEN + "\n[green]\npoints = 0.5,-0.5,0.25,0.1\n"
                 "grid_extent = 2.0\ngrid_points = 33\nsource = 0.1,0.2\n"
                 "times = 0.4,0.8,1.2\n")
+# a landau grid around the source (-0, 0): x_prime is -0.0 on every row
+NEGZERO_GRID = ("preset = landau\n\n[run]\nt_end = 2.5\n\n[green]\n"
+                "grid_extent = 1.0\ngrid_points = 3\nsource = -0.0, 0.0\n")
 # every slot that no other case sets, plus the kinetic terms
 LINEAR_SLOTS = ("a1 = 0.2\na4 = 0.1*cos(t)\na5 = -0.1\na8 = 0.05\na9 = 0.5\n"
                 "a10 = 0.5\na12 = 0.1*sin(t)\na13 = -0.05\n\n"
@@ -159,6 +170,8 @@ def cases(seeds):
         yield f"{command}:driven", lambda tmp, c=command: _config(
             tmp, DRIVEN, c)
     yield "green:driven", lambda tmp: _config(tmp, DRIVEN_GREEN, "green")
+    yield "run:landau_grid_negzero", lambda tmp: _config(
+        tmp, NEGZERO_GRID, "run", outputs=OUTPUTS + "green = green.csv\n")
     yield "run:driven_a1", lambda tmp: _config(tmp, "a1 = 0.3\n" + DRIVEN,
                                                "run")
     yield "run:batch", _batch
@@ -185,11 +198,12 @@ def cases(seeds):
         "verify", "--preset", "landau", "--e", "1e200"]
 
 
-def _config(tmp: Path, body: str, command: str, stem: str = "case") -> list:
-    """Write ``[hamiltonian]`` + ``body`` + the outputs as ``<stem>.cfg``;
+def _config(tmp: Path, body: str, command: str, stem: str = "case",
+            outputs: str = OUTPUTS) -> list:
+    """Write ``[hamiltonian]`` + ``body`` + ``outputs`` as ``<stem>.cfg``;
     the argv of ``command`` (run, green, verify or print-odes) on it."""
     path = tmp / f"{stem}.cfg"
-    path.write_text("[hamiltonian]\n" + body + "\n" + OUTPUTS)
+    path.write_text("[hamiltonian]\n" + body + "\n" + outputs)
     return [command, "--config", str(path)] \
         if command in ("verify", "print-odes") else [command, str(path)]
 

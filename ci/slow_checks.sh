@@ -5,9 +5,11 @@
 #     bash ci/slow_checks.sh
 #
 # 1. the benchmark's self-tests (pytest perfbench);
-# 2. a schedule that oscillates beyond resolution spends the stepper's real
+# 2. tier-1 on numpy's baseline SIMD kernels, as a CPU without AVX2 or
+#    AVX-512 runs them (about 20 s on a 2-core VM);
+# 3. a schedule that oscillates beyond resolution spends the stepper's real
 #    budget of 100,000 step attempts (about 25 s on a 2-core VM);
-# 3. the benchmark smoke run: every workload's oracle checks and traced
+# 4. the benchmark smoke run: every workload's oracle checks and traced
 #    call sites, read from the "correct" field of its JSON summary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +19,12 @@ trap 'rm -rf "$dir"' EXIT
 
 echo "== benchmark self-tests"
 python3 -m pytest perfbench -q
+
+echo "== tier-1 at numpy's baseline dispatch"
+# the variable switches numpy's AVX2 and AVX-512 kernels off for this
+# step's processes only
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
+    python3 -m pytest tests -q -p no:cacheprovider
 
 echo "== a schedule that oscillates beyond resolution ends"
 # sin(1e308 t) is noise at double precision, so the steps shrink toward

@@ -93,6 +93,8 @@ class FlowResult(NamedTuple):
 
 
 _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
+# alphas CSV rows per ``%`` operation: bounds the block's transient strings
+_BLOCK = 32
 # the least e^{2 alpha12}, e^{2 alpha13} the chart keeps; a max_step may ask
 # for as many steps as the budget has attempts (it spends none)
 _CHART_EPS = 1e-3
@@ -284,10 +286,13 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
 
 def write_alphas_csv(result: FlowResult, path):
     """CSV with header t,alpha1,...,alpha15 and one row per sample, every
-    field ``%.17g``."""
+    field ``%.17g``; up to ``_BLOCK`` rows are formatted by one ``%`` on a
+    flat tuple of their fields."""
     header = "t," + ",".join(f"alpha{i}" for i in range(1, N_GENERATORS + 1))
     row = ",".join(["%.17g"] * (N_GENERATORS + 1)) + "\n"
-    table = np.column_stack([result.ts, result.alphas]).tolist()
+    table = np.column_stack([result.ts, result.alphas])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(map(row.__mod__, map(tuple, table)))
+        for start in range(0, len(table), _BLOCK):
+            block = table[start:start + _BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -94,6 +94,8 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
 _JSON_RECORD = json.dumps(
     [{"t": 0.5, "S": [[0.5] * 4] * 4, "d": [0.5] * 4, "phase": 0.5}],
     indent=1)[2:-2].replace("0.5", "%s")
+# records per ``%`` operation: bounds the block's transient strings
+_BLOCK = 32
 
 
 def write_heisenberg_json(flow_result, path):
@@ -101,16 +103,22 @@ def write_heisenberg_json(flow_result, path):
 
     The bytes are those of ``json.dump(records, fh, indent=1)`` plus a
     newline; every map comes from one stacked :func:`heisenberg_map` call.
+    Up to ``_BLOCK`` records are formatted by one ``%`` on a flat tuple of
+    their fields, whose ``%s`` spells a float as its ``repr``, as json does.
     """
     m = heisenberg_map(flow_result.alphas)
     fields = np.column_stack([flow_result.ts, m.S.reshape(-1, 16), m.d,
                               m.phase])
-    # json spells non-finite floats NaN, Infinity and -Infinity
-    text = float.__repr__ if np.isfinite(fields).all() else json.dumps
-    records = (_JSON_RECORD % tuple(map(text, row))
-               for row in fields.tolist())
     with open(path, "w") as fh:
         # a FlowResult holds at least one sample
-        fh.write("[\n" + next(records))
-        fh.writelines(",\n" + record for record in records)
+        fh.write("[\n")
+        for start in range(0, len(fields), _BLOCK):
+            block = fields[start:start + _BLOCK]
+            values = block.ravel().tolist()
+            if not np.isfinite(block).all():
+                # json spells non-finite floats NaN, Infinity and -Infinity
+                values = map(json.dumps, values)
+            fh.write((",\n" if start else "")
+                     + ",\n".join([_JSON_RECORD] * len(block))
+                     % tuple(values))
         fh.write("\n]\n")

@@ -204,10 +204,10 @@ def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan) -> GreenSample:
                        kernel(x, y, x_prime, y_prime), kernel.branch)
 
 
-def _formatted(values) -> list:
-    """``%.17g`` of every element, C order, formatting each distinct bit
-    pattern once (a grid repeats its axis values; -0.0 stays ``-0``)."""
-    flat = np.ravel(np.asarray(values, dtype=float))
+def _formatted(flat) -> list:
+    """``%.17g`` of every element of the float vector ``flat``, formatting
+    each distinct bit pattern once (a grid repeats its axis values; -0.0
+    stays ``-0``)."""
     _, first, inverse = np.unique(flat.view(np.uint64), return_index=True,
                                   return_inverse=True)
     text = np.array(["%.17g" % v for v in flat[first].tolist()], dtype=object)
@@ -218,22 +218,33 @@ def write_green_csv(samples, path):
     """CSV with columns x,y,t,x_prime,y_prime,re,im,branch; one row per
     broadcast element of each sample, in C order, every number ``%.17g``.
 
-    Coordinates are formatted once per distinct value.  Each sample has one
-    row format that holds ``t`` and the branch; up to ``_BLOCK`` rows of it
-    are formatted by one ``%`` on a flat tuple of their fields.
+    Each sample has one row format that holds ``t``, the branch and every
+    coordinate whose values share one bit pattern (a grid's source, every
+    coordinate of a one-point sample), each formatted once.  The other
+    coordinates are formatted once per distinct value, and up to ``_BLOCK``
+    rows of the format are filled by one ``%`` on a flat tuple of their
+    fields.
     """
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
         for s in samples:
-            row = (f"%s,%s,{s.t:.17g},%s,%s,%.17g,%.17g,"
-                   f"{s.branch.replace('%', '%%')}\n")
             value = np.ravel(s.value)
-            columns = (*map(_formatted, (s.x, s.y, s.x_prime, s.y_prime)),
-                       value.real.tolist(), value.imag.tolist())
-            n = len(columns[-1])
+            cells, columns = [], []
+            for c in (s.x, s.y, s.x_prime, s.y_prime):
+                flat = np.ravel(np.asarray(c, dtype=float))
+                bits = flat.view(np.uint64)
+                if bits.size and (bits == bits[0]).all():
+                    cells.append("%.17g" % flat[0])
+                else:
+                    cells.append("%s")
+                    columns.append(_formatted(flat))
+            row = (f"{cells[0]},{cells[1]},{s.t:.17g},{cells[2]},{cells[3]},"
+                   f"%.17g,%.17g,{s.branch.replace('%', '%%')}\n")
+            columns += value.real.tolist(), value.imag.tolist()
+            n, width = len(value), len(columns)
             for start in range(0, n, _BLOCK):
                 stop = min(start + _BLOCK, n)
-                fields = [None] * (6 * (stop - start))
+                fields = [None] * (width * (stop - start))
                 for j, column in enumerate(columns):
-                    fields[j::6] = column[start:stop]
+                    fields[j::width] = column[start:stop]
                 fh.write((row * (stop - start)) % tuple(fields))

@@ -33,7 +33,8 @@ span capped at 1, the floor is 16 eps max(|t|, s), never below the
 smallest normal double (which also refuses a zero step), and the bisection
 stops at a width of 1e-12 max(|t|, s).  So a short run resolves the phase a
 long one does: landau with omega_c = 1e13 reaches t_end = 2.5e-13 as
-omega_c = 1 reaches 2.5.
+omega_c = 1 reaches 2.5.  A step that would leave less than the floor
+before t_end takes the rest of the run, so a run lands on t_end exactly.
 """
 
 from __future__ import annotations
@@ -331,8 +332,12 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             # one that max_step or t_end cut never ends a run
             sized = h < min(max_step, t_end - t)
             h = min(h, max_step, t_end - t)
-            if h < max(floor * max(abs(t), span), _TINY) \
-                    or rejections > 60:
+            least = floor * max(abs(t), span)
+            # no sliver of a step before t_end (DOPRI5's rule, below the
+            # floor): a sum of max_steps may fall a few ulps short of it
+            if t_end - (t + h) < least:
+                h = t_end - t
+            if h < max(least, _TINY) or rejections > 60:
                 status = "underflow"
                 break
             if attempts == _MAX_ATTEMPTS:

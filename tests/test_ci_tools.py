@@ -58,11 +58,11 @@ def test_ordinals_are_adjacent_across_zero():
 
 
 def test_the_cases_at_one_seed(tmp_path):
-    # the benchmark's six inputs at the seed and the twenty-eight fixed
-    # cases, each laying out its inputs and giving a command line
+    # the benchmark's six inputs at the seed and the thirty fixed cases,
+    # each laying out its inputs and giving a command line
     cases = list(output_digests.cases([3]))
     names = [name for name, _ in cases]
-    assert len(names) == 34 and len(set(names)) == 34
+    assert len(names) == 36 and len(set(names)) == 36
     for j, (name, write) in enumerate(cases):
         tmp = tmp_path / str(j)
         tmp.mkdir()

@@ -1150,12 +1150,21 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
 
     rng = random.Random(20240915)
     oracles._uniform(rng, (200, 2, 15))  # the reduction row's draws
-    err = 0.0
+    err, off_diagonal = 0.0, set()
     for i in range(2, 16):
         for alpha in oracles._uniform(rng, (25,)):
-            err = max(err, float(np.max(np.abs(
-                adjoint_matrix(i, alpha) - adjoint_closed_form(i, alpha)))))
-    assert 0 < rows["adjoint exponential vs closed-form rules"] == err
+            pair = adjoint_matrix(i, alpha), adjoint_closed_form(i, alpha)
+            err = max(err, float(np.max(np.abs(pair[0] - pair[1]))))
+            # the row compares no identities: each matrix moves an entry,
+            # and only the squeezes alpha12 and alpha13 act diagonally
+            for m in pair:
+                assert not np.array_equal(m, np.eye(15)), (i, alpha)
+                if np.any(m[~np.eye(15, dtype=bool)]):
+                    off_diagonal.add(i)
+    assert off_diagonal == set(range(2, 16)) - {12, 13}
+    # the error is 0 where numpy's vector exp rounds as the scalar one does
+    # (its baseline dispatch) and not 0 under AVX-512
+    assert rows["adjoint exponential vs closed-form rules"] == err
 
     res = integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
                     max_step=cfg.max_step)

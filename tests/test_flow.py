@@ -1,6 +1,7 @@
 """Flow integration: closed-form oracle, breakdown, schedule handling."""
 
 import math
+import random
 import re
 import warnings
 
@@ -730,6 +731,17 @@ def test_the_same_phase_resolves_at_every_time_scale():
     assert stops[0] == pytest.approx(3.0783, abs=1e-4)
     np.testing.assert_allclose(stops, stops[0], rtol=1e-10, atol=0)
 
+
+
+@pytest.mark.parametrize("preset", ["landau", "free"])
+def test_a_run_lands_on_t_end_at_any_time_scale(preset):
+    # a sum of steps of max_step = t_end / 50 can fall a few ulps short of
+    # t_end; the last step must take the sliver, not leave it to the floor
+    rng = random.Random(11)
+    sched = CoefficientSchedule.preset(preset)
+    for t_end in [10 ** rng.uniform(-7, 1) for _ in range(60)]:
+        res = integrate(sched, t_end, samples=1)
+        assert res.breakdown is not None or res.ts[-1] == t_end, t_end
 
 OSCILLATOR = {6: "0.5", 7: "0.3", 9: "0.5", 10: "0.5", 14: "0.2", 15: "-0.2"}
 

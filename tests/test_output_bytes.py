@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from quadflow import observables, propagator
+from quadflow import flow, observables, propagator
 from quadflow.flow import FlowResult, integrate, write_alphas_csv
 from quadflow.observables import heisenberg_map, write_heisenberg_json
 from quadflow.propagator import GreenSample, green, write_green_csv
@@ -81,8 +81,36 @@ def grid_samples(res, hbar, times, points, source, extent=2.0, n=9):
     return [green(res.interpolate(t), hbar, *pts.T, t=t) for t in times]
 
 
+def non_finite_flow():
+    # e^{2 alpha12} overflows to inf at alpha12 = 400 and every product
+    # with it is NaN; at alpha12 = 354 it is finite and e^{2 alpha12} alpha15
+    # overflows to +-inf alone
+    rng = np.random.default_rng(5)
+    alphas = rng.uniform(-1, 1, (4, 15))
+    alphas[1, 11] = 400.0
+    alphas[2, [11, 14]] = 354.0, 1e10
+    alphas[3, [11, 14]] = 354.0, -1e10
+    return FlowResult(ts=0.25 * np.arange(4), alphas=alphas, breakdown=None,
+                      dense=None, n_rhs=0)
+
+
 @pytest.mark.parametrize("make", [landau_flow, driven_flow])
 def test_alphas_and_heisenberg_bytes_match_the_plain_writers(tmp_path, make):
+    res = make()
+    assert_same_bytes(tmp_path, write_alphas_csv, ref_alphas_csv, res)
+    assert_same_bytes(tmp_path, write_heisenberg_json, ref_heisenberg_json,
+                      res)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 60, 80])
+@pytest.mark.parametrize("make", [landau_flow, driven_flow, non_finite_flow])
+def test_alphas_and_heisenberg_bytes_match_across_block_boundaries(
+        tmp_path, monkeypatch, make, block):
+    # landau_flow's 81 rows are one more than a block of 80 and
+    # driven_flow's 61 one more than a block of 60; a block of 2 holds the
+    # non-finite flow's finite first record and its NaN one
+    monkeypatch.setattr(flow, "_BLOCK", block)
+    monkeypatch.setattr(observables, "_BLOCK", block)
     res = make()
     assert_same_bytes(tmp_path, write_alphas_csv, ref_alphas_csv, res)
     assert_same_bytes(tmp_path, write_heisenberg_json, ref_heisenberg_json,
@@ -143,8 +171,36 @@ def test_green_bytes_keep_negative_zero_and_non_finite_values(tmp_path):
             "-0,-0,-0,4.9406564584124654e-324,-1.5,-inf,-0,generic\n") in text
 
 
+def constant_green():
+    """A grid around the source (-0.0, 0.0), the grid again with x_prime
+    0.0 on every row but one -0.0, and one point: coordinates that keep one
+    bit pattern, or all but one row of it."""
+    res = landau_flow()
+    samples = grid_samples(res, 1.0, (1.0,), np.empty((0, 4)), (-0.0, 0.0))
+    x_prime = np.zeros(samples[0].x.size)
+    x_prime[40] = -0.0
+    samples.append(green(res.interpolate(2.0), 1.0, samples[0].x,
+                         samples[0].y, x_prime, 0.5, t=2.0))
+    samples.append(green(res.interpolate(2.5), 1.0, 0.3, -0.2, 0.1, -0.0,
+                         t=2.5))
+    return samples
+
+
+def test_green_bytes_keep_the_bits_of_a_constant_coordinate(tmp_path):
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv,
+                      constant_green())
+    rows = [row.split(",") for row in
+            (tmp_path / "out").read_text().splitlines()[1:]]
+    assert len(rows) == 81 + 81 + 1
+    assert all(row[3:5] == ["-0", "0"] for row in rows[:81])
+    assert [row[3] for row in rows[81:162]].count("-0") == 1
+    assert rows[-1][:5] == ["0.29999999999999999", "-0.20000000000000001",
+                            "2.5", "0.10000000000000001", "-0"]
+
+
 @pytest.mark.parametrize("block", [1, 2, 7])
-@pytest.mark.parametrize("make", [landau_green, driven_green, odd_green])
+@pytest.mark.parametrize("make", [landau_green, driven_green, odd_green,
+                                  constant_green])
 def test_green_bytes_match_across_block_boundaries(tmp_path, monkeypatch,
                                                    make, block):
     # every sample above has more rows than the block, and the 1-row and
@@ -164,16 +220,7 @@ def test_green_bytes_match_on_a_sample_longer_than_a_block(tmp_path):
 
 
 def test_heisenberg_bytes_match_with_non_finite_maps(tmp_path):
-    # e^{2 alpha12} overflows to inf at alpha12 = 400 and every product
-    # with it is NaN; at alpha12 = 354 it is finite and e^{2 alpha12} alpha15
-    # overflows to +-inf alone
-    rng = np.random.default_rng(5)
-    alphas = rng.uniform(-1, 1, (4, 15))
-    alphas[1, 11] = 400.0
-    alphas[2, [11, 14]] = 354.0, 1e10
-    alphas[3, [11, 14]] = 354.0, -1e10
-    res = FlowResult(ts=0.25 * np.arange(4), alphas=alphas, breakdown=None,
-                     dense=None, n_rhs=0)
+    res = non_finite_flow()
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_bytes(tmp_path, write_heisenberg_json,
                           ref_heisenberg_json, res)
