@@ -40,6 +40,14 @@ The cases:
 - ``run`` on landau (t_end 2.5) writing all three files, with a 3 x 3 Green
   grid of extent 1 around the source (-0.0, 0.0): the writer keeps the
   sign of a constant -0.0 coordinate;
+- ``run`` on landau (t_end 2.5) writing all three files, with two explicit
+  points and a 5 x 5 grid at times 1.0 and 2.5: degenerate-branch samples,
+  the points written before the grid at each time;
+- ``run`` on landau (t_end 2.5) with the grid above at ``grid_points =
+  1``: one Green row, at (-1, -1);
+- ``run`` on the nominal driven config writing all three files, with a
+  Green time 3.0 past its chart end: a config error with exit 1, and no
+  file written;
 - ``run`` and ``verify`` on a config that sets the slots no other case
   sets, a1, a4, a5, a8, a12 and a13, with a9 = a10 = 0.5 (t_end 2): it
   reaches t_end, and verify skips only the landau closed-form row;
@@ -101,6 +109,16 @@ DRIVEN_GREEN = (DRIVEN + "\n[green]\npoints = 0.5,-0.5,0.25,0.1\n"
 # a landau grid around the source (-0, 0): x_prime is -0.0 on every row
 NEGZERO_GRID = ("preset = landau\n\n[run]\nt_end = 2.5\n\n[green]\n"
                 "grid_extent = 1.0\ngrid_points = 3\nsource = -0.0, 0.0\n")
+# a landau run with two points and a 5 x 5 grid at two times
+LANDAU_POINTS_GRID = ("preset = landau\n\n[run]\nt_end = 2.5\n\n[green]\n"
+                      "points = 0.5,-0.5,0.25,0.1 ; 0,0,0,0\n"
+                      "grid_extent = 2.0\ngrid_points = 5\n"
+                      "source = 0.3,-0.2\ntimes = 1.0, 2.5\n")
+# a grid of one point
+ONE_POINT_GRID = NEGZERO_GRID.replace("grid_points = 3", "grid_points = 1")
+# a Green time past the driven flow's chart end: no file is written
+GREEN_PAST_SPAN = DRIVEN + "\n[green]\npoints = 0.5,-0.5,0.25,0.1\n" \
+    "times = 0.4, 3.0\n"
 # every slot that no other case sets, plus the kinetic terms
 LINEAR_SLOTS = ("a1 = 0.2\na4 = 0.1*cos(t)\na5 = -0.1\na8 = 0.05\na9 = 0.5\n"
                 "a10 = 0.5\na12 = 0.1*sin(t)\na13 = -0.05\n\n"
@@ -172,6 +190,11 @@ def cases(seeds):
     yield "green:driven", lambda tmp: _config(tmp, DRIVEN_GREEN, "green")
     yield "run:landau_grid_negzero", lambda tmp: _config(
         tmp, NEGZERO_GRID, "run", outputs=OUTPUTS + "green = green.csv\n")
+    for name, text in (("landau_points_grid", LANDAU_POINTS_GRID),
+                       ("landau_one_point_grid", ONE_POINT_GRID),
+                       ("driven_green_past_span", GREEN_PAST_SPAN)):
+        yield f"run:{name}", lambda tmp, t=text: _config(
+            tmp, t, "run", outputs=OUTPUTS + "green = green.csv\n")
     yield "run:driven_a1", lambda tmp: _config(tmp, "a1 = 0.3\n" + DRIVEN,
                                                "run")
     yield "run:batch", _batch

@@ -60,25 +60,26 @@ def _load(args) -> RunConfig:
 
 
 def _green_samples(cfg: RunConfig, result) -> list:
-    """One GreenSample per time: the explicit points, then the grid (ij)."""
+    """The GreenSamples of each time in turn: the explicit points as one
+    1-D sample, then the grid as a 2-D sample of its own, x along the
+    first axis and y along the last (``ij``).  The grid broadcasts from its
+    axis and source, so no flattened copy of its coordinates is made; a
+    request without points or without a grid has no such sample."""
     req = cfg.green
-    pts = [np.array(req.points, dtype=float).reshape(-1, 4)]
+    coords = [np.array(req.points, dtype=float).T] if req.points else []
     if req.grid_extent is not None:
         axis = np.linspace(-req.grid_extent, req.grid_extent,
                            req.grid_points)
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        pts.append(np.column_stack([xs.ravel(), ys.ravel(),
-                                    np.tile(req.source, (xs.size, 1))]))
-    x, y, xp, yp = np.concatenate(pts).T
+        coords.append((axis[:, None], axis[None, :], *req.source))
     t_final = float(result.ts[-1])
     samples = []
     for t in req.times or (t_final,):
         if not 0 <= t <= t_final:
             raise ConfigError(f"[green] times: t = {t!r} lies outside the "
                               f"integrated span [0, {t_final!r}]")
-        samples.append(propagator.green(result.interpolate(t),
-                                        cfg.schedule.hbar, x, y, xp, yp,
-                                        t=t))
+        alpha = result.interpolate(t)
+        samples += [propagator.green(alpha, cfg.schedule.hbar, *c, t=t)
+                    for c in coords]
     return samples
 
 
@@ -130,8 +131,12 @@ def _flow(cfg: RunConfig, samples: int):
 
 
 def _run_plan(path, cfg, out_base, dests) -> dict:
-    """Integrate a planned config and write its outputs."""
+    """Integrate a planned config and write its outputs.  The flow and the
+    Green samples are computed before the first file is written, so a run
+    that fails on either (a Green time past the span, a kernel with no
+    pointwise value) writes no file."""
     result = _flow(cfg, cfg.samples)
+    green = _green_samples(cfg, result) if "green" in dests else None
     out_base.mkdir(parents=True, exist_ok=True)
     written = []
     if "alphas" in dests:
@@ -141,8 +146,7 @@ def _run_plan(path, cfg, out_base, dests) -> dict:
         observables.write_heisenberg_json(result, dests["heisenberg"])
         written.append(str(dests["heisenberg"]))
     if "green" in dests:
-        propagator.write_green_csv(_green_samples(cfg, result),
-                                   dests["green"])
+        propagator.write_green_csv(green, dests["green"])
         written.append(str(dests["green"]))
     info = {"config": str(path), "written": written,
             "t_final": float(result.ts[-1])}

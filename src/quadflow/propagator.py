@@ -62,8 +62,10 @@ class GreenSample(NamedTuple):
     """Green-function values at one time t.
 
     ``x``, ``y``, ``x_prime``, ``y_prime`` and ``value`` share one broadcast
-    shape (0-d for scalar coordinates); ``branch`` names the kernel that
-    produced every value.
+    shape: 0-d for scalar coordinates, 1-D for a list of points, and 2-D
+    for a grid (the CLI's: x along the first axis, y along the last, the
+    source constant), which :func:`write_green_csv` writes run by run.
+    ``branch`` names the kernel that produced every value.
     """
 
     x: np.ndarray
@@ -204,47 +206,86 @@ def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan) -> GreenSample:
                        kernel(x, y, x_prime, y_prime), kernel.branch)
 
 
-def _formatted(flat) -> list:
-    """``%.17g`` of every element of the float vector ``flat``, formatting
-    each distinct bit pattern once (a grid repeats its axis values; -0.0
-    stays ``-0``)."""
-    _, first, inverse = np.unique(flat.view(np.uint64), return_index=True,
-                                  return_inverse=True)
-    text = np.array(["%.17g" % v for v in flat[first].tolist()], dtype=object)
-    return text[inverse].tolist()
+def _formatted(column) -> list:
+    """``%.17g`` of every element of the float array ``column``, in C order
+    (``-0.0`` stays ``-0``)."""
+    return ["%.17g" % v for v in np.ravel(column).tolist()]
+
+
+def _grid_form(coords, value) -> bool:
+    """Whether a sample is a grid: 2-D and not empty, with x keeping one
+    bit pattern along the last axis, and y, x_prime and y_prime along the
+    first (as the CLI's ``ij`` grid broadcast from its axis and source)."""
+    shape = np.shape(value)
+    if len(shape) != 2 or 0 in shape or any(c.shape != shape
+                                             for c in coords):
+        return False
+    x, *rest = (c.view(np.uint64) for c in coords)
+    return bool((x == x[:, :1]).all()
+                and all((c == c[:1]).all() for c in rest))
+
+
+def _write_runs(fh, coords, t, value, tail):
+    """The rows of a grid-form sample, run by run along its last axis: the
+    run's x cell joins the per-column cells of y, t, x_prime and y_prime
+    into the run's row format, and one ``%`` per at most ``_BLOCK`` rows
+    fills ``re`` and ``im``."""
+    x, y, xp, yp = coords
+    columns = [f"{a},{t:.17g},{b},{c},{tail}" for a, b, c in
+               zip(_formatted(y[0]), _formatted(xp[0]), _formatted(yp[0]))]
+    # each run's (re, im) pairs, interleaved as the row format reads them
+    pairs = np.ascontiguousarray(value, dtype=complex).view(float)
+    for cell, run in zip(_formatted(x[:, 0]), pairs):
+        head, run = cell + ",", run.tolist()
+        for start in range(0, len(columns), _BLOCK):
+            stop = start + _BLOCK
+            fh.write((head + head.join(columns[start:stop]))
+                     % tuple(run[2 * start:2 * stop]))
+
+
+def _write_blocks(fh, coords, t, value, tail):
+    """The rows of any sample in C order: a coordinate that keeps one bit
+    pattern is formatted once into the row format, the others are ``%s``
+    fields, and one ``%`` per at most ``_BLOCK`` rows fills every field."""
+    value = np.ravel(value)
+    cells, columns = [], []
+    for c in coords:
+        bits = np.ravel(c.view(np.uint64))
+        if bits.size and (bits == bits[0]).all():
+            cells.append("%.17g" % c.flat[0])
+        else:
+            cells.append("%s")
+            columns.append(_formatted(c))
+    row = f"{cells[0]},{cells[1]},{t:.17g},{cells[2]},{cells[3]},{tail}"
+    columns += value.real.tolist(), value.imag.tolist()
+    n, width = len(value), len(columns)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        fields = [None] * (width * (stop - start))
+        for j, column in enumerate(columns):
+            fields[j::width] = column[start:stop]
+        fh.write((row * (stop - start)) % tuple(fields))
 
 
 def write_green_csv(samples, path):
     """CSV with columns x,y,t,x_prime,y_prime,re,im,branch; one row per
     broadcast element of each sample, in C order, every number ``%.17g``.
 
-    Each sample has one row format that holds ``t``, the branch and every
-    coordinate whose values share one bit pattern (a grid's source, every
-    coordinate of a one-point sample), each formatted once.  The other
-    coordinates are formatted once per distinct value, and up to ``_BLOCK``
-    rows of the format are filled by one ``%`` on a flat tuple of their
-    fields.
+    A sample may be a 2-D grid, as the CLI samples one: x keeps one bit
+    pattern along the last axis, and y, x_prime and y_prime along the
+    first.  Such a sample is written run by run along its last axis, each
+    cell formatted once (:func:`_write_runs`).  Any other sample is written
+    in blocks of rows, with a coordinate that keeps one bit pattern over
+    the sample formatted once (:func:`_write_blocks`).  The path follows
+    from the sample's shape and bits alone, and both give the bytes of
+    formatting every number on its own.
     """
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
         for s in samples:
-            value = np.ravel(s.value)
-            cells, columns = [], []
-            for c in (s.x, s.y, s.x_prime, s.y_prime):
-                flat = np.ravel(np.asarray(c, dtype=float))
-                bits = flat.view(np.uint64)
-                if bits.size and (bits == bits[0]).all():
-                    cells.append("%.17g" % flat[0])
-                else:
-                    cells.append("%s")
-                    columns.append(_formatted(flat))
-            row = (f"{cells[0]},{cells[1]},{s.t:.17g},{cells[2]},{cells[3]},"
-                   f"%.17g,%.17g,{s.branch.replace('%', '%%')}\n")
-            columns += value.real.tolist(), value.imag.tolist()
-            n, width = len(value), len(columns)
-            for start in range(0, n, _BLOCK):
-                stop = min(start + _BLOCK, n)
-                fields = [None] * (width * (stop - start))
-                for j, column in enumerate(columns):
-                    fields[j::width] = column[start:stop]
-                fh.write((row * (stop - start)) % tuple(fields))
+            coords = [np.asarray(c, dtype=float)
+                      for c in (s.x, s.y, s.x_prime, s.y_prime)]
+            tail = f"%.17g,%.17g,{s.branch.replace('%', '%%')}\n"
+            write = _write_runs if _grid_form(coords, s.value) \
+                else _write_blocks
+            write(fh, coords, s.t, s.value, tail)

@@ -387,16 +387,20 @@ def test_bad_t_end_is_a_json_error(tmp_path, capsys, t_end):
 
 @pytest.mark.parametrize("command", ["run", "green"])
 def test_green_time_past_breakdown_is_a_json_error(tmp_path, capsys, command):
-    # the landau flow breaks down at t = pi; t = 3.9 lies past the span
+    # the landau flow breaks down at t = pi; t = 3.9 lies past the span, and
+    # the Green samples fail before any file of the run is written
     p = tmp_path / "late.cfg"
     p.write_text(
         "[hamiltonian]\npreset = landau\nm = 1.0\nomega_c = 1.0\n\n"
-        "[run]\nt_end = 4.0\n\n[outputs]\ngreen = green.csv\n\n"
+        "[run]\nt_end = 4.0\n\n[outputs]\nalphas = alphas.csv\n"
+        "heisenberg = heisenberg.json\ngreen = green.csv\n\n"
         "[green]\npoints = 0,0,0,0\ntimes = 1.0, 3.9\n")
     assert main([command, str(p), "--outdir", str(tmp_path)]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
+    err = _one_json_error(capsys.readouterr())
     assert err["error"] == "config-error"
     assert "3.9" in err["detail"] and "integrated span" in err["detail"]
+    for name in ("alphas.csv", "heisenberg.json", "green.csv"):
+        assert not (tmp_path / name).exists(), name
 
 
 @pytest.mark.parametrize("second", ["same", "sibling"])
@@ -606,16 +610,19 @@ def test_verify_landau_with_underflowing_field_skips_closed_form(capsys):
 
 def test_green_on_the_zero_preset_is_a_degenerate_geometry_error(tmp_path,
                                                                 capsys):
-    # alpha stays 0, where the Green function is a delta function
+    # alpha stays 0, where the Green function is a delta function; the
+    # flow resolves, and the run still writes none of its files
     p = tmp_path / "zero.cfg"
     p.write_text("[hamiltonian]\npreset = zero\n\n[run]\nt_end = 1.0\n\n"
                  "[green]\npoints = 0,0,0,0\n\n"
-                 "[outputs]\nalphas = alphas.csv\ngreen = green.csv\n")
+                 "[outputs]\nalphas = alphas.csv\n"
+                 "heisenberg = heisenberg.json\ngreen = green.csv\n")
     assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
     err = _one_json_error(capsys.readouterr())
     assert err["error"] == "degenerate-geometry"
     assert err["at"] == str(p)
-    assert not (tmp_path / "green.csv").exists()
+    for name in ("alphas.csv", "heisenberg.json", "green.csv"):
+        assert not (tmp_path / name).exists(), name
 
 
 def _fresh_cli(*argv, **environ):

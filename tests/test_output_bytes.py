@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from quadflow import flow, observables, propagator
+from quadflow import cli, flow, observables, propagator
+from quadflow.config import GreenRequest, RunConfig
 from quadflow.flow import FlowResult, integrate, write_alphas_csv
 from quadflow.observables import heisenberg_map, write_heisenberg_json
 from quadflow.propagator import GreenSample, green, write_green_csv
@@ -56,18 +57,20 @@ def assert_same_bytes(tmp_path, write, ref, data):
     assert (tmp_path / "out").read_bytes() == (tmp_path / "ref").read_bytes()
 
 
+LANDAU = RunConfig(CoefficientSchedule.preset(
+    "landau", m=1.0, omega_c=1.0, E_x=0.3, E_y=-0.2, e=1.0), 2.5, samples=80)
+# the benchmark's driven schedule: it ends in a chart-end breakdown
+DRIVEN = RunConfig(CoefficientSchedule.from_expressions(
+    {6: "A*sin(w*t)", 9: "0.5", 10: "0.5", 11: "B*cos(t)", 14: "C",
+     15: "-C"}, constants=dict(A=0.5, w=2.0, B=0.1, C=0.5)), 4.0, samples=60)
+
+
 def landau_flow():
-    sched = CoefficientSchedule.preset("landau", m=1.0, omega_c=1.0, E_x=0.3,
-                                       E_y=-0.2, e=1.0)
-    return integrate(sched, 2.5, samples=80)
+    return integrate(LANDAU.schedule, LANDAU.t_end, samples=LANDAU.samples)
 
 
 def driven_flow():
-    # the benchmark's driven schedule: it ends in a chart-end breakdown
-    sched = CoefficientSchedule.from_expressions(
-        {6: "A*sin(w*t)", 9: "0.5", 10: "0.5", 11: "B*cos(t)", 14: "C",
-         15: "-C"}, constants=dict(A=0.5, w=2.0, B=0.1, C=0.5))
-    res = integrate(sched, 4.0, samples=60)
+    res = integrate(DRIVEN.schedule, DRIVEN.t_end, samples=DRIVEN.samples)
     assert res.breakdown is not None
     return res
 
@@ -79,6 +82,15 @@ def grid_samples(res, hbar, times, points, source, extent=2.0, n=9):
                           np.column_stack([xs.ravel(), ys.ravel(),
                                            np.tile(source, (xs.size, 1))])])
     return [green(res.interpolate(t), hbar, *pts.T, t=t) for t in times]
+
+
+def grid_sample(res, t, axis, source, hbar=1.0):
+    """A sample of grid form, as ``cli._green_samples`` takes a grid: x on
+    the first axis and y on the last, broadcast from ``axis`` and the
+    source."""
+    axis = np.asarray(axis, dtype=float)
+    return green(res.interpolate(t), hbar, axis[:, None], axis[None, :],
+                 *source, t=t)
 
 
 def non_finite_flow():
@@ -217,6 +229,116 @@ def test_green_bytes_match_on_a_sample_longer_than_a_block(tmp_path):
                            (0.3, -0.2), n=33)
     assert samples[0].value.size == 1091 > propagator._BLOCK
     assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The writer path that each sample takes, in turn."""
+    taken = []
+    for name in ("_write_runs", "_write_blocks"):
+        def spy(*args, real=getattr(propagator, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(propagator, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 101])
+@pytest.mark.parametrize("make", [landau_flow, driven_flow])
+def test_green_bytes_match_on_grid_samples(tmp_path, paths, make, n):
+    res = make()
+    samples = [grid_sample(res, t, np.linspace(-2.0, 2.0, n), (0.3, -0.2))
+               for t in (0.4, 1.2)]
+    assert samples[0].value.shape == (n, n)
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
+    assert paths == ["_write_runs"] * 2
+    assert len((tmp_path / "out").read_text().splitlines()) == 1 + 2 * n * n
+
+
+# -0 and 0, nan, both infinities, the smallest subnormal and a tiny normal
+ODD_AXIS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 0.5]
+
+
+def odd_grids():
+    """Grids of the odd axis and of a 33-point axis, around the source
+    (-0.0, 0.0), on the degenerate and the generic branch."""
+    landau, driven = landau_flow(), driven_flow()
+    samples = [grid_sample(landau, 0.5, ODD_AXIS, (-0.0, 0.0)),
+               grid_sample(driven, 0.4, ODD_AXIS, (-0.0, 0.0)),
+               grid_sample(landau, 2.5, np.linspace(-1.0, 1.0, 33),
+                           (-0.0, 0.0))]
+    assert [s.branch for s in samples] == ["degenerate", "generic",
+                                           "degenerate"]
+    return samples
+
+
+def test_green_bytes_keep_the_odd_values_of_a_grid_axis(tmp_path, paths):
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, odd_grids())
+    assert paths == ["_write_runs"] * 3
+    text = (tmp_path / "out").read_text()
+    assert "\n-0,0,0.5,-0,0," in text and "\n0,-0,0.5,-0,0," in text
+    assert "\nnan,inf,0.5,-0,0,nan,nan,degenerate\n" in text
+    assert "\n4.9406564584124654e-324,-inf,0.40000000000000002,-0,0," in text
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 32])
+def test_grid_bytes_match_across_block_boundaries(tmp_path, monkeypatch,
+                                                  paths, block):
+    # runs of 8 and 33 rows, each longer than the block: one % covers at
+    # most a block of a run, and a run ends in a partial block
+    monkeypatch.setattr(propagator, "_BLOCK", block)
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, odd_grids())
+    assert paths == ["_write_runs"] * 3
+
+
+def test_a_2d_sample_not_of_grid_form_takes_the_block_path(tmp_path, paths):
+    res = landau_flow()
+    alpha, axis = res.interpolate(1.0), np.linspace(-2.0, 2.0, 9)
+    # x keeps one bit pattern along the last axis, and y along the first,
+    # each but for one -0.0
+    x = np.broadcast_to(axis[:, None], (9, 9)).copy()
+    x[4, 6] = -0.0
+    y = np.broadcast_to(axis, (9, 9)).copy()
+    y[2, 4] = -0.0
+    samples = [
+        # x on the last axis and y on the first
+        green(alpha, 1.0, axis[None, :], axis[:, None], 0.3, -0.2, t=1.0),
+        green(alpha, 1.0, x, axis[None, :], 0.3, -0.2, t=1.0),
+        green(alpha, 1.0, axis[:, None], y, 0.3, -0.2, t=1.0),
+        # x_prime varies along the first axis
+        green(alpha, 1.0, axis[:, None], axis[None, :], axis[:, None], -0.2,
+              t=1.0),
+        # y_prime varies along the first axis of a 9 x 1 sample
+        green(alpha, 1.0, axis[:, None], 0.5, 0.3, axis[:, None], t=1.0),
+    ]
+    assert all(s.value.ndim == 2 for s in samples)
+    assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, samples)
+    assert paths == ["_write_blocks"] * 5
+    text = (tmp_path / "out").read_text()
+    assert "\n-0,1,1,0.29999999999999999,-0.20000000000000001," in text
+    assert "\n-1,-0,1,0.29999999999999999,-0.20000000000000001," in text
+
+
+@pytest.mark.parametrize("cfg, points", [
+    (LANDAU, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.25, 0.125))),
+    (DRIVEN, ((0.5, -0.5, 0.25, 0.1),)),
+    (LANDAU, ()),
+])
+def test_the_cli_samples_write_the_flattened_layout(tmp_path, paths, cfg,
+                                                    points):
+    # the CLI's points sample, then its grid sample, at each time: the rows
+    # of one flattened sample per time, in the same order
+    res = integrate(cfg.schedule, cfg.t_end, samples=cfg.samples)
+    req = GreenRequest(points=points, times=(0.4, 0.8, 1.2), grid_extent=2.0,
+                       grid_points=9, source=(0.1, -0.2))
+    samples = cli._green_samples(cfg._replace(green=req), res)
+    flat = grid_samples(res, cfg.schedule.hbar, req.times, points, req.source)
+    assert [s.value.shape for s in flat] == [(len(points) + 81,)] * 3
+    write_green_csv(samples, tmp_path / "out")
+    ref_green_csv(flat, tmp_path / "ref")
+    assert (tmp_path / "out").read_bytes() == (tmp_path / "ref").read_bytes()
+    per_time = ["_write_blocks", "_write_runs"] if points else ["_write_runs"]
+    assert paths == per_time * 3
 
 
 def test_heisenberg_bytes_match_with_non_finite_maps(tmp_path):
