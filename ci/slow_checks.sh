@@ -10,7 +10,10 @@
 # 3. a schedule that oscillates beyond resolution spends the stepper's real
 #    budget of 100,000 step attempts (about 25 s on a 2-core VM);
 # 4. the benchmark smoke run: every workload's oracle checks and traced
-#    call sites, read from the "correct" field of its JSON summary.
+#    call sites, read from the "correct" field of its JSON summary;
+# 5. byte determinism: every case of ci/output_digests.py at seed 7 gives
+#    the same digests under two different hash seeds (about 11 s per pass
+#    on a 2-core VM).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -49,4 +52,11 @@ for w in landau_grid driven_breakdown verify_landau; do
         | python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.read())["correct"] is not True)' \
         || { echo "benchmark checks failed on $w"; exit 1; }
 done
+echo "== the same bytes under two hash seeds"
+# a fresh interpreter per case; set and dict order must not reach a byte
+PYTHONHASHSEED=0 python3 ci/output_digests.py --seeds 7 > "$dir/digests_0.txt"
+PYTHONHASHSEED=12345 python3 ci/output_digests.py --seeds 7 \
+    > "$dir/digests_12345.txt"
+diff "$dir/digests_0.txt" "$dir/digests_12345.txt" \
+    || { echo "the output bytes depend on the hash seed"; exit 1; }
 echo "slow checks passed"

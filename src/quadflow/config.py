@@ -199,6 +199,10 @@ def load_config(path) -> RunConfig:
         _refuse_unknown("[outputs]", "outputs", section,
                         ("alphas", "heisenberg", "green"))
         outputs = {key: raw.strip() for key, raw in section.items()}
+        unnamed = sorted(key for key, name in outputs.items() if not name)
+        if unnamed:
+            raise ConfigError(f"[outputs]: {', '.join(unnamed)} needs a "
+                              "file name")
 
     green = None
     if "green" in parser:

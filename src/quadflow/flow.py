@@ -8,13 +8,13 @@ diverges at omega_c t = pi - so breakdown is a result, not an exception.
 
 The right-hand side is the transcribed flow equations on Python floats,
 compiled for the schedule's structural zeros (:func:`.reduction.flow_rhs`:
-loading a config compiles it, and ``integrate`` asks for it again with
-alpha(0), after refusing bad settings): the terms that the zero
-coefficients and the alphas that stay at 0 make zero are gone, so a
-Hamiltonian without linear terms never evaluates the equations of
-alpha1..alpha5, and the one code generator of :mod:`.expressions` computes
-each repeated operation once and nests the others inline.  Its values are
-those of :func:`.reduction.explicit_rhs` bit for bit.  At every stage it
+loading a config compiles it, and ``integrate`` asks for it again after
+refusing bad settings): the terms that the zero coefficients and the
+alphas that stay at 0 make zero are gone, so a Hamiltonian without linear
+terms never evaluates the equations of alpha1..alpha5, and the one code
+generator of :mod:`.expressions` computes each repeated operation once
+and nests the others inline.  Its values are those of
+:func:`.reduction.explicit_rhs` bit for bit.  At every stage it
 gets the list the schedule's compiled function returns and the list of
 floats the stepper's attempt passes, a function compiled for 15 entries
 when this module is imported.  The attempt checks each stage as it returns, and a
@@ -134,11 +134,11 @@ def _pole(rhs, dense, t, i):
 
 
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
-              atol=1e-10, max_step=None, samples=200,
-              initial_alpha=None) -> FlowResult:
-    """Integrate the flow from t = 0 to ``t_end``; raises StepBudget if the
-    step budget runs out first, at once if t_end / max_step > ``_MAX_STEPS``,
-    and StepUnderflow if no step resolves.
+              atol=1e-10, max_step=None, samples=200) -> FlowResult:
+    """Integrate the flow from alpha(0) = 0, the identity, to ``t_end``;
+    raises StepBudget if the step budget runs out first, at once if
+    t_end / max_step > ``_MAX_STEPS``, and StepUnderflow if no step
+    resolves.
 
     Parameters
     ----------
@@ -146,8 +146,6 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         InvalidSchedule
     samples : number of uniform intervals, an integer >= 1; ``ts`` holds
         samples + 1 times spanning [0, t_stop]
-    initial_alpha : optional 15-vector for piecewise continuation (defaults
-        to zeros, the identity factorization)
 
     Returns
     -------
@@ -159,17 +157,12 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
     if not (isinstance(samples, (int, np.integer)) and samples >= 1):
         raise ValueError(f"samples = {samples!r} must be an integer >= 1")
-    alpha0 = np.zeros(N_GENERATORS) if initial_alpha is None \
-        else np.asarray(initial_alpha, dtype=float).copy()
-    if alpha0.shape != (N_GENERATORS,) or not np.isfinite(alpha0).all():
-        raise ValueError(f"initial_alpha = {alpha0.tolist()!r} must be a "
-                         "15-vector of finite numbers")
     rk._refuse_settings(rtol, atol, max_step)
     if max_step is not None and t_end > max_step * _MAX_STEPS:
         raise StepBudget(f"max_step = {max_step!r} asks for more than "
                          f"{_MAX_STEPS} steps to reach t_end = {t_end!r}")
-    # the settings are refused first; alpha(0) picks the alphas it prunes
-    kernel = flow_rhs(schedule.zeros, alpha0.tolist())
+    # the settings are refused first
+    kernel = flow_rhs(schedule.zeros)
 
     def rhs(t, alpha):
         # InvalidSchedule propagates; an overflowing term is a NaN stage
@@ -188,7 +181,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
             return refusal.row
         return n
 
-    res = rk.solve(rhs, 0.0, alpha0, t_end, rtol=rtol, atol=atol,
+    res = rk.solve(rhs, [0.0] * N_GENERATORS, t_end, rtol=rtol, atol=atol,
                    max_step=max_step, check=conditioned)
     if res.status == "budget":
         raise StepBudget(f"the flow spent {rk._MAX_ATTEMPTS} step attempts "

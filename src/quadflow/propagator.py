@@ -244,27 +244,16 @@ def _write_runs(fh, coords, t, value, tail):
 
 
 def _write_blocks(fh, coords, t, value, tail):
-    """The rows of any sample in C order: a coordinate that keeps one bit
-    pattern is formatted once into the row format, the others are ``%s``
-    fields, and one ``%`` per at most ``_BLOCK`` rows fills every field."""
+    """The rows of any sample in C order, every field ``%.17g``: one ``%``
+    per at most ``_BLOCK`` rows fills the row format with the rows'
+    coordinates, ``re`` and ``im``."""
     value = np.ravel(value)
-    cells, columns = [], []
-    for c in coords:
-        bits = np.ravel(c.view(np.uint64))
-        if bits.size and (bits == bits[0]).all():
-            cells.append("%.17g" % c.flat[0])
-        else:
-            cells.append("%s")
-            columns.append(_formatted(c))
-    row = f"{cells[0]},{cells[1]},{t:.17g},{cells[2]},{cells[3]},{tail}"
-    columns += value.real.tolist(), value.imag.tolist()
-    n, width = len(value), len(columns)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        fields = [None] * (width * (stop - start))
-        for j, column in enumerate(columns):
-            fields[j::width] = column[start:stop]
-        fh.write((row * (stop - start)) % tuple(fields))
+    table = np.column_stack([*(np.ravel(c) for c in coords), value.real,
+                             value.imag])
+    row = f"%.17g,%.17g,{t:.17g},%.17g,%.17g,{tail}"
+    for start in range(0, len(table), _BLOCK):
+        block = table[start:start + _BLOCK]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_green_csv(samples, path):
@@ -275,10 +264,9 @@ def write_green_csv(samples, path):
     pattern along the last axis, and y, x_prime and y_prime along the
     first.  Such a sample is written run by run along its last axis, each
     cell formatted once (:func:`_write_runs`).  Any other sample is written
-    in blocks of rows, with a coordinate that keeps one bit pattern over
-    the sample formatted once (:func:`_write_blocks`).  The path follows
-    from the sample's shape and bits alone, and both give the bytes of
-    formatting every number on its own.
+    in blocks of rows (:func:`_write_blocks`).  The path follows from the
+    sample's shape and bits alone, and both give the bytes of formatting
+    every number on its own.
     """
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")

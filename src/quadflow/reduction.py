@@ -219,6 +219,8 @@ _EQUATIONS = {
 }
 _SHARED = ("e_pm", "e_mp")
 _INPUTS = [f"{x}{k}" for x in "al" for k in range(1, N_GENERATORS + 1)]
+# the alphas (1-based) that start at +0.0: every one, the flow starts at 0
+_EVERY_ALPHA = tuple(range(1, N_GENERATORS + 1))
 # the names and numbers each equation reads
 _WORDS = {k: set(_EQUATIONS[f"d{k}"].translate(str.maketrans(
     "()+-*/^", " " * 7)).split()) for k in range(1, N_GENERATORS + 1)}
@@ -236,31 +238,28 @@ def explicit_rhs(a, alpha):
     return _kernel((None,) * N_GENERATORS, ())(a, alpha)
 
 
-def flow_rhs(zeros, alpha0=None):
+def flow_rhs(zeros):
     """The flow's right-hand side ``f(a, alpha)`` for one pattern of zeros,
     compiled once per pattern.
 
     ``zeros`` holds each slot's structural zero, 0.0 or -0.0, and None for
-    every other slot (:attr:`.CoefficientSchedule.zeros`); ``alpha0`` is
-    alpha(0), zeros by default.  ``f`` is :func:`explicit_rhs` without each
-    additive term with a zero slot as a factor and every term of the
-    largest set of alphas that start at +0.0 and stay there (a fixed point:
-    alpha1..alpha5 for a Hamiltonian with no linear terms).  An equation
-    that is zero for every input is its zero literal, or as written where
-    the zero's sign depends on the input.  Every other operation keeps its
-    order and association, so on a state of the flow, whose pruned alphas
-    are +0.0, each entry is that of :func:`explicit_rhs` bit for bit; only
-    a zero's sign may differ, which moves no state (y + h 0 = y for every y
-    but -0.0).  A dropped term no longer turns an overflow into NaN; the
-    shared exponentials are always evaluated.
+    every other slot (:attr:`.CoefficientSchedule.zeros`).  ``f`` is
+    :func:`explicit_rhs` without each additive term with a zero slot as a
+    factor and every term of the largest set of alphas that stay at their
+    start alpha(0) = +0.0 (a fixed point: alpha1..alpha5 for a Hamiltonian
+    with no linear terms).  An equation that is zero for every input is
+    its zero literal, or as written where the zero's sign depends on the
+    input.  Every other operation keeps its order and association, so on a
+    state of the flow, whose pruned alphas are +0.0, each entry is that of
+    :func:`explicit_rhs` bit for bit; only a zero's sign may differ, which
+    moves no state (y + h 0 = y for every y but -0.0).  A dropped term no
+    longer turns an overflow into NaN; the shared exponentials are always
+    evaluated.
     """
     # signs, as 0.0 and -0.0 compare and hash equal
     signs = tuple(None if z is None else math.copysign(1.0, z)
                   for z in zeros)
-    start = [0.0] * N_GENERATORS if alpha0 is None else alpha0
-    still = tuple(k for k, v in enumerate(start, 1)
-                  if v == 0 and math.copysign(1.0, v) > 0)
-    return _kernel(signs, still)
+    return _kernel(signs, _EVERY_ALPHA)
 
 
 @cache
@@ -318,7 +317,7 @@ def _prune(node, env):
 @lru_cache(maxsize=64)
 def _kernel(signs, still):
     """:func:`flow_rhs` for the signs of the zero slots (None for every
-    other slot) and the alphas that start at +0.0."""
+    other slot) and the alphas that start at +0.0 (none: explicit_rhs)."""
     trees = _trees()
     # the shared exponentials stay as written in every equation that reads
     # them, and they are roots, evaluated whether or not an equation does:

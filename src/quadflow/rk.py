@@ -28,12 +28,12 @@ controller chose (shorter than both ``max_step`` and the rest of the run).
 Both leave the run unresolved at its last accepted state, which may be
 ``y0``: the dense solution is empty.
 
-Both time thresholds are relative.  With s = min(1, t_end - t0), the run's
-span capped at 1, the floor is 16 eps max(|t|, s), never below the
-smallest normal double (which also refuses a zero step), and the bisection
-stops at a width of 1e-12 max(|t|, s).  So a short run resolves the phase a
-long one does: landau with omega_c = 1e13 reaches t_end = 2.5e-13 as
-omega_c = 1 reaches 2.5.  A step that would leave less than the floor
+A run starts at t = 0, and both time thresholds are relative.  With
+s = min(1, t_end), the run's span capped at 1, the floor is 16 eps
+max(|t|, s), never below the smallest normal double (which also refuses a
+zero step), and the bisection stops at a width of 1e-12 max(|t|, s).  So
+a short run resolves the phase a long one does: landau with omega_c = 1e13
+reaches t_end = 2.5e-13 as omega_c = 1 reaches 2.5.  A step that would leave less than the floor
 before t_end takes the rest of the run, so a run lands on t_end exactly.
 """
 
@@ -215,23 +215,23 @@ def _rms(values):
     return math.sqrt(total / len(values))
 
 
-def _initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(f, y0, f0, t_end, rtol, atol, max_step):
     # a huge f0 overflows the scaled norms to inf (float * and / do not
     # raise), which yields h = 0 and the underflow outcome
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0, max_step)
+    h0 = min(h0, t_end, max_step)
     if h0 == 0:  # a span or max_step that underflows: no step resolves
         return 0.0
-    f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+    f1 = f(h0, [v + h0 * d for v, d in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0, max_step)
+    return min(100 * h0, h1, t_end, max_step)
 
 
 def _crossing(t0, h, y0, q, ok, span):
@@ -269,9 +269,9 @@ def _refuse_settings(rtol, atol, max_step):
         raise ValueError(f"max_step = {max_step!r} must be positive")
 
 
-def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
+def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
           check=None) -> RKResult:
-    """Integrate y' = f(t, y) from t0 to t_end.
+    """Integrate y' = f(t, y) from y(0) = ``y0`` to t_end.
 
     Parameters
     ----------
@@ -287,11 +287,11 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         ``check`` passes inside its step.
     """
     y = np.asarray(y0, dtype=float).tolist()
-    if not t_end > t0:
-        raise ValueError("t_end must exceed t0")
+    if not t_end > 0:
+        raise ValueError(f"t_end = {t_end!r} must be positive")
     _refuse_settings(rtol, atol, max_step)
     if max_step is None:
-        max_step = (t_end - t0) / 50
+        max_step = t_end / 50
     attempt = _attempt(len(y))
     n_rhs = 0
 
@@ -300,9 +300,9 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         n_rhs += 1
         return f(t, y)
 
-    t = float(t0)
+    t = 0.0
     k1 = rhs(t, y)
-    h = _initial_step(rhs, t, y, k1, t_end, rtol, atol, max_step)
+    h = _initial_step(rhs, y, k1, t_end, rtol, atol, max_step)
 
     steps = []  # (t0, h, y0, stages) per accepted step
     pending = []  # (t + h, y_new) of the last accepted steps, not checked
@@ -322,7 +322,7 @@ def solve(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     facold = 1e-4
     status = "done"
     # thresholds scale with |t|, or with the run's span below t_end = 1
-    span = min(1.0, t_end - t0)
+    span = min(1.0, t_end)
     floor = 16 * np.finfo(float).eps
     rejections = 0  # consecutive; a long streak means no h can be certified
     attempts = 0

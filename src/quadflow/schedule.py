@@ -58,51 +58,43 @@ _PRESETS = {
 # preset name -> the parameters it takes besides hbar
 PRESETS = {name: tuple(defaults) for name, (defaults, _) in _PRESETS.items()}
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+# a slot's code -> its structural zero, where the code is a zero literal
+_ZEROS = {"0.0": 0.0, "-0.0": -0.0}
 
 
 class CoefficientSchedule:
     """The 15 coefficient functions plus hbar, compiled to one function.
 
     ``slots`` holds each coefficient's generated code, a ``(lines,
-    operand)`` pair of :func:`.expressions.straight_line`; the ``prologue``
-    lines run first and may rebind ``t``.  One ``compile`` turns them into
-    a function that returns the 15 values as a list; a schedule pickles by
-    this source.  Evaluation returns that list of floats; any non-finite or
-    undefined value raises :class:`InvalidSchedule` naming the coefficient
-    and time.
+    operand)`` pair of :func:`.expressions.straight_line`.  One ``compile``
+    turns them into a function that returns the 15 values as a list; a
+    schedule pickles by this source.  Evaluation returns that list of
+    floats; any non-finite or undefined value raises
+    :class:`InvalidSchedule` naming the coefficient and time.
     """
 
-    def __init__(self, slots, hbar=1.0, kind="custom", params=None,
-                 prologue=()):
+    def __init__(self, slots, hbar=1.0, kind="custom", params=None):
         if len(slots) != N_GENERATORS:
             raise ValueError("need exactly 15 coefficient slots")
         self._slots = tuple(slots)
-        self._prologue = tuple(prologue)
         self.hbar = float(hbar)
         self.kind = kind
         self.params = dict(params or {})
-        body = [*self._prologue,
-                *(line for lines, _ in self._slots for line in lines)]
+        body = [line for lines, _ in self._slots for line in lines]
         operands = ", ".join(operand for _, operand in self._slots)
         self._fn = ex.define(body, f"[{operands}]")
 
     def __reduce__(self):
         return CoefficientSchedule, (self._slots, self.hbar, self.kind,
-                                     self.params, self._prologue)
+                                     self.params)
 
     @property
     def zeros(self) -> tuple:
         """Each slot's structural zero: 0.0 or -0.0 where the slot's code is
-        that float literal with no lines (an absent slot, a coefficient that
-        folds to zero, or either of them negated), None where it is
-        anything else."""
-        zeros = []
-        for lines, operand in self._slots:
-            digits = operand.lstrip("-")
-            negated = (len(operand) - len(digits)) % 2
-            zeros.append(None if lines or digits != "0.0"
-                         else -0.0 if negated else 0.0)
-        return tuple(zeros)
+        that float literal with no lines (an absent slot or a coefficient
+        that folds to zero), None where it is anything else."""
+        return tuple(None if lines else _ZEROS.get(operand)
+                     for lines, operand in self._slots)
 
     # -- construction ---------------------------------------------------
 
@@ -183,14 +175,7 @@ class CoefficientSchedule:
         """Compile and evaluate slot by slot; raise for the first failure."""
         for k, (lines, operand) in enumerate(self._slots, 1):
             try:
-                ex.define([*self._prologue, *lines], operand)(t)
+                ex.define(lines, operand)(t)
             except _DOMAIN_ERRORS as exc:
                 raise InvalidSchedule(f"a{k} undefined at t = {t!r}: {exc}",
                                       coefficient=k, time=t) from exc
-
-    def negated_reverse(self, t_total: float) -> "CoefficientSchedule":
-        """The schedule s -> -a(t_total - s), which undoes this one's flow."""
-        return CoefficientSchedule(
-            [(lines, f"-{operand}") for lines, operand in self._slots],
-            hbar=self.hbar, kind=f"reversed-{self.kind}",
-            prologue=[f"t = {ex.literal(t_total)} - t", *self._prologue])

@@ -468,6 +468,24 @@ def test_config_whose_outputs_share_a_file_is_a_json_error(tmp_path,
     assert not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["alphas", "heisenberg", "green"])
+def test_an_empty_output_file_name_is_a_json_error(tmp_path, capsys, key):
+    # an empty name is the output directory itself: the run wrote the
+    # other files, then failed with io-error "Is a directory"
+    names = {"alphas": "a.csv", "heisenberg": "h.json", "green": "g.csv",
+             key: ""}
+    p = tmp_path / "one.cfg"
+    p.write_text(FREE_ALPHAS_CFG.replace(
+        "alphas = alphas.csv\n",
+        "".join(f"{k} = {v}\n" for k, v in names.items()))
+        + "\n[green]\npoints = 0,0,0,0\n")
+    assert main(["run", str(p)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert err["detail"] == f"[outputs]: {key} needs a file name"
+    assert [f.name for f in tmp_path.iterdir()] == ["one.cfg"]
+
+
 def test_same_stem_batch_with_distinct_files_runs(landau_cfg, tmp_path,
                                                   capsys):
     # both configs write into <outdir>/landau/, under different names

@@ -1,9 +1,10 @@
 """The flow's compiled right-hand side against the unpruned equations.
 
 ``flow_rhs`` drops the terms that a schedule's structural zeros and the
-alphas that stay at +0.0 make zero; on every state of the flow it must give
-the bits of ``explicit_rhs``, zero signs included.  Which alphas stay at 0 is found here independently, by
-evaluating ``explicit_rhs``.
+alphas that stay at their start +0.0 make zero; on every state of the flow
+it must give the bits of ``explicit_rhs``, zero signs included.  Which
+alphas stay at 0 is found here independently, by evaluating
+``explicit_rhs``.
 """
 
 import math
@@ -37,11 +38,10 @@ def coefficients(zeros, rng):
     return [rng.uniform(-2, 2) if z is None else z for z in zeros]
 
 
-def still(zeros, start, rng):
-    """The largest set of alphas (0-based) that start at +0.0 and whose
-    right-hand sides are zero while they are, by evaluation."""
-    held = {k for k, v in enumerate(start)
-            if v == 0 and math.copysign(1.0, v) > 0}
+def still(zeros, rng):
+    """The largest set of alphas (0-based) whose right-hand sides are zero
+    while they are +0.0, their start, by evaluation."""
+    held = set(range(15))
     while True:
         moving = set()
         for _ in range(3):
@@ -54,16 +54,16 @@ def still(zeros, start, rng):
         held -= moving
 
 
-def assert_bits_equal(zeros, start, rng, states=20):
+def assert_bits_equal(zeros, rng, states=20):
     """flow_rhs against explicit_rhs on random states of the flow: the
     held alphas +0.0, every other entry a random number."""
-    kernel = flow_rhs(zeros, start)
-    held = still(zeros, start, rng)
+    kernel = flow_rhs(zeros)
+    held = still(zeros, rng)
     for _ in range(states):
         a = coefficients(zeros, rng)
         alpha = [0.0 if k in held else rng.uniform(-2, 2) for k in range(15)]
         assert signed(kernel(a, alpha)) == signed(explicit_rhs(a, alpha)), \
-            (zeros, start)
+            zeros
     return held
 
 
@@ -79,10 +79,10 @@ def schedules():
                          ids=[name for name, _ in schedules()])
 def test_each_schedule_kernel_equals_explicit_rhs_bit_for_bit(name, sched):
     rng = random.Random(name)
-    assert_bits_equal(sched.zeros, [0.0] * 15, rng, states=200)
+    assert_bits_equal(sched.zeros, rng, states=200)
     # the varying slots at their own values along the flow
     kernel = flow_rhs(sched.zeros)
-    held = still(sched.zeros, [0.0] * 15, rng)
+    held = still(sched.zeros, rng)
     for t in (0.0, 0.3, 1.7):
         a = sched.coefficients(t)
         alpha = [0.0 if k in held else rng.uniform(-2, 2) for k in range(15)]
@@ -94,7 +94,7 @@ def test_the_driven_kernel_drops_the_equations_of_alpha1_to_alpha5():
     # other alpha moves
     sched = driven()
     rng = random.Random(5)
-    assert still(sched.zeros, [0.0] * 15, rng) == {0, 1, 2, 3, 4}
+    assert still(sched.zeros, rng) == {0, 1, 2, 3, 4}
     # dropped, their entries are +0.0 whatever the input says
     kernel = flow_rhs(sched.zeros)
     for _ in range(20):
@@ -107,53 +107,35 @@ def test_the_driven_kernel_drops_the_equations_of_alpha1_to_alpha5():
 def test_a_linear_slot_keeps_its_alphas_moving():
     # a1 moves alpha1 alone; a linear coefficient in x moves alpha2..5 too
     rng = random.Random(6)
-    assert still(driven({1: "0.3"}).zeros, [0.0] * 15, rng) \
-        == {1, 2, 3, 4}
-    assert still(driven({2: "0.3"}).zeros, [0.0] * 15, rng) == set()
-    assert_bits_equal(driven({1: "0.3"}).zeros, [0.0] * 15, rng)
+    assert still(driven({1: "0.3"}).zeros, rng) == {1, 2, 3, 4}
+    assert still(driven({2: "0.3"}).zeros, rng) == set()
+    assert_bits_equal(driven({1: "0.3"}).zeros, rng)
 
 
 def test_random_patterns_equal_explicit_rhs_bit_for_bit():
-    # zero slots 0.0 or -0.0 (a reversed schedule's), and random alphas
-    # that start at 0
+    # zero slots 0.0 or -0.0 (a literal such as -C*0 folds to -0.0)
     rng = random.Random(20261019)
     for _ in range(300):
         zeros = [rng.choice([0.0, -0.0]) if rng.random() < 0.5 else None
                  for _ in range(15)]
-        start = [0.0 if rng.random() < 0.5 else rng.uniform(-1, 1)
-                 for _ in range(15)]
-        assert_bits_equal(zeros, start, rng, states=5)
+        assert_bits_equal(zeros, rng, states=5)
 
 
 def test_the_empty_pattern_is_explicit_rhs_bit_for_bit():
     rng = random.Random(7)
-    start = [rng.uniform(-1, 1) for _ in range(15)]
-    assert assert_bits_equal([None] * 15, start, rng, states=200) == set()
+    assert assert_bits_equal([None] * 15, rng, states=200) == set()
 
 
-def test_a_nonzero_start_gets_its_own_kernel():
-    # alpha2(0) = 0.1 moves alpha1..alpha5, which the driven kernel drops
-    sched = driven()
-    start = [0.0, 0.1] + [0.0] * 13
-    assert flow_rhs(sched.zeros, start) is not flow_rhs(sched.zeros)
-    assert flow_rhs(sched.zeros, [-0.0] * 15) \
-        is not flow_rhs(sched.zeros)
-    held = assert_bits_equal(sched.zeros, start, random.Random(8))
-    assert held == set()
-
-
-@pytest.mark.parametrize("initial_alpha", [None, [0.0, 0.1] + [0.0] * 13])
 def test_the_flow_on_the_kernel_equals_the_flow_on_explicit_rhs(
-        monkeypatch, initial_alpha):
+        monkeypatch):
     # the pruned kernel steps through the same states, bit for bit
     def run():
-        res = integrate(driven(), 4.0, initial_alpha=initial_alpha)
+        res = integrate(driven(), 4.0)
         return res.ts.tobytes(), res.alphas.tobytes(), res.breakdown, \
             res.n_rhs
 
     pruned = run()
-    monkeypatch.setattr(flow, "flow_rhs",
-                        lambda zeros, alpha0: explicit_rhs)
+    monkeypatch.setattr(flow, "flow_rhs", lambda zeros: explicit_rhs)
     assert run() == pruned
 
 

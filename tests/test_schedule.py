@@ -111,21 +111,6 @@ def test_schedule_pickles_with_the_same_bits(name, tmp_path):
         (sched.kind, sched.params, sched.hbar)
     for t in TIMES:
         assert bits(back.coefficients(t)) == bits(sched.coefficients(t))
-    reversed_ = sched.negated_reverse(1.25)
-    back = pickle.loads(pickle.dumps(reversed_))
-    for t in TIMES:
-        assert bits(back.coefficients(t)) == bits(reversed_.coefficients(t))
-
-
-def test_negated_reverse_negates_the_reversed_values():
-    sched = CoefficientSchedule.from_expressions({2: "0.4", 6: "sin(2*t)",
-                                                  14: "t^2"})
-    twice = sched.negated_reverse(0.5).negated_reverse(2.0)
-    for s in TIMES:
-        once = sched.negated_reverse(0.5).coefficients(s)
-        assert bits(once) == bits([-v for v in sched.coefficients(0.5 - s)])
-        assert bits(twice.coefficients(s)) == \
-            bits(sched.coefficients(0.5 - (2.0 - s)))
 
 
 @pytest.mark.parametrize("name, params, coefficient", [
@@ -179,11 +164,6 @@ def test_zeros_are_the_slots_that_compile_to_the_number_0():
     expected = [0.0, None, 0.0, 0.0, 0.0, None, 0.0, None, None, None, 0.0,
                 0.0, 0.0, -0.0, 0.0]
     assert signed(sched.zeros) == signed(expected)
-    # reversing negates every zero
-    once = sched.negated_reverse(1.0)
-    assert signed(once.zeros) == signed(
-        [None if v is None else -v for v in expected])
-    assert signed(once.negated_reverse(2.0).zeros) == signed(expected)
     vector = [0.0, -0.0, 1.5, -2.5e-300] + [0.0] * 11
     literals = dict(enumerate(map(repr, vector), 1))
     assert signed(CoefficientSchedule.from_expressions(literals).zeros) \
