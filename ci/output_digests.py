@@ -34,9 +34,9 @@ The cases:
 - ``run`` on a batch of two configs under one ``--outdir``, the landau
   run above (t_end 3.5) and the nominal driven config: each writes into
   ``out/<stem>``, and stdout holds one info line per config, in turn;
-- ``green`` on the nominal driven config, with one point and a 33-point
-  grid at times 0.4, 0.8 and 1.2: generic-branch samples of 1,090 rows,
-  which cross a block boundary of the Green writer;
+- ``run`` on the nominal driven config writing only green.csv, with one
+  point and a 33-point grid at times 0.4, 0.8 and 1.2: generic-branch
+  samples of 1,090 rows, which cross a block boundary of the Green writer;
 - ``run`` on landau (t_end 2.5) writing all three files, with a 3 x 3 Green
   grid of extent 1 around the source (-0.0, 0.0): the writer keeps the
   sign of a constant -0.0 coordinate;
@@ -187,7 +187,8 @@ def cases(seeds):
     for command in ("run", "verify"):
         yield f"{command}:driven", lambda tmp, c=command: _config(
             tmp, DRIVEN, c)
-    yield "green:driven", lambda tmp: _config(tmp, DRIVEN_GREEN, "green")
+    yield "run:driven_green", lambda tmp: _config(
+        tmp, DRIVEN_GREEN, "run", outputs="[outputs]\ngreen = green.csv\n")
     yield "run:landau_grid_negzero", lambda tmp: _config(
         tmp, NEGZERO_GRID, "run", outputs=OUTPUTS + "green = green.csv\n")
     for name, text in (("landau_points_grid", LANDAU_POINTS_GRID),
@@ -224,7 +225,7 @@ def cases(seeds):
 def _config(tmp: Path, body: str, command: str, stem: str = "case",
             outputs: str = OUTPUTS) -> list:
     """Write ``[hamiltonian]`` + ``body`` + ``outputs`` as ``<stem>.cfg``;
-    the argv of ``command`` (run, green, verify or print-odes) on it."""
+    the argv of ``command`` (run, verify or print-odes) on it."""
     path = tmp / f"{stem}.cfg"
     path.write_text("[hamiltonian]\n" + body + "\n" + outputs)
     return [command, "--config", str(path)] \

@@ -9,9 +9,13 @@
 #    AVX-512 runs them (about 20 s on a 2-core VM);
 # 3. a schedule that oscillates beyond resolution spends the stepper's real
 #    budget of 100,000 step attempts (about 25 s on a 2-core VM);
-# 4. the benchmark smoke run: every workload's oracle checks and traced
+# 4. the contract fuzz's wide slice: 1,000 seeded configs with magnitudes
+#    up to 1e+-300, each giving one of the three results that
+#    tests/contract_fuzz.py asserts, and the histogram of those results
+#    (about 22 s on a 2-core VM);
+# 5. the benchmark smoke run: every workload's oracle checks and traced
 #    call sites, read from the "correct" field of its JSON summary;
-# 5. byte determinism: every case of ci/output_digests.py at seed 7 gives
+# 6. byte determinism: every case of ci/output_digests.py at seed 7 gives
 #    the same digests under two different hash seeds (about 11 s per pass
 #    on a 2-core VM).
 set -euo pipefail
@@ -42,6 +46,13 @@ timeout 300 python3 -m quadflow.cli run "$dir/noise.cfg" --outdir "$dir" \
 python3 -c 'import json, sys; (line,) = open(sys.argv[1]).read().splitlines(); assert json.loads(line)["error"] == "step-budget"' "$dir/stderr.txt" \
     || { cat "$dir/stderr.txt"; echo "expected one JSON step-budget line on stderr"; exit 1; }
 if [ -e "$dir/alphas.csv" ]; then echo "alphas.csv was written"; exit 1; fi
+
+echo "== the contract fuzz's wide slice"
+# prints each draw that breaks the contract, then the histogram of results,
+# and exits 1 if any draw broke it
+start=$SECONDS
+python3 tests/contract_fuzz.py
+echo "wide slice: $((SECONDS - start)) s"
 
 echo "== benchmark smoke run"
 # run.py exits 0 even when a check fails, so read "correct" from the JSON

@@ -2,14 +2,12 @@
 
 Subcommands
 -----------
-run <config>...   integrate the flow and write the configured artifacts;
+run <config>...   integrate the flow and write the files [outputs] names;
                   several configs run in turn, in argv order, each in its
-                  own output directory (<outdir>/<stem> under --outdir);
-                  no two outputs of a run may resolve to one file, and the
-                  first failing config stops the batch (a schedule still
-                  pickles, for callers who pool runs themselves)
+                  own output directory (<outdir>/<stem> under --outdir),
+                  and the first failing config stops the batch (a schedule
+                  still pickles, for callers who pool runs themselves)
 verify            the oracle cross-check table on run's flow, config or preset
-green <config>    the same as run, limited to the Green-function samples
 print-odes        dump the flow right-hand side at a given (a(t), alpha)
 
 Failures print a machine-readable JSON object to stderr
@@ -83,28 +81,33 @@ def _green_samples(cfg: RunConfig, result) -> list:
     return samples
 
 
-def _plan(path, outdir=None, green_only=False):
-    """Load one config and resolve where its outputs go: the config, the
-    output directory and {output kind: destination}."""
+def _plan(path, outdir=None):
+    """Load one config and resolve where its outputs go: ``_run_plan``'s
+    config path, config, output directory and {output kind: destination}."""
     cfg = load_config(path)
-    outputs = cfg.outputs
-    if green_only:
-        outputs = {"green": outputs.get("green", "green.csv")}
-    if "green" in outputs and cfg.green is None:
+    if "green" in cfg.outputs and cfg.green is None:
         raise ConfigError("green output requested without [green] section")
     out_base = Path(outdir) if outdir else Path(path).resolve().parent
-    return cfg, out_base, {kind: out_base / name
-                           for kind, name in outputs.items()}
+    return path, cfg, out_base, {kind: out_base / name
+                                 for kind, name in cfg.outputs.items()}
 
 
-def _refuse_shared_destinations(plans):
-    """Refuse outputs that would write one file (the last would silently
-    win); ``plans`` holds (config path, {kind: destination}) pairs."""
+def _check_destinations(plans):
+    """Refuse, before any run writes, a destination that is a directory,
+    that lies in a directory that neither exists nor is made by the run
+    (the output directory and its parents), or that another output shares
+    (the last would silently win); ``plans`` holds ``_plan``'s tuples."""
     owners = {}
-    for path, dests in plans:
+    for path, _, out_base, dests in plans:
+        made = {out_base.resolve(), *out_base.resolve().parents}
         for kind, dest in dests.items():
-            owners.setdefault(dest.resolve(), []).append(
-                f"{path} [outputs] {kind}")
+            where, dest = f"{path} [outputs] {kind}", dest.resolve()
+            if dest in made or dest.is_dir():
+                raise ConfigError(f"{where}: {dest} is a directory")
+            if dest.parent not in made and not dest.parent.is_dir():
+                raise ConfigError(f"{where}: {dest.parent} is not an "
+                                  "existing directory")
+            owners.setdefault(dest, []).append(where)
     for dest, names in owners.items():
         if len(names) > 1:
             raise ConfigError(f"{dest} is the destination of "
@@ -112,12 +115,12 @@ def _refuse_shared_destinations(plans):
                               "a file of its own")
 
 
-def run_config_file(path, outdir=None, green_only=False) -> dict:
-    """Integrate one config and write its outputs (only green.csv when
-    ``green_only``); returns the info object printed by the CLI."""
-    cfg, out_base, dests = _plan(path, outdir, green_only)
-    _refuse_shared_destinations([(path, dests)])
-    return _run_plan(path, cfg, out_base, dests)
+def run_config_file(path, outdir=None) -> dict:
+    """Integrate one config and write the outputs its [outputs] names;
+    returns the info object printed by the CLI."""
+    plan = _plan(path, outdir)
+    _check_destinations([plan])
+    return _run_plan(*plan)
 
 
 def _flow(cfg: RunConfig, samples: int):
@@ -160,15 +163,14 @@ def _run_plan(path, cfg, out_base, dests) -> dict:
 def _cmd_run(args) -> int:
     configs = args.config
     if len(configs) == 1:
-        infos = [run_config_file(configs[0], args.outdir, args.green_only)]
+        infos = [run_config_file(configs[0], args.outdir)]
     else:
         # each config writes into <outdir>/<stem>; every config is loaded
         # and every destination checked before the first one runs
-        plans = []
-        for path in configs:
-            outdir = args.outdir and Path(args.outdir) / Path(path).stem
-            plans.append((path, *_plan(path, outdir, args.green_only)))
-        _refuse_shared_destinations([(plan[0], plan[3]) for plan in plans])
+        plans = [_plan(path, args.outdir
+                       and Path(args.outdir) / Path(path).stem)
+                 for path in configs]
+        _check_destinations(plans)
         infos = [_run_plan(*plan) for plan in plans]
     for info in infos:
         print(json.dumps(info))
@@ -312,13 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate and write artifacts")
     p_run.add_argument("config", nargs="+")
     p_run.add_argument("--outdir", default=None)
-    p_run.set_defaults(fn=_cmd_run, green_only=False)
+    p_run.set_defaults(fn=_cmd_run)
 
     # in verify and print-odes an option not given stays out of the
     # namespace: _load applies the defaults and refuses ignored options
     p_ver = sub.add_parser("verify", help="run the oracle cross-check table",
                            argument_default=argparse.SUPPRESS)
-    p_green = sub.add_parser("green", help="write Green-function samples")
     p_odes = sub.add_parser("print-odes",
                             help="dump the flow RHS at a given state",
                             argument_default=argparse.SUPPRESS)
@@ -330,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _PARAMS:
         p_ver.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p_ver.set_defaults(fn=_cmd_verify)
-
-    p_green.add_argument("config", nargs=1)
-    p_green.add_argument("--outdir", default=None)
-    p_green.set_defaults(fn=_cmd_run, green_only=True)
 
     p_odes.add_argument("--t", type=float, default=0.0)
     p_odes.add_argument("--alpha", default=None,
@@ -352,7 +349,7 @@ def main(argv=None) -> int:
         code, detail = "io-error", str(exc)
     except MemoryError as exc:
         code, detail = "out-of-memory", str(exc)
-    # "at" names the configs of run and green, else --config or the preset
+    # "at" names the configs of run, else --config or the preset
     where = getattr(args, "config", None) or getattr(args, "preset", _PRESET)
     if isinstance(where, list):
         where = ";".join(map(str, where))

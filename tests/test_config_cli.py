@@ -327,17 +327,6 @@ def test_cli_print_odes(capsys):
     np.testing.assert_allclose(doc["mu"], doc["a"])
 
 
-def test_cli_green_subcommand(landau_cfg, tmp_path, capsys):
-    code = main(["green", str(landau_cfg), "--outdir", str(tmp_path / "g")])
-    assert code == 0
-    assert (tmp_path / "g" / "green.csv").exists()
-    assert not (tmp_path / "g" / "alphas.csv").exists()
-    info = json.loads(capsys.readouterr().out.strip())
-    assert info == {"config": str(landau_cfg),
-                    "written": [str(tmp_path / "g" / "green.csv")],
-                    "t_final": pytest.approx(2.5)}
-
-
 def test_green_grid_mode_and_times(tmp_path):
     p = tmp_path / "grid.cfg"
     p.write_text(
@@ -385,8 +374,7 @@ def test_bad_t_end_is_a_json_error(tmp_path, capsys, t_end):
     assert not (tmp_path / "alphas.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "green"])
-def test_green_time_past_breakdown_is_a_json_error(tmp_path, capsys, command):
+def test_green_time_past_breakdown_is_a_json_error(tmp_path, capsys):
     # the landau flow breaks down at t = pi; t = 3.9 lies past the span, and
     # the Green samples fail before any file of the run is written
     p = tmp_path / "late.cfg"
@@ -395,7 +383,7 @@ def test_green_time_past_breakdown_is_a_json_error(tmp_path, capsys, command):
         "[run]\nt_end = 4.0\n\n[outputs]\nalphas = alphas.csv\n"
         "heisenberg = heisenberg.json\ngreen = green.csv\n\n"
         "[green]\npoints = 0,0,0,0\ntimes = 1.0, 3.9\n")
-    assert main([command, str(p), "--outdir", str(tmp_path)]) == 1
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
     err = _one_json_error(capsys.readouterr())
     assert err["error"] == "config-error"
     assert "3.9" in err["detail"] and "integrated span" in err["detail"]
@@ -484,6 +472,34 @@ def test_an_empty_output_file_name_is_a_json_error(tmp_path, capsys, key):
     assert err["error"] == "config-error"
     assert err["detail"] == f"[outputs]: {key} needs a file name"
     assert [f.name for f in tmp_path.iterdir()] == ["one.cfg"]
+
+
+@pytest.mark.parametrize("name, detail", [
+    (".", "{out} is a directory"),
+    ("nodir/h.json", "{out}/nodir is not an existing directory"),
+], ids=["directory", "missing-directory"])
+def test_an_output_that_cannot_be_written_is_refused_first(tmp_path, capsys,
+                                                           name, detail):
+    # the run wrote a.csv, then failed with io-error on heisenberg
+    p = tmp_path / "one.cfg"
+    p.write_text(FREE_ALPHAS_CFG.replace(
+        "alphas.csv", f"a.csv\nheisenberg = {name}"))
+    assert main(["run", str(p)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert err["detail"] == f"{p} [outputs] heisenberg: " + detail.format(
+        out=tmp_path.resolve())
+    assert [f.name for f in tmp_path.iterdir()] == ["one.cfg"]
+
+
+def test_outputs_may_go_to_the_directories_the_run_makes(tmp_path, capsys):
+    # --outdir a/b makes a and b: a destination in either is writable
+    p = tmp_path / "one.cfg"
+    p.write_text(FREE_ALPHAS_CFG.replace(
+        "alphas.csv", "../up.csv\nheisenberg = h.json"))
+    assert main(["run", str(p), "--outdir", str(tmp_path / "a" / "b")]) == 0
+    assert (tmp_path / "a" / "up.csv").is_file()
+    assert (tmp_path / "a" / "b" / "h.json").is_file()
 
 
 def test_same_stem_batch_with_distinct_files_runs(landau_cfg, tmp_path,
@@ -771,6 +787,14 @@ def test_unknown_print_odes_preset_is_a_usage_error(capsys):
         main(["print-odes", "--preset", "nosuch"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_the_green_command_is_a_usage_error(landau_cfg, capsys):
+    # run writes green.csv when [outputs] names it; no command writes less
+    with pytest.raises(SystemExit) as exc:
+        main(["green", str(landau_cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'green'" in capsys.readouterr().err
 
 
 def test_green_config_validation(tmp_path):
@@ -1368,8 +1392,9 @@ def test_an_allocation_that_fails_is_one_json_error(tmp_path, capsys, run,
                                                     green):
     p = tmp_path / "big.cfg"
     p.write_text(f"[hamiltonian]\npreset = landau\n\n[run]\nt_end = 1.0\n"
-                 f"{run}\n\n[green]\n{green}\n")
-    assert main(["green", str(p), "--outdir", str(tmp_path)]) == 1
+                 f"{run}\n\n[outputs]\ngreen = green.csv\n\n"
+                 f"[green]\n{green}\n")
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
     err = _one_json_error(capsys.readouterr())
     assert err["error"] == "out-of-memory"
     assert err["detail"].startswith("Unable to allocate")
@@ -1387,8 +1412,9 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 def test_degenerate_geometry_detail_prints_plain_floats(tmp_path, capsys):
     p = tmp_path / "a9.cfg"
     p.write_text("[hamiltonian]\na9 = 0.5\n\n[run]\nt_end = 0.5\n\n"
+                 "[outputs]\ngreen = green.csv\n\n"
                  "[green]\npoints = 0,0,0,0\n")
-    assert main(["green", str(p), "--outdir", str(tmp_path)]) == 1
+    assert main(["run", str(p), "--outdir", str(tmp_path)]) == 1
     err = _one_json_error(capsys.readouterr())
     assert err["detail"] == (
         "kernel keeps a delta factor when alpha9 or alpha10 vanishes "
@@ -1408,10 +1434,11 @@ def test_green_overflow_writes_non_finite_values_silently(
         tmp_path, capsys, hamiltonian, green, row_end):
     p = tmp_path / "g.cfg"
     p.write_text(f"[hamiltonian]\n{hamiltonian}\n\n[run]\nt_end = 1.0\n\n"
+                 "[outputs]\ngreen = green.csv\n\n"
                  f"[green]\npoints = {green}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["green", str(p), "--outdir", str(tmp_path)]) == 0
+        assert main(["run", str(p), "--outdir", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
     row = (tmp_path / "green.csv").read_text().splitlines()[1]
     assert row.endswith(row_end)

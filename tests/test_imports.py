@@ -79,7 +79,6 @@ def test_run_with_green_grid_loads_neither(tmp_path):
     (tmp_path / "grid.cfg").write_text(GRID_CFG)
     code = ("from quadflow.cli import main\n"
             "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n"
-            "assert main(['green', 'grid.cfg', '--outdir', 'g']) == 0\n"
             "assert main(['print-odes', '--t', '0.5']) == 0\n")
     # reading a config file is what loads configparser
     assert _loaded_after(code, tmp_path) == ["configparser"]
