@@ -26,7 +26,7 @@ The cases:
   omega_c t = 2.5 of the t_end 2.5 default at a fast time scale: it reaches
   t_end, since the step floor scales with the span below t_end = 1;
 - ``run`` on landau with t_end 6.293060839510291e-05, where fifty steps of
-  max_step = t_end / 50 sum to a few ulps short of t_end: the last step
+  the step cap t_end / 50 sum to a few ulps short of t_end: the last step
   takes the sliver and the run reaches t_end;
 - the nominal driven config under ``run`` and ``verify``, and under
   ``run`` with ``a1 = 0.3`` added: alpha1 moves while alpha2..alpha5 stay

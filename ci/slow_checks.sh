@@ -9,13 +9,15 @@
 #    AVX-512 runs them (about 20 s on a 2-core VM);
 # 3. a schedule that oscillates beyond resolution spends the stepper's real
 #    budget of 100,000 step attempts (about 25 s on a 2-core VM);
-# 4. the contract fuzz's wide slice: 1,000 seeded configs with magnitudes
+# 4. verify on a flow whose classical oracle spends its real budget of
+#    10,000 step attempts (about 3 s on a 2-core VM);
+# 5. the contract fuzz's wide slice: 1,000 seeded configs with magnitudes
 #    up to 1e+-300, each giving one of the three results that
 #    tests/contract_fuzz.py asserts, and the histogram of those results
 #    (about 22 s on a 2-core VM);
-# 5. the benchmark smoke run: every workload's oracle checks and traced
+# 6. the benchmark smoke run: every workload's oracle checks and traced
 #    call sites, read from the "correct" field of its JSON summary;
-# 6. byte determinism: every case of ci/output_digests.py at seed 7 gives
+# 7. byte determinism: every case of ci/output_digests.py at seed 7 gives
 #    the same digests under two different hash seeds (about 11 s per pass
 #    on a 2-core VM).
 set -euo pipefail
@@ -46,6 +48,21 @@ timeout 300 python3 -m quadflow.cli run "$dir/noise.cfg" --outdir "$dir" \
 python3 -c 'import json, sys; (line,) = open(sys.argv[1]).read().splitlines(); assert json.loads(line)["error"] == "step-budget"' "$dir/stderr.txt" \
     || { cat "$dir/stderr.txt"; echo "expected one JSON step-budget line on stderr"; exit 1; }
 if [ -e "$dir/alphas.csv" ]; then echo "alphas.csv was written"; exit 1; fi
+
+echo "== a classical oracle that spends its budget ends verify"
+# the wide contract-fuzz draw 1031: the nilpotent a11 = a14 = 5.36e11
+# shrinks the oracle's steps to about 1e-13, so its budget must end verify
+# with exit 1, one JSON step-budget line on stderr and no row on stdout
+printf '[hamiltonian]\na11 = c1\na14 = c1\n\n[constants]\nc1 = 536011115056.3461\n\n[run]\nt_end = 1.4302366244906548\nsamples = 3\n\n[outputs]\nalphas = alphas.csv\nheisenberg = heisenberg.json\n' > "$dir/hog.cfg"
+rc=0
+start=$SECONDS
+timeout 120 python3 -m quadflow.cli verify --config "$dir/hog.cfg" \
+    > "$dir/stdout.txt" 2> "$dir/stderr.txt" || rc=$?
+echo "oracle budget: $((SECONDS - start)) s"
+[ "$rc" -eq 1 ] || { cat "$dir/stdout.txt" "$dir/stderr.txt"; echo "exit status $rc, expected 1"; exit 1; }
+python3 -c 'import json, sys; (line,) = open(sys.argv[1]).read().splitlines(); assert json.loads(line)["error"] == "step-budget"' "$dir/stderr.txt" \
+    || { cat "$dir/stderr.txt"; echo "expected one JSON step-budget line on stderr"; exit 1; }
+if [ -s "$dir/stdout.txt" ]; then cat "$dir/stdout.txt"; echo "verify printed rows"; exit 1; fi
 
 echo "== the contract fuzz's wide slice"
 # prints each draw that breaks the contract, then the histogram of results,

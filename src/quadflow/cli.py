@@ -129,8 +129,7 @@ def _flow(cfg: RunConfig, samples: int):
     checks.  ``flow_mod.integrate`` is looked up at each call, where the
     benchmark's tracer wraps it."""
     return flow_mod.integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol,
-                              atol=cfg.atol, max_step=cfg.max_step,
-                              samples=samples)
+                              atol=cfg.atol, samples=samples)
 
 
 def _run_plan(path, cfg, out_base, dests) -> dict:
@@ -184,12 +183,20 @@ def _cmd_run(args) -> int:
 def _verify_checks(cfg: RunConfig):
     """Yield (name, max_error, tolerance) rows; NaN error marks a skip, a
     row that compared nothing.  The flow is ``run``'s for ``cfg`` (one
-    ``_flow`` call), on the 200 intervals the action row needs; it runs
-    before the first row, so an unresolved flow raises with no row out.
+    ``_flow`` call), on the 200 intervals the action row needs; it and the
+    classical oracle at the comparison time run before the first row, so
+    an unresolved flow or a spent oracle budget raises with no row out.
     ``oracles`` is imported here: no other command uses it."""
     from . import oracles
 
     result = _flow(cfg, samples=200)
+    # near a breakdown the map entries grow without bound and float
+    # comparisons lose meaning; stop well inside the regular region, and
+    # inside the span when the pole estimate lies far past the stop
+    t_cmp = float(result.ts[-1])
+    if result.breakdown is not None:
+        t_cmp = min(t_cmp, 0.8 * result.breakdown.t_break)
+    S_cl, d_cl = oracles.fundamental_matrix(cfg.schedule, t_cmp)
     rng = random.Random(20240915)
 
     # 200 (a, alpha) pairs, both sides in stacks of 32: the adjoint blocks
@@ -224,12 +231,6 @@ def _verify_checks(cfg: RunConfig):
             pass
     yield "integrated alpha vs constant-field closed form", err, 1e-6
 
-    # near a breakdown the map entries grow without bound and float
-    # comparisons lose meaning; stop well inside the regular region, and
-    # inside the span when the pole estimate lies far past the stop
-    t_cmp = float(result.ts[-1])
-    if result.breakdown is not None:
-        t_cmp = min(t_cmp, 0.8 * result.breakdown.t_break)
     # on a regular part of {0} each row below compares the identity map at
     # t = 0 with itself: it compares nothing, so it skips instead of passing
     skip = t_cmp == 0
@@ -242,7 +243,6 @@ def _verify_checks(cfg: RunConfig):
 
     alpha_cmp = result.interpolate(t_cmp)
     m = observables.heisenberg_map(alpha_cmp)
-    S_cl, d_cl = oracles.fundamental_matrix(cfg.schedule, t_cmp)
     err = float(max(np.max(np.abs(m.S - S_cl)), np.max(np.abs(m.d - d_cl))))
     yield ("Heisenberg map vs classical fundamental matrix",
            math.nan if skip else err, 1e-6)

@@ -74,7 +74,6 @@ class RunConfig(NamedTuple):
     rtol: float = 1e-10
     atol: float = 1e-10
     samples: int = 200
-    max_step: float | None = None
     # name -> filename; every default RunConfig shares one empty dict, so
     # callers read ``outputs`` and never change it
     outputs: dict = {}
@@ -92,8 +91,7 @@ _GRID = (lambda v: v.is_integer() and 1 <= v < 2 ** 30,
 
 # [run] key -> requirement; a key not given takes RunConfig's default
 _RUN_KEYS = {"t_end": _POSITIVE_FINITE, "rtol": _POSITIVE_FINITE,
-             "atol": _POSITIVE_FINITE, "samples": _COUNT,
-             "max_step": _POSITIVE_FINITE}
+             "atol": _POSITIVE_FINITE, "samples": _COUNT}
 _SECTIONS = ("hamiltonian", "constants", "run", "outputs", "green")
 _HAMILTONIAN_KEYS = ("preset", "hbar", *(f"a{k}" for k in range(1, 16)))
 

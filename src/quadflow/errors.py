@@ -32,8 +32,9 @@ class SingularNu(QuadflowError):
 
 
 class StepBudget(QuadflowError):
-    """The flow spent its step budget before ``t_end``, or its ``max_step``
-    asks for more steps than it holds: unresolved, but no breakdown."""
+    """A step budget ran out before the target time: the flow's before
+    ``t_end`` (unresolved, but no breakdown), or the classical oracle's in
+    ``verify``."""
 
     code = "step-budget"
 

@@ -8,10 +8,10 @@ diverges at omega_c t = pi - so breakdown is a result, not an exception.
 
 The right-hand side is the transcribed flow equations on Python floats,
 compiled for the schedule's structural zeros (:func:`.reduction.flow_rhs`:
-loading a config compiles it, and ``integrate`` asks for it again after
-refusing bad settings): the terms that the zero coefficients and the
-alphas that stay at 0 make zero are gone, so a Hamiltonian without linear
-terms never evaluates the equations of alpha1..alpha5, and the one code
+loading a config compiles it, and ``integrate`` asks for it again): the
+terms that the zero coefficients and the alphas that stay at 0 make zero
+are gone, so a Hamiltonian without linear terms never evaluates the
+equations of alpha1..alpha5, and the one code
 generator of :mod:`.expressions` computes each repeated operation once
 and nests the others inline.  Its values are those of
 :func:`.reduction.explicit_rhs` bit for bit.  At every stage it
@@ -95,10 +95,8 @@ class FlowResult(NamedTuple):
 _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
 # alphas CSV rows per ``%`` operation: bounds the block's transient strings
 _BLOCK = 32
-# the least e^{2 alpha12}, e^{2 alpha13} the chart keeps; a max_step may ask
-# for as many steps as the budget has attempts (it spends none)
+# the least e^{2 alpha12}, e^{2 alpha13} the chart keeps
 _CHART_EPS = 1e-3
-_MAX_STEPS = rk._MAX_ATTEMPTS
 # the stepper's attempt for the 15 alphas compiles here, with the imports,
 # not inside the first run
 rk._attempt(N_GENERATORS)
@@ -134,11 +132,11 @@ def _pole(rhs, dense, t, i):
 
 
 def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
-              atol=1e-10, max_step=None, samples=200) -> FlowResult:
+              atol=1e-10, samples=200) -> FlowResult:
     """Integrate the flow from alpha(0) = 0, the identity, to ``t_end``;
-    raises StepBudget if the step budget runs out first, at once if
-    t_end / max_step > ``_MAX_STEPS``, and StepUnderflow if no step
-    resolves.
+    raises StepBudget if the step budget runs out first and StepUnderflow
+    if no step resolves.  ``rk.solve`` refuses ``t_end``, ``rtol`` and
+    ``atol`` before the first right-hand side call.
 
     Parameters
     ----------
@@ -153,15 +151,8 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
     samples stop at the last state the predicate passes, ``ts[-1]`` <=
     ``t_break``.
     """
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end = {t_end!r} must be positive and finite")
     if not (isinstance(samples, (int, np.integer)) and samples >= 1):
         raise ValueError(f"samples = {samples!r} must be an integer >= 1")
-    rk._refuse_settings(rtol, atol, max_step)
-    if max_step is not None and t_end > max_step * _MAX_STEPS:
-        raise StepBudget(f"max_step = {max_step!r} asks for more than "
-                         f"{_MAX_STEPS} steps to reach t_end = {t_end!r}")
-    # the settings are refused first
     kernel = flow_rhs(schedule.zeros)
 
     def rhs(t, alpha):
@@ -182,7 +173,7 @@ def integrate(schedule: CoefficientSchedule, t_end: float, *, rtol=1e-10,
         return n
 
     res = rk.solve(rhs, [0.0] * N_GENERATORS, t_end, rtol=rtol, atol=atol,
-                   max_step=max_step, check=conditioned)
+                   check=conditioned)
     if res.status == "budget":
         raise StepBudget(f"the flow spent {rk._MAX_ATTEMPTS} step attempts "
                          f"and reached only t = {res.t_stop!r} of t_end = "

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridUnderresolved, SingularTime
+from .errors import GridUnderresolved, SingularTime, StepBudget
 from .observables import SYMPLECTIC_J, AffineSymplecticMap
 from .propagator import QuadraticPhaseKernel, _check_alpha
 from .schedule import N_GENERATORS, CoefficientSchedule
@@ -193,6 +193,9 @@ _NEVILLE = [((_SUBSTEPS[c:] / _SUBSTEPS[:-c]) ** 2 - 1)[:, None, None]
 _TOL_SCALE = 0.1
 _GROW, _SHRINK = 4.0, 0.2
 _RTOL, _ATOL = 1e-10, 1e-12   # fundamental_matrix's tolerances
+# macro-step attempts, accepted or rejected, before fundamental_matrix
+# gives up: over 100 times the 88 of the longest contract-fuzz row
+_MAX_ATTEMPTS = 10_000
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -222,7 +225,8 @@ def fundamental_matrix(schedule: CoefficientSchedule,
     Integrates dZ/dt = A(t) Z with Z(0) = I alongside the inhomogeneous
     shift, by Gragg-Bulirsch-Stoer extrapolation at relative tolerance
     1e-10 and absolute tolerance 1e-12.
-    Raises RuntimeError when a step falls below 16 eps t without a finite
+    Raises StepBudget after ``_MAX_ATTEMPTS`` macro-step attempts short of
+    t, and RuntimeError when a step falls below 16 eps t without a finite
     result within the tolerances.
     """
     if not 0 <= t < math.inf:
@@ -232,7 +236,13 @@ def fundamental_matrix(schedule: CoefficientSchedule,
     # (S | d) with the constant row (0, 0, 0, 0, 1): dY/dt = [A b; 0 0] Y
     Y = np.eye(5)
     t0, H, floor = 0.0, t, 16 * np.finfo(float).eps * t
+    attempts = 0
     while t0 < t:
+        if attempts == _MAX_ATTEMPTS:
+            raise StepBudget(f"the classical oracle spent {attempts} step "
+                             f"attempts and reached only t = {t0!r} of "
+                             f"{t!r}")
+        attempts += 1
         last = t0 + 1.05 * H >= t   # no sliver of a step before t
         if last:
             H = t - t0

@@ -23,18 +23,18 @@ on its dense polynomial; the steps before it are the ones a check after
 every step would have taken, bit for bit.  Otherwise a run ends ``done`` at
 ``t_end``; ``underflow`` when the controller pushes the step size below the
 resolvable floor or rejects 60 steps in a row; or ``budget`` after
-``_MAX_ATTEMPTS`` step attempts, accepted or rejected, whose length the
-controller chose (shorter than both ``max_step`` and the rest of the run).
-Both leave the run unresolved at its last accepted state, which may be
-``y0``: the dense solution is empty.
+``_MAX_ATTEMPTS`` step attempts, accepted or rejected.  Both leave the run
+unresolved at its last accepted state, which may be ``y0``: the dense
+solution is empty.
 
-A run starts at t = 0, and both time thresholds are relative.  With
-s = min(1, t_end), the run's span capped at 1, the floor is 16 eps
-max(|t|, s), never below the smallest normal double (which also refuses a
-zero step), and the bisection stops at a width of 1e-12 max(|t|, s).  So
-a short run resolves the phase a long one does: landau with omega_c = 1e13
-reaches t_end = 2.5e-13 as omega_c = 1 reaches 2.5.  A step that would leave less than the floor
-before t_end takes the rest of the run, so a run lands on t_end exactly.
+A run starts at t = 0, no step is longer than t_end / 50, and both time
+thresholds are relative.  With s = min(1, t_end), the run's span capped at
+1, the floor is 16 eps max(|t|, s), never below the smallest normal double
+(which also refuses a zero step), and the bisection stops at a width of
+1e-12 max(|t|, s).  So a short run resolves the phase a long one does:
+landau with omega_c = 1e13 reaches t_end = 2.5e-13 as omega_c = 1 reaches
+2.5.  A step that would leave less than the floor before t_end takes the
+rest of the run, so a run lands on t_end exactly.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # accepted end states per call of ``check``
 _CHUNK = 32
-# controller-sized step attempts, accepted or rejected, before a run ends
-# as "budget" (DOPRI5's NMAX, Hairer, Norsett & Wanner, Solving ODEs I)
+# step attempts, accepted or rejected, before a run ends as "budget"
+# (DOPRI5's NMAX, Hairer, Norsett & Wanner, Solving ODEs I)
 _MAX_ATTEMPTS = 100_000
 # the smallest normal double: no shorter step is resolvable (nor a zero one)
 _TINY = sys.float_info.min
@@ -215,15 +215,15 @@ def _rms(values):
     return math.sqrt(total / len(values))
 
 
-def _initial_step(f, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(f, y0, f0, cap, rtol, atol):
     # a huge f0 overflows the scaled norms to inf (float * and / do not
     # raise), which yields h = 0 and the underflow outcome
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end, max_step)
-    if h0 == 0:  # a span or max_step that underflows: no step resolves
+    h0 = min(h0, cap)
+    if h0 == 0:  # a span that underflows: no step resolves
         return 0.0
     f1 = f(h0, [v + h0 * d for v, d in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
@@ -231,7 +231,7 @@ def _initial_step(f, y0, f0, t_end, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end, max_step)
+    return min(100 * h0, h1, cap)
 
 
 def _crossing(t0, h, y0, q, ok, span):
@@ -259,19 +259,10 @@ def _crossing(t0, h, y0, q, ok, span):
     return t_lo, y_at(t_lo)
 
 
-def _refuse_settings(rtol, atol, max_step):
-    """Raise ValueError unless rtol and atol are positive and finite and
-    ``max_step`` is None (the default) or positive."""
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError(f"rtol = {rtol!r} and atol = {atol!r} must be "
-                         "positive and finite")
-    if max_step is not None and not max_step > 0:
-        raise ValueError(f"max_step = {max_step!r} must be positive")
-
-
-def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
-          check=None) -> RKResult:
-    """Integrate y' = f(t, y) from y(0) = ``y0`` to t_end.
+def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, check=None) -> RKResult:
+    """Integrate y' = f(t, y) from y(0) = ``y0`` to t_end in steps of at
+    most t_end / 50; raises ValueError, before the first call of ``f``,
+    unless t_end, rtol and atol are positive and finite.
 
     Parameters
     ----------
@@ -287,11 +278,12 @@ def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
         ``check`` passes inside its step.
     """
     y = np.asarray(y0, dtype=float).tolist()
-    if not t_end > 0:
-        raise ValueError(f"t_end = {t_end!r} must be positive")
-    _refuse_settings(rtol, atol, max_step)
-    if max_step is None:
-        max_step = t_end / 50
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end = {t_end!r} must be positive and finite")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError(f"rtol = {rtol!r} and atol = {atol!r} must be "
+                         "positive and finite")
+    cap = t_end / 50
     attempt = _attempt(len(y))
     n_rhs = 0
 
@@ -302,7 +294,7 @@ def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
 
     t = 0.0
     k1 = rhs(t, y)
-    h = _initial_step(rhs, y, k1, t_end, rtol, atol, max_step)
+    h = _initial_step(rhs, y, k1, cap, rtol, atol)
 
     steps = []  # (t0, h, y0, stages) per accepted step
     pending = []  # (t + h, y_new) of the last accepted steps, not checked
@@ -328,13 +320,10 @@ def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
     attempts = 0
     try:
         while t < t_end:
-            # only a step the controller sized counts against the budget;
-            # one that max_step or t_end cut never ends a run
-            sized = h < min(max_step, t_end - t)
-            h = min(h, max_step, t_end - t)
+            h = min(h, cap, t_end - t)
             least = floor * max(abs(t), span)
             # no sliver of a step before t_end (DOPRI5's rule, below the
-            # floor): a sum of max_steps may fall a few ulps short of it
+            # floor): a sum of capped steps may fall a few ulps short of it
             if t_end - (t + h) < least:
                 h = t_end - t
             if h < max(least, _TINY) or rejections > 60:
@@ -343,7 +332,7 @@ def solve(f, y0, t_end, rtol=1e-10, atol=1e-10, max_step=None,
             if attempts == _MAX_ATTEMPTS:
                 status = "budget"
                 break
-            attempts += sized
+            attempts += 1
             # a non-finite stage or state returns err = nan
             err, y_new, stages = attempt(rhs, t, h, y, k1, rtol, atol)
             if not math.isfinite(err):

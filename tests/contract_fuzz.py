@@ -13,11 +13,10 @@ one of:
   that ``[outputs]`` names written.  At the default tolerances every
   Heisenberg row (up to 0.8 t_break after a breakdown, verify's rule)
   agrees with ``oracles.fundamental_matrix`` within ``BOUND`` times
-  max(|S|, |d|, 1) of the oracle's row, unless the oracle spends
-  ``ORACLE_BUDGET`` coefficient evaluations on one row: the oracle has no
-  step budget of its own, and a flow such as a11 = a14 = 5e11 over
-  t = 1.4 keeps it busy for more than a minute, so such a run is labelled
-  unchecked;
+  max(|S|, |d|, 1) of the oracle's row, unless the oracle spends a budget
+  of ``ORACLE_ATTEMPTS`` step attempts on one row (``StepBudget``): a flow
+  such as a11 = a14 = 5e11 over t = 1.4 takes the oracle's steps down to
+  about 1e-13, so such a run is labelled unchecked;
 - exit 1: nothing on stdout, one JSON line {"error", "detail", "at"} on
   stderr whose error is a ``QuadflowError`` code, and no file written;
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from quadflow import cli, oracles
 from quadflow.config import load_config
-from quadflow.errors import QuadflowError
+from quadflow.errors import QuadflowError, StepBudget
 
 SEED = 5359
 COUNT = 200            # the tier-1 slice
@@ -57,9 +56,9 @@ MILD = 0.5             # its magnitudes: 10^U(-0.5, 0.5), 0.32 to 3.2
 WIDE_COUNT = 1000      # the wide slice, draws COUNT onward
 WIDE = 300.0           # its largest exponent: magnitudes up to 1e+-300
 BOUND = 1e-6           # Heisenberg rows vs the oracle, relative
-# 1,000 GBS steps of 44 nodes per row; the largest row of both slices that
-# the oracle finishes takes 3,872
-ORACLE_BUDGET = 44_000
+# oracle step attempts per row, in place of its own budget; the longest
+# row of both slices that the oracle finishes takes 88
+ORACLE_ATTEMPTS = 1_000
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 OPERATORS = "+-*/^"
@@ -73,24 +72,6 @@ def _codes(cls=QuadflowError):
 
 
 CODES = _codes()
-
-
-class _OverBudget(Exception):
-    """The oracle spent ``ORACLE_BUDGET`` evaluations on one row."""
-
-
-class _Budgeted:
-    """A schedule whose coefficients the oracle may evaluate
-    ``ORACLE_BUDGET`` times."""
-
-    def __init__(self, schedule):
-        self.schedule, self.left = schedule, ORACLE_BUDGET
-
-    def coefficients(self, t):
-        self.left -= 1
-        if self.left < 0:
-            raise _OverBudget
-        return self.schedule.coefficients(t)
 
 
 def draw(seed: int, index: int, exponent: float) -> str:
@@ -169,10 +150,13 @@ def check(text: str, tmp: Path) -> str:
     assert all((out / name).is_file() for name in names)
     label = "exit 0" + (" breakdown" if "breakdown" in info else "")
     if "rtol" not in text:
+        budget, oracles._MAX_ATTEMPTS = oracles._MAX_ATTEMPTS, ORACLE_ATTEMPTS
         try:
             _agrees_with_the_oracle(cfg, out / OUTPUTS["heisenberg"], info)
-        except _OverBudget:
+        except StepBudget:
             label += " unchecked"
+        finally:
+            oracles._MAX_ATTEMPTS = budget
     return label
 
 
@@ -185,7 +169,7 @@ def _agrees_with_the_oracle(cfg: Path, heisenberg: Path, info: dict):
     for row in json.loads(heisenberg.read_text()):
         if row["t"] > t_cmp:
             continue
-        S, d = oracles.fundamental_matrix(_Budgeted(schedule), row["t"])
+        S, d = oracles.fundamental_matrix(schedule, row["t"])
         scale = max(np.max(np.abs(S)), np.max(np.abs(d)), 1.0)
         err = max(np.max(np.abs(np.array(row["S"]) - S)),
                   np.max(np.abs(np.array(row["d"]) - d)))

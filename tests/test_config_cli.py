@@ -528,7 +528,6 @@ NUMERIC_BASE = {
 @pytest.mark.parametrize("section,key,value", [
     ("run", "rtol", "nan"),
     ("run", "atol", "-1"),
-    ("run", "max_step", "-1"),
     ("run", "samples", "nan"),
     ("run", "samples", "2.7"),
     ("run", "samples", "0"),
@@ -1093,8 +1092,8 @@ UNRESOLVED = [
      "\n[outputs]\nalphas = alphas.csv\n", "step-underflow",
      "no step of the flow resolves at t = 0.0 of t_end = 1.0"),
 ] + [
-    # the default max_step, t_end / 50, underflows to 0 below about
-    # 1.2e-322, and a step of 2e-322 / 50 is below the step-size floor
+    # the step cap t_end / 50 underflows to 0 below about 1.2e-322, and a
+    # step of 2e-322 / 50 is below the step-size floor
     (f"[hamiltonian]\npreset = landau\n\n[run]\nt_end = {t_end}\n\n"
      "[outputs]\nalphas = alphas.csv\n", "step-underflow",
      f"at t = 0.0 of t_end = {t_end}")
@@ -1125,27 +1124,42 @@ def test_a_spent_step_budget_is_one_json_error(tmp_path, capsys, monkeypatch,
         assert not out.exists() and not (tmp_path / "alphas.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_a_max_step_too_short_for_the_budget_is_one_json_error(
-        tmp_path, capsys, command):
-    # 1e9 steps of max_step would run for hours: the flow is refused before
-    # it integrates, with an error that names the config; no file is written
-    p = tmp_path / "fine.cfg"
+def test_verify_refuses_a_max_step_key(tmp_path, capsys):
+    # verify --config reads the config run reads: the key is refused
+    # before the flow, as under run
+    p = tmp_path / "capped.cfg"
     p.write_text("[hamiltonian]\npreset = free\n\n[run]\nt_end = 1\n"
-                 "max_step = 1e-9\n\n[outputs]\nalphas = alphas.csv\n")
-    out = tmp_path / "out"
-    argv = ["run", str(p), "--outdir", str(out)] if command == "run" \
-        else ["verify", "--config", str(p)]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "breakdown" not in captured.out
-    (line,) = captured.err.splitlines()
-    err = json.loads(line)
-    assert set(err) == {"error", "detail", "at"}
+                 "max_step = 0.01\n\n[outputs]\nalphas = alphas.csv\n")
+    assert main(["verify", "--config", str(p)]) == 1
+    err = _one_json_error(capsys.readouterr())
+    assert err["error"] == "config-error"
+    assert err["at"] == str(p)
+    assert "[run]: unknown keys ['max_step']" in err["detail"]
+    assert not (tmp_path / "alphas.csv").exists()
+
+
+# wide contract-fuzz draw 1031: the flow resolves, and the oracle's steps
+# shrink to about 1e-13 on the large nilpotent coefficients
+ORACLE_HOG_CFG = ("[hamiltonian]\na11 = c1\na14 = c1\n\n[constants]\n"
+                  "c1 = 536011115056.3461\n\n[run]\n"
+                  "t_end = 1.4302366244906548\nsamples = 3\n\n[outputs]\n"
+                  "alphas = alphas.csv\nheisenberg = heisenberg.json\n")
+
+
+def test_a_spent_oracle_budget_ends_verify_before_its_first_row(
+        tmp_path, capsys, monkeypatch):
+    # the classical oracle runs right after the flow; its spent budget is
+    # one JSON error that names the time it reached, and no row is printed
+    monkeypatch.setattr(oracles, "_MAX_ATTEMPTS", 100)
+    p = tmp_path / "hog.cfg"
+    p.write_text(ORACLE_HOG_CFG)
+    assert main(["verify", "--config", str(p)]) == 1
+    err = _one_json_error(capsys.readouterr())
     assert err["error"] == "step-budget"
     assert err["at"] == str(p)
-    assert "max_step = 1e-09" in err["detail"]
-    assert not out.exists() and not (tmp_path / "alphas.csv").exists()
+    assert err["detail"].startswith("the classical oracle spent 100 step "
+                                    "attempts and reached only t = ")
+    assert err["detail"].endswith(" of 1.4302366244906548")
 
 
 def test_verify_compares_a_strong_field_flow_with_the_closed_form(capsys):
@@ -1215,8 +1229,7 @@ def test_verify_adjoint_and_action_rows_equal_their_scalar_loops_bit_for_bit():
     # (its baseline dispatch) and not 0 under AVX-512
     assert rows["adjoint exponential vs closed-form rules"] == err
 
-    res = integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step)
+    res = integrate(cfg.schedule, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol)
     assert res.breakdown is None
     a = [cfg.schedule.coefficients(t) for t in res.ts.tolist()]
     ls = np.array([classical_lagrangian(a_t, alpha, reference_odes(a_t, alpha))
@@ -1364,11 +1377,14 @@ def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
     ("t_end = 1.0", "t_end = 1.0\nsample = 10", "[run]: unknown keys ['sample']"),
     ("t_end = 1.0", "t_end = 1.0\nmagnitude_cap = 10",
      "[run]: unknown keys ['magnitude_cap']"),
+    # every step is capped at t_end / 50: a cap of one's own is ignored
+    ("t_end = 1.0", "t_end = 1.0\nmax_step = 0.01",
+     "[run]: unknown keys ['max_step']"),
     ("times = 0.5", "time = 0.5", "[green]: unknown keys ['time']"),
     ("[outputs]", "[constants]\nw = 5\n\n[outputs]",
      "[constants]: a preset reads no constants"),
-], ids=["section-output", "run-sample", "run-magnitude_cap", "green-time",
-        "preset-constants"])
+], ids=["section-output", "run-sample", "run-magnitude_cap", "run-max_step",
+        "green-time", "preset-constants"])
 def test_ignored_config_input_is_refused(tmp_path, capsys, old, new,
                                          fragment):
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"

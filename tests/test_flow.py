@@ -269,13 +269,16 @@ def test_schedule_is_evaluated_once_per_rhs_evaluation(monkeypatch):
 def test_solve_halts_at_the_last_state_check_passes():
     # y' = 1 from 0 with check t < 0.3737: one accepted step straddles the
     # limit, and the run stops inside it instead of shrinking h to the floor
-    res = rk.solve(lambda t, y: [1.0], [0.0], 1.0, max_step=1.0,
+    res = rk.solve(lambda t, y: [1.0], [0.0], 1.0,
                    check=lambda ts, ys: int(np.sum(ts < 0.3737)))
     assert res.status == "refused"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
     assert res.y_stop[0] == pytest.approx(res.t_stop, abs=1e-15)
     np.testing.assert_array_equal(res.dense(res.t_stop), res.y_stop)
-    assert res.n_rhs <= 6 * res.dense.t0.size + 2
+    # the run evaluates one chunk of steps, every attempt accepted, and
+    # drops the ones past the refused step
+    assert res.dense.t0.size == 22
+    assert res.n_rhs == 2 + 6 * rk._CHUNK
 
 
 def _unit_slope(t, y):
@@ -283,9 +286,10 @@ def _unit_slope(t, y):
 
 
 def _step_ends():
-    # end times of the steps y' = 1 takes on [0, 1]: steps of 0.01 after a
-    # ramp from 1e-4, so the 32-step chunks run 0-31, 32-63, ...
-    res = rk.solve(_unit_slope, [0.0], 1.0, max_step=0.01)
+    # end times of the steps y' = 1 takes on [0, 1]: steps of 0.02, the cap
+    # t_end / 50, after a ramp from 1e-4, so the 32-step chunks run 0-31,
+    # 32-52
+    res = rk.solve(_unit_slope, [0.0], 1.0)
     return res.dense.t0 + res.dense.h
 
 
@@ -294,7 +298,7 @@ def test_solve_halts_in_a_refused_step_at_a_chunk_boundary(index):
     # the 32nd step closes the first chunk and the 33rd opens the second
     ends = _step_ends()
     limit = 0.5 * (ends[index - 1] + ends[index])
-    res = rk.solve(_unit_slope, [0.0], 1.0, max_step=0.01,
+    res = rk.solve(_unit_slope, [0.0], 1.0,
                    check=lambda ts, ys: int(np.sum(ts < limit)))
     assert res.status == "refused"
     assert res.dense.t0.size == index + 1
@@ -311,7 +315,7 @@ def test_solve_returns_a_pending_refusal_when_f_raises_later():
             raise ValueError("past the refusal")
         return [1.0]
 
-    res = rk.solve(f, [0.0], 1.0, max_step=0.01,
+    res = rk.solve(f, [0.0], 1.0,
                    check=lambda ts, ys: int(np.sum(ts < 0.3737)))
     assert res.status == "refused"
     assert 0.3737 - 1e-12 <= res.t_stop < 0.3737
@@ -326,7 +330,7 @@ def test_solve_reraises_an_error_of_f_when_nothing_is_refused():
         return [1.0]
 
     with pytest.raises(ValueError) as excinfo:
-        rk.solve(f, [0.0], 1.0, max_step=0.01,
+        rk.solve(f, [0.0], 1.0,
                  check=lambda ts, ys: int(np.sum(ts < 0.6)))
     assert excinfo.value is error
 
@@ -344,16 +348,21 @@ def test_a_rejected_attempt_keeps_the_first_stage_of_the_next():
                 - k * k * math.exp(-k * t)) / (k * k + 1)
 
     res = rk.solve(lambda t, y: [-k * (y[0] - math.cos(t))], [0.0], 10.0,
-                   rtol=1e-8, atol=1e-8, max_step=10.0)
+                   rtol=1e-8, atol=1e-8)
     assert res.status == "done"
     ts = np.linspace(0.0, 10.0, 1001)
     assert np.max(np.abs(res.dense(ts)[:, 0] - np.vectorize(exact)(ts))) \
         < 2e-8
-    # a rejected attempt's non-finite last stage left every later attempt
-    # non-finite, so this loose flow ended in step-underflow at t = 2.02
-    res = integrate(landau(), 3.5, rtol=1e-3, atol=1e-3, max_step=3.5)
+    # a squeeze a12 = -1e10 overflows a stage of each of the first six
+    # attempts, the last stage each evaluates; reused as the first stage of
+    # the next attempt, it left every later attempt non-finite: a
+    # step-underflow at t = 0 instead of the chart-end at ln(1e3) / 2e10
+    res = integrate(CoefficientSchedule.from_expressions(
+        {6: "0.5", 9: "0.5", 12: "-1e10"}), 1.0)
     assert res.breakdown.reason == "chart-end"
-    assert abs(res.breakdown.t_break - math.pi) < 1e-3
+    assert res.breakdown.index == 12
+    assert res.breakdown.t_break == pytest.approx(math.log(1e3) / 2e10,
+                                                  rel=1e-2)
 
 
 def test_solve_accepts_finite_stages_whose_sum_overflows():
@@ -448,9 +457,9 @@ def test_a_refused_stack_is_located_without_one_state_calls(monkeypatch,
 
 
 def test_solve_ends_after_its_attempt_budget(monkeypatch):
-    # y' = cos(1e4 t) is resolved in steps far shorter than max_step, so
-    # both accepted and rejected attempts count; each costs six RHS calls
-    # after the two of the start
+    # y' = cos(1e4 t) is resolved in steps far shorter than the cap t_end /
+    # 50; both accepted and rejected attempts count, and each costs six
+    # RHS calls after the two of the start
     monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 40)
     res = rk.solve(lambda t, y: [math.cos(1e4 * t)], [0.0], 1.0)
     assert res.status == "budget"
@@ -477,56 +486,23 @@ def test_a_smooth_flow_that_spends_its_budget_raises(monkeypatch):
     assert 0.5 < t_reached < 400.0
 
 
-def test_steps_that_max_step_cuts_do_not_spend_the_budget(monkeypatch):
-    # 100 steps of length max_step, past a budget of 40: the run is long,
-    # not unresolvable, so it reaches t_end with no breakdown
+def test_capped_attempts_spend_the_budget(monkeypatch):
+    # y' = 1 ramps through steps of 1e-4, 1e-3 and 1e-2, and every attempt
+    # after those is cut to the cap t_end / 50 = 0.02; each one counts, so
+    # 40 attempts end the run short of t_end
     monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 40)
-    res = rk.solve(lambda t, y: [1.0], [0.0], 1.0, max_step=0.01)
-    assert res.status == "done"
-    assert res.t_stop == 1.0
-    assert res.dense.t0.size >= 100
-    res = integrate(landau(), 1.0, max_step=0.01)
-    assert res.breakdown is None
-    assert res.ts[-1] == 1.0
-    assert res.n_rhs > 6 * 40
-
-
-def test_a_max_step_too_short_for_the_budget_is_refused_at_once(monkeypatch):
-    # steps that max_step cuts spend no budget, so max_step = 1e-9 over
-    # t_end 1 would ask for 1e9 steps; it is refused before the first
-    # right-hand side
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the refused run integrated")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(rk, "solve", unreachable)
-        with pytest.raises(StepBudget, match="max_step = 1e-09 asks for "
-                           "more than 100000 steps"):
-            integrate(CoefficientSchedule.preset("free", m=1.0), 1.0,
-                      max_step=1e-9)
-    # the bound is the number of steps: 40 of them run, 41 are refused
-    monkeypatch.setattr(flow, "_MAX_STEPS", 40)
-    assert integrate(landau(), 1.0, max_step=1 / 40).breakdown is None
-    with pytest.raises(StepBudget, match="more than 40 steps"):
-        integrate(landau(), 1.0, max_step=1 / 41)
-
-
-@pytest.mark.parametrize("max_step", [math.nan, 0.0, -1.0])
-def test_a_max_step_that_is_not_positive_is_refused(monkeypatch, max_step):
-    # a NaN max_step cuts no step, so no attempt would count against the
-    # budget; 0 and -1 would read as asking for too many steps
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the refused run integrated")
-
-    with pytest.raises(ValueError, match="must be positive"):
-        rk.solve(unreachable, [0.0], 1.0, max_step=max_step)
-    monkeypatch.setattr(rk, "solve", unreachable)
-    with pytest.raises(ValueError, match="must be positive"):
-        integrate(landau(), 1.0, max_step=max_step)
+    res = rk.solve(_unit_slope, [0.0], 1.0)
+    assert res.status == "budget"
+    assert res.dense.t0.size == 40
+    assert (res.dense.h[3:] == 0.02).all()
+    assert res.t_stop == pytest.approx(0.7511, abs=1e-12)
+    assert res.n_rhs == 2 + 6 * 40
 
 
 class _Unevaluated:
     """A schedule that fails the test if the flow ever evaluates it."""
+
+    zeros = (None,) * 15
 
     def coefficients(self, t):
         raise AssertionError("the refused run called the right-hand side")
@@ -551,18 +527,6 @@ def test_settings_out_of_range_are_refused_before_the_first_rhs_call(
     # and a bad samples failed, or sampled t = 0 alone, after the whole run
     with pytest.raises(ValueError, match=re.escape(fragment)):
         integrate(_Unevaluated(), **{"t_end": 1.0, **settings})
-
-
-def test_a_nan_max_step_cannot_outlast_the_budget(monkeypatch):
-    # the default max_step spends the budget on a2 = sin(50 t) well before
-    # t_end 40; a NaN one is refused rather than running to t_end uncounted
-    monkeypatch.setattr(rk, "_MAX_ATTEMPTS", 200)
-    sched = CoefficientSchedule.from_expressions(
-        {2: "sin(50*t)", 9: "0.5", 10: "0.5"})
-    with pytest.raises(StepBudget, match="spent 200 step attempts"):
-        integrate(sched, 40.0)
-    with pytest.raises(ValueError, match="max_step = nan must be positive"):
-        integrate(sched, 40.0, max_step=math.nan)
 
 
 @pytest.mark.parametrize("t_end", [math.nan, 0.0, -0.0, -1.0, -math.inf])
@@ -733,7 +697,7 @@ def test_the_same_phase_resolves_at_every_time_scale():
 
 @pytest.mark.parametrize("preset", ["landau", "free"])
 def test_a_run_lands_on_t_end_at_any_time_scale(preset):
-    # a sum of steps of max_step = t_end / 50 can fall a few ulps short of
+    # a sum of steps of the cap t_end / 50 can fall a few ulps short of
     # t_end; the last step must take the sliver, not leave it to the floor
     rng = random.Random(11)
     sched = CoefficientSchedule.preset(preset)
@@ -775,13 +739,15 @@ def test_linear_potential_subalgebra_decouples():
 
 
 def test_tightening_tolerances_reduces_error():
-    # max_step must not dominate, or the error saturates below tolerance
+    # the step cap must not dominate, or the error saturates below
+    # tolerance: the run aims at t_end 100, whose cap of 2 never binds,
+    # breaks down at 3.08 and is compared on [0, 2]
     errs = []
+    ts = np.linspace(0.0, 2.0, 201)
     for tol in (1e-3, 1e-6, 1e-9):
-        res = integrate(landau(E_x=0.3), 2.0, rtol=tol, atol=tol,
-                        max_step=2.0)
-        ref = constant_field_closed_form(1.0, 1.0, 0.3, 0.0, 1.0, t=res.ts)
-        errs.append(np.max(np.abs(res.alphas - ref)))
+        res = integrate(landau(E_x=0.3), 100.0, rtol=tol, atol=tol)
+        ref = constant_field_closed_form(1.0, 1.0, 0.3, 0.0, 1.0, t=ts)
+        errs.append(np.max(np.abs(res.interpolate(ts) - ref)))
     assert errs[0] > errs[1] > errs[2]
 
 

@@ -118,7 +118,6 @@ def test_an_error_term_whose_square_overflows_rejects():
                                     1e-300)[0]
     # the run rejects such attempts until the step reaches the floor at the
     # jump; it raises nothing
-    res = rk.solve(jump, [0.0], 1.0, rtol=1e-300, atol=1e-300,
-                   max_step=1.0)
+    res = rk.solve(jump, [0.0], 1.0, rtol=1e-300, atol=1e-300)
     assert res.status == "underflow"
     assert 0.5 - 1e-12 < res.t_stop <= 0.5
