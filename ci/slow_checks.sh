@@ -7,17 +7,20 @@
 # 1. the benchmark's self-tests (pytest perfbench);
 # 2. tier-1 on numpy's baseline SIMD kernels, as a CPU without AVX2 or
 #    AVX-512 runs them (about 20 s on a 2-core VM);
-# 3. a schedule that oscillates beyond resolution spends the stepper's real
+# 3. the writers' %.17g digits (quadflow.digits.g17) against '%.17g' % v
+#    on 10,000,000 seeded doubles of tests/digits_fuzz.py's families, at
+#    native and at baseline dispatch (16 to 27 s each on a 2-core VM);
+# 4. a schedule that oscillates beyond resolution spends the stepper's real
 #    budget of 100,000 step attempts (about 25 s on a 2-core VM);
-# 4. verify on a flow whose classical oracle spends its real budget of
+# 5. verify on a flow whose classical oracle spends its real budget of
 #    10,000 step attempts (about 3 s on a 2-core VM);
-# 5. the contract fuzz's wide slice: 1,000 seeded configs with magnitudes
+# 6. the contract fuzz's wide slice: 1,000 seeded configs with magnitudes
 #    up to 1e+-300, each giving one of the three results that
 #    tests/contract_fuzz.py asserts, and the histogram of those results
 #    (about 22 s on a 2-core VM);
-# 6. the benchmark smoke run: every workload's oracle checks and traced
+# 7. the benchmark smoke run: every workload's oracle checks and traced
 #    call sites, read from the "correct" field of its JSON summary;
-# 7. byte determinism: every case of ci/output_digests.py at seed 7 gives
+# 8. byte determinism: every case of ci/output_digests.py at seed 7 gives
 #    the same digests under two different hash seeds (about 11 s per pass
 #    on a 2-core VM).
 set -euo pipefail
@@ -34,6 +37,13 @@ echo "== tier-1 at numpy's baseline dispatch"
 # step's processes only
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
     python3 -m pytest tests -q -p no:cacheprovider
+
+echo "== the %.17g digits against % on 10^7 doubles"
+# prints the count of doubles, of mismatches and the seconds, and exits 1
+# on any mismatch; warnings are errors, as in tier-1
+python3 -W error::RuntimeWarning tests/digits_fuzz.py
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
+    python3 -W error::RuntimeWarning tests/digits_fuzz.py
 
 echo "== a schedule that oscillates beyond resolution ends"
 # sin(1e308 t) is noise at double precision, so the steps shrink toward

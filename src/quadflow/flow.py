@@ -50,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rk
+from .digits import g17_rows
 from .errors import SingularNu, SingularTime, StepBudget, StepUnderflow
 from .reduction import assemble, flow_rhs
 from .schedule import N_GENERATORS, CoefficientSchedule
@@ -94,7 +95,7 @@ class FlowResult(NamedTuple):
 
 _NO_COEFFICIENTS = np.zeros(N_GENERATORS)
 # alphas CSV rows per ``%`` operation: bounds the block's transient strings
-_BLOCK = 32
+_BLOCK = 256
 # the least e^{2 alpha12}, e^{2 alpha13} the chart keeps
 _CHART_EPS = 1e-3
 # the stepper's attempt for the 15 alphas compiles here, with the imports,
@@ -270,13 +271,12 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
 
 def write_alphas_csv(result: FlowResult, path):
     """CSV with header t,alpha1,...,alpha15 and one row per sample, every
-    field ``%.17g``; up to ``_BLOCK`` rows are formatted by one ``%`` on a
-    flat tuple of their fields."""
+    field ``%.17g``; up to ``_BLOCK`` rows are formatted by one ``%`` on
+    the digits of their fields (:func:`.digits.g17_rows`)."""
     header = "t," + ",".join(f"alpha{i}" for i in range(1, N_GENERATORS + 1))
-    row = ",".join(["%.17g"] * (N_GENERATORS + 1)) + "\n"
+    after = [","] * N_GENERATORS + ["\n"]
     table = np.column_stack([result.ts, result.alphas])
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _BLOCK):
-            block = table[start:start + _BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(g17_rows(table[start:start + _BLOCK], after))

@@ -9,8 +9,9 @@ with the adjoint/reduction machinery beyond the coefficient schedule:
   b = J l from the linear coefficients.  The resulting flow map (S, d) must match
   the Heisenberg-picture affine map.
 
-* :func:`apply_kernel` pushes a Gaussian wavepacket through a Green-function
-  kernel by tensor-product quadrature on a square grid and extracts means,
+* :func:`apply_kernel` pushes a Gaussian wavepacket through a
+  :class:`QuadraticPhaseKernel` by quadrature on a square grid, summed as
+  matrix products, and extracts means,
   covariances (position side from |psi|^2, momentum side from the FFT) and
   the norm.
 
@@ -373,19 +374,24 @@ def apply_kernel(kernel, initial: GaussianState, extent: float,
 
     Parameters
     ----------
-    kernel : callable (x, y, x_prime, y_prime) -> complex, numpy-broadcastable;
-        a QuadraticPhaseKernel is summed by matrix products (:func:`phase_parts`)
+    kernel : QuadraticPhaseKernel, summed by matrix products
+        (:func:`phase_parts`)
     initial : separable GaussianState (synthesizable wavefunction); its
         ``hbar`` is the kernel's, and the result's
     extent, points : grid is [-extent, extent]^2 with ``points`` nodes per axis
 
     Raises
     ------
+    TypeError
+        If ``kernel`` is not a QuadraticPhaseKernel.
     GridUnderresolved
         If the grid fails the coverage check (mean +- 5 sigma inside the
         extent, >= 6 points per sigma) or the Nyquist probe detects phase
         aliasing of the kernel across a cell.
     """
+    if not isinstance(kernel, QuadraticPhaseKernel):
+        raise TypeError(f"apply_kernel needs a QuadraticPhaseKernel, not "
+                        f"{type(kernel).__name__}")
     axis = np.linspace(-extent, extent, points)
     dx = axis[1] - axis[0]
     sx, sy = initial.sigmas if initial.sigmas else (None, None)
@@ -428,30 +434,20 @@ def apply_kernel(kernel, initial: GaussianState, extent: float,
     xo_flat = X.ravel()
     yo_flat = Y.ravel()
     psi_t = np.empty(points * points, dtype=complex)
-    if isinstance(kernel, QuadraticPhaseKernel):
-        # quadratic-phase kernel: the source coupling is a plane wave per
-        # output point, so the quadrature reduces to matrix products
-        M, phase_out, phase_src = phase_parts(kernel)
-        W = np.exp(1j * phase_src(X, Y)) * psi0
-        for lo in range(0, xo_flat.size, _CHUNK):
-            hi = min(lo + _CHUNK, xo_flat.size)
-            kx = M[0, 0] * xo_flat[lo:hi] + M[1, 0] * yo_flat[lo:hi]
-            ky = M[0, 1] * xo_flat[lo:hi] + M[1, 1] * yo_flat[lo:hi]
-            Ex = np.exp(1j * np.outer(kx, axis))
-            Ey = np.exp(1j * np.outer(ky, axis))
-            inner = Ey @ W.T              # [c, ix'] = sum_iy' Ey[c,iy'] W[ix',iy']
-            psi_t[lo:hi] = np.einsum("ci,ci->c", Ex, inner)
-        psi_t *= (kernel.prefactor * dx * dx
-                  * np.exp(1j * phase_out(xo_flat, yo_flat)))
-    else:
-        xp = X[None, :, :]
-        yp = Y[None, :, :]
-        for lo in range(0, xo_flat.size, _CHUNK):
-            hi = min(lo + _CHUNK, xo_flat.size)
-            G = kernel(xo_flat[lo:hi, None, None], yo_flat[lo:hi, None, None],
-                       xp, yp)
-            psi_t[lo:hi] = np.tensordot(G, psi0,
-                                        axes=([1, 2], [0, 1])) * dx * dx
+    # the source coupling is a plane wave per output point, so the
+    # quadrature reduces to matrix products
+    M, phase_out, phase_src = phase_parts(kernel)
+    W = np.exp(1j * phase_src(X, Y)) * psi0
+    for lo in range(0, xo_flat.size, _CHUNK):
+        hi = min(lo + _CHUNK, xo_flat.size)
+        kx = M[0, 0] * xo_flat[lo:hi] + M[1, 0] * yo_flat[lo:hi]
+        ky = M[0, 1] * xo_flat[lo:hi] + M[1, 1] * yo_flat[lo:hi]
+        Ex = np.exp(1j * np.outer(kx, axis))
+        Ey = np.exp(1j * np.outer(ky, axis))
+        inner = Ey @ W.T              # [c, ix'] = sum_iy' Ey[c,iy'] W[ix',iy']
+        psi_t[lo:hi] = np.einsum("ci,ci->c", Ex, inner)
+    psi_t *= (kernel.prefactor * dx * dx
+              * np.exp(1j * phase_out(xo_flat, yo_flat)))
     psi_t = psi_t.reshape(points, points)
 
     # position moments from |psi|^2, momentum moments from the Fourier side

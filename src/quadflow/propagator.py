@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .digits import g17, g17_rows
 from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
 from .schedule import N_GENERATORS
 
@@ -206,12 +207,6 @@ def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan) -> GreenSample:
                        kernel(x, y, x_prime, y_prime), kernel.branch)
 
 
-def _formatted(column) -> list:
-    """``%.17g`` of every element of the float array ``column``, in C order
-    (``-0.0`` stays ``-0``)."""
-    return ["%.17g" % v for v in np.ravel(column).tolist()]
-
-
 def _grid_form(coords, value) -> bool:
     """Whether a sample is a grid: 2-D and not empty, with x keeping one
     bit pattern along the last axis, and y, x_prime and y_prime along the
@@ -226,34 +221,41 @@ def _grid_form(coords, value) -> bool:
 
 
 def _write_runs(fh, coords, t, value, tail):
-    """The rows of a grid-form sample, run by run along its last axis: the
-    run's x cell joins the per-column cells of y, t, x_prime and y_prime
-    into the run's row format, and one ``%`` per at most ``_BLOCK`` rows
-    fills ``re`` and ``im``."""
+    """The rows of a grid-form sample in C order: each axis value is
+    formatted once, a row joins its x cell and its column's cells of y, t,
+    x_prime and y_prime, and one ``%`` per at most ``_BLOCK`` rows fills
+    ``re`` and ``im``."""
     x, y, xp, yp = coords
-    columns = [f"{a},{t:.17g},{b},{c},{tail}" for a, b, c in
-               zip(_formatted(y[0]), _formatted(xp[0]), _formatted(yp[0]))]
-    # each run's (re, im) pairs, interleaved as the row format reads them
-    pairs = np.ascontiguousarray(value, dtype=complex).view(float)
-    for cell, run in zip(_formatted(x[:, 0]), pairs):
-        head, run = cell + ",", run.tolist()
-        for start in range(0, len(columns), _BLOCK):
-            stop = start + _BLOCK
-            fh.write((head + head.join(columns[start:stop]))
-                     % tuple(run[2 * start:2 * stop]))
+    nx, ny = value.shape
+    pieces, args = g17(np.concatenate([x[:, 0], y[0], xp[0], yp[0]]))
+    cells = ("\n".join(pieces) % tuple(args)).split("\n")
+    heads = np.array([c + "," for c in cells[:nx]], dtype=object)
+    columns = np.array([f"{a},{t:.17g},{b},{c}," for a, b, c in
+                        zip(*(cells[nx + i * ny:nx + (i + 1) * ny]
+                              for i in range(3)))], dtype=object)
+    # each row's (re, im) pair, in the order the row format reads them
+    pairs = np.ascontiguousarray(value, dtype=complex).view(float).ravel()
+    rows = np.empty((_BLOCK, 6), dtype=object)
+    rows[:, 3], rows[:, 5] = ",", tail
+    for start in range(0, nx * ny, _BLOCK):
+        stop = min(start + _BLOCK, nx * ny)
+        k, block = np.arange(start, stop), rows[:stop - start]
+        block[:, 0], block[:, 1] = heads[k // ny], columns[k % ny]
+        pieces, args = g17(pairs[2 * start:2 * stop])
+        block[:, 2], block[:, 4] = pieces[0::2], pieces[1::2]
+        fh.write("".join(block.ravel().tolist()) % tuple(args))
 
 
 def _write_blocks(fh, coords, t, value, tail):
     """The rows of any sample in C order, every field ``%.17g``: one ``%``
-    per at most ``_BLOCK`` rows fills the row format with the rows'
-    coordinates, ``re`` and ``im``."""
+    per at most ``_BLOCK`` rows fills them with the rows' coordinates,
+    ``re`` and ``im``."""
     value = np.ravel(value)
     table = np.column_stack([*(np.ravel(c) for c in coords), value.real,
                              value.imag])
-    row = f"%.17g,%.17g,{t:.17g},%.17g,%.17g,{tail}"
+    after = [",", f",{t:.17g},", ",", ",", ",", tail]
     for start in range(0, len(table), _BLOCK):
-        block = table[start:start + _BLOCK]
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(g17_rows(table[start:start + _BLOCK], after))
 
 
 def write_green_csv(samples, path):
@@ -273,7 +275,7 @@ def write_green_csv(samples, path):
         for s in samples:
             coords = [np.asarray(c, dtype=float)
                       for c in (s.x, s.y, s.x_prime, s.y_prime)]
-            tail = f"%.17g,%.17g,{s.branch.replace('%', '%%')}\n"
+            tail = f",{s.branch.replace('%', '%%')}\n"
             write = _write_runs if _grid_form(coords, s.value) \
                 else _write_blocks
             write(fh, coords, s.t, s.value, tail)

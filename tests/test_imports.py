@@ -85,6 +85,23 @@ def test_run_with_green_grid_loads_neither(tmp_path):
     assert (tmp_path / "out" / "green.csv").exists()
 
 
+# the quadflow modules of README's start-up table: `run` loads these
+RUN_MODULES = ["adjoint", "cli", "config", "digits", "errors", "expressions",
+               "flow", "observables", "propagator", "reduction", "rk",
+               "schedule"]
+
+
+def test_run_loads_the_modules_of_the_start_up_table(tmp_path):
+    (tmp_path / "grid.cfg").write_text(GRID_CFG)
+    code = ("import sys\n"
+            "from quadflow.cli import main\n"
+            "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n"
+            "loaded = sorted(m[9:] for m in sys.modules\n"
+            "                if m.startswith('quadflow.'))\n"
+            f"assert loaded == {RUN_MODULES!r}, loaded\n")
+    _loaded_after(code, tmp_path)
+
+
 def test_a_batch_run_loads_no_pool(tmp_path):
     (tmp_path / "grid.cfg").write_text(GRID_CFG)
     (tmp_path / "short.cfg").write_text(GRID_CFG.replace("t_end = 2.5",

@@ -11,8 +11,7 @@ from quadflow.flow import constant_field_closed_form, integrate
 from quadflow.observables import SYMPLECTIC_J, heisenberg_map
 from quadflow.oracles import (GaussianState, apply_kernel, classical_system,
                               fundamental_matrix, hamiltonian_matrix,
-                              heisenberg_closed_form, landau_kernel,
-                              phase_parts)
+                              heisenberg_closed_form, landau_kernel)
 from quadflow.schedule import CoefficientSchedule
 
 
@@ -320,23 +319,16 @@ def test_pushforward_reads_the_states_hbar():
                                np.diag(cov_pred), rtol=3e-3)
 
 
-def test_fast_and_generic_quadrature_paths_agree(monkeypatch):
-    t = math.pi / 2
-    al = constant_field_closed_form(1.0, 1.0, t=t)
-    kern = landau_kernel(1.0, 1.0, 1.0, al, t)
-    state = GaussianState.separable([0.5, -0.3, 0.2, 0.1], 1.0, 1.0)
-    split = []
-    monkeypatch.setattr(oracles, "phase_parts",
-                        lambda k: split.append(k) or phase_parts(k))
-    fast = apply_kernel(kern, state, extent=8.0, points=100)
+def test_apply_kernel_refuses_a_kernel_of_another_type():
+    kern = landau_kernel(1.0, 1.0, 1.0,
+                         constant_field_closed_form(1.0, 1.0, t=1.0), 1.0)
+    state = GaussianState.separable([0.0, 0.0, 0.0, 0.0], 1.0, 1.0)
 
-    def plain(x, y, xp, yp):   # a bare callable takes the generic path
+    def plain(x, y, xp, yp):   # the same values, as a bare callable
         return kern(x, y, xp, yp)
 
-    slow = apply_kernel(plain, state, extent=8.0, points=100)
-    assert split == [kern]   # only the QuadraticPhaseKernel is split
-    np.testing.assert_allclose(fast.mean, slow.mean, atol=1e-12)
-    assert fast.norm == pytest.approx(slow.norm, abs=1e-12)
+    with pytest.raises(TypeError, match="QuadraticPhaseKernel, not function"):
+        apply_kernel(plain, state, extent=8.0, points=128)
 
 
 def test_grid_coverage_rejected():

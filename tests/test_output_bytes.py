@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import digits_fuzz
 from quadflow import cli, flow, observables, propagator
 from quadflow.config import GreenRequest, RunConfig
 from quadflow.flow import FlowResult, integrate, write_alphas_csv
@@ -106,7 +107,23 @@ def non_finite_flow():
                       dense=None, n_rhs=0)
 
 
-@pytest.mark.parametrize("make", [landau_flow, driven_flow])
+def class_values(n):
+    """n doubles of every class the writers' digits tell apart (fixed
+    notation below and above 1, integers, zero and -0, ties, neighbours of
+    powers of ten, scientific, subnormal and non-finite), shuffled so that
+    every block holds each class."""
+    rng = np.random.default_rng(3)
+    return digits_fuzz.families(rng, n)[:n]
+
+
+def class_flow():
+    # 300 rows: a block of flow._BLOCK = 256 and a partial one
+    values = class_values(300 * 16).reshape(300, 16)
+    return FlowResult(ts=values[:, 0], alphas=values[:, 1:], breakdown=None,
+                      dense=None, n_rhs=0)
+
+
+@pytest.mark.parametrize("make", [landau_flow, driven_flow, class_flow])
 def test_alphas_and_heisenberg_bytes_match_the_plain_writers(tmp_path, make):
     res = make()
     assert_same_bytes(tmp_path, write_alphas_csv, ref_alphas_csv, res)
@@ -210,13 +227,30 @@ def test_green_bytes_keep_the_bits_of_a_constant_coordinate(tmp_path):
                             "2.5", "0.10000000000000001", "-0"]
 
 
-@pytest.mark.parametrize("block", [1, 2, 7])
+def class_green():
+    """A 40 x 33 grid and 1,100 points, each coordinate and value drawn
+    from ``class_values``: more rows than a block of 1,024 on either
+    writer path."""
+    axis, values = class_values(73), class_values(2 * 40 * 33 + 6 * 1100)
+    re, im = values[2:2 + 80 * 33].reshape(2, 40, 33)
+    x, y, x_prime, y_prime = np.broadcast_arrays(
+        axis[:40, None], axis[None, 40:], values[0], values[1])
+    grid = GreenSample(x, y, 0.5, x_prime, y_prime, re + 1j * im,
+                       "degenerate")
+    assert propagator._grid_form([x, y, x_prime, y_prime], grid.value)
+    points = values[80 * 33:].reshape(6, 1100)
+    return [grid, GreenSample(*points[:2], -0.0, *points[2:4],
+                              points[4] + 1j * points[5], "generic")]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, propagator._BLOCK])
 @pytest.mark.parametrize("make", [landau_green, driven_green, odd_green,
-                                  constant_green])
+                                  constant_green, class_green])
 def test_green_bytes_match_across_block_boundaries(tmp_path, monkeypatch,
                                                    make, block):
-    # every sample above has more rows than the block, and the 1-row and
-    # 2-row samples end in a partial block of 2 and 7
+    # every sample above but class_green's has more rows than the block of
+    # 1, 2 or 7, and the 1-row and 2-row samples end in a partial block of
+    # 2 and 7; class_green's two samples are longer than the default block
     monkeypatch.setattr(propagator, "_BLOCK", block)
     assert_same_bytes(tmp_path, write_green_csv, ref_green_csv, make())
 
