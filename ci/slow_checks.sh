@@ -7,9 +7,10 @@
 # 1. the benchmark's self-tests (pytest perfbench);
 # 2. tier-1 on numpy's baseline SIMD kernels, as a CPU without AVX2 or
 #    AVX-512 runs them (about 20 s on a 2-core VM);
-# 3. the writers' %.17g digits (quadflow.digits.g17) against '%.17g' % v
-#    on 10,000,000 seeded doubles of tests/digits_fuzz.py's families, at
-#    native and at baseline dispatch (16 to 27 s each on a 2-core VM);
+# 3. the writers' digits on 10,000,000 seeded doubles of
+#    tests/digits_fuzz.py's families, at native and at baseline dispatch:
+#    quadflow.digits.g17 against '%.17g' % v and quadflow.digits.shortest
+#    against repr(v) (42 to 48 s each on a 2-core VM);
 # 4. a schedule that oscillates beyond resolution spends the stepper's real
 #    budget of 100,000 step attempts (about 25 s on a 2-core VM);
 # 5. verify on a flow whose classical oracle spends its real budget of
@@ -38,9 +39,9 @@ echo "== tier-1 at numpy's baseline dispatch"
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
     python3 -m pytest tests -q -p no:cacheprovider
 
-echo "== the %.17g digits against % on 10^7 doubles"
-# prints the count of doubles, of mismatches and the seconds, and exits 1
-# on any mismatch; warnings are errors, as in tier-1
+echo "== the %.17g and repr digits against % and repr on 10^7 doubles"
+# prints the count of doubles, of mismatches of each and the seconds, and
+# exits 1 on any mismatch; warnings are errors, as in tier-1
 python3 -W error::RuntimeWarning tests/digits_fuzz.py
 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
     python3 -W error::RuntimeWarning tests/digits_fuzz.py

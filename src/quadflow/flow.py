@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rk
-from .digits import g17_rows
+from .digits import rows
 from .errors import SingularNu, SingularTime, StepBudget, StepUnderflow
 from .reduction import assemble, flow_rhs
 from .schedule import N_GENERATORS, CoefficientSchedule
@@ -272,11 +272,11 @@ def constant_field_closed_form(m, omega_c, E_x=0.0, E_y=0.0, e=1.0, t=0.0):
 def write_alphas_csv(result: FlowResult, path):
     """CSV with header t,alpha1,...,alpha15 and one row per sample, every
     field ``%.17g``; up to ``_BLOCK`` rows are formatted by one ``%`` on
-    the digits of their fields (:func:`.digits.g17_rows`)."""
+    the digits of their fields (:func:`.digits.rows`)."""
     header = "t," + ",".join(f"alpha{i}" for i in range(1, N_GENERATORS + 1))
     after = [","] * N_GENERATORS + ["\n"]
     table = np.column_stack([result.ts, result.alphas])
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _BLOCK):
-            fh.write(g17_rows(table[start:start + _BLOCK], after))
+            fh.write(rows(table[start:start + _BLOCK], after))

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adjoint import _adjoint_blocks
+from .digits import rows, shortest
 from .schedule import N_GENERATORS
 
 __all__ = ["SYMPLECTIC_J", "AffineSymplecticMap", "heisenberg_map",
@@ -90,12 +91,14 @@ def heisenberg_map(alpha) -> AffineSymplecticMap:
         phase=alpha[..., 0].copy() if alpha.ndim > 1 else float(alpha[0]))
 
 
-# one record in json.dump's indent=1 layout, with %s for its 22 numbers
-_JSON_RECORD = json.dumps(
+# one record in json.dump's indent=1 layout: its text before, between and
+# after its 22 numbers, and the text between two records
+_HEAD, *_BETWEEN, _TAIL = json.dumps(
     [{"t": 0.5, "S": [[0.5] * 4] * 4, "d": [0.5] * 4, "phase": 0.5}],
-    indent=1)[2:-2].replace("0.5", "%s")
+    indent=1)[2:-2].split("0.5")
+_NEXT = _TAIL + ",\n" + _HEAD
 # records per ``%`` operation: bounds the block's transient strings
-_BLOCK = 32
+_BLOCK = 256
 
 
 def write_heisenberg_json(flow_result, path):
@@ -103,22 +106,19 @@ def write_heisenberg_json(flow_result, path):
 
     The bytes are those of ``json.dump(records, fh, indent=1)`` plus a
     newline; every map comes from one stacked :func:`heisenberg_map` call.
-    Up to ``_BLOCK`` records are formatted by one ``%`` on a flat tuple of
-    their fields, whose ``%s`` spells a float as its ``repr``, as json does.
+    Up to ``_BLOCK`` records are formatted by one ``%`` on the digits of
+    their fields (:func:`.digits.rows` with :func:`.digits.shortest`), which
+    spell each float as json does: its ``repr``, or ``NaN``, ``Infinity``
+    and ``-Infinity``.
     """
     m = heisenberg_map(flow_result.alphas)
     fields = np.column_stack([flow_result.ts, m.S.reshape(-1, 16), m.d,
                               m.phase])
     with open(path, "w") as fh:
         # a FlowResult holds at least one sample
-        fh.write("[\n")
+        fh.write("[\n" + _HEAD)
         for start in range(0, len(fields), _BLOCK):
-            block = fields[start:start + _BLOCK]
-            values = block.ravel().tolist()
-            if not np.isfinite(block).all():
-                # json spells non-finite floats NaN, Infinity and -Infinity
-                values = map(json.dumps, values)
-            fh.write((",\n" if start else "")
-                     + ",\n".join([_JSON_RECORD] * len(block))
-                     % tuple(values))
-        fh.write("\n]\n")
+            text = rows(fields[start:start + _BLOCK], [*_BETWEEN, _NEXT],
+                        shortest)
+            fh.write(text if start + _BLOCK < len(fields)
+                     else text[:-len(_NEXT)] + _TAIL + "\n]\n")

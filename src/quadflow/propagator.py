@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digits import g17, g17_rows
+from .digits import g17, rows
 from .errors import BranchUnavailable, DegenerateGeometry, SingularTime
 from .schedule import N_GENERATORS
 
@@ -62,7 +62,7 @@ _BLOCK = 1024
 class GreenSample(NamedTuple):
     """Green-function values at one time t.
 
-    ``x``, ``y``, ``x_prime``, ``y_prime`` and ``value`` share one broadcast
+    ``x``, ``y``, ``x_prime``, ``y_prime`` and ``value`` broadcast to one
     shape: 0-d for scalar coordinates, 1-D for a list of points, and 2-D
     for a grid (the CLI's: x along the first axis, y along the last, the
     source constant), which :func:`write_green_csv` writes run by run.
@@ -208,12 +208,11 @@ def green(alpha, hbar, x, y, x_prime, y_prime, t=math.nan) -> GreenSample:
 
 
 def _grid_form(coords, value) -> bool:
-    """Whether a sample is a grid: 2-D and not empty, with x keeping one
-    bit pattern along the last axis, and y, x_prime and y_prime along the
-    first (as the CLI's ``ij`` grid broadcast from its axis and source)."""
-    shape = np.shape(value)
-    if len(shape) != 2 or 0 in shape or any(c.shape != shape
-                                             for c in coords):
+    """Whether a sample, broadcast to one shape, is a grid: 2-D and not
+    empty, with x keeping one bit pattern along the last axis, and y,
+    x_prime and y_prime along the first (as the CLI's ``ij`` grid broadcast
+    from its axis and source)."""
+    if value.ndim != 2 or value.size == 0:
         return False
     x, *rest = (c.view(np.uint64) for c in coords)
     return bool((x == x[:, :1]).all()
@@ -255,12 +254,13 @@ def _write_blocks(fh, coords, t, value, tail):
                              value.imag])
     after = [",", f",{t:.17g},", ",", ",", ",", tail]
     for start in range(0, len(table), _BLOCK):
-        fh.write(g17_rows(table[start:start + _BLOCK], after))
+        fh.write(rows(table[start:start + _BLOCK], after))
 
 
 def write_green_csv(samples, path):
     """CSV with columns x,y,t,x_prime,y_prime,re,im,branch; one row per
-    broadcast element of each sample, in C order, every number ``%.17g``.
+    element of each sample's coordinates and value broadcast together, in C
+    order, every number ``%.17g``.
 
     A sample may be a 2-D grid, as the CLI samples one: x keeps one bit
     pattern along the last axis, and y, x_prime and y_prime along the
@@ -273,9 +273,11 @@ def write_green_csv(samples, path):
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
         for s in samples:
-            coords = [np.asarray(c, dtype=float)
-                      for c in (s.x, s.y, s.x_prime, s.y_prime)]
+            *coords, value = np.broadcast_arrays(
+                *(np.asarray(c, dtype=float)
+                  for c in (s.x, s.y, s.x_prime, s.y_prime)),
+                np.asarray(s.value))
             tail = f",{s.branch.replace('%', '%%')}\n"
-            write = _write_runs if _grid_form(coords, s.value) \
+            write = _write_runs if _grid_form(coords, value) \
                 else _write_blocks
-            write(fh, coords, s.t, s.value, tail)
+            write(fh, coords, s.t, value, tail)

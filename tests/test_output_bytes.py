@@ -353,6 +353,32 @@ def test_a_2d_sample_not_of_grid_form_takes_the_block_path(tmp_path, paths):
     assert "\n-1,-0,1,0.29999999999999999,-0.20000000000000001," in text
 
 
+@pytest.mark.parametrize("x_prime, path", [
+    (0.3, "_write_runs"), (np.arange(40.0)[:, None], "_write_blocks")],
+    ids=["grid", "blocks"])
+def test_green_bytes_of_a_sample_not_yet_broadcast(tmp_path, paths, x_prime,
+                                                   path):
+    # coordinates of shapes (40, 1), (1, 33) and a scalar or (40, 1) with a
+    # (40, 33) value write the rows of the sample broadcast by hand, on the
+    # grid path and on the block path
+    res = landau_flow()
+    axis = np.linspace(-2.0, 2.0, 40)
+    value = green(res.interpolate(1.0), 1.0, axis[:, None], axis[None, :33],
+                  x_prime, -0.2, t=1.0).value
+    sample = GreenSample(axis[:, None], axis[None, :33], 1.0,
+                         np.asarray(x_prime), np.asarray(-0.2), value,
+                         "degenerate")
+    assert sample.x.shape != value.shape == (40, 33)
+    x, y, xp, yp, _ = np.broadcast_arrays(sample.x, sample.y,
+                                          sample.x_prime, sample.y_prime,
+                                          value)
+    broadcast = sample._replace(x=x, y=y, x_prime=xp, y_prime=yp)
+    write_green_csv([sample], tmp_path / "out")
+    ref_green_csv([broadcast], tmp_path / "ref")
+    assert (tmp_path / "out").read_bytes() == (tmp_path / "ref").read_bytes()
+    assert paths == [path]
+
+
 @pytest.mark.parametrize("cfg, points", [
     (LANDAU, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.25, 0.125))),
     (DRIVEN, ((0.5, -0.5, 0.25, 0.1),)),
@@ -384,6 +410,40 @@ def test_heisenberg_bytes_match_with_non_finite_maps(tmp_path):
     for spelling in ("NaN", " Infinity", "-Infinity"):
         assert spelling in text
     assert len(json.loads(text)) == 4
+
+
+# a value of each piece json's float text takes, and its text: zero and
+# -0, integers, fixed notation below and above 1, a tie at the 16th digit
+# (both neighbours read back; the even one), scientific notation on either
+# side of the fixed range and subnormal, and the non-finite spellings
+PIECES = [(0.0, "0.0"), (-0.0, "-0.0"), (1.0, "1.0"), (-2.0, "-2.0"),
+          (1e-4, "0.0001"), (-0.0625, "-0.0625"),
+          (1e15, "1000000000000000.0"),
+          (562949953421312.25, "562949953421312.2"),
+          (9.999999999999999e-05, "9.999999999999999e-05"), (1e16, "1e+16"),
+          (5e-324, "5e-324"), (math.nan, "NaN"), (math.inf, "Infinity"),
+          (-math.inf, "-Infinity")]
+
+
+@pytest.mark.parametrize("block", [1, 4, observables._BLOCK])
+def test_heisenberg_bytes_of_every_piece(tmp_path, monkeypatch, block):
+    # 300 records, more than a block: t and the phase, which the writer
+    # copies, cycle through the pieces; the other alphas are random, so
+    # the maps take the digit paths
+    monkeypatch.setattr(observables, "_BLOCK", block)
+    values, texts = zip(*PIECES)
+    rng = np.random.default_rng(42)
+    alphas = rng.uniform(-1, 1, (300, 15))
+    alphas[:, 0] = np.resize(values, 300)
+    ts = np.resize(values[3:] + values[:3], 300)
+    res = FlowResult(ts=ts, alphas=alphas, breakdown=None, dense=None,
+                     n_rhs=0)
+    assert_same_bytes(tmp_path, write_heisenberg_json, ref_heisenberg_json,
+                      res)
+    text = (tmp_path / "out").read_text()
+    for spelling in texts:
+        assert f'"phase": {spelling}\n' in text
+        assert f'"t": {spelling},\n' in text
 
 
 def test_heisenberg_writer_maps_every_sample_in_one_call(tmp_path,
