@@ -53,13 +53,13 @@ The cases:
   reaches t_end, and verify skips only the landau closed-form row;
 - the unresolved runs ``a2 = 1e300`` (a9 = a10 = 0.5, t_end 1) and landau
   with t_end 2e-322, each under ``run``;
-- ``print-odes`` at t = 0.7 and a state with every alpha nonzero, on a
-  config that sets all fifteen slots and on the landau preset: the
-  right-hand side of no zeros, every term of every equation;
-- ``print-odes`` at the same state on a config whose expressions use every
-  function and operator of the grammar on t, and on that config with a
-  constant ``t = 9.0`` added, which no expression reads (t is the time): a
-  config error with exit 1;
+- ``run`` and ``verify`` on a config that sets all fifteen slots (t_end
+  2): the right-hand side of no zeros, every term of every equation, up to
+  a chart-end at t = 1.5674;
+- ``run`` on a config whose expressions use every function and operator
+  of the grammar on t (t_end 2, a chart-end at t = 1.4017), and on that
+  config with a constant ``t = 9.0`` added, which no expression reads (t
+  is the time): a config error with exit 1;
 - the three inputs whose verify rows fail on an absolute tolerance while
   the relative error is tiny: ``verify --preset free --m 1e-26`` (alpha9
   reaches 1.25e26), ``verify --preset kanai_caldirola --lam 400`` (a
@@ -123,7 +123,7 @@ GREEN_PAST_SPAN = DRIVEN + "\n[green]\npoints = 0.5,-0.5,0.25,0.1\n" \
 LINEAR_SLOTS = ("a1 = 0.2\na4 = 0.1*cos(t)\na5 = -0.1\na8 = 0.05\na9 = 0.5\n"
                 "a10 = 0.5\na12 = 0.1*sin(t)\na13 = -0.05\n\n"
                 "[run]\nt_end = 2.0\n")
-# all fifteen slots, for print-odes at a state with every alpha nonzero
+# all fifteen slots: the flow's right-hand side keeps every term
 ALL_SLOTS = ("a1 = 0.2\na2 = 0.3*sin(t)\na3 = -0.1\na4 = 0.1*cos(t)\n"
              "a5 = -0.1\na6 = 0.5\na7 = 0.4*cos(t)\na8 = 0.05\na9 = 0.5\n"
              "a10 = 0.6\na11 = 0.1*cos(t)\na12 = 0.1*sin(t)\na13 = -0.05\n"
@@ -136,8 +136,6 @@ EVERY_FUNCTION = ("a6 = 0.5 + 0.1*tan(t/4)\na7 = 0.4*sqrt(1 + t^2)\n"
                   "[run]\nt_end = 2.0\n")
 # a constant named t, which no expression reads: refused
 CONSTANT_T = EVERY_FUNCTION.replace("w = 2.0\n", "w = 2.0\nt = 9.0\n")
-ODES = ["--t", "0.7", "--alpha", "0.1,-0.2,0.3,0.05,-0.15,0.2,-0.1,0.07,"
-        "0.3,-0.25,0.12,0.4,-0.3,0.2,-0.1"]
 UNRESOLVED = {
     "huge_a2": "a2 = 1e300\na9 = 0.5\na10 = 0.5\n\n[run]\nt_end = 1.0\n",
     "tiny_t_end": "preset = landau\n\n[run]\nt_end = 2e-322\n",
@@ -202,14 +200,12 @@ def cases(seeds):
     for command in ("run", "verify"):
         yield f"{command}:linear_slots", lambda tmp, c=command: _config(
             tmp, LINEAR_SLOTS, c)
-    yield "print-odes:all_slots", lambda tmp: [
-        *_config(tmp, ALL_SLOTS, "print-odes"), *ODES]
-    yield "print-odes:landau", lambda tmp: [
-        "print-odes", "--preset", "landau", *ODES]
-    yield "print-odes:every_function", lambda tmp: [
-        *_config(tmp, EVERY_FUNCTION, "print-odes"), *ODES]
-    yield "print-odes:constant_t", lambda tmp: [
-        *_config(tmp, CONSTANT_T, "print-odes"), *ODES]
+    for command in ("run", "verify"):
+        yield f"{command}:all_slots", lambda tmp, c=command: _config(
+            tmp, ALL_SLOTS, c)
+    for name, text in (("every_function", EVERY_FUNCTION),
+                       ("constant_t", CONSTANT_T)):
+        yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     for name, text in UNRESOLVED.items():
         yield f"run:{name}", lambda tmp, t=text: _config(tmp, t, "run")
     yield "verify:free_m1e-26", lambda tmp: [
@@ -225,11 +221,11 @@ def cases(seeds):
 def _config(tmp: Path, body: str, command: str, stem: str = "case",
             outputs: str = OUTPUTS) -> list:
     """Write ``[hamiltonian]`` + ``body`` + ``outputs`` as ``<stem>.cfg``;
-    the argv of ``command`` (run, verify or print-odes) on it."""
+    the argv of ``command`` (run or verify) on it."""
     path = tmp / f"{stem}.cfg"
     path.write_text("[hamiltonian]\n" + body + "\n" + outputs)
-    return [command, "--config", str(path)] \
-        if command in ("verify", "print-odes") else [command, str(path)]
+    return [command, "--config", str(path)] if command == "verify" \
+        else [command, str(path)]
 
 
 def _batch(tmp: Path) -> list:

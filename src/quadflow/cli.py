@@ -8,7 +8,6 @@ run <config>...   integrate the flow and write the files [outputs] names;
                   and the first failing config stops the batch (a schedule
                   still pickles, for callers who pool runs themselves)
 verify            the oracle cross-check table on run's flow, config or preset
-print-odes        dump the flow right-hand side at a given (a(t), alpha)
 
 Failures print a machine-readable JSON object to stderr
 ({"error": code, "detail": text, "at": location}) and exit nonzero.
@@ -30,19 +29,19 @@ from . import __version__
 from . import flow as flow_mod
 from . import observables, propagator
 from .adjoint import adjoint_closed_form, adjoint_matrix
-from .config import RunConfig, _parse_tuple, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, QuadflowError, SingularTime
 from .reduction import assemble, reference_odes
 from .schedule import PRESETS, CoefficientSchedule
 
-_PRESET = "landau"  # the preset of verify and print-odes without --config
+_PRESET = "landau"  # the preset of verify without --config
 # every preset parameter, in PRESETS order: verify's options --m ... --e
 _PARAMS = tuple(dict.fromkeys(k for keys in PRESETS.values() for k in keys))
 
 
 def _load(args) -> RunConfig:
-    """The run of verify or print-odes: ``--config``, or the preset built
-    from the options given; an option the run would ignore is refused."""
+    """The run of verify: ``--config``, or the preset built from the
+    options given; an option the run would ignore is refused."""
     given = {key: value for key, value in vars(args).items()
              if key in ("preset", "t_end", *_PARAMS)}
     if "config" in args:
@@ -276,31 +275,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_print_odes(args) -> int:
-    schedule = _load(args).schedule
-    if not math.isfinite(args.t):
-        raise ConfigError(f"--t = {args.t!r} must be finite")
-    alpha = np.zeros(15)
-    if args.alpha:
-        alpha = np.array(_parse_tuple(args.alpha, 15, "--alpha"))
-    a = schedule.coefficients(args.t)
-    state = assemble(a, alpha)
-    ref = reference_odes(a, alpha)
-    if not (np.isfinite(state.mu).all() and np.isfinite(ref).all()):
-        raise ConfigError("the flow right-hand side is not finite at "
-                          f"--t = {args.t!r}, --alpha = {alpha.tolist()}")
-    print(json.dumps({
-        "t": args.t,
-        "a": a,
-        "alpha": alpha.tolist(),
-        "mu": state.mu.tolist(),
-        "explicit": ref.tolist(),
-        "max_difference": float(np.max(np.abs(state.mu - ref))),
-        "det_nu": float(state.det),
-    }, indent=1))
-    return 0
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: ``main`` only parses."""
@@ -316,26 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--outdir", default=None)
     p_run.set_defaults(fn=_cmd_run)
 
-    # in verify and print-odes an option not given stays out of the
-    # namespace: _load applies the defaults and refuses ignored options
+    # in verify an option not given stays out of the namespace: _load
+    # applies the defaults and refuses ignored options
     p_ver = sub.add_parser("verify", help="run the oracle cross-check table",
                            argument_default=argparse.SUPPRESS)
-    p_odes = sub.add_parser("print-odes",
-                            help="dump the flow RHS at a given state",
-                            argument_default=argparse.SUPPRESS)
-    for p in (p_ver, p_odes):
-        p.add_argument("--preset", choices=list(PRESETS))
-        p.add_argument("--config")
-
+    p_ver.add_argument("--preset", choices=list(PRESETS))
+    p_ver.add_argument("--config")
     p_ver.add_argument("--t-end", dest="t_end", type=float)
     for key in _PARAMS:
         p_ver.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p_ver.set_defaults(fn=_cmd_verify)
-
-    p_odes.add_argument("--t", type=float, default=0.0)
-    p_odes.add_argument("--alpha", default=None,
-                        help="comma-separated 15 values (default zeros)")
-    p_odes.set_defaults(fn=_cmd_print_odes)
     return ap
 
 

@@ -134,7 +134,7 @@ def _parse_tuple(raw, n, where):
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file; refuse unknown names."""
-    import configparser  # here: verify and print-odes on a preset read no file
+    import configparser  # here: verify on a preset reads no file
 
     path = Path(path)
     if not path.exists():

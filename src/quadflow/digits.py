@@ -129,6 +129,7 @@ def _spell(v, short):
     if again.size:
         p[again], err[again] = _product(a[again], 16 - e[again])
         n[again] = _rint(p[again], err[again])
+    del p, shift, again
     fixed = (candidate & (e >= -4) & (e <= 16)
              & (n >= 10 ** 16) & (n < 10 ** 17))
     if short:
@@ -136,6 +137,7 @@ def _spell(v, short):
         carry = n == 10 ** 17
         n, e = np.where(carry, 10 ** 16, n), e + carry
         fixed &= e <= 15
+    del a, err
 
     # d = n / 10^z without its z trailing zeros (at most 16)
     d, z = n, np.zeros(len(n), dtype=np.int64)

@@ -268,15 +268,17 @@ def write_green_csv(samples, path):
     cell formatted once (:func:`_write_runs`).  Any other sample is written
     in blocks of rows (:func:`_write_blocks`).  The path follows from the
     sample's shape and bits alone, and both give the bytes of formatting
-    every number on its own.
+    every number on its own.  Every sample is broadcast (into views)
+    before the file is opened, so one that does not broadcast raises numpy's
+    ``ValueError`` with no byte written.
     """
+    broadcast = [(s, np.broadcast_arrays(
+        *(np.asarray(c, dtype=float)
+          for c in (s.x, s.y, s.x_prime, s.y_prime)),
+        np.asarray(s.value))) for s in samples]
     with open(path, "w") as fh:
         fh.write("x,y,t,x_prime,y_prime,re,im,branch\n")
-        for s in samples:
-            *coords, value = np.broadcast_arrays(
-                *(np.asarray(c, dtype=float)
-                  for c in (s.x, s.y, s.x_prime, s.y_prime)),
-                np.asarray(s.value))
+        for s, (*coords, value) in broadcast:
             tail = f",{s.branch.replace('%', '%%')}\n"
             write = _write_runs if _grid_form(coords, value) \
                 else _write_blocks

@@ -67,5 +67,5 @@ def test_the_cases_at_one_seed(tmp_path):
         tmp = tmp_path / str(j)
         tmp.mkdir()
         argv = write(tmp)
-        assert argv[0] in ("run", "verify", "print-odes"), name
+        assert argv[0] in ("run", "verify"), name
         assert all(isinstance(arg, str) for arg in argv), name

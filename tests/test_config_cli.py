@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from quadflow import cli, flow, oracles, rk
 from quadflow.cli import build_parser, main, run_config_file
 from quadflow.config import RunConfig, load_config
-from quadflow.errors import ConfigError, InvalidSchedule
+from quadflow.errors import ConfigError, InvalidSchedule, SingularNu
 from quadflow.adjoint import adjoint_closed_form, adjoint_matrix
 from quadflow.expressions import FUNCTIONS
 from quadflow.flow import integrate
@@ -318,13 +318,16 @@ def test_cli_verify_expression_config(tmp_path, capsys):
     assert "[FAIL]" not in out
 
 
-def test_cli_print_odes(capsys):
-    code = main(["print-odes", "--preset", "landau", "--t", "0.0"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["max_difference"] < 1e-12
-    assert doc["det_nu"] == pytest.approx(1.0)
-    np.testing.assert_allclose(doc["mu"], doc["a"])
+def test_cli_print_odes():
+    # the pair the removed print-odes command printed, built from verify's
+    # default landau preset: at alpha = 0, mu = a and det(nu) = 1
+    args = build_parser().parse_args(["verify", "--preset", "landau"])
+    a = cli._load(args).schedule.coefficients(0.0)
+    alpha = np.zeros(15)
+    state = assemble(a, alpha)
+    assert np.max(np.abs(state.mu - reference_odes(a, alpha))) < 1e-12
+    assert state.det == pytest.approx(1.0)
+    np.testing.assert_allclose(state.mu, a)
 
 
 def test_green_grid_mode_and_times(tmp_path):
@@ -554,36 +557,14 @@ def test_bad_number_is_a_json_error(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "alphas.csv").exists()
 
 
-@pytest.mark.parametrize("alpha", ["1,2", "x"])
-def test_bad_print_odes_alpha_is_a_json_error(capsys, alpha):
-    assert main(["print-odes", "--alpha", alpha]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "config-error"
-    assert "--alpha" in err["detail"] and alpha in err["detail"]
-
-
-@pytest.mark.parametrize("argv, fragment", [
-    (["--t", "nan"], "--t = nan"),
-    (["--t", "inf"], "--t = inf"),
-    (["--alpha", "0,1e300" + ",0" * 13], "not finite"),
-], ids=["t-nan", "t-inf", "alpha-overflow"])
-def test_non_finite_print_odes_is_a_json_error(capsys, argv, fragment):
-    assert main(["print-odes", *argv]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    (line,) = captured.err.strip().splitlines()
-    err = json.loads(line)
-    assert err["error"] == "config-error"
-    assert fragment in err["detail"]
-
-
-def test_singular_nu_detail_prints_a_plain_float(capsys):
+def test_singular_nu_detail_prints_a_plain_float():
     # e^{2 alpha12} overflows at alpha12 = 1000, so det(nu) is NaN
-    alpha = ",".join("1000" if k == 11 else "0" for k in range(15))
-    assert main(["print-odes", "--alpha", alpha]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "singular-nu"
-    assert err["detail"].startswith("det(nu) = nan at alpha = ")
+    alpha = [1000.0 if k == 11 else 0.0 for k in range(15)]
+    a = CoefficientSchedule.preset("landau").coefficients(0.0)
+    with pytest.raises(SingularNu) as exc:
+        assemble(a, alpha)
+    assert exc.value.code == "singular-nu"
+    assert str(exc.value) == f"det(nu) = nan at alpha = {alpha}"
 
 
 @pytest.mark.parametrize("t_end", ["-1", "nan"])
@@ -686,18 +667,17 @@ def test_huge_coefficients_are_one_json_line_on_stderr(tmp_path):
 @pytest.mark.parametrize("lam,coefficient", [("400", "a6"), ("-400", "a9")])
 def test_overflowing_kanai_caldirola_is_one_json_line(tmp_path, lam,
                                                       coefficient):
-    # e^{lam t} (a6) or e^{-lam t} (a9) overflows at t = 5
+    # e^{lam t} (a6) or e^{-lam t} (a9) overflows at t = 5; that the CLI
+    # prints such an error as one JSON line, the contract fuzz's
+    # invalid-schedule draws check
     p = tmp_path / "kc.cfg"
     p.write_text(f"[hamiltonian]\npreset = kanai_caldirola\nlam = {lam}\n\n"
                  "[run]\nt_end = 2.0\n\n[outputs]\nalphas = alphas.csv\n")
-    proc = _fresh_cli("print-odes", "--config", str(p), "--t", "5")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    err = json.loads(line)
-    assert err["error"] == "invalid-schedule"
-    assert err["detail"] == (f"{coefficient} undefined at t = 5.0: "
-                             "math range error")
+    with pytest.raises(InvalidSchedule) as exc:
+        load_config(p).schedule.coefficients(5.0)
+    assert exc.value.code == "invalid-schedule"
+    assert str(exc.value) == (f"{coefficient} undefined at t = 5.0: "
+                              "math range error")
 
 
 @pytest.mark.parametrize("preset, flag", [("harmonic1d", "--omega"),
@@ -781,11 +761,13 @@ def test_interpolating_callers_stay_inside_the_span(tmp_path, capsys,
     assert "[FAIL]" not in out and "[SKIP] symplecticity" not in out
 
 
-def test_unknown_print_odes_preset_is_a_usage_error(capsys):
+def test_the_print_odes_command_is_a_usage_error(capsys):
+    # verify's reduction row checks the flow right-hand side; no command
+    # prints it at one state
     with pytest.raises(SystemExit) as exc:
-        main(["print-odes", "--preset", "nosuch"])
+        main(["print-odes", "--t", "0.5"])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert "invalid choice: 'print-odes'" in capsys.readouterr().err
 
 
 def test_the_green_command_is_a_usage_error(landau_cfg, capsys):
@@ -1358,10 +1340,8 @@ def test_driven_runs_in_two_fresh_interpreters_write_the_same_bytes(
     (["verify", "--config", "CFG", "--m", "7"], "--m would be ignored"),
     (["verify", "--config", "CFG", "--preset", "landau", "--t-end", "3"],
      "--preset, --t-end would be ignored"),
-    (["print-odes", "--config", "CFG", "--preset", "landau"],
-     "--preset would be ignored"),
 ], ids=["unused-parameter", "unused-parameters", "config-and-m",
-        "config-and-preset", "print-odes-config-and-preset"])
+        "config-and-preset"])
 def test_ignored_options_are_refused(tmp_path, capsys, argv, fragment):
     p = tmp_path / "loose.cfg"
     p.write_text(TOL_CFG)

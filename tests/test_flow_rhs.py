@@ -4,19 +4,28 @@
 alphas that stay at their start +0.0 make zero; on every state of the flow
 it must give the bits of ``explicit_rhs``, zero signs included.  Which
 alphas stay at 0 is found here independently, by evaluating
-``explicit_rhs``.
+``explicit_rhs``.  The bits of the coefficients and of ``explicit_rhs`` at
+one state are pinned, on Python floats alone, so they hold at any SIMD
+dispatch level.
 """
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadflow import flow
+from quadflow.config import load_config
 from quadflow.flow import integrate
 from quadflow.reduction import explicit_rhs, flow_rhs
 from quadflow.schedule import PRESETS, CoefficientSchedule
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ci"))
+
+import output_digests  # noqa: E402  (ci/output_digests.py)
 
 
 def driven(extra=None):
@@ -178,3 +187,64 @@ def test_the_kernel_takes_and_returns_lists_of_floats():
                                   np.zeros(15).tolist())
     assert type(rates) is list and len(rates) == 15
     assert all(type(v) is float for v in rates)
+
+
+# a state with every alpha nonzero: no term of any equation vanishes
+ALPHA = [0.1, -0.2, 0.3, 0.05, -0.15, 0.2, -0.1, 0.07, 0.3, -0.25, 0.12,
+         0.4, -0.3, 0.2, -0.1]
+# float.hex of the coefficients at t = 0.7 and of explicit_rhs at ALPHA
+PINNED = {
+    "ALL_SLOTS": ("""
+        0x1.999999999999ap-3 0x1.8bceae4ba8543p-3 -0x1.999999999999ap-4
+        0x1.3947842194adcp-4 -0x1.999999999999ap-4 0x1.0000000000000p-1
+        0x1.3947842194adcp-2 0x1.999999999999ap-5 0x1.0000000000000p-1
+        0x1.3333333333333p-1 0x1.3947842194adcp-4 0x1.07df1edd1ae2dp-4
+        -0x1.999999999999ap-5 0x1.3333333333333p-2 -0x1.0000000000000p-2""",
+        """
+        0x1.3a50e4da050f0p-2 0x1.5f4d39969939ep-3 -0x1.ac9b8cb7fd0c2p-3
+        0x1.309ee4b1cde42p-2 -0x1.a8a7f1b6a4160p-2 0x1.066c2f9921aabp-1
+        0x1.50b52aa852f48p-2 0x1.b51e738a58b38p-3 0x1.30ab8c7a9a50ap-2
+        0x1.1c1f38d6b6cd6p-1 0x1.4acf28b618b38p-2 -0x1.2a88f8e2ae060p-3
+        0x1.328838068390ap-4 0x1.7f69ce8f7cc44p-1 -0x1.33c4d1b34ae3dp-4"""),
+    "landau": ("""
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x1.0000000000000p-3
+        0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-1
+        0x1.0000000000000p-1 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.0000000000000p-1 -0x1.0000000000000p-1""",
+        """
+        0x1.fae147ae147afp-5 -0x1.1999999999999p-3 -0x1.199999999999ap-3
+        0x1.199999999999ap-2 -0x1.1999999999999p-2 0x1.612d77318fc50p-3
+        0x1.75a858793dd98p-3 0x1.4189374bc6a80p-2 0x1.886594af4f0d8p-3
+        0x1.ce703afb7e910p-2 0x1.09ba5e353f7cfp-1 -0x1.b6630199e997ep-3
+        0x1.d32c699a39963p-4 0x1.bcf502e135b47p+0 -0x1.1fde10031feebp-3"""),
+    "EVERY_FUNCTION": ("""
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x1.090d7745a4c63p-1
+        0x1.f3fb033a9efb7p-2 0x0.0p+0 0x1.95728c9aeb923p-2
+        0x1.32dabfe85ac98p-1 -0x1.16796300f78d6p-6 0x0.0p+0
+        0x0.0p+0 0x1.f88cddf44e102p-3 -0x1.0000000000000p-1""",
+        """
+        0x1.df5e8932db4b8p-5 -0x1.6ac0970512794p-6 -0x1.f8c9cebcc5ca1p-3
+        0x1.e8669765928a4p-3 -0x1.6717b1fa547ccp-2 0x1.21eb2f4aa4c45p-1
+        0x1.194cb3b930817p-1 0x1.0615547d55e39p-2 0x1.1dc9f499f4995p-3
+        0x1.ff27f977a8cd8p-2 0x1.6b8906c8d2510p-2 -0x1.5f5cc2cbc1b41p-3
+        0x1.12ecb4106ec33p-3 0x1.5c98c4ae93f1ep-1 -0x1.1a3a203fd8e58p-3"""),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_coefficients_and_explicit_rhs_keep_their_bits(tmp_path, name):
+    # the landau preset, and the configs of the digest cases run:all_slots
+    # and run:every_function as load_config compiles them
+    if name == "landau":
+        sched = CoefficientSchedule.preset("landau")
+    else:
+        path = tmp_path / "case.cfg"
+        path.write_text("[hamiltonian]\n" + getattr(output_digests, name)
+                        + "\n" + output_digests.OUTPUTS)
+        sched = load_config(path).schedule
+    a_bits, rhs_bits = PINNED[name]
+    a = sched.coefficients(0.7)
+    assert [v.hex() for v in a] == a_bits.split()
+    assert [v.hex() for v in explicit_rhs(a, ALPHA)] == rhs_bits.split()

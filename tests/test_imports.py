@@ -6,9 +6,10 @@ imported cannot hide a module-level import.  No command loads ``scipy``
 integrate and sum in the package, and scipy is only the tests' reference.
 A multi-config ``run`` runs its configs in turn, so no command loads
 ``multiprocessing`` or ``concurrent.futures``.  ``import quadflow.schedule``
-loads no numpy.  Only ``verify`` loads ``quadflow.oracles``; no
-command builds the exact algebra (``fractions``), defines a dataclass or
-draws from ``numpy.random``, and only a config file loads ``configparser``.
+loads no numpy.  Only ``verify`` loads ``quadflow.oracles``, and with it
+the one dataclass (its ``GaussianState``); no command builds the exact
+algebra (``fractions``) or draws from ``numpy.random``, and only a config
+file loads ``configparser``.
 ``import quadflow`` loads none of its modules: each public name imports its
 module on first use.  ``import quadflow.cli`` compiles the stepper's attempt
 for the 15 alphas, loading a config compiles the flow's right-hand side for
@@ -78,8 +79,7 @@ def test_package_import_loads_neither_scipy_nor_multiprocessing(tmp_path):
 def test_run_with_green_grid_loads_neither(tmp_path):
     (tmp_path / "grid.cfg").write_text(GRID_CFG)
     code = ("from quadflow.cli import main\n"
-            "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n"
-            "assert main(['print-odes', '--t', '0.5']) == 0\n")
+            "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n")
     # reading a config file is what loads configparser
     assert _loaded_after(code, tmp_path) == ["configparser"]
     assert (tmp_path / "out" / "green.csv").exists()
@@ -159,12 +159,6 @@ def test_the_run_kernel_compiles_in_load_config_and_no_run_compiles_more(
             "assert main(['run', 'grid.cfg', '--outdir', 'out']) == 0\n"
             "assert reduction._kernel.cache_info().misses == 1\n")
     assert _loaded_after(code, tmp_path) == ["configparser"]
-
-
-def test_print_odes_on_a_preset_loads_none(tmp_path):
-    code = ("from quadflow.cli import main\n"
-            "assert main(['print-odes', '--t', '0.5']) == 0\n")
-    assert _loaded_after(code, tmp_path) == []
 
 
 def test_verify_loads_only_the_oracles(tmp_path):

@@ -379,6 +379,24 @@ def test_green_bytes_of_a_sample_not_yet_broadcast(tmp_path, paths, x_prime,
     assert paths == [path]
 
 
+def test_a_sample_that_does_not_broadcast_writes_no_byte(tmp_path):
+    # x of shape (3,) and y of shape (4,), after a sample that writes: the
+    # call raises before it opens the file, so a fresh path stays absent
+    # and a file already there keeps its bytes
+    zero = np.asarray(0.0)
+    good = GreenSample(np.zeros(2), np.zeros(2), 1.0, zero, zero,
+                       np.ones(2, dtype=complex), "degenerate")
+    bad = GreenSample(np.zeros(3), np.zeros(4), 1.0, zero, zero,
+                      np.ones(3, dtype=complex), "degenerate")
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_bytes(b"kept\n")
+    for path in (fresh, old):
+        with pytest.raises(ValueError):
+            write_green_csv([good, bad], path)
+    assert not fresh.exists()
+    assert old.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("cfg, points", [
     (LANDAU, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.25, 0.125))),
     (DRIVEN, ((0.5, -0.5, 0.25, 0.1),)),

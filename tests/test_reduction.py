@@ -263,7 +263,7 @@ def test_stacked_reference_odes_refuse_bad_shapes_and_non_finite_rows(
 
 
 def test_assemble_keeps_the_det_it_checked():
-    # verify and print-odes read it instead of computing it again
+    # verify reads it instead of computing it again
     rng = np.random.default_rng(29)
     a = rng.uniform(-1, 1, (7, 15))
     alpha = rng.uniform(-1, 1, (7, 15))
